@@ -45,10 +45,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 use taq_bench::{build_qdisc, Discipline};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, TelemetryBridge};
-use taq_telemetry::{
-    ring, shared_sink, spawn_collector, Event, RingSession, SummarySink, Telemetry, TelemetrySink,
-    Value,
-};
+use taq_telemetry::{shared_sink, Event, SummarySink, Telemetry, TelemetrySink, Value};
 use taq_workloads::{flows_for_fair_share, weblog, AccessTreeSpec, DumbbellSpec, BULK_BYTES};
 
 /// Heap allocations since process start (alloc + realloc + alloc_zeroed
@@ -66,6 +63,7 @@ struct CountingAlloc;
 
 // SAFETY: delegates every operation to `System` unchanged; the counter
 // is a relaxed side effect.
+#[allow(unsafe_code)] // denied workspace-wide; `GlobalAlloc` has no safe form
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
@@ -114,15 +112,11 @@ struct ScenarioResult {
     ns_per_dequeue: f64,
     allocs_per_event: f64,
     peak_queue_depth: u64,
-    /// Attached-sink scenarios only: the same run driven through the
-    /// plain mutex hub (no ring session), for the pipeline-vs-hub
-    /// comparison in the report.
-    mutex_hub_events_per_sec: Option<f64>,
 }
 
 impl ScenarioResult {
     fn to_value(&self) -> Value {
-        let mut fields = vec![
+        Value::object(vec![
             ("name", Value::Str(self.name.to_string())),
             ("wall_ms", Value::Float(self.wall_ms)),
             ("events", Value::UInt(self.events)),
@@ -132,11 +126,7 @@ impl ScenarioResult {
             ("ns_per_dequeue", Value::Float(self.ns_per_dequeue)),
             ("allocs_per_event", Value::Float(self.allocs_per_event)),
             ("peak_queue_depth", Value::UInt(self.peak_queue_depth)),
-        ];
-        if let Some(eps) = self.mutex_hub_events_per_sec {
-            fields.push(("mutex_hub_events_per_sec", Value::Float(eps)));
-        }
-        Value::object(fields)
+        ])
     }
 }
 
@@ -249,7 +239,6 @@ fn measure_scenario(name: &'static str, iters: u32) -> ScenarioResult {
         ns_per_dequeue: deq_h.mean(),
         allocs_per_event: least_alloc_rate,
         peak_queue_depth: peak.lock().unwrap().peak,
-        mutex_hub_events_per_sec: None,
     };
     println!(
         "{:<22} {:>10.1} ms  {:>9} events  {:>12.0} events/s  {:>8.0} ns/enq  {:>6.0} ns/cls  {:>6.0} ns/deq  {:>6.4} allocs/ev  depth {}",
@@ -266,71 +255,30 @@ fn measure_scenario(name: &'static str, iters: u32) -> ScenarioResult {
     result
 }
 
-/// Ring capacity for the attached-sink scenario. Sized so a swath stays
-/// cache-resident: the replay path re-reads what the producer just
-/// wrote, and a multi-megabyte ring would turn every drain into a cold
-/// round-trip through memory.
-const ATTACHED_RING_CAP: usize = 1 << 12;
-
-/// Installs the telemetry ring session for the attached-sink pass. On a
-/// multi-core host a collector thread overlaps sink replay with the
-/// simulation; on a single core that thread can only add context
-/// switches, so the producer drains its own ring in amortized swaths
-/// instead ([`RingSession::install_inline`]).
-fn install_ring_session(telemetry: &Telemetry) -> RingSession {
-    let single_core = std::thread::available_parallelism().map_or(true, |n| n.get() == 1);
-    if single_core {
-        RingSession::install_inline(telemetry, ATTACHED_RING_CAP)
-    } else {
-        RingSession::install(telemetry, 1, ATTACHED_RING_CAP)
-    }
-}
-
 /// Measures the fig01 workload with a live [`SummarySink`] attached —
 /// the observer-on configuration experiments actually run when they
-/// want aggregates. The headline pass routes events through a
-/// single-ring session ([`RingSession`]) with a live collector; a
-/// mutex-hub pass (identical sink, no session) is measured alongside
-/// for the report's pipeline-vs-hub comparison.
+/// want aggregates. The timed window runs to the flush: every event
+/// must have reached the sink before the clock stops.
 fn measure_attached(iters: u32) -> ScenarioResult {
     let mut best_ns = f64::INFINITY;
-    let mut best_hub_ns = f64::INFINITY;
     let mut least_alloc_rate = f64::INFINITY;
     let mut events = 0;
     for _ in 0..iters.max(1) {
-        // Mutex-hub reference pass.
         let telemetry = Telemetry::new();
         let (_stats, erased) = shared_sink(SummarySink::new());
         telemetry.add_shared_sink(erased);
         let start = Instant::now();
-        run_scenario("fig01_weblog_churn", Some(&telemetry));
-        telemetry.flush();
-        best_hub_ns = best_hub_ns.min(start.elapsed().as_nanos() as f64);
-        // Ring-session pass: the identical sink behind the lock-free
-        // fast path. The timed window covers install-to-fully-drained —
-        // every event must have reached the sink before the clock stops.
-        let telemetry = Telemetry::new();
-        let (_stats, erased) = shared_sink(SummarySink::new());
-        telemetry.add_shared_sink(erased);
-        let start = Instant::now();
-        let session = install_ring_session(&telemetry);
-        let collector = spawn_collector(session.set(), telemetry.clone());
-        let binding = ring::bind_shard_thread(0);
         let outcome = run_scenario("fig01_weblog_churn", Some(&telemetry));
-        drop(binding);
-        collector.stop();
-        drop(session);
         telemetry.flush();
         best_ns = best_ns.min(start.elapsed().as_nanos() as f64);
         events = outcome.events;
         least_alloc_rate = least_alloc_rate
             .min(outcome.steady_allocs as f64 / outcome.steady_events.max(1) as f64);
     }
-    // Untimed instrumented pass for the per-op histograms — keeping
-    // histogram recording out of both timed passes keeps the hub/ring
-    // comparison apples-to-apples. The summary sink makes the hub
-    // listen (scoped timers only record with a sink attached) and
-    // matches the configuration the timed passes measure.
+    // Untimed instrumented pass for the per-op histograms, so histogram
+    // recording stays out of the timed pass. The summary sink makes the
+    // hub listen (scoped timers only record with a sink attached) and
+    // matches the configuration the timed pass measures.
     let telemetry = Telemetry::new();
     let (_stats, erased) = shared_sink(SummarySink::new());
     telemetry.add_shared_sink(erased);
@@ -348,16 +296,10 @@ fn measure_attached(iters: u32) -> ScenarioResult {
         ns_per_dequeue: telemetry.histogram_value(deq).mean(),
         allocs_per_event: least_alloc_rate,
         peak_queue_depth: 0,
-        mutex_hub_events_per_sec: Some(events as f64 / (best_hub_ns / 1e9)),
     };
     println!(
-        "{:<22} {:>10.1} ms  {:>9} events  {:>12.0} events/s  (mutex hub {:>12.0} events/s, ring {:.2}x)",
-        result.name,
-        result.wall_ms,
-        result.events,
-        result.events_per_sec,
-        result.mutex_hub_events_per_sec.unwrap_or(0.0),
-        result.events_per_sec / result.mutex_hub_events_per_sec.unwrap_or(f64::INFINITY)
+        "{:<22} {:>10.1} ms  {:>9} events  {:>12.0} events/s",
+        result.name, result.wall_ms, result.events, result.events_per_sec
     );
     result
 }
@@ -540,13 +482,13 @@ const EXIT_THROUGHPUT: i32 = 2;
 /// kind of metric moved without re-parsing the log.
 const EXIT_LATENCY: i32 = 3;
 
-/// Exit code for an allocation-rate failure: a sinkless scenario
-/// allocated more than [`ALLOC_EPSILON`] times per event, meaning
-/// something started allocating on the per-event path.
+/// Exit code for an allocation-rate failure: a scenario allocated more
+/// than [`ALLOC_EPSILON`] times per event, meaning something started
+/// allocating on the per-event path.
 const EXIT_ALLOC: i32 = 4;
 
-/// Ceiling for steady-state `allocs_per_event` on the sinkless
-/// scenarios (second half of the run; warmup growth is excluded by
+/// Ceiling for steady-state `allocs_per_event` on every scenario
+/// (second half of the run; warmup growth is excluded by
 /// [`run_scenario`]). The per-event path itself is allocation-free
 /// (arena packets, SoA flow slabs, reused scratch buffers); what
 /// remains at steady state is per-*request* bookkeeping — flow-log
@@ -583,15 +525,12 @@ fn metric_of(s: &ScenarioResult, metric: &str) -> f64 {
     }
 }
 
-/// The absolute allocation-rate gate over the sinkless scenarios (the
-/// attached-sink scenario is excluded: ring drains and the collector's
-/// merge buffers allocate by design). Returns the offenders.
+/// The absolute allocation-rate gate (the attached-sink scenario
+/// included: a `SummarySink` on the hub allocates nothing per event
+/// either). Returns the offenders.
 fn check_alloc_rate(scenarios: &[ScenarioResult]) -> Vec<&'static str> {
     let mut failing = Vec::new();
     for s in scenarios {
-        if s.mutex_hub_events_per_sec.is_some() {
-            continue;
-        }
         let ok = s.allocs_per_event <= ALLOC_EPSILON;
         println!(
             "# --check {:<22} allocs_per_event {:>8.4} (ceiling {ALLOC_EPSILON}) {}",

@@ -726,11 +726,11 @@ impl Simulator {
             "exceeded max_events = {}",
             self.max_events
         );
-        // When a telemetry ring session is active, stamp the canonical
-        // event order key so ring entries emitted during this dispatch
-        // can be merged back into serial order (see taq_telemetry::ring).
-        if taq_telemetry::ring::stamping() {
-            taq_telemetry::ring::stamp_event(
+        // A shard thread buffers its telemetry; the canonical order key
+        // of this event is what merges the buffers back into serial
+        // order at the join (see taq_telemetry::capture).
+        if self.world.shard.is_some() {
+            taq_telemetry::capture::stamp(
                 ev.time.as_nanos(),
                 ev.key.class,
                 ev.key.origin,

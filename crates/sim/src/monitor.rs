@@ -180,9 +180,10 @@ impl LinkMonitor for TelemetryBridge {
         });
     }
 
-    /// Shards share the bridge's [`Telemetry`] hub (it is internally
-    /// synchronized). Event *content* stays deterministic; the JSONL
-    /// interleaving across shards is not — see DESIGN.md §14.
+    /// Shards share the bridge's [`Telemetry`] hub. The sharded
+    /// executor buffers each shard thread's emissions and replays them
+    /// in serial order at the join, so sink output is identical at any
+    /// shard count — see DESIGN.md §14.
     fn fork_shard(&self) -> Option<Box<dyn LinkMonitor>> {
         Some(Box::new(TelemetryBridge {
             telemetry: self.telemetry.clone(),

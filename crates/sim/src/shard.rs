@@ -33,7 +33,12 @@
 //! `(time, event-key)` identity computed by the sender (see
 //! `events::EventKey`), and every RNG stream is derived statelessly
 //! from the run seed — so the merged execution is event-for-event
-//! identical to the serial engine's, at any shard count.
+//! identical to the serial engine's, at any shard count. Telemetry
+//! follows the same key: each shard thread buffers what it emits
+//! (`taq_telemetry::capture`), and the join replays the buffers sorted
+//! by `(time, event-key, emission index)`, so attached sinks see the
+//! serial run's stream byte for byte — also when the run ends in
+//! [`ShardError::Deadlock`].
 //!
 //! A sharded run is **one-shot**: it must be the first run of the
 //! simulator, and afterwards the simulator is good for inspection
@@ -356,9 +361,6 @@ fn run_shard(
     // horizon starts at zero and only null-message exchange opens it.
     let mut promises: HashMap<u32, SimTime> =
         senders.into_iter().map(|s| (s, SimTime::ZERO)).collect();
-    // If a telemetry ring session is active, events this thread emits
-    // go to this shard's ring (merged back to serial order afterwards).
-    let _ring = taq_telemetry::ring::bind_shard_thread(shard);
     loop {
         if let Some(rx) = &inbox {
             loop {
@@ -622,7 +624,9 @@ impl Simulator {
                 .push(ev.time, ev.key, ev.kind);
         }
 
-        let results: Vec<Result<Simulator, ShardError>> = std::thread::scope(|scope| {
+        // Each shard thread's telemetry comes back with its result and
+        // is replayed below in serial order (see the module docs).
+        let results: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = shard_sims
                 .into_iter()
                 .zip(inboxes)
@@ -630,7 +634,11 @@ impl Simulator {
                 .enumerate()
                 .map(|(s, ((sim, inbox), senders))| {
                     let senders = senders.clone();
-                    scope.spawn(move || run_shard(s as u32, sim, inbox, senders, until))
+                    scope.spawn(move || {
+                        let capture = taq_telemetry::capture::arm();
+                        let result = run_shard(s as u32, sim, inbox, senders, until);
+                        (result, capture.finish())
+                    })
                 })
                 .collect();
             handles
@@ -644,7 +652,9 @@ impl Simulator {
 
         let mut sims = Vec::with_capacity(shards);
         let mut first_err = None;
-        for result in results {
+        let mut captured = Vec::new();
+        for (result, mut events) in results {
+            captured.append(&mut events);
             match result {
                 Ok(sim) => sims.push(Some(sim)),
                 Err(e) => {
@@ -653,6 +663,9 @@ impl Simulator {
                 }
             }
         }
+        // Before the error return: what a failed run emitted up to the
+        // failure still reaches the sinks.
+        taq_telemetry::capture::replay(captured);
         if let Some(e) = first_err {
             return Err(e);
         }

@@ -15,6 +15,10 @@
 //! 3. **Sinks stay dumb.** A sink sees `(timestamp, &Event)` and
 //!    nothing else; the ring buffer, JSONL writer, and summary table
 //!    are each ~100 lines.
+//! 4. **One transport.** Every emission goes through the mutex hub, in
+//!    emission order. The sharded executor is the one caller that
+//!    cannot do that directly; it buffers per shard thread and replays
+//!    the merged stream into the hub at the join ([`capture`]).
 //!
 //! ```
 //! use taq_telemetry::{shared_sink, Event, FlowId, RingBufferSink, Telemetry};
@@ -26,15 +30,14 @@
 //! assert_eq!(ring.lock().unwrap().count("pool_waiting"), 1);
 //! ```
 
+pub mod capture;
 mod event;
 mod registry;
-pub mod ring;
 mod sink;
 mod value;
 
 pub use event::{Event, FlowId};
 pub use registry::{CounterId, GaugeId, HistogramId, LogHistogram, MetricRegistry};
-pub use ring::{spawn_collector, CollectorReport, RingCollector, RingSession, RingSet};
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SummarySink,
     SummaryStats, TelemetrySink,
@@ -150,65 +153,25 @@ impl Telemetry {
         }
     }
 
-    /// Stable identity of this handle's shared hub state (0 when
-    /// disabled). Ring sessions ([`ring::RingSession`]) key on this so
-    /// they only capture emissions aimed at *their* hub.
-    #[inline]
-    pub(crate) fn hub_ptr(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map_or(0, |shared| Arc::as_ptr(shared) as usize)
-    }
-
-    /// Fans one event out to every sink, bypassing the ring fast path.
-    /// This is the mutex slow path of [`emit`](Self::emit) and the
-    /// replay primitive the ring collector uses (the collector thread
-    /// is never ring-bound, but routing around [`ring::try_emit`]
-    /// entirely keeps that invariant out of the correctness argument).
-    pub(crate) fn emit_direct(&self, at_ns: u64, event: &Event) {
-        if let Some(hub) = self.hub() {
-            for sink in &hub.sinks {
-                sink.lock().unwrap().emit(at_ns, event);
-            }
-        }
-    }
-
-    /// Batched [`emit_direct`](Self::emit_direct): one hub lock and one
-    /// lock per sink cover the whole slice. The ring collector replays
-    /// drained entries through this so the lock overhead the ring saved
-    /// on the producer side is not re-paid per event on the consumer
-    /// side.
-    pub(crate) fn emit_direct_batch<'a>(
-        &self,
-        batch: impl Iterator<Item = (u64, &'a Event)> + Clone,
-    ) {
-        if let Some(hub) = self.hub() {
-            for sink in &hub.sinks {
-                let mut sink = sink.lock().unwrap();
-                for (at_ns, event) in batch.clone() {
-                    sink.emit(at_ns, event);
-                }
-            }
-        }
-    }
-
     /// Emits an event to every sink. The closure only runs when the
     /// handle is active *and* at least one sink is attached, so building
     /// the event costs nothing when telemetry is off or nobody listens.
     ///
-    /// When a [`ring::RingSession`] covering this hub is active and the
-    /// calling thread is ring-bound with an engine-event stamp, the
-    /// event goes into the thread's lock-free ring instead and reaches
-    /// the sinks via the collector's order-preserving merge.
+    /// On a shard thread of a sharded run the event is buffered instead
+    /// and reaches the sinks in serial order at the join (see
+    /// [`capture`]).
     #[inline]
     pub fn emit(&self, at_ns: u64, build: impl FnOnce() -> Event) {
         if !self.listening() {
             return;
         }
         let event = build();
-        match ring::try_emit(self.hub_ptr(), at_ns, event) {
-            Ok(()) => {}
-            Err(event) => self.emit_direct(at_ns, &event),
+        if capture::capturing() {
+            capture::push(self, at_ns, event);
+        } else if let Some(hub) = self.hub() {
+            for sink in &hub.sinks {
+                sink.lock().unwrap().emit(at_ns, &event);
+            }
         }
     }
 
@@ -219,18 +182,12 @@ impl Telemetry {
     /// [`listening`](Self::listening) so nothing is built for nobody —
     /// and fan them out once, outside its own timed section. Every sink
     /// sees the batch in push order, exactly as if each event had been
-    /// emitted individually — including when an active ring session
-    /// diverts the batch into this thread's ring (ring writes are
-    /// cheaper than the per-sink lock, so the batch is pushed
-    /// entry-by-entry there).
+    /// emitted individually.
     pub fn emit_batch(&self, events: &mut Vec<(u64, Event)>) {
         if self.listening() {
-            let hub_ptr = self.hub_ptr();
-            if ring::bound_for(hub_ptr) {
+            if capture::capturing() {
                 for (at_ns, event) in events.drain(..) {
-                    if let Err(event) = ring::try_emit(hub_ptr, at_ns, event) {
-                        self.emit_direct(at_ns, &event);
-                    }
+                    capture::push(self, at_ns, event);
                 }
             } else if let Some(hub) = self.hub() {
                 for sink in &hub.sinks {

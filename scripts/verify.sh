@@ -45,11 +45,10 @@ build_release() {
     run cargo build $OFFLINE --release
 }
 
-# The whole test suite. `cargo test` already runs every target —
-# including tests/send_assertions.rs (the Send-clean guarantee),
-# tests/sweep_determinism.rs and tests/fault_invariants.rs (cross-thread
-# determinism, with and without faults) — so there is no separate
-# per-test invocation.
+# The whole test suite. The root manifest's `default-members` covers the
+# root package and every crate, so a bare `cargo test` runs the root
+# integration suites (tests/*.rs) *and* each crate's unit tests and
+# doctests — the same set as `cargo test --workspace`.
 test_suite() {
     run cargo test $OFFLINE -q
 }
@@ -81,23 +80,25 @@ trace_smoke() {
 
 # Shard matrix: the sharded engine's determinism contract at one shard
 # count (SHARDS env, default 2) — the randomized conformance suite plus
+# the sink-determinism suite (attached-sink output at 1/2/4 shards) plus
 # a release smoke sweep through --shards, so the CI matrix legs and a
 # local `SHARDS=4 scripts/verify.sh shard_matrix` run the same thing.
 # Output is pinned byte-identical to the serial engine at any count.
 shard_matrix() {
     run cargo test $OFFLINE -q --test shard_conformance
+    run cargo test $OFFLINE -q --test telemetry_sharded
     run cargo run $OFFLINE --release -p taq-bench --bin topo_placement -- --smoke --seeds 1 --threads 2 --shards "${SHARDS:-2}"
 }
 
 # Batch conformance: the slot-batch engine drain and the batched qdisc
 # dequeues against their one-event-at-a-time references, plus the
-# telemetry ring transport's byte-identity contract (hub vs inline
-# drain vs collector merge, serial and sharded). Both suites also run
-# inside test_suite; this entry point exists so CI legs and bisecting
-# developers can run just the batching contract.
+# sharded-telemetry byte-identity contract (sink output at 1/2/4
+# shards). Both suites also run inside test_suite; this entry point
+# exists so CI legs and bisecting developers can run just the batching
+# contract.
 batch_conformance() {
     run cargo test $OFFLINE -q --test batch_conformance
-    run cargo test $OFFLINE -q --test telemetry_rings
+    run cargo test $OFFLINE -q --test telemetry_sharded
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass
@@ -130,7 +131,7 @@ bench_gate() {
         0) echo "bench_gate: within 10% of committed BENCH_sim.json" >&2 ;;
         2) echo "bench_gate: FAILED — events/s regressed >10% (see the per-metric table above)" >&2 ;;
         3) echo "bench_gate: FAILED — a hot-path latency metric (ns_per_enqueue, ns_per_classify or ns_per_dequeue) regressed >10% (see the per-metric table above)" >&2 ;;
-        4) echo "bench_gate: FAILED — a sinkless scenario allocates in steady state (see the allocs/event column above)" >&2 ;;
+        4) echo "bench_gate: FAILED — a scenario allocates in steady state (see the allocs/event column above)" >&2 ;;
         *) echo "bench_gate: bench_report exited $status (not a gate verdict)" >&2 ;;
     esac
     return "$status"
