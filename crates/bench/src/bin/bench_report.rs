@@ -18,16 +18,7 @@
 //! and reads the `taq_enqueue_ns` / `taq_classify_ns` histograms and the
 //! peak sampled queue depth.
 //!
-//! A third section, **shard_scaling**, runs the 4-leaf access-tree
-//! workload through the sharded engine at 1/2/4 shards (`--shards N`
-//! raises the top of the ladder) and records events/s per shard count
-//! next to the machine's detected core count — the determinism
-//! contract makes every row simulate identical bytes, so the only
-//! thing that varies is wall clock. Speedup is bounded by the cores
-//! actually present; on a single-core runner the sharded rows mostly
-//! measure synchronization overhead, which is worth tracking too.
-//!
-//! Usage: `bench_report [--out PATH] [--iters N] [--shards N] [--no-baseline] [--check]`
+//! Usage: `bench_report [--out PATH] [--iters N] [--no-baseline] [--check]`
 //!
 //! The emitted JSON carries a `baseline` section with the same
 //! scenarios measured at the pre-overhaul commit (binary-heap event
@@ -46,7 +37,7 @@ use std::time::Instant;
 use taq_bench::{build_qdisc, Discipline};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, TelemetryBridge};
 use taq_telemetry::{shared_sink, Event, SummarySink, Telemetry, TelemetrySink, Value};
-use taq_workloads::{flows_for_fair_share, weblog, AccessTreeSpec, DumbbellSpec, BULK_BYTES};
+use taq_workloads::{flows_for_fair_share, weblog, DumbbellSpec, BULK_BYTES};
 
 /// Heap allocations since process start (alloc + realloc + alloc_zeroed
 /// calls; frees are not counted). Each scenario snapshots this counter
@@ -314,110 +305,6 @@ fn measure_named(name: &'static str, iters: u32) -> ScenarioResult {
     }
 }
 
-/// One shard count's measurement of the scaling workload.
-struct ShardPoint {
-    shards: u32,
-    wall_ms: f64,
-    events: u64,
-    events_per_sec: f64,
-}
-
-/// The shard-scaling workload: a 4-leaf access tree with TAQ on the
-/// shared uplink, 60 simulated seconds. The uplink pipe couples the
-/// core and gateway routers onto one shard; the four leaf routers (and
-/// their hosts) spread across the rest.
-fn run_shard_workload(shards: u32) -> u64 {
-    let uplink = Bandwidth::from_mbps(2);
-    let mut spec = AccessTreeSpec::new(4, uplink, Bandwidth::from_kbps(800)).shards(shards);
-    spec.uplink_qdisc =
-        taq_workloads::QdiscSpec::taq(uplink.packets_per(SimDuration::from_millis(200), 500));
-    let mut sc = spec.build(42);
-    sc.run_until(SimTime::from_secs(60));
-    sc.sim.events_processed()
-}
-
-/// Shard counts to measure: powers of two up to `max`, plus `max`
-/// itself when it is not one.
-fn shard_ladder(max: u32) -> Vec<u32> {
-    let mut ladder = vec![1];
-    let mut s = 2;
-    while s <= max {
-        ladder.push(s);
-        s *= 2;
-    }
-    if *ladder.last().unwrap() != max.max(1) {
-        ladder.push(max);
-    }
-    ladder
-}
-
-/// Measures the scaling workload at every shard count in the ladder
-/// (best of `iters` per point).
-fn measure_shard_scaling(max_shards: u32, iters: u32) -> Vec<ShardPoint> {
-    shard_ladder(max_shards)
-        .into_iter()
-        .map(|shards| {
-            let mut best_ns = f64::INFINITY;
-            let mut events = 0;
-            for _ in 0..iters.max(1) {
-                let start = Instant::now();
-                events = run_shard_workload(shards);
-                best_ns = best_ns.min(start.elapsed().as_nanos() as f64);
-            }
-            let p = ShardPoint {
-                shards,
-                wall_ms: best_ns / 1e6,
-                events,
-                events_per_sec: events as f64 / (best_ns / 1e9),
-            };
-            println!(
-                "shard_scaling@{:<8} {:>10.1} ms  {:>9} events  {:>12.0} events/s",
-                p.shards, p.wall_ms, p.events, p.events_per_sec
-            );
-            p
-        })
-        .collect()
-}
-
-fn detected_cores() -> u64 {
-    std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
-}
-
-fn shard_scaling_value(points: &[ShardPoint]) -> Value {
-    let cores = detected_cores();
-    Value::object(vec![
-        (
-            "workload",
-            Value::Str("access_tree 4-leaf, taq uplink, 60 s simulated".to_string()),
-        ),
-        ("cores_detected", Value::UInt(cores)),
-        (
-            "points",
-            Value::Array(
-                points
-                    .iter()
-                    .map(|p| {
-                        let mut fields = vec![
-                            ("shards", Value::UInt(u64::from(p.shards))),
-                            ("wall_ms", Value::Float(p.wall_ms)),
-                            ("events", Value::UInt(p.events)),
-                            ("events_per_sec", Value::Float(p.events_per_sec)),
-                        ];
-                        // A point asking for more worker threads than the
-                        // runner has cores measures scheduler contention,
-                        // not the code under test; mark it so readers and
-                        // the --check gate can discount it.
-                        if u64::from(p.shards) > cores {
-                            fields.push(("oversubscribed", Value::Bool(true)));
-                        }
-                        Value::object(fields)
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
 /// Pre-overhaul numbers for the same scenarios, measured at the parent
 /// commit of the hot-path overhaul (binary-heap event queue,
 /// `HashMap<FlowKey, _>` flow state, per-call config/telemetry clones)
@@ -614,51 +501,6 @@ fn check_against_committed(path: &str, scenarios: &[ScenarioResult]) -> Vec<Regr
     failing
 }
 
-/// Compares the shards=1 scaling point against the committed
-/// `shard_scaling` section, same tolerance as the scenario gate. Only
-/// the serial point is gated: the sharded points' wall clock depends on
-/// how many cores the runner actually has, which is not a property of
-/// the code under test — rows recorded with `"oversubscribed": true`
-/// (more shards than detected cores) are explicitly excluded even if a
-/// future revision widens the gate. Missing section (older report):
-/// gate skipped.
-fn check_shard_scaling(path: &str, points: &[ShardPoint]) -> bool {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return true;
-    };
-    let Ok(committed) = Value::parse(&text) else {
-        return true; // the scenario gate already failed on this
-    };
-    let committed_eps = committed
-        .get("shard_scaling")
-        .and_then(|s| s.get("points"))
-        .and_then(Value::as_array)
-        .and_then(|pts| {
-            pts.iter()
-                .filter(|p| p.get("oversubscribed").and_then(Value::as_bool) != Some(true))
-                .find(|p| p.get("shards").and_then(Value::as_u64) == Some(1))
-        })
-        .and_then(|p| p.get("events_per_sec"))
-        .and_then(Value::as_f64);
-    let Some(base) = committed_eps else {
-        println!("# --check: no committed shard_scaling section; gate skipped");
-        return true;
-    };
-    let Some(fresh) = points.iter().find(|p| p.shards == 1) else {
-        return true;
-    };
-    let ratio = fresh.events_per_sec / base;
-    let ok = ratio >= 1.0 - CHECK_TOLERANCE;
-    println!(
-        "# --check shard_scaling@1 {:>12.0} vs committed {:>12.0} events/s ({:.2}x) {}",
-        fresh.events_per_sec,
-        base,
-        ratio,
-        if ok { "ok" } else { "REGRESSION" }
-    );
-    ok
-}
-
 /// The `--check` gate with a one-retry noise damper: a scenario that
 /// regresses on the first measurement is re-measured from scratch, and
 /// only a repeat offender fails the gate — a short scenario's wall
@@ -666,7 +508,7 @@ fn check_shard_scaling(path: &str, points: &[ShardPoint]) -> bool {
 /// single unlucky pass. Exits [`EXIT_LATENCY`] when any hot-path
 /// latency metric regressed, [`EXIT_THROUGHPUT`] for throughput-only
 /// regressions, so callers can report the failing metric class.
-fn run_check_gate(path: &str, scenarios: Vec<ScenarioResult>, points: &[ShardPoint], iters: u32) {
+fn run_check_gate(path: &str, scenarios: Vec<ScenarioResult>, iters: u32) {
     let mut failing = check_against_committed(path, &scenarios);
     if !failing.is_empty() {
         println!("# --check: regression suspected; re-measuring once to rule out noise");
@@ -686,16 +528,6 @@ fn run_check_gate(path: &str, scenarios: Vec<ScenarioResult>, points: &[ShardPoi
             alloc_failing.join(", ")
         );
         std::process::exit(EXIT_ALLOC);
-    }
-    if !check_shard_scaling(path, points) {
-        println!("# --check: shard_scaling regression suspected; re-measuring once");
-        let rerun = measure_shard_scaling(1, iters);
-        if !check_shard_scaling(path, &rerun) {
-            failing.push(Regression {
-                scenario: "shard_scaling@1",
-                metric: "events_per_sec",
-            });
-        }
     }
     if !failing.is_empty() {
         let summary: Vec<String> = failing
@@ -732,11 +564,6 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
-    let max_shards: u32 = flag("--shards")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4)
-        .max(1);
     let with_baseline = flag("--no-baseline").is_none();
     let check = flag("--check").is_some();
 
@@ -746,14 +573,9 @@ fn main() {
         measure_scenario("fig08_manyflow", iters),
         measure_attached(iters),
     ];
-    println!(
-        "# shard scaling — access tree through the sharded engine ({} core(s) detected)",
-        detected_cores()
-    );
-    let points = measure_shard_scaling(max_shards, iters);
 
     if check {
-        run_check_gate(&out_path, scenarios.into(), &points, iters);
+        run_check_gate(&out_path, scenarios.into(), iters);
         return;
     }
 
@@ -768,7 +590,6 @@ fn main() {
             "scenarios",
             Value::Array(scenarios.iter().map(ScenarioResult::to_value).collect()),
         ),
-        ("shard_scaling", shard_scaling_value(&points)),
     ];
     if with_baseline {
         pairs.push(("baseline", baseline_value()));

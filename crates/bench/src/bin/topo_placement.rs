@@ -18,7 +18,7 @@
 //! saturated hop dominates; in the tree, uplink placement helps only
 //! the aggregate while leaf placement fixes each neighbourhood.
 //!
-//! Usage: `topo_placement [--seeds a,b,c | --runs N] [--threads N] [--shards N] [--full | --smoke]`
+//! Usage: `topo_placement [--seeds a,b,c | --runs N] [--threads N] [--full | --smoke]`
 
 use taq_bench::{sweep_seeds, SweepArgs};
 use taq_metrics::SliceThroughput;
@@ -95,8 +95,7 @@ fn parking_lot(args: &SweepArgs, duration: SimTime, slice: SimDuration) {
             spec = spec.taq_at(h);
         }
         let per_seed = sweep_seeds(&args.seeds, args.threads, |seed| {
-            let mut sc = spec.build(seed);
-            sc.shards = args.shards;
+            let sc = spec.build(seed);
             let links: Vec<(LinkId, usize)> = (0..spec.hops)
                 .map(|k| (sc.pipe_link(k), spec.flows_at_hop(k)))
                 .collect();
@@ -120,7 +119,7 @@ fn access_tree(args: &SweepArgs, duration: SimTime, slice: SimDuration) {
     let leaves = if args.smoke { 2 } else { 3 };
     let uplink = Bandwidth::from_kbps(600);
     let leaf = Bandwidth::from_kbps(300);
-    let base = AccessTreeSpec::new(leaves, uplink, leaf).shards(args.shards);
+    let base = AccessTreeSpec::new(leaves, uplink, leaf);
     let uplink_taq = QdiscSpec::taq(uplink.packets_per(SimDuration::from_millis(200), 500));
     let leaf_taq = QdiscSpec::taq(leaf.packets_per(SimDuration::from_millis(200), 500).max(8));
     println!();

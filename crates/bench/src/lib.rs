@@ -155,9 +155,6 @@ pub struct FairnessRunConfig {
     /// Telemetry handle handed to the fault layer (fault injections
     /// emit events). Defaults to disabled.
     pub telemetry: taq_telemetry::Telemetry,
-    /// Engine shard count for each run (1 = serial engine). Results
-    /// are identical at any value.
-    pub shards: u32,
 }
 
 impl FairnessRunConfig {
@@ -174,7 +171,6 @@ impl FairnessRunConfig {
             evolution_window: SimDuration::from_secs(2),
             faults: FaultPlan::none(),
             telemetry: taq_telemetry::Telemetry::disabled(),
-            shards: 1,
         }
     }
 
@@ -189,13 +185,6 @@ impl FairnessRunConfig {
     #[must_use]
     pub fn telemetry(mut self, telemetry: taq_telemetry::Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Sets the engine shard count (values below 1 clamp to 1).
-    #[must_use]
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
         self
     }
 }
@@ -226,8 +215,7 @@ pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> Fairness
     let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
     let spec = DumbbellSpec::new(topo)
         .faults(cfg.faults.clone())
-        .telemetry(cfg.telemetry.clone())
-        .shards(cfg.shards);
+        .telemetry(cfg.telemetry.clone());
     let mut sc = spec.build_with_reverse(cfg.seed, built.forward, built.reverse);
     let slices_id = sc
         .sim

@@ -92,7 +92,6 @@ pub fn default_threads() -> usize {
 /// - `--seeds 1,2,3` — explicit seed list
 /// - `--runs N` — `N` seeds counting up from the base seed
 /// - `--threads N` — worker threads (default: all cores)
-/// - `--shards N` — engine shards per run (default 1 = serial engine)
 /// - `--full` — paper-scale durations
 /// - `--smoke` — minimal durations/grids for CI smoke runs
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,10 +100,6 @@ pub struct SweepArgs {
     pub seeds: Vec<u64>,
     /// Worker threads for [`sweep_indexed`] / [`sweep_seeds`].
     pub threads: usize,
-    /// Engine shards per individual run (`--shards`, default 1). The
-    /// determinism contract holds at any value: output bytes do not
-    /// depend on the shard count.
-    pub shards: u32,
     /// Paper-scale durations requested (`--full`).
     pub full: bool,
     /// CI smoke mode requested (`--smoke`): binaries shrink grids and
@@ -119,7 +114,6 @@ impl SweepArgs {
         SweepArgs {
             seeds: vec![base_seed],
             threads: default_threads(),
-            shards: 1,
             full: false,
             smoke: false,
         }
@@ -135,9 +129,7 @@ impl SweepArgs {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("{e}");
-                eprintln!(
-                    "usage: [--seeds a,b,c | --runs N] [--threads N] [--shards N] [--full] [--smoke]"
-                );
+                eprintln!("usage: [--seeds a,b,c | --runs N] [--threads N] [--full] [--smoke]");
                 std::process::exit(2);
             }
         }
@@ -185,17 +177,6 @@ impl SweepArgs {
                         .map_err(|_| "--threads needs an integer".to_string())?;
                     if out.threads == 0 {
                         return Err("--threads must be at least 1".into());
-                    }
-                    i += 2;
-                }
-                "--shards" => {
-                    out.shards = args
-                        .get(i + 1)
-                        .ok_or("--shards needs a count")?
-                        .parse()
-                        .map_err(|_| "--shards needs an integer".to_string())?;
-                    if out.shards == 0 {
-                        return Err("--shards must be at least 1".into());
                     }
                     i += 2;
                 }
@@ -315,16 +296,7 @@ mod tests {
         let a = SweepArgs::from_args(42, &args(&["--seeds", "1,2,3", "--threads", "2"])).unwrap();
         assert_eq!(a.seeds, vec![1, 2, 3]);
         assert_eq!(a.threads, 2);
-        assert_eq!(a.shards, 1);
         assert!(!a.full && !a.smoke);
-    }
-
-    #[test]
-    fn parses_shards() {
-        let a = SweepArgs::from_args(42, &args(&["--shards", "4"])).unwrap();
-        assert_eq!(a.shards, 4);
-        assert!(SweepArgs::from_args(1, &args(&["--shards", "0"])).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--shards", "x"])).is_err());
     }
 
     #[test]

@@ -147,8 +147,8 @@ pub struct TaqState {
     next_gc_at: SimTime,
     /// Fair share memoized over a short sim-time window (a quarter of
     /// `min_epoch`): `active_flows` is an O(flows) scan, far too hot to
-    /// run per packet. Keyed by sim time, so every scheduler backend
-    /// and thread count computes the identical sequence.
+    /// run per packet. Keyed by sim time, so every sweep thread count
+    /// computes the identical sequence.
     fair_share_cache: f64,
     fair_share_expires: SimTime,
     /// Events one enqueue produces (classification, drops, depth

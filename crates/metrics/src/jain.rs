@@ -137,31 +137,6 @@ impl LinkMonitor for SliceThroughput {
         }
         *self.slices[idx].entry(pkt.flow).or_default() += u64::from(pkt.wire_len());
     }
-
-    /// Each shard records into an empty replica watching the same link.
-    /// A link is owned by exactly one shard, so at most one replica sees
-    /// traffic — and even if that ever changed, the merge below is a
-    /// commutative per-slice/per-flow byte sum, deterministic regardless
-    /// of shard order.
-    fn fork_shard(&self) -> Option<Box<dyn LinkMonitor>> {
-        Some(Box::new(SliceThroughput::new(self.link, self.slice_len)))
-    }
-
-    fn merge_shard(&mut self, fork: Box<dyn LinkMonitor>) {
-        let fork = fork
-            .as_ref()
-            .as_any()
-            .downcast_ref::<SliceThroughput>()
-            .expect("fork_shard returns a SliceThroughput");
-        while self.slices.len() < fork.slices.len() {
-            self.slices.push(HashMap::new());
-        }
-        for (i, slice) in fork.slices.iter().enumerate() {
-            for (flow, bytes) in slice {
-                *self.slices[i].entry(*flow).or_default() += bytes;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -229,23 +204,6 @@ mod tests {
         }
         assert!((st.overall_jain(2) - 1.0).abs() < 1e-12);
         assert!((st.mean_jain(0, 10, 2) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fork_merge_matches_serial_observation() {
-        let mut serial = SliceThroughput::new(LinkId(0), SimDuration::from_secs(10));
-        let mut root = SliceThroughput::new(LinkId(0), SimDuration::from_secs(10));
-        let mut fork = root.fork_shard().expect("sliceable");
-        for s in 0..3u64 {
-            let p = pkt(1, 460);
-            serial.on_transmit(LinkId(0), &p, SimTime::from_secs(s * 10 + 1));
-            fork.on_transmit(LinkId(0), &p, SimTime::from_secs(s * 10 + 1));
-        }
-        root.merge_shard(fork);
-        assert_eq!(root.slice_count(), serial.slice_count());
-        for i in 0..serial.slice_count() {
-            assert_eq!(root.slice(i), serial.slice(i));
-        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! that traffic with copy-size-8 [`PacketId`] handles: a packet is
 //! inserted once where it enters the network (`Ctx::send` /
 //! `Ctx::forward`), referenced by id while it sits in queues and the
-//! event wheel, and moved out exactly once — at delivery, at a drop, or
-//! when a sharded run ships it to another shard's arena.
+//! event wheel, and moved out exactly once — at delivery or at a drop.
 //!
 //! Slots are recycled through a free list, so steady-state operation
 //! performs no allocation at all; each slot carries a generation tag
@@ -21,8 +20,7 @@
 //!   transient local between calls;
 //! - whoever returns an id in an [`crate::EnqueueOutcome::dropped`]
 //!   list gives up ownership: the caller removes the packet;
-//! - ids never cross arenas: a cut-link arrival is removed from the
-//!   sending shard's arena and re-inserted into the receiver's.
+//! - ids never cross arenas: each simulator owns exactly one.
 
 use crate::packet::{FlowKey, NodeId, Packet, SackBlocks, TcpFlags};
 use crate::time::SimTime;
@@ -165,27 +163,6 @@ impl PacketArena {
     /// High-water slot count (live + vacant): how big the slab grew.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Moves every live packet out, leaving the arena empty. Used when a
-    /// sharded run merges back: the shard arenas' still-buffered packets
-    /// are re-inserted into the parent arena so `packets_in_flight`
-    /// keeps meaning the same thing at every shard count. All ids issued
-    /// by this arena are dead afterwards.
-    pub fn drain_live(&mut self) -> Vec<Packet> {
-        let mut vacant = vec![false; self.slots.len()];
-        for &idx in &self.free {
-            vacant[idx as usize] = true;
-        }
-        self.free.clear();
-        self.gens.clear();
-        let out = self
-            .slots
-            .drain(..)
-            .zip(vacant)
-            .filter_map(|(pkt, vac)| (!vac).then_some(pkt))
-            .collect();
-        out
     }
 }
 

@@ -9,25 +9,15 @@
 //! ordering (see `events::EventKey`) and per-entity seed-derived RNG
 //! streams. A fully built [`Simulator`] is `Send`, so independent runs
 //! can be fanned out across worker threads (see DESIGN.md's
-//! "Concurrency model").
-//!
-//! A single run executes either serially ([`Simulator::run_until`] /
-//! [`Simulator::run`]) or sharded across threads
-//! ([`Simulator::run_until_sharded`], implemented in `shard.rs`): the
-//! world is partitioned into per-shard sub-worlds that each reuse this
-//! module's event loop, with cut-link arrivals exchanged through
-//! bounded channels under a conservative lookahead barrier.
+//! "Concurrency model"). Each run itself is single-threaded.
 
 use crate::arena::{PacketArena, PacketId};
-use crate::events::{
-    EventKey, EventKind, EventQueue, ScheduledEvent, SchedulerKind, TimerId, TimerTable,
-};
+use crate::events::{EventKey, EventKind, EventQueue, ScheduledEvent, TimerId, TimerTable};
 use crate::link::{Link, LinkStats};
 use crate::monitor::{AsAny, LinkMonitor, MonitorId};
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::qdisc::Qdisc;
 use crate::rng::SimRng;
-use crate::shard::ShardCtx;
 use crate::time::{Bandwidth, SimDuration, SimTime};
 use std::collections::HashMap;
 
@@ -35,9 +25,6 @@ use std::collections::HashMap;
 const NODE_RNG_STREAM: u64 = 0x6E6F_6465_7267_6E73;
 /// Stream salt for per-link wire-loss draws.
 const LINK_LOSS_STREAM: u64 = 0x6C6F_7373_7267_6E73;
-
-/// Panic message for touching a link owned by another shard.
-const FOREIGN_LINK: &str = "link is owned by another shard";
 
 /// A simulated process attached to a node: a TCP host, a router, a
 /// traffic source.
@@ -81,48 +68,37 @@ impl Agent for ForwardingRouter {
 }
 
 #[derive(Debug, Default, Clone)]
-pub(crate) struct RouteTable {
-    pub(crate) default: Option<LinkId>,
-    pub(crate) by_dst: HashMap<NodeId, LinkId>,
+struct RouteTable {
+    default: Option<LinkId>,
+    by_dst: HashMap<NodeId, LinkId>,
 }
 
 /// Everything in the simulator except the agents themselves; split out so
 /// an agent can be borrowed mutably while it manipulates the world.
-///
-/// In a sharded run every shard owns one `World`: `links` slots owned by
-/// other shards are `None`, and `shard` carries the cross-shard channel
-/// endpoints. The serial engine is the degenerate case — every slot
-/// `Some`, `shard` absent.
-pub(crate) struct World {
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue,
+struct World {
+    now: SimTime,
+    queue: EventQueue,
     /// Slab of every packet currently in flight anywhere in this world
     /// (queued in a qdisc, serializing, or propagating as an `Arrival`).
-    pub(crate) arena: PacketArena,
-    pub(crate) timers: TimerTable,
-    pub(crate) links: Vec<Option<Link>>,
-    pub(crate) routes: Vec<RouteTable>,
-    pub(crate) monitors: Vec<Box<dyn LinkMonitor>>,
+    arena: PacketArena,
+    timers: TimerTable,
+    links: Vec<Link>,
+    routes: Vec<RouteTable>,
+    monitors: Vec<Box<dyn LinkMonitor>>,
     /// The run seed; all RNG streams derive from it statelessly.
-    pub(crate) seed: u64,
-    pub(crate) scheduler: SchedulerKind,
+    seed: u64,
     /// Lazily derived per-node [`Ctx::rng`] streams.
-    pub(crate) node_rngs: Vec<Option<SimRng>>,
+    node_rngs: Vec<Option<SimRng>>,
     /// Per-node timer counters (canonical `Timer` event keys).
-    pub(crate) timer_seqs: Vec<u64>,
+    timer_seqs: Vec<u64>,
     /// Global pre-run start counter (canonical `Start` event keys).
-    pub(crate) start_seq: u64,
+    start_seq: u64,
     /// Per-node send counters backing [`Ctx::send`]'s id stamp. Packet
-    /// ids are `(origin_node << 32) | seq`, which keeps them unique
-    /// *and* independent of how the topology is sharded: the same
-    /// node's n-th send gets the same id at every shard count, so
-    /// traces and telemetry stay byte-comparable across 1/2/4-shard
-    /// runs. (A per-shard counter would tag ids with an execution
-    /// detail.)
-    pub(crate) packet_seqs: Vec<u64>,
-    pub(crate) events_processed: u64,
-    /// Present only in a shard-local world during a sharded run.
-    pub(crate) shard: Option<Box<ShardCtx>>,
+    /// ids are `(origin_node << 32) | seq`: unique, and a function of
+    /// which node sent and how many packets it had sent before, never
+    /// of how other nodes' sends interleaved with it.
+    packet_seqs: Vec<u64>,
+    events_processed: u64,
 }
 
 impl World {
@@ -131,21 +107,12 @@ impl World {
         table.by_dst.get(&dst).copied().or(table.default)
     }
 
-    pub(crate) fn link(&self, id: LinkId) -> &Link {
-        self.links[id.0 as usize].as_ref().expect(FOREIGN_LINK)
+    fn link(&self, id: LinkId) -> &Link {
+        &self.links[id.0 as usize]
     }
 
-    pub(crate) fn link_mut(&mut self, id: LinkId) -> &mut Link {
-        self.links[id.0 as usize].as_mut().expect(FOREIGN_LINK)
-    }
-
-    /// Shared delay-mutation path: sharded runs pin a floor on cut-link
-    /// delays (the lookahead promised to the downstream shard).
-    pub(crate) fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
-        if let Some(shard) = self.shard.as_deref() {
-            shard.assert_delay_floor(link, delay);
-        }
-        self.link_mut(link).delay = delay;
+    fn link_mut(&mut self, id: LinkId) -> &mut Link {
+        &mut self.links[id.0 as usize]
     }
 
     /// Offers the packet behind `pkt` to `link`'s queue and starts
@@ -159,7 +126,7 @@ impl World {
             links,
             ..
         } = self;
-        let link = links[link_id.0 as usize].as_mut().expect(FOREIGN_LINK);
+        let link = &mut links[link_id.0 as usize];
         {
             let p = arena.get(pkt);
             for m in monitors.iter_mut() {
@@ -188,10 +155,9 @@ impl World {
             monitors,
             links,
             queue,
-            shard,
             ..
         } = self;
-        let link = links[link_id.0 as usize].as_mut().expect(FOREIGN_LINK);
+        let link = &mut links[link_id.0 as usize];
         if link.busy {
             return;
         }
@@ -244,20 +210,11 @@ impl World {
                 m.on_transmit(link_id, p, done);
             }
         }
-        let key = EventKey::arrival(link_id, seq);
-        // A cut link's arrival belongs to the downstream shard: ship it
-        // through the channel (with its canonical key, so the receiver
-        // merges it into the exact serial order) instead of the local
-        // queue. The packet leaves this shard's arena and is inserted
-        // into the receiver's when the message is applied.
-        if let Some(shard_ctx) = shard.as_deref_mut() {
-            if shard_ctx.is_cut_link(link_id) {
-                let body = arena.remove(pkt);
-                shard_ctx.send_arrival(link_id, now, arrive, key, to, body);
-                return;
-            }
-        }
-        queue.push(arrive, key, EventKind::Arrival { node: to, pkt });
+        queue.push(
+            arrive,
+            EventKey::arrival(link_id, seq),
+            EventKind::Arrival { node: to, pkt },
+        );
     }
 }
 
@@ -280,8 +237,7 @@ impl Ctx<'_> {
 
     /// This node's own deterministic RNG stream, derived lazily from
     /// the run seed and the node id. Per-node streams mean one agent's
-    /// draws never perturb another's — and a sharded run reproduces the
-    /// serial run's variates exactly.
+    /// draws never perturb another's.
     pub fn rng(&mut self) -> &mut SimRng {
         let idx = self.node.0 as usize;
         let seed = self.world.seed;
@@ -358,14 +314,8 @@ impl Ctx<'_> {
 
     /// Changes a link's propagation delay mid-run. Packets already
     /// propagating keep their original arrival time.
-    ///
-    /// # Panics
-    ///
-    /// In a sharded run, panics if `link` crosses a shard boundary and
-    /// `delay` is below the lookahead pinned at partition time — that
-    /// floor is the correctness basis of the synchronization barrier.
     pub fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
-        self.world.set_link_delay(link, delay);
+        self.world.link_mut(link).delay = delay;
     }
 
     /// A link's current rate.
@@ -386,43 +336,33 @@ const MAX_BATCH: usize = 256;
 
 /// The discrete-event simulator.
 pub struct Simulator {
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
-    pub(crate) world: World,
-    pub(crate) max_events: u64,
+    agents: Vec<Option<Box<dyn Agent>>>,
+    world: World,
+    max_events: u64,
     /// Reusable buffer for batch execution (`step_batch`); empty
     /// between rounds, capacity retained across them.
-    pub(crate) batch_scratch: Vec<ScheduledEvent>,
+    batch_scratch: Vec<ScheduledEvent>,
 }
 
 impl Simulator {
-    /// Creates an empty simulator with the given RNG seed, scheduling
-    /// events on the default timer-wheel backend.
+    /// Creates an empty simulator with the given RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// Creates an empty simulator with an explicit scheduler backend.
-    /// Both backends produce identical event orderings; the non-default
-    /// [`SchedulerKind::BinaryHeap`] exists for equivalence testing.
-    pub fn with_scheduler(seed: u64, scheduler: SchedulerKind) -> Self {
         Simulator {
             agents: Vec::new(),
             world: World {
                 now: SimTime::ZERO,
-                queue: EventQueue::with_scheduler(scheduler),
+                queue: EventQueue::new(),
                 arena: PacketArena::new(),
                 timers: TimerTable::new(),
                 links: Vec::new(),
                 routes: Vec::new(),
                 monitors: Vec::new(),
                 seed,
-                scheduler,
                 node_rngs: Vec::new(),
                 timer_seqs: Vec::new(),
                 start_seq: 0,
                 packet_seqs: Vec::new(),
                 events_processed: 0,
-                shard: None,
             },
             max_events: u64::MAX,
             batch_scratch: Vec::new(),
@@ -446,9 +386,7 @@ impl Simulator {
         id
     }
 
-    /// Adds a unidirectional link from `from` to `to`. The transmitting
-    /// endpoint determines which shard owns the link when the topology
-    /// is partitioned (see [`Simulator::run_until_sharded`]).
+    /// Adds a unidirectional link from `from` to `to`.
     pub fn add_link(
         &mut self,
         from: NodeId,
@@ -460,7 +398,7 @@ impl Simulator {
         let id = LinkId(self.world.links.len() as u32);
         self.world
             .links
-            .push(Some(Link::new(id, from, to, rate, delay, qdisc)));
+            .push(Link::new(id, from, to, rate, delay, qdisc));
         id
     }
 
@@ -482,7 +420,7 @@ impl Simulator {
 
     /// Changes a link's propagation delay.
     pub fn set_link_delay(&mut self, link: LinkId, delay: SimDuration) {
-        self.world.set_link_delay(link, delay);
+        self.world.link_mut(link).delay = delay;
     }
 
     /// A link's current rate.
@@ -493,28 +431,6 @@ impl Simulator {
     /// A link's current propagation delay.
     pub fn link_delay(&self, link: LinkId) -> SimDuration {
         self.world.link(link).delay
-    }
-
-    /// Number of nodes (agents) added so far.
-    pub fn node_count(&self) -> usize {
-        self.agents.len()
-    }
-
-    /// Number of links added so far.
-    pub fn link_count(&self) -> usize {
-        self.world.links.len()
-    }
-
-    /// A link's `(from, to)` endpoints. Partitioners use these to find
-    /// cut edges and to colocate helper nodes with a link's owner.
-    pub fn link_endpoints(&self, link: LinkId) -> (NodeId, NodeId) {
-        let l = self.world.link(link);
-        (l.from, l.to)
-    }
-
-    /// A node's default route, if one is installed.
-    pub fn default_route(&self, node: NodeId) -> Option<LinkId> {
-        self.world.routes[node.0 as usize].default
     }
 
     /// Sets a Bernoulli wire-loss probability on a link: each serialized
@@ -653,7 +569,7 @@ impl Simulator {
     /// the reusable scratch buffer and executes them in order. Returns
     /// the number executed (0 means nothing is due at or before `cap`).
     ///
-    /// Equivalent, event for event, to the `peek_time`-guarded `step`
+    /// Equivalent, event for event, to the peek-guarded `step`
     /// loop. Callbacks routinely schedule events that order before the
     /// drained run's tail (the next self-paced arrival, a short
     /// serialization completion), so the executor *merges*: before each
@@ -670,7 +586,7 @@ impl Simulator {
     /// since the last peek (`take_pushed`), or the last peek stopped at
     /// a minimum that still precedes the current scratch entry
     /// (`known_min`).
-    pub(crate) fn step_batch(&mut self, cap: SimTime) -> usize {
+    fn step_batch(&mut self, cap: SimTime) -> usize {
         let mut scratch = std::mem::take(&mut self.batch_scratch);
         debug_assert!(scratch.is_empty(), "batch scratch leaked between rounds");
         self.world.queue.pop_run(cap, &mut scratch, MAX_BATCH);
@@ -726,17 +642,6 @@ impl Simulator {
             "exceeded max_events = {}",
             self.max_events
         );
-        // A shard thread buffers its telemetry; the canonical order key
-        // of this event is what merges the buffers back into serial
-        // order at the join (see taq_telemetry::capture).
-        if self.world.shard.is_some() {
-            taq_telemetry::capture::stamp(
-                ev.time.as_nanos(),
-                ev.key.class,
-                ev.key.origin,
-                ev.key.seq,
-            );
-        }
         match ev.kind {
             EventKind::Arrival { node, pkt } => {
                 // Delivery moves the packet out of the arena: the agent
@@ -808,7 +713,7 @@ impl Simulator {
     ) {
         let now_ns = self.world.now.as_nanos();
         let elapsed = self.world.now - SimTime::ZERO;
-        for link in self.world.links.iter().flatten() {
+        for link in &self.world.links {
             let stats = &link.stats;
             telemetry.emit(now_ns, || taq_telemetry::Event::LinkSummary {
                 link: link.id.0,
@@ -1052,45 +957,6 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(run(7), run(7));
-    }
-
-    #[test]
-    fn schedulers_produce_identical_traces() {
-        let run = |scheduler| {
-            let mut sim = Simulator::with_scheduler(1, scheduler);
-            let received = Arc::new(Mutex::new(Vec::new()));
-            let a = sim.add_agent(Box::new(Chatter {
-                peer: NodeId(1),
-                count: 16,
-                received: None,
-                timer_fires: Vec::new(),
-            }));
-            let b = sim.add_agent(Box::new(Chatter {
-                peer: NodeId(0),
-                count: 0,
-                received: Some(received.clone()),
-                timer_fires: Vec::new(),
-            }));
-            let link = sim.add_link(
-                a,
-                b,
-                Bandwidth::from_mbps(1),
-                SimDuration::from_millis(10),
-                Box::new(UnboundedFifo::new()),
-            );
-            sim.set_default_route(a, link);
-            sim.schedule_start(a, SimTime::ZERO);
-            sim.run();
-            drop(sim);
-            Arc::try_unwrap(received)
-                .expect("sole owner after drop")
-                .into_inner()
-                .unwrap()
-        };
-        let wheel = run(SchedulerKind::TimerWheel);
-        let heap = run(SchedulerKind::BinaryHeap);
-        assert_eq!(wheel, heap);
-        assert_eq!(wheel.len(), 16);
     }
 
     #[test]

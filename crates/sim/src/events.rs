@@ -5,28 +5,19 @@
 //! (node or link), and that entity's own event counter — rather than a
 //! global schedule-order sequence number. Content-derived keys give two
 //! events at the same instant an order that depends only on *what* they
-//! are, not on which executor happened to schedule them first, which is
-//! what lets the sharded engine (`shard.rs`) merge cross-shard event
-//! streams into the exact order the serial engine would have used. The
+//! are, not on the order callbacks happened to schedule them in. The
 //! total order removes the nondeterminism a plain binary heap would
 //! introduce for equal keys and is what makes whole-simulation runs
 //! reproducible.
 //!
-//! Two interchangeable scheduler backends implement that contract:
-//!
-//! - [`SchedulerKind::TimerWheel`] (the default): a hierarchical timer
-//!   wheel bucketing events by quantized `SimTime` tick. Push is O(1)
-//!   (a shift, a mask, a `Vec` push); pop amortizes the per-level
-//!   cascades over every event's lifetime. Slot vectors are recycled,
-//!   so steady-state operation performs no per-event allocation.
-//! - [`SchedulerKind::BinaryHeap`]: the original `BinaryHeap`
-//!   scheduler, kept selectable so equivalence tests can pin the wheel
-//!   against it event for event.
-//!
-//! Both backends pop the exact same `(time, key)` sequence; the wheel
-//! only changes *how* the minimum is found, never *which* event is the
-//! minimum. The equivalence suite in `tests/sweep_determinism.rs`
-//! asserts byte-identical whole-simulation traces across the two.
+//! The queue is a hierarchical timer wheel bucketing events by
+//! quantized `SimTime` tick. Push is O(1) (a shift, a mask, a `Vec`
+//! push); pop amortizes the per-level cascades over every event's
+//! lifetime. Slot vectors are recycled, so steady-state operation
+//! performs no per-event allocation. The wheel only changes *how* the
+//! minimum is found, never *which* event is the minimum: this module's
+//! tests pin it, pop for pop, against a plain `BinaryHeap` under random
+//! churn.
 
 use crate::arena::PacketId;
 use crate::packet::{LinkId, NodeId};
@@ -53,18 +44,7 @@ impl TimerId {
     }
 }
 
-/// Which event-scheduler backend a simulation uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel (the fast default).
-    #[default]
-    TimerWheel,
-    /// The reference `BinaryHeap` scheduler (equivalence testing).
-    BinaryHeap,
-}
-
-/// Canonical identity of a scheduled event, shared by the serial and
-/// sharded engines.
+/// Canonical identity of a scheduled event.
 ///
 /// Same-timestamp events order by `(class, origin, seq)`:
 ///
@@ -77,10 +57,8 @@ pub enum SchedulerKind {
 ///   timer counter for `Timer`, and the link's transmission counter for
 ///   `LinkFree`/`Arrival` (both events of one transmission share it).
 ///
-/// Because every component is derived from simulation content, the key
-/// a cross-shard arrival carries is identical no matter which shard
-/// computed it or when — so a sharded run merges remote events into the
-/// same total order the serial engine produces.
+/// Every component is derived from simulation content, so the order of
+/// two same-instant events never depends on which was scheduled first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub(crate) struct EventKey {
     pub class: u8,
@@ -396,10 +374,6 @@ impl TimerWheel {
         Some(ev)
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
-        self.peek_entry().map(|(t, _)| t)
-    }
-
     fn peek_entry(&mut self) -> Option<(SimTime, EventKey)> {
         self.advance();
         let e = match self.next_from_near()? {
@@ -442,17 +416,10 @@ impl TimerWheel {
     }
 }
 
-/// Min-queue of pending events keyed by `(time, key)`, over a
-/// selectable backend.
-#[derive(Debug)]
-enum QueueImpl {
-    Wheel(Box<TimerWheel>),
-    Heap(BinaryHeap<ScheduledEvent>),
-}
-
+/// Min-queue of pending events keyed by `(time, key)`.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
-    backend: QueueImpl,
+    wheel: TimerWheel,
     /// Set by every `push`, cleared by [`EventQueue::take_pushed`]. The
     /// batch executor uses it to skip the per-event intrusion peek when
     /// nothing has been scheduled since it last looked — in a drained
@@ -469,16 +436,8 @@ impl Default for EventQueue {
 
 impl EventQueue {
     pub fn new() -> Self {
-        EventQueue::with_scheduler(SchedulerKind::TimerWheel)
-    }
-
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let backend = match kind {
-            SchedulerKind::TimerWheel => QueueImpl::Wheel(Box::new(TimerWheel::new())),
-            SchedulerKind::BinaryHeap => QueueImpl::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            wheel: TimerWheel::new(),
             pushed: false,
         }
     }
@@ -486,16 +445,12 @@ impl EventQueue {
     /// Schedules `kind` at absolute time `at` under the caller-computed
     /// canonical `key` (see [`EventKey`]).
     pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) {
-        let ev = ScheduledEvent {
+        self.pushed = true;
+        self.wheel.push(ScheduledEvent {
             time: at,
             key,
             kind,
-        };
-        self.pushed = true;
-        match &mut self.backend {
-            QueueImpl::Wheel(w) => w.push(ev),
-            QueueImpl::Heap(h) => h.push(ev),
-        }
+        });
     }
 
     /// Returns whether any push happened since the last call, clearing
@@ -507,72 +462,38 @@ impl EventQueue {
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        match &mut self.backend {
-            QueueImpl::Wheel(w) => w.pop(),
-            QueueImpl::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event. (`&mut` because the wheel
-    /// backend may advance its cursor to locate the minimum; the set of
-    /// pending events is unchanged.)
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            QueueImpl::Wheel(w) => w.peek_time(),
-            QueueImpl::Heap(h) => h.peek().map(|e| e.time),
-        }
+        self.wheel.pop()
     }
 
     /// Drains up to `max` events with `time <= cap` into `out`, in pop
-    /// order. Equivalent to repeated `pop` guarded by `peek_time`, but
-    /// the wheel backend advances its cursor once per drained slot
-    /// instead of once per peek+pop pair.
+    /// order. Equivalent to repeated `pop` guarded by a peek at the
+    /// minimum's time, but the wheel advances its cursor once per
+    /// drained slot instead of once per peek+pop pair.
     pub fn pop_run(&mut self, cap: SimTime, out: &mut Vec<ScheduledEvent>, max: usize) -> usize {
-        match &mut self.backend {
-            QueueImpl::Wheel(w) => w.pop_run(cap, out, max),
-            QueueImpl::Heap(h) => {
-                let mut n = 0;
-                while n < max {
-                    match h.peek() {
-                        Some(e) if e.time <= cap => {
-                            out.push(h.pop().expect("peeked"));
-                            n += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                n
-            }
-        }
+        self.wheel.pop_run(cap, out, max)
     }
 
     /// Full `(time, key)` order position of the earliest pending event.
     /// The batch executor compares this against its next scratch entry
     /// to decide whether a freshly scheduled event has intruded ahead of
-    /// the drained run. (`&mut` for the same cursor-advance reason as
-    /// [`EventQueue::peek_time`]; the wheel keeps its `ready` buffer
-    /// populated between pops, so the steady-state cost is one `Vec`
-    /// tail read.)
+    /// the drained run. (`&mut` because the wheel may advance its
+    /// cursor to locate the minimum; the set of pending events is
+    /// unchanged. The wheel keeps its `ready` buffer populated between
+    /// pops, so the steady-state cost is one `Vec` tail read.)
     pub fn peek_entry(&mut self) -> Option<(SimTime, EventKey)> {
-        match &mut self.backend {
-            QueueImpl::Wheel(w) => w.peek_entry(),
-            QueueImpl::Heap(h) => h.peek().map(|e| (e.time, e.key)),
-        }
+        self.wheel.peek_entry()
     }
 
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        match &self.backend {
-            QueueImpl::Wheel(w) => w.len == 0,
-            QueueImpl::Heap(h) => h.is_empty(),
-        }
+        self.wheel.len == 0
     }
 }
 
 /// Timer liveness table.
 ///
 /// Timers fire as queued events, which cannot be removed from the middle
-/// of a scheduler backend; cancellation instead bumps a per-slot
+/// of the wheel; cancellation instead bumps a per-slot
 /// generation counter so the stale event is discarded when it surfaces.
 /// Slots are recycled through a free list, keeping the table size
 /// proportional to the number of *live* timers, not the number ever
@@ -637,6 +558,25 @@ mod tests {
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
+    /// The wheel's oracle: a plain binary heap over [`ScheduledEvent`]'s
+    /// reversed `Ord`, obviously correct and nothing else.
+    #[derive(Default)]
+    struct RefHeap(BinaryHeap<ScheduledEvent>);
+
+    impl RefHeap {
+        fn push(&mut self, time: SimTime, key: EventKey, kind: EventKind) {
+            self.0.push(ScheduledEvent { time, key, kind });
+        }
+
+        fn pop(&mut self) -> Option<ScheduledEvent> {
+            self.0.pop()
+        }
+
+        fn peek_entry(&self) -> Option<(SimTime, EventKey)> {
+            self.0.peek().map(|e| (e.time, e.key))
+        }
+    }
+
     /// Pushes a `Start` for node `n` keyed by its canonical event key.
     fn push_start(q: &mut EventQueue, at: SimTime, n: u32) {
         q.push(
@@ -648,85 +588,76 @@ mod tests {
 
     #[test]
     fn events_pop_in_time_order() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut q = EventQueue::with_scheduler(kind);
-            push_start(&mut q, SimTime::from_secs(3), 3);
-            push_start(&mut q, SimTime::from_secs(1), 1);
-            push_start(&mut q, SimTime::from_secs(2), 2);
-            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.time.as_nanos() / 1_000_000_000)
-                .collect();
-            assert_eq!(order, vec![1, 2, 3], "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        push_start(&mut q, SimTime::from_secs(3), 3);
+        push_start(&mut q, SimTime::from_secs(1), 1);
+        push_start(&mut q, SimTime::from_secs(2), 2);
+        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.time.as_nanos() / 1_000_000_000)
+            .collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_event_key() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut q = EventQueue::with_scheduler(kind);
-            let t = SimTime::from_secs(1);
-            // Pushed in reverse to prove the order comes from the key,
-            // not the insertion sequence.
-            for n in (0..10).rev() {
-                push_start(&mut q, t, n);
-            }
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Start { node } => node.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(order, (0..10).collect::<Vec<_>>(), "{kind:?}");
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        // Pushed in reverse to prove the order comes from the key,
+        // not the insertion sequence.
+        for n in (0..10).rev() {
+            push_start(&mut q, t, n);
         }
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Start { node } => node.0,
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn ties_break_by_class_before_origin() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut q = EventQueue::with_scheduler(kind);
-            let t = SimTime::from_secs(1);
-            // A LinkFree on link 0 must still fire before an Arrival on
-            // link 0 and after a Timer on node 9 at the same instant.
-            q.push(
-                t,
-                EventKey::arrival(LinkId(0), 0),
-                EventKind::LinkFree { link: LinkId(0) },
-            );
-            q.push(
-                t,
-                EventKey::link_free(LinkId(0), 0),
-                EventKind::LinkFree { link: LinkId(0) },
-            );
-            q.push(
-                t,
-                EventKey::timer(NodeId(9), 3),
-                EventKind::Start { node: NodeId(9) },
-            );
-            let classes: Vec<u8> = std::iter::from_fn(|| q.pop())
-                .map(|e| e.key.class)
-                .collect();
-            assert_eq!(
-                classes,
-                vec![
-                    EventKey::CLASS_TIMER,
-                    EventKey::CLASS_LINK_FREE,
-                    EventKey::CLASS_ARRIVAL
-                ],
-                "{kind:?}"
-            );
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        // A LinkFree on link 0 must still fire before an Arrival on
+        // link 0 and after a Timer on node 9 at the same instant.
+        q.push(
+            t,
+            EventKey::arrival(LinkId(0), 0),
+            EventKind::LinkFree { link: LinkId(0) },
+        );
+        q.push(
+            t,
+            EventKey::link_free(LinkId(0), 0),
+            EventKind::LinkFree { link: LinkId(0) },
+        );
+        q.push(
+            t,
+            EventKey::timer(NodeId(9), 3),
+            EventKind::Start { node: NodeId(9) },
+        );
+        let classes: Vec<u8> = std::iter::from_fn(|| q.pop())
+            .map(|e| e.key.class)
+            .collect();
+        assert_eq!(
+            classes,
+            vec![
+                EventKey::CLASS_TIMER,
+                EventKey::CLASS_LINK_FREE,
+                EventKey::CLASS_ARRIVAL
+            ]
+        );
     }
 
     #[test]
     fn peek_time_matches_pop() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut q = EventQueue::with_scheduler(kind);
-            assert!(q.peek_time().is_none());
-            push_start(&mut q, SimTime::from_secs(5), 0);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-            assert!(q.pop().is_some());
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        assert!(q.peek_entry().is_none());
+        push_start(&mut q, SimTime::from_secs(5), 0);
+        assert_eq!(q.peek_entry().map(|(t, _)| t), Some(SimTime::from_secs(5)));
+        assert!(q.pop().is_some());
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -881,12 +812,12 @@ mod tests {
 
     #[test]
     fn wheel_matches_heap_under_random_churn() {
-        // Drive both backends with an identical random push/pop script
-        // and require the exact same pop sequence — the wheel must be
-        // indistinguishable from the reference heap.
+        // Drive the wheel and the reference heap with an identical
+        // random push/pop script and require the exact same pop
+        // sequence — the wheel must be indistinguishable from the heap.
         let mut rng = SimRng::new(0xBEE5);
         let mut wheel = EventQueue::new();
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::BinaryHeap);
+        let mut heap = RefHeap::default();
         let mut now = 0u64;
         for step in 0..20_000u64 {
             if rng.chance(0.6) {
@@ -910,7 +841,7 @@ mod tests {
                         now = x.time.as_nanos();
                     }
                     (None, None) => {}
-                    _ => panic!("backends disagree on emptiness at step {step}"),
+                    _ => panic!("wheel and heap disagree on emptiness at step {step}"),
                 }
             }
         }
@@ -919,81 +850,87 @@ mod tests {
             match (&a, &b) {
                 (Some(x), Some(y)) => assert_eq!((x.time, x.key), (y.time, y.key)),
                 (None, None) => break,
-                _ => panic!("backends disagree on drain length"),
+                _ => panic!("wheel and heap disagree on drain length"),
             }
         }
     }
 
     #[test]
     fn pop_run_matches_guarded_pop_on_both_backends() {
-        // pop_run(cap) must yield exactly the sequence that repeated
-        // peek_time-guarded pops would, for every backend.
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut rng = SimRng::new(0xA11CE);
-            let mut batched = EventQueue::with_scheduler(kind);
-            let mut serial = EventQueue::with_scheduler(kind);
-            let mut now = 0u64;
-            for step in 0..5_000u64 {
-                if rng.chance(0.7) {
-                    let delta = if rng.chance(0.02) {
-                        rng.range_u64(0, 1 << 50)
-                    } else {
-                        rng.range_u64(0, 50_000_000)
-                    };
-                    let at = SimTime::from_nanos(now + delta);
-                    let node = NodeId(step as u32);
-                    let key = EventKey::start(node, step);
-                    batched.push(at, key, EventKind::Start { node });
-                    serial.push(at, key, EventKind::Start { node });
+        // pop_run(cap) on the wheel must yield exactly the sequence
+        // that repeated peek-guarded pops on the reference heap would.
+        let mut rng = SimRng::new(0xA11CE);
+        let mut batched = EventQueue::new();
+        let mut serial = RefHeap::default();
+        let mut now = 0u64;
+        for step in 0..5_000u64 {
+            if rng.chance(0.7) {
+                let delta = if rng.chance(0.02) {
+                    rng.range_u64(0, 1 << 50)
                 } else {
-                    let cap = SimTime::from_nanos(now + rng.range_u64(0, 100_000_000));
-                    let mut run = Vec::new();
-                    batched.pop_run(cap, &mut run, 32);
-                    for got in run {
-                        let want = serial.pop().expect("serial backend has the event");
-                        assert_eq!((got.time, got.key), (want.time, want.key), "{kind:?}");
-                        assert!(got.time <= cap, "{kind:?}: pop_run exceeded cap");
-                        now = got.time.as_nanos();
-                    }
-                    // Whatever the batch left behind is past the cap.
-                    if let Some(t) = serial.peek_time() {
-                        assert!(t > cap || batched.peek_time() == Some(t), "{kind:?}");
-                    }
-                }
-            }
-            loop {
+                    rng.range_u64(0, 50_000_000)
+                };
+                let at = SimTime::from_nanos(now + delta);
+                let node = NodeId(step as u32);
+                let key = EventKey::start(node, step);
+                batched.push(at, key, EventKind::Start { node });
+                serial.push(at, key, EventKind::Start { node });
+            } else {
+                let cap = SimTime::from_nanos(now + rng.range_u64(0, 100_000_000));
                 let mut run = Vec::new();
-                batched.pop_run(SimTime::MAX, &mut run, 64);
-                if run.is_empty() {
-                    break;
-                }
+                batched.pop_run(cap, &mut run, 32);
                 for got in run {
-                    let want = serial.pop().expect("serial drain matches");
-                    assert_eq!((got.time, got.key), (want.time, want.key), "{kind:?}");
+                    let want = serial.pop().expect("reference heap has the event");
+                    assert_eq!((got.time, got.key), (want.time, want.key));
+                    assert!(got.time <= cap, "pop_run exceeded cap");
+                    now = got.time.as_nanos();
+                }
+                // Whatever the batch left behind is past the cap.
+                if let Some(next) = serial.peek_entry() {
+                    assert!(next.0 > cap || batched.peek_entry() == Some(next));
                 }
             }
-            assert!(serial.pop().is_none(), "{kind:?}: batched drain was short");
         }
+        loop {
+            let mut run = Vec::new();
+            batched.pop_run(SimTime::MAX, &mut run, 64);
+            if run.is_empty() {
+                break;
+            }
+            for got in run {
+                let want = serial.pop().expect("reference drain matches");
+                assert_eq!((got.time, got.key), (want.time, want.key));
+            }
+        }
+        assert!(serial.pop().is_none(), "batched drain was short");
     }
 
     #[test]
     fn peek_entry_tracks_the_minimum_across_pushes_on_both_backends() {
-        for kind in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let mut q = EventQueue::with_scheduler(kind);
-            assert_eq!(q.peek_entry(), None, "{kind:?}: empty queue");
-            push_start(&mut q, SimTime::from_millis(5), 0);
-            let late = (SimTime::from_millis(5), EventKey::start(NodeId(0), 0));
-            assert_eq!(q.peek_entry(), Some(late), "{kind:?}");
-            // An earlier push takes over the minimum immediately, even
-            // after the wheel's cursor located the previous one.
-            push_start(&mut q, SimTime::from_micros(40), 1);
-            let early = (SimTime::from_micros(40), EventKey::start(NodeId(1), 0));
-            assert_eq!(q.peek_entry(), Some(early), "{kind:?}");
-            // Peeking is non-destructive and agrees with pop order.
-            let got = q.pop().expect("two events queued");
-            assert_eq!((got.time, got.key), early, "{kind:?}");
-            assert_eq!(q.peek_entry(), Some(late), "{kind:?}");
-        }
+        let mut q = EventQueue::new();
+        let mut heap = RefHeap::default();
+        let mut push = |q: &mut EventQueue, at: SimTime, n: u32| {
+            push_start(q, at, n);
+            heap.push(
+                at,
+                EventKey::start(NodeId(n), 0),
+                EventKind::Start { node: NodeId(n) },
+            );
+            assert_eq!(q.peek_entry(), heap.peek_entry());
+        };
+        assert_eq!(q.peek_entry(), None, "empty queue");
+        push(&mut q, SimTime::from_millis(5), 0);
+        let late = (SimTime::from_millis(5), EventKey::start(NodeId(0), 0));
+        assert_eq!(q.peek_entry(), Some(late));
+        // An earlier push takes over the minimum immediately, even
+        // after the wheel's cursor located the previous one.
+        push(&mut q, SimTime::from_micros(40), 1);
+        let early = (SimTime::from_micros(40), EventKey::start(NodeId(1), 0));
+        assert_eq!(q.peek_entry(), Some(early));
+        // Peeking is non-destructive and agrees with pop order.
+        let got = q.pop().expect("two events queued");
+        assert_eq!((got.time, got.key), early);
+        assert_eq!(q.peek_entry(), Some(late));
     }
 
     #[test]

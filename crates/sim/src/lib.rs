@@ -6,29 +6,23 @@
 //!
 //! - a nanosecond integer clock ([`SimTime`], [`SimDuration`],
 //!   [`Bandwidth`]),
-//! - an event queue with cancellable timers over two interchangeable
-//!   scheduler backends ([`SchedulerKind`]): a hierarchical timer wheel
-//!   (the fast default) and a reference binary heap, both popping the
-//!   identical `(time, event-key)` order,
+//! - an event queue with cancellable timers: a hierarchical timer
+//!   wheel popping a canonical `(time, event-key)` order,
 //! - rate-limited, delayed, queue-buffered unidirectional [links],
 //! - the [`Qdisc`] trait that DropTail, RED, SFQ and TAQ all implement,
 //! - [`Agent`]s (hosts, routers) driven by packet and timer callbacks,
 //! - the paper's dumbbell topology ([`Dumbbell`]) and general
-//!   multi-bottleneck graphs ([`Topology`]) with static routing,
+//!   multi-bottleneck graphs ([`Topology`]) with static routing, and
 //! - [`LinkMonitor`] hooks that the metrics crate uses to observe the
-//!   bottleneck, including a pcap-style [`PacketTrace`] recorder, and
-//! - conservative parallel execution: [`Simulator::run_until_sharded`]
-//!   partitions a run across threads per a [`ShardPlan`], exchanging
-//!   cut-link arrivals through bounded channels under a
-//!   propagation-delay lookahead barrier, and reproduces the serial
-//!   event order exactly.
+//!   bottleneck, including a pcap-style [`PacketTrace`] recorder.
 //!
 //! Determinism: a simulation is a pure function of its construction and
 //! seed. Events at the same instant fire in canonical event-key order
-//! (which depends only on simulation content, never on executor
-//! scheduling), and all randomness derives from the seed through
-//! per-entity [`SimRng`] streams — so serial and sharded runs, at any
-//! shard count, produce identical results.
+//! (which depends only on simulation content, never on the order
+//! callbacks scheduled them in), and all randomness derives from the
+//! seed through per-entity [`SimRng`] streams. Each run is
+//! single-threaded; a built [`Simulator`] is `Send`, so independent
+//! runs fan out across worker threads.
 //!
 //! [links]: crate::LinkStats
 //!
@@ -58,14 +52,13 @@ mod monitor;
 mod packet;
 mod qdisc;
 mod rng;
-mod shard;
 mod time;
 mod topology;
 mod trace;
 
 pub use arena::{PacketArena, PacketId};
 pub use engine::{Agent, Ctx, ForwardingRouter, Simulator};
-pub use events::{SchedulerKind, TimerId};
+pub use events::TimerId;
 pub use intern::{fx_hash_key, FlowId, FlowInterner, FxBuildHasher, FxHasher};
 pub use link::LinkStats;
 pub use monitor::{
@@ -78,7 +71,6 @@ pub use packet::{
 };
 pub use qdisc::{EnqueueOutcome, Qdisc, UnboundedFifo};
 pub use rng::SimRng;
-pub use shard::{ShardError, ShardPlan};
 pub use time::{Bandwidth, SimDuration, SimTime};
 pub use topology::{Dumbbell, DumbbellConfig, TopoLinkConfig, Topology, TopologyConfig};
 pub use trace::{FlowTraceSummary, PacketTrace, TraceEvent, TraceEventKind};

@@ -14,8 +14,8 @@ use crate::time::{Bandwidth, SimDuration};
 
 /// Counters maintained per link by the engine.
 ///
-/// `PartialEq` so conformance tests can compare serial and sharded
-/// runs field-for-field.
+/// `PartialEq` so determinism tests can compare two runs
+/// field-for-field.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LinkStats {
     /// Packets offered to the link's queue.
@@ -60,8 +60,7 @@ impl LinkStats {
 /// One unidirectional link.
 pub(crate) struct Link {
     pub id: LinkId,
-    /// Transmitting endpoint; determines which shard owns the link when
-    /// a topology is partitioned.
+    /// Transmitting endpoint.
     pub from: NodeId,
     pub to: NodeId,
     pub rate: Bandwidth,

@@ -77,26 +77,6 @@ pub trait LinkMonitor: AsAny + Send {
     fn on_deliver(&mut self, node: u32, pkt: &Packet, now: SimTime) {
         let _ = (node, pkt, now);
     }
-
-    /// Creates a shard-local replica of this monitor for a sharded run
-    /// (see [`crate::Simulator::run_until_sharded`]): each shard's world
-    /// observes only the links it owns through its own replica, which is
-    /// handed back to [`LinkMonitor::merge_shard`] after the run.
-    ///
-    /// The default returns `None`, meaning the monitor cannot be
-    /// sharded — a sharded run with such a monitor installed fails
-    /// validation rather than silently losing observations.
-    fn fork_shard(&self) -> Option<Box<dyn LinkMonitor>> {
-        None
-    }
-
-    /// Folds a replica created by [`LinkMonitor::fork_shard`] back into
-    /// this monitor after a sharded run. Replicas are merged in shard
-    /// order, and implementations must produce a deterministic result
-    /// (e.g. sort the combined records by timestamp and content).
-    fn merge_shard(&mut self, fork: Box<dyn LinkMonitor>) {
-        let _ = fork;
-    }
 }
 
 /// Converts a simulator flow key into the telemetry layer's flow
@@ -179,17 +159,6 @@ impl LinkMonitor for TelemetryBridge {
             latency_ns: now.saturating_since(pkt.sent_at).as_nanos(),
         });
     }
-
-    /// Shards share the bridge's [`Telemetry`] hub. The sharded
-    /// executor buffers each shard thread's emissions and replays them
-    /// in serial order at the join, so sink output is identical at any
-    /// shard count — see DESIGN.md §14.
-    fn fork_shard(&self) -> Option<Box<dyn LinkMonitor>> {
-        Some(Box::new(TelemetryBridge {
-            telemetry: self.telemetry.clone(),
-            only: self.only,
-        }))
-    }
 }
 
 /// A simple recording monitor retaining every event; useful in tests and
@@ -225,34 +194,6 @@ pub enum RecordedKind {
 }
 
 impl LinkMonitor for EventRecorder {
-    /// Each shard records into a fresh recorder; the merge sorts the
-    /// combined records by `(time, link, packet, kind)` for a
-    /// deterministic post-run view.
-    fn fork_shard(&self) -> Option<Box<dyn LinkMonitor>> {
-        Some(Box::new(EventRecorder::default()))
-    }
-
-    fn merge_shard(&mut self, fork: Box<dyn LinkMonitor>) {
-        let fork = fork
-            .as_ref()
-            .as_any()
-            .downcast_ref::<EventRecorder>()
-            .expect("fork_shard returns an EventRecorder");
-        self.events.extend(fork.events.iter().cloned());
-        self.events.sort_by_key(|e| {
-            (
-                e.at,
-                e.link.0,
-                e.packet_id,
-                match e.kind {
-                    RecordedKind::Enqueue => 0u8,
-                    RecordedKind::Drop => 1,
-                    RecordedKind::Transmit => 2,
-                },
-            )
-        });
-    }
-
     fn on_enqueue(&mut self, link: LinkId, pkt: &Packet, now: SimTime) {
         self.events.push(RecordedEvent {
             at: now,

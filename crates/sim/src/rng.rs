@@ -53,8 +53,8 @@ impl SimRng {
     /// The engine uses this to give every entity (each link's wire-loss
     /// draw, each node's [`crate::Ctx::rng`] stream) its own generator
     /// determined only by `(seed, stream)` — never by how many draws any
-    /// other entity made first. That order-independence is what lets a
-    /// sharded run reproduce the serial run's variates exactly.
+    /// other entity made first, so adding a lossy link or a jittered
+    /// host leaves every other entity's variates unchanged.
     pub fn for_stream(seed: u64, stream: u64) -> SimRng {
         SimRng::new(seed).split(stream)
     }

@@ -72,25 +72,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Adds a duration, clamping at [`SimTime::MAX`] instead of
-    /// panicking. Used by the sharded engine when extending lookahead
-    /// promises past the end-of-run horizon.
-    pub fn saturating_add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.0))
-    }
-
-    /// The instant one nanosecond earlier, saturating at the epoch.
-    ///
-    /// Used by the sharded engine to convert a strict `t < horizon`
-    /// bound into the inclusive cap the batch executor takes: with
-    /// integer-nanosecond time, `t < horizon` is exactly
-    /// `t <= horizon.saturating_pred()` for any `horizon > ZERO` (the
-    /// `ZERO` horizon admits no events and must be special-cased by the
-    /// caller).
-    pub const fn saturating_pred(self) -> SimTime {
-        SimTime(self.0.saturating_sub(1))
-    }
-
     /// Returns the later of two instants.
     pub fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {

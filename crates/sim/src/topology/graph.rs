@@ -154,63 +154,6 @@ impl Topology {
         Some(hops)
     }
 
-    /// Partitions the routers into `shards` balanced groups for
-    /// [`crate::Simulator::run_until_sharded`], honoring coupling
-    /// constraints: each `(a, b)` pair in `couple` forces routers `a`
-    /// and `b` onto the same shard (used for TAQ forward/reverse state
-    /// sharing and fault-driven pipes, whose endpoints must stay
-    /// shard-local).
-    ///
-    /// Returns one shard index per router. The result is a pure
-    /// function of the inputs: coupling groups are formed by
-    /// union-find, ordered by their smallest member, and dealt to the
-    /// currently lightest shard (ties to the lowest shard index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or a coupling index is out of range.
-    pub fn partition_routers(&self, shards: u32, couple: &[(usize, usize)]) -> Vec<u32> {
-        assert!(shards > 0, "at least one shard");
-        let n = self.routers.len();
-        let mut parent: Vec<usize> = (0..n).collect();
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-        for &(a, b) in couple {
-            assert!(a < n && b < n, "coupling ({a}, {b}) outside 0..{n}");
-            let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
-            if ra != rb {
-                // Root at the smaller index so group identity is
-                // stable regardless of pair order.
-                let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-                parent[hi] = lo;
-            }
-        }
-        // Groups keyed by root; roots are each group's smallest member,
-        // so ascending root order is ascending min-member order.
-        let mut members: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for r in 0..n {
-            let root = find(&mut parent, r);
-            members[root].push(r);
-        }
-        let mut assignment = vec![0u32; n];
-        let mut load = vec![0usize; shards as usize];
-        for group in members.iter().filter(|g| !g.is_empty()) {
-            let shard = (0..shards as usize)
-                .min_by_key(|&s| (load[s], s))
-                .expect("at least one shard");
-            load[shard] += group.len();
-            for &r in group {
-                assignment[r] = shard as u32;
-            }
-        }
-        assignment
-    }
-
     /// Attaches a host to router `r` with the default access delay.
     pub fn attach_host(&self, sim: &mut Simulator, host: NodeId, r: usize) {
         self.attach_host_with_delay(sim, host, r, self.config.access_delay);
@@ -474,25 +417,6 @@ mod tests {
         assert_eq!(topo.path(0, 2), Some(vec![0, 1]));
         assert_eq!(topo.path(2, 0), None);
         assert_eq!(topo.path(1, 0), None);
-    }
-
-    #[test]
-    fn partitioner_honors_coupling_and_is_deterministic() {
-        let cfg = chain(5, Bandwidth::from_mbps(1), SimDuration::from_millis(5));
-        let mut sim = Simulator::new(6);
-        let topo = Topology::build(&mut sim, cfg, (0..10).map(|_| fifo()).collect());
-        let plan = topo.partition_routers(2, &[(0, 1), (4, 5)]);
-        assert_eq!(plan.len(), 6);
-        assert_eq!(plan[0], plan[1], "coupled pair split");
-        assert_eq!(plan[4], plan[5], "coupled pair split");
-        assert!(plan.iter().all(|&s| s < 2));
-        assert!(plan.contains(&0) && plan.contains(&1));
-        // Pair order inside `couple` must not matter.
-        assert_eq!(plan, topo.partition_routers(2, &[(1, 0), (5, 4)]));
-        // Degenerate plans.
-        assert!(topo.partition_routers(1, &[]).iter().all(|&s| s == 0));
-        let spread = topo.partition_routers(8, &[]);
-        assert_eq!(spread, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! - [`dumbbell`] — the two-router dumbbell every figure in the paper
 //!   uses ([`Dumbbell`], [`DumbbellConfig`]);
 //! - [`graph`] — arbitrary router graphs with hop-count routing
-//!   ([`Topology`], [`TopologyConfig`], [`TopoLinkConfig`]) and the
-//!   shard partitioner ([`Topology::partition_routers`]) that the
-//!   parallel engine builds its [`crate::ShardPlan`]s from.
+//!   ([`Topology`], [`TopologyConfig`], [`TopoLinkConfig`]).
 //!
 //! All types re-export from the crate root, so existing `use
 //! taq_sim::{Dumbbell, Topology}` imports keep working.

@@ -71,32 +71,6 @@ pub struct FlowLog {
     pub records: Vec<FlowRecord>,
 }
 
-impl FlowLog {
-    /// Sorts the records into canonical content order (every field
-    /// participates in the key). In a serial run each host appends in
-    /// global completion order and the sort is a no-op permutation of
-    /// ties; in a sharded run hosts on different threads interleave
-    /// their appends nondeterministically, and this sort restores the
-    /// unique order the determinism contract compares — records
-    /// themselves are identical either way, only their arrangement in
-    /// the vector differs.
-    pub fn sort_canonical(&mut self) {
-        self.records.sort_by_key(|r| {
-            (
-                r.completed_at,
-                r.queued_at,
-                r.first_syn_at,
-                r.client,
-                r.client_port,
-                r.tag,
-                r.bytes,
-                r.established_at,
-                r.syn_retries,
-            )
-        });
-    }
-}
-
 /// Shared handle to a [`FlowLog`]: every client host in a scenario
 /// appends to the same log, preserving global completion order, and the
 /// harness keeps a clone to read afterwards. `Arc<Mutex<…>>` (not

@@ -15,10 +15,8 @@
 //! 3. **Sinks stay dumb.** A sink sees `(timestamp, &Event)` and
 //!    nothing else; the ring buffer, JSONL writer, and summary table
 //!    are each ~100 lines.
-//! 4. **One transport.** Every emission goes through the mutex hub, in
-//!    emission order. The sharded executor is the one caller that
-//!    cannot do that directly; it buffers per shard thread and replays
-//!    the merged stream into the hub at the join ([`capture`]).
+//! 4. **One transport.** Every emission goes through the mutex hub and
+//!    reaches every sink in emission order.
 //!
 //! ```
 //! use taq_telemetry::{shared_sink, Event, FlowId, RingBufferSink, Telemetry};
@@ -30,7 +28,6 @@
 //! assert_eq!(ring.lock().unwrap().count("pool_waiting"), 1);
 //! ```
 
-pub mod capture;
 mod event;
 mod registry;
 mod sink;
@@ -156,19 +153,13 @@ impl Telemetry {
     /// Emits an event to every sink. The closure only runs when the
     /// handle is active *and* at least one sink is attached, so building
     /// the event costs nothing when telemetry is off or nobody listens.
-    ///
-    /// On a shard thread of a sharded run the event is buffered instead
-    /// and reaches the sinks in serial order at the join (see
-    /// [`capture`]).
     #[inline]
     pub fn emit(&self, at_ns: u64, build: impl FnOnce() -> Event) {
         if !self.listening() {
             return;
         }
         let event = build();
-        if capture::capturing() {
-            capture::push(self, at_ns, event);
-        } else if let Some(hub) = self.hub() {
+        if let Some(hub) = self.hub() {
             for sink in &hub.sinks {
                 sink.lock().unwrap().emit(at_ns, &event);
             }
@@ -185,11 +176,7 @@ impl Telemetry {
     /// emitted individually.
     pub fn emit_batch(&self, events: &mut Vec<(u64, Event)>) {
         if self.listening() {
-            if capture::capturing() {
-                for (at_ns, event) in events.drain(..) {
-                    capture::push(self, at_ns, event);
-                }
-            } else if let Some(hub) = self.hub() {
+            if let Some(hub) = self.hub() {
                 for sink in &hub.sinks {
                     let mut sink = sink.lock().unwrap();
                     for (at_ns, event) in events.iter() {
@@ -382,9 +369,20 @@ mod tests {
         t.add_shared_sink(erased);
         let (ring_b, erased) = shared_sink(RingBufferSink::new(8));
         t.add_shared_sink(erased);
+        // Call order, not timestamp order, through `emit` and
+        // `emit_batch` alike.
         t.emit(3, || Event::PoolAdmitted { src: 7 });
-        assert_eq!(ring_a.lock().unwrap().count("pool_admitted"), 1);
-        assert_eq!(ring_b.lock().unwrap().count("pool_admitted"), 1);
+        t.emit_batch(&mut vec![
+            (9, Event::PoolWaiting { src: 7 }),
+            (1, Event::PoolWaiting { src: 7 }),
+        ]);
+        t.emit(2, || Event::PoolAdmitted { src: 7 });
+        for ring in [ring_a, ring_b] {
+            let ring = ring.lock().unwrap();
+            assert_eq!(ring.count("pool_admitted"), 2);
+            let stamps: Vec<u64> = ring.events().map(|(at, _)| *at).collect();
+            assert_eq!(stamps, vec![3, 9, 1, 2]);
+        }
     }
 
     #[test]

@@ -12,8 +12,7 @@
 use crate::weblog::LogEntry;
 use taq_faults::{FaultDriver, FaultPlan, FaultyLink, SharedFaultStats};
 use taq_sim::{
-    Bandwidth, Dumbbell, DumbbellConfig, NodeId, Qdisc, SchedulerKind, ShardPlan, SimDuration,
-    SimRng, SimTime, Simulator,
+    Bandwidth, Dumbbell, DumbbellConfig, NodeId, Qdisc, SimDuration, SimRng, SimTime, Simulator,
 };
 use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, SharedFlowLog, TcpConfig};
 use taq_telemetry::Telemetry;
@@ -50,17 +49,6 @@ pub struct DumbbellSpec {
     /// Telemetry handle cloned into the fault layer (fault events are
     /// emitted per injection). Defaults to disabled.
     pub telemetry: Telemetry,
-    /// Event-queue scheduler backend. Defaults to the timer wheel; the
-    /// binary heap is kept as a reference backend for equivalence
-    /// testing.
-    pub scheduler: SchedulerKind,
-    /// Engine shard count (1 = serial). The dumbbell's two routers
-    /// share bottleneck state (TAQ pairs, fault drivers), so they form
-    /// a single coupling group: sharded dumbbell runs exercise the
-    /// sharded engine and its determinism contract without real
-    /// parallelism. Multi-router recipes ([`crate::TopologySpec`])
-    /// are where extra shards buy concurrency.
-    pub shards: u32,
 }
 
 impl DumbbellSpec {
@@ -71,8 +59,6 @@ impl DumbbellSpec {
             tcp: TcpConfig::default(),
             faults: FaultPlan::none(),
             telemetry: Telemetry::disabled(),
-            scheduler: SchedulerKind::default(),
-            shards: 1,
         }
     }
 
@@ -97,20 +83,6 @@ impl DumbbellSpec {
         self
     }
 
-    /// Replaces the event-queue scheduler backend.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the engine shard count (values below 1 clamp to 1).
-    #[must_use]
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// The equivalent [`crate::TopologySpec`]: two routers, one pipe
     /// carrying `qdisc`, server on router 0. The spec-level conformance
     /// suite asserts the two code paths replay byte-identically.
@@ -130,8 +102,6 @@ impl DumbbellSpec {
         topo.access_delay = self.topo.access_delay;
         topo.tcp = self.tcp.clone();
         topo.telemetry = self.telemetry.clone();
-        topo.scheduler = self.scheduler;
-        topo.shards = self.shards;
         topo
     }
 
@@ -139,10 +109,9 @@ impl DumbbellSpec {
     /// discipline and an uncongested FIFO reverse path.
     pub fn build(&self, seed: u64, forward_qdisc: Box<dyn Qdisc>) -> DumbbellScenario {
         let (fwd, stats) = self.wrap_forward(seed, forward_qdisc);
-        let mut sim = Simulator::with_scheduler(seed, self.scheduler);
+        let mut sim = Simulator::new(seed);
         let db = Dumbbell::build_simple(&mut sim, self.topo.clone(), fwd);
         let mut sc = DumbbellScenario::finish(sim, db, self.tcp.clone(), seed);
-        sc.shards = self.shards;
         self.install_faults(&mut sc, seed, stats);
         sc
     }
@@ -156,10 +125,9 @@ impl DumbbellSpec {
         reverse_qdisc: Box<dyn Qdisc>,
     ) -> DumbbellScenario {
         let (fwd, stats) = self.wrap_forward(seed, forward_qdisc);
-        let mut sim = Simulator::with_scheduler(seed, self.scheduler);
+        let mut sim = Simulator::new(seed);
         let db = Dumbbell::build(&mut sim, self.topo.clone(), fwd, reverse_qdisc);
         let mut sc = DumbbellScenario::finish(sim, db, self.tcp.clone(), seed);
-        sc.shards = self.shards;
         self.install_faults(&mut sc, seed, stats);
         sc
     }
@@ -234,8 +202,6 @@ pub struct DumbbellScenario {
     /// Fault counters when the scenario was built from a
     /// [`DumbbellSpec`] with a non-empty fault plan.
     pub fault_stats: Option<SharedFaultStats>,
-    /// Engine shard count the run will use (1 = serial).
-    pub shards: u32,
     tcp: TcpConfig,
     /// Workload-level randomness (start jitter, RTT jitter), seeded
     /// from the scenario seed so runs stay reproducible.
@@ -283,7 +249,6 @@ impl DumbbellScenario {
             log: new_flow_log(),
             clients: Vec::new(),
             fault_stats: None,
-            shards: 1,
             tcp,
             rng,
         }
@@ -310,13 +275,12 @@ impl DumbbellScenario {
     /// ns2's overhead randomization does.
     pub fn add_bulk_clients(&mut self, n: usize, bytes: u64, stagger: SimDuration) -> Vec<NodeId> {
         (0..n)
-            .map(|i| {
+            .map(|_| {
                 let offset = if n > 1 && !stagger.is_zero() {
                     SimDuration::from_nanos(self.rng.range_u64(0, stagger.as_nanos()))
                 } else {
                     SimDuration::ZERO
                 };
-                let _ = i;
                 let base = self.db.config().access_delay;
                 let jitter = SimDuration::from_micros(self.rng.range_u64(0, 10_000));
                 self.add_bulk_client_with_delay(bytes, SimTime::ZERO + offset, base + jitter)
@@ -407,28 +371,13 @@ impl DumbbellScenario {
     }
 
     /// Runs to the horizon and flushes unfinished transfers into the
-    /// log. With `shards > 1` the run goes through the sharded engine;
-    /// the whole dumbbell is one coupling group (both routers touch the
-    /// bottleneck's shared state), so every node lands on shard 0 and
-    /// the run exercises the sharded machinery without real
-    /// parallelism. Results are identical either way; the flow log is
-    /// canonicalized to keep that contract exact.
+    /// log.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if self.shards > 1 {
-            let plan = ShardPlan::new(self.shards, vec![0; self.sim.node_count()]);
-            self.sim
-                .run_until_sharded(horizon, &plan)
-                .expect("sharded run failed");
-        } else {
-            self.sim.run_until(horizon);
-        }
+        self.sim.run_until(horizon);
         for &node in &self.clients {
             if let Some(c) = self.sim.agent_mut::<ClientHost>(node) {
                 c.flush_incomplete();
             }
-        }
-        if self.shards > 1 {
-            self.log.lock().unwrap().sort_canonical();
         }
     }
 }

@@ -19,8 +19,8 @@ use taq::{SharedTaq, TaqConfig, TaqPair};
 use taq_faults::{FaultDriver, FaultPlan, FaultyLink, SharedFaultStats};
 use taq_queues::{DropTail, Red, RedConfig, Sfq};
 use taq_sim::{
-    Bandwidth, LinkId, NodeId, Qdisc, SchedulerKind, ShardPlan, SimDuration, SimRng, SimTime,
-    Simulator, TopoLinkConfig, Topology, TopologyConfig, UnboundedFifo,
+    Bandwidth, LinkId, NodeId, Qdisc, SimDuration, SimRng, SimTime, Simulator, TopoLinkConfig,
+    Topology, TopologyConfig, UnboundedFifo,
 };
 use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, SharedFlowLog, TcpConfig};
 use taq_telemetry::Telemetry;
@@ -216,14 +216,6 @@ pub struct TopologySpec {
     pub tcp: TcpConfig,
     /// Telemetry handle cloned into the fault layer.
     pub telemetry: Telemetry,
-    /// Event-queue scheduler backend.
-    pub scheduler: SchedulerKind,
-    /// Shard count for the run: `1` (the default) runs serially, more
-    /// partitions the routers with [`Topology::partition_routers`] and
-    /// runs under the conservative lookahead barrier
-    /// ([`Simulator::run_until_sharded`]). Results are identical at any
-    /// value.
-    pub shards: u32,
 }
 
 impl TopologySpec {
@@ -238,8 +230,6 @@ impl TopologySpec {
             access_delay: SimDuration::from_millis(1),
             tcp: TcpConfig::default(),
             telemetry: Telemetry::disabled(),
-            scheduler: SchedulerKind::default(),
-            shards: 1,
         }
     }
 
@@ -250,24 +240,10 @@ impl TopologySpec {
         self
     }
 
-    /// Sets the shard count for the run (1 = serial).
-    #[must_use]
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Replaces the telemetry handle.
     #[must_use]
     pub fn telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
-        self
-    }
-
-    /// Replaces the scheduler backend.
-    #[must_use]
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -280,7 +256,7 @@ impl TopologySpec {
 
     /// Builds the scenario for `seed`.
     pub fn build(&self, seed: u64) -> TopoScenario {
-        let mut sim = Simulator::with_scheduler(seed, self.scheduler);
+        let mut sim = Simulator::new(seed);
         let mut links = Vec::with_capacity(self.pipes.len() * 2);
         let mut qdiscs: Vec<Box<dyn Qdisc>> = Vec::with_capacity(self.pipes.len() * 2);
         let mut taq_states = Vec::with_capacity(self.pipes.len());
@@ -314,7 +290,6 @@ impl TopologySpec {
         let topo = Topology::build(&mut sim, config, qdiscs);
         let server = sim.add_agent(Box::new(ServerHost::new(self.tcp.clone(), 80)));
         topo.attach_host(&mut sim, server, self.server_router);
-        let mut fault_drivers = Vec::new();
         for (i, p) in self.pipes.iter().enumerate() {
             if let Some(stats) = &pipe_faults[i] {
                 if let Some(driver) = FaultDriver::from_plan(
@@ -328,9 +303,6 @@ impl TopologySpec {
                 ) {
                     let node = sim.add_agent(Box::new(driver));
                     sim.schedule_start(node, SimTime::ZERO);
-                    // The driver mutates pipe i's forward link, so a
-                    // shard plan must keep it on that link's shard.
-                    fault_drivers.push((node, i));
                 }
             }
         }
@@ -344,8 +316,6 @@ impl TopologySpec {
             clients: Vec::new(),
             taq_states,
             pipe_faults,
-            fault_drivers,
-            shards: self.shards,
             tcp: self.tcp.clone(),
             rng,
         }
@@ -398,11 +368,6 @@ pub struct TopoScenario {
     pub taq_states: Vec<Option<SharedTaq>>,
     /// Per-pipe fault counters (`None` for clean pipes).
     pub pipe_faults: Vec<Option<SharedFaultStats>>,
-    /// Fault-driver agent nodes and the pipe whose forward link each
-    /// one mutates (shard plans pin them to that link's shard).
-    fault_drivers: Vec<(NodeId, usize)>,
-    /// Shard count the scenario will run with (1 = serial engine).
-    pub shards: u32,
     tcp: TcpConfig,
     rng: SimRng,
 }
@@ -568,62 +533,14 @@ impl TopoScenario {
         node
     }
 
-    /// Derives a shard plan for this scenario: routers are partitioned
-    /// by [`Topology::partition_routers`] with TAQ and faulted pipes
-    /// coupled (their shared state must stay on one shard), fault
-    /// drivers follow the link they mutate, and every host follows the
-    /// router its default route leads to.
-    pub fn shard_plan(&self, shards: u32) -> ShardPlan {
-        let cfg = self.topo.config();
-        let couple: Vec<(usize, usize)> = (0..self.taq_states.len())
-            .filter(|&i| self.taq_states[i].is_some() || self.pipe_faults[i].is_some())
-            .map(|i| (cfg.links[2 * i].from, cfg.links[2 * i].to))
-            .collect();
-        let by_router = self.topo.partition_routers(shards, &couple);
-        let n = self.sim.node_count();
-        let mut assign = vec![u32::MAX; n];
-        for r in 0..self.topo.routers() {
-            assign[self.topo.router(r).0 as usize] = by_router[r];
-        }
-        let cfg_links = &cfg.links;
-        for &(node, pipe) in &self.fault_drivers {
-            assign[node.0 as usize] = by_router[cfg_links[2 * pipe].from];
-        }
-        for i in 0..n {
-            if assign[i] != u32::MAX {
-                continue;
-            }
-            let up = self
-                .sim
-                .default_route(NodeId(i as u32))
-                .expect("host without a default route");
-            let (_, router) = self.sim.link_endpoints(up);
-            assign[i] = assign[router.0 as usize];
-        }
-        ShardPlan::new(shards, assign)
-    }
-
     /// Runs to the horizon and flushes unfinished transfers into the
-    /// log. With `shards > 1` the run goes through the sharded engine
-    /// under the plan from [`TopoScenario::shard_plan`]; results are
-    /// identical to the serial path up to flow-log record order, which
-    /// is canonicalized here.
+    /// log.
     pub fn run_until(&mut self, horizon: SimTime) {
-        if self.shards > 1 {
-            let plan = self.shard_plan(self.shards);
-            self.sim
-                .run_until_sharded(horizon, &plan)
-                .expect("sharded run failed");
-        } else {
-            self.sim.run_until(horizon);
-        }
+        self.sim.run_until(horizon);
         for &node in &self.clients {
             if let Some(c) = self.sim.agent_mut::<ClientHost>(node) {
                 c.flush_incomplete();
             }
-        }
-        if self.shards > 1 {
-            self.log.lock().unwrap().sort_canonical();
         }
     }
 }
@@ -658,8 +575,6 @@ pub struct ParkingLotSpec {
     pub faults_at: Vec<(usize, FaultPlan)>,
     /// TCP stack parameters.
     pub tcp: TcpConfig,
-    /// Scheduler backend.
-    pub scheduler: SchedulerKind,
 }
 
 impl ParkingLotSpec {
@@ -681,7 +596,6 @@ impl ParkingLotSpec {
             stagger: SimDuration::from_secs(1),
             faults_at: Vec::new(),
             tcp: TcpConfig::default(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -722,9 +636,7 @@ impl ParkingLotSpec {
                 p
             })
             .collect();
-        TopologySpec::new(self.hops + 1, pipes)
-            .tcp(self.tcp.clone())
-            .scheduler(self.scheduler)
+        TopologySpec::new(self.hops + 1, pipes).tcp(self.tcp.clone())
     }
 
     /// Builds the scenario and populates the flow mix: main clients at
@@ -782,10 +694,6 @@ pub struct AccessTreeSpec {
     pub stagger: SimDuration,
     /// TCP stack parameters.
     pub tcp: TcpConfig,
-    /// Scheduler backend.
-    pub scheduler: SchedulerKind,
-    /// Engine shard count (1 = serial).
-    pub shards: u32,
 }
 
 impl AccessTreeSpec {
@@ -812,16 +720,7 @@ impl AccessTreeSpec {
             },
             stagger: SimDuration::from_secs(1),
             tcp: TcpConfig::default(),
-            scheduler: SchedulerKind::default(),
-            shards: 1,
         }
-    }
-
-    /// Sets the engine shard count (values below 1 clamp to 1).
-    #[must_use]
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.shards = shards.max(1);
-        self
     }
 
     /// Router index of leaf `i` (gateway is router 1, core is 0).
@@ -854,10 +753,7 @@ impl AccessTreeSpec {
                 self.leaf_qdisc.clone(),
             ));
         }
-        TopologySpec::new(2 + self.leaves, pipes)
-            .tcp(self.tcp.clone())
-            .scheduler(self.scheduler)
-            .shards(self.shards)
+        TopologySpec::new(2 + self.leaves, pipes).tcp(self.tcp.clone())
     }
 
     /// Builds the scenario and attaches `clients_per_leaf` bulk clients
@@ -955,75 +851,6 @@ mod tests {
         let taq = sc.taq_state(0).expect("uplink runs taq");
         assert!(taq.lock().unwrap().stats.offered > 0);
         assert!(sc.taq_state(1).is_none());
-    }
-
-    #[test]
-    fn access_tree_sharded_matches_serial() {
-        let run = |shards: u32| {
-            let spec = AccessTreeSpec::new(3, Bandwidth::from_kbps(600), Bandwidth::from_kbps(300))
-                .shards(shards);
-            let mut sc = spec.build(11);
-            sc.run_until(SimTime::from_secs(25));
-            let mut log = std::mem::take(&mut *sc.log.lock().unwrap());
-            log.sort_canonical();
-            let links: Vec<_> = (0..=3)
-                .map(|k| sc.sim.link_stats(sc.pipe_link(k)).clone())
-                .collect();
-            (log.records, links, sc.sim.now())
-        };
-        let serial = run(1);
-        for shards in [2, 4] {
-            let sharded = run(shards);
-            assert_eq!(serial.0, sharded.0, "flow log diverged at {shards} shards");
-            assert_eq!(
-                serial.1, sharded.1,
-                "link stats diverged at {shards} shards"
-            );
-            assert_eq!(serial.2, sharded.2);
-        }
-        assert!(!serial.0.is_empty(), "run produced flows");
-    }
-
-    #[test]
-    fn faulted_topology_sharded_matches_serial() {
-        use taq_faults::GilbertElliott;
-        let build = |shards: u32| {
-            let spec = ParkingLotSpec {
-                main_flows: 3,
-                cross_flows_per_hop: 1,
-                ..ParkingLotSpec::new(3, Bandwidth::from_kbps(600))
-            }
-            .taq_at(1)
-            .faults_at(
-                2,
-                FaultPlan::none().with_burst_loss(GilbertElliott::bursts(0.02, 5.0)),
-            );
-            let mut sc = spec.build(13);
-            sc.shards = shards;
-            sc.run_until(SimTime::from_secs(25));
-            let mut log = std::mem::take(&mut *sc.log.lock().unwrap());
-            log.sort_canonical();
-            let taq = sc
-                .taq_state(1)
-                .expect("hop 1 runs taq")
-                .lock()
-                .unwrap()
-                .stats
-                .clone();
-            let faults = sc.pipe_faults[2]
-                .as_ref()
-                .expect("hop 2 faulted")
-                .lock()
-                .unwrap()
-                .clone();
-            (log.records, taq, faults)
-        };
-        let serial = build(1);
-        let sharded = build(2);
-        assert_eq!(serial.0, sharded.0, "flow log diverged");
-        assert_eq!(serial.1, sharded.1, "taq stats diverged");
-        assert_eq!(serial.2, sharded.2, "fault stats diverged");
-        assert!(serial.2.burst_losses > 0);
     }
 
     #[test]

@@ -78,27 +78,12 @@ trace_smoke() {
     run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --input results/trace_dump.jsonl
 }
 
-# Shard matrix: the sharded engine's determinism contract at one shard
-# count (SHARDS env, default 2) — the randomized conformance suite plus
-# the sink-determinism suite (attached-sink output at 1/2/4 shards) plus
-# a release smoke sweep through --shards, so the CI matrix legs and a
-# local `SHARDS=4 scripts/verify.sh shard_matrix` run the same thing.
-# Output is pinned byte-identical to the serial engine at any count.
-shard_matrix() {
-    run cargo test $OFFLINE -q --test shard_conformance
-    run cargo test $OFFLINE -q --test telemetry_sharded
-    run cargo run $OFFLINE --release -p taq-bench --bin topo_placement -- --smoke --seeds 1 --threads 2 --shards "${SHARDS:-2}"
-}
-
 # Batch conformance: the slot-batch engine drain and the batched qdisc
-# dequeues against their one-event-at-a-time references, plus the
-# sharded-telemetry byte-identity contract (sink output at 1/2/4
-# shards). Both suites also run inside test_suite; this entry point
-# exists so CI legs and bisecting developers can run just the batching
-# contract.
+# dequeues against their one-event-at-a-time references. The suite also
+# runs inside test_suite; this entry point exists so CI legs and
+# bisecting developers can run just the batching contract.
 batch_conformance() {
     run cargo test $OFFLINE -q --test batch_conformance
-    run cargo test $OFFLINE -q --test telemetry_sharded
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass
@@ -185,8 +170,6 @@ full() {
     sweep_smoke
     fault_smoke
     trace_smoke
-    SHARDS=2 shard_matrix
-    SHARDS=4 shard_matrix
     batch_conformance
     fluid
     bench_gate

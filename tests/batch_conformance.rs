@@ -7,9 +7,9 @@
 //!
 //! - whole-engine: random topologies run to quiescence once through the
 //!   batched `run_until` and once through a manual [`Simulator::step`]
-//!   loop, on both scheduler backends, comparing the full recorded
-//!   event trace (order included), the flow log, per-link counters,
-//!   TAQ statistics and the event count;
+//!   loop, comparing the full recorded event trace (order included),
+//!   the flow log, per-link counters, TAQ statistics and the event
+//!   count;
 //! - qdisc-level: a TAQ pair under random enqueue/drain churn must hand
 //!   out the identical packet sequence from `dequeue_batch` as from
 //!   repeated `dequeue`, with identical end-of-run statistics.
@@ -17,7 +17,7 @@
 use taq::{TaqConfig, TaqPair};
 use taq_sim::{
     Bandwidth, EventRecorder, FlowKey, LinkStats, NodeId, PacketArena, PacketBuilder, PacketId,
-    Qdisc, RecordedEvent, SchedulerKind, SimDuration, SimRng, SimTime,
+    Qdisc, RecordedEvent, SimDuration, SimRng, SimTime,
 };
 use taq_tcp::FlowRecord;
 use taq_workloads::{PipeSpec, QdiscSpec, TopologySpec};
@@ -33,8 +33,8 @@ struct Trace {
 }
 
 /// Draws a connected spanning tree over 3–5 routers with mixed
-/// disciplines (TAQ included) — the same family the shard-conformance
-/// suite uses, kept small enough to run to quiescence quickly.
+/// disciplines (TAQ included), kept small enough to run to quiescence
+/// quickly.
 fn random_spec(rng: &mut SimRng) -> TopologySpec {
     let routers = 3 + rng.next_below(3) as usize; // 3..=5
     let rates = [400u64, 600, 800];
@@ -68,8 +68,7 @@ const HORIZON: SimTime = SimTime::from_secs(600);
 /// otherwise a manual `step` loop pre-drains the queue one event at a
 /// time and `run_until` only performs the end-of-run bookkeeping
 /// (client flush, clock advance) on an empty queue.
-fn run_case(spec: &TopologySpec, scheduler: SchedulerKind, batched: bool, seed: u64) -> Trace {
-    let spec = spec.clone().scheduler(scheduler);
+fn run_case(spec: &TopologySpec, batched: bool, seed: u64) -> Trace {
     let mut sc = spec.build(seed);
     let recorder = sc.sim.add_monitor(Box::new(EventRecorder::default()));
     for r in 1..spec.routers {
@@ -108,38 +107,21 @@ fn run_case(spec: &TopologySpec, scheduler: SchedulerKind, batched: bool, seed: 
 }
 
 #[test]
-fn batched_run_matches_step_loop_on_both_schedulers() {
+fn batched_run_matches_step_loop() {
     let mut rng = SimRng::new(0xBA7C4);
     for case in 0..3u64 {
         let spec = random_spec(&mut rng);
         let seed = 100 + case;
-        for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-            let stepped = run_case(&spec, scheduler, false, seed);
-            let batched = run_case(&spec, scheduler, true, seed);
-            assert!(
-                stepped.processed > 1_000,
-                "case {case}: fixture too small to exercise batching ({} events)",
-                stepped.processed
-            );
-            assert_eq!(
-                stepped, batched,
-                "case {case}: batched run diverged from step loop on {scheduler:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn wheel_and_heap_agree_under_batching() {
-    let mut rng = SimRng::new(0x5EED5);
-    for case in 0..3u64 {
-        let spec = random_spec(&mut rng);
-        let seed = 200 + case;
-        let wheel = run_case(&spec, SchedulerKind::TimerWheel, true, seed);
-        let heap = run_case(&spec, SchedulerKind::BinaryHeap, true, seed);
+        let stepped = run_case(&spec, false, seed);
+        let batched = run_case(&spec, true, seed);
+        assert!(
+            stepped.processed > 1_000,
+            "case {case}: fixture too small to exercise batching ({} events)",
+            stepped.processed
+        );
         assert_eq!(
-            wheel, heap,
-            "case {case}: scheduler backends diverged under batched execution"
+            stepped, batched,
+            "case {case}: batched run diverged from step loop"
         );
     }
 }

@@ -9,7 +9,7 @@
 
 use taq_bench::{build_qdisc, sweep_seeds, Discipline};
 use taq_faults::{FaultPlan, FaultStats, GilbertElliott};
-use taq_sim::{Bandwidth, DumbbellConfig, SchedulerKind, SimDuration, SimRng, SimTime};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
 use taq_tcp::FlowRecord;
 use taq_workloads::{weblog, DumbbellSpec, ObjectSizeModel, QdiscSpec};
 
@@ -63,30 +63,27 @@ fn run_topo(spec: &DumbbellSpec, seed: u64) -> RunFingerprint {
 
 /// Conformance: the dumbbell expressed as a `TopologySpec` is
 /// byte-identical to the `DumbbellSpec` code path — same `FlowLog`
-/// records, same `TaqStats` — on both scheduler backends and at every
-/// sweep thread count. This pins the topology engine as a strict
-/// generalization of everything measured on the dumbbell.
+/// records, same `TaqStats` — at every sweep thread count. This pins
+/// the topology engine as a strict generalization of everything
+/// measured on the dumbbell.
 #[test]
 fn dumbbell_as_topology_is_byte_identical() {
     let seeds = [3u64, 7, 11];
-    for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-        let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400)))
-            .scheduler(scheduler);
-        for threads in [1usize, 2, 4] {
-            let dumbbell = sweep_seeds(&seeds, threads, |seed| run(&spec, seed));
-            let topo = sweep_seeds(&seeds, threads, |seed| run_topo(&spec, seed));
-            for (d, t) in dumbbell.iter().zip(&topo) {
-                assert!(
-                    !d.records.is_empty() && d.taq.offered > 0,
-                    "seed {} produced work",
-                    d.seed
-                );
-                assert_eq!(
-                    d, t,
-                    "seed {} {scheduler:?} threads {threads}: topology diverged from dumbbell",
-                    d.seed
-                );
-            }
+    let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400)));
+    for threads in [1usize, 2, 4] {
+        let dumbbell = sweep_seeds(&seeds, threads, |seed| run(&spec, seed));
+        let topo = sweep_seeds(&seeds, threads, |seed| run_topo(&spec, seed));
+        for (d, t) in dumbbell.iter().zip(&topo) {
+            assert!(
+                !d.records.is_empty() && d.taq.offered > 0,
+                "seed {} produced work",
+                d.seed
+            );
+            assert_eq!(
+                d, t,
+                "seed {} threads {threads}: topology diverged from dumbbell",
+                d.seed
+            );
         }
     }
 }
@@ -174,7 +171,7 @@ fn serial_and_parallel_sweeps_agree_exactly() {
     assert_ne!(serial[0].records, serial[1].records);
 }
 
-/// The three scenario shapes the scheduler-equivalence suite pins:
+/// The three scenario shapes the thread-count suite pins:
 /// Figure 1-style flow churn, the Figure 8 many-flow regime, and a
 /// faulty link.
 #[derive(Debug, Clone, Copy)]
@@ -197,11 +194,11 @@ struct FullFingerprint {
     events: u64,
 }
 
-fn run_shape(shape: Shape, scheduler: SchedulerKind, seed: u64) -> FullFingerprint {
+fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
     let rate = Bandwidth::from_kbps(400);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
-    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).scheduler(scheduler);
+    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate));
     if matches!(shape, Shape::Faults) {
         spec = spec.faults(
             FaultPlan::none()
@@ -252,34 +249,25 @@ fn run_shape(shape: Shape, scheduler: SchedulerKind, seed: u64) -> FullFingerpri
     }
 }
 
-/// The timer wheel is a drop-in replacement for the binary heap: for
-/// every scenario shape, both schedulers produce byte-identical flow
-/// logs, TAQ counters, and fault counters, across sweep thread counts.
+/// Every scenario shape produces byte-identical flow logs, TAQ
+/// counters, fault counters and event counts whether its seeds run on
+/// one sweep thread or two.
 #[test]
-fn timer_wheel_matches_binary_heap_across_scenarios() {
+fn scenario_shapes_are_thread_count_invariant() {
     for shape in [Shape::Churn, Shape::ManyFlow, Shape::Faults] {
         let seeds = [3u64, 11];
-        for threads in [1usize, 2] {
-            let wheel = sweep_seeds(&seeds, threads, |seed| {
-                run_shape(shape, SchedulerKind::TimerWheel, seed)
-            });
-            let heap = sweep_seeds(&seeds, threads, |seed| {
-                run_shape(shape, SchedulerKind::BinaryHeap, seed)
-            });
-            for ((w, h), seed) in wheel.iter().zip(&heap).zip(seeds) {
-                assert!(
-                    !w.records.is_empty() && w.taq.offered > 0,
-                    "{shape:?} seed {seed} produced work"
-                );
-                if matches!(shape, Shape::Faults) {
-                    let f = w.faults.as_ref().expect("fault stats present");
-                    assert!(f.total() > 0, "{shape:?} seed {seed} injected faults");
-                }
-                assert_eq!(
-                    w, h,
-                    "{shape:?} seed {seed} threads {threads}: schedulers diverged"
-                );
+        let serial = sweep_seeds(&seeds, 1, |seed| run_shape(shape, seed));
+        let parallel = sweep_seeds(&seeds, 2, |seed| run_shape(shape, seed));
+        for ((s, p), seed) in serial.iter().zip(&parallel).zip(seeds) {
+            assert!(
+                !s.records.is_empty() && s.taq.offered > 0,
+                "{shape:?} seed {seed} produced work"
+            );
+            if matches!(shape, Shape::Faults) {
+                let f = s.faults.as_ref().expect("fault stats present");
+                assert!(f.total() > 0, "{shape:?} seed {seed} injected faults");
             }
+            assert_eq!(s, p, "{shape:?} seed {seed}: thread counts diverged");
         }
     }
 }

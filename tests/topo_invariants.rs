@@ -15,12 +15,12 @@
 //!   enqueue order minus drops; multi-class disciplines (SFQ, TAQ)
 //!   reorder across queues by design and are excluded;
 //! - **deterministic replay** — the same seed reproduces the same flow
-//!   log, per-link counters, and event count, on both scheduler
-//!   backends.
+//!   log, per-link counters, and event count;
+//! - **arena leak-freedom** — a finite workload run to quiescence
+//!   leaves no packet live in the arena.
 
 use taq_sim::{
-    Bandwidth, EventRecorder, LinkId, MonitorId, RecordedKind, SchedulerKind, SimDuration, SimRng,
-    SimTime,
+    Bandwidth, EventRecorder, LinkId, MonitorId, RecordedKind, SimDuration, SimRng, SimTime,
 };
 use taq_workloads::{PipeSpec, QdiscSpec, TopoScenario, TopologySpec};
 
@@ -210,27 +210,46 @@ fn fingerprint(
 }
 
 #[test]
-fn deterministic_replay_across_runs_and_schedulers() {
+fn deterministic_replay_across_runs() {
     let mut rng = SimRng::new(0xDE7);
     for seed in [5u64, 9] {
         let case = random_case(&mut rng);
-        let run = |scheduler: SchedulerKind| {
-            let mut spec = case.spec.clone();
-            spec.scheduler = scheduler;
-            let wrapped = RandomCase {
-                spec,
-                pipe_is_fifo: case.pipe_is_fifo.clone(),
-                reverse_is_fifo: case.reverse_is_fifo.clone(),
-            };
-            let (sc, _) = run_case(&wrapped, seed);
-            let links = total_links(&wrapped, &sc);
+        let run = || {
+            let (sc, _) = run_case(&case, seed);
+            let links = total_links(&case, &sc);
             fingerprint(&sc, links)
         };
-        let a = run(SchedulerKind::TimerWheel);
-        let b = run(SchedulerKind::TimerWheel);
+        let a = run();
+        let b = run();
         assert_eq!(a, b, "seed {seed}: same-seed replay diverged");
-        let h = run(SchedulerKind::BinaryHeap);
-        assert_eq!(a, h, "seed {seed}: wheel and heap diverged");
         assert!(!a.0.is_empty(), "seed {seed} produced flow records");
     }
+}
+
+/// Arena leak-freedom: with a finite workload run far past completion,
+/// every packet that entered the arena has been removed again —
+/// `packets_in_flight` returns to zero — and repeating the run
+/// reproduces the fingerprint byte-for-byte.
+#[test]
+fn arena_drains_and_runs_are_repeatable() {
+    let mut rng = SimRng::new(0xA12E_4A11);
+    let case = random_case(&mut rng);
+    // One short transfer per router, generous horizon.
+    let quiescent_run = || {
+        let mut sc = case.spec.build(7);
+        for r in 1..case.spec.routers {
+            sc.add_bulk_clients_at(r, 1, 20_000, SimDuration::from_secs(1));
+        }
+        sc.run_until(SimTime::from_secs(120));
+        let links = total_links(&case, &sc);
+        (sc.sim.packets_in_flight(), fingerprint(&sc, links))
+    };
+    let (in_flight, first) = quiescent_run();
+    assert!(
+        !first.0.is_empty() && first.0.iter().all(|r| r.completed_at.is_some()),
+        "every transfer finished before the horizon"
+    );
+    assert_eq!(in_flight, 0, "{in_flight} packets leaked in the arena");
+    let (_, again) = quiescent_run();
+    assert_eq!(first, again, "rerun diverged");
 }

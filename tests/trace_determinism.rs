@@ -9,12 +9,11 @@
 //! 2. **The trace itself is deterministic** — the full span dump
 //!    (every packet lifecycle through the bottleneck, plus the
 //!    sim-time series) is byte-identical across sweep thread counts
-//!    (1/2/4) and across the timer-wheel and binary-heap scheduler
-//!    backends.
+//!    (1/2/4).
 
 use taq_bench::{build_qdisc, sweep_seeds, Discipline};
 use taq_faults::{FaultPlan, GilbertElliott};
-use taq_sim::{Bandwidth, DumbbellConfig, SchedulerKind, SimDuration, SimTime, TelemetryBridge};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, TelemetryBridge};
 use taq_tcp::FlowRecord;
 use taq_telemetry::{shared_sink, Telemetry};
 use taq_trace::{TraceCollector, TraceConfig};
@@ -29,16 +28,14 @@ struct TracedRun {
 
 /// Runs the faulty bulk-flow workload, optionally with the tracer
 /// riding the bottleneck, and returns every comparable output.
-fn run_traced(scheduler: SchedulerKind, seed: u64, traced: bool) -> TracedRun {
+fn run_traced(seed: u64, traced: bool) -> TracedRun {
     let rate = Bandwidth::from_kbps(400);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
     let plan = FaultPlan::none()
         .with_burst_loss(GilbertElliott::bursts(0.02, 6.0))
         .with_duplicate(0.02);
-    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate))
-        .scheduler(scheduler)
-        .faults(plan);
+    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(plan);
 
     let collector = if traced {
         let telemetry = Telemetry::new();
@@ -79,44 +76,42 @@ fn run_traced(scheduler: SchedulerKind, seed: u64, traced: bool) -> TracedRun {
     TracedRun { records, taq, dump }
 }
 
-/// Property 1: the tracer is a pure observer. Same seeds, same
-/// schedulers, with and without the collector attached — the flow log
-/// and the TAQ counters must not move by a single byte.
+/// Property 1: the tracer is a pure observer. Same seeds, with and
+/// without the collector attached — the flow log and the TAQ counters
+/// must not move by a single byte.
 #[test]
 fn tracing_leaves_flow_log_and_taq_stats_byte_identical() {
-    for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-        for seed in [3u64, 11] {
-            let plain = run_traced(scheduler, seed, false);
-            let traced = run_traced(scheduler, seed, true);
-            assert!(
-                !plain.records.is_empty() && plain.taq.offered > 0,
-                "{scheduler:?} seed {seed} produced work"
-            );
-            assert_eq!(
-                plain.records, traced.records,
-                "{scheduler:?} seed {seed}: tracing perturbed the flow log"
-            );
-            assert_eq!(
-                plain.taq, traced.taq,
-                "{scheduler:?} seed {seed}: tracing perturbed TaqStats"
-            );
-            // And the observation was real, not a disabled hub.
-            assert!(
-                traced.dump.contains(r#""record":"span""#),
-                "{scheduler:?} seed {seed}: traced run produced no spans"
-            );
-        }
+    for seed in [3u64, 11] {
+        let plain = run_traced(seed, false);
+        let traced = run_traced(seed, true);
+        assert!(
+            !plain.records.is_empty() && plain.taq.offered > 0,
+            "seed {seed} produced work"
+        );
+        assert_eq!(
+            plain.records, traced.records,
+            "seed {seed}: tracing perturbed the flow log"
+        );
+        assert_eq!(
+            plain.taq, traced.taq,
+            "seed {seed}: tracing perturbed TaqStats"
+        );
+        // And the observation was real, not a disabled hub.
+        assert!(
+            traced.dump.contains(r#""record":"span""#),
+            "seed {seed}: traced run produced no spans"
+        );
     }
 }
 
 /// Property 2: the span dump is a function of (seed, config) only —
-/// byte-identical across sweep thread counts and scheduler backends.
+/// byte-identical across sweep thread counts.
 #[test]
-fn span_dump_is_byte_identical_across_threads_and_schedulers() {
+fn span_dump_is_byte_identical_across_threads() {
     let seeds = [3u64, 11];
     let reference: Vec<String> = seeds
         .iter()
-        .map(|&seed| run_traced(SchedulerKind::TimerWheel, seed, true).dump)
+        .map(|&seed| run_traced(seed, true).dump)
         .collect();
     for (dump, seed) in reference.iter().zip(seeds) {
         assert!(
@@ -128,17 +123,13 @@ fn span_dump_is_byte_identical_across_threads_and_schedulers() {
     // between trivially identical dumps.
     assert_ne!(reference[0], reference[1]);
 
-    for scheduler in [SchedulerKind::TimerWheel, SchedulerKind::BinaryHeap] {
-        for threads in [1usize, 2, 4] {
-            let dumps = sweep_seeds(&seeds, threads, |seed| {
-                run_traced(scheduler, seed, true).dump
-            });
-            for ((dump, expected), seed) in dumps.iter().zip(&reference).zip(seeds) {
-                assert_eq!(
-                    dump, expected,
-                    "seed {seed} {scheduler:?} threads {threads}: span dump diverged"
-                );
-            }
+    for threads in [1usize, 2, 4] {
+        let dumps = sweep_seeds(&seeds, threads, |seed| run_traced(seed, true).dump);
+        for ((dump, expected), seed) in dumps.iter().zip(&reference).zip(seeds) {
+            assert_eq!(
+                dump, expected,
+                "seed {seed} threads {threads}: span dump diverged"
+            );
         }
     }
 }
