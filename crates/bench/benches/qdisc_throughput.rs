@@ -10,10 +10,11 @@
 //!
 //! Run with `cargo bench --bench qdisc_throughput`.
 
-use taq_bench::{build_qdisc, measure, BuiltQdisc, Discipline};
+use taq_bench::{measure, Discipline};
 use taq_sim::{Bandwidth, FlowKey, NodeId, Packet, PacketArena, PacketBuilder, SimTime};
 use taq_telemetry::{shared_sink, RingBufferSink, Telemetry};
 use taq_trace::{TraceCollector, TraceConfig};
+use taq_workloads::BuiltPipe;
 
 fn packets(n: usize) -> Vec<Packet> {
     (0..n)
@@ -35,7 +36,7 @@ fn packets(n: usize) -> Vec<Packet> {
 
 /// One batch: 1 000 packets enqueued with a dequeue every third tick,
 /// then a full drain.
-fn drive(mut built: BuiltQdisc, pkts: Vec<Packet>) {
+fn drive(mut built: BuiltPipe, pkts: Vec<Packet>) {
     let mut arena = PacketArena::new();
     let mut t = 0u64;
     for pkt in pkts {
@@ -59,8 +60,8 @@ fn drive(mut built: BuiltQdisc, pkts: Vec<Packet>) {
 fn bench_discipline(d: Discipline, suffix: &str, telemetry: Option<&Telemetry>) -> f64 {
     let label = format!("{}{suffix}/batch_1000", d.name());
     measure(&label, 10, 60, || {
-        let built = build_qdisc(d, Bandwidth::from_mbps(1), 64, 1);
-        if let (Some(t), Some(state)) = (telemetry, &built.taq_state) {
+        let built = d.spec(64).build(Bandwidth::from_mbps(1), 1);
+        if let (Some(t), Some(state)) = (telemetry, &built.taq) {
             state.lock().unwrap().attach_telemetry(t.clone());
         }
         drive(built, packets(1_000));

@@ -4,22 +4,16 @@
 //!
 //! Run with `cargo bench --bench sim_engine`.
 
-use taq_bench::{build_qdisc, measure, Discipline};
+use taq_bench::{measure, Discipline};
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn run_sim(flows: usize, secs: u64) -> u64 {
     let rate = Bandwidth::from_kbps(600);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let mut sc = DumbbellScenario::new(
-        1,
-        topo,
-        Box::new(DropTail::with_packets(buffer)),
-        TcpConfig::default(),
-    );
+    let mut sc = DumbbellSpec::new(topo).build(1, Box::new(DropTail::with_packets(buffer)));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(1));
     sc.run_until(SimTime::from_secs(secs));
     sc.sim.events_processed()
@@ -32,8 +26,8 @@ fn run_taq_manyflow(secs: u64) -> u64 {
     let rate = Bandwidth::from_kbps(600);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, 1);
-    let mut sc = DumbbellScenario::new(1, topo, built.forward, TcpConfig::default());
+    let built = Discipline::Taq.spec(buffer).build(rate, 1);
+    let mut sc = DumbbellSpec::new(topo).build(1, built.forward);
     sc.add_bulk_clients(300, BULK_BYTES, SimDuration::from_secs(2));
     sc.run_until(SimTime::from_secs(secs));
     sc.sim.events_processed()

@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo bench --bench sweep_scaling`.
 
-use taq_bench::{build_qdisc, default_threads, measure, sweep_seeds, Discipline};
+use taq_bench::{default_threads, measure, sweep_seeds, Discipline};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_workloads::DumbbellSpec;
 
@@ -21,7 +21,7 @@ const SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 fn run(spec: &DumbbellSpec, seed: u64) -> (usize, u64) {
     let rate = spec.topo.bottleneck_rate;
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    let built = Discipline::Taq.spec(buffer).build(rate, seed);
     let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
     sc.add_bulk_clients(12, 60_000, SimDuration::from_secs(1));
     sc.run_until(SimTime::from_secs(60));

@@ -14,11 +14,10 @@
 //! Usage: `ablation_taq [--full]`
 
 use taq::{TaqConfig, TaqPair};
-use taq_bench::{fairness_run, scaled_duration, Discipline, FairnessRunConfig};
+use taq_bench::{fairness_run, Discipline, FairnessRunConfig, SweepArgs};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration};
-use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn taq_variant_run(
     cfg_mod: impl FnOnce(&mut TaqConfig),
@@ -30,19 +29,18 @@ fn taq_variant_run(
     cfg_mod(&mut cfg);
     let pair = TaqPair::new(cfg);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new_with_reverse(
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(
         42,
-        topo,
         Box::new(pair.forward),
         Box::new(pair.reverse),
-        TcpConfig::default(),
     );
+    let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
     let evo = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(2),
     )));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
@@ -68,7 +66,7 @@ fn taq_variant_run(
 }
 
 fn main() {
-    let duration = scaled_duration(300, 1_000);
+    let duration = SweepArgs::parse(42).duration(300, 300, 1_000);
     let rate = Bandwidth::from_kbps(600);
     let flows = 60;
 

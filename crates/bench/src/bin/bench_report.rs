@@ -34,7 +34,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-use taq_bench::{build_qdisc, Discipline};
+use taq_bench::Discipline;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, TelemetryBridge};
 use taq_telemetry::{shared_sink, Event, SummarySink, Telemetry, TelemetrySink, Value};
 use taq_workloads::{flows_for_fair_share, weblog, DumbbellSpec, BULK_BYTES};
@@ -144,8 +144,8 @@ fn run_scenario(name: &str, telemetry: Option<&Telemetry>) -> RunOutcome {
         Bandwidth::from_kbps(600)
     };
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, 42);
-    if let (Some(t), Some(state)) = (telemetry, &built.taq_state) {
+    let built = Discipline::Taq.spec(buffer).build(rate, 42);
+    if let (Some(t), Some(state)) = (telemetry, &built.taq) {
         state.lock().unwrap().attach_telemetry(t.clone());
     }
     let topo = DumbbellConfig::with_rtt_200ms(rate);

@@ -15,7 +15,7 @@
 //! Usage: `fig01_download_times [--seeds a,b,c | --runs N] [--threads N]
 //! [--full] [--smoke]`
 
-use taq_bench::{build_qdisc, sweep_seeds, Discipline, SweepArgs};
+use taq_bench::{sweep_seeds, Discipline, SweepArgs};
 use taq_metrics::log_bucket_summary;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_workloads::{weblog, DumbbellSpec};
@@ -30,7 +30,7 @@ struct RunOutput {
 fn run(spec: &DumbbellSpec, scale: u32, seed: u64) -> RunOutput {
     let rate = spec.topo.bottleneck_rate;
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::DropTail, rate, buffer, seed);
+    let built = Discipline::DropTail.spec(buffer).build(rate, seed);
     let mut sc = spec.build(seed, built.forward);
 
     let log_cfg = weblog::WebLogConfig::campus_two_hour(scale);

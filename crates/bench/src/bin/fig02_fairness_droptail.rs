@@ -12,7 +12,7 @@
 //! optional discipline (droptail|red|sfq) reproduces §2.4's observation
 //! that RED and SFQ behave like DropTail here.
 
-use taq_bench::{fairness_run, scaled_duration, Discipline, FairnessRunConfig};
+use taq_bench::{fairness_run, Discipline, FairnessRunConfig, SweepArgs};
 use taq_sim::Bandwidth;
 use taq_workloads::flows_for_fair_share;
 
@@ -23,7 +23,7 @@ fn main() {
         .unwrap_or(Discipline::DropTail);
     // Short runs keep the 20 s slice count meaningful; --full matches
     // the paper's scale.
-    let duration = scaled_duration(300, 2_000);
+    let duration = SweepArgs::parse(42).duration(300, 300, 2_000);
     let shares_bps: [u64; 7] = [2_000, 5_000, 10_000, 15_000, 20_000, 30_000, 50_000];
     let rates_kbps: [u64; 5] = [200, 400, 600, 800, 1_000];
 

@@ -37,8 +37,9 @@ fn jain_at(
     duration: SimTime,
 ) -> f64 {
     let mut sc = spec.build(seed, Box::new(DropTail::with_packets(buffer_pkts)));
+    let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));

@@ -10,19 +10,19 @@
 //!
 //! Usage: `fig06_model_validation [--full]`
 
-use taq_bench::{build_qdisc, scaled_duration, Discipline};
+use taq_bench::{Discipline, SweepArgs};
 use taq_metrics::EpochActivity;
 use taq_model::{FullModel, PartialModel};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration};
 use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 const WMAX: usize = 6;
 
 fn simulate(rate_kbps: u64, flows: usize, secs: u64) -> (f64, Vec<f64>) {
     let rate = Bandwidth::from_kbps(rate_kbps);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::DropTail, rate, buffer, 42);
+    let built = Discipline::DropTail.spec(buffer).build(rate, 42);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
     // The model caps the window at Wmax; mirror that in the senders so
     // the comparison is apples-to-apples (the paper's model section
@@ -36,18 +36,19 @@ fn simulate(rate_kbps: u64, flows: usize, secs: u64) -> (f64, Vec<f64>) {
         min_rto: SimDuration::from_millis(400),
         ..TcpConfig::default()
     };
-    let mut sc = DumbbellScenario::new(42, topo, built.forward, tcp);
+    let mut sc = DumbbellSpec::new(topo).tcp(tcp).build(42, built.forward);
+    let bottleneck = sc.db.bottleneck;
     // Epoch = propagation RTT + typical queueing (half-full buffer).
     let queueing =
         SimDuration::from_nanos(buffer as u64 / 2 * rate.transmission_time(500).as_nanos());
     let epoch = SimDuration::from_millis(200) + queueing;
     let activity = sc
         .sim
-        .add_monitor(Box::new(EpochActivity::new(sc.db.bottleneck, epoch, WMAX)));
+        .add_monitor(Box::new(EpochActivity::new(bottleneck, epoch, WMAX)));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
     let horizon = taq_sim::SimTime::from_secs(secs);
     sc.run_until(horizon);
-    let p = sc.sim.link_stats(sc.db.bottleneck).drop_rate();
+    let p = sc.sim.link_stats(bottleneck).drop_rate();
     let dist = sc
         .sim
         .monitor_mut::<EpochActivity>(activity)
@@ -57,8 +58,7 @@ fn simulate(rate_kbps: u64, flows: usize, secs: u64) -> (f64, Vec<f64>) {
 }
 
 fn main() {
-    let secs = if taq_bench::full_scale() { 1_000 } else { 240 };
-    let _ = scaled_duration(0, 0); // CLI parity with other binaries.
+    let secs = SweepArgs::parse(42).secs(240, 240, 1_000);
     println!("# Figure 6 reproduction — stationary distribution of packets sent per epoch");
     println!("# columns: n_sent = 0..{WMAX} (probabilities)");
     for rate_kbps in [200u64, 750, 1000] {

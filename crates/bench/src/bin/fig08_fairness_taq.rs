@@ -7,12 +7,12 @@
 //!
 //! Usage: `fig08_fairness_taq [--full]`
 
-use taq_bench::{fairness_run, scaled_duration, Discipline, FairnessRunConfig};
+use taq_bench::{fairness_run, Discipline, FairnessRunConfig, SweepArgs};
 use taq_sim::Bandwidth;
 use taq_workloads::flows_for_fair_share;
 
 fn main() {
-    let duration = scaled_duration(300, 2_000);
+    let duration = SweepArgs::parse(42).duration(300, 300, 2_000);
     let shares_bps: [u64; 7] = [2_000, 5_000, 10_000, 15_000, 20_000, 30_000, 50_000];
     let rates_kbps: [u64; 5] = [200, 400, 600, 800, 1_000];
 

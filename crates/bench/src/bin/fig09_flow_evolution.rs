@@ -14,13 +14,13 @@
 //!
 //! Usage: `fig09_flow_evolution [--full] [--extreme]`
 
-use taq_bench::{fairness_run, scaled_duration, Discipline, FairnessRunConfig};
+use taq_bench::{fairness_run, Discipline, FairnessRunConfig, SweepArgs};
 use taq_sim::Bandwidth;
 
 fn main() {
     let extreme = std::env::args().any(|a| a == "--extreme");
     let flows = if extreme { 180 } else { 90 };
-    let duration = scaled_duration(300, 1_100);
+    let duration = SweepArgs::parse(7).duration(300, 300, 1_100);
     let rate = Bandwidth::from_kbps(600);
 
     println!("# Figure 9 reproduction — flow evolution, {flows} flows over 600 Kbps");

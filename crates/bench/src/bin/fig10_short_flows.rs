@@ -10,10 +10,9 @@
 //!
 //! Usage: `fig10_short_flows [--full] [discipline]`
 
-use taq_bench::{build_qdisc, scaled_duration, Discipline};
+use taq_bench::{Discipline, SweepArgs};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration};
-use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn main() {
     let discipline = std::env::args()
@@ -22,20 +21,14 @@ fn main() {
         .unwrap_or(Discipline::Taq);
     let rate = Bandwidth::from_mbps(1);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(discipline, rate, buffer, 42);
+    let built = discipline.spec(buffer).build(rate, 42);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new_with_reverse(
-        42,
-        topo,
-        built.forward,
-        built.reverse,
-        TcpConfig::default(),
-    );
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, built.forward, built.reverse);
     // Background: 50 long-lived flows (20 Kbps fair share).
     sc.add_bulk_clients(50, BULK_BYTES, SimDuration::from_secs(2));
     // 32 short flows of varying length, staggered into the steady state.
     let mss = 460u64;
-    let start_base = scaled_duration(40, 120);
+    let start_base = SweepArgs::parse(42).duration(40, 40, 120);
     let mut short_tags = Vec::new();
     for i in 0..32u64 {
         let packets = 1 + (i * 80) / 31; // 1..=81 packets

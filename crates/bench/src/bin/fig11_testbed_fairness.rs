@@ -74,7 +74,7 @@ fn run(rate_kbps: u64, taq: bool, secs: u64) -> (f64, f64) {
 }
 
 fn main() {
-    let secs = if taq_bench::full_scale() { 400 } else { 120 };
+    let secs = taq_bench::SweepArgs::parse(42).secs(120, 120, 400);
     println!("# Figure 11 reproduction — testbed (real-time emulation) fairness");
     println!("# 40 clients x 2 conns, 15 KB objects back-to-back, goodput-share Jain index");
     println!("# rate_kbps  discipline  jain  link_util");

@@ -17,11 +17,10 @@
 //!
 //! Usage: `fig12_admission_cdf [--full]`
 
-use taq_bench::{build_qdisc, Discipline};
+use taq_bench::{Discipline, SweepArgs};
 use taq_metrics::Distribution;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
-use taq_tcp::TcpConfig;
-use taq_workloads::{weblog, DumbbellScenario};
+use taq_workloads::{weblog, DumbbellSpec};
 
 /// Collects download times (seconds) for objects within a size bucket;
 /// unfinished downloads are censored at the horizon (they belong in the
@@ -50,15 +49,9 @@ fn bucket(
 fn run(discipline: Discipline, secs: u64) -> Vec<(String, Distribution, usize)> {
     let rate = Bandwidth::from_mbps(1);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(discipline, rate, buffer, 42);
+    let built = discipline.spec(buffer).build(rate, 42);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new_with_reverse(
-        42,
-        topo,
-        built.forward,
-        built.reverse,
-        TcpConfig::default(),
-    );
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, built.forward, built.reverse);
     // Poisson user arrivals; each user = one page of four objects. Most
     // objects are small, with some drawn from the 100-110 KB band so
     // the large-object CDF has samples. Demand ≈ 1.6 Mbps.
@@ -95,7 +88,7 @@ fn run(discipline: Discipline, secs: u64) -> Vec<(String, Distribution, usize)> 
 }
 
 fn main() {
-    let secs = if taq_bench::full_scale() { 1_200 } else { 300 };
+    let secs = SweepArgs::parse(42).secs(300, 300, 1_200);
     println!("# Figure 12 reproduction — download-time CDFs with admission control");
     println!("# Poisson user churn at ~1.3x capacity; waiting time charged to downloads");
     for d in [Discipline::DropTail, Discipline::TaqAdmission] {

@@ -14,25 +14,29 @@
 //!
 //! Usage: `modern_stacks [--full]`
 
-use taq_bench::{build_qdisc, scaled_duration, Discipline};
+use taq_bench::{Discipline, SweepArgs};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration};
 use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn run(discipline: Discipline, tcp: TcpConfig, duration: taq_sim::SimTime) -> (f64, f64, f64) {
     let rate = Bandwidth::from_kbps(600);
     let flows = 60;
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(discipline, rate, buffer, 42);
+    let built = discipline.spec(buffer).build(rate, 42);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new_with_reverse(42, topo, built.forward, built.reverse, tcp);
+    let mut sc =
+        DumbbellSpec::new(topo)
+            .tcp(tcp)
+            .build_with_reverse(42, built.forward, built.reverse);
+    let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
     let evo = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(2),
     )));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
@@ -54,12 +58,12 @@ fn run(discipline: Discipline, tcp: TcpConfig, duration: taq_sim::SimTime) -> (f
         stalled += c.stalled;
         total += c.total();
     }
-    let drop_rate = sc.sim.link_stats(sc.db.bottleneck).drop_rate();
+    let drop_rate = sc.sim.link_stats(bottleneck).drop_rate();
     (jain, stalled as f64 / total.max(1) as f64, drop_rate)
 }
 
 fn main() {
-    let duration = scaled_duration(300, 1_000);
+    let duration = SweepArgs::parse(42).duration(300, 300, 1_000);
     println!("# Modern stacks in the small packet regime — 60 flows, 600 Kbps");
     println!("# stack              discipline  jain20  stalled  drop_rate");
     let classic = TcpConfig::default();

@@ -13,7 +13,7 @@
 //! Usage: `sec23_user_hangs [--seeds a,b,c | --runs N] [--threads N]
 //! [--full] [--smoke]`
 
-use taq_bench::{build_qdisc, sweep_indexed, Discipline, SweepArgs};
+use taq_bench::{sweep_indexed, Discipline, SweepArgs};
 use taq_metrics::HangTracker;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
 use taq_workloads::{generate_session, DumbbellSpec, SessionConfig};
@@ -27,11 +27,12 @@ fn run(
 ) -> (f64, f64, usize) {
     let rate = spec.topo.bottleneck_rate;
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(discipline, rate, buffer, seed);
+    let built = discipline.spec(buffer).build(rate, seed);
     let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
     let horizon = SimTime::from_secs(secs);
+    let bottleneck = sc.db.bottleneck;
     let hangs = sc.sim.add_monitor(Box::new(HangTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimTime::from_secs(5),
         horizon,
     )));

@@ -8,10 +8,11 @@
 //! `DIR/droptail.jsonl` and `DIR/taq.jsonl` for offline analysis
 //! (each line is one event object; see DESIGN.md's telemetry appendix).
 
-use taq_bench::{scaled_duration, telemetry_report, TelemetryReportConfig};
+use taq_bench::{telemetry_report, SweepArgs, TelemetryReportConfig};
 
 fn main() {
-    let mut cfg = TelemetryReportConfig::small_packet(42, scaled_duration(60, 600));
+    let duration = SweepArgs::parse(42).duration(60, 60, 600);
+    let mut cfg = TelemetryReportConfig::small_packet(42, duration);
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--jsonl") {
         match args.get(i + 1) {

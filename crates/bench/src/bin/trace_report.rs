@@ -16,7 +16,7 @@
 //! Flags: `--seed N`, `--silence-ms N` (silence threshold, default
 //! 2000), `--window-ms N` (Jain window, default 5000).
 
-use taq_bench::{build_qdisc, Discipline};
+use taq_bench::Discipline;
 use taq_faults::{FaultPlan, GilbertElliott};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, TelemetryBridge};
 use taq_telemetry::{shared_sink, Telemetry};
@@ -28,7 +28,7 @@ use taq_workloads::{weblog, DumbbellSpec};
 fn run_demo(seed: u64, silence_ns: u64, window_ns: u64) -> String {
     let rate = Bandwidth::from_mbps(2);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    let built = Discipline::Taq.spec(buffer).build(rate, seed);
 
     let telemetry = Telemetry::new();
     // The flight window is sized to hold the whole demo run so the
@@ -40,7 +40,7 @@ fn run_demo(seed: u64, silence_ns: u64, window_ns: u64) -> String {
         dump_path: None,
     }));
     telemetry.add_shared_sink(erased);
-    if let Some(state) = &built.taq_state {
+    if let Some(state) = &built.taq {
         state.lock().unwrap().attach_telemetry(telemetry.clone());
     }
 

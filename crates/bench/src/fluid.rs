@@ -24,7 +24,7 @@ use taq_model::fluid::l1_distance;
 use taq_model::{ChainFamily, FluidModel, LossFeedback};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, UnboundedFifo};
 use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, BULK_BYTES};
 
 /// Window cap shared by the sim TCP config and the model.
 pub const FLUID_WMAX: usize = 6;
@@ -142,10 +142,13 @@ pub fn bernoulli_wire_run(
     // (≈ 120 kbps/flow at 500 B), provisioned 3× over.
     let rate = Bandwidth::from_kbps((400 * flows as u64).max(10_000));
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new(seed, topo, Box::new(UnboundedFifo::new()), fluid_tcp());
-    sc.sim.set_link_loss(sc.db.bottleneck, p);
+    let mut sc = DumbbellSpec::new(topo)
+        .tcp(fluid_tcp())
+        .build(seed, Box::new(UnboundedFifo::new()));
+    let bottleneck = sc.db.bottleneck;
+    sc.sim.set_link_loss(bottleneck, p);
     let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_millis(FLUID_EPOCH_MS),
         FLUID_WMAX,
     )));
@@ -156,7 +159,7 @@ pub fn bernoulli_wire_run(
     );
     let horizon = SimTime::from_millis(horizon_ms);
     sc.run_until(horizon);
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     let offered = stats.wire_lost_pkts + stats.transmitted_pkts;
     if offered == 0 {
         return Err(format!(
@@ -188,9 +191,12 @@ pub fn droptail_coupled_run(
         buffer_pkts: buffer,
     }
     .build(rate, seed);
-    let mut sc = DumbbellScenario::new(seed, topo, qdisc.forward, fluid_tcp());
+    let mut sc = DumbbellSpec::new(topo)
+        .tcp(fluid_tcp())
+        .build(seed, qdisc.forward);
+    let bottleneck = sc.db.bottleneck;
     let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_millis(FLUID_EPOCH_MS),
         FLUID_WMAX,
     )));
@@ -201,7 +207,7 @@ pub fn droptail_coupled_run(
     );
     let horizon = SimTime::from_millis(horizon_ms);
     sc.run_until(horizon);
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     if stats.transmitted_pkts == 0 {
         return Err(format!(
             "no traffic transmitted (seed {seed}, {flows} flows, share {share_pps} pps)"

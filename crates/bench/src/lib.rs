@@ -2,14 +2,34 @@
 //!
 //! One binary per figure of the paper's evaluation (see `src/bin/`),
 //! plus hand-rolled microbenchmarks (see `benches/`). This library
-//! holds the shared pieces: discipline construction, the standard
-//! fairness-run shape used by Figures 2/3/8/9, the telemetry-report
-//! scenario, and tiny CLI helpers.
+//! holds the shared pieces: the [`Discipline`] names (each maps onto a
+//! `taq_workloads::QdiscSpec`, the one place disciplines are built),
+//! the standard fairness-run shape used by Figures 2/3/8/9, the
+//! telemetry-report scenario, the parallel sweep runner and the
+//! [`SweepArgs`] CLI surface.
+//!
+//! A binary builds its scenario with one call chain:
+//!
+//! ```
+//! use taq_bench::Discipline;
+//! use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
+//! use taq_workloads::DumbbellSpec;
+//!
+//! let rate = Bandwidth::from_kbps(600);
+//! let built = Discipline::Taq.spec(30).build(rate, 42);
+//! let mut sc = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate))
+//!     .build_with_reverse(42, built.forward, built.reverse);
+//! sc.add_bulk_clients(4, 20_000, SimDuration::from_secs(1));
+//! sc.run_until(SimTime::from_secs(5));
+//! assert!(sc.sim.link_stats(sc.db.bottleneck).transmitted_pkts > 0);
+//! assert!(built.taq.expect("TAQ state").lock().unwrap().stats.offered > 0);
+//! ```
 //!
 //! Every binary prints the same rows/series its figure plots, prefixed
 //! with `#`-comment headers, so outputs can be piped into a plotting
 //! tool directly. Binaries accept `--full` for paper-scale durations
-//! and default to shorter runs with the same shape.
+//! (parsed once, by [`SweepArgs`]) and default to shorter runs with the
+//! same shape.
 
 mod fluid;
 mod report;
@@ -23,10 +43,9 @@ pub use fluid::{
 pub use report::{telemetry_report, DisciplineReport, TelemetryReport, TelemetryReportConfig};
 pub use sweep::{default_threads, sweep_indexed, sweep_seeds, SweepArgs};
 
-use taq::SharedTaq;
 use taq_faults::{FaultPlan, FaultStats};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
-use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_workloads::{DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 /// Hand-rolled microbenchmark loop (the workspace builds offline, so no
@@ -104,32 +123,6 @@ impl Discipline {
                 fq_mode: true,
             },
         }
-    }
-}
-
-/// A constructed discipline pair plus (for TAQ) the shared state handle.
-pub struct BuiltQdisc {
-    /// Bottleneck-direction queue.
-    pub forward: Box<dyn Qdisc>,
-    /// Reverse-direction queue.
-    pub reverse: Box<dyn Qdisc>,
-    /// TAQ state for post-run inspection, when applicable.
-    pub taq_state: Option<SharedTaq>,
-}
-
-/// Builds a discipline for a bottleneck of `rate` with `buffer_pkts` of
-/// buffering (500-byte packets assumed for RED's mean-packet-time).
-///
-/// Delegates to [`QdiscSpec::build`], the same construction the
-/// topology specs use per pipe — one code path, so the
-/// dumbbell-equivalence conformance suite compares genuinely identical
-/// disciplines.
-pub fn build_qdisc(d: Discipline, rate: Bandwidth, buffer_pkts: usize, seed: u64) -> BuiltQdisc {
-    let built = d.spec(buffer_pkts).build(rate, seed);
-    BuiltQdisc {
-        forward: built.forward,
-        reverse: built.reverse,
-        taq_state: built.taq,
     }
 }
 
@@ -211,17 +204,18 @@ pub struct FairnessRunResult {
 /// Runs `flows` long-lived flows through `discipline` and measures
 /// fairness, utilization and flow evolution.
 pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> FairnessRunResult {
-    let built = build_qdisc(discipline, cfg.rate, cfg.buffer_pkts, cfg.seed);
+    let built = discipline.spec(cfg.buffer_pkts).build(cfg.rate, cfg.seed);
     let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
     let spec = DumbbellSpec::new(topo)
         .faults(cfg.faults.clone())
         .telemetry(cfg.telemetry.clone());
     let mut sc = spec.build_with_reverse(cfg.seed, built.forward, built.reverse);
+    let bottleneck = sc.db.bottleneck;
     let slices_id = sc
         .sim
-        .add_monitor(Box::new(SliceThroughput::new(sc.db.bottleneck, cfg.slice)));
+        .add_monitor(Box::new(SliceThroughput::new(bottleneck, cfg.slice)));
     let evo_id = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         cfg.evolution_window,
     )));
     sc.add_bulk_clients(cfg.flows, BULK_BYTES, SimDuration::from_secs(2));
@@ -272,7 +266,7 @@ pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> Fairness
         },
     };
 
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     FairnessRunResult {
         short_term_jain,
         long_term_jain,
@@ -280,22 +274,7 @@ pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> Fairness
         drop_rate: stats.drop_rate(),
         evolution,
         shutout_fraction,
-        fault_stats: sc.fault_stats.map(|s| s.lock().unwrap().clone()),
-    }
-}
-
-/// `true` if the binary was invoked with `--full` (paper-scale
-/// durations).
-pub fn full_scale() -> bool {
-    std::env::args().any(|a| a == "--full")
-}
-
-/// Duration helper: `short` normally, `long` with `--full`.
-pub fn scaled_duration(short_secs: u64, full_secs: u64) -> SimTime {
-    if full_scale() {
-        SimTime::from_secs(full_secs)
-    } else {
-        SimTime::from_secs(short_secs)
+        fault_stats: sc.fault_stats().map(|s| s.lock().unwrap().clone()),
     }
 }
 
@@ -326,10 +305,10 @@ mod tests {
             Discipline::TaqAdmission,
             Discipline::TaqFq,
         ] {
-            let b = build_qdisc(d, rate, 30, 1);
+            let b = d.spec(30).build(rate, 1);
             assert_eq!(b.forward.len(), 0);
             assert_eq!(
-                b.taq_state.is_some(),
+                b.taq.is_some(),
                 matches!(
                     d,
                     Discipline::Taq | Discipline::TaqAdmission | Discipline::TaqFq

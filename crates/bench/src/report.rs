@@ -5,17 +5,16 @@
 //! diagnostics example used to carry, and doubles as the integration
 //! surface proving the summary numbers agree with the raw event stream.
 
-use crate::{build_qdisc, Discipline};
+use crate::Discipline;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, TelemetryBridge};
-use taq_tcp::TcpConfig;
 use taq_telemetry::{
     shared_sink, JsonlSink, RingBufferSink, SummarySink, SummaryStats, Telemetry, Value,
 };
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 /// Parameters of the canonical report scenario.
 #[derive(Debug, Clone)]
@@ -164,7 +163,7 @@ impl Write for SharedBuf {
 
 fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineReport {
     let buffer_pkts = cfg.rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(d, cfg.rate, buffer_pkts, cfg.seed);
+    let built = d.spec(buffer_pkts).build(cfg.rate, cfg.seed);
 
     let telemetry = Telemetry::new();
     let (summary, erased) = shared_sink(SummarySink::new());
@@ -180,18 +179,12 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
             Err(e) => eprintln!("# warning: cannot write {}: {e}", path.display()),
         }
     }
-    if let Some(state) = &built.taq_state {
+    if let Some(state) = &built.taq {
         state.lock().unwrap().attach_telemetry(telemetry.clone());
     }
 
     let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
-    let mut sc = DumbbellScenario::new_with_reverse(
-        cfg.seed,
-        topo,
-        built.forward,
-        built.reverse,
-        TcpConfig::default(),
-    );
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(cfg.seed, built.forward, built.reverse);
     let bridge = TelemetryBridge::new(telemetry.clone()).only(sc.db.bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
     sc.add_bulk_clients(cfg.flows, BULK_BYTES, SimDuration::from_secs(1));
@@ -205,7 +198,7 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
     let utilization = stats.utilization(cfg.duration.saturating_since(SimTime::ZERO));
     let drop_rate = stats.drop_rate();
     let stats_snapshot = built
-        .taq_state
+        .taq
         .as_ref()
         .map(|s| s.lock().unwrap().stats.snapshot());
     let rendered = summary.lock().unwrap().render(d.name());

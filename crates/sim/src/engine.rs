@@ -19,7 +19,6 @@ use crate::packet::{LinkId, NodeId, Packet};
 use crate::qdisc::Qdisc;
 use crate::rng::SimRng;
 use crate::time::{Bandwidth, SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// Stream salt for per-node [`Ctx::rng`] derivation.
 const NODE_RNG_STREAM: u64 = 0x6E6F_6465_7267_6E73;
@@ -70,7 +69,9 @@ impl Agent for ForwardingRouter {
 #[derive(Debug, Default, Clone)]
 struct RouteTable {
     default: Option<LinkId>,
-    by_dst: HashMap<NodeId, LinkId>,
+    /// Indexed by destination [`NodeId`] (node ids are dense); grown on
+    /// demand by [`Simulator::add_route`].
+    by_dst: Vec<Option<LinkId>>,
 }
 
 /// Everything in the simulator except the agents themselves; split out so
@@ -104,7 +105,12 @@ struct World {
 impl World {
     fn next_link(&self, from: NodeId, dst: NodeId) -> Option<LinkId> {
         let table = self.routes.get(from.0 as usize)?;
-        table.by_dst.get(&dst).copied().or(table.default)
+        table
+            .by_dst
+            .get(dst.0 as usize)
+            .copied()
+            .flatten()
+            .or(table.default)
     }
 
     fn link(&self, id: LinkId) -> &Link {
@@ -404,7 +410,12 @@ impl Simulator {
 
     /// Installs `link` as the route from `node` to the specific `dst`.
     pub fn add_route(&mut self, node: NodeId, dst: NodeId, link: LinkId) {
-        self.world.routes[node.0 as usize].by_dst.insert(dst, link);
+        let by_dst = &mut self.world.routes[node.0 as usize].by_dst;
+        let i = dst.0 as usize;
+        if by_dst.len() <= i {
+            by_dst.resize(i + 1, None);
+        }
+        by_dst[i] = Some(link);
     }
 
     /// Installs `link` as `node`'s default route.

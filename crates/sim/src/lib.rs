@@ -11,8 +11,8 @@
 //! - rate-limited, delayed, queue-buffered unidirectional [links],
 //! - the [`Qdisc`] trait that DropTail, RED, SFQ and TAQ all implement,
 //! - [`Agent`]s (hosts, routers) driven by packet and timer callbacks,
-//! - the paper's dumbbell topology ([`Dumbbell`]) and general
-//!   multi-bottleneck graphs ([`Topology`]) with static routing, and
+//! - router graphs with static routing ([`Topology`]), of which the
+//!   paper's dumbbell ([`DumbbellConfig`]) is the two-router case, and
 //! - [`LinkMonitor`] hooks that the metrics crate uses to observe the
 //!   bottleneck, including a pcap-style [`PacketTrace`] recorder.
 //!
@@ -31,16 +31,29 @@
 //!
 //! ```
 //! use taq_sim::{
-//!     Bandwidth, Dumbbell, DumbbellConfig, SimDuration, SimTime, Simulator, UnboundedFifo,
+//!     Bandwidth, SimDuration, SimTime, Simulator, TopoLinkConfig, Topology, TopologyConfig,
+//!     UnboundedFifo,
 //! };
 //!
 //! let mut sim = Simulator::new(42);
-//! let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-//! let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(UnboundedFifo::new()));
-//! // ... attach taq_tcp hosts with db.attach_left / db.attach_right ...
+//! let link = |from, to| TopoLinkConfig {
+//!     from,
+//!     to,
+//!     rate: Bandwidth::from_kbps(600),
+//!     delay: SimDuration::from_millis(96),
+//! };
+//! let cfg = TopologyConfig {
+//!     routers: 2,
+//!     links: vec![link(0, 1), link(1, 0)],
+//!     access_rate: Bandwidth::from_mbps(100),
+//!     access_delay: SimDuration::from_millis(1),
+//! };
+//! let fifo = || Box::new(UnboundedFifo::new());
+//! let topo = Topology::build(&mut sim, cfg, vec![fifo(), fifo()]);
+//! // ... attach taq_tcp hosts with topo.attach_host(&mut sim, node, router) ...
 //! sim.run_until(SimTime::from_secs(10));
 //! assert_eq!(sim.now(), SimTime::from_secs(10));
-//! # let _ = db;
+//! # let _ = topo;
 //! ```
 
 mod arena;
@@ -72,5 +85,5 @@ pub use packet::{
 pub use qdisc::{EnqueueOutcome, Qdisc, UnboundedFifo};
 pub use rng::SimRng;
 pub use time::{Bandwidth, SimDuration, SimTime};
-pub use topology::{Dumbbell, DumbbellConfig, TopoLinkConfig, Topology, TopologyConfig};
+pub use topology::{DumbbellConfig, TopoLinkConfig, Topology, TopologyConfig};
 pub use trace::{FlowTraceSummary, PacketTrace, TraceEvent, TraceEventKind};

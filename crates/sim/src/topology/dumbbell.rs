@@ -1,16 +1,12 @@
-//! Topology builders.
+//! The dumbbell's parameters.
 //!
 //! All of the paper's simulations use a dumbbell: many sender hosts on
 //! one side, many receiver hosts on the other, two routers, and a single
 //! bottleneck link whose queueing discipline is the object under study.
-//! [`Dumbbell`] wires that up, including the reverse (ACK-path) link and
-//! static routes, and lets each host attach with its own access delay so
-//! flows can have heterogeneous RTTs as in the paper's model-validation
-//! runs.
+//! That shape is the two-router, one-pipe case of [`crate::Topology`];
+//! [`DumbbellConfig`] holds its rates and delays, and
+//! `taq_workloads::DumbbellSpec` turns them into a topology.
 
-use crate::engine::{ForwardingRouter, Simulator};
-use crate::packet::{LinkId, NodeId};
-use crate::qdisc::{Qdisc, UnboundedFifo};
 use crate::time::{Bandwidth, SimDuration};
 
 /// Parameters for a dumbbell topology.
@@ -49,231 +45,5 @@ impl DumbbellConfig {
     /// serialization and queueing).
     pub fn prop_rtt(&self) -> SimDuration {
         self.one_way_delay() * 2
-    }
-}
-
-/// A built dumbbell: two routers and the pair of bottleneck-direction
-/// links between them.
-#[derive(Debug, Clone)]
-pub struct Dumbbell {
-    /// Router on the sender (left) side.
-    pub left_router: NodeId,
-    /// Router on the receiver (right) side.
-    pub right_router: NodeId,
-    /// The congested left→right link carrying data packets; its qdisc is
-    /// the discipline under test.
-    pub bottleneck: LinkId,
-    /// The right→left link carrying ACKs and connection requests.
-    pub reverse: LinkId,
-    config: DumbbellConfig,
-}
-
-impl Dumbbell {
-    /// Creates the routers and bottleneck links inside `sim`.
-    ///
-    /// `forward_qdisc` buffers the congested data direction;
-    /// `reverse_qdisc` buffers the ACK direction (pass an
-    /// [`UnboundedFifo`] when the reverse path is uncongested, or a
-    /// TAQ reverse queue when admission control must see SYNs).
-    pub fn build(
-        sim: &mut Simulator,
-        config: DumbbellConfig,
-        forward_qdisc: Box<dyn Qdisc>,
-        reverse_qdisc: Box<dyn Qdisc>,
-    ) -> Dumbbell {
-        let left_router = sim.add_agent(Box::new(ForwardingRouter));
-        let right_router = sim.add_agent(Box::new(ForwardingRouter));
-        let bottleneck = sim.add_link(
-            left_router,
-            right_router,
-            config.bottleneck_rate,
-            config.bottleneck_delay,
-            forward_qdisc,
-        );
-        let reverse = sim.add_link(
-            right_router,
-            left_router,
-            // The reverse direction has the same raw capacity; ACKs are
-            // small so it stays uncongested.
-            config.bottleneck_rate,
-            config.bottleneck_delay,
-            reverse_qdisc,
-        );
-        sim.set_default_route(left_router, bottleneck);
-        sim.set_default_route(right_router, reverse);
-        Dumbbell {
-            left_router,
-            right_router,
-            bottleneck,
-            reverse,
-            config,
-        }
-    }
-
-    /// Convenience: build with an uncongested FIFO reverse path.
-    pub fn build_simple(
-        sim: &mut Simulator,
-        config: DumbbellConfig,
-        forward_qdisc: Box<dyn Qdisc>,
-    ) -> Dumbbell {
-        Dumbbell::build(sim, config, forward_qdisc, Box::new(UnboundedFifo::new()))
-    }
-
-    /// The configuration this dumbbell was built with.
-    pub fn config(&self) -> &DumbbellConfig {
-        &self.config
-    }
-
-    /// Attaches a host on the left (sender) side with the default access
-    /// delay.
-    pub fn attach_left(&self, sim: &mut Simulator, host: NodeId) {
-        self.attach_left_with_delay(sim, host, self.config.access_delay);
-    }
-
-    /// Attaches a left-side host with a custom access delay (for
-    /// heterogeneous RTTs).
-    pub fn attach_left_with_delay(&self, sim: &mut Simulator, host: NodeId, delay: SimDuration) {
-        let up = sim.add_link(
-            host,
-            self.left_router,
-            self.config.access_rate,
-            delay,
-            Box::new(UnboundedFifo::new()),
-        );
-        let down = sim.add_link(
-            self.left_router,
-            host,
-            self.config.access_rate,
-            delay,
-            Box::new(UnboundedFifo::new()),
-        );
-        sim.set_default_route(host, up);
-        sim.add_route(self.left_router, host, down);
-    }
-
-    /// Attaches a host on the right (receiver) side with the default
-    /// access delay.
-    pub fn attach_right(&self, sim: &mut Simulator, host: NodeId) {
-        self.attach_right_with_delay(sim, host, self.config.access_delay);
-    }
-
-    /// Attaches a right-side host with a custom access delay.
-    pub fn attach_right_with_delay(&self, sim: &mut Simulator, host: NodeId, delay: SimDuration) {
-        let up = sim.add_link(
-            host,
-            self.right_router,
-            self.config.access_rate,
-            delay,
-            Box::new(UnboundedFifo::new()),
-        );
-        let down = sim.add_link(
-            self.right_router,
-            host,
-            self.config.access_rate,
-            delay,
-            Box::new(UnboundedFifo::new()),
-        );
-        sim.set_default_route(host, up);
-        sim.add_route(self.right_router, host, down);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::engine::{Agent, Ctx};
-    use crate::packet::{FlowKey, Packet, PacketBuilder};
-    use crate::time::SimTime;
-    use std::sync::{Arc, Mutex};
-
-    struct Echoer {
-        peer: Option<NodeId>,
-        log: Arc<Mutex<Vec<SimTime>>>,
-    }
-
-    impl Agent for Echoer {
-        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            if let Some(peer) = self.peer {
-                let pkt = PacketBuilder::new(FlowKey {
-                    src: ctx.node(),
-                    src_port: 1,
-                    dst: peer,
-                    dst_port: 2,
-                })
-                .payload(500)
-                .build();
-                ctx.send(peer, pkt);
-            }
-        }
-
-        fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-            self.log.lock().unwrap().push(ctx.now());
-            if self.peer.is_none() {
-                // Echo back to the sender.
-                let reply = PacketBuilder::new(pkt.flow.reversed()).payload(500).build();
-                let dst = pkt.flow.src;
-                ctx.send(dst, reply);
-            }
-        }
-    }
-
-    #[test]
-    fn round_trip_crosses_bottleneck_both_ways() {
-        let mut sim = Simulator::new(1);
-        let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(1));
-        assert_eq!(cfg.prop_rtt(), SimDuration::from_millis(196));
-        let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(UnboundedFifo::new()));
-        let sender_log = Arc::new(Mutex::new(Vec::new()));
-        let receiver_log = Arc::new(Mutex::new(Vec::new()));
-        let receiver = sim.add_agent(Box::new(Echoer {
-            peer: None,
-            log: receiver_log.clone(),
-        }));
-        let sender = sim.add_agent(Box::new(Echoer {
-            peer: Some(receiver),
-            log: sender_log.clone(),
-        }));
-        db.attach_left(&mut sim, sender);
-        db.attach_right(&mut sim, receiver);
-        sim.schedule_start(sender, SimTime::ZERO);
-        sim.run();
-        assert_eq!(receiver_log.lock().unwrap().len(), 1);
-        assert_eq!(sender_log.lock().unwrap().len(), 1);
-        let rtt = sender_log.lock().unwrap()[0];
-        // Propagation 196 ms + serialization of two 540-byte crossings of
-        // the 1 Mbps bottleneck (4.32 ms each) + fast-link serialization.
-        let rtt_s = rtt.as_secs_f64();
-        assert!(rtt_s > 0.196 && rtt_s < 0.215, "rtt = {rtt_s}");
-    }
-
-    #[test]
-    fn heterogeneous_access_delays_change_rtt() {
-        let mut sim = Simulator::new(2);
-        let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(1));
-        let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(UnboundedFifo::new()));
-        let log_fast = Arc::new(Mutex::new(Vec::new()));
-        let log_slow = Arc::new(Mutex::new(Vec::new()));
-        let recv = sim.add_agent(Box::new(Echoer {
-            peer: None,
-            log: Arc::new(Mutex::new(Vec::new())),
-        }));
-        let fast = sim.add_agent(Box::new(Echoer {
-            peer: Some(recv),
-            log: log_fast.clone(),
-        }));
-        let slow = sim.add_agent(Box::new(Echoer {
-            peer: Some(recv),
-            log: log_slow.clone(),
-        }));
-        db.attach_left(&mut sim, fast);
-        db.attach_left_with_delay(&mut sim, slow, SimDuration::from_millis(50));
-        db.attach_right(&mut sim, recv);
-        sim.schedule_start(fast, SimTime::ZERO);
-        sim.schedule_start(slow, SimTime::ZERO);
-        sim.run();
-        let rtt_fast = log_fast.lock().unwrap()[0].as_secs_f64();
-        let rtt_slow = log_slow.lock().unwrap()[0].as_secs_f64();
-        // The slow host's RTT is ~98 ms longer (49 ms extra each way).
-        assert!(rtt_slow - rtt_fast > 0.09, "{rtt_fast} vs {rtt_slow}");
     }
 }

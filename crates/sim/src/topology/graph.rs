@@ -3,18 +3,17 @@
 //! The paper's motivating deployments are not single dumbbells: a
 //! campus proxy sits behind a thin uplink that is itself fed by slow
 //! access links, and rural WiLD relays chain several lossy bottlenecks
-//! in series. [`Topology`] generalizes [`crate::Dumbbell`] to an
-//! arbitrary directed graph of routers: every inter-router link carries
-//! its own rate, propagation delay, and queueing discipline, so the
-//! discipline under study can sit at *any* hop (or several).
+//! in series. [`Topology`] is an arbitrary directed graph of routers —
+//! the paper's dumbbell is its two-router case: every inter-router link
+//! carries its own rate, propagation delay, and queueing discipline, so
+//! the discipline under study can sit at *any* hop (or several).
 //!
 //! Routing is static and computed once at build time: shortest path by
 //! hop count, ties broken by link declaration order, so a topology is a
 //! pure function of its construction — the same determinism contract
 //! the rest of the simulator keeps. Hosts attach to a router through a
-//! pair of fast access links exactly as dumbbell hosts do, and routes
-//! toward a host are installed on every router that can reach its
-//! attachment point.
+//! pair of fast access links, and routes toward a host are installed on
+//! every router that can reach its attachment point.
 
 use crate::engine::{ForwardingRouter, Simulator};
 use crate::packet::{LinkId, NodeId};
@@ -301,7 +300,9 @@ mod tests {
 
     #[test]
     fn two_router_topology_matches_dumbbell_rtt() {
-        let cfg = chain(1, Bandwidth::from_mbps(1), SimDuration::from_millis(96));
+        let db = crate::DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(1));
+        assert_eq!(db.prop_rtt(), SimDuration::from_millis(196));
+        let cfg = chain(1, db.bottleneck_rate, db.bottleneck_delay);
         let mut sim = Simulator::new(1);
         let topo = Topology::build(&mut sim, cfg, vec![fifo(), fifo()]);
         let recv_log = Arc::new(Mutex::new(Vec::new()));
@@ -320,9 +321,41 @@ mod tests {
         sim.run();
         assert_eq!(recv_log.lock().unwrap().len(), 1);
         let rtt = send_log.lock().unwrap()[0].as_secs_f64();
-        // Same bounds as the dumbbell round-trip test: 196 ms
-        // propagation plus serialization.
+        // Propagation 196 ms + serialization of two 540-byte crossings
+        // of the 1 Mbps bottleneck (4.32 ms each) + fast-link
+        // serialization.
         assert!(rtt > 0.196 && rtt < 0.215, "rtt = {rtt}");
+    }
+
+    #[test]
+    fn heterogeneous_access_delays_change_rtt() {
+        let cfg = chain(1, Bandwidth::from_mbps(1), SimDuration::from_millis(96));
+        let mut sim = Simulator::new(2);
+        let topo = Topology::build(&mut sim, cfg, vec![fifo(), fifo()]);
+        let log_fast = Arc::new(Mutex::new(Vec::new()));
+        let log_slow = Arc::new(Mutex::new(Vec::new()));
+        let recv = sim.add_agent(Box::new(Pinger {
+            peer: None,
+            log: Arc::new(Mutex::new(Vec::new())),
+        }));
+        let fast = sim.add_agent(Box::new(Pinger {
+            peer: Some(recv),
+            log: log_fast.clone(),
+        }));
+        let slow = sim.add_agent(Box::new(Pinger {
+            peer: Some(recv),
+            log: log_slow.clone(),
+        }));
+        topo.attach_host(&mut sim, fast, 0);
+        topo.attach_host_with_delay(&mut sim, slow, 0, SimDuration::from_millis(50));
+        topo.attach_host(&mut sim, recv, 1);
+        sim.schedule_start(fast, SimTime::ZERO);
+        sim.schedule_start(slow, SimTime::ZERO);
+        sim.run();
+        let rtt_fast = log_fast.lock().unwrap()[0].as_secs_f64();
+        let rtt_slow = log_slow.lock().unwrap()[0].as_secs_f64();
+        // The slow host's RTT is ~98 ms longer (49 ms extra each way).
+        assert!(rtt_slow - rtt_fast > 0.09, "{rtt_fast} vs {rtt_slow}");
     }
 
     #[test]

@@ -2,14 +2,16 @@
 //!
 //! Builds the workloads the paper evaluates on:
 //!
-//! - [`DumbbellScenario`] — one-call assembly of the canonical dumbbell
-//!   experiment (server, clients, discipline under test), with helpers
-//!   for bulk flows, short-flow mixes, connection pools, and scheduled
-//!   log replay;
-//! - [`TopologySpec`] / [`TopoScenario`] — the multi-bottleneck
-//!   generalization: arbitrary router graphs with a per-pipe
-//!   discipline ([`QdiscSpec`]) and fault plan, plus the
-//!   [`ParkingLotSpec`] and [`AccessTreeSpec`] recipes;
+//! - [`TopologySpec`] / [`TopoScenario`] — the one way a scenario is
+//!   built: a router graph with a per-pipe discipline ([`QdiscSpec`])
+//!   and fault plan, a server, and helpers that attach clients for
+//!   bulk flows, short-flow mixes, connection pools, and scheduled log
+//!   replay;
+//! - three recipes over it: [`DumbbellSpec`] (the paper's canonical
+//!   experiment; `spec.build(seed, qdisc)` returns a
+//!   [`DumbbellScenario`], a `TopoScenario` that also knows its
+//!   bottleneck link and attaches clients on the far side),
+//!   [`ParkingLotSpec`] and [`AccessTreeSpec`];
 //! - [`ObjectSizeModel`] — heavy-tailed web object sizes (log-normal
 //!   body + Pareto tail), the stand-in for the unavailable real traces;
 //! - [`weblog`] — synthetic access logs with Poisson arrivals,
@@ -26,7 +28,7 @@ mod sizes;
 mod topo_spec;
 pub mod weblog;
 
-pub use scenario::{flows_for_fair_share, DumbbellScenario, DumbbellSpec, BULK_BYTES};
+pub use scenario::{flows_for_fair_share, Dumbbell, DumbbellScenario, DumbbellSpec, BULK_BYTES};
 pub use sessions::{generate_session, Session, SessionConfig};
 pub use sizes::ObjectSizeModel;
 pub use topo_spec::{

@@ -1,20 +1,25 @@
-//! Scenario assembly: one-call construction of the paper's experiment
-//! topologies.
+//! The dumbbell recipe: the paper's experiment topology as a
+//! two-router, one-pipe [`TopologySpec`].
 //!
 //! Every evaluation in the paper runs on a dumbbell with one server
 //! side, one client side, and the discipline under test on the
-//! bottleneck. [`DumbbellScenario`] wires that up and offers typed
-//! helpers for the three workload archetypes: long-running bulk flows
+//! bottleneck. [`DumbbellSpec`] describes that shape and builds it
+//! through `TopologySpec`'s one build path; the [`DumbbellScenario`] it
+//! returns is a [`TopoScenario`] plus the dumbbell's names: the
+//! bottleneck is pipe 0, the server sits at router 0, and the client
+//! helpers for the three workload archetypes — long-running bulk flows
 //! (Figures 2, 3, 8, 9, 11), short flows over long-flow background
 //! (Figure 10), and request-driven web clients replaying a log
-//! (Figures 1, 12, §2.3).
+//! (Figures 1, 12, §2.3) — attach at router 1.
 
+use crate::topo_spec::{BuiltPipe, PipeSpec, QdiscSpec, TopoScenario, TopologySpec};
 use crate::weblog::LogEntry;
-use taq_faults::{FaultDriver, FaultPlan, FaultyLink, SharedFaultStats};
+use std::ops::{Deref, DerefMut};
+use taq_faults::{FaultPlan, SharedFaultStats};
 use taq_sim::{
-    Bandwidth, Dumbbell, DumbbellConfig, NodeId, Qdisc, SimDuration, SimRng, SimTime, Simulator,
+    Bandwidth, DumbbellConfig, LinkId, NodeId, Qdisc, SimDuration, SimTime, UnboundedFifo,
 };
-use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, SharedFlowLog, TcpConfig};
+use taq_tcp::{Request, TcpConfig};
 use taq_telemetry::Telemetry;
 
 /// Plain, `Clone + Send` description of a dumbbell experiment: topology
@@ -83,13 +88,12 @@ impl DumbbellSpec {
         self
     }
 
-    /// The equivalent [`crate::TopologySpec`]: two routers, one pipe
-    /// carrying `qdisc`, server on router 0. The spec-level conformance
-    /// suite asserts the two code paths replay byte-identically.
-    pub fn to_topology(&self, qdisc: crate::QdiscSpec) -> crate::TopologySpec {
-        let mut topo = crate::TopologySpec::new(
+    /// The dumbbell as a [`TopologySpec`]: two routers, one pipe
+    /// carrying `qdisc` and the fault plan, server on router 0.
+    pub fn to_topology(&self, qdisc: QdiscSpec) -> TopologySpec {
+        let mut topo = TopologySpec::new(
             2,
-            vec![crate::PipeSpec::new(
+            vec![PipeSpec::new(
                 0,
                 1,
                 self.topo.bottleneck_rate,
@@ -108,12 +112,7 @@ impl DumbbellSpec {
     /// Builds the scenario for `seed` with the given bottleneck
     /// discipline and an uncongested FIFO reverse path.
     pub fn build(&self, seed: u64, forward_qdisc: Box<dyn Qdisc>) -> DumbbellScenario {
-        let (fwd, stats) = self.wrap_forward(seed, forward_qdisc);
-        let mut sim = Simulator::new(seed);
-        let db = Dumbbell::build_simple(&mut sim, self.topo.clone(), fwd);
-        let mut sc = DumbbellScenario::finish(sim, db, self.tcp.clone(), seed);
-        self.install_faults(&mut sc, seed, stats);
-        sc
+        self.build_with_reverse(seed, forward_qdisc, Box::new(UnboundedFifo::new()))
     }
 
     /// Builds the scenario for `seed` with explicit forward and reverse
@@ -124,168 +123,73 @@ impl DumbbellSpec {
         forward_qdisc: Box<dyn Qdisc>,
         reverse_qdisc: Box<dyn Qdisc>,
     ) -> DumbbellScenario {
-        let (fwd, stats) = self.wrap_forward(seed, forward_qdisc);
-        let mut sim = Simulator::new(seed);
-        let db = Dumbbell::build(&mut sim, self.topo.clone(), fwd, reverse_qdisc);
-        let mut sc = DumbbellScenario::finish(sim, db, self.tcp.clone(), seed);
-        self.install_faults(&mut sc, seed, stats);
-        sc
-    }
-
-    /// Wraps the forward qdisc in a [`FaultyLink`] when the plan has
-    /// per-packet faults, allocating the shared stats that the driver
-    /// half (if any) will also use.
-    fn wrap_forward(
-        &self,
-        seed: u64,
-        forward_qdisc: Box<dyn Qdisc>,
-    ) -> (Box<dyn Qdisc>, Option<SharedFaultStats>) {
-        if self.faults.is_none() {
-            return (forward_qdisc, None);
+        let pipe = BuiltPipe {
+            forward: forward_qdisc,
+            reverse: reverse_qdisc,
+            taq: None,
+        };
+        // The pipe's recipe is never consulted: its boxes are built.
+        let inner = self
+            .to_topology(QdiscSpec::Fifo)
+            .build_with(seed, vec![pipe]);
+        DumbbellScenario {
+            db: Dumbbell {
+                bottleneck: inner.pipe_link(0),
+            },
+            inner,
         }
-        let stats = taq_faults::shared_fault_stats();
-        if !self.faults.has_packet_faults() {
-            return (forward_qdisc, Some(stats));
-        }
-        // The bottleneck is the first link the dumbbell creates, so the
-        // telemetry label 0 matches its LinkId.
-        let wrapped = FaultyLink::new(
-            forward_qdisc,
-            &self.faults,
-            0,
-            seed,
-            self.telemetry.clone(),
-            stats.clone(),
-        );
-        (Box::new(wrapped), Some(stats))
-    }
-
-    /// Installs the [`FaultDriver`] agent for the link-schedule half of
-    /// the plan and records the shared stats on the scenario.
-    fn install_faults(
-        &self,
-        sc: &mut DumbbellScenario,
-        seed: u64,
-        stats: Option<SharedFaultStats>,
-    ) {
-        if let Some(stats) = &stats {
-            if let Some(driver) = FaultDriver::from_plan(
-                &self.faults,
-                sc.db.bottleneck,
-                self.topo.bottleneck_rate,
-                self.topo.bottleneck_delay,
-                seed,
-                self.telemetry.clone(),
-                stats.clone(),
-            ) {
-                let node = sc.sim.add_agent(Box::new(driver));
-                sc.sim.schedule_start(node, SimTime::ZERO);
-            }
-        }
-        sc.fault_stats = stats;
     }
 }
 
-/// A constructed experiment: simulator, topology, server, and the
-/// shared flow log.
+/// The dumbbell's name for the link under study.
+#[derive(Debug, Clone)]
+pub struct Dumbbell {
+    /// The congested server→client link carrying data packets (pipe
+    /// 0's forward link); its qdisc is the discipline under test.
+    pub bottleneck: LinkId,
+}
+
+/// A constructed dumbbell experiment: a [`TopoScenario`] (reached
+/// through `Deref`: `sim`, `server`, `log`, `clients`, `run_until`, …)
+/// plus the dumbbell's names for it.
 pub struct DumbbellScenario {
-    /// The simulator (run it with `run_until`).
-    pub sim: Simulator,
-    /// The dumbbell topology handles (bottleneck link id lives here).
+    /// The dumbbell's name for pipe 0's forward link.
     pub db: Dumbbell,
-    /// The single server host serving all requests.
-    pub server: NodeId,
-    /// Completion records for every requested object.
-    pub log: SharedFlowLog,
-    /// Client hosts in creation order.
-    pub clients: Vec<NodeId>,
-    /// Fault counters when the scenario was built from a
-    /// [`DumbbellSpec`] with a non-empty fault plan.
-    pub fault_stats: Option<SharedFaultStats>,
-    tcp: TcpConfig,
-    /// Workload-level randomness (start jitter, RTT jitter), seeded
-    /// from the scenario seed so runs stay reproducible.
-    rng: SimRng,
+    inner: TopoScenario,
+}
+
+impl Deref for DumbbellScenario {
+    type Target = TopoScenario;
+
+    fn deref(&self) -> &TopoScenario {
+        &self.inner
+    }
+}
+
+impl DerefMut for DumbbellScenario {
+    fn deref_mut(&mut self) -> &mut TopoScenario {
+        &mut self.inner
+    }
 }
 
 impl DumbbellScenario {
-    /// Builds the dumbbell with the given bottleneck discipline and an
-    /// uncongested FIFO reverse path.
-    pub fn new(
-        seed: u64,
-        topo: DumbbellConfig,
-        forward_qdisc: Box<dyn Qdisc>,
-        tcp: TcpConfig,
-    ) -> Self {
-        let mut sim = Simulator::new(seed);
-        let db = Dumbbell::build_simple(&mut sim, topo, forward_qdisc);
-        Self::finish(sim, db, tcp, seed)
-    }
-
-    /// Builds the dumbbell with explicit forward and reverse disciplines
-    /// (TAQ's admission control needs its reverse half installed).
-    pub fn new_with_reverse(
-        seed: u64,
-        topo: DumbbellConfig,
-        forward_qdisc: Box<dyn Qdisc>,
-        reverse_qdisc: Box<dyn Qdisc>,
-        tcp: TcpConfig,
-    ) -> Self {
-        let mut sim = Simulator::new(seed);
-        let db = Dumbbell::build(&mut sim, topo, forward_qdisc, reverse_qdisc);
-        Self::finish(sim, db, tcp, seed)
-    }
-
-    fn finish(mut sim: Simulator, db: Dumbbell, tcp: TcpConfig, seed: u64) -> Self {
-        let server = sim.add_agent(Box::new(ServerHost::new(tcp.clone(), 80)));
-        db.attach_left(&mut sim, server);
-        // An independent workload stream derived from the scenario seed
-        // (the simulator's own RNG is left untouched).
-        let rng = SimRng::new(seed ^ 0x5CEA_A210).split(1);
-        DumbbellScenario {
-            sim,
-            db,
-            server,
-            log: new_flow_log(),
-            clients: Vec::new(),
-            fault_stats: None,
-            tcp,
-            rng,
-        }
+    /// Fault counters of the bottleneck, when the spec had a non-empty
+    /// fault plan.
+    pub fn fault_stats(&self) -> Option<&SharedFaultStats> {
+        self.inner.pipe_faults[0].as_ref()
     }
 
     /// Adds a client fetching one object of `bytes`, starting at
     /// `start`. A practically-infinite `bytes` gives a long-running
     /// bulk flow.
     pub fn add_bulk_client(&mut self, bytes: u64, start: SimTime) -> NodeId {
-        let mut c = ClientHost::new(self.tcp.clone(), self.server, 80, 1, self.log.clone());
-        c.push_request(Request {
-            tag: self.clients.len() as u64,
-            bytes,
-        });
-        self.spawn(c, start, None)
+        self.inner.add_bulk_client_at(1, bytes, start)
     }
 
-    /// Adds `n` bulk clients with randomly jittered starts over
-    /// `stagger` and ±5 ms access-delay jitter. Perfectly regular
-    /// starts with identical RTTs phase-lock deterministic TCP
-    /// implementations (loss events synchronize and a fixed subset of
-    /// flows wins forever — a simulation artifact, not a transport
-    /// property), so both dimensions carry deliberate randomness, as
-    /// ns2's overhead randomization does.
+    /// Adds `n` bulk clients with jittered starts and access delays;
+    /// see [`TopoScenario::add_bulk_clients_at`].
     pub fn add_bulk_clients(&mut self, n: usize, bytes: u64, stagger: SimDuration) -> Vec<NodeId> {
-        (0..n)
-            .map(|_| {
-                let offset = if n > 1 && !stagger.is_zero() {
-                    SimDuration::from_nanos(self.rng.range_u64(0, stagger.as_nanos()))
-                } else {
-                    SimDuration::ZERO
-                };
-                let base = self.db.config().access_delay;
-                let jitter = SimDuration::from_micros(self.rng.range_u64(0, 10_000));
-                self.add_bulk_client_with_delay(bytes, SimTime::ZERO + offset, base + jitter)
-            })
-            .collect()
+        self.inner.add_bulk_clients_at(1, n, bytes, stagger)
     }
 
     /// Adds a client that works through `requests` with up to
@@ -297,17 +201,8 @@ impl DumbbellScenario {
         max_parallel: usize,
         start: SimTime,
     ) -> NodeId {
-        let mut c = ClientHost::new(
-            self.tcp.clone(),
-            self.server,
-            80,
-            max_parallel,
-            self.log.clone(),
-        );
-        for r in requests {
-            c.push_request(r);
-        }
-        self.spawn(c, start, None)
+        self.inner
+            .add_pool_client_at(1, requests, max_parallel, start)
     }
 
     /// Adds a client with time-scheduled requests (log replay): each
@@ -319,66 +214,8 @@ impl DumbbellScenario {
         max_parallel: usize,
         base: SimTime,
     ) -> NodeId {
-        let mut c = ClientHost::new(
-            self.tcp.clone(),
-            self.server,
-            80,
-            max_parallel,
-            self.log.clone(),
-        );
-        for e in schedule {
-            c.schedule_request(
-                base + e.at.saturating_since(SimTime::ZERO),
-                Request {
-                    tag: e.tag,
-                    bytes: e.bytes,
-                },
-            );
-        }
-        self.spawn(c, base, None)
-    }
-
-    /// Adds a client with a custom access-link delay (heterogeneous
-    /// RTTs) fetching one object.
-    pub fn add_bulk_client_with_delay(
-        &mut self,
-        bytes: u64,
-        start: SimTime,
-        access_delay: SimDuration,
-    ) -> NodeId {
-        let mut c = ClientHost::new(self.tcp.clone(), self.server, 80, 1, self.log.clone());
-        c.push_request(Request {
-            tag: self.clients.len() as u64,
-            bytes,
-        });
-        self.spawn(c, start, Some(access_delay))
-    }
-
-    fn spawn(
-        &mut self,
-        client: ClientHost,
-        start: SimTime,
-        access_delay: Option<SimDuration>,
-    ) -> NodeId {
-        let node = self.sim.add_agent(Box::new(client));
-        match access_delay {
-            Some(d) => self.db.attach_right_with_delay(&mut self.sim, node, d),
-            None => self.db.attach_right(&mut self.sim, node),
-        }
-        self.sim.schedule_start(node, start);
-        self.clients.push(node);
-        node
-    }
-
-    /// Runs to the horizon and flushes unfinished transfers into the
-    /// log.
-    pub fn run_until(&mut self, horizon: SimTime) {
-        self.sim.run_until(horizon);
-        for &node in &self.clients {
-            if let Some(c) = self.sim.agent_mut::<ClientHost>(node) {
-                c.flush_incomplete();
-            }
-        }
+        self.inner
+            .add_scheduled_client_at(1, schedule, max_parallel, base)
     }
 }
 
@@ -405,12 +242,7 @@ mod tests {
 
     #[test]
     fn bulk_clients_share_the_bottleneck() {
-        let mut sc = DumbbellScenario::new(
-            1,
-            topo(),
-            Box::new(DropTail::with_packets(30)),
-            TcpConfig::default(),
-        );
+        let mut sc = DumbbellSpec::new(topo()).build(1, Box::new(DropTail::with_packets(30)));
         sc.add_bulk_clients(6, BULK_BYTES, SimDuration::from_secs(1));
         sc.run_until(SimTime::from_secs(30));
         let stats = sc.sim.link_stats(sc.db.bottleneck);
@@ -428,12 +260,7 @@ mod tests {
 
     #[test]
     fn scheduled_replay_issues_requests_at_their_times() {
-        let mut sc = DumbbellScenario::new(
-            2,
-            topo(),
-            Box::new(DropTail::with_packets(30)),
-            TcpConfig::default(),
-        );
+        let mut sc = DumbbellSpec::new(topo()).build(2, Box::new(DropTail::with_packets(30)));
         let schedule = vec![
             LogEntry {
                 at: SimTime::from_secs(1),
@@ -488,7 +315,7 @@ mod tests {
         let mut sc = spec.build(5, Box::new(DropTail::with_packets(30)));
         sc.add_bulk_clients(4, BULK_BYTES, SimDuration::from_secs(1));
         sc.run_until(SimTime::from_secs(30));
-        let stats = sc.fault_stats.as_ref().expect("fault stats present");
+        let stats = sc.fault_stats().expect("fault stats present");
         let s = stats.lock().unwrap();
         assert!(s.burst_losses > 0, "GE chain never fired: {s:?}");
         assert_eq!(s.rate_changes, 40, "jitter ticks at 500ms through 20s");
@@ -500,17 +327,12 @@ mod tests {
     fn clean_spec_has_no_fault_stats() {
         let spec = DumbbellSpec::new(topo());
         let sc = spec.build(5, Box::new(DropTail::with_packets(30)));
-        assert!(sc.fault_stats.is_none());
+        assert!(sc.fault_stats().is_none());
     }
 
     #[test]
     fn pool_client_respects_parallelism() {
-        let mut sc = DumbbellScenario::new(
-            3,
-            topo(),
-            Box::new(DropTail::with_packets(30)),
-            TcpConfig::default(),
-        );
+        let mut sc = DumbbellSpec::new(topo()).build(3, Box::new(DropTail::with_packets(30)));
         let reqs = (0..6).map(|tag| Request { tag, bytes: 10_000 }).collect();
         sc.add_pool_client(reqs, 2, SimTime::ZERO);
         sc.run_until(SimTime::from_secs(120));

@@ -1,17 +1,22 @@
 //! Multi-bottleneck scenario specs.
 //!
-//! [`TopologySpec`] generalizes [`crate::DumbbellSpec`] to arbitrary
-//! router graphs: every inter-router *pipe* (a duplex pair of links)
-//! picks its own rate, delay, queueing discipline, and fault plan, so
-//! the discipline under study can sit at any hop. Like the dumbbell
-//! spec it is plain `Clone + Send` data — sweep workers clone the spec
-//! and build locally — which is why disciplines are described by the
-//! [`QdiscSpec`] recipe rather than boxed trait objects.
+//! [`TopologySpec`] describes an experiment over an arbitrary router
+//! graph: every inter-router *pipe* (a duplex pair of links) picks its
+//! own rate, delay, queueing discipline, and fault plan, so the
+//! discipline under study can sit at any hop. It is plain
+//! `Clone + Send` data — sweep workers clone the spec and build
+//! locally — which is why disciplines are described by the
+//! [`QdiscSpec`] recipe rather than boxed trait objects. Its build is
+//! the only code that wraps fault layers, installs fault drivers,
+//! creates the server and seeds the workload RNG, and
+//! [`TopoScenario`]'s `_at` helpers are the only code that creates
+//! clients.
 //!
-//! Two recipe types cover the paper's motivating deployments:
-//! [`ParkingLotSpec`] (N bottlenecks in series with per-hop cross
-//! traffic, the WiLD-relay shape) and [`AccessTreeSpec`] (many slow
-//! access links feeding one shared uplink, the Kerala-proxy shape).
+//! Three recipes sit on top: [`crate::DumbbellSpec`] (the paper's two
+//! routers and one pipe), [`ParkingLotSpec`] (N bottlenecks in series
+//! with per-hop cross traffic, the WiLD-relay shape) and
+//! [`AccessTreeSpec`] (many slow access links feeding one shared
+//! uplink, the Kerala-proxy shape).
 
 use crate::scenario::BULK_BYTES;
 use crate::weblog::LogEntry;
@@ -27,9 +32,7 @@ use taq_telemetry::Telemetry;
 
 /// A buildable description of a queueing discipline: everything
 /// [`QdiscSpec::build`] needs to construct the forward/reverse pair for
-/// a link of a given rate. Mirrors the discipline constructions the
-/// bench harness uses, so a spec-built discipline is bit-identical to a
-/// harness-built one.
+/// a link of a given rate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QdiscSpec {
     /// Unbounded FIFO (uncongested links).
@@ -145,8 +148,8 @@ pub struct BuiltPipe {
 }
 
 /// Derives the seed for pipe `i` of a run: pipe 0 keeps the run seed
-/// unchanged (so a one-pipe topology is seed-identical to the
-/// dumbbell), later pipes get decorrelated streams.
+/// unchanged (a dumbbell's disciplines are seeded by the run seed
+/// itself), later pipes get decorrelated streams.
 pub fn pipe_seed(seed: u64, i: u64) -> u64 {
     seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -193,12 +196,11 @@ impl PipeSpec {
 
 /// Plain, `Clone + Send` description of a multi-bottleneck experiment.
 ///
-/// Construction order matches [`crate::DumbbellSpec`] exactly when the
-/// spec has two routers and one pipe: routers first, then the pipe's
-/// forward and reverse links, then the server, then fault drivers, then
-/// clients — so a dumbbell expressed as a `TopologySpec` replays
-/// byte-identically against the dumbbell code path (pinned by the
-/// conformance suite in `tests/sweep_determinism.rs`).
+/// Construction order is part of the determinism contract: routers
+/// first, then each pipe's forward and reverse links, then the server,
+/// then fault drivers, then clients. `tests/sweep_determinism.rs` pins
+/// the two-router, one-pipe case against a dumbbell wired by hand from
+/// raw `Simulator` calls in that order.
 #[derive(Debug, Clone)]
 pub struct TopologySpec {
     /// Number of routers.
@@ -254,15 +256,30 @@ impl TopologySpec {
         self
     }
 
-    /// Builds the scenario for `seed`.
+    /// Builds the scenario for `seed`, each pipe's disciplines built
+    /// from its [`QdiscSpec`].
     pub fn build(&self, seed: u64) -> TopoScenario {
+        let built = self
+            .pipes
+            .iter()
+            .enumerate()
+            .map(|(i, p)| p.qdisc.build(p.rate, pipe_seed(seed, i as u64)))
+            .collect();
+        self.build_with(seed, built)
+    }
+
+    /// Builds the scenario for `seed` around already-built disciplines,
+    /// one [`BuiltPipe`] per pipe in order; the pipes' [`QdiscSpec`]s
+    /// are not consulted. [`crate::DumbbellSpec`] enters here with the
+    /// boxes its caller wrapped or hand-configured.
+    pub(crate) fn build_with(&self, seed: u64, built: Vec<BuiltPipe>) -> TopoScenario {
+        assert_eq!(built.len(), self.pipes.len(), "one built pipe per pipe");
         let mut sim = Simulator::new(seed);
         let mut links = Vec::with_capacity(self.pipes.len() * 2);
         let mut qdiscs: Vec<Box<dyn Qdisc>> = Vec::with_capacity(self.pipes.len() * 2);
         let mut taq_states = Vec::with_capacity(self.pipes.len());
         let mut pipe_faults: Vec<Option<SharedFaultStats>> = Vec::with_capacity(self.pipes.len());
-        for (i, p) in self.pipes.iter().enumerate() {
-            let built = p.qdisc.build(p.rate, pipe_seed(seed, i as u64));
+        for (i, (p, built)) in self.pipes.iter().zip(built).enumerate() {
             let (fwd, stats) = self.wrap_pipe(i, p, built.forward, seed);
             links.push(TopoLinkConfig {
                 from: p.a,
@@ -306,7 +323,8 @@ impl TopologySpec {
                 }
             }
         }
-        // The same workload stream derivation as the dumbbell scenario.
+        // An independent workload stream derived from the scenario seed
+        // (the simulator's own RNG is left untouched).
         let rng = SimRng::new(seed ^ 0x5CEA_A210).split(1);
         TopoScenario {
             sim,
@@ -421,11 +439,13 @@ impl TopoScenario {
         self.spawn_at(c, router, start, None)
     }
 
-    /// Adds `n` bulk clients at `router` with jittered starts over
-    /// `stagger` and ±5 ms access-delay jitter — the same
-    /// phase-desynchronization the dumbbell scenario applies (and the
-    /// same RNG draw sequence, so the one-pipe case stays
-    /// byte-identical to the dumbbell).
+    /// Adds `n` bulk clients at `router` with randomly jittered starts
+    /// over `stagger` and a 0–10 ms draw added to each access delay.
+    /// Perfectly regular starts with identical RTTs phase-lock
+    /// deterministic TCP implementations (loss events synchronize and a
+    /// fixed subset of flows wins forever — a simulation artifact, not
+    /// a transport property), so both dimensions carry deliberate
+    /// randomness, as ns2's overhead randomization does.
     pub fn add_bulk_clients_at(
         &mut self,
         router: usize,

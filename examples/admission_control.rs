@@ -14,8 +14,7 @@ use taq::{TaqConfig, TaqPair};
 use taq_metrics::Distribution;
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, UnboundedFifo};
-use taq_tcp::TcpConfig;
-use taq_workloads::{generate_session, DumbbellScenario, ObjectSizeModel, SessionConfig};
+use taq_workloads::{generate_session, DumbbellSpec, ObjectSizeModel, SessionConfig};
 
 struct Outcome {
     completed: usize,
@@ -42,8 +41,7 @@ fn run(admission: bool) -> Outcome {
         )
     };
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc =
-        DumbbellScenario::new_with_reverse(42, topo, forward, reverse, TcpConfig::default());
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, forward, reverse);
 
     // 100 users browsing episodically — pages of a few objects
     // separated by think times longer than TAQ's pool window, so each

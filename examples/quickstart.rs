@@ -13,25 +13,25 @@ use taq::{TaqConfig, TaqPair};
 use taq_metrics::SliceThroughput;
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn run(label: &str, qdisc: Box<dyn Qdisc>) {
     const FLOWS: usize = 40;
     let rate = Bandwidth::from_kbps(600);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut scenario = DumbbellScenario::new(42, topo, qdisc, TcpConfig::default());
+    let mut scenario = DumbbellSpec::new(topo).build(42, qdisc);
 
     // Observe per-flow throughput in 20-second slices at the bottleneck.
+    let bottleneck = scenario.db.bottleneck;
     let slices = scenario.sim.add_monitor(Box::new(SliceThroughput::new(
-        scenario.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
 
     scenario.add_bulk_clients(FLOWS, BULK_BYTES, SimDuration::from_secs(2));
     scenario.run_until(SimTime::from_secs(200));
 
-    let stats = scenario.sim.link_stats(scenario.db.bottleneck);
+    let stats = scenario.sim.link_stats(bottleneck);
     println!(
         "{label:>9}: short-term Jain = {:.3}, utilization = {:.3}, loss = {:.1}%",
         scenario

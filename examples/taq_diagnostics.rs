@@ -14,7 +14,7 @@ use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime, TelemetryBridge};
 use taq_tcp::{ServerHost, TcpConfig};
 use taq_telemetry::{shared_sink, SummarySink, Telemetry};
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
@@ -38,15 +38,16 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
         state.lock().unwrap().attach_telemetry(telemetry.clone());
     }
 
-    let mut sc = DumbbellScenario::new(42, topo, qdisc, tcp);
-    let bridge = TelemetryBridge::new(telemetry.clone()).only(sc.db.bottleneck);
+    let mut sc = DumbbellSpec::new(topo).tcp(tcp).build(42, qdisc);
+    let bottleneck = sc.db.bottleneck;
+    let bridge = TelemetryBridge::new(telemetry.clone()).only(bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
     let evo = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_millis(env_or("EVO_WIN_MS", 1000)),
     )));
     let flows = env_or("FLOWS", 60);
@@ -56,7 +57,7 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
     sc.sim.emit_telemetry_summary(&telemetry, wall.elapsed());
     telemetry.flush();
 
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     let srv = sc.sim.agent::<ServerHost>(sc.server).unwrap();
     let agg = srv.aggregate_stats();
     let slices = sc

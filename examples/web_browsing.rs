@@ -13,13 +13,11 @@
 use taq_metrics::Distribution;
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimRng, SimTime, UnboundedFifo};
-use taq_tcp::TcpConfig;
-use taq_workloads::{weblog, DumbbellScenario};
+use taq_workloads::{weblog, DumbbellSpec};
 
 fn run(label: &str, forward: Box<dyn Qdisc>, reverse: Box<dyn Qdisc>) {
     let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(2));
-    let mut sc =
-        DumbbellScenario::new_with_reverse(42, topo, forward, reverse, TcpConfig::default());
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, forward, reverse);
 
     // A 3-minute window of the campus trace (scale 1/40 of two hours).
     let log_cfg = weblog::WebLogConfig::campus_two_hour(40);

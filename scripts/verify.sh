@@ -2,12 +2,14 @@
 # The local gate, tiered so CI and pre-push hooks can pick their depth.
 #
 #   VERIFY_TIER=quick   fast correctness gate (< 5 min): build, tests,
-#                       clippy, fmt. The default.
-#   VERIFY_TIER=full    quick + release smoke runs of the sweep,
-#                       fault-matrix, trace, and fluid-validation
-#                       binaries, plus the per-metric regression gate
-#                       (events/s and the hot-path latency histograms)
-#                       against the committed BENCH_sim.json.
+#                       clippy, fmt, and a type-check of the repo
+#                       benchmark. The default.
+#   VERIFY_TIER=full    quick + release smoke runs of the repo
+#                       benchmark and the sweep, fault-matrix, trace,
+#                       and fluid-validation binaries, plus the
+#                       per-metric regression gate (events/s and the
+#                       hot-path latency histograms) against the
+#                       committed BENCH_sim.json.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -51,6 +53,19 @@ build_release() {
 # doctests — the same set as `cargo test --workspace`.
 test_suite() {
     run cargo test $OFFLINE -q
+}
+
+# The repo benchmark (benchmark/, BENCHMARK.json) is a workspace of its
+# own that calls the crates' public API, so nothing above compiles it.
+# Type-check it in the quick tier so a crates/ API change cannot break
+# it unseen; the full tier also runs it end to end at toy size
+# (packet conservation and digest equality are checked inside).
+benchmark_check() {
+    run cargo check $OFFLINE --manifest-path benchmark/Cargo.toml --all-targets
+}
+
+benchmark_smoke() {
+    run bash benchmark/run.sh --smoke
 }
 
 # Sweep smoke: 2 seeds x 2 worker threads through the parallel runner.
@@ -163,10 +178,12 @@ quick() {
     lint
     build_release
     test_suite
+    benchmark_check
 }
 
 full() {
     quick
+    benchmark_smoke
     sweep_smoke
     fault_smoke
     trace_smoke

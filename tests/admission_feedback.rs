@@ -2,8 +2,15 @@
 //! expected-wait-time notice) end to end.
 
 use taq::{TaqConfig, TaqPair};
-use taq_sim::{Bandwidth, Dumbbell, DumbbellConfig, SimDuration, SimTime, Simulator};
-use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, TcpConfig};
+use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimDuration, SimTime};
+use taq_tcp::{new_flow_log, ClientHost, Request, TcpConfig};
+use taq_workloads::{DumbbellSpec, TopoScenario};
+
+/// Attaches `node` on the client side (router 1) of the scenario's
+/// topology.
+fn attach_client(sc: &mut TopoScenario, node: NodeId) {
+    sc.topo.attach_host(&mut sc.sim, node, 1);
+}
 
 /// Drives heavy synthetic loss into the meter, then opens a client and
 /// measures how it learns about rejection.
@@ -14,25 +21,21 @@ fn run(feedback: bool) -> (u64, u64, bool) {
     cfg.admission_twait = SimDuration::from_secs(2);
     let pair = TaqPair::new(cfg);
     let state = pair.state.clone();
-    let mut sim = Simulator::new(3);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let db = Dumbbell::build(
-        &mut sim,
-        topo,
+    let mut sc = DumbbellSpec::new(topo).build_with_reverse(
+        3,
         Box::new(pair.forward),
         Box::new(pair.reverse),
     );
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
 
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.push_request(Request {
         tag: 1,
         bytes: 10_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
+    let node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, node);
     // Pin the admission meter at heavy loss just before the SYN
     // arrives (the external-loss entry point; the admission example
     // exercises the organic overload path).
@@ -42,10 +45,10 @@ fn run(feedback: bool) -> (u64, u64, bool) {
             st.record_external_loss(SimTime::ZERO);
         }
     }
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(30));
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(30));
 
-    let client_ref = sim.agent::<ClientHost>(node).unwrap();
+    let client_ref = sc.sim.agent::<ClientHost>(node).unwrap();
     let rejections = client_ref.rejections_seen;
     let st = state.lock().unwrap();
     let done = log

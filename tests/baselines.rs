@@ -3,8 +3,7 @@
 
 use taq_bench::{fairness_run, Discipline, FairnessRunConfig};
 use taq_sim::{Bandwidth, DumbbellConfig, PacketTrace, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 /// §2.4: in the sub-packet regime RED offers only marginal gains over
 /// DropTail and nothing approaching TAQ. (Our SFQ implementation, with
@@ -45,19 +44,13 @@ fn red_is_close_to_droptail_and_taq_dominates() {
 fn packet_traces_expose_silences_and_retransmissions() {
     let run = |discipline: Discipline| {
         let rate = Bandwidth::from_kbps(600);
-        let built = taq_bench::build_qdisc(discipline, rate, 30, 7);
+        let built = discipline.spec(30).build(rate, 7);
         let topo = DumbbellConfig::with_rtt_200ms(rate);
-        let mut sc = DumbbellScenario::new_with_reverse(
-            7,
-            topo,
-            built.forward,
-            built.reverse,
-            TcpConfig::default(),
-        );
-        let trace = sc.sim.add_monitor(Box::new(PacketTrace::new(
-            Some(sc.db.bottleneck),
-            2_000_000,
-        )));
+        let mut sc = DumbbellSpec::new(topo).build_with_reverse(7, built.forward, built.reverse);
+        let bottleneck = sc.db.bottleneck;
+        let trace = sc
+            .sim
+            .add_monitor(Box::new(PacketTrace::new(Some(bottleneck), 2_000_000)));
         sc.add_bulk_clients(60, BULK_BYTES, SimDuration::from_secs(2));
         sc.run_until(SimTime::from_secs(120));
         let trace = sc.sim.monitor::<PacketTrace>(trace).expect("trace monitor");

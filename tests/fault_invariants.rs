@@ -15,7 +15,7 @@
 //!    class, every flow still completes its transfer. Faults delay
 //!    flows; they must never wedge one forever.
 
-use taq_bench::{build_qdisc, fairness_run, sweep_seeds, Discipline, FairnessRunConfig};
+use taq_bench::{fairness_run, sweep_seeds, Discipline, FairnessRunConfig};
 use taq_faults::{FaultPlan, FaultStats, GilbertElliott};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_tcp::FlowRecord;
@@ -53,20 +53,14 @@ fn faulty_run(seed: u64) -> RunFingerprint {
     let spec =
         DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(everything_plan(horizon));
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    let built = Discipline::Taq.spec(buffer).build(rate, seed);
     let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
     sc.add_bulk_clients(10, 40_000, SimDuration::from_secs(1));
     sc.run_until(horizon);
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built
-        .taq_state
-        .expect("taq run")
-        .lock()
-        .unwrap()
-        .stats
-        .clone();
+    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
     let faults = sc
-        .fault_stats
+        .fault_stats()
         .expect("fault plan installed")
         .lock()
         .unwrap()
@@ -177,7 +171,7 @@ fn no_fault_class_permanently_silences_a_flow() {
         let rate = Bandwidth::from_kbps(600);
         let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(plan);
         let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-        let built = build_qdisc(Discipline::Taq, rate, buffer, 11);
+        let built = Discipline::Taq.spec(buffer).build(rate, 11);
         let mut sc = spec.build_with_reverse(11, built.forward, built.reverse);
         sc.add_bulk_clients(6, 30_000, SimDuration::from_secs(1));
         sc.run_until(horizon);
@@ -189,7 +183,7 @@ fn no_fault_class_permanently_silences_a_flow() {
                 "{name}: flow tag {} never finished ({:?} faults: {:?})",
                 r.tag,
                 r,
-                sc.fault_stats.as_ref().map(|s| s.lock().unwrap().clone())
+                sc.fault_stats().map(|s| s.lock().unwrap().clone())
             );
         }
     }

@@ -4,18 +4,22 @@
 
 use taq_queues::DropTail;
 use taq_sim::{
-    Bandwidth, Dumbbell, DumbbellConfig, LinkId, LinkMonitor, Packet, SimDuration, SimTime,
-    Simulator,
+    Bandwidth, DumbbellConfig, LinkId, LinkMonitor, NodeId, Packet, Qdisc, SimDuration, SimTime,
+    UnboundedFifo,
 };
 use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, TcpConfig};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, TopoScenario};
 
-fn setup(seed: u64) -> (Simulator, Dumbbell, taq_sim::NodeId) {
-    let mut sim = Simulator::new(seed);
+/// A 600 Kbps dumbbell with its server, no clients yet.
+fn setup(seed: u64, forward: Box<dyn Qdisc>, reverse: Box<dyn Qdisc>) -> DumbbellScenario {
     let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-    let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(DropTail::with_packets(30)));
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
-    (sim, db, server)
+    DumbbellSpec::new(cfg).build_with_reverse(seed, forward, reverse)
+}
+
+/// Attaches `node` to router `router` (0 = server side, 1 = client
+/// side) of the scenario's topology.
+fn attach(sc: &mut TopoScenario, node: NodeId, router: usize) {
+    sc.topo.attach_host(&mut sc.sim, node, router);
 }
 
 /// Drops the first `n` packets crossing a link (deterministic handshake
@@ -27,7 +31,7 @@ struct DropFirstN {
     remaining: u32,
 }
 
-impl taq_sim::Qdisc for DropFirstN {
+impl Qdisc for DropFirstN {
     fn enqueue(
         &mut self,
         pkt: taq_sim::PacketId,
@@ -50,7 +54,7 @@ impl taq_sim::Qdisc for DropFirstN {
     }
 
     fn len(&self) -> usize {
-        taq_sim::Qdisc::len(&self.inner)
+        Qdisc::len(&self.inner)
     }
 
     fn byte_len(&self) -> usize {
@@ -66,29 +70,24 @@ impl taq_sim::Qdisc for DropFirstN {
 fn lost_syn_is_retried_and_transfer_completes() {
     // The reverse (client→server) path eats the first two packets: the
     // SYN and its first retry. The third attempt succeeds.
-    let mut sim = Simulator::new(5);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-    let db = Dumbbell::build(
-        &mut sim,
-        cfg,
+    let mut sc = setup(
+        5,
         Box::new(DropTail::with_packets(30)),
         Box::new(DropFirstN {
             inner: DropTail::with_packets(100),
             remaining: 2,
         }),
     );
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.push_request(Request {
         tag: 0,
         bytes: 5_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(60));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach(&mut sc, node, 1);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(60));
 
     let log = log.lock().unwrap();
     let rec = &log.records[0];
@@ -102,35 +101,31 @@ fn lost_syn_is_retried_and_transfer_completes() {
 fn lost_syn_ack_is_covered_by_server_rto() {
     // The forward (server→client) path eats the first packet — the
     // SYN-ACK. The server's handshake RTO resends it.
-    let mut sim = Simulator::new(6);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-    let db = Dumbbell::build_simple(
-        &mut sim,
-        cfg,
+    let mut sc = setup(
+        6,
         Box::new(DropFirstN {
             inner: DropTail::with_packets(30),
             remaining: 1,
         }),
+        Box::new(UnboundedFifo::new()),
     );
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.push_request(Request {
         tag: 0,
         bytes: 5_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(60));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach(&mut sc, node, 1);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(60));
 
     let records = log.lock().unwrap();
     let rec = &records.records[0];
     assert!(rec.completed_at.is_some());
     // The server must have accepted exactly one connection despite the
     // client's SYN retry racing the retransmitted SYN-ACK.
-    let srv = sim.agent::<ServerHost>(server).unwrap();
+    let srv = sc.sim.agent::<ServerHost>(sc.server).unwrap();
     assert_eq!(srv.accepted, 1, "duplicate SYNs do not fork connections");
     assert_eq!(srv.live_connections(), 0, "connection closed cleanly");
 }
@@ -139,37 +134,32 @@ fn lost_syn_ack_is_covered_by_server_rto() {
 fn abandoned_attempts_are_logged_unfinished() {
     // Black-hole reverse path: nothing ever reaches the server. With a
     // bounded retry budget the client gives up and logs the failure.
-    let mut sim = Simulator::new(7);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-    let db = Dumbbell::build(
-        &mut sim,
-        cfg,
+    let mut sc = setup(
+        7,
         Box::new(DropTail::with_packets(30)),
         Box::new(DropFirstN {
             inner: DropTail::with_packets(100),
             remaining: u32::MAX,
         }),
     );
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.max_syn_retries = 3;
     client.push_request(Request {
         tag: 9,
         bytes: 5_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(120));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach(&mut sc, node, 1);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(120));
 
     let log = log.lock().unwrap();
     assert_eq!(log.records.len(), 1, "the failure is recorded");
     let rec = &log.records[0];
     assert!(rec.completed_at.is_none());
     assert_eq!(rec.syn_retries, 3);
-    let srv = sim.agent::<ServerHost>(server).unwrap();
+    let srv = sc.sim.agent::<ServerHost>(sc.server).unwrap();
     assert_eq!(srv.accepted, 0);
 }
 
@@ -187,7 +177,7 @@ impl LinkMonitor for ArrivalCounter {
 
 /// An agent that fires one stale data packet at a closed client port.
 struct StaleInjector {
-    target: taq_sim::NodeId,
+    target: NodeId,
 }
 
 impl taq_sim::Agent for StaleInjector {
@@ -212,28 +202,32 @@ fn late_packets_after_close_are_ignored_gracefully() {
     // Complete a transfer, then deliver a stray retransmission for the
     // closed connection: it must not panic, resurrect state, or create
     // new log records.
-    let (mut sim, db, server) = setup(8);
-    sim.add_monitor(Box::new(ArrivalCounter::default()));
+    let mut sc = setup(
+        8,
+        Box::new(DropTail::with_packets(30)),
+        Box::new(UnboundedFifo::new()),
+    );
+    sc.sim.add_monitor(Box::new(ArrivalCounter::default()));
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.push_request(Request {
         tag: 0,
         bytes: 3_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    let injector = sim.add_agent(Box::new(StaleInjector { target: node }));
-    db.attach_left(&mut sim, injector);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(30));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach(&mut sc, node, 1);
+    let injector = sc.sim.add_agent(Box::new(StaleInjector { target: node }));
+    attach(&mut sc, injector, 0);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(30));
     assert!(log.lock().unwrap().records[0].completed_at.is_some());
     // Fire the stale packet well after closure.
-    sim.schedule_start(injector, SimTime::from_secs(30));
-    sim.run_until(SimTime::from_secs(35));
+    sc.sim.schedule_start(injector, SimTime::from_secs(30));
+    sc.sim.run_until(SimTime::from_secs(35));
     // Nothing panicked, nothing new was logged.
     assert_eq!(log.lock().unwrap().records.len(), 1);
     assert_eq!(
-        sim.agent::<ClientHost>(node).unwrap().completed,
+        sc.sim.agent::<ClientHost>(node).unwrap().completed,
         1,
         "completion count unchanged"
     );

@@ -11,7 +11,7 @@ use taq_metrics::EpochActivity;
 use taq_model::{ChainFamily, FluidModel, FullModel, LossFeedback, PartialModel};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, UnboundedFifo};
 use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 const WMAX: usize = 6;
 
@@ -29,16 +29,19 @@ fn simulate(p: f64, flows: usize, secs: u64) -> Result<(Vec<f64>, f64), String> 
         min_rto: SimDuration::from_millis(400), // The model's T0 = 2×RTT.
         ..TcpConfig::default()
     };
-    let mut sc = DumbbellScenario::new(9, topo, Box::new(UnboundedFifo::new()), tcp);
-    sc.sim.set_link_loss(sc.db.bottleneck, p);
+    let mut sc = DumbbellSpec::new(topo)
+        .tcp(tcp)
+        .build(9, Box::new(UnboundedFifo::new()));
+    let bottleneck = sc.db.bottleneck;
+    sc.sim.set_link_loss(bottleneck, p);
     let epoch = SimDuration::from_millis(200);
     let activity = sc
         .sim
-        .add_monitor(Box::new(EpochActivity::new(sc.db.bottleneck, epoch, WMAX)));
+        .add_monitor(Box::new(EpochActivity::new(bottleneck, epoch, WMAX)));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(1));
     let horizon = SimTime::from_secs(secs);
     sc.run_until(horizon);
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     let offered = stats.wire_lost_pkts + stats.transmitted_pkts;
     if offered == 0 {
         return Err(format!(

@@ -3,31 +3,38 @@
 
 use taq::{FlowState, TaqConfig, TaqPair};
 use taq_queues::DropTail;
-use taq_sim::{Bandwidth, Dumbbell, DumbbellConfig, SimTime, Simulator};
+use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimTime};
 use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, TcpConfig};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, TopoScenario};
 
-fn setup(qdisc: Box<dyn taq_sim::Qdisc>) -> (Simulator, Dumbbell, taq_sim::NodeId) {
-    let mut sim = Simulator::new(21);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
-    let db = Dumbbell::build_simple(&mut sim, cfg, qdisc);
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
-    (sim, db, server)
+fn spec() -> DumbbellSpec {
+    DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600)))
+}
+
+/// A 600 Kbps DropTail dumbbell with its server, no clients yet.
+fn setup() -> DumbbellScenario {
+    spec().build(21, Box::new(DropTail::with_packets(30)))
+}
+
+/// Attaches `node` on the client side (router 1) of the scenario's
+/// topology.
+fn attach_client(sc: &mut TopoScenario, node: NodeId) {
+    sc.topo.attach_host(&mut sc.sim, node, 1);
 }
 
 #[test]
 fn pipelined_objects_complete_in_order_on_one_connection() {
-    let (mut sim, db, server) = setup(Box::new(DropTail::with_packets(30)));
+    let mut sc = setup();
     let log = new_flow_log();
     let mut client =
-        ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone()).with_pipelining();
+        ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone()).with_pipelining();
     for tag in 0..6 {
         client.push_request(Request { tag, bytes: 8_000 });
     }
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(120));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, node);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(120));
 
     let log = log.lock().unwrap();
     let done: Vec<_> = log
@@ -50,16 +57,16 @@ fn pipelined_objects_complete_in_order_on_one_connection() {
     tags.dedup();
     assert_eq!(tags.len(), 6);
     // The server accepted exactly one connection.
-    let srv = sim.agent::<ServerHost>(server).unwrap();
+    let srv = sc.sim.agent::<ServerHost>(sc.server).unwrap();
     assert_eq!(srv.accepted, 1);
 }
 
 #[test]
 fn scheduled_requests_reuse_idle_keepalive_connections() {
-    let (mut sim, db, server) = setup(Box::new(DropTail::with_packets(30)));
+    let mut sc = setup();
     let log = new_flow_log();
     let mut client =
-        ClientHost::new(TcpConfig::default(), server, 80, 2, log.clone()).with_pipelining();
+        ClientHost::new(TcpConfig::default(), sc.server, 80, 2, log.clone()).with_pipelining();
     client.push_request(Request {
         tag: 0,
         bytes: 5_000,
@@ -80,10 +87,10 @@ fn scheduled_requests_reuse_idle_keepalive_connections() {
             bytes: 5_000,
         },
     );
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(120));
+    let node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, node);
+    sc.sim.schedule_start(node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(120));
 
     let log = log.lock().unwrap();
     let done = log
@@ -92,7 +99,7 @@ fn scheduled_requests_reuse_idle_keepalive_connections() {
         .filter(|r| r.completed_at.is_some())
         .count();
     assert_eq!(done, 3, "burst after idle completes");
-    let srv = sim.agent::<ServerHost>(server).unwrap();
+    let srv = sc.sim.agent::<ServerHost>(sc.server).unwrap();
     // Reuse means at most 2 connections ever (the pool limit), not 3.
     assert!(
         srv.accepted <= 2,
@@ -109,31 +116,22 @@ fn idle_keepalive_connection_tracks_as_dummy_silence_at_taq() {
     // The traffic pattern pipelining creates — an established flow that
     // simply has nothing to send — is exactly what TAQ's DummySilence
     // state exists to distinguish from a timeout.
-    let mut sim = Simulator::new(33);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
     let pair = TaqPair::new(TaqConfig::for_link(Bandwidth::from_kbps(600)));
     let state = pair.state.clone();
-    let db = Dumbbell::build(
-        &mut sim,
-        cfg,
-        Box::new(pair.forward),
-        Box::new(pair.reverse),
-    );
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
+    let mut sc = spec().build_with_reverse(33, Box::new(pair.forward), Box::new(pair.reverse));
     let log = new_flow_log();
     let mut client =
-        ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone()).with_pipelining();
+        ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone()).with_pipelining();
     client.push_request(Request {
         tag: 0,
         bytes: 20_000,
     });
-    let node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, node);
-    sim.schedule_start(node, SimTime::ZERO);
+    let node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, node);
+    sc.sim.schedule_start(node, SimTime::ZERO);
     // Run past completion so idle epochs accumulate (but well short of
     // the tracker's GC horizon), then roll the tracker's clock forward.
-    sim.run_until(SimTime::from_secs(5));
+    sc.sim.run_until(SimTime::from_secs(5));
     state
         .lock()
         .unwrap()

@@ -48,8 +48,9 @@ fn fully_populated_scenario_runs_on_another_thread() {
     state.lock().unwrap().attach_telemetry(telemetry.clone());
 
     let mut sc = spec.build_with_reverse(11, Box::new(pair.forward), Box::new(pair.reverse));
+    let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(5),
     )));
     sc.add_bulk_clients(8, BULK_BYTES, SimDuration::from_secs(1));
@@ -64,7 +65,7 @@ fn fully_populated_scenario_runs_on_another_thread() {
             .expect("worker thread panicked")
     });
 
-    let transmitted = sc.sim.link_stats(sc.db.bottleneck).transmitted_pkts;
+    let transmitted = sc.sim.link_stats(bottleneck).transmitted_pkts;
     assert!(transmitted > 0, "the remote run moved packets");
     let jain = sc
         .sim

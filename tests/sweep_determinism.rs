@@ -7,11 +7,16 @@
 //! `TaqStats` snapshots must be byte-identical, and the merged result
 //! order must match the input seed order regardless of scheduling.
 
-use taq_bench::{build_qdisc, sweep_seeds, Discipline};
-use taq_faults::{FaultPlan, FaultStats, GilbertElliott};
-use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
-use taq_tcp::FlowRecord;
-use taq_workloads::{weblog, DumbbellSpec, ObjectSizeModel, QdiscSpec};
+use taq_bench::{sweep_seeds, Discipline};
+use taq_faults::{
+    shared_fault_stats, FaultDriver, FaultPlan, FaultStats, FaultyLink, GilbertElliott,
+};
+use taq_sim::{
+    Bandwidth, DumbbellConfig, ForwardingRouter, NodeId, Qdisc, SimDuration, SimRng, SimTime,
+    Simulator, UnboundedFifo,
+};
+use taq_tcp::{new_flow_log, ClientHost, FlowRecord, Request, ServerHost};
+use taq_workloads::{weblog, BuiltPipe, DumbbellSpec, ObjectSizeModel};
 
 /// One run's comparable outputs: every flow-log record plus the TAQ
 /// counter snapshot. Both types derive `PartialEq`, so equality here
@@ -24,74 +29,167 @@ struct RunFingerprint {
 }
 
 fn run(spec: &DumbbellSpec, seed: u64) -> RunFingerprint {
+    let FullFingerprint { records, taq, .. } = run_spec(spec, seed);
+    RunFingerprint { seed, records, taq }
+}
+
+/// The workload the sweep and conformance tests run: ten 40 KB
+/// downloads with starts staggered over one second, for 40 simulated
+/// seconds.
+const ORACLE_FLOWS: usize = 10;
+const ORACLE_BYTES: u64 = 40_000;
+const ORACLE_STAGGER: SimDuration = SimDuration::from_secs(1);
+const ORACLE_HORIZON: SimTime = SimTime::from_secs(40);
+
+fn taq_pipe(spec: &DumbbellSpec, seed: u64) -> BuiltPipe {
     let rate = spec.topo.bottleneck_rate;
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    Discipline::Taq.spec(buffer).build(rate, seed)
+}
+
+/// The product path: `DumbbellSpec`, i.e. the two-router recipe over
+/// the topology engine.
+fn run_spec(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
+    let built = taq_pipe(spec, seed);
     let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
-    sc.add_bulk_clients(10, 40_000, SimDuration::from_secs(1));
-    sc.run_until(SimTime::from_secs(40));
+    sc.add_bulk_clients(ORACLE_FLOWS, ORACLE_BYTES, ORACLE_STAGGER);
+    sc.run_until(ORACLE_HORIZON);
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built
-        .taq_state
-        .expect("taq run")
-        .lock()
-        .unwrap()
-        .stats
-        .clone();
-    RunFingerprint { seed, records, taq }
+    FullFingerprint {
+        records,
+        taq: built.taq.expect("taq run").lock().unwrap().stats.clone(),
+        faults: sc.fault_stats().map(|s| s.lock().unwrap().clone()),
+        events: sc.sim.events_processed(),
+    }
 }
 
-/// The same workload as [`run`], but through the generic topology
-/// engine: the dumbbell expressed as a two-router `TopologySpec`, with
-/// the TAQ pipe built from a `QdiscSpec` instead of the bench helper.
-fn run_topo(spec: &DumbbellSpec, seed: u64) -> RunFingerprint {
-    let rate = spec.topo.bottleneck_rate;
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let mut sc = spec.to_topology(QdiscSpec::taq(buffer)).build(seed);
-    sc.add_bulk_clients_at(1, 10, 40_000, SimDuration::from_secs(1));
-    sc.run_until(SimTime::from_secs(40));
-    let records = sc.log.lock().unwrap().records.clone();
-    let taq = sc
-        .taq_state(0)
-        .expect("taq pipe")
-        .lock()
-        .unwrap()
-        .stats
-        .clone();
-    RunFingerprint { seed, records, taq }
+/// The independent oracle: the same experiment wired by hand from raw
+/// `Simulator` calls, sharing nothing with `Topology`, `TopologySpec`
+/// or `TopoScenario`. Two routers with *default* routes across the
+/// bottleneck (the topology engine installs explicit per-host routes
+/// instead), the fault layer, the server, the fault driver, then the
+/// clients with the workload RNG's start and access-delay draws.
+fn run_hand_wired(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
+    let cfg = &spec.topo;
+    let built = taq_pipe(spec, seed);
+    let fault_stats = (!spec.faults.is_none()).then(shared_fault_stats);
+    let forward: Box<dyn Qdisc> = match &fault_stats {
+        Some(stats) if spec.faults.has_packet_faults() => Box::new(FaultyLink::new(
+            built.forward,
+            &spec.faults,
+            0, // the bottleneck is the first link created
+            seed,
+            spec.telemetry.clone(),
+            stats.clone(),
+        )),
+        _ => built.forward,
+    };
+
+    let mut sim = Simulator::new(seed);
+    let left = sim.add_agent(Box::new(ForwardingRouter));
+    let right = sim.add_agent(Box::new(ForwardingRouter));
+    let bottleneck = sim.add_link(
+        left,
+        right,
+        cfg.bottleneck_rate,
+        cfg.bottleneck_delay,
+        forward,
+    );
+    let reverse = sim.add_link(
+        right,
+        left,
+        cfg.bottleneck_rate,
+        cfg.bottleneck_delay,
+        built.reverse,
+    );
+    sim.set_default_route(left, bottleneck);
+    sim.set_default_route(right, reverse);
+    let attach = |sim: &mut Simulator, router: NodeId, host: NodeId, delay: SimDuration| {
+        let fifo = || Box::new(UnboundedFifo::new());
+        let up = sim.add_link(host, router, cfg.access_rate, delay, fifo());
+        let down = sim.add_link(router, host, cfg.access_rate, delay, fifo());
+        sim.set_default_route(host, up);
+        sim.add_route(router, host, down);
+    };
+
+    let server = sim.add_agent(Box::new(ServerHost::new(spec.tcp.clone(), 80)));
+    attach(&mut sim, left, server, cfg.access_delay);
+    if let Some(stats) = &fault_stats {
+        if let Some(driver) = FaultDriver::from_plan(
+            &spec.faults,
+            bottleneck,
+            cfg.bottleneck_rate,
+            cfg.bottleneck_delay,
+            seed,
+            spec.telemetry.clone(),
+            stats.clone(),
+        ) {
+            let node = sim.add_agent(Box::new(driver));
+            sim.schedule_start(node, SimTime::ZERO);
+        }
+    }
+
+    let mut rng = SimRng::new(seed ^ 0x5CEA_A210).split(1);
+    let log = new_flow_log();
+    let mut clients = Vec::new();
+    for tag in 0..ORACLE_FLOWS as u64 {
+        let offset = SimDuration::from_nanos(rng.range_u64(0, ORACLE_STAGGER.as_nanos()));
+        let jitter = SimDuration::from_micros(rng.range_u64(0, 10_000));
+        let mut client = ClientHost::new(spec.tcp.clone(), server, 80, 1, log.clone());
+        client.push_request(Request {
+            tag,
+            bytes: ORACLE_BYTES,
+        });
+        let node = sim.add_agent(Box::new(client));
+        attach(&mut sim, right, node, cfg.access_delay + jitter);
+        sim.schedule_start(node, SimTime::ZERO + offset);
+        clients.push(node);
+    }
+
+    sim.run_until(ORACLE_HORIZON);
+    for node in clients {
+        sim.agent_mut::<ClientHost>(node)
+            .expect("client host")
+            .flush_incomplete();
+    }
+    let records = log.lock().unwrap().records.clone();
+    FullFingerprint {
+        records,
+        taq: built.taq.expect("taq run").lock().unwrap().stats.clone(),
+        faults: fault_stats.map(|s| s.lock().unwrap().clone()),
+        events: sim.events_processed(),
+    }
 }
 
-/// Conformance: the dumbbell expressed as a `TopologySpec` is
-/// byte-identical to the `DumbbellSpec` code path — same `FlowLog`
-/// records, same `TaqStats` — at every sweep thread count. This pins
-/// the topology engine as a strict generalization of everything
-/// measured on the dumbbell.
+/// Conformance: `DumbbellSpec` — the dumbbell as a two-router recipe
+/// over the topology engine — is byte-identical to the dumbbell wired
+/// by hand: same `FlowLog` records, same `TaqStats`, same event count,
+/// at every sweep thread count.
 #[test]
 fn dumbbell_as_topology_is_byte_identical() {
     let seeds = [3u64, 7, 11];
     let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400)));
     for threads in [1usize, 2, 4] {
-        let dumbbell = sweep_seeds(&seeds, threads, |seed| run(&spec, seed));
-        let topo = sweep_seeds(&seeds, threads, |seed| run_topo(&spec, seed));
-        for (d, t) in dumbbell.iter().zip(&topo) {
+        let oracle = sweep_seeds(&seeds, threads, |seed| run_hand_wired(&spec, seed));
+        let topo = sweep_seeds(&seeds, threads, |seed| run_spec(&spec, seed));
+        for ((o, t), seed) in oracle.iter().zip(&topo).zip(seeds) {
             assert!(
-                !d.records.is_empty() && d.taq.offered > 0,
-                "seed {} produced work",
-                d.seed
+                !o.records.is_empty() && o.taq.offered > 0,
+                "seed {seed} produced work"
             );
+            assert!(o.faults.is_none(), "seed {seed}: clean run");
             assert_eq!(
-                d, t,
-                "seed {} threads {threads}: topology diverged from dumbbell",
-                d.seed
+                o, t,
+                "seed {seed} threads {threads}: topology diverged from the hand-wired dumbbell"
             );
         }
     }
 }
 
 /// Conformance under faults: packet faults (burst loss + duplication)
-/// and the link-schedule fault driver replay identically through both
-/// code paths, including the `FaultStats` counters and the total event
-/// count.
+/// and the link-schedule fault driver replay identically through the
+/// recipe and the hand-wired oracle, including the `FaultStats`
+/// counters and the total event count.
 #[test]
 fn faulty_dumbbell_as_topology_is_byte_identical() {
     let plan = FaultPlan::none()
@@ -104,46 +202,15 @@ fn faulty_dumbbell_as_topology_is_byte_identical() {
             SimTime::from_secs(20),
         );
     let rate = Bandwidth::from_kbps(400);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(plan);
 
     for seed in [3u64, 11] {
-        let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
-        let mut db_sc = spec.build_with_reverse(seed, built.forward, built.reverse);
-        db_sc.add_bulk_clients(10, 40_000, SimDuration::from_secs(1));
-        db_sc.run_until(SimTime::from_secs(40));
-        let db_fp = FullFingerprint {
-            records: db_sc.log.lock().unwrap().records.clone(),
-            taq: built.taq_state.unwrap().lock().unwrap().stats.clone(),
-            faults: db_sc
-                .fault_stats
-                .as_ref()
-                .map(|s| s.lock().unwrap().clone()),
-            events: db_sc.sim.events_processed(),
-        };
-
-        let mut topo_sc = spec.to_topology(QdiscSpec::taq(buffer)).build(seed);
-        topo_sc.add_bulk_clients_at(1, 10, 40_000, SimDuration::from_secs(1));
-        topo_sc.run_until(SimTime::from_secs(40));
-        let topo_fp = FullFingerprint {
-            records: topo_sc.log.lock().unwrap().records.clone(),
-            taq: topo_sc
-                .taq_state(0)
-                .expect("taq pipe")
-                .lock()
-                .unwrap()
-                .stats
-                .clone(),
-            faults: topo_sc.pipe_faults[0]
-                .as_ref()
-                .map(|s| s.lock().unwrap().clone()),
-            events: topo_sc.sim.events_processed(),
-        };
-
-        let f = db_fp.faults.as_ref().expect("fault stats present");
+        let oracle = run_hand_wired(&spec, seed);
+        let topo = run_spec(&spec, seed);
+        let f = oracle.faults.as_ref().expect("fault stats present");
         assert!(f.total() > 0, "seed {seed} injected faults");
         assert!(f.rate_changes > 0, "seed {seed} drove the link schedule");
-        assert_eq!(db_fp, topo_fp, "seed {seed}: faulty topology diverged");
+        assert_eq!(oracle, topo, "seed {seed}: faulty topology diverged");
     }
 }
 
@@ -197,7 +264,7 @@ struct FullFingerprint {
 fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
     let rate = Bandwidth::from_kbps(400);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    let built = Discipline::Taq.spec(buffer).build(rate, seed);
     let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate));
     if matches!(shape, Shape::Faults) {
         spec = spec.faults(
@@ -232,14 +299,8 @@ fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
         }
     }
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built
-        .taq_state
-        .expect("taq run")
-        .lock()
-        .unwrap()
-        .stats
-        .clone();
-    let faults = sc.fault_stats.as_ref().map(|s| s.lock().unwrap().clone());
+    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
+    let faults = sc.fault_stats().map(|s| s.lock().unwrap().clone());
     let events = sc.sim.events_processed();
     FullFingerprint {
         records,

@@ -6,9 +6,8 @@ use taq::{TaqConfig, TaqPair};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
 use taq_telemetry::{shared_sink, RingBufferSink, Telemetry};
-use taq_workloads::{DumbbellScenario, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 struct RunResult {
     short_term_jain: f64,
@@ -21,13 +20,14 @@ struct RunResult {
 fn run(qdisc: Box<dyn Qdisc>, seed: u64, rate_kbps: u64, flows: usize, secs: u64) -> RunResult {
     let rate = Bandwidth::from_kbps(rate_kbps);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellScenario::new(seed, topo, qdisc, TcpConfig::default());
+    let mut sc = DumbbellSpec::new(topo).build(seed, qdisc);
+    let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(20),
     )));
     let evo = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
-        sc.db.bottleneck,
+        bottleneck,
         SimDuration::from_secs(2),
     )));
     sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
@@ -56,7 +56,7 @@ fn run(qdisc: Box<dyn Qdisc>, seed: u64, rate_kbps: u64, flows: usize, secs: u64
     } else {
         stalled as f64 / total as f64
     };
-    let stats = sc.sim.link_stats(sc.db.bottleneck);
+    let stats = sc.sim.link_stats(bottleneck);
     RunResult {
         short_term_jain,
         stalled_fraction,

@@ -1,32 +1,37 @@
 //! End-to-end integration: TCP hosts over the simulated dumbbell.
 
 use taq_queues::DropTail;
-use taq_sim::{Bandwidth, Dumbbell, DumbbellConfig, SimDuration, SimTime, Simulator};
-use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, TcpConfig, Variant};
+use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimDuration, SimTime};
+use taq_tcp::{new_flow_log, ClientHost, Request, TcpConfig, Variant};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, TopoScenario};
 
-/// Builds a one-server dumbbell; returns (sim, dumbbell, server node).
-fn setup(rate_kbps: u64, buffer_pkts: usize) -> (Simulator, Dumbbell, taq_sim::NodeId) {
-    let mut sim = Simulator::new(7);
+/// Builds a one-server DropTail dumbbell with no clients yet.
+fn setup(seed: u64, rate_kbps: u64, buffer_pkts: usize, tcp: TcpConfig) -> DumbbellScenario {
     let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(rate_kbps));
-    let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(DropTail::with_packets(buffer_pkts)));
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
-    (sim, db, server)
+    DumbbellSpec::new(cfg)
+        .tcp(tcp)
+        .build(seed, Box::new(DropTail::with_packets(buffer_pkts)))
+}
+
+/// Attaches `node` on the client side (router 1) of the scenario's
+/// topology.
+fn attach_client(sc: &mut TopoScenario, node: NodeId) {
+    sc.topo.attach_host(&mut sc.sim, node, 1);
 }
 
 #[test]
 fn single_download_completes_uncongested() {
-    let (mut sim, db, server) = setup(1000, 50);
+    let mut sc = setup(7, 1000, 50, TcpConfig::default());
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
     client.push_request(Request {
         tag: 1,
         bytes: 50_000,
     });
-    let client_node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, client_node);
-    sim.schedule_start(client_node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(60));
+    let client_node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, client_node);
+    sc.sim.schedule_start(client_node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(60));
 
     let log = log.lock().unwrap();
     assert_eq!(log.records.len(), 1, "one transfer recorded");
@@ -38,21 +43,21 @@ fn single_download_completes_uncongested() {
     // over a 200 ms RTT needs ~7 round trips, so a couple of seconds.
     assert!(dl > 0.4 && dl < 10.0, "download time {dl}");
     // No losses on an uncongested link.
-    assert_eq!(sim.link_stats(db.bottleneck).dropped_pkts, 0);
+    assert_eq!(sc.sim.link_stats(sc.db.bottleneck).dropped_pkts, 0);
 }
 
 #[test]
 fn parallel_pool_respects_limit_and_finishes() {
-    let (mut sim, db, server) = setup(1000, 50);
+    let mut sc = setup(7, 1000, 50, TcpConfig::default());
     let log = new_flow_log();
-    let mut client = ClientHost::new(TcpConfig::default(), server, 80, 4, log.clone());
+    let mut client = ClientHost::new(TcpConfig::default(), sc.server, 80, 4, log.clone());
     for tag in 0..10 {
         client.push_request(Request { tag, bytes: 20_000 });
     }
-    let client_node = sim.add_agent(Box::new(client));
-    db.attach_right(&mut sim, client_node);
-    sim.schedule_start(client_node, SimTime::ZERO);
-    sim.run_until(SimTime::from_secs(120));
+    let client_node = sc.sim.add_agent(Box::new(client));
+    attach_client(&mut sc, client_node);
+    sc.sim.schedule_start(client_node, SimTime::ZERO);
+    sc.sim.run_until(SimTime::from_secs(120));
 
     let log = log.lock().unwrap();
     assert_eq!(log.records.len(), 10, "all ten objects downloaded");
@@ -67,30 +72,26 @@ fn parallel_pool_respects_limit_and_finishes() {
 fn congested_link_loses_packets_but_transfers_complete() {
     // 40 clients sharing 400 Kbps: fair share ~10 Kbps = ~2.5 pkts/RTT —
     // inside the small packet regime.
-    let mut sim = Simulator::new(11);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400));
     let buffer = Bandwidth::from_kbps(400).packets_per(SimDuration::from_millis(200), 500);
-    let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(DropTail::with_packets(buffer)));
-    let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
-    db.attach_left(&mut sim, server);
+    let mut sc = setup(11, 400, buffer, TcpConfig::default());
 
     let log = new_flow_log();
     let mut clients = Vec::new();
     for i in 0..40 {
-        let mut c = ClientHost::new(TcpConfig::default(), server, 80, 1, log.clone());
+        let mut c = ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone());
         c.push_request(Request {
             tag: i,
             bytes: 30_000,
         });
-        let node = sim.add_agent(Box::new(c));
-        db.attach_right(&mut sim, node);
+        let node = sc.sim.add_agent(Box::new(c));
+        attach_client(&mut sc, node);
         // Stagger starts over the first second.
-        sim.schedule_start(node, SimTime::from_millis(25 * i));
+        sc.sim.schedule_start(node, SimTime::from_millis(25 * i));
         clients.push(node);
     }
-    sim.run_until(SimTime::from_secs(600));
+    sc.sim.run_until(SimTime::from_secs(600));
 
-    let stats = sim.link_stats(db.bottleneck);
+    let stats = sc.sim.link_stats(sc.db.bottleneck);
     assert!(stats.dropped_pkts > 0, "congestion should cause drops");
     let done: Vec<_> = log
         .lock()
@@ -114,27 +115,23 @@ fn congested_link_loses_packets_but_transfers_complete() {
 
 #[test]
 fn sack_variant_also_completes_under_loss() {
-    let mut sim = Simulator::new(13);
-    let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400));
-    let db = Dumbbell::build_simple(&mut sim, cfg, Box::new(DropTail::with_packets(10)));
     let tcp = TcpConfig {
         variant: Variant::Sack,
         ..TcpConfig::default()
     };
-    let server = sim.add_agent(Box::new(ServerHost::new(tcp.clone(), 80)));
-    db.attach_left(&mut sim, server);
+    let mut sc = setup(13, 400, 10, tcp.clone());
     let log = new_flow_log();
     for i in 0..10 {
-        let mut c = ClientHost::new(tcp.clone(), server, 80, 1, log.clone());
+        let mut c = ClientHost::new(tcp.clone(), sc.server, 80, 1, log.clone());
         c.push_request(Request {
             tag: i,
             bytes: 40_000,
         });
-        let node = sim.add_agent(Box::new(c));
-        db.attach_right(&mut sim, node);
-        sim.schedule_start(node, SimTime::from_millis(10 * i));
+        let node = sc.sim.add_agent(Box::new(c));
+        attach_client(&mut sc, node);
+        sc.sim.schedule_start(node, SimTime::from_millis(10 * i));
     }
-    sim.run_until(SimTime::from_secs(300));
+    sc.sim.run_until(SimTime::from_secs(300));
     let done = log
         .lock()
         .unwrap()
@@ -148,19 +145,19 @@ fn sack_variant_also_completes_under_loss() {
 #[test]
 fn determinism_same_seed_same_flow_log() {
     let run = || {
-        let (mut sim, db, server) = setup(600, 30);
+        let mut sc = setup(7, 600, 30, TcpConfig::default());
         let log = new_flow_log();
         for i in 0..5 {
-            let mut c = ClientHost::new(TcpConfig::default(), server, 80, 2, log.clone());
+            let mut c = ClientHost::new(TcpConfig::default(), sc.server, 80, 2, log.clone());
             c.push_request(Request {
                 tag: i,
                 bytes: 25_000,
             });
-            let node = sim.add_agent(Box::new(c));
-            db.attach_right(&mut sim, node);
-            sim.schedule_start(node, SimTime::ZERO);
+            let node = sc.sim.add_agent(Box::new(c));
+            attach_client(&mut sc, node);
+            sc.sim.schedule_start(node, SimTime::ZERO);
         }
-        sim.run_until(SimTime::from_secs(120));
+        sc.sim.run_until(SimTime::from_secs(120));
         let out: Vec<_> = log
             .lock()
             .unwrap()

@@ -11,7 +11,7 @@
 //!    sim-time series) is byte-identical across sweep thread counts
 //!    (1/2/4).
 
-use taq_bench::{build_qdisc, sweep_seeds, Discipline};
+use taq_bench::{sweep_seeds, Discipline};
 use taq_faults::{FaultPlan, GilbertElliott};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, TelemetryBridge};
 use taq_tcp::FlowRecord;
@@ -31,7 +31,7 @@ struct TracedRun {
 fn run_traced(seed: u64, traced: bool) -> TracedRun {
     let rate = Bandwidth::from_kbps(400);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = build_qdisc(Discipline::Taq, rate, buffer, seed);
+    let built = Discipline::Taq.spec(buffer).build(rate, seed);
     let plan = FaultPlan::none()
         .with_burst_loss(GilbertElliott::bursts(0.02, 6.0))
         .with_duplicate(0.02);
@@ -41,7 +41,7 @@ fn run_traced(seed: u64, traced: bool) -> TracedRun {
         let telemetry = Telemetry::new();
         let (collector, erased) = shared_sink(TraceCollector::new(TraceConfig::default()));
         telemetry.add_shared_sink(erased);
-        if let Some(state) = &built.taq_state {
+        if let Some(state) = &built.taq {
             state.lock().unwrap().attach_telemetry(telemetry.clone());
         }
         spec = spec.telemetry(telemetry.clone());
@@ -59,13 +59,7 @@ fn run_traced(seed: u64, traced: bool) -> TracedRun {
     sc.run_until(SimTime::from_secs(40));
 
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built
-        .taq_state
-        .expect("taq run")
-        .lock()
-        .unwrap()
-        .stats
-        .clone();
+    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
     let dump = match &collector {
         Some((telemetry, collector)) => {
             telemetry.flush();
