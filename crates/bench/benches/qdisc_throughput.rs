@@ -8,10 +8,20 @@
 //! under 3% over the detached baseline (one retry to damp scheduler
 //! noise).
 //!
-//! Run with `cargo bench --bench qdisc_throughput`.
+//! The ring-length ladder at the end holds 64 / 512 / 4096 single-packet
+//! flows resident in TAQ (half of them in the Recovery class) and times
+//! `dequeue` and an evicting `enqueue` against that standing population:
+//! the rows are flat in the flow count when no per-packet decision walks
+//! a class.
+//!
+//! Run with `cargo bench -p taq-bench --bench qdisc_throughput`.
 
+use std::time::{Duration, Instant};
+use taq::{QueueClass, TaqConfig, TaqPair};
 use taq_bench::{measure, Discipline};
-use taq_sim::{Bandwidth, FlowKey, NodeId, Packet, PacketArena, PacketBuilder, SimTime};
+use taq_sim::{
+    Bandwidth, FlowKey, NodeId, Packet, PacketArena, PacketBuilder, PacketId, Qdisc, SimTime,
+};
 use taq_telemetry::{shared_sink, RingBufferSink, Telemetry};
 use taq_trace::{TraceCollector, TraceConfig};
 use taq_workloads::BuiltPipe;
@@ -68,6 +78,127 @@ fn bench_discipline(d: Discipline, suffix: &str, telemetry: Option<&Telemetry>) 
     })
 }
 
+/// A TAQ forward queue with `flows` single-packet flows resident in a
+/// buffer of exactly `flows` packets, half of them classified Recovery,
+/// driven through the public `Qdisc` interface only.
+struct Resident {
+    taq: TaqPair,
+    arena: PacketArena,
+    now_ns: u64,
+    /// Next never-used flow number.
+    next_flow: u32,
+}
+
+impl Resident {
+    fn new(flows: u32) -> Resident {
+        let mut cfg = TaqConfig::for_link(Bandwidth::from_mbps(10));
+        cfg.buffer_pkts = flows as usize;
+        cfg.newflow_cap_pkts = flows as usize;
+        let mut r = Resident {
+            taq: TaqPair::new(cfg),
+            arena: PacketArena::new(),
+            now_ns: 0,
+            next_flow: flows,
+        };
+        let half = flows / 2;
+        // Each flow of the first half sends three segments into a
+        // buffer that holds two apiece: the third makes it the deepest
+        // backlog, so the eviction takes its own head and the queue
+        // owes every one of them a repair.
+        for seg in 0..3 {
+            for f in 0..half {
+                let pkt = r.segment(f, 1 + seg * 460);
+                r.enqueue(pkt);
+            }
+        }
+        while let Some(out) = r.dequeue() {
+            r.arena.remove(out);
+        }
+        // The repairs ride the Recovery class; the second half are
+        // first packets of fresh flows.
+        for f in 0..flows {
+            let pkt = r.segment(f, 1);
+            r.enqueue(pkt);
+        }
+        assert_eq!(r.taq.forward.len(), flows as usize, "buffer exactly full");
+        let in_recovery = r
+            .taq
+            .state
+            .lock()
+            .unwrap()
+            .stats
+            .class_count(QueueClass::Recovery);
+        assert_eq!(in_recovery, u64::from(half), "half classified Recovery");
+        r
+    }
+
+    fn segment(&mut self, flow: u32, seq: u64) -> PacketId {
+        let key = FlowKey {
+            src: NodeId(0),
+            src_port: (flow >> 16) as u16,
+            dst: NodeId(1),
+            dst_port: flow as u16,
+        };
+        self.arena
+            .insert(PacketBuilder::new(key).seq(seq).payload(460).build())
+    }
+
+    /// One microsecond per operation: the whole set-up and measurement
+    /// sit inside one tracker epoch.
+    fn tick(&mut self) -> SimTime {
+        self.now_ns += 1_000;
+        SimTime::from_nanos(self.now_ns)
+    }
+
+    fn enqueue(&mut self, pkt: PacketId) {
+        let now = self.tick();
+        for victim in self.taq.forward.enqueue(pkt, &mut self.arena, now).dropped {
+            self.arena.remove(victim);
+        }
+    }
+
+    fn dequeue(&mut self) -> Option<PacketId> {
+        let now = self.tick();
+        self.taq.forward.dequeue(&mut self.arena, now)
+    }
+}
+
+/// Mean ns per `dequeue` and per evicting `enqueue` with `flows` flows
+/// resident. Each block rebuilds the population, times `flows / 8`
+/// enqueues of never-seen flows (each evicts one NewFlow packet, so the
+/// population stands) and then as many dequeues, so the class lists stay
+/// within an eighth of their nominal length while timed.
+fn resident_row(flows: u32) -> (f64, f64) {
+    let batch = flows / 8;
+    let blocks = 65_536 / flows;
+    let (mut enq, mut deq) = (Duration::ZERO, Duration::ZERO);
+    for _ in 0..blocks {
+        let mut r = Resident::new(flows);
+        let arrivals: Vec<PacketId> = (0..batch)
+            .map(|_| {
+                r.next_flow += 1;
+                r.segment(r.next_flow, 1)
+            })
+            .collect();
+        let start = Instant::now();
+        for pkt in arrivals {
+            r.enqueue(pkt);
+        }
+        enq += start.elapsed();
+        assert_eq!(r.taq.forward.len(), flows as usize, "every enqueue evicted");
+        let start = Instant::now();
+        for _ in 0..batch {
+            let out = r.dequeue().expect("resident");
+            r.arena.remove(out);
+        }
+        deq += start.elapsed();
+    }
+    let per_op = |d: Duration| d.as_nanos() as f64 / f64::from(batch * blocks);
+    let (deq, enq) = (per_op(deq), per_op(enq));
+    println!("taq/resident_{flows:<5} {deq:>10.0} ns/dequeue {enq:>10.0} ns/evicting enqueue");
+    (deq, enq)
+}
+
 fn main() {
     println!("# qdisc_throughput — 1000-packet enqueue/dequeue batches");
     for d in [
@@ -78,6 +209,14 @@ fn main() {
     ] {
         bench_discipline(d, "", None);
     }
+
+    println!("# ring-length ladder (TAQ) — resident single-packet flows, half in Recovery");
+    let rows = [64, 512, 4096].map(resident_row);
+    println!(
+        "# 4096 / 64 flows: dequeue x{:.2}, evicting enqueue x{:.2}",
+        rows[2].0 / rows[0].0,
+        rows[2].1 / rows[0].1
+    );
 
     println!("# telemetry overhead (TAQ) — acceptance bar: nosink < 3% over detached");
     let mut baseline = bench_discipline(Discipline::Taq, "", None);

@@ -45,14 +45,40 @@
 //! plus the few fields the scheduler ever reads (wire length, SYN-ACK
 //! bit, observational id) — so the hot path never chases the packet
 //! body. Per-flow scheduling metadata lives in parallel slabs indexed
-//! by the dense [`FlowId`] (structure-of-arrays: the eviction and
-//! recovery scans touch only the one column they compare on), and the
-//! per-class packet counts are maintained incrementally in a
-//! cache-line-aligned scheduler header, making `class_len` O(1) where
-//! it used to walk every flow of the class.
+//! by the dense [`FlowId`] (structure-of-arrays), and the per-class
+//! packet counts are maintained incrementally in a cache-line-aligned
+//! scheduler header, making `class_len` O(1).
+//!
+//! No per-packet decision walks a class. Each class keeps its flows on
+//! an intrusive doubly-linked list threaded through the slabs' `prev` /
+//! `next` columns, in round-robin order: append, rotate-to-tail and
+//! unlink (drain, migrate, evict) are O(1) and preserve the order a
+//! ring would have. Every pick the policy makes by comparing flows is
+//! answered by an ordered index holding exactly the compared key:
+//!
+//! - Recovery: `(silence, Reverse(last_normal_at), Reverse(id))`. Its
+//!   maximum is the flow Level 1 serves. The last-resort eviction
+//!   victim is the minimum of `(silence, Reverse(last_normal_at))` —
+//!   but both picks break a full tie towards the *smallest* id, so as
+//!   orders they differ in the id direction: the victim is the last
+//!   entry of the index's lowest two-field prefix, not its first;
+//! - OverPenalized, BelowFairShare, AboveFairShare:
+//!   `(score, backlog, Reverse(id))`, maximum = eviction victim by
+//!   window;
+//! - NewFlow, BelowFairShare: `(backlog, Reverse(id))`, maximum =
+//!   eviction victim by backlog (and "does any ordinary flow hold a
+//!   burst" is that maximum's backlog being at least 2).
+//!
+//! An entry is taken out under its old key and put back under the new
+//! one around every mutation of a keyed column: a `push` to a live flow
+//! rewrites score, silence, last-normal time and backlog and may move
+//! the flow to another class; every pop and eviction changes backlog. A
+//! pop that leaves a Recovery flow backlogged skips the re-key, since
+//! the Recovery key does not read backlog.
 
 use crate::tracker::Observation;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, VecDeque};
 use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimDuration, SimTime};
 
 /// Which TAQ class a flow is assigned to.
@@ -93,7 +119,7 @@ impl QueueClass {
         }
     }
 
-    fn index(self) -> usize {
+    const fn index(self) -> usize {
         match self {
             QueueClass::Recovery => 0,
             QueueClass::NewFlow => 1,
@@ -210,6 +236,12 @@ impl QueuedPkt {
 /// Vacant marker in the per-flow `class` slab.
 const NO_CLASS: u8 = u8::MAX;
 
+/// End-of-list marker in the `prev` / `next` slabs and the class list
+/// ends. Never a live id: the slabs are dense in the id.
+const NIL: FlowId = FlowId(u32::MAX);
+
+const RECOVERY: usize = QueueClass::Recovery.index();
+
 /// Per-flow scheduling state in structure-of-arrays form, indexed by
 /// the dense [`FlowId`]. A flow is live iff `class[i] != NO_CLASS`;
 /// drained flows keep their (empty) packet deque so re-activation
@@ -229,6 +261,10 @@ struct FlowSlabs {
     bytes: Vec<usize>,
     /// The flow's buffered packets, arrival order.
     packets: Vec<VecDeque<QueuedPkt>>,
+    /// Neighbours on the flow's class list ([`NIL`] at the ends);
+    /// meaningful only while the flow is live.
+    prev: Vec<FlowId>,
+    next: Vec<FlowId>,
 }
 
 impl FlowSlabs {
@@ -240,6 +276,66 @@ impl FlowSlabs {
             self.last_normal_at.resize(idx + 1, SimTime::ZERO);
             self.bytes.resize(idx + 1, 0);
             self.packets.resize_with(idx + 1, VecDeque::new);
+            self.prev.resize(idx + 1, NIL);
+            self.next.resize(idx + 1, NIL);
+        }
+    }
+
+    // The index keys of flow `id`, as its columns stand right now.
+
+    fn recovery_key(&self, id: FlowId) -> RecoveryKey {
+        let idx = id.index();
+        (
+            self.silence[idx],
+            Reverse(self.last_normal_at[idx]),
+            Reverse(id),
+        )
+    }
+
+    fn score_key(&self, id: FlowId) -> ScoreKey {
+        let idx = id.index();
+        (self.score[idx], self.packets[idx].len(), Reverse(id))
+    }
+
+    fn backlog_key(&self, id: FlowId) -> BacklogKey {
+        (self.packets[id.index()].len(), Reverse(id))
+    }
+}
+
+/// Recovery priority: longest silence, then least-recent normal
+/// transmission, then lowest id.
+type RecoveryKey = (u32, Reverse<SimTime>, Reverse<FlowId>);
+/// Eviction by window: biggest score, then deepest backlog, then
+/// lowest id.
+type ScoreKey = (u32, usize, Reverse<FlowId>);
+/// Eviction by backlog: deepest backlog, then lowest id.
+type BacklogKey = (usize, Reverse<FlowId>);
+
+/// Which classes the eviction policy picks from by score / by backlog
+/// (priority order, as [`QueueClass::ALL`]); only those keep the index.
+const BY_SCORE: [bool; 5] = [false, false, true, true, true];
+const BY_BACKLOG: [bool; 5] = [false, true, false, true, false];
+
+/// One class: its flows in round-robin order (an intrusive list through
+/// the slabs' `prev` / `next` columns) and the victim indexes the
+/// eviction policy reads for it.
+#[derive(Debug)]
+struct ClassList {
+    head: FlowId,
+    tail: FlowId,
+    flows: usize,
+    by_score: BTreeSet<ScoreKey>,
+    by_backlog: BTreeSet<BacklogKey>,
+}
+
+impl Default for ClassList {
+    fn default() -> Self {
+        ClassList {
+            head: NIL,
+            tail: NIL,
+            flows: 0,
+            by_score: BTreeSet::new(),
+            by_backlog: BTreeSet::new(),
         }
     }
 }
@@ -269,13 +365,24 @@ struct SchedState {
 #[derive(Debug)]
 pub struct TaqQueues {
     flows: FlowSlabs,
-    /// Round-robin rotation per class (by flow id). The Recovery class
-    /// ring is unused for ordering (priority scan) but tracks
-    /// membership.
-    rings: [VecDeque<FlowId>; 5],
+    /// Per class, in priority order: round-robin list and victim
+    /// indexes.
+    lists: [ClassList; 5],
+    /// Level-1 priority index over the Recovery class.
+    recovery: BTreeSet<RecoveryKey>,
     len: usize,
     bytes: usize,
     sched: SchedState,
+}
+
+/// Inserts (`present`) or removes `key`; the set must change.
+fn set_member<K: Ord>(set: &mut BTreeSet<K>, key: K, present: bool) {
+    let changed = if present {
+        set.insert(key)
+    } else {
+        set.remove(&key)
+    };
+    debug_assert!(changed, "index out of step with the slabs");
 }
 
 impl TaqQueues {
@@ -285,7 +392,8 @@ impl TaqQueues {
         let rate = link_rate.bps() as f64 * recovery_fraction;
         TaqQueues {
             flows: FlowSlabs::default(),
-            rings: Default::default(),
+            lists: Default::default(),
+            recovery: BTreeSet::new(),
             len: 0,
             bytes: 0,
             sched: SchedState {
@@ -347,7 +455,7 @@ impl TaqQueues {
 
     /// Flows currently assigned to a class.
     pub fn class_flows(&self, class: QueueClass) -> usize {
-        self.rings[class.index()].len()
+        self.lists[class.index()].flows
     }
 
     /// Packet counts per class in priority order, shaped for the
@@ -359,19 +467,61 @@ impl TaqQueues {
             .collect()
     }
 
-    fn migrate(&mut self, id: FlowId, to: QueueClass) {
-        let idx = id.index();
-        let from = self.flows.class[idx] as usize;
-        debug_assert_ne!(self.flows.class[idx], NO_CLASS, "flow exists");
-        if from == to.index() {
-            return;
+    /// The flows of `class` in round-robin order.
+    fn class_iter(&self, class: usize) -> impl Iterator<Item = FlowId> + '_ {
+        let live = |id: FlowId| (id != NIL).then_some(id);
+        std::iter::successors(live(self.lists[class].head), move |id| {
+            live(self.flows.next[id.index()])
+        })
+    }
+
+    /// Appends `id` to the tail of `class`'s list.
+    fn link_back(&mut self, id: FlowId, class: usize) {
+        let list = &mut self.lists[class];
+        self.flows.prev[id.index()] = list.tail;
+        self.flows.next[id.index()] = NIL;
+        if list.tail == NIL {
+            list.head = id;
+        } else {
+            self.flows.next[list.tail.index()] = id;
         }
-        let moved = self.flows.packets[idx].len();
-        self.flows.class[idx] = to.index() as u8;
-        self.sched.class_pkts[from] -= moved;
-        self.sched.class_pkts[to.index()] += moved;
-        self.rings[from].retain(|k| *k != id);
-        self.rings[to.index()].push_back(id);
+        list.tail = id;
+        list.flows += 1;
+    }
+
+    /// Takes `id` out of `class`'s list, wherever it sits.
+    fn unlink(&mut self, id: FlowId, class: usize) {
+        let list = &mut self.lists[class];
+        let (prev, next) = (self.flows.prev[id.index()], self.flows.next[id.index()]);
+        if prev == NIL {
+            list.head = next;
+        } else {
+            self.flows.next[prev.index()] = next;
+        }
+        if next == NIL {
+            list.tail = prev;
+        } else {
+            self.flows.prev[next.index()] = prev;
+        }
+        list.flows -= 1;
+    }
+
+    /// Enters (`present`) or withdraws live flow `id` in the indexes its
+    /// class uses, under the key its slab columns spell right now. Call
+    /// it with `false` before touching a keyed column (class, score,
+    /// silence, last-normal time, backlog) and with `true` after.
+    fn set_indexed(&mut self, id: FlowId, present: bool) {
+        let class = self.flows.class[id.index()] as usize;
+        if class == RECOVERY {
+            set_member(&mut self.recovery, self.flows.recovery_key(id), present);
+        }
+        let list = &mut self.lists[class];
+        if BY_SCORE[class] {
+            set_member(&mut list.by_score, self.flows.score_key(id), present);
+        }
+        if BY_BACKLOG[class] {
+            set_member(&mut list.by_backlog, self.flows.backlog_key(id), present);
+        }
     }
 
     /// Enqueues a packet, assigning (or migrating) its flow to `class`.
@@ -386,31 +536,40 @@ impl TaqQueues {
         let idx = id.index();
         let wire = qp.wire as usize;
         self.flows.ensure(idx);
+        let mut to = class.index();
         if self.flows.class[idx] != NO_CLASS {
+            let cur = self.flows.class[idx] as usize;
+            self.set_indexed(id, false);
             self.flows.score[idx] = obs.window_estimate;
             if class == QueueClass::Recovery {
                 self.flows.silence[idx] = self.flows.silence[idx].max(obs.silent_epochs);
             }
             self.flows.last_normal_at[idx] = obs.last_normal_at;
-            self.flows.packets[idx].push_back(qp);
             self.flows.bytes[idx] += wire;
-            let cur = self.flows.class[idx] as usize;
-            self.sched.class_pkts[cur] += 1;
-            let keep_recovery =
-                cur == QueueClass::Recovery.index() && class != QueueClass::Recovery;
-            if !keep_recovery {
-                self.migrate(id, class);
+            if cur == RECOVERY {
+                to = cur;
+            }
+            if to != cur {
+                // The whole per-flow queue migrates, to the tail of its
+                // new class.
+                let moved = self.flows.packets[idx].len();
+                self.sched.class_pkts[cur] -= moved;
+                self.sched.class_pkts[to] += moved;
+                self.unlink(id, cur);
+                self.flows.class[idx] = to as u8;
+                self.link_back(id, to);
             }
         } else {
-            self.flows.class[idx] = class.index() as u8;
+            self.flows.class[idx] = to as u8;
             self.flows.score[idx] = obs.window_estimate;
             self.flows.silence[idx] = obs.silent_epochs;
             self.flows.last_normal_at[idx] = obs.last_normal_at;
-            self.flows.packets[idx].push_back(qp);
             self.flows.bytes[idx] = wire;
-            self.sched.class_pkts[class.index()] += 1;
-            self.rings[class.index()].push_back(id);
+            self.link_back(id, to);
         }
+        self.flows.packets[idx].push_back(qp);
+        self.sched.class_pkts[to] += 1;
+        self.set_indexed(id, true);
         self.len += 1;
         self.bytes += wire;
     }
@@ -425,36 +584,32 @@ impl TaqQueues {
 
     /// Pops the head packet of `id`'s queue, cleaning up if drained.
     fn pop_head(&mut self, id: FlowId) -> QueuedPkt {
-        let idx = id.index();
-        let qp = self.flows.packets[idx]
-            .pop_front()
-            .expect("flow queue non-empty");
-        let wire = qp.wire as usize;
-        let class = self.flows.class[idx] as usize;
-        self.flows.bytes[idx] -= wire;
-        self.sched.class_pkts[class] -= 1;
-        if self.flows.packets[idx].is_empty() {
-            self.flows.class[idx] = NO_CLASS;
-            self.rings[class].retain(|k| *k != id);
-        }
-        self.len -= 1;
-        self.bytes -= wire;
-        qp
+        self.remove_at(id, 0)
     }
 
-    /// Removes the packet at `pkt_idx` in `id`'s queue.
+    /// Removes the packet at `pkt_idx` in `id`'s queue; a drained flow
+    /// leaves its class list and indexes.
     fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
         let idx = id.index();
+        let class = self.flows.class[idx] as usize;
+        let drained = self.flows.packets[idx].len() == 1;
+        // Backlog is the only keyed column a removal changes, and the
+        // Recovery key does not read it.
+        let rekey = drained || class != RECOVERY;
+        if rekey {
+            self.set_indexed(id, false);
+        }
         let qp = self.flows.packets[idx]
             .remove(pkt_idx)
             .expect("valid index");
         let wire = qp.wire as usize;
-        let class = self.flows.class[idx] as usize;
         self.flows.bytes[idx] -= wire;
         self.sched.class_pkts[class] -= 1;
-        if self.flows.packets[idx].is_empty() {
+        if drained {
+            self.unlink(id, class);
             self.flows.class[idx] = NO_CLASS;
-            self.rings[class].retain(|k| *k != id);
+        } else if rekey {
+            self.set_indexed(id, true);
         }
         self.len -= 1;
         self.bytes -= wire;
@@ -462,54 +617,57 @@ impl TaqQueues {
     }
 
     /// The Recovery flow with the highest priority: longest silence,
-    /// then least-recent normal transmission, then id. The scan reads
-    /// only the silence / last-normal columns of the slabs.
+    /// then least-recent normal transmission, then lowest id.
     fn best_recovery(&self) -> Option<FlowId> {
-        self.rings[QueueClass::Recovery.index()]
-            .iter()
-            .max_by(|a, b| {
-                let (ia, ib) = (a.index(), b.index());
-                self.flows.silence[ia]
-                    .cmp(&self.flows.silence[ib])
-                    .then(self.flows.last_normal_at[ib].cmp(&self.flows.last_normal_at[ia]))
-                    .then(b.cmp(a))
-            })
-            .copied()
+        self.recovery.last().map(|&(_, _, Reverse(id))| id)
+    }
+
+    /// The Recovery flow to sacrifice when nothing else is buffered:
+    /// shortest silence, then most-recent normal transmission, then
+    /// lowest id — the last entry of the index's lowest
+    /// `(silence, last_normal_at)` prefix.
+    fn recovery_victim(&self) -> Option<FlowId> {
+        let &(silence, last_normal_at, _) = self.recovery.first()?;
+        self.recovery
+            .range(..=(silence, last_normal_at, Reverse(FlowId(0))))
+            .next_back()
+            .map(|&(_, _, Reverse(id))| id)
     }
 
     /// Serves the next flow of `class` in rotation.
     fn pop_rr(&mut self, class: QueueClass) -> Option<QueuedPkt> {
-        let id = self.rings[class.index()].pop_front()?;
-        // The flow may still have packets after this pop; `pop_head`
-        // removes it from the ring only when drained, so re-append
-        // first and let `pop_head`'s cleanup run against the tail slot.
-        self.rings[class.index()].push_back(id);
-        Some(self.pop_head(id))
+        let class = class.index();
+        let id = self.lists[class].head;
+        if id == NIL {
+            return None;
+        }
+        let qp = self.pop_head(id);
+        // Still backlogged: to the back of the rotation.
+        if self.holds(id) {
+            self.unlink(id, class);
+            self.link_back(id, class);
+        }
+        Some(qp)
     }
 
     /// Removes the next packet to transmit under the 3-level policy.
     pub fn pop(&mut self, now: SimTime) -> Option<QueuedPkt> {
         self.refill_tokens(now);
-        self.pop_inner(&mut None)
+        self.pop_inner()
     }
 
     /// Pops up to `max` packets at one instant into `out`, returning
     /// how many were moved.
     ///
     /// Exactly equivalent to `max` calls of [`pop`](Self::pop) at the
-    /// same `now` — the hoisted work is provably redundant across a
-    /// drain: a repeated [`refill_tokens`](Self::refill_tokens) at the
-    /// same instant sees `dt == 0` and is a no-op, and the memoized
-    /// Level-1 winner (see [`pop_inner`](Self::pop_inner)) stays the
-    /// winner because pops never touch the silence / last-normal
-    /// columns the [`best_recovery`](Self::best_recovery) scan orders
-    /// by.
+    /// same `now`: a repeated [`refill_tokens`](Self::refill_tokens) at
+    /// the same instant sees `dt == 0` and is a no-op, so it is hoisted
+    /// out of the drain.
     pub fn pop_batch(&mut self, now: SimTime, out: &mut Vec<QueuedPkt>, max: usize) -> usize {
         self.refill_tokens(now);
-        let mut recovery_memo = None;
         let mut n = 0;
         while n < max {
-            match self.pop_inner(&mut recovery_memo) {
+            match self.pop_inner() {
                 Some(qp) => {
                     out.push(qp);
                     n += 1;
@@ -521,26 +679,11 @@ impl TaqQueues {
     }
 
     /// One pop of the 3-level ladder, tokens already refilled.
-    ///
-    /// `recovery_memo` caches the Level-1 `best_recovery` winner across
-    /// a same-instant drain: the scan's sort keys (silence,
-    /// last-normal-at) are write-once per enqueue and never mutated by
-    /// pops, so the maximum can only change when the memoized flow
-    /// itself leaves the Recovery class (drained, or migrated by an
-    /// eviction) — which the `class_of` check detects, forcing a
-    /// rescan. Single pops pass `&mut None` and rescan every time.
-    fn pop_inner(&mut self, recovery_memo: &mut Option<FlowId>) -> Option<QueuedPkt> {
+    fn pop_inner(&mut self) -> Option<QueuedPkt> {
         let recovery_pkts = self.class_len(QueueClass::Recovery);
         // Level 1: recovery, if within its rate budget (or alone).
         if recovery_pkts > 0 {
-            let id = match *recovery_memo {
-                Some(id) if self.class_of(id) == Some(QueueClass::Recovery.index()) => id,
-                _ => {
-                    let id = self.best_recovery().expect("non-empty");
-                    *recovery_memo = Some(id);
-                    id
-                }
-            };
+            let id = self.best_recovery().expect("non-empty");
             let bits = f64::from(self.flows.packets[id.index()][0].wire) * 8.0;
             let others_waiting = self.len > recovery_pkts;
             if self.sched.recovery_tokens >= bits || !others_waiting {
@@ -603,25 +746,25 @@ impl TaqQueues {
     /// Victim flow within `class` by maximum score, ties by backlog
     /// then id.
     fn victim_by_score(&self, class: QueueClass) -> Option<FlowId> {
-        self.rings[class.index()]
-            .iter()
-            .max_by_key(|k| {
-                let i = k.index();
-                (
-                    self.flows.score[i],
-                    self.flows.packets[i].len(),
-                    std::cmp::Reverse(**k),
-                )
-            })
-            .copied()
+        debug_assert!(BY_SCORE[class.index()], "{class} keeps no score index");
+        let best = self.lists[class.index()].by_score.last();
+        best.map(|&(_, _, Reverse(id))| id)
     }
 
     /// Victim flow within `class` by maximum backlog.
     fn victim_by_backlog(&self, class: QueueClass) -> Option<FlowId> {
-        self.rings[class.index()]
-            .iter()
-            .max_by_key(|k| (self.flows.packets[k.index()].len(), std::cmp::Reverse(**k)))
-            .copied()
+        debug_assert!(BY_BACKLOG[class.index()], "{class} keeps no backlog index");
+        let best = self.lists[class.index()].by_backlog.last();
+        best.map(|&(_, Reverse(id))| id)
+    }
+
+    /// `true` if some BelowFairShare flow buffers a burst (two packets
+    /// or more).
+    fn below_burst(&self) -> bool {
+        let deepest = self.lists[QueueClass::BelowFairShare.index()]
+            .by_backlog
+            .last();
+        deepest.is_some_and(|&(backlog, _)| backlog >= 2)
     }
 
     /// Evicts one packet from `class` (head of the victim flow, sparing
@@ -643,10 +786,9 @@ impl TaqQueues {
             }
             // This flow holds only SYN-ACKs; look for any flow in the
             // class with data before sacrificing a handshake.
-            let fallback = self.rings[class.index()]
-                .iter()
-                .find(|k| self.first_data_idx(**k).is_some())
-                .copied();
+            let fallback = self
+                .class_iter(class.index())
+                .find(|k| self.first_data_idx(*k).is_some());
             if let Some(k) = fallback {
                 let idx = self.first_data_idx(k).expect("checked");
                 return Some(self.remove_at(k, idx));
@@ -671,10 +813,7 @@ impl TaqQueues {
         }
         // 2. Multi-packet backlogs of ordinary flows: trimming a burst
         //    leaves the flow alive.
-        let below_burst = self.rings[QueueClass::BelowFairShare.index()]
-            .iter()
-            .any(|&k| self.flows.packets[k.index()].len() >= 2);
-        if below_burst {
+        if self.below_burst() {
             if let Some(qp) = self.evict_from(QueueClass::BelowFairShare, false, true) {
                 return Some((qp, false, 2));
             }
@@ -693,26 +832,19 @@ impl TaqQueues {
         }
         // 6. Recovery last; the *least* protected flow (shortest
         //    silence) pays first.
-        let victim = self.rings[QueueClass::Recovery.index()]
-            .iter()
-            .min_by(|a, b| {
-                let (ia, ib) = (a.index(), b.index());
-                self.flows.silence[ia]
-                    .cmp(&self.flows.silence[ib])
-                    .then(self.flows.last_normal_at[ib].cmp(&self.flows.last_normal_at[ia]))
-                    .then(a.cmp(b))
-            })
-            .copied();
+        let victim = self.recovery_victim();
         victim.map(|id| (self.pop_head(id), true, 6))
     }
 
     /// Internal consistency check used by tests and debug assertions.
+    /// Linear in flows plus buffered packets (and a logarithm per index
+    /// lookup).
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let mut len = 0;
         let mut bytes = 0;
-        let mut live = 0;
         let mut per_class = [0usize; 5];
+        let mut flows_per_class = [0usize; 5];
         for (idx, &class) in self.flows.class.iter().enumerate() {
             let id = FlowId(idx as u32);
             if class == NO_CLASS {
@@ -722,19 +854,35 @@ impl TaqQueues {
                 );
                 continue;
             }
+            let class = class as usize;
             let pkts = &self.flows.packets[idx];
             assert!(!pkts.is_empty(), "empty flow {id} retained");
-            live += 1;
             len += pkts.len();
             bytes += self.flows.bytes[idx];
-            per_class[class as usize] += pkts.len();
+            per_class[class] += pkts.len();
+            flows_per_class[class] += 1;
             assert_eq!(
                 self.flows.bytes[idx],
                 pkts.iter().map(|qp| qp.wire as usize).sum::<usize>()
             );
-            assert!(
-                self.rings[class as usize].contains(&id),
-                "flow {id} missing from its class ring"
+            // Indexed under its current key, in exactly the indexes its
+            // class uses; with the size checks below, no stale entry
+            // can sit beside it.
+            assert_eq!(
+                self.recovery.contains(&self.flows.recovery_key(id)),
+                class == RECOVERY,
+                "flow {id} vs the recovery index"
+            );
+            let list = &self.lists[class];
+            assert_eq!(
+                list.by_score.contains(&self.flows.score_key(id)),
+                BY_SCORE[class],
+                "flow {id} vs its class's score index"
+            );
+            assert_eq!(
+                list.by_backlog.contains(&self.flows.backlog_key(id)),
+                BY_BACKLOG[class],
+                "flow {id} vs its class's backlog index"
             );
         }
         assert_eq!(len, self.len);
@@ -743,11 +891,34 @@ impl TaqQueues {
             per_class, self.sched.class_pkts,
             "incremental class counts drifted"
         );
-        let ring_total: usize = QueueClass::ALL
-            .iter()
-            .map(|c| self.rings[c.index()].len())
-            .sum();
-        assert_eq!(ring_total, live, "ring membership is exact");
+        for (class, list) in self.lists.iter().enumerate() {
+            // One walk: `prev` mirrors `next` (which also rules out a
+            // cycle), every member carries this class, and the ends and
+            // the count agree. Members are then distinct flows of this
+            // class, as many as there are — so exactly its flows.
+            let mut walked = 0;
+            let mut prev = NIL;
+            let mut cur = list.head;
+            while cur != NIL {
+                assert_eq!(self.flows.prev[cur.index()], prev, "list links of {cur}");
+                assert_eq!(
+                    self.flows.class[cur.index()] as usize,
+                    class,
+                    "flow {cur} on another class's list"
+                );
+                walked += 1;
+                assert!(walked <= list.flows, "class list longer than its count");
+                prev = cur;
+                cur = self.flows.next[cur.index()];
+            }
+            assert_eq!(list.tail, prev, "class list tail");
+            assert_eq!(walked, list.flows, "class list shorter than its count");
+            assert_eq!(list.flows, flows_per_class[class], "list membership");
+            let expect = |used: bool| if used { list.flows } else { 0 };
+            assert_eq!(list.by_score.len(), expect(BY_SCORE[class]));
+            assert_eq!(list.by_backlog.len(), expect(BY_BACKLOG[class]));
+        }
+        assert_eq!(self.recovery.len(), self.lists[RECOVERY].flows);
     }
 }
 
@@ -1344,6 +1515,381 @@ mod tests {
             out_serial.iter().map(ident).collect::<Vec<_>>()
         );
         assert!(batched.is_empty() && serial.is_empty());
+    }
+
+    // ---- The scanning oracle ---------------------------------------
+    //
+    // What each indexed pick replaced, bodies unchanged: a `max_by` /
+    // `min_by` / `any` over the flows of one class in ring order.
+
+    fn scan_best_recovery(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
+        ring.max_by(|a, b| {
+            let (ia, ib) = (a.index(), b.index());
+            f.silence[ia]
+                .cmp(&f.silence[ib])
+                .then(f.last_normal_at[ib].cmp(&f.last_normal_at[ia]))
+                .then(b.cmp(a))
+        })
+    }
+
+    fn scan_recovery_victim(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
+        ring.min_by(|a, b| {
+            let (ia, ib) = (a.index(), b.index());
+            f.silence[ia]
+                .cmp(&f.silence[ib])
+                .then(f.last_normal_at[ib].cmp(&f.last_normal_at[ia]))
+                .then(a.cmp(b))
+        })
+    }
+
+    fn scan_victim_by_score(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
+        ring.max_by_key(|k| {
+            let i = k.index();
+            (f.score[i], f.packets[i].len(), Reverse(*k))
+        })
+    }
+
+    fn scan_victim_by_backlog(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
+        ring.max_by_key(|k| (f.packets[k.index()].len(), Reverse(*k)))
+    }
+
+    fn scan_below_burst(f: &FlowSlabs, mut ring: impl Iterator<Item = FlowId>) -> bool {
+        ring.any(|k| f.packets[k.index()].len() >= 2)
+    }
+
+    /// Every answer the indexes give against the scan over the same
+    /// queue's own lists and slabs.
+    fn assert_index_matches_scan(q: &TaqQueues) {
+        let f = &q.flows;
+        assert_eq!(
+            q.best_recovery(),
+            scan_best_recovery(f, q.class_iter(RECOVERY))
+        );
+        assert_eq!(
+            q.recovery_victim(),
+            scan_recovery_victim(f, q.class_iter(RECOVERY))
+        );
+        for class in QueueClass::ALL {
+            let c = class.index();
+            if BY_SCORE[c] {
+                assert_eq!(
+                    q.victim_by_score(class),
+                    scan_victim_by_score(f, q.class_iter(c)),
+                    "{class} by score"
+                );
+            }
+            if BY_BACKLOG[c] {
+                assert_eq!(
+                    q.victim_by_backlog(class),
+                    scan_victim_by_backlog(f, q.class_iter(c)),
+                    "{class} by backlog"
+                );
+            }
+        }
+        assert_eq!(
+            q.below_burst(),
+            scan_below_burst(f, q.class_iter(QueueClass::BelowFairShare.index()))
+        );
+    }
+
+    /// The pre-index `TaqQueues`, kept whole as the twin the indexed
+    /// one must match packet for packet: class rings are `VecDeque`s
+    /// unlinked by `retain`, and every pick is one of the scans above.
+    struct ScanQueues {
+        flows: FlowSlabs,
+        rings: [VecDeque<FlowId>; 5],
+        len: usize,
+        sched: SchedState,
+    }
+
+    impl ScanQueues {
+        fn new() -> Self {
+            ScanQueues {
+                flows: FlowSlabs::default(),
+                rings: Default::default(),
+                len: 0,
+                sched: queues().sched,
+            }
+        }
+
+        fn ring(&self, class: QueueClass) -> impl Iterator<Item = FlowId> + '_ {
+            self.rings[class.index()].iter().copied()
+        }
+
+        fn class_len(&self, class: QueueClass) -> usize {
+            self.sched.class_pkts[class.index()]
+        }
+
+        fn migrate(&mut self, id: FlowId, to: QueueClass) {
+            let idx = id.index();
+            let from = self.flows.class[idx] as usize;
+            if from == to.index() {
+                return;
+            }
+            let moved = self.flows.packets[idx].len();
+            self.flows.class[idx] = to.index() as u8;
+            self.sched.class_pkts[from] -= moved;
+            self.sched.class_pkts[to.index()] += moved;
+            self.rings[from].retain(|k| *k != id);
+            self.rings[to.index()].push_back(id);
+        }
+
+        fn push(&mut self, class: QueueClass, qp: QueuedPkt, obs: &Observation) {
+            let id = qp.flow;
+            let idx = id.index();
+            self.flows.ensure(idx);
+            if self.flows.class[idx] != NO_CLASS {
+                self.flows.score[idx] = obs.window_estimate;
+                if class == QueueClass::Recovery {
+                    self.flows.silence[idx] = self.flows.silence[idx].max(obs.silent_epochs);
+                }
+                self.flows.last_normal_at[idx] = obs.last_normal_at;
+                self.flows.packets[idx].push_back(qp);
+                let cur = self.flows.class[idx] as usize;
+                self.sched.class_pkts[cur] += 1;
+                let keep_recovery = cur == RECOVERY && class != QueueClass::Recovery;
+                if !keep_recovery {
+                    self.migrate(id, class);
+                }
+            } else {
+                self.flows.class[idx] = class.index() as u8;
+                self.flows.score[idx] = obs.window_estimate;
+                self.flows.silence[idx] = obs.silent_epochs;
+                self.flows.last_normal_at[idx] = obs.last_normal_at;
+                self.flows.packets[idx].push_back(qp);
+                self.sched.class_pkts[class.index()] += 1;
+                self.rings[class.index()].push_back(id);
+            }
+            self.len += 1;
+        }
+
+        fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
+            let idx = id.index();
+            let qp = self.flows.packets[idx].remove(pkt_idx).expect("valid");
+            let class = self.flows.class[idx] as usize;
+            self.sched.class_pkts[class] -= 1;
+            if self.flows.packets[idx].is_empty() {
+                self.flows.class[idx] = NO_CLASS;
+                self.rings[class].retain(|k| *k != id);
+            }
+            self.len -= 1;
+            qp
+        }
+
+        fn pop_rr(&mut self, class: QueueClass) -> Option<QueuedPkt> {
+            let id = self.rings[class.index()].pop_front()?;
+            self.rings[class.index()].push_back(id);
+            Some(self.remove_at(id, 0))
+        }
+
+        fn pop(&mut self, now: SimTime) -> Option<QueuedPkt> {
+            let dt = now.saturating_since(self.sched.last_refill).as_secs_f64();
+            self.sched.last_refill = now;
+            self.sched.recovery_tokens = (self.sched.recovery_tokens
+                + dt * self.sched.recovery_rate_bps)
+                .min(self.sched.token_cap);
+            let recovery_pkts = self.class_len(QueueClass::Recovery);
+            if recovery_pkts > 0 {
+                let id = scan_best_recovery(&self.flows, self.ring(QueueClass::Recovery))
+                    .expect("non-empty");
+                let bits = f64::from(self.flows.packets[id.index()][0].wire) * 8.0;
+                let others_waiting = self.len > recovery_pkts;
+                if self.sched.recovery_tokens >= bits || !others_waiting {
+                    self.sched.recovery_tokens = (self.sched.recovery_tokens - bits).max(0.0);
+                    return Some(self.remove_at(id, 0));
+                }
+            }
+            // Level 2 as the guarded scan the branchless pick stands
+            // for: rotation order, only a strictly deeper class wins.
+            let level2 = [
+                QueueClass::BelowFairShare,
+                QueueClass::NewFlow,
+                QueueClass::OverPenalized,
+            ];
+            let mut pick = None;
+            let mut deepest = 0;
+            for k in 0..3 {
+                let class = level2[(self.sched.rr_next as usize + k) % 3];
+                if self.class_len(class) > deepest {
+                    deepest = self.class_len(class);
+                    pick = Some(class);
+                }
+            }
+            if let Some(class) = pick {
+                self.sched.rr_next = (self.sched.rr_next + 1) % 3;
+                return self.pop_rr(class);
+            }
+            self.pop_rr(QueueClass::AboveFairShare)
+        }
+
+        fn first_data_idx(&self, id: FlowId) -> Option<usize> {
+            self.flows.packets[id.index()]
+                .iter()
+                .position(|qp| !qp.synack)
+        }
+
+        fn evict_from(
+            &mut self,
+            class: QueueClass,
+            by_score: bool,
+            spare_synack: bool,
+        ) -> Option<QueuedPkt> {
+            let id = if by_score {
+                scan_victim_by_score(&self.flows, self.ring(class))?
+            } else {
+                scan_victim_by_backlog(&self.flows, self.ring(class))?
+            };
+            if spare_synack {
+                if let Some(idx) = self.first_data_idx(id) {
+                    return Some(self.remove_at(id, idx));
+                }
+                let fallback = self.ring(class).find(|k| self.first_data_idx(*k).is_some());
+                if let Some(k) = fallback {
+                    let idx = self.first_data_idx(k).expect("checked");
+                    return Some(self.remove_at(k, idx));
+                }
+            }
+            Some(self.remove_at(id, 0))
+        }
+
+        fn evict_staged(&mut self) -> Option<(QueuedPkt, bool, u8)> {
+            if let Some(qp) = self.evict_from(QueueClass::AboveFairShare, true, false) {
+                return Some((qp, false, 1));
+            }
+            if scan_below_burst(&self.flows, self.ring(QueueClass::BelowFairShare)) {
+                if let Some(qp) = self.evict_from(QueueClass::BelowFairShare, false, true) {
+                    return Some((qp, false, 2));
+                }
+            }
+            if let Some(qp) = self.evict_from(QueueClass::NewFlow, false, true) {
+                return Some((qp, false, 3));
+            }
+            if let Some(qp) = self.evict_from(QueueClass::BelowFairShare, true, true) {
+                return Some((qp, false, 4));
+            }
+            if let Some(qp) = self.evict_from(QueueClass::OverPenalized, true, true) {
+                return Some((qp, false, 5));
+            }
+            let victim = scan_recovery_victim(&self.flows, self.ring(QueueClass::Recovery));
+            victim.map(|id| (self.remove_at(id, 0), true, 6))
+        }
+    }
+
+    #[test]
+    fn index_matches_scan_under_random_churn() {
+        // The indexed queue against (a) the scans run over its own
+        // lists before every pop and eviction, and (b) the scanning
+        // twin fed the same schedule, packet for packet. Six phases per
+        // seed, each growing one favoured class past 500 flows from
+        // empty, holding it at the buffer cap by eviction, then
+        // draining everything in one batch.
+        const PHASES: u64 = 6;
+        const STEPS_PER_PHASE: u64 = 4_000;
+        const CAP: usize = 1_100;
+        const FLOW_IDS: u64 = 4_000;
+        // Ids from here up only ever send SYN-ACKs.
+        const SYNACK_ONLY_FROM: u64 = 3_800;
+        for seed in [7u64, 42, 0x1DE5] {
+            let mut a = PacketArena::new();
+            let mut rng = taq_sim::SimRng::new(seed);
+            let mut q = queues();
+            let mut twin = ScanQueues::new();
+            let ident = |qp: QueuedPkt| (qp.pkt_id, qp.flow, qp.wire, qp.synack);
+            let ident3 = |(qp, retx, stage): (QueuedPkt, bool, u8)| (ident(qp), retx, stage);
+            let mut now_ms = 0u64;
+            let mut next_pkt = 0u64;
+            let mut peak_flows = [0usize; 5];
+            let mut stages = [0u32; 7];
+            let mut rekeyed_in_recovery = 0u32;
+            for step in 0..PHASES * STEPS_PER_PHASE {
+                let phase = step / STEPS_PER_PHASE;
+                now_ms += rng.next_below(3);
+                let now = SimTime::from_millis(now_ms);
+                if rng.chance(0.75) {
+                    // The last phase has no favourite.
+                    let class = if phase < 5 && rng.chance(0.7) {
+                        QueueClass::ALL[phase as usize]
+                    } else {
+                        QueueClass::ALL[rng.next_below(5) as usize]
+                    };
+                    let port = rng.next_below(FLOW_IDS);
+                    next_pkt += 1;
+                    let qp = if port >= SYNACK_ONLY_FROM || rng.chance(0.05) {
+                        synack(&mut a, port as u16, next_pkt)
+                    } else {
+                        pkt(&mut a, port as u16, next_pkt)
+                    };
+                    // Small value ranges: ties on every key field.
+                    let o = Observation {
+                        window_estimate: rng.next_below(6) as u32,
+                        last_normal_at: SimTime::from_millis(10 * rng.next_below(8)),
+                        ..obs(class == QueueClass::Recovery, rng.next_below(5) as u32)
+                    };
+                    if q.class_of(qp.flow) == Some(RECOVERY) {
+                        rekeyed_in_recovery += 1;
+                    }
+                    q.push(class, qp, &o);
+                    twin.push(class, qp, &o);
+                }
+                if rng.chance(0.15) {
+                    assert_index_matches_scan(&q);
+                    assert_eq!(q.pop(now).map(ident), twin.pop(now).map(ident));
+                }
+                if rng.chance(0.04) {
+                    assert_index_matches_scan(&q);
+                    let mut out = Vec::new();
+                    q.pop_batch(now, &mut out, 1 + rng.next_below(6) as usize);
+                    for qp in out {
+                        assert_eq!(Some(ident(qp)), twin.pop(now).map(ident));
+                    }
+                }
+                let extra = usize::from(rng.chance(0.06));
+                for _ in 0..q.len().saturating_sub(CAP) + extra {
+                    assert_index_matches_scan(&q);
+                    let got = q.evict_staged();
+                    let want = twin.evict_staged();
+                    assert_eq!(got.map(ident3), want.map(ident3), "seed {seed} step {step}");
+                    if let Some((_, _, stage)) = got {
+                        stages[stage as usize] += 1;
+                    }
+                }
+                assert_eq!(q.len(), twin.len);
+                assert_eq!(q.sched.class_pkts, twin.sched.class_pkts);
+                for class in QueueClass::ALL {
+                    let flows = q.class_flows(class);
+                    assert_eq!(flows, twin.rings[class.index()].len());
+                    peak_flows[class.index()] = peak_flows[class.index()].max(flows);
+                }
+                if step % 256 == 0 {
+                    q.check_invariants();
+                    for class in QueueClass::ALL {
+                        assert!(
+                            q.class_iter(class.index()).eq(twin.ring(class)),
+                            "{class} rotation order, seed {seed} step {step}"
+                        );
+                    }
+                }
+                if (step + 1) % STEPS_PER_PHASE == 0 {
+                    let end = SimTime::from_millis(now_ms);
+                    let mut out = Vec::new();
+                    q.pop_batch(end, &mut out, usize::MAX);
+                    for qp in out {
+                        assert_eq!(Some(ident(qp)), twin.pop(end).map(ident));
+                    }
+                    assert!(q.is_empty() && twin.len == 0);
+                    q.check_invariants();
+                }
+            }
+            assert!(
+                peak_flows.iter().all(|&n| n >= 500),
+                "every class reaches 500 flows: {peak_flows:?}"
+            );
+            assert!(
+                stages[1..].iter().all(|&n| n > 0),
+                "every eviction stage fires: {stages:?}"
+            );
+            assert!(rekeyed_in_recovery > 500, "{rekeyed_in_recovery}");
+        }
     }
 
     #[test]

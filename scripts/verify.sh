@@ -94,11 +94,15 @@ trace_smoke() {
 }
 
 # Batch conformance: the slot-batch engine drain and the batched qdisc
-# dequeues against their one-event-at-a-time references. The suite also
-# runs inside test_suite; this entry point exists so CI legs and
-# bisecting developers can run just the batching contract.
+# dequeues against their one-event-at-a-time references, plus the TAQ
+# queue layer's own unit tests — among them the index-vs-scan oracle
+# (indexed picks and class lists against the scanning twin) that the
+# batched dequeue rests on. Both also run inside test_suite; this entry
+# point exists so CI legs and bisecting developers can run just the
+# batching contract and what it stands on.
 batch_conformance() {
     run cargo test $OFFLINE -q --test batch_conformance
+    run cargo test $OFFLINE -q -p taq --lib queues::
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass
