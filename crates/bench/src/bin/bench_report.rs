@@ -25,11 +25,19 @@
 //! queue, `HashMap<FlowKey, _>` state) so regressions are visible in
 //! review; `--no-baseline` drops it (e.g. when re-baselining).
 //!
+//! A third row, **fig01_weblog_attached**, reruns the fig01 scenario
+//! with `SummarySink` and `TraceCollector` on the hub, a
+//! `TelemetryBridge` on every link and the TAQ state attached — the
+//! configuration the repo benchmark's `weblog_attached` workload runs.
+//!
 //! `--check` turns the artifact into a gate: instead of rewriting the
 //! report, the freshly measured scenarios are compared against the
 //! committed one at `--out` and the process exits non-zero if any
 //! scenario's events/s fell more than 10% below it. A missing
-//! committed report skips the gate (first run on a new branch).
+//! committed report skips the gate (first run on a new branch). Two
+//! absolute gates ride along: steady-state allocations per event under
+//! `ALLOC_EPSILON` on every scenario, and attached events/s over
+//! sinkless events/s at or above `ATTACHED_RATIO_FLOOR`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,6 +45,7 @@ use std::time::Instant;
 use taq_bench::Discipline;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, TelemetryBridge};
 use taq_telemetry::{shared_sink, Event, SummarySink, Telemetry, TelemetrySink, Value};
+use taq_trace::{TraceCollector, TraceConfig};
 use taq_workloads::{flows_for_fair_share, weblog, DumbbellSpec, BULK_BYTES};
 
 /// Heap allocations since process start (alloc + realloc + alloc_zeroed
@@ -246,18 +255,28 @@ fn measure_scenario(name: &'static str, iters: u32) -> ScenarioResult {
     result
 }
 
-/// Measures the fig01 workload with a live [`SummarySink`] attached —
-/// the observer-on configuration experiments actually run when they
-/// want aggregates. The timed window runs to the flush: every event
-/// must have reached the sink before the clock stops.
+/// A hub with both shipped aggregating sinks attached — what the repo
+/// benchmark's `weblog_attached` workload attaches. [`run_scenario`]
+/// adds the rest of that configuration (the `TelemetryBridge` monitor
+/// and `TaqState::attach_telemetry`).
+fn attached_hub() -> Telemetry {
+    let telemetry = Telemetry::new();
+    telemetry.add_sink(SummarySink::new());
+    telemetry.add_sink(TraceCollector::new(TraceConfig::default()));
+    telemetry
+}
+
+/// Measures the fig01 workload with a live [`SummarySink`] and
+/// [`TraceCollector`] attached — the observer-on configuration
+/// experiments run when they want aggregates and packet spans. The
+/// timed window runs to the flush: every event must have reached the
+/// sinks before the clock stops.
 fn measure_attached(iters: u32) -> ScenarioResult {
     let mut best_ns = f64::INFINITY;
     let mut least_alloc_rate = f64::INFINITY;
     let mut events = 0;
     for _ in 0..iters.max(1) {
-        let telemetry = Telemetry::new();
-        let (_stats, erased) = shared_sink(SummarySink::new());
-        telemetry.add_shared_sink(erased);
+        let telemetry = attached_hub();
         let start = Instant::now();
         let outcome = run_scenario("fig01_weblog_churn", Some(&telemetry));
         telemetry.flush();
@@ -267,12 +286,10 @@ fn measure_attached(iters: u32) -> ScenarioResult {
             .min(outcome.steady_allocs as f64 / outcome.steady_events.max(1) as f64);
     }
     // Untimed instrumented pass for the per-op histograms, so histogram
-    // recording stays out of the timed pass. The summary sink makes the
-    // hub listen (scoped timers only record with a sink attached) and
-    // matches the configuration the timed pass measures.
-    let telemetry = Telemetry::new();
-    let (_stats, erased) = shared_sink(SummarySink::new());
-    telemetry.add_shared_sink(erased);
+    // recording stays out of the timed pass. The sinks make the hub
+    // listen (scoped timers only record with a sink attached) and match
+    // the configuration the timed pass measures.
+    let telemetry = attached_hub();
     let enq = telemetry.histogram("taq_enqueue_ns");
     let cls = telemetry.histogram("taq_classify_ns");
     let deq = telemetry.histogram("taq_dequeue_ns");
@@ -374,6 +391,20 @@ const EXIT_LATENCY: i32 = 3;
 /// allocating on the per-event path.
 const EXIT_ALLOC: i32 = 4;
 
+/// Exit code for an attached-path failure: the attached run fell below
+/// [`ATTACHED_RATIO_FLOOR`] of the sinkless one.
+const EXIT_ATTACHED_RATIO: i32 = 5;
+
+/// Floor for `fig01_weblog_attached` events/s ÷ `fig01_weblog_churn`
+/// events/s — the same input (2 495 130 events each), with and without
+/// the sinks, measured in this one process, so the ratio does not swing
+/// with the host the way either events/s figure does. Absolute, like
+/// the allocation ceiling: the attached path has a budget (ROADMAP
+/// item 3), not a drift band. Set about a tenth under the ratio
+/// measured when the sinks went allocation- and string-free (see
+/// CHANGES.md, PR 18).
+const ATTACHED_RATIO_FLOOR: f64 = 0.50;
+
 /// Ceiling for steady-state `allocs_per_event` on every scenario
 /// (second half of the run; warmup growth is excluded by
 /// [`run_scenario`]). The per-event path itself is allocation-free
@@ -412,9 +443,9 @@ fn metric_of(s: &ScenarioResult, metric: &str) -> f64 {
     }
 }
 
-/// The absolute allocation-rate gate (the attached-sink scenario
-/// included: a `SummarySink` on the hub allocates nothing per event
-/// either). Returns the offenders.
+/// The absolute allocation-rate gate (the attached scenario included:
+/// neither `SummarySink` nor `TraceCollector` allocates per event).
+/// Returns the offenders.
 fn check_alloc_rate(scenarios: &[ScenarioResult]) -> Vec<&'static str> {
     let mut failing = Vec::new();
     for s in scenarios {
@@ -430,6 +461,18 @@ fn check_alloc_rate(scenarios: &[ScenarioResult]) -> Vec<&'static str> {
         }
     }
     failing
+}
+
+/// The attached-path gate: attached events/s over sinkless events/s on
+/// the fig01 input. `None` when either scenario is missing.
+fn attached_ratio(scenarios: &[ScenarioResult]) -> Option<f64> {
+    let eps = |name: &str| {
+        scenarios
+            .iter()
+            .find(|s| s.name == name)
+            .map(|s| s.events_per_sec)
+    };
+    Some(eps("fig01_weblog_attached")? / eps("fig01_weblog_churn")?)
 }
 
 /// Compares fresh measurements against the committed report at `path`,
@@ -528,6 +571,28 @@ fn run_check_gate(path: &str, scenarios: Vec<ScenarioResult>, iters: u32) {
             alloc_failing.join(", ")
         );
         std::process::exit(EXIT_ALLOC);
+    }
+    let mut ratio = attached_ratio(&scenarios);
+    if ratio.is_some_and(|r| r < ATTACHED_RATIO_FLOOR) {
+        println!("# --check: attached ratio under its floor; re-measuring once to rule out noise");
+        ratio = attached_ratio(&[
+            measure_named("fig01_weblog_churn", iters),
+            measure_named("fig01_weblog_attached", iters),
+        ]);
+    }
+    if let Some(ratio) = ratio {
+        let ok = ratio >= ATTACHED_RATIO_FLOOR;
+        println!(
+            "# --check attached/sinkless events/s {ratio:.3} (floor {ATTACHED_RATIO_FLOOR}) {}",
+            if ok { "ok" } else { "ATTACHED-PATH REGRESSION" }
+        );
+        if !ok {
+            eprintln!(
+                "# --check: fig01_weblog_attached runs at {ratio:.3} of fig01_weblog_churn, \
+                 under the {ATTACHED_RATIO_FLOOR} floor — the sinks or the emit path got slower"
+            );
+            std::process::exit(EXIT_ATTACHED_RATIO);
+        }
     }
     if !failing.is_empty() {
         let summary: Vec<String> = failing

@@ -202,7 +202,7 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
         .as_ref()
         .map(|s| s.lock().unwrap().stats.snapshot());
     let rendered = summary.lock().unwrap().render(d.name());
-    let summary = summary.lock().unwrap().stats().clone();
+    let summary = summary.lock().unwrap().stats();
     let ring = ring.lock().unwrap();
     let jsonl = String::from_utf8_lossy(&buf.0.lock().unwrap())
         .lines()

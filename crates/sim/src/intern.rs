@@ -13,13 +13,14 @@
 //! released while any structure still holds state under it (see
 //! DESIGN.md §11 on the eviction lifecycle).
 //!
-//! The hasher is the classic Fx multiply-rotate hash (as used by rustc),
-//! written out here because the workspace builds offline with no
-//! third-party dependencies.
+//! The hasher is the workspace's one Fx multiply-rotate hash, defined in
+//! `taq_telemetry` (the bottom of the dependency graph) and re-exported
+//! from this crate.
 
 use crate::packet::FlowKey;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
+pub use taq_telemetry::{FxBuildHasher, FxHasher};
 
 /// Dense per-flow identifier handed out by a [`FlowInterner`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,66 +39,6 @@ impl std::fmt::Display for FlowId {
         write!(f, "f{}", self.0)
     }
 }
-
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-/// The Fx string hasher: rotate, xor, multiply per word. Not
-/// collision-resistant against adversaries, but flows in a simulation
-/// are not adversarial and the 4-tuple fits in two words.
-#[derive(Default)]
-pub struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, n: u16) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-/// `BuildHasher` for [`FxHasher`]-keyed maps.
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// One standalone Fx hash of a flow key, perturbed by `perturb` (bucket
 /// hashing, e.g. SFQ's periodically re-keyed buckets).

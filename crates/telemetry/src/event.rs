@@ -150,25 +150,54 @@ pub enum Event {
 }
 
 impl Event {
+    /// Kind tags of the typed variants, in declaration order. `Custom`
+    /// carries its own name and takes the slot one past the end.
+    pub(crate) const TAGS: [&'static str; 13] = [
+        "flow_state",
+        "retransmit",
+        "classified",
+        "dropped",
+        "queue_depth",
+        "admission",
+        "pool_waiting",
+        "pool_admitted",
+        "link",
+        "delivered",
+        "fault",
+        "link_summary",
+        "engine_summary",
+    ];
+
+    /// The variant's dense index — its position in [`Event::TAGS`], or
+    /// `TAGS.len()` for `Custom` — so a sink can count kinds in a fixed
+    /// array instead of a map keyed by [`Event::kind`].
+    #[inline]
+    pub(crate) fn slot(&self) -> usize {
+        match self {
+            Event::FlowStateChanged { .. } => 0,
+            Event::Retransmit { .. } => 1,
+            Event::Classified { .. } => 2,
+            Event::Dropped { .. } => 3,
+            Event::QueueDepth { .. } => 4,
+            Event::Admission { .. } => 5,
+            Event::PoolWaiting { .. } => 6,
+            Event::PoolAdmitted { .. } => 7,
+            Event::Link { .. } => 8,
+            Event::Delivered { .. } => 9,
+            Event::Fault { .. } => 10,
+            Event::LinkSummary { .. } => 11,
+            Event::EngineSummary { .. } => 12,
+            Event::Custom { .. } => 13,
+        }
+    }
+
     /// Stable machine-readable kind tag, used as the JSONL `event`
     /// field and as the aggregation key in [`crate::SummarySink`] and
     /// [`crate::RingBufferSink`].
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::FlowStateChanged { .. } => "flow_state",
-            Event::Retransmit { .. } => "retransmit",
-            Event::Classified { .. } => "classified",
-            Event::Dropped { .. } => "dropped",
-            Event::QueueDepth { .. } => "queue_depth",
-            Event::Admission { .. } => "admission",
-            Event::PoolWaiting { .. } => "pool_waiting",
-            Event::PoolAdmitted { .. } => "pool_admitted",
-            Event::Link { .. } => "link",
-            Event::Delivered { .. } => "delivered",
-            Event::Fault { .. } => "fault",
-            Event::LinkSummary { .. } => "link_summary",
-            Event::EngineSummary { .. } => "engine_summary",
             Event::Custom { name, .. } => name,
+            typed => Self::TAGS[typed.slot()],
         }
     }
 

@@ -14,7 +14,12 @@
 //!    produce directly comparable JSONL.
 //! 3. **Sinks stay dumb.** A sink sees `(timestamp, &Event)` and
 //!    nothing else; the ring buffer, JSONL writer, and summary table
-//!    are each ~100 lines.
+//!    are each ~100 lines. An aggregating sink's `emit` runs once per
+//!    event, millions of times a run, so the per-event rule is: no
+//!    allocation, no formatting, no string-keyed lookup. Names resolve
+//!    to a slot once ([`NameTable`], matched by pointer), counts live
+//!    in fixed slots, and sorted, string-keyed views are built when
+//!    somebody reads them.
 //! 4. **One transport.** Every emission goes through the mutex hub and
 //!    reaches every sink in emission order.
 //!
@@ -29,11 +34,15 @@
 //! ```
 
 mod event;
+mod fx;
+mod names;
 mod registry;
 mod sink;
 mod value;
 
 pub use event::{Event, FlowId};
+pub use fx::{FxBuildHasher, FxHasher};
+pub use names::NameTable;
 pub use registry::{CounterId, GaugeId, HistogramId, LogHistogram, MetricRegistry};
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SummarySink,
@@ -42,8 +51,18 @@ pub use sink::{
 pub use value::{ParseError, Value};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Locks the hub or a sink even if an earlier holder panicked. A harness
+/// thread that dies holding its typed [`shared_sink`] handle poisons the
+/// mutex; telemetry must never take down the data path, so the next
+/// per-packet `emit` takes the guard anyway. That is sound here because
+/// sinks and the hub hold only counters and buffers — the worst a torn
+/// update leaves behind is one miscounted event, never invalid state.
+fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct Hub {
     sinks: Vec<SharedSink>,
@@ -118,7 +137,9 @@ impl Telemetry {
     /// hub, so this cannot deadlock (std mutexes are not reentrant).
     #[inline]
     fn hub(&self) -> Option<MutexGuard<'_, Hub>> {
-        self.inner.as_ref().map(|shared| shared.hub.lock().unwrap())
+        self.inner
+            .as_ref()
+            .map(|shared| lock_unpoisoned(&shared.hub))
     }
 
     /// Lock-free "would an emit reach anyone?" check — the fast path
@@ -145,7 +166,7 @@ impl Telemetry {
     /// No-op on a disabled handle.
     pub fn add_shared_sink(&self, sink: SharedSink) {
         if let Some(shared) = &self.inner {
-            shared.hub.lock().unwrap().sinks.push(sink);
+            lock_unpoisoned(&shared.hub).sinks.push(sink);
             shared.has_sinks.store(true, Ordering::Release);
         }
     }
@@ -161,7 +182,7 @@ impl Telemetry {
         let event = build();
         if let Some(hub) = self.hub() {
             for sink in &hub.sinks {
-                sink.lock().unwrap().emit(at_ns, &event);
+                lock_unpoisoned(sink).emit(at_ns, &event);
             }
         }
     }
@@ -178,7 +199,7 @@ impl Telemetry {
         if self.listening() {
             if let Some(hub) = self.hub() {
                 for sink in &hub.sinks {
-                    let mut sink = sink.lock().unwrap();
+                    let mut sink = lock_unpoisoned(sink);
                     for (at_ns, event) in events.iter() {
                         sink.emit(*at_ns, event);
                     }
@@ -203,7 +224,7 @@ impl Telemetry {
     pub fn flush(&self) {
         if let Some(hub) = self.hub() {
             for sink in &hub.sinks {
-                sink.lock().unwrap().flush();
+                lock_unpoisoned(sink).flush();
             }
         }
     }
@@ -394,6 +415,56 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| t.emit(1, || Event::PoolWaiting { src: 2 }));
         });
+    }
+
+    #[test]
+    fn poisoned_sink_and_hub_keep_the_data_path_alive() {
+        let t = Telemetry::new();
+        let (summary, erased) = shared_sink(SummarySink::new());
+        t.add_shared_sink(erased);
+        t.emit(1, || Event::PoolWaiting { src: 1 });
+        // A harness thread dies holding its typed handle.
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = summary.lock().unwrap();
+                panic!("harness assertion failed");
+            })
+            .join()
+        });
+        assert!(died.is_err());
+        assert!(summary.is_poisoned());
+        // The per-packet path carries on, and nothing counted is lost.
+        t.emit(2, || Event::PoolWaiting { src: 1 });
+        t.emit_batch(&mut vec![(3, Event::PoolAdmitted { src: 1 })]);
+        t.flush();
+        let stats = summary
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stats();
+        assert_eq!(stats.pools_waited, 2);
+        assert_eq!(stats.total_events(), 3);
+
+        // A sink that panics inside `emit` poisons the hub as well (the
+        // hub lock is held across the fan-out).
+        struct Exploding;
+        impl TelemetrySink for Exploding {
+            fn emit(&mut self, _at_ns: u64, _event: &Event) {
+                panic!("sink bug");
+            }
+        }
+        let t = Telemetry::new();
+        let (ring, erased) = shared_sink(RingBufferSink::new(4));
+        t.add_shared_sink(erased);
+        t.add_sink(Exploding);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| t.emit(1, || Event::PoolWaiting { src: 1 }))
+                .join()
+        });
+        assert!(died.is_err());
+        let c = t.counter("pkts");
+        t.inc(c, 2);
+        assert_eq!(t.counter_value(c), 2, "the hub still serves metrics");
+        assert_eq!(ring.lock().unwrap().total(), 1);
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! summarizer that aggregates into a human-readable table.
 
 use crate::event::Event;
+use crate::names::NameTable;
 use crate::registry::LogHistogram;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -238,30 +239,10 @@ impl SummaryStats {
     pub fn total_events(&self) -> u64 {
         self.counts_by_kind.values().sum()
     }
-}
 
-/// Aggregating sink rendering a human-readable table — the shared
-/// replacement for ad-hoc diagnostic printing.
-#[derive(Debug, Clone, Default)]
-pub struct SummarySink {
-    stats: SummaryStats,
-}
-
-impl SummarySink {
-    /// Creates an empty summarizer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The aggregates collected so far.
-    pub fn stats(&self) -> &SummaryStats {
-        &self.stats
-    }
-
-    /// Renders the aggregate table, one section per populated event
-    /// family, indented under `title`.
-    pub fn render(&self, title: &str) -> String {
-        let s = &self.stats;
+    /// The aggregate table [`SummarySink::render`] shows.
+    fn render(&self, title: &str) -> String {
+        let s = self;
         let mut out = String::new();
         let _ = writeln!(out, "== {title}: {} events", s.total_events());
         if !s.state_entries.is_empty() {
@@ -364,14 +345,104 @@ impl SummarySink {
     }
 }
 
+/// Aggregating sink rendering a human-readable table — the shared
+/// replacement for ad-hoc diagnostic printing.
+///
+/// `emit` does integer work only: the event kind counts into a slot by
+/// [`Event`] variant, and each name an event carries (link kind, class,
+/// tracker state, fault class, custom tag) resolves to a slot in a
+/// first-seen [`NameTable`]. The sorted maps of [`SummaryStats`] are
+/// produced from those slots when [`SummarySink::stats`] is read.
+#[derive(Debug, Clone, Default)]
+pub struct SummarySink {
+    /// The aggregates that are not keyed by a name, updated in place.
+    /// Its name-keyed maps stay empty; `stats()` fills them.
+    live: SummaryStats,
+    /// Events per variant, indexed by `Event::slot`. The last slot is
+    /// `Custom`'s, there so `emit` indexes without a branch; reads take
+    /// custom counts from `custom`, by name.
+    kinds: [u64; Event::TAGS.len() + 1],
+    /// `Custom` events by their own name.
+    custom: NameTable<u64>,
+    /// Entry counts per tracker state; a state seen only as a
+    /// transition's source holds a slot with a zero count.
+    states: NameTable<u64>,
+    /// `(from, to, count)` over slots of `states`, first-seen order.
+    transitions: Vec<(usize, usize, u64)>,
+    classified: NameTable<u64>,
+    link_events: NameTable<u64>,
+    faults: NameTable<u64>,
+}
+
+/// Counts one occurrence of `name`.
+#[inline]
+fn bump(table: &mut NameTable<u64>, name: &'static str) {
+    let slot = table.slot(name, || 0);
+    table[slot] += 1;
+}
+
+/// The sorted view of a name table, without the names never counted.
+fn sorted(table: &NameTable<u64>) -> BTreeMap<&'static str, u64> {
+    table
+        .iter()
+        .filter(|(_, n)| **n > 0)
+        .map(|(name, n)| (name, *n))
+        .collect()
+}
+
+impl SummarySink {
+    /// Creates an empty summarizer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The aggregates collected so far — live: every event emitted
+    /// before the call is counted, flushed or not.
+    pub fn stats(&self) -> SummaryStats {
+        let mut s = self.live.clone();
+        s.counts_by_kind = sorted(&self.custom);
+        for (tag, &n) in Event::TAGS.iter().zip(&self.kinds) {
+            if n > 0 {
+                // A custom event may reuse a typed tag; they share a row.
+                *s.counts_by_kind.entry(tag).or_insert(0) += n;
+            }
+        }
+        s.state_entries = sorted(&self.states);
+        s.transitions = self
+            .transitions
+            .iter()
+            .map(|&(from, to, n)| ((self.states.name(from), self.states.name(to)), n))
+            .collect();
+        s.classified = sorted(&self.classified);
+        s.link_events = sorted(&self.link_events);
+        s.faults = sorted(&self.faults);
+        s
+    }
+
+    /// Renders the aggregate table, one section per populated event
+    /// family, indented under `title`.
+    pub fn render(&self, title: &str) -> String {
+        self.stats().render(title)
+    }
+}
+
 impl TelemetrySink for SummarySink {
     fn emit(&mut self, _at_ns: u64, event: &Event) {
-        let s = &mut self.stats;
-        *s.counts_by_kind.entry(event.kind()).or_insert(0) += 1;
+        self.kinds[event.slot()] += 1;
+        let s = &mut self.live;
         match event {
             Event::FlowStateChanged { from, to, .. } => {
-                *s.transitions.entry((from, to)).or_insert(0) += 1;
-                *s.state_entries.entry(to).or_insert(0) += 1;
+                let from = self.states.slot(from, || 0);
+                let to = self.states.slot(to, || 0);
+                self.states[to] += 1;
+                match self
+                    .transitions
+                    .iter_mut()
+                    .find(|(f, t, _)| (*f, *t) == (from, to))
+                {
+                    Some((_, _, n)) => *n += 1,
+                    None => self.transitions.push((from, to, 1)),
+                }
             }
             Event::Retransmit {
                 repairs_local_drop, ..
@@ -381,9 +452,7 @@ impl TelemetrySink for SummarySink {
                     s.repairs_local += 1;
                 }
             }
-            Event::Classified { class, .. } => {
-                *s.classified.entry(class).or_insert(0) += 1;
-            }
+            Event::Classified { class, .. } => bump(&mut self.classified, class),
             Event::Dropped { stage, .. } => {
                 s.drops_by_stage[(*stage as usize).min(15)] += 1;
             }
@@ -403,12 +472,8 @@ impl TelemetrySink for SummarySink {
             }
             Event::PoolWaiting { .. } => s.pools_waited += 1,
             Event::PoolAdmitted { .. } => s.pools_admitted += 1,
-            Event::Link { kind, .. } => {
-                *s.link_events.entry(kind).or_insert(0) += 1;
-            }
-            Event::Fault { kind, .. } => {
-                *s.faults.entry(kind).or_insert(0) += 1;
-            }
+            Event::Link { kind, .. } => bump(&mut self.link_events, kind),
+            Event::Fault { kind, .. } => bump(&mut self.faults, kind),
             Event::LinkSummary {
                 link,
                 offered_pkts,
@@ -426,7 +491,8 @@ impl TelemetrySink for SummarySink {
                     ),
                 );
             }
-            Event::EngineSummary { .. } | Event::Custom { .. } => {}
+            Event::EngineSummary { .. } => {}
+            Event::Custom { name, .. } => bump(&mut self.custom, name),
         }
     }
 }
@@ -632,5 +698,255 @@ mod tests {
         assert_eq!(sink.write_errors(), 3, "every failed write is counted");
         sink.flush();
         assert!(sink.write_errors() >= 3);
+    }
+
+    /// The pre-slot summarizer, kept as the twin the fast one must
+    /// match: `emit` is the body that made two string-compared
+    /// `BTreeMap` descents per event, straight into the public maps.
+    #[derive(Default)]
+    struct RefSummary {
+        stats: SummaryStats,
+    }
+
+    impl RefSummary {
+        fn emit(&mut self, _at_ns: u64, event: &Event) {
+            let s = &mut self.stats;
+            *s.counts_by_kind.entry(event.kind()).or_insert(0) += 1;
+            match event {
+                Event::FlowStateChanged { from, to, .. } => {
+                    *s.transitions.entry((from, to)).or_insert(0) += 1;
+                    *s.state_entries.entry(to).or_insert(0) += 1;
+                }
+                Event::Retransmit {
+                    repairs_local_drop, ..
+                } => {
+                    s.retransmits += 1;
+                    if *repairs_local_drop {
+                        s.repairs_local += 1;
+                    }
+                }
+                Event::Classified { class, .. } => {
+                    *s.classified.entry(class).or_insert(0) += 1;
+                }
+                Event::Dropped { stage, .. } => {
+                    s.drops_by_stage[(*stage as usize).min(15)] += 1;
+                }
+                Event::QueueDepth { pkts, .. } => {
+                    s.depth.record(*pkts);
+                }
+                Event::Delivered { latency_ns, .. } => {
+                    s.delivered += 1;
+                    s.delivery_latency.record(*latency_ns);
+                }
+                Event::Admission { decision, .. } => {
+                    if *decision == "admit" {
+                        s.admitted += 1;
+                    } else {
+                        s.rejected += 1;
+                    }
+                }
+                Event::PoolWaiting { .. } => s.pools_waited += 1,
+                Event::PoolAdmitted { .. } => s.pools_admitted += 1,
+                Event::Link { kind, .. } => {
+                    *s.link_events.entry(kind).or_insert(0) += 1;
+                }
+                Event::Fault { kind, .. } => {
+                    *s.faults.entry(kind).or_insert(0) += 1;
+                }
+                Event::LinkSummary {
+                    link,
+                    offered_pkts,
+                    dropped_pkts,
+                    transmitted_pkts,
+                    utilization,
+                } => {
+                    s.links.insert(
+                        *link,
+                        (
+                            *offered_pkts,
+                            *dropped_pkts,
+                            *transmitted_pkts,
+                            *utilization,
+                        ),
+                    );
+                }
+                Event::EngineSummary { .. } | Event::Custom { .. } => {}
+            }
+        }
+    }
+
+    /// splitmix64 — the crate has no RNG of its own to borrow.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn pick(&mut self, from: &[&'static str]) -> &'static str {
+            from[self.below(from.len())]
+        }
+    }
+
+    #[test]
+    fn fast_path_matches_reference_under_random_streams() {
+        const EVENTS: usize = 60_000;
+        // Every vocabulary holds one name twice, at two addresses — what
+        // a literal spelled in two crates looks like — so the content
+        // fallback runs; "Probation" and "mark" join late.
+        let again = |name: &str| -> &'static str { String::from(name).leak() };
+        let classes = [
+            "Recovery",
+            "NewFlow",
+            "OverPenalized",
+            "BelowFairShare",
+            "AboveFairShare",
+            again("Recovery"),
+        ];
+        let states = [
+            "SlowStart",
+            "Normal",
+            "Silent",
+            "TimeoutRecovery",
+            "FastRecovery",
+            again("Normal"),
+        ];
+        let link_kinds = ["enqueue", "transmit", "drop", again("enqueue")];
+        let fault_kinds = ["burst_loss", "reorder", "restart", again("reorder")];
+        // A custom event may carry a typed variant's tag.
+        let custom = ["gc_tick", "link", again("gc_tick")];
+        for seed in [11u64, 12, 13] {
+            let mut rng = Rng(seed);
+            let mut fast = SummarySink::new();
+            let mut reference = RefSummary::default();
+            let mut reads = 0;
+            for step in 0..EVENTS {
+                let late = step > 2 * EVENTS / 3 && rng.below(5) == 0;
+                let packet = rng.next();
+                let event = match rng.below(16) {
+                    0 | 1 => Event::FlowStateChanged {
+                        flow: flow(),
+                        from: rng.pick(&states),
+                        to: rng.pick(&states[..5 - seed as usize % 3]),
+                        trigger: "epoch-roll",
+                    },
+                    2 => Event::Retransmit {
+                        flow: flow(),
+                        repairs_local_drop: rng.below(2) == 0,
+                    },
+                    3 | 4 => Event::Classified {
+                        packet,
+                        flow: flow(),
+                        class: if late {
+                            "Probation"
+                        } else {
+                            rng.pick(&classes)
+                        },
+                        retransmission: false,
+                    },
+                    5 => Event::Dropped {
+                        packet,
+                        flow: flow(),
+                        stage: rng.below(20) as u8,
+                        retransmission: false,
+                    },
+                    6 => Event::QueueDepth {
+                        pkts: rng.next() % 300,
+                        bytes: 0,
+                        per_class: Vec::new(),
+                    },
+                    7 => Event::Admission {
+                        src: 1,
+                        decision: rng.pick(&["admit", "reject"]),
+                        loss_rate: 0.1,
+                    },
+                    8 => match rng.below(2) {
+                        0 => Event::PoolWaiting { src: 1 },
+                        _ => Event::PoolAdmitted { src: 1 },
+                    },
+                    9..=11 => Event::Link {
+                        link: rng.below(4) as u32,
+                        kind: if late { "mark" } else { rng.pick(&link_kinds) },
+                        packet,
+                        flow: flow(),
+                        bytes: 500,
+                    },
+                    12 => Event::Delivered {
+                        packet,
+                        flow: flow(),
+                        bytes: 500,
+                        latency_ns: rng.next() % 1_000_000_000,
+                    },
+                    13 => Event::Fault {
+                        link: 0,
+                        kind: rng.pick(&fault_kinds),
+                        packet: None,
+                        flow: None,
+                        value: 0.0,
+                    },
+                    14 => match rng.below(8) {
+                        0 => Event::LinkSummary {
+                            link: rng.below(12) as u32,
+                            offered_pkts: rng.next() % 1_000,
+                            dropped_pkts: 3,
+                            transmitted_pkts: 5,
+                            utilization: 0.5,
+                        },
+                        1 => Event::EngineSummary {
+                            events: 1,
+                            virtual_ns: 2,
+                            wall_ns: 3,
+                        },
+                        _ => Event::Custom {
+                            name: rng.pick(&custom),
+                            fields: Vec::new(),
+                        },
+                    },
+                    _ => Event::Classified {
+                        packet,
+                        flow: flow(),
+                        class: rng.pick(&classes[..5]),
+                        retransmission: true,
+                    },
+                };
+                fast.emit(step as u64, &event);
+                reference.emit(step as u64, &event);
+                // Reads land mid-stream, with no flush before them.
+                if rng.below(EVENTS / 8) == 0 || step + 1 == EVENTS {
+                    reads += 1;
+                    let got = fast.stats();
+                    let want = &reference.stats;
+                    assert_eq!(got.counts_by_kind, want.counts_by_kind, "step {step}");
+                    assert_eq!(got.transitions, want.transitions, "step {step}");
+                    assert_eq!(got.state_entries, want.state_entries, "step {step}");
+                    assert_eq!(got.classified, want.classified, "step {step}");
+                    assert_eq!(got.link_events, want.link_events, "step {step}");
+                    assert_eq!(got.faults, want.faults, "step {step}");
+                    // Debug covers the histograms and scalar fields too.
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "step {step}");
+                    assert_eq!(fast.render("t"), want.render("t"), "step {step}");
+                }
+            }
+            assert!(reads >= 3, "seed {seed}: {reads} mid-stream reads");
+            let got = fast.stats();
+            assert_eq!(got.total_events(), EVENTS as u64);
+            assert!(got.classified["Probation"] > 0 && got.link_events["mark"] > 0);
+            assert!(got.counts_by_kind["link"] > got.link_events.values().sum());
+            assert_eq!(got.classified.len(), 6, "two addresses, one Recovery row");
+            // Only seed 12 ever enters "FastRecovery": a state seen only
+            // as a transition's source must not show up with a zero count.
+            assert_eq!(
+                got.state_entries.contains_key("FastRecovery"),
+                seed % 3 == 0
+            );
+        }
     }
 }

@@ -4,7 +4,15 @@
 //! Columns register lazily in event order — deterministic because the
 //! event stream is — so early rows can be narrower than the final
 //! registry; [`TimeSeries::rows_padded`] squares the table up at dump
-//! time.
+//! time. Registration order is part of the dump format: the header
+//! names columns in that order and rows are positional.
+//!
+//! [`TimeSeries::column`] is the by-name path — it hashes the name and
+//! may allocate — and is meant for first sight only. A caller on a
+//! per-event path resolves each column once, keeps the [`ColumnId`],
+//! and from then on calls only [`TimeSeries::add`] / [`TimeSeries::set`],
+//! which index a `Vec`. The trace collector does exactly that, per link
+//! and per class name.
 
 use std::collections::HashMap;
 use taq_telemetry::Value;

@@ -10,7 +10,7 @@
 //! [`crate::TraceCollector::trip`].
 
 use std::collections::HashMap;
-use taq_telemetry::{FlowId, Value};
+use taq_telemetry::{FlowId, FxBuildHasher, Value};
 
 /// Why a post-mortem dump was triggered.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +50,7 @@ impl TripRecord {
 #[derive(Debug)]
 pub struct TripWire {
     silence_ns: u64,
-    last_seen: HashMap<FlowId, u64>,
+    last_seen: HashMap<FlowId, u64, FxBuildHasher>,
     tripped: Option<TripRecord>,
 }
 
@@ -60,7 +60,7 @@ impl TripWire {
     pub fn new(silence_ns: u64) -> Self {
         TripWire {
             silence_ns,
-            last_seen: HashMap::new(),
+            last_seen: HashMap::default(),
             tripped: None,
         }
     }

@@ -7,9 +7,10 @@
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark and the sweep, fault-matrix, trace,
 #                       and fluid-validation binaries, plus the
-#                       per-metric regression gate (events/s and the
-#                       hot-path latency histograms) against the
-#                       committed BENCH_sim.json.
+#                       per-metric regression gate (events/s, the
+#                       hot-path latency histograms, the allocation
+#                       ceiling and the attached-ratio floor) against
+#                       the committed BENCH_sim.json.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -87,10 +88,14 @@ fault_smoke() {
 # Trace smoke: the packet-lifecycle tracer end to end — runs the
 # faulted fig01 demo with the flight recorder attached, writes the span
 # dump, and re-analyzes it through the --input path (so both the
-# collector and the parser are exercised). CI archives the dump.
+# collector and the parser are exercised), then the two sink crates'
+# own tests, among them the oracles that hold TraceCollector and
+# SummarySink to their pre-cache twins on random event streams. CI
+# archives the dump.
 trace_smoke() {
     run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --out results/trace_dump.jsonl
     run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --input results/trace_dump.jsonl
+    run cargo test $OFFLINE -q -p taq-trace -p taq-telemetry
 }
 
 # Batch conformance: the slot-batch engine drain and the batched qdisc
@@ -123,7 +128,12 @@ fluid() {
 # per-metric regression against the committed BENCH_sim.json —
 # events/s per scenario (the attached-sink fig01 variant included),
 # plus the ns_per_enqueue / ns_per_classify / ns_per_dequeue latency
-# histograms and the steady-state allocations-per-event ceiling. Runs
+# histograms, the steady-state allocations-per-event ceiling (which on
+# the attached variant covers SummarySink and TraceCollector) and the
+# attached-ratio floor (attached events/s over sinkless events/s on the
+# fig01 input, same process; both values live in bench_report.rs as
+# ALLOC_EPSILON and ATTACHED_RATIO_FLOOR and are printed with each
+# verdict). Runs
 # before bench_report so the comparison is against the committed
 # baseline, not a freshly regenerated one. The binary's distinct exit
 # codes say which kind of metric tripped; the per-metric before/after
@@ -135,7 +145,8 @@ bench_gate() {
         0) echo "bench_gate: within 10% of committed BENCH_sim.json" >&2 ;;
         2) echo "bench_gate: FAILED — events/s regressed >10% (see the per-metric table above)" >&2 ;;
         3) echo "bench_gate: FAILED — a hot-path latency metric (ns_per_enqueue, ns_per_classify or ns_per_dequeue) regressed >10% (see the per-metric table above)" >&2 ;;
-        4) echo "bench_gate: FAILED — a scenario allocates in steady state (see the allocs/event column above)" >&2 ;;
+        4) echo "bench_gate: FAILED — a scenario allocates in steady state past the allocations-per-event ceiling (see the allocs/event column above)" >&2 ;;
+        5) echo "bench_gate: FAILED — fig01_weblog_attached ran under the attached-ratio floor of fig01_weblog_churn's events/s (see the attached/sinkless line above)" >&2 ;;
         *) echo "bench_gate: bench_report exited $status (not a gate verdict)" >&2 ;;
     esac
     return "$status"
