@@ -1,12 +1,18 @@
 //! Microbenchmark: end-to-end simulator event throughput on a contended
 //! dumbbell (events processed per wall second is the quantity that
-//! bounds every experiment's runtime).
+//! bounds every experiment's runtime), and below it an event-density
+//! ladder that isolates the scheduler: no-op agents re-arming timers,
+//! so a run is nothing but the event queue's push + pop (plus the timer
+//! table and one dispatch). The rungs span the regimes the figures
+//! live in — a sweep cell sits near 0.1 events per 65.5 µs wheel tick,
+//! a many-flow run near 3 — because a queue tuned at one density can
+//! degenerate at another without `dumbbell_*` moving much.
 //!
 //! Run with `cargo bench --bench sim_engine`.
 
 use taq_bench::{measure, Discipline};
 use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
+use taq_sim::{Agent, Bandwidth, Ctx, DumbbellConfig, Packet, SimDuration, SimTime, Simulator};
 use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn run_sim(flows: usize, secs: u64) -> u64 {
@@ -33,6 +39,63 @@ fn run_taq_manyflow(secs: u64) -> u64 {
     sc.sim.events_processed()
 }
 
+/// Keeps `timers` timers armed forever: every firing re-arms itself.
+struct Rearm {
+    timers: u64,
+    /// Re-arm delays; a timer cycles through them.
+    delays: &'static [SimDuration],
+    fired: u64,
+}
+
+impl Rearm {
+    /// The `n`-th delay of `timer`, skewed a little per timer so the
+    /// population does not fire in lockstep.
+    fn delay(&self, timer: u64, n: u64) -> SimDuration {
+        self.delays[((timer + n) % self.delays.len() as u64) as usize]
+            + SimDuration::from_nanos(timer * 97)
+    }
+}
+
+impl Agent for Rearm {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for timer in 0..self.timers {
+            ctx.set_timer(self.delay(timer, 0), timer);
+        }
+    }
+
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+
+    fn on_timer(&mut self, timer: u64, ctx: &mut Ctx<'_>) {
+        self.fired += 1;
+        ctx.set_timer(self.delay(timer, self.fired), timer);
+    }
+}
+
+/// One rung of the density ladder: `timers` self-re-arming timers over
+/// `delays`, run for about `EVENTS` events; prints ns per push + pop.
+fn density_rung(name: &str, timers: u64, delays: &'static [SimDuration]) {
+    const EVENTS: u64 = 2_000_000;
+    let mean_ns = delays.iter().map(|d| d.as_nanos()).sum::<u64>() / delays.len() as u64;
+    let horizon = SimTime::from_nanos(mean_ns / timers * EVENTS);
+    let mut events = 0;
+    let ns = measure(name, 1, 5, || {
+        let mut sim = Simulator::new(1);
+        let node = sim.add_agent(Box::new(Rearm {
+            timers,
+            delays,
+            fired: 0,
+        }));
+        sim.schedule_start(node, SimTime::ZERO);
+        sim.run_until(horizon);
+        events = sim.events_processed();
+    });
+    let per_tick = timers as f64 * 65_536.0 / mean_ns as f64;
+    println!(
+        "#   {:.1} ns per push+pop at {per_tick:.2} events/tick ({events} events)",
+        ns / events as f64
+    );
+}
+
 fn main() {
     println!("# sim_engine — dumbbell event throughput");
     let mut events = 0;
@@ -42,4 +105,18 @@ fn main() {
     println!("#   {:.2} Mevents/s", events as f64 / ns * 1e3);
     let ns = measure("taq_300flows_30s", 1, 5, || events = run_taq_manyflow(30));
     println!("#   {:.2} Mevents/s", events as f64 / ns * 1e3);
+
+    println!("# sim_engine — event-queue density ladder (timers only)");
+    const SPARSE: &[SimDuration] = &[SimDuration::from_micros(10_486)];
+    const MEDIUM: &[SimDuration] = &[SimDuration::from_micros(1_398)];
+    const DENSE: &[SimDuration] = &[SimDuration::from_micros(1_342)];
+    const MIXED: &[SimDuration] = &[
+        SimDuration::from_millis(1),
+        SimDuration::from_millis(96),
+        SimDuration::from_secs(1),
+    ];
+    density_rung("timers_0.1_per_tick", 16, SPARSE);
+    density_rung("timers_3_per_tick", 64, MEDIUM);
+    density_rung("timers_50_per_tick", 1024, DENSE);
+    density_rung("timers_mix_1ms_96ms_1s", 256, MIXED);
 }

@@ -262,7 +262,9 @@ impl Ctx<'_> {
     pub fn send(&mut self, dst: NodeId, mut pkt: Packet) {
         let seq = &mut self.world.packet_seqs[self.node.0 as usize];
         *seq += 1;
-        debug_assert!(*seq < 1 << 32, "per-node packet seq overflowed its field");
+        // Hard in every profile: a wrapped seq would alias another
+        // node's packet ids.
+        assert!(*seq < 1 << 32, "per-node packet seq overflowed its field");
         pkt.id = (u64::from(self.node.0) << 32) | *seq;
         pkt.sent_at = self.world.now;
         self.forward(dst, pkt);
@@ -335,19 +337,11 @@ impl Ctx<'_> {
     }
 }
 
-/// Upper bound on events drained into the batch scratch per round.
-/// Bounds scratch memory and keeps the re-merge cost (on a dirty batch)
-/// proportional to a slot, not a whole backlog.
-const MAX_BATCH: usize = 256;
-
 /// The discrete-event simulator.
 pub struct Simulator {
     agents: Vec<Option<Box<dyn Agent>>>,
     world: World,
     max_events: u64,
-    /// Reusable buffer for batch execution (`step_batch`); empty
-    /// between rounds, capacity retained across them.
-    batch_scratch: Vec<ScheduledEvent>,
 }
 
 impl Simulator {
@@ -371,7 +365,6 @@ impl Simulator {
                 events_processed: 0,
             },
             max_events: u64::MAX,
-            batch_scratch: Vec::new(),
         }
     }
 
@@ -576,74 +569,8 @@ impl Simulator {
         true
     }
 
-    /// Drains a batch of events with `time <= cap` from the queue into
-    /// the reusable scratch buffer and executes them in order. Returns
-    /// the number executed (0 means nothing is due at or before `cap`).
-    ///
-    /// Equivalent, event for event, to the peek-guarded `step`
-    /// loop. Callbacks routinely schedule events that order before the
-    /// drained run's tail (the next self-paced arrival, a short
-    /// serialization completion), so the executor *merges*: before each
-    /// scratch entry it executes any queued event that precedes it,
-    /// found with a cheap `peek_entry`. Drained events are executed
-    /// exactly once — nothing is ever pushed back — and intruders pay
-    /// the same one-at-a-time pop they would in the unbatched loop.
-    /// An intruder always satisfies the cap: it precedes a scratch
-    /// entry whose time is already `<= cap`.
-    ///
-    /// The peek itself is skipped when it cannot find anything: at
-    /// drain time every residual queue entry orders after the whole
-    /// batch, so an intruder can only exist if some callback *pushed*
-    /// since the last peek (`take_pushed`), or the last peek stopped at
-    /// a minimum that still precedes the current scratch entry
-    /// (`known_min`).
-    fn step_batch(&mut self, cap: SimTime) -> usize {
-        let mut scratch = std::mem::take(&mut self.batch_scratch);
-        debug_assert!(scratch.is_empty(), "batch scratch leaked between rounds");
-        self.world.queue.pop_run(cap, &mut scratch, MAX_BATCH);
-        let drained = scratch.len();
-        if drained == 0 {
-            self.batch_scratch = scratch;
-            return 0;
-        }
-        let mut executed = drained;
-        // Anything still queued is later than the entire batch; pushes
-        // from *previous* rounds were part of this drain. Start clean.
-        self.world.queue.take_pushed();
-        // Queue minimum as of the last peek; `None` = "after the whole
-        // remaining batch". Invalidated by any push.
-        let mut known_min: Option<(SimTime, EventKey)> = None;
-        // Reverse so the earliest event pops off the back: execution
-        // consumes the buffer without shifting its tail.
-        scratch.reverse();
-        while let Some(ev) = scratch.pop() {
-            let entry = (ev.time, ev.key);
-            if self.world.queue.take_pushed() || known_min.is_some_and(|m| m < entry) {
-                loop {
-                    match self.world.queue.peek_entry() {
-                        Some(min) if min < entry => {
-                            let intruder = self.world.queue.pop().expect("peeked entry");
-                            self.execute(intruder);
-                            executed += 1;
-                        }
-                        other => {
-                            known_min = other;
-                            break;
-                        }
-                    }
-                }
-                // The final peek above postdates every push the
-                // intruders made; the flag is stale — drop it.
-                self.world.queue.take_pushed();
-            }
-            self.execute(ev);
-        }
-        self.batch_scratch = scratch;
-        executed
-    }
-
     /// Executes one already-popped event: clock advance, accounting,
-    /// dispatch. Shared by `step` and `step_batch`.
+    /// dispatch.
     fn execute(&mut self, ev: ScheduledEvent) {
         debug_assert!(ev.time >= self.world.now, "time went backwards");
         self.world.now = ev.time;
@@ -698,7 +625,17 @@ impl Simulator {
     /// Runs until the event queue drains or the clock passes `until`.
     /// Returns the final simulation time.
     pub fn run_until(&mut self, until: SimTime) -> SimTime {
-        while self.step_batch(until) > 0 {}
+        // Peek-guarded: the peek moves the queue's cursor no further
+        // than the next event, so what that event schedules files ahead
+        // of the cursor.
+        while self
+            .world
+            .queue
+            .peek_entry()
+            .is_some_and(|(time, _)| time <= until)
+        {
+            self.step();
+        }
         // The clock advances to the horizon even if the queue drained
         // early, so utilization denominators are well-defined.
         self.world.now = self.world.now.max(until);
@@ -707,7 +644,7 @@ impl Simulator {
 
     /// Runs until the event queue is empty.
     pub fn run(&mut self) -> SimTime {
-        while self.step_batch(SimTime::MAX) > 0 {}
+        while self.step() {}
         self.world.now
     }
 

@@ -11,18 +11,21 @@
 //! reproducible.
 //!
 //! The queue is a hierarchical timer wheel bucketing events by
-//! quantized `SimTime` tick. Push is O(1) (a shift, a mask, a `Vec`
-//! push); pop amortizes the per-level cascades over every event's
-//! lifetime. Slot vectors are recycled, so steady-state operation
-//! performs no per-event allocation. The wheel only changes *how* the
-//! minimum is found, never *which* event is the minimum: this module's
-//! tests pin it, pop for pop, against a plain `BinaryHeap` under random
-//! churn.
+//! quantized `SimTime` tick. Events live in one slab of nodes and each
+//! wheel slot is the head of an index-linked list through it, so a push
+//! writes one node and a cascade relinks indices; freed nodes are
+//! recycled LIFO, so steady-state operation performs no per-event
+//! allocation. The cursor only moves when the minimum is asked for and
+//! stops at the minimum's tick, so it never passes the event being
+//! executed and the events that event schedules land in slots ahead of
+//! it. The wheel only changes *how* the minimum is found, never *which*
+//! event is the minimum: this module's tests pin it, pop for pop,
+//! against a plain `BinaryHeap` under random churn.
 
 use crate::arena::PacketId;
 use crate::packet::{LinkId, NodeId};
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A handle to a scheduled timer; see [`crate::engine::Ctx::set_timer`].
@@ -59,12 +62,12 @@ impl TimerId {
 ///
 /// Every component is derived from simulation content, so the order of
 /// two same-instant events never depends on which was scheduled first.
+/// The three fields pack into one word — class in the top 2 bits, then
+/// 24 bits of origin, then 38 bits of seq — so the tuple order is one
+/// integer compare. A field that does not fit panics in every build
+/// profile: a wrapped field would silently reorder events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub(crate) struct EventKey {
-    pub class: u8,
-    pub origin: u32,
-    pub seq: u64,
-}
+pub(crate) struct EventKey(u64);
 
 impl EventKey {
     pub const CLASS_START: u8 = 0;
@@ -72,45 +75,47 @@ impl EventKey {
     pub const CLASS_LINK_FREE: u8 = 2;
     pub const CLASS_ARRIVAL: u8 = 3;
 
+    const ORIGIN_BITS: u32 = 24;
+    const SEQ_BITS: u32 = 38;
+
+    fn pack(class: u8, origin: u32, seq: u64) -> Self {
+        assert!(class <= Self::CLASS_ARRIVAL, "event class out of range");
+        assert!(
+            origin < 1 << Self::ORIGIN_BITS,
+            "event origin overflowed its 24-bit field"
+        );
+        assert!(
+            seq < 1 << Self::SEQ_BITS,
+            "event seq overflowed its 38-bit field"
+        );
+        let origin = u64::from(origin) << Self::SEQ_BITS;
+        let class = u64::from(class) << (Self::SEQ_BITS + Self::ORIGIN_BITS);
+        EventKey(class | origin | seq)
+    }
+
     pub fn start(node: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: Self::CLASS_START,
-            origin: node.0,
-            seq,
-        }
+        Self::pack(Self::CLASS_START, node.0, seq)
     }
 
     pub fn timer(node: NodeId, seq: u64) -> Self {
-        EventKey {
-            class: Self::CLASS_TIMER,
-            origin: node.0,
-            seq,
-        }
+        Self::pack(Self::CLASS_TIMER, node.0, seq)
     }
 
     pub fn link_free(link: LinkId, seq: u64) -> Self {
-        EventKey {
-            class: Self::CLASS_LINK_FREE,
-            origin: link.0,
-            seq,
-        }
+        Self::pack(Self::CLASS_LINK_FREE, link.0, seq)
     }
 
     pub fn arrival(link: LinkId, seq: u64) -> Self {
-        EventKey {
-            class: Self::CLASS_ARRIVAL,
-            origin: link.0,
-            seq,
-        }
+        Self::pack(Self::CLASS_ARRIVAL, link.0, seq)
     }
 }
 
 /// What a fired event does.
 ///
 /// `Arrival` carries an arena handle, not the packet itself: event
-/// payloads are 16 bytes regardless of packet size, and the wheel's
-/// slot vectors move ids, never packet bodies.
-#[derive(Debug)]
+/// payloads are a few words regardless of packet size, and the wheel
+/// moves slab indices, never events or packet bodies.
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
     /// Deliver the packet behind `pkt` to `node` (it finished
     /// propagating over a link).
@@ -127,32 +132,11 @@ pub(crate) enum EventKind {
     Start { node: NodeId },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ScheduledEvent {
     pub time: SimTime,
     pub key: EventKey,
     pub kind: EventKind,
-}
-
-impl PartialEq for ScheduledEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.key == other.key
-    }
-}
-
-impl Eq for ScheduledEvent {}
-
-impl PartialOrd for ScheduledEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ScheduledEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap and we want earliest first.
-        (other.time, other.key).cmp(&(self.time, self.key))
-    }
 }
 
 /// Nanoseconds per wheel tick, as a shift: 2^16 ns ≈ 65.5 µs. Fine
@@ -167,100 +151,137 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// simulated time ahead of the cursor. Events beyond that horizon go to
 /// the overflow heap (e.g. sentinel timers at `SimTime::MAX`).
 const LEVELS: usize = 6;
+/// End-of-list marker for slab links, slot heads and the free list.
+const NIL: u32 = u32::MAX;
 
 /// The tick an absolute time falls into.
 fn tick_of(t: SimTime) -> u64 {
     t.as_nanos() >> GRANULARITY_SHIFT
 }
 
-/// Hierarchical timer wheel, keyed by quantized tick.
+/// A slab cell: one pending event and the next cell of whichever list
+/// it is on (a wheel slot's, or the free list).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    ev: ScheduledEvent,
+    next: u32,
+}
+
+/// An event's order position plus its slab index: what `ready` and the
+/// overflow heap hold in place of the event itself.
+type Entry = (SimTime, EventKey, u32);
+
+/// Min-queue of pending events keyed by `(time, key)`: a hierarchical
+/// timer wheel over quantized ticks.
 ///
-/// Invariants (see DESIGN.md §11 and §16 for the full argument):
+/// Invariants (DESIGN.md §11.1 has the full argument):
 ///
-/// - `current_tick` never trails the tick of any event in `ready` or
-///   `near`, and every slot-resident event's tick strictly exceeds it;
-/// - every event stored at level `l` agrees with `current_tick` on all
+/// - the cursor `current_tick` moves only inside [`EventQueue::advance`]
+///   and stops at the tick of the earliest pending event, so it never
+///   passes an event that has not been popped;
+/// - `ready` holds exactly the pending events whose tick is at or
+///   behind the cursor, sorted by `(time, key)` descending so a pop is
+///   `Vec::pop`; every slot-resident event's tick strictly exceeds the
+///   cursor's, so while `ready` is non-empty its tail is the global
+///   minimum and no slot needs scanning;
+/// - every event linked at level `l` agrees with `current_tick` on all
 ///   bits above `6·(l+1)` of its tick, and its level-`l` slot index is
 ///   strictly greater than the cursor's — so a forward scan of the
-///   occupancy bitmaps finds the earliest slot without wraparound;
-/// - `ready` holds slot-drained events (tick `<= current_tick`), sorted
-///   by `(time, key)` descending so bulk pops are `Vec::pop`;
-/// - `near` holds events *pushed* at or behind the cursor after the
-///   batch executor drained ahead (intrusions). It is a max-heap under
-///   [`ScheduledEvent`]'s reversed `Ord`, so `peek` is the earliest.
-///   Because every slot event's tick exceeds the cursor's while every
-///   `near`/`ready` event's tick does not, the global minimum is always
-///   `min(ready.last(), near.peek())` — no slot scan needed while
-///   either is non-empty;
-/// - the cursor only ever advances onto a slot *boundary* (cascade) or
-///   an exact level-0 tick, both of which empty the slot they land on.
+///   occupancy bitmaps finds the earliest slot without wraparound, and
+///   the base tick of a level's first such slot precedes that of every
+///   higher level's;
+/// - the cursor only ever advances onto a slot *boundary* (cascade), an
+///   exact level-0 tick, or the overflow minimum's tick.
 #[derive(Debug)]
-struct TimerWheel {
+pub(crate) struct EventQueue {
     current_tick: u64,
     /// Due events, sorted descending by `(time, key)`; pop from the back.
-    ready: Vec<ScheduledEvent>,
-    /// Events pushed at/behind the cursor; earliest at `peek()`.
-    near: BinaryHeap<ScheduledEvent>,
-    levels: Vec<Vec<Vec<ScheduledEvent>>>,
+    ready: Vec<Entry>,
+    /// Every pending event, plus recycled cells.
+    nodes: Vec<Node>,
+    /// Head of the LIFO list of recycled cells.
+    free: u32,
+    /// Per-slot list heads into `nodes`.
+    heads: [[u32; SLOTS]; LEVELS],
     /// Per-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
     occupied: [u64; LEVELS],
-    /// Events beyond the wheel horizon.
-    overflow: BinaryHeap<ScheduledEvent>,
-    /// Recycled slot buffer for cascades (allocation pooling).
-    scratch: Vec<ScheduledEvent>,
+    /// Events beyond the wheel horizon, earliest at `peek()`.
+    overflow: BinaryHeap<Reverse<Entry>>,
     len: usize,
 }
 
-impl TimerWheel {
-    fn new() -> Self {
-        TimerWheel {
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl EventQueue {
+    pub fn new() -> Self {
+        EventQueue {
             current_tick: 0,
             ready: Vec::new(),
-            near: BinaryHeap::new(),
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
-                .collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
             occupied: [0; LEVELS],
             overflow: BinaryHeap::new(),
-            scratch: Vec::new(),
             len: 0,
         }
     }
 
-    /// Sorted insert into the descending `ready` buffer (overflow
-    /// catch-up only — the hot push path uses the `near` heap).
-    fn ready_insert(&mut self, ev: ScheduledEvent) {
-        let key = (ev.time, ev.key);
-        // Descending order: find the first element strictly smaller.
-        let pos = self.ready.partition_point(|e| (e.time, e.key) > key);
-        self.ready.insert(pos, ev);
+    /// Schedules `kind` at absolute time `at` under the caller-computed
+    /// canonical `key` (see [`EventKey`]).
+    #[inline]
+    pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) {
+        let node = Node {
+            ev: ScheduledEvent {
+                time: at,
+                key,
+                kind,
+            },
+            next: NIL,
+        };
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.nodes.len()).unwrap_or(NIL);
+                assert!(idx != NIL, "event slab full");
+                self.nodes.push(node);
+                idx
+            }
+            idx => {
+                self.free = std::mem::replace(&mut self.nodes[idx as usize], node).next;
+                idx
+            }
+        };
+        self.place(idx);
+        self.len += 1;
     }
 
-    /// Places an event relative to the current cursor.
-    fn place(&mut self, ev: ScheduledEvent) {
-        let t = tick_of(ev.time);
+    /// Files the slab cell `idx` relative to the current cursor: into
+    /// `ready` when its tick is at or behind it (a same-tick push, or
+    /// one made after a peek moved the cursor on), else onto the list
+    /// of the wheel slot, or into the overflow heap, its tick selects.
+    fn place(&mut self, idx: u32) {
+        let ScheduledEvent { time, key, .. } = self.nodes[idx as usize].ev;
+        let t = tick_of(time);
         if t <= self.current_tick {
-            // A push at or behind the cursor: O(log n) heap insert, no
-            // memmove. This is the common case while the batch executor
-            // runs ahead of the cursor (self-paced arrivals, short
-            // serialization completions).
-            self.near.push(ev);
+            let entry = (time, key, idx);
+            // Descending order: the first element strictly smaller.
+            let pos = self.ready.partition_point(|e| *e > entry);
+            self.ready.insert(pos, entry);
             return;
         }
         let diff = t ^ self.current_tick;
         let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
         if level >= LEVELS {
-            self.overflow.push(ev);
+            self.overflow.push(Reverse((time, key, idx)));
             return;
         }
         let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.levels[level][slot].push(ev);
+        let head = &mut self.heads[level][slot];
+        self.nodes[idx as usize].next = std::mem::replace(head, idx);
         self.occupied[level] |= 1 << slot;
-    }
-
-    fn push(&mut self, ev: ScheduledEvent) {
-        self.place(ev);
-        self.len += 1;
     }
 
     /// Smallest occupied slot index strictly above `above`, if any.
@@ -273,220 +294,108 @@ impl TimerWheel {
         (mask != 0).then(|| mask.trailing_zeros())
     }
 
-    /// Ensures the earliest pending event is visible at a buffer tail
-    /// (or the wheel is empty), advancing the cursor and cascading as
-    /// needed. While `ready` or `near` is non-empty this is two
-    /// branches: their events all tick at or behind the cursor, so no
-    /// slot or overflow event can precede them.
+    /// Ensures the earliest pending event is at `ready`'s tail (or the
+    /// queue is empty). While `ready` is non-empty this is one branch:
+    /// its events all tick at or behind the cursor, so no slot or
+    /// overflow event can precede them.
+    #[inline]
     fn advance(&mut self) {
-        if !self.ready.is_empty() || !self.near.is_empty() {
-            return;
+        if self.ready.is_empty() && self.len > 0 {
+            self.refill();
         }
-        loop {
-            // Overflow events become due when the cursor catches up.
-            while self
-                .overflow
-                .peek()
-                .is_some_and(|e| tick_of(e.time) <= self.current_tick)
-            {
-                let ev = self.overflow.pop().expect("peeked");
-                self.ready_insert(ev);
-            }
-            if !self.ready.is_empty() || self.len == 0 {
-                return;
-            }
-            // Find the earliest candidate: an exact level-0 tick, the
-            // base of a higher-level slot (a lower bound on its
-            // contents), or the overflow minimum. Distinct levels can
-            // never tie (their bases differ in the level's own bit
-            // range), so `min` by (tick, level) picks a unique action;
-            // preferring the wheel over overflow on a tie is handled by
-            // the cursor advance plus the loop-top overflow drain.
-            let mut best: Option<(u64, usize, u32)> = None;
-            for level in 0..LEVELS {
-                let cur_slot =
-                    (self.current_tick >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1);
-                if let Some(s) = Self::next_slot(self.occupied[level], cur_slot) {
-                    let shift = SLOT_BITS * level as u32;
-                    let upper = self.current_tick >> (shift + SLOT_BITS);
-                    let tick = ((upper << SLOT_BITS) | u64::from(s)) << shift;
-                    if best.is_none_or(|(t, _, _)| tick < t) {
-                        best = Some((tick, level, s));
+    }
+
+    /// Moves the cursor to the tick of the earliest pending event and
+    /// files every event of that tick in `ready`. Call only with
+    /// `ready` empty and the queue not.
+    fn refill(&mut self) {
+        // The wheel's earliest slot: the lowest level with an occupied
+        // slot above the cursor's. Its base tick (a lower bound on its
+        // contents, exact at level 0) precedes every higher level's,
+        // which differ from the cursor in a more significant bit range.
+        let wheel = (0..LEVELS).find_map(|level| {
+            let shift = SLOT_BITS * level as u32;
+            let cur_slot = (self.current_tick >> shift) & (SLOTS as u64 - 1);
+            let s = Self::next_slot(self.occupied[level], cur_slot)?;
+            let upper = self.current_tick >> (shift + SLOT_BITS);
+            Some((((upper << SLOT_BITS) | u64::from(s)) << shift, level, s))
+        });
+        // Overflow events are due once the cursor reaches their tick.
+        let over = self.overflow.peek().map(|Reverse(e)| tick_of(e.0));
+        let mut head = NIL;
+        let mut first = over.unwrap_or(u64::MAX);
+        match wheel {
+            Some((base, level, slot)) if base <= first => {
+                self.occupied[level] &= !(1u64 << slot);
+                head = std::mem::replace(&mut self.heads[level][slot as usize], NIL);
+                if level == 0 {
+                    // A level-0 list shares one tick.
+                    first = base;
+                } else {
+                    // A higher slot spans many: find the earliest
+                    // actually present.
+                    let mut idx = head;
+                    while idx != NIL {
+                        let node = &self.nodes[idx as usize];
+                        first = first.min(tick_of(node.ev.time));
+                        idx = node.next;
                     }
                 }
             }
-            if let Some(ov) = self.overflow.peek() {
-                let t = tick_of(ov.time);
-                if best.is_none_or(|(bt, _, _)| t < bt) {
-                    // Jump the cursor; the loop top drains the overflow.
-                    self.current_tick = t;
-                    continue;
-                }
-            }
-            let Some((tick, level, slot)) = best else {
-                // Only possible if len drifted; treat as empty.
-                return;
-            };
-            self.current_tick = tick;
-            let slot = slot as usize;
-            self.occupied[level] &= !(1u64 << slot);
-            if level == 0 {
-                // Every event in a level-0 slot shares the exact tick
-                // the cursor just reached: move them all to `ready`.
-                let bucket = &mut self.levels[0][slot];
-                self.ready.append(bucket);
-                self.ready
-                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.key)));
+            _ => debug_assert!(over.is_some(), "len drifted: {} events lost", self.len),
+        }
+        if first == u64::MAX {
+            // Only a drifted `len` (release builds) gets here.
+            return;
+        }
+        // The cursor stops on the minimum's own tick, not on the slot
+        // boundary before it: the slot's other events agree with it
+        // above the slot's bit range, so they relink at lower levels.
+        self.current_tick = first;
+        while head != NIL {
+            let Node { ev, next } = self.nodes[head as usize];
+            if tick_of(ev.time) == first {
+                self.ready.push((ev.time, ev.key, head));
             } else {
-                // Cascade: re-place the slot's events now that the
-                // cursor shares their upper bits. The buffer swap keeps
-                // both vectors' capacity alive across cascades.
-                let mut buf = std::mem::replace(
-                    &mut self.levels[level][slot],
-                    std::mem::take(&mut self.scratch),
-                );
-                for ev in buf.drain(..) {
-                    self.place(ev);
-                }
-                self.scratch = buf;
+                self.place(head);
             }
+            head = next;
         }
-    }
-
-    /// True when the next event comes from `near` rather than `ready`.
-    /// Call only after `advance()`; `None` means the wheel is empty.
-    fn next_from_near(&self) -> Option<bool> {
-        match (self.ready.last(), self.near.peek()) {
-            (None, None) => None,
-            (None, Some(_)) => Some(true),
-            (Some(_), None) => Some(false),
-            (Some(r), Some(h)) => Some((h.time, h.key) < (r.time, r.key)),
+        while let Some(&Reverse(entry)) = self.overflow.peek() {
+            if tick_of(entry.0) > first {
+                break;
+            }
+            self.overflow.pop();
+            self.ready.push(entry);
         }
-    }
-
-    fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.advance();
-        let ev = match self.next_from_near()? {
-            true => self.near.pop().expect("peeked"),
-            false => self.ready.pop().expect("peeked"),
-        };
-        self.len -= 1;
-        Some(ev)
-    }
-
-    fn peek_entry(&mut self) -> Option<(SimTime, EventKey)> {
-        self.advance();
-        let e = match self.next_from_near()? {
-            true => self.near.peek().expect("peeked"),
-            false => self.ready.last().expect("peeked"),
-        };
-        Some((e.time, e.key))
-    }
-
-    /// Drains up to `max` events with `time <= cap` into `out`, in pop
-    /// order. One cursor advance serves a whole level-0 slot (and any
-    /// same-window overflow merge), instead of the peek+pop pair the
-    /// one-at-a-time path pays per event; `near` intrusions interleave
-    /// through a two-way tail merge.
-    fn pop_run(&mut self, cap: SimTime, out: &mut Vec<ScheduledEvent>, max: usize) -> usize {
-        let mut n = 0;
-        while n < max {
-            self.advance();
-            let Some(from_near) = self.next_from_near() else {
-                return n;
-            };
-            let ev = if from_near {
-                let e = self.near.peek().expect("peeked");
-                if e.time > cap {
-                    return n;
-                }
-                self.near.pop().expect("peeked")
-            } else {
-                let e = self.ready.last().expect("peeked");
-                if e.time > cap {
-                    return n;
-                }
-                self.ready.pop().expect("peeked")
-            };
-            out.push(ev);
-            self.len -= 1;
-            n += 1;
+        if self.ready.len() > 1 {
+            self.ready.sort_unstable_by(|a, b| b.cmp(a));
         }
-        n
-    }
-}
-
-/// Min-queue of pending events keyed by `(time, key)`.
-#[derive(Debug)]
-pub(crate) struct EventQueue {
-    wheel: TimerWheel,
-    /// Set by every `push`, cleared by [`EventQueue::take_pushed`]. The
-    /// batch executor uses it to skip the per-event intrusion peek when
-    /// nothing has been scheduled since it last looked — in a drained
-    /// batch the residual queue is entirely later than the batch, so
-    /// only a fresh push can introduce an intruder.
-    pushed: bool,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl EventQueue {
-    pub fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-            pushed: false,
-        }
-    }
-
-    /// Schedules `kind` at absolute time `at` under the caller-computed
-    /// canonical `key` (see [`EventKey`]).
-    pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) {
-        self.pushed = true;
-        self.wheel.push(ScheduledEvent {
-            time: at,
-            key,
-            kind,
-        });
-    }
-
-    /// Returns whether any push happened since the last call, clearing
-    /// the flag.
-    #[inline]
-    pub fn take_pushed(&mut self) -> bool {
-        std::mem::replace(&mut self.pushed, false)
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
-        self.wheel.pop()
-    }
-
-    /// Drains up to `max` events with `time <= cap` into `out`, in pop
-    /// order. Equivalent to repeated `pop` guarded by a peek at the
-    /// minimum's time, but the wheel advances its cursor once per
-    /// drained slot instead of once per peek+pop pair.
-    pub fn pop_run(&mut self, cap: SimTime, out: &mut Vec<ScheduledEvent>, max: usize) -> usize {
-        self.wheel.pop_run(cap, out, max)
+        self.advance();
+        let (_, _, idx) = self.ready.pop()?;
+        let node = &mut self.nodes[idx as usize];
+        node.next = std::mem::replace(&mut self.free, idx);
+        self.len -= 1;
+        Some(node.ev)
     }
 
     /// Full `(time, key)` order position of the earliest pending event.
-    /// The batch executor compares this against its next scratch entry
-    /// to decide whether a freshly scheduled event has intruded ahead of
-    /// the drained run. (`&mut` because the wheel may advance its
-    /// cursor to locate the minimum; the set of pending events is
-    /// unchanged. The wheel keeps its `ready` buffer populated between
-    /// pops, so the steady-state cost is one `Vec` tail read.)
+    /// (`&mut` because the wheel may advance its cursor to locate the
+    /// minimum; the set of pending events is unchanged. `ready` stays
+    /// populated between pops, so the steady-state cost is one `Vec`
+    /// tail read.)
     pub fn peek_entry(&mut self) -> Option<(SimTime, EventKey)> {
-        self.wheel.peek_entry()
+        self.advance();
+        self.ready.last().map(|&(time, key, _)| (time, key))
     }
 
     #[cfg(test)]
     pub fn is_empty(&self) -> bool {
-        self.wheel.len == 0
+        self.len == 0
     }
 }
 
@@ -558,23 +467,32 @@ mod tests {
     use crate::rng::SimRng;
     use crate::time::SimDuration;
 
-    /// The wheel's oracle: a plain binary heap over [`ScheduledEvent`]'s
-    /// reversed `Ord`, obviously correct and nothing else.
+    /// The wheel's oracle: a plain binary heap over `(time, key)` order
+    /// positions, obviously correct and nothing else.
     #[derive(Default)]
-    struct RefHeap(BinaryHeap<ScheduledEvent>);
+    struct RefHeap(BinaryHeap<Reverse<(SimTime, EventKey)>>);
 
     impl RefHeap {
-        fn push(&mut self, time: SimTime, key: EventKey, kind: EventKind) {
-            self.0.push(ScheduledEvent { time, key, kind });
+        fn push(&mut self, time: SimTime, key: EventKey) {
+            self.0.push(Reverse((time, key)));
         }
 
-        fn pop(&mut self) -> Option<ScheduledEvent> {
-            self.0.pop()
+        fn pop(&mut self) -> Option<(SimTime, EventKey)> {
+            self.0.pop().map(|Reverse(e)| e)
         }
 
         fn peek_entry(&self) -> Option<(SimTime, EventKey)> {
-            self.0.peek().map(|e| (e.time, e.key))
+            self.0.peek().map(|&Reverse(e)| e)
         }
+    }
+
+    /// Unpacks a key into its `(class, origin, seq)` fields.
+    fn fields(key: EventKey) -> (u8, u32, u64) {
+        (
+            (key.0 >> (EventKey::SEQ_BITS + EventKey::ORIGIN_BITS)) as u8,
+            (key.0 >> EventKey::SEQ_BITS) as u32 & ((1 << EventKey::ORIGIN_BITS) - 1),
+            key.0 & ((1 << EventKey::SEQ_BITS) - 1),
+        )
     }
 
     /// Pushes a `Start` for node `n` keyed by its canonical event key.
@@ -638,7 +556,7 @@ mod tests {
             EventKind::Start { node: NodeId(9) },
         );
         let classes: Vec<u8> = std::iter::from_fn(|| q.pop())
-            .map(|e| e.key.class)
+            .map(|e| fields(e.key).0)
             .collect();
         assert_eq!(
             classes,
@@ -813,96 +731,175 @@ mod tests {
     #[test]
     fn wheel_matches_heap_under_random_churn() {
         // Drive the wheel and the reference heap with an identical
-        // random push/pop script and require the exact same pop
+        // random push/pop/peek script and require the exact same pop
         // sequence — the wheel must be indistinguishable from the heap.
         let mut rng = SimRng::new(0xBEE5);
         let mut wheel = EventQueue::new();
         let mut heap = RefHeap::default();
         let mut now = 0u64;
-        for step in 0..20_000u64 {
-            if rng.chance(0.6) {
+        let mut next_id = 0u64;
+        let mut push = |wheel: &mut EventQueue, heap: &mut RefHeap, at: u64| {
+            let at = SimTime::from_nanos(at);
+            let node = NodeId((next_id & 0xFF_FFFF) as u32);
+            let key = EventKey::start(node, next_id);
+            next_id += 1;
+            wheel.push(at, key, EventKind::Start { node });
+            heap.push(at, key);
+        };
+        let mut peeked_earlier = 0u32;
+        for step in 0..40_000u64 {
+            let roll = rng.next_f64();
+            if roll < 0.55 {
                 // Mostly near-future, occasionally far-future pushes.
                 let delta = if rng.chance(0.02) {
                     rng.range_u64(0, 1 << 53)
                 } else {
                     rng.range_u64(0, 200_000_000)
                 };
-                let at = SimTime::from_nanos(now + delta);
-                let node = NodeId(step as u32);
-                let key = EventKey::start(node, step);
-                wheel.push(at, key, EventKind::Start { node });
-                heap.push(at, key, EventKind::Start { node });
-            } else {
-                let a = wheel.pop();
-                let b = heap.pop();
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.time, x.key), (y.time, y.key), "step {step}");
-                        now = x.time.as_nanos();
+                push(&mut wheel, &mut heap, now + delta);
+            } else if roll < 0.60 {
+                // Peek (the cursor moves to the minimum's tick), then
+                // push strictly earlier than what the peek found: the
+                // one push-behind-the-cursor case the engine can make
+                // (`schedule_start` between two `run_until` chunks).
+                let min = wheel.peek_entry();
+                assert_eq!(min, heap.peek_entry(), "step {step}");
+                if let Some((t, _)) = min {
+                    if t.as_nanos() > now {
+                        push(&mut wheel, &mut heap, rng.range_u64(now, t.as_nanos() - 1));
+                        peeked_earlier += 1;
+                        assert_eq!(wheel.peek_entry(), heap.peek_entry(), "step {step}");
                     }
-                    (None, None) => {}
-                    _ => panic!("wheel and heap disagree on emptiness at step {step}"),
+                }
+            } else if roll < 0.601 {
+                // A same-tick burst: 1000 events inside the tick the
+                // cursor is about to reach (or already stands on).
+                let base = wheel.peek_entry().map_or(now, |(t, _)| t.as_nanos());
+                for _ in 0..1_000 {
+                    let at = base + rng.range_u64(0, (1 << GRANULARITY_SHIFT) - 1);
+                    push(&mut wheel, &mut heap, at);
+                }
+            } else {
+                let a = wheel.pop().map(|e| (e.time, e.key));
+                assert_eq!(a, heap.pop(), "step {step}");
+                if let Some((t, _)) = a {
+                    now = t.as_nanos();
                 }
             }
         }
+        assert!(
+            peeked_earlier > 500,
+            "script made {peeked_earlier} earlier pushes"
+        );
         loop {
-            let (a, b) = (wheel.pop(), heap.pop());
-            match (&a, &b) {
-                (Some(x), Some(y)) => assert_eq!((x.time, x.key), (y.time, y.key)),
-                (None, None) => break,
-                _ => panic!("wheel and heap disagree on drain length"),
+            let a = wheel.pop().map(|e| (e.time, e.key));
+            assert_eq!(a, heap.pop());
+            if a.is_none() {
+                break;
             }
         }
+        assert!(wheel.is_empty());
     }
 
     #[test]
-    fn pop_run_matches_guarded_pop_on_both_backends() {
-        // pop_run(cap) on the wheel must yield exactly the sequence
-        // that repeated peek-guarded pops on the reference heap would.
-        let mut rng = SimRng::new(0xA11CE);
-        let mut batched = EventQueue::new();
-        let mut serial = RefHeap::default();
-        let mut now = 0u64;
-        for step in 0..5_000u64 {
-            if rng.chance(0.7) {
-                let delta = if rng.chance(0.02) {
-                    rng.range_u64(0, 1 << 50)
-                } else {
-                    rng.range_u64(0, 50_000_000)
-                };
-                let at = SimTime::from_nanos(now + delta);
-                let node = NodeId(step as u32);
-                let key = EventKey::start(node, step);
-                batched.push(at, key, EventKind::Start { node });
-                serial.push(at, key, EventKind::Start { node });
+    fn packed_key_orders_like_the_field_tuple() {
+        let mut rng = SimRng::new(0x9AC7);
+        // Small ranges next to full-width ones, so ties in the leading
+        // fields are common and the trailing fields decide.
+        let draw = |rng: &mut SimRng| {
+            let class = rng.next_below(4) as u8;
+            let origin = if rng.chance(0.5) {
+                rng.next_below(3) as u32
             } else {
-                let cap = SimTime::from_nanos(now + rng.range_u64(0, 100_000_000));
-                let mut run = Vec::new();
-                batched.pop_run(cap, &mut run, 32);
-                for got in run {
-                    let want = serial.pop().expect("reference heap has the event");
-                    assert_eq!((got.time, got.key), (want.time, want.key));
-                    assert!(got.time <= cap, "pop_run exceeded cap");
-                    now = got.time.as_nanos();
-                }
-                // Whatever the batch left behind is past the cap.
-                if let Some(next) = serial.peek_entry() {
-                    assert!(next.0 > cap || batched.peek_entry() == Some(next));
-                }
-            }
+                rng.next_below(1 << EventKey::ORIGIN_BITS) as u32
+            };
+            let seq = if rng.chance(0.5) {
+                rng.next_below(3)
+            } else {
+                rng.next_below(1 << EventKey::SEQ_BITS)
+            };
+            (class, origin, seq)
+        };
+        for _ in 0..100_000 {
+            let (a, b) = (draw(&mut rng), draw(&mut rng));
+            let (ka, kb) = (EventKey::pack(a.0, a.1, a.2), EventKey::pack(b.0, b.1, b.2));
+            assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+            assert_eq!(fields(ka), a, "round trip");
         }
-        loop {
-            let mut run = Vec::new();
-            batched.pop_run(SimTime::MAX, &mut run, 64);
-            if run.is_empty() {
-                break;
-            }
-            for got in run {
-                let want = serial.pop().expect("reference drain matches");
-                assert_eq!((got.time, got.key), (want.time, want.key));
-            }
+        // The largest value of every field still fits.
+        let top = (
+            3,
+            (1 << EventKey::ORIGIN_BITS) - 1,
+            (1 << EventKey::SEQ_BITS) - 1,
+        );
+        assert_eq!(fields(EventKey::pack(top.0, top.1, top.2)), top);
+    }
+
+    #[test]
+    #[should_panic(expected = "event class out of range")]
+    fn packed_key_class_overflow_panics() {
+        EventKey::pack(4, 0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "event origin overflowed")]
+    fn packed_key_origin_overflow_panics() {
+        EventKey::timer(NodeId(1 << EventKey::ORIGIN_BITS), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "event seq overflowed")]
+    fn packed_key_seq_overflow_panics() {
+        EventKey::arrival(LinkId(0), 1 << EventKey::SEQ_BITS);
+    }
+
+    #[test]
+    fn slab_recycles_nodes_at_steady_population() {
+        // 10^6 pop+push rounds at a fixed population, with the delay
+        // mix the engine produces (same tick, next tick, 1 ms, 96 ms,
+        // 1 s): every freed cell must be reused, so the slab never
+        // grows past the population.
+        const POPULATION: usize = 512;
+        let delays = [0u64, 43_000, 432_000, 1_000_000, 96_000_000, 1_000_000_000];
+        let mut rng = SimRng::new(0x51AB);
+        let mut q = EventQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut EventQueue, rng: &mut SimRng, now: u64| {
+            let at = SimTime::from_nanos(now + delays[rng.next_below(6) as usize]);
+            q.push(
+                at,
+                EventKey::timer(NodeId(0), seq),
+                EventKind::Start { node: NodeId(0) },
+            );
+            seq += 1;
+        };
+        for _ in 0..POPULATION {
+            push(&mut q, &mut rng, 0);
         }
-        assert!(serial.pop().is_none(), "batched drain was short");
+        assert_eq!(q.nodes.len(), POPULATION);
+        let mut last = SimTime::ZERO;
+        for _ in 0..1_000_000 {
+            let ev = q.pop().expect("population is steady");
+            assert!(ev.time >= last, "time went backwards");
+            last = ev.time;
+            push(&mut q, &mut rng, ev.time.as_nanos());
+            assert_eq!(q.len, POPULATION);
+        }
+        assert_eq!(q.nodes.len(), POPULATION, "slab grew at steady population");
+        while q.pop().is_some() {}
+        assert!(q.is_empty());
+        assert_eq!(q.len, 0);
+        // Every cell is back on the free list, and none twice.
+        let mut free = 0;
+        let mut idx = q.free;
+        while idx != NIL {
+            free += 1;
+            assert!(free <= POPULATION, "free list cycles");
+            idx = q.nodes[idx as usize].next;
+        }
+        assert_eq!(free, POPULATION);
+        assert!(q.ready.is_empty() && q.overflow.is_empty());
+        assert_eq!(q.occupied, [0; LEVELS]);
     }
 
     #[test]
@@ -911,11 +908,7 @@ mod tests {
         let mut heap = RefHeap::default();
         let mut push = |q: &mut EventQueue, at: SimTime, n: u32| {
             push_start(q, at, n);
-            heap.push(
-                at,
-                EventKey::start(NodeId(n), 0),
-                EventKind::Start { node: NodeId(n) },
-            );
+            heap.push(at, EventKey::start(NodeId(n), 0));
             assert_eq!(q.peek_entry(), heap.peek_entry());
         };
         assert_eq!(q.peek_entry(), None, "empty queue");

@@ -302,11 +302,16 @@ impl Bandwidth {
 
     /// Time to serialize `bytes` onto the wire at this rate.
     ///
-    /// Computed as `bytes * 8 / rate` with nanosecond rounding; the
-    /// multiplication is done in `u128` so multi-megabyte packets on slow
-    /// links cannot overflow.
+    /// Computed as `bytes * 8 / rate` with nanosecond rounding. Below
+    /// 2^30 bytes (every real packet) `bytes * 8e9` fits a `u64` and the
+    /// division is one machine instruction; above it the multiplication
+    /// is done in `u128` so it cannot overflow.
     pub fn transmission_time(self, bytes: u32) -> SimDuration {
-        let bits = u128::from(bytes) * 8 * 1_000_000_000;
+        const NS_PER_BYTE: u64 = 8 * 1_000_000_000;
+        if bytes < 1 << 30 {
+            return SimDuration::from_nanos(u64::from(bytes) * NS_PER_BYTE / self.0);
+        }
+        let bits = u128::from(bytes) * u128::from(NS_PER_BYTE);
         SimDuration::from_nanos((bits / u128::from(self.0)) as u64)
     }
 
@@ -420,5 +425,34 @@ mod tests {
         // 100 MB at 1 bps: ~8e8 seconds; must not overflow u64 ns.
         let t = bw.transmission_time(100_000_000);
         assert_eq!(t.as_nanos(), 800_000_000 * 1_000_000_000);
+    }
+
+    #[test]
+    fn transmission_time_matches_the_u128_formula() {
+        // The pre-fast-path body, kept as the oracle.
+        let wide = |rate: u64, bytes: u32| {
+            (u128::from(bytes) * 8 * 1_000_000_000 / u128::from(rate)) as u64
+        };
+        let check = |rate: u64, bytes: u32| {
+            let got = Bandwidth::from_bps(rate).transmission_time(bytes);
+            assert_eq!(got.as_nanos(), wide(rate, bytes), "{bytes} B at {rate} bps");
+        };
+        // Both sides of the 2^30-byte switch, at the slowest and some
+        // ordinary rates.
+        for bytes in [0, 1, 40, 540, (1 << 30) - 1, 1 << 30, (1 << 30) + 1] {
+            for rate in [1, 7, 1_000, 600_000, 1_000_000_000, u64::MAX] {
+                check(rate, bytes);
+            }
+        }
+        check(2, u32::MAX);
+        let mut rng = crate::rng::SimRng::new(0x7A11);
+        for _ in 0..200_000 {
+            // Rates log-uniform over 1 bps .. 2^40 bps; sizes log-uniform
+            // over the whole u32 range, so both paths get their share.
+            let rate = 1 + (rng.next_u64() >> rng.range_u64(24, 63));
+            let bytes = (rng.next_u64() >> rng.range_u64(32, 63)) as u32;
+            // Above 2^30 bytes the quotient fits a u64 only for rate >= 2.
+            check(rate.max(2), bytes);
+        }
     }
 }

@@ -21,7 +21,8 @@ use crate::sender::TcpSender;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use taq_sim::{
-    Agent, Ctx, FlowKey, NodeId, Packet, PacketBuilder, SimDuration, SimTime, TcpFlags, TimerId,
+    Agent, Ctx, FlowKey, FxBuildHasher, NodeId, Packet, PacketBuilder, SimDuration, SimTime,
+    TcpFlags, TimerId,
 };
 
 /// Completion record for one requested object.
@@ -154,7 +155,8 @@ pub struct ServerHost {
     cfg: TcpConfig,
     listen_port: u16,
     conns: Vec<Option<ServerConn>>,
-    by_peer: HashMap<(NodeId, u16), usize>,
+    /// Connection slot by peer; looked up per packet, never iterated.
+    by_peer: HashMap<(NodeId, u16), usize, FxBuildHasher>,
     free: Vec<usize>,
     /// Served when a SYN carries `meta == 0`.
     pub default_object: u64,
@@ -169,7 +171,7 @@ impl ServerHost {
             cfg,
             listen_port,
             conns: Vec::new(),
-            by_peer: HashMap::new(),
+            by_peer: HashMap::default(),
             free: Vec::new(),
             default_object: 0,
             accepted: 0,
@@ -334,7 +336,9 @@ pub struct ClientHost {
     /// Requests to enqueue at future times: `(when, request)`.
     scheduled: Vec<(SimTime, Request)>,
     conns: Vec<Option<ClientConn>>,
-    by_port: HashMap<u16, usize>,
+    /// Connection slot by local port; looked up per packet, never
+    /// iterated.
+    by_port: HashMap<u16, usize, FxBuildHasher>,
     free: Vec<usize>,
     next_port: u16,
     log: SharedFlowLog,
@@ -373,7 +377,7 @@ impl ClientHost {
             pending: std::collections::VecDeque::new(),
             scheduled: Vec::new(),
             conns: Vec::new(),
-            by_port: HashMap::new(),
+            by_port: HashMap::default(),
             free: Vec::new(),
             next_port: 10_000,
             log,

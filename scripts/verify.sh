@@ -98,15 +98,18 @@ trace_smoke() {
     run cargo test $OFFLINE -q -p taq-trace -p taq-telemetry
 }
 
-# Batch conformance: the slot-batch engine drain and the batched qdisc
-# dequeues against their one-event-at-a-time references, plus the TAQ
-# queue layer's own unit tests — among them the index-vs-scan oracle
-# (indexed picks and class lists against the scanning twin) that the
-# batched dequeue rests on. Both also run inside test_suite; this entry
-# point exists so CI legs and bisecting developers can run just the
-# batching contract and what it stands on.
-batch_conformance() {
+# Execution conformance: how a run is driven (one run_until, chunked
+# run_until with starts scheduled behind the queue's peeked minimum, a
+# manual step loop) and how a qdisc is drained (dequeue_batch vs
+# repeated dequeue) must not be observable; plus the event queue's own
+# unit tests (the wheel against its BinaryHeap oracle, the slab, the
+# packed key) and the TAQ queue layer's — among them the index-vs-scan
+# oracle the batched dequeue rests on. All of it also runs inside
+# test_suite; this entry point exists so bisecting developers can run
+# just the ordering contract and what it stands on.
+execution_conformance() {
     run cargo test $OFFLINE -q --test batch_conformance
+    run cargo test $OFFLINE -q -p taq-sim --lib events::
     run cargo test $OFFLINE -q -p taq --lib queues::
 }
 
@@ -202,7 +205,7 @@ full() {
     sweep_smoke
     fault_smoke
     trace_smoke
-    batch_conformance
+    execution_conformance
     fluid
     bench_gate
     bench_report
