@@ -115,16 +115,4 @@ fn main() {
         duration,
     );
     println!("{:<30} {jain:>6.3} {stalled:>13.3}", "taq no-newflow-cap");
-
-    // Proportional fairness model.
-    let (jain, stalled) = taq_variant_run(
-        |c| c.fairness = taq::FairnessModel::Proportional,
-        rate,
-        flows,
-        duration,
-    );
-    println!(
-        "{:<30} {jain:>6.3} {stalled:>13.3}",
-        "taq proportional-fairness"
-    );
 }

@@ -14,8 +14,8 @@ use taq::{TaqConfig, TaqPair};
 use taq_metrics::jain_index;
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, SimDuration, SimTime, UnboundedFifo};
-use taq_tcp::TcpConfig;
-use taq_testbed::{run_testbed, ClientSpec, RtRequest, TestbedConfig};
+use taq_tcp::{Request, TcpConfig};
+use taq_testbed::{run_testbed, ClientSpec, TestbedConfig};
 
 fn run(rate_kbps: u64, taq: bool, secs: u64) -> (f64, f64) {
     let rate = Bandwidth::from_kbps(rate_kbps);
@@ -36,7 +36,7 @@ fn run(rate_kbps: u64, taq: bool, secs: u64) -> (f64, f64) {
     let clients: Vec<ClientSpec> = (0..40)
         .map(|c| ClientSpec {
             requests: (0..500)
-                .map(|i| RtRequest {
+                .map(|i| Request {
                     tag: c * 1_000 + i,
                     bytes: 15_000,
                 })

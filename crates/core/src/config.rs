@@ -2,16 +2,6 @@
 
 use taq_sim::{Bandwidth, SimDuration};
 
-/// Fairness model used for the fair-share computation (paper §4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FairnessModel {
-    /// Fair queuing: every active flow gets `C / N`.
-    FairQueuing,
-    /// Proportional fairness: shares weighted by the inverse of each
-    /// flow's estimated RTT (epoch length).
-    Proportional,
-}
-
 /// Configuration for a TAQ middlebox instance.
 #[derive(Debug, Clone)]
 pub struct TaqConfig {
@@ -29,15 +19,9 @@ pub struct TaqConfig {
     /// limit the NewQueue capacity to limit the number of new
     /// connections in the system").
     pub newflow_cap_pkts: usize,
-    /// Cumulative drops in the current+previous epoch beyond which a
-    /// flow moves to the OverPenalized queue (paper: "more than 2 packet
-    /// drops in an epoch").
-    pub overpenalized_drops: u32,
     /// Packets observed in a flow's life below which it still counts as
     /// "new" (slow-start classification into the NewFlow queue).
     pub newflow_packet_horizon: u64,
-    /// Fairness model for share computation.
-    pub fairness: FairnessModel,
     /// Loss-rate threshold beyond which admission control engages
     /// (the model's tipping point, `p_thresh = 0.1`).
     pub p_thresh: f64,
@@ -98,9 +82,7 @@ impl TaqConfig {
             // on retransmission priority. See the ablation bench.
             recovery_cap_fraction: 0.35,
             newflow_cap_pkts: (buffer / 5).max(2),
-            overpenalized_drops: 2,
             newflow_packet_horizon: 10,
-            fairness: FairnessModel::FairQueuing,
             p_thresh: 0.1,
             p_thresh_headroom: 0.9,
             admission_control: false,

@@ -51,7 +51,7 @@ mod queues;
 mod tracker;
 
 pub use admission::{AdmissionController, AdmissionDecision, LossRateMeter};
-pub use config::{FairnessModel, TaqConfig};
+pub use config::TaqConfig;
 pub use qdisc::{SharedTaq, TaqPair, TaqQdisc, TaqReverseQdisc, TaqState, TaqStats};
 pub use queues::{classify, fair_share_bps, QueueClass, TaqQueues};
 pub use tracker::{flow_id, EpochCounters, FlowInfo, FlowState, FlowTable, Observation};

@@ -158,10 +158,6 @@ pub struct TaqState {
     /// outside `taq_enqueue_ns`. Reused across packets; push order is
     /// emission order.
     event_buf: Vec<(u64, Event)>,
-    /// Scratch for [`dequeue_forward_batch`](Self::dequeue_forward_batch):
-    /// the scheduler pops land here before the per-packet forwarding
-    /// bookkeeping runs. Reused across drains (no steady-state allocs).
-    dequeue_buf: Vec<QueuedPkt>,
     /// Hot-path latency histograms (dead handles until telemetry is
     /// attached).
     enqueue_ns: HistogramId,
@@ -189,7 +185,6 @@ impl TaqState {
             telemetry: disabled,
             next_gc_at: SimTime::ZERO,
             event_buf: Vec::new(),
-            dequeue_buf: Vec::new(),
             fair_share_cache: 0.0,
             fair_share_expires: SimTime::ZERO,
             enqueue_ns: dead_hist,
@@ -241,12 +236,7 @@ impl TaqState {
 
     /// The current per-flow fair share in bits/sec.
     pub fn fair_share(&mut self, now: SimTime) -> f64 {
-        fair_share_bps(
-            self.cfg.link_rate,
-            self.flows.active_flows(now),
-            self.cfg.fairness,
-            None,
-        )
+        fair_share_bps(self.cfg.link_rate, self.flows.active_flows(now))
     }
 
     /// [`TaqState::fair_share`] memoized over a quarter-epoch window.
@@ -282,14 +272,6 @@ impl TaqState {
             // the queue slab indexes by it.
             let queues = &self.queues;
             self.flows.tick(now, |id| queues.holds(id));
-        }
-        // Same maintenance rationale: when this packet will refresh the
-        // fair share, drain the active-set expiry heap up front so the
-        // in-bracket refresh settles in O(1). This packet's own
-        // observation only ever *adds* activity expiring after `now`,
-        // so the count the refresh reads is unchanged.
-        if now >= self.fair_share_expires {
-            self.flows.presettle(now);
         }
         let outcome = {
             let _enq_timer = self.telemetry.scoped(self.enqueue_ns);
@@ -455,41 +437,6 @@ impl TaqState {
         Some(qp.pid)
     }
 
-    /// Batched [`dequeue_forward`](Self::dequeue_forward): up to `max`
-    /// packets at one instant, in exactly the order the one-at-a-time
-    /// path would produce (rejection notices first, then the
-    /// scheduler's [`TaqQueues::pop_batch`], whose equivalence
-    /// contract covers the hoisting). One call amortizes the timed
-    /// section — and, via [`TaqQdisc::dequeue_batch`], the shared-state
-    /// lock — across the whole drain.
-    fn dequeue_forward_batch(
-        &mut self,
-        now: SimTime,
-        out: &mut Vec<PacketId>,
-        max: usize,
-    ) -> usize {
-        let _deq_timer = self.telemetry.scoped(self.dequeue_ns);
-        let mut n = 0;
-        while n < max {
-            match self.pending_rejects.pop_front() {
-                Some((rst, _)) => {
-                    out.push(rst);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        let mut scratch = std::mem::take(&mut self.dequeue_buf);
-        debug_assert!(scratch.is_empty(), "dequeue scratch leaked");
-        n += self.queues.pop_batch(now, &mut scratch, max - n);
-        for qp in scratch.drain(..) {
-            self.flows.on_forwarded_id(qp.flow, qp.wire, now);
-            out.push(qp.pid);
-        }
-        self.dequeue_buf = scratch;
-        n
-    }
-
     fn observe_reverse(
         &mut self,
         pkt: &Packet,
@@ -599,22 +546,6 @@ impl Qdisc for TaqQdisc {
 
     fn dequeue(&mut self, _arena: &mut PacketArena, now: SimTime) -> Option<PacketId> {
         self.state.lock().unwrap().dequeue_forward(now)
-    }
-
-    fn dequeue_batch(
-        &mut self,
-        _arena: &mut PacketArena,
-        now: SimTime,
-        out: &mut Vec<PacketId>,
-        max: usize,
-    ) -> usize {
-        // ONE shared-state lock covers the whole drain — consecutive
-        // transmits on this link share a single qdisc borrow instead of
-        // paying lock + scheduler-walk per packet.
-        self.state
-            .lock()
-            .unwrap()
-            .dequeue_forward_batch(now, out, max)
     }
 
     fn len(&self) -> usize {

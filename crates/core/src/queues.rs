@@ -79,7 +79,7 @@
 use crate::tracker::Observation;
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, VecDeque};
-use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimDuration, SimTime};
+use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimTime};
 
 /// Which TAQ class a flow is assigned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -653,33 +653,6 @@ impl TaqQueues {
     /// Removes the next packet to transmit under the 3-level policy.
     pub fn pop(&mut self, now: SimTime) -> Option<QueuedPkt> {
         self.refill_tokens(now);
-        self.pop_inner()
-    }
-
-    /// Pops up to `max` packets at one instant into `out`, returning
-    /// how many were moved.
-    ///
-    /// Exactly equivalent to `max` calls of [`pop`](Self::pop) at the
-    /// same `now`: a repeated [`refill_tokens`](Self::refill_tokens) at
-    /// the same instant sees `dt == 0` and is a no-op, so it is hoisted
-    /// out of the drain.
-    pub fn pop_batch(&mut self, now: SimTime, out: &mut Vec<QueuedPkt>, max: usize) -> usize {
-        self.refill_tokens(now);
-        let mut n = 0;
-        while n < max {
-            match self.pop_inner() {
-                Some(qp) => {
-                    out.push(qp);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
-
-    /// One pop of the 3-level ladder, tokens already refilled.
-    fn pop_inner(&mut self) -> Option<QueuedPkt> {
         let recovery_pkts = self.class_len(QueueClass::Recovery);
         // Level 1: recovery, if within its rate budget (or alone).
         if recovery_pkts > 0 {
@@ -922,32 +895,17 @@ impl TaqQueues {
     }
 }
 
-/// Computes the per-flow fair share in bits/sec under the configured
-/// fairness model.
-pub fn fair_share_bps(
-    link_rate: Bandwidth,
-    active_flows: usize,
-    model: crate::config::FairnessModel,
-    epoch_hint: Option<SimDuration>,
-) -> f64 {
-    let n = active_flows.max(1) as f64;
-    match model {
-        crate::config::FairnessModel::FairQueuing => link_rate.bps() as f64 / n,
-        crate::config::FairnessModel::Proportional => {
-            // Proportional to 1/RTT: flows with the hint's epoch get the
-            // plain share; the caller scales per flow. Without per-flow
-            // weights at this layer, fall back to the equal share.
-            let _ = epoch_hint;
-            link_rate.bps() as f64 / n
-        }
-    }
+/// Computes the per-flow fair share in bits/sec: fair queuing, every
+/// active flow gets `C / N` (paper §4.2).
+pub fn fair_share_bps(link_rate: Bandwidth, active_flows: usize) -> f64 {
+    link_rate.bps() as f64 / active_flows.max(1) as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use taq_sim::{FlowKey, NodeId, PacketArena, PacketBuilder, TcpFlags};
+    use taq_sim::{FlowKey, NodeId, PacketArena, PacketBuilder, SimDuration, TcpFlags};
 
     fn key(port: u16) -> FlowKey {
         FlowKey {
@@ -1448,75 +1406,6 @@ mod tests {
         assert!(a.is_empty());
     }
 
-    #[test]
-    fn pop_batch_matches_repeated_pop_under_random_churn() {
-        // Two queues fed the identical random schedule: one drained by
-        // `pop_batch`, one by one-at-a-time `pop` at the same instants.
-        // They must hand out identical packets in identical order —
-        // including the scheduler state they leave behind (checked by
-        // interleaving pushes between drains).
-        let mut a1 = PacketArena::new();
-        let mut a2 = PacketArena::new();
-        let mut rng = taq_sim::SimRng::new(0xBA7C4);
-        let classes = [
-            QueueClass::Recovery,
-            QueueClass::NewFlow,
-            QueueClass::OverPenalized,
-            QueueClass::BelowFairShare,
-            QueueClass::AboveFairShare,
-        ];
-        let mut batched = queues();
-        let mut serial = queues();
-        let mut out_batched = Vec::new();
-        let mut out_serial = Vec::new();
-        let mut next_id = 0u64;
-        for round in 0..400u64 {
-            let now = SimTime::from_millis(round * 3);
-            for _ in 0..rng.next_below(6) {
-                let port = rng.next_below(7) as u16;
-                next_id += 1;
-                let class = classes[rng.next_below(5) as usize];
-                let silence = rng.next_below(4) as u32;
-                let o = obs(class == QueueClass::Recovery, silence);
-                batched.push(class, pkt(&mut a1, port, next_id), &o);
-                serial.push(class, pkt(&mut a2, port, next_id), &o);
-            }
-            let max = rng.next_below(9) as usize;
-            let before = out_batched.len();
-            let n = batched.pop_batch(now, &mut out_batched, max);
-            assert_eq!(out_batched.len() - before, n);
-            for _ in 0..max {
-                match serial.pop(now) {
-                    Some(qp) => out_serial.push(qp),
-                    None => break,
-                }
-            }
-            // QueuedPkt is Copy+Eq over (pkt_id, flow, wire, synack);
-            // arena ids differ between the two arenas, so compare the
-            // observational identity.
-            let ident = |qp: &QueuedPkt| (qp.pkt_id, qp.flow, qp.wire, qp.synack);
-            assert_eq!(
-                out_batched.iter().map(ident).collect::<Vec<_>>(),
-                out_serial.iter().map(ident).collect::<Vec<_>>(),
-                "divergence by round {round}"
-            );
-            assert_eq!(batched.len(), serial.len());
-            assert_eq!(batched.byte_len(), serial.byte_len());
-        }
-        // Final full drain must agree too.
-        let end = SimTime::from_secs(10);
-        while let Some(qp) = serial.pop(end) {
-            out_serial.push(qp);
-        }
-        batched.pop_batch(end, &mut out_batched, usize::MAX);
-        let ident = |qp: &QueuedPkt| (qp.pkt_id, qp.flow, qp.wire, qp.synack);
-        assert_eq!(
-            out_batched.iter().map(ident).collect::<Vec<_>>(),
-            out_serial.iter().map(ident).collect::<Vec<_>>()
-        );
-        assert!(batched.is_empty() && serial.is_empty());
-    }
-
     // ---- The scanning oracle ---------------------------------------
     //
     // What each indexed pick replaced, bodies unchanged: a `max_by` /
@@ -1782,7 +1671,7 @@ mod tests {
         // twin fed the same schedule, packet for packet. Six phases per
         // seed, each growing one favoured class past 500 flows from
         // empty, holding it at the buffer cap by eviction, then
-        // draining everything in one batch.
+        // draining everything.
         const PHASES: u64 = 6;
         const STEPS_PER_PHASE: u64 = 4_000;
         const CAP: usize = 1_100;
@@ -1837,10 +1726,8 @@ mod tests {
                 }
                 if rng.chance(0.04) {
                     assert_index_matches_scan(&q);
-                    let mut out = Vec::new();
-                    q.pop_batch(now, &mut out, 1 + rng.next_below(6) as usize);
-                    for qp in out {
-                        assert_eq!(Some(ident(qp)), twin.pop(now).map(ident));
+                    for _ in 0..1 + rng.next_below(6) {
+                        assert_eq!(q.pop(now).map(ident), twin.pop(now).map(ident));
                     }
                 }
                 let extra = usize::from(rng.chance(0.06));
@@ -1871,9 +1758,7 @@ mod tests {
                 }
                 if (step + 1) % STEPS_PER_PHASE == 0 {
                     let end = SimTime::from_millis(now_ms);
-                    let mut out = Vec::new();
-                    q.pop_batch(end, &mut out, usize::MAX);
-                    for qp in out {
+                    while let Some(qp) = q.pop(end) {
                         assert_eq!(Some(ident(qp)), twin.pop(end).map(ident));
                     }
                     assert!(q.is_empty() && twin.len == 0);
@@ -1894,20 +1779,9 @@ mod tests {
 
     #[test]
     fn fair_share_models() {
-        use crate::config::FairnessModel;
-        let fs = fair_share_bps(
-            Bandwidth::from_kbps(600),
-            30,
-            FairnessModel::FairQueuing,
-            None,
-        );
+        let fs = fair_share_bps(Bandwidth::from_kbps(600), 30);
         assert!((fs - 20_000.0).abs() < 1e-9);
-        let fs0 = fair_share_bps(
-            Bandwidth::from_kbps(600),
-            0,
-            FairnessModel::FairQueuing,
-            None,
-        );
+        let fs0 = fair_share_bps(Bandwidth::from_kbps(600), 0);
         assert!((fs0 - 600_000.0).abs() < 1e-9);
     }
 }

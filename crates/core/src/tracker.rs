@@ -385,106 +385,6 @@ impl HotColumns {
     }
 }
 
-/// Incrementally maintained count of fair-share-active flows.
-///
-/// Replaces the `active_flows` full-table scan with an exact lazy
-/// expiry queue: each counted flow keeps one *live* heap entry whose
-/// key is at or before its true expiry (`active_until`). Entries that
-/// fire early are revalidated against the column and re-pushed; an
-/// expiry that moved *earlier* (the epoch estimate shrank) pushes a
-/// fresh entry and a version bump invalidates the old one. Draining
-/// at query time therefore unflags exactly the flows whose
-/// `active_until` has passed, so the count always equals what the
-/// scan would have produced — at amortized cost proportional to flow
-/// activations and expiries, not to the table size.
-#[derive(Debug, Default)]
-struct ActiveSet {
-    /// Min-heap of `(expiry key, slot, version)`.
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<(SimTime, u32, u32)>>,
-    /// Current version per slot; entries bearing an older version are
-    /// discarded when popped.
-    ver: Vec<u32>,
-    /// Slot is currently counted as active.
-    flagged: Vec<bool>,
-    /// Key of the slot's live heap entry (meaningful while flagged).
-    live_key: Vec<SimTime>,
-    /// Number of flagged slots.
-    count: usize,
-}
-
-impl ActiveSet {
-    /// Grows the per-slot books to cover `n` slots.
-    fn grow(&mut self, n: usize) {
-        self.ver.resize(n, 0);
-        self.flagged.resize(n, false);
-        self.live_key.resize(n, SimTime::ZERO);
-    }
-
-    /// Reconciles slot `idx` with its just-refreshed `active_until`
-    /// column value, as of `now`.
-    #[inline]
-    fn refresh(&mut self, idx: usize, until: SimTime, now: SimTime) {
-        let active = until != SimTime::ZERO && now <= until;
-        if active {
-            if self.flagged[idx] {
-                if until >= self.live_key[idx] {
-                    // The live entry fires at or before the new expiry
-                    // and will revalidate then — nothing to do.
-                    return;
-                }
-            } else {
-                self.flagged[idx] = true;
-                self.count += 1;
-            }
-            self.ver[idx] = self.ver[idx].wrapping_add(1);
-            self.live_key[idx] = until;
-            self.heap
-                .push(std::cmp::Reverse((until, idx as u32, self.ver[idx])));
-        } else if self.flagged[idx] {
-            self.flagged[idx] = false;
-            self.count -= 1;
-            // Invalidate the outstanding live entry.
-            self.ver[idx] = self.ver[idx].wrapping_add(1);
-        }
-    }
-
-    /// Drops slot `idx` from the set (flow GC'd).
-    fn clear(&mut self, idx: usize) {
-        if self.flagged[idx] {
-            self.flagged[idx] = false;
-            self.count -= 1;
-        }
-        self.ver[idx] = self.ver[idx].wrapping_add(1);
-        self.live_key[idx] = SimTime::ZERO;
-    }
-
-    /// Expires every flow whose `active_until` lies before `now`.
-    fn settle(&mut self, now: SimTime, until_col: &[SimTime]) {
-        while let Some(&std::cmp::Reverse((key, idx, ver))) = self.heap.peek() {
-            if key >= now {
-                break;
-            }
-            self.heap.pop();
-            let i = idx as usize;
-            if ver != self.ver[i] {
-                continue; // superseded entry
-            }
-            // A current-version entry belongs to a flagged slot; check
-            // the column for an expiry that moved later.
-            let cur = until_col[i];
-            if cur != SimTime::ZERO && now <= cur {
-                self.ver[i] = self.ver[i].wrapping_add(1);
-                self.live_key[i] = cur;
-                self.heap.push(std::cmp::Reverse((cur, idx, self.ver[i])));
-            } else {
-                self.flagged[i] = false;
-                self.count -= 1;
-                self.ver[i] = self.ver[i].wrapping_add(1);
-            }
-        }
-    }
-}
-
 /// The flow table: every flow traversing the middlebox. The
 /// data-direction 4-tuple is interned into a dense [`FlowId`] at first
 /// sight; all per-flow state lives in a slab indexed by that id, so the
@@ -497,8 +397,6 @@ pub struct FlowTable {
     slots: Vec<Option<FlowInfo>>,
     /// SoA mirror of the scan-hot per-flow words (see [`HotColumns`]).
     hot: HotColumns,
-    /// Incremental fair-share-active flow count (see [`ActiveSet`]).
-    active: ActiveSet,
     telemetry: Telemetry,
     /// Total data packets observed (all flows), for loss-rate
     /// accounting.
@@ -514,7 +412,6 @@ impl FlowTable {
             interner: FlowInterner::new(),
             slots: Vec::new(),
             hot: HotColumns::default(),
-            active: ActiveSet::default(),
             telemetry: Telemetry::disabled(),
             total_observed: 0,
         }
@@ -567,19 +464,9 @@ impl FlowTable {
     /// the column holds [`SimTime::ZERO`] (never a live flow's value,
     /// since `epoch_len >= min_epoch > 0`) for vacant slots and
     /// dummy-silent flows.
-    pub fn active_flows(&mut self, now: SimTime) -> usize {
-        self.active.settle(now, &self.hot.active_until);
-        self.active.count
-    }
-
-    /// Drains the active-set expiry heap up to `now` without reading
-    /// the count. Idempotent, and observing a packet at `now` can only
-    /// push entries expiring *after* `now`, so a caller that presettles
-    /// here makes a subsequent same-`now` [`active_flows`] call O(1) —
-    /// the enqueue path hoists the amortized heap maintenance out of
-    /// its timed section this way.
-    pub fn presettle(&mut self, now: SimTime) {
-        self.active.settle(now, &self.hot.active_until);
+    pub fn active_flows(&self, now: SimTime) -> usize {
+        let until = self.hot.active_until.iter();
+        until.filter(|&&u| u != SimTime::ZERO && now <= u).count()
     }
 
     /// Observes a data-direction packet arriving at the middlebox.
@@ -591,7 +478,6 @@ impl FlowTable {
         if id.index() >= self.slots.len() {
             self.slots.resize_with(id.index() + 1, || None);
             self.hot.grow(self.slots.len());
-            self.active.grow(self.slots.len());
         }
         if fresh {
             self.slots[id.index()] = Some(FlowInfo::new(pkt.flow, now, &self.cfg));
@@ -600,7 +486,6 @@ impl FlowTable {
             cfg,
             slots,
             hot,
-            active,
             telemetry,
             ..
         } = self;
@@ -668,7 +553,6 @@ impl FlowTable {
             });
         }
         hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
-        active.refresh(id.index(), hot.active_until[id.index()], now);
         Observation {
             id,
             retransmission,
@@ -703,7 +587,6 @@ impl FlowTable {
             cfg,
             slots,
             hot,
-            active,
             telemetry,
             ..
         } = self;
@@ -715,7 +598,6 @@ impl FlowTable {
                 flow.rtt_probe = Some((flow.highest_seq_end, now));
             }
             hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
-            active.refresh(id.index(), hot.active_until[id.index()], now);
         }
     }
 
@@ -737,7 +619,6 @@ impl FlowTable {
             cfg,
             slots,
             hot,
-            active,
             telemetry,
             ..
         } = self;
@@ -772,7 +653,6 @@ impl FlowTable {
                 });
             }
             hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
-            active.refresh(id.index(), hot.active_until[id.index()], now);
         }
     }
 
@@ -787,11 +667,7 @@ impl FlowTable {
             return;
         };
         let FlowTable {
-            cfg,
-            slots,
-            hot,
-            active,
-            ..
+            cfg, slots, hot, ..
         } = self;
         let Some(flow) = slots[id.index()].as_mut() else {
             return;
@@ -809,7 +685,6 @@ impl FlowTable {
                     .max(cfg.min_epoch)
                     .min(cfg.max_epoch);
                 hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
-                active.refresh(id.index(), hot.active_until[id.index()], now);
             }
             flow.rtt_probe = None;
         }
@@ -830,7 +705,6 @@ impl FlowTable {
             cfg,
             slots,
             hot,
-            active,
             telemetry,
             interner,
             ..
@@ -853,10 +727,8 @@ impl FlowTable {
                 *slot = None;
                 interner.release(id);
                 hot.clear(idx);
-                active.clear(idx);
             } else {
                 hot.refresh(idx, flow, gc);
-                active.refresh(idx, hot.active_until[idx], now);
             }
         }
     }
@@ -936,9 +808,9 @@ mod tests {
         assert_eq!(tab.len(), 1);
     }
 
-    /// The incremental active-flow count (the `HotColumns` expiry
-    /// column plus the `ActiveSet` lazy heap) must agree with a
-    /// brute-force scan of the flow slots at every probe, through
+    /// The active-flow count read off the `HotColumns` expiry column
+    /// must agree with a brute-force walk of the `FlowInfo` slots at
+    /// every probe, through
     /// churn: interleaved arrivals across dozens of flows, local
     /// drops, maintenance ticks, and a long silence that expires (and
     /// eventually GCs) everything.

@@ -14,7 +14,7 @@
 //! - router graphs with static routing ([`Topology`]), of which the
 //!   paper's dumbbell ([`DumbbellConfig`]) is the two-router case, and
 //! - [`LinkMonitor`] hooks that the metrics crate uses to observe the
-//!   bottleneck, including a pcap-style [`PacketTrace`] recorder.
+//!   bottleneck, including an [`EventRecorder`] that keeps every event.
 //!
 //! Determinism: a simulation is a pure function of its construction and
 //! seed. Events at the same instant fire in canonical event-key order
@@ -67,7 +67,6 @@ mod qdisc;
 mod rng;
 mod time;
 mod topology;
-mod trace;
 
 pub use arena::{PacketArena, PacketId};
 pub use engine::{Agent, Ctx, ForwardingRouter, Simulator};
@@ -86,4 +85,3 @@ pub use qdisc::{EnqueueOutcome, Qdisc, UnboundedFifo};
 pub use rng::SimRng;
 pub use time::{Bandwidth, SimDuration, SimTime};
 pub use topology::{DumbbellConfig, TopoLinkConfig, Topology, TopologyConfig};
-pub use trace::{FlowTraceSummary, PacketTrace, TraceEvent, TraceEventKind};

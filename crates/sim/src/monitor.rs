@@ -165,7 +165,7 @@ impl LinkMonitor for TelemetryBridge {
 /// small experiments.
 #[derive(Debug, Default)]
 pub struct EventRecorder {
-    /// `(time, link, packet id, kind)` for every observed event.
+    /// Every observed event, in order.
     pub events: Vec<RecordedEvent>,
 }
 
@@ -180,6 +180,12 @@ pub struct RecordedEvent {
     pub packet_id: u64,
     /// What happened.
     pub kind: RecordedKind,
+    /// The packet's flow, oriented as it travelled.
+    pub flow: FlowKey,
+    /// [`Packet::seq_end`]: one past the last sequence number carried.
+    pub seq_end: u64,
+    /// [`Packet::is_data`]: the packet carried payload.
+    pub is_data: bool,
 }
 
 /// Event discriminator for [`RecordedEvent`].
@@ -193,32 +199,31 @@ pub enum RecordedKind {
     Transmit,
 }
 
-impl LinkMonitor for EventRecorder {
-    fn on_enqueue(&mut self, link: LinkId, pkt: &Packet, now: SimTime) {
+impl EventRecorder {
+    fn record(&mut self, kind: RecordedKind, link: LinkId, pkt: &Packet, now: SimTime) {
         self.events.push(RecordedEvent {
             at: now,
             link,
             packet_id: pkt.id,
-            kind: RecordedKind::Enqueue,
+            kind,
+            flow: pkt.flow,
+            seq_end: pkt.seq_end(),
+            is_data: pkt.is_data(),
         });
+    }
+}
+
+impl LinkMonitor for EventRecorder {
+    fn on_enqueue(&mut self, link: LinkId, pkt: &Packet, now: SimTime) {
+        self.record(RecordedKind::Enqueue, link, pkt, now);
     }
 
     fn on_drop(&mut self, link: LinkId, pkt: &Packet, now: SimTime) {
-        self.events.push(RecordedEvent {
-            at: now,
-            link,
-            packet_id: pkt.id,
-            kind: RecordedKind::Drop,
-        });
+        self.record(RecordedKind::Drop, link, pkt, now);
     }
 
     fn on_transmit(&mut self, link: LinkId, pkt: &Packet, now: SimTime) {
-        self.events.push(RecordedEvent {
-            at: now,
-            link,
-            packet_id: pkt.id,
-            kind: RecordedKind::Transmit,
-        });
+        self.record(RecordedKind::Transmit, link, pkt, now);
     }
 }
 

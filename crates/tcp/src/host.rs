@@ -1,4 +1,5 @@
-//! Host agents: the glue between TCP state machines and the simulator.
+//! Host agents: the glue between TCP state machines and whatever drives
+//! them (the simulator or the real-time testbed, through [`HostEnv`]).
 //!
 //! A [`ServerHost`] listens on a port and serves one [`TcpSender`] per
 //! incoming connection, with the object size taken from the SYN's `meta`
@@ -114,29 +115,73 @@ fn decode_token(token: u64) -> (usize, Option<TimerKind>) {
     ((token / 8) as usize, TimerKind::from_code(token % 8))
 }
 
-/// Adapter giving TCP state machines the [`TcpIo`] view of a simulator
-/// [`Ctx`], with timer tokens scoped to one connection slot.
-struct HostIo<'a, 'b> {
-    ctx: &'a mut Ctx<'b>,
+/// What a host agent needs from whatever drives it: the clock, its own
+/// address, a way to put a packet on the wire, and cancellable timers
+/// that come back as `on_timer(token)`. The simulator's [`Ctx`] is one
+/// environment; the real-time testbed supplies a wall-clock one, so
+/// both harnesses run these hosts and not a copy of them.
+pub trait HostEnv {
+    /// Current time; must not move during one host callback.
+    fn now(&self) -> SimTime;
+
+    /// The node the host runs on.
+    fn node(&self) -> NodeId;
+
+    /// Sends a freshly created packet toward `dst`.
+    fn send(&mut self, dst: NodeId, pkt: Packet);
+
+    /// Schedules the host's `on_timer(token)` after `delay`.
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId;
+
+    /// Cancels a pending timer.
+    fn cancel_timer(&mut self, id: TimerId);
+}
+
+impl HostEnv for Ctx<'_> {
+    fn now(&self) -> SimTime {
+        Ctx::now(self)
+    }
+
+    fn node(&self) -> NodeId {
+        Ctx::node(self)
+    }
+
+    fn send(&mut self, dst: NodeId, pkt: Packet) {
+        Ctx::send(self, dst, pkt);
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+        Ctx::set_timer(self, delay, token)
+    }
+
+    fn cancel_timer(&mut self, id: TimerId) {
+        Ctx::cancel_timer(self, id);
+    }
+}
+
+/// Adapter giving TCP state machines the [`TcpIo`] view of a
+/// [`HostEnv`], with timer tokens scoped to one connection slot.
+struct HostIo<'a, E> {
+    env: &'a mut E,
     slot: usize,
 }
 
-impl TcpIo for HostIo<'_, '_> {
+impl<E: HostEnv> TcpIo for HostIo<'_, E> {
     fn now(&self) -> SimTime {
-        self.ctx.now()
+        self.env.now()
     }
 
     fn emit(&mut self, pkt: Packet) {
         let dst = pkt.flow.dst;
-        self.ctx.send(dst, pkt);
+        self.env.send(dst, pkt);
     }
 
     fn set_timer(&mut self, delay: SimDuration, kind: TimerKind) -> TimerId {
-        self.ctx.set_timer(delay, encode_token(self.slot, kind))
+        self.env.set_timer(delay, encode_token(self.slot, kind))
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
-        self.ctx.cancel_timer(id);
+        self.env.cancel_timer(id);
     }
 }
 
@@ -228,8 +273,9 @@ impl ServerHost {
     }
 }
 
-impl Agent for ServerHost {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+impl ServerHost {
+    /// Handles a packet delivered to this host.
+    pub fn on_packet<E: HostEnv>(&mut self, pkt: Packet, env: &mut E) {
         if pkt.flow.dst_port != self.listen_port {
             return;
         }
@@ -253,7 +299,7 @@ impl Agent for ServerHost {
                     slot
                 }
             };
-            let mut io = HostIo { ctx, slot };
+            let mut io = HostIo { env, slot };
             if let Some(conn) = self.conns[slot].as_mut() {
                 conn.sender.on_syn(&pkt, &mut io);
             }
@@ -262,7 +308,7 @@ impl Agent for ServerHost {
         let Some(&slot) = self.by_peer.get(&peer) else {
             return; // ACK for a connection we already closed.
         };
-        let mut io = HostIo { ctx, slot };
+        let mut io = HostIo { env, slot };
         if let Some(conn) = self.conns[slot].as_mut() {
             conn.sender.on_packet(&pkt, &mut io);
             // Pipelined application requests ride on ACK packets.
@@ -275,17 +321,28 @@ impl Agent for ServerHost {
         self.release_if_closed(slot);
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+    /// Handles a timer this host set through [`HostEnv::set_timer`].
+    pub fn on_timer<E: HostEnv>(&mut self, token: u64, env: &mut E) {
         let (slot, Some(kind)) = decode_token(token) else {
             return;
         };
         if slot >= self.conns.len() {
             return;
         }
-        let mut io = HostIo { ctx, slot };
+        let mut io = HostIo { env, slot };
         if let Some(conn) = self.conns[slot].as_mut() {
             conn.sender.on_timer(kind, &mut io);
         }
+    }
+}
+
+impl Agent for ServerHost {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        ServerHost::on_packet(self, pkt, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        ServerHost::on_timer(self, token, ctx);
     }
 }
 
@@ -425,16 +482,16 @@ impl ClientHost {
         }
     }
 
-    fn start_next(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_next<E: HostEnv>(&mut self, env: &mut E) {
         while self.by_port.len() < self.max_parallel {
             let Some((queued_at, req)) = self.pending.pop_front() else {
                 break;
             };
-            self.open(req, queued_at, ctx);
+            self.open(req, queued_at, env);
         }
     }
 
-    fn open(&mut self, req: Request, queued_at: SimTime, ctx: &mut Ctx<'_>) {
+    fn open<E: HostEnv>(&mut self, req: Request, queued_at: SimTime, env: &mut E) {
         let local_port = self.next_port;
         self.next_port = self.next_port.wrapping_add(1);
         let slot = self.free.pop().unwrap_or_else(|| {
@@ -442,21 +499,21 @@ impl ClientHost {
             self.conns.len() - 1
         });
         let record = FlowRecord {
-            client: ctx.node(),
+            client: env.node(),
             client_port: local_port,
             tag: req.tag,
             bytes: req.bytes,
             queued_at: if queued_at == SimTime::ZERO {
-                ctx.now()
+                env.now()
             } else {
                 queued_at
             },
-            first_syn_at: ctx.now(),
+            first_syn_at: env.now(),
             established_at: None,
             completed_at: None,
             syn_retries: 0,
         };
-        let retry_timer = ctx.set_timer(
+        let retry_timer = env.set_timer(
             self.cfg.syn_retry_initial,
             encode_token(slot, TimerKind::SynRetry),
         );
@@ -473,10 +530,10 @@ impl ClientHost {
             idle: false,
         });
         self.by_port.insert(local_port, slot);
-        self.send_syn(slot, req.bytes, ctx);
+        self.send_syn(slot, req.bytes, env);
     }
 
-    fn send_syn(&mut self, slot: usize, bytes: u64, ctx: &mut Ctx<'_>) {
+    fn send_syn<E: HostEnv>(&mut self, slot: usize, bytes: u64, env: &mut E) {
         let conn = self.conns[slot].as_ref().expect("slot in use");
         let syn = PacketBuilder::new(FlowKey {
             src: conn.record.client,
@@ -493,13 +550,13 @@ impl ClientHost {
         })
         .build();
         let dst = conn.server;
-        ctx.send(dst, syn);
+        env.send(dst, syn);
     }
 
     /// Pipelined mode: after new data arrives on `slot`, complete any
     /// objects whose byte boundary has been delivered and issue the next
     /// queued request on the same connection.
-    fn pump_pipeline(&mut self, slot: usize, ctx: &mut Ctx<'_>) {
+    fn pump_pipeline<E: HostEnv>(&mut self, slot: usize, env: &mut E) {
         loop {
             let conn = self.conns[slot].as_mut().expect("slot live");
             let ConnState::Established(receiver) = &conn.state else {
@@ -512,13 +569,13 @@ impl ClientHost {
             // connection re-fed by `feed_idle_conns` re-enters here with
             // its last record already finalized).
             if conn.record.completed_at.is_none() {
-                conn.record.completed_at = Some(ctx.now());
+                conn.record.completed_at = Some(env.now());
                 self.completed += 1;
                 self.log.lock().unwrap().records.push(conn.record.clone());
             }
             match self.pending.pop_front() {
                 Some((queued_at, req)) => {
-                    let now = ctx.now();
+                    let now = env.now();
                     conn.record = FlowRecord {
                         client: conn.record.client,
                         client_port: conn.local_port,
@@ -546,7 +603,7 @@ impl ClientHost {
                     .meta(req.bytes | wire_meta::PERSIST)
                     .build();
                     let dst = conn.server;
-                    ctx.send(dst, request);
+                    env.send(dst, request);
                 }
                 None => {
                     let conn = self.conns[slot].as_mut().expect("slot live");
@@ -558,7 +615,7 @@ impl ClientHost {
 
     /// Pipelined mode: hand newly queued requests to idle keep-alive
     /// connections before opening fresh ones.
-    fn feed_idle_conns(&mut self, ctx: &mut Ctx<'_>) {
+    fn feed_idle_conns<E: HostEnv>(&mut self, env: &mut E) {
         for slot in 0..self.conns.len() {
             if self.pending.is_empty() {
                 return;
@@ -572,35 +629,36 @@ impl ClientHost {
             conn.idle = false;
             // Re-enter the pump with a zero-length "virtual" completion:
             // the boundary is already met, so pump issues the request.
-            self.pump_pipeline(slot, ctx);
+            self.pump_pipeline(slot, env);
         }
     }
 
-    fn close_slot(&mut self, slot: usize, ctx: &mut Ctx<'_>) {
+    fn close_slot<E: HostEnv>(&mut self, slot: usize, env: &mut E) {
         if let Some(conn) = self.conns[slot].take() {
             self.by_port.remove(&conn.local_port);
             self.free.push(slot);
             self.log.lock().unwrap().records.push(conn.record);
         }
-        self.start_next(ctx);
+        self.start_next(env);
     }
 }
 
-impl Agent for ClientHost {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+impl ClientHost {
+    /// Arms the scheduled requests and opens the first connections.
+    pub fn on_start<E: HostEnv>(&mut self, env: &mut E) {
         // Arm timers for scheduled requests; token slots above any
         // realistic connection count mark them as schedule entries.
         let scheduled = std::mem::take(&mut self.scheduled);
         for (i, (at, req)) in scheduled.into_iter().enumerate() {
-            let delay = at.saturating_since(ctx.now());
+            let delay = at.saturating_since(env.now());
             // Schedule tokens use odd kind-code 7, unused by TimerKind.
-            ctx.set_timer(delay, (i as u64) * 8 + 7);
+            env.set_timer(delay, (i as u64) * 8 + 7);
             self.pending.push_back((at, req));
         }
         // Scheduled requests were appended to `pending` but must not
         // start before their time: move them to a holding area instead.
         let mut hold: Vec<(SimTime, Request)> = Vec::new();
-        let now = ctx.now();
+        let now = env.now();
         self.pending.retain(|(at, req)| {
             if *at > now {
                 hold.push((*at, req.clone()));
@@ -610,10 +668,11 @@ impl Agent for ClientHost {
             }
         });
         self.scheduled = hold;
-        self.start_next(ctx);
+        self.start_next(env);
     }
 
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+    /// Handles a packet delivered to this host.
+    pub fn on_packet<E: HostEnv>(&mut self, pkt: Packet, env: &mut E) {
         let Some(&slot) = self.by_port.get(&pkt.flow.dst_port) else {
             return; // Late packet for a finished connection.
         };
@@ -628,9 +687,9 @@ impl Agent for ClientHost {
                 // (milliseconds in `meta`): retry exactly then, keeping
                 // the attempt alive as the paper's feedback scheme does.
                 self.rejections_seen += 1;
-                ctx.cancel_timer(retry_timer);
+                env.cancel_timer(retry_timer);
                 let wait = SimDuration::from_millis(pkt.meta.max(1));
-                let timer = ctx.set_timer(wait, encode_token(slot, TimerKind::SynRetry));
+                let timer = env.set_timer(wait, encode_token(slot, TimerKind::SynRetry));
                 conn.state = ConnState::Connecting {
                     retry_timer: timer,
                     retries,
@@ -638,8 +697,8 @@ impl Agent for ClientHost {
                 return;
             }
             if pkt.flags.syn && pkt.flags.ack {
-                ctx.cancel_timer(retry_timer);
-                conn.record.established_at = Some(ctx.now());
+                env.cancel_timer(retry_timer);
+                conn.record.established_at = Some(env.now());
                 let ack_flow = FlowKey {
                     src: conn.record.client,
                     src_port: conn.local_port,
@@ -655,23 +714,24 @@ impl Agent for ClientHost {
         let ConnState::Established(receiver) = &mut conn.state else {
             unreachable!("state set above");
         };
-        let mut io = HostIo { ctx, slot };
+        let mut io = HostIo { env, slot };
         receiver.on_packet(&pkt, &mut io);
         if self.pipelined {
-            self.pump_pipeline(slot, ctx);
+            self.pump_pipeline(slot, env);
             return;
         }
         if receiver.is_complete() {
             conn.record.completed_at = receiver.complete_at();
             self.completed += 1;
-            self.close_slot(slot, ctx);
+            self.close_slot(slot, env);
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+    /// Handles a timer this host set through [`HostEnv::set_timer`].
+    pub fn on_timer<E: HostEnv>(&mut self, token: u64, env: &mut E) {
         if token % 8 == 7 {
             // A scheduled request's time has come.
-            let now = ctx.now();
+            let now = env.now();
             let mut due: Vec<Request> = Vec::new();
             self.scheduled.retain(|(at, req)| {
                 if *at <= now {
@@ -686,9 +746,9 @@ impl Agent for ClientHost {
             }
             if self.pipelined {
                 // Prefer reusing idle keep-alive connections.
-                self.feed_idle_conns(ctx);
+                self.feed_idle_conns(env);
             }
-            self.start_next(ctx);
+            self.start_next(env);
             return;
         }
         let (slot, Some(kind)) = decode_token(token) else {
@@ -705,7 +765,7 @@ impl Agent for ClientHost {
                 };
                 if retries >= self.max_syn_retries {
                     // Abandon: log as never-completed.
-                    self.close_slot(slot, ctx);
+                    self.close_slot(slot, env);
                     return;
                 }
                 let retries = retries + 1;
@@ -714,24 +774,38 @@ impl Agent for ClientHost {
                 // Exponential backoff on connection attempts.
                 let delay = (self.cfg.syn_retry_initial * (1u64 << retries.min(8)))
                     .min(self.cfg.syn_retry_max);
-                let timer = ctx.set_timer(delay, encode_token(slot, TimerKind::SynRetry));
+                let timer = env.set_timer(delay, encode_token(slot, TimerKind::SynRetry));
                 if let Some(conn) = self.conns[slot].as_mut() {
                     conn.state = ConnState::Connecting {
                         retry_timer: timer,
                         retries,
                     };
                 }
-                self.send_syn(slot, bytes, ctx);
+                self.send_syn(slot, bytes, env);
             }
             TimerKind::DelayedAck => {
                 let conn = self.conns[slot].as_mut().expect("checked above");
                 if let ConnState::Established(receiver) = &mut conn.state {
-                    let mut io = HostIo { ctx, slot };
+                    let mut io = HostIo { env, slot };
                     receiver.on_timer(kind, &mut io);
                 }
             }
             TimerKind::Rto => {} // Clients run no sender-side RTO.
         }
+    }
+}
+
+impl Agent for ClientHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        ClientHost::on_start(self, ctx);
+    }
+
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        ClientHost::on_packet(self, pkt, ctx);
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        ClientHost::on_timer(self, token, ctx);
     }
 }
 
@@ -779,5 +853,262 @@ mod tests {
             ..r
         };
         assert_eq!(unfinished.download_time(), None);
+    }
+
+    /// A scripted [`HostEnv`] — manual clock, outbox, timer list: the
+    /// [`crate::MockIo`] pattern one level up.
+    struct ScriptEnv {
+        now: SimTime,
+        node: NodeId,
+        sent: Vec<Packet>,
+        timers: Vec<(TimerId, SimTime, u64)>,
+        next_timer: u32,
+    }
+
+    impl HostEnv for ScriptEnv {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn node(&self) -> NodeId {
+            self.node
+        }
+
+        fn send(&mut self, _dst: NodeId, mut pkt: Packet) {
+            pkt.sent_at = self.now;
+            self.sent.push(pkt);
+        }
+
+        fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+            let id = TimerId::synthetic(self.next_timer);
+            self.next_timer += 1;
+            self.timers.push((id, self.now + delay, token));
+            id
+        }
+
+        fn cancel_timer(&mut self, id: TimerId) {
+            self.timers.retain(|(t, _, _)| *t != id);
+        }
+    }
+
+    const SERVER: NodeId = NodeId(0);
+    const CLIENT: NodeId = NodeId(1);
+    const DELAY: SimDuration = SimDuration::from_millis(50);
+
+    /// What the scripted wire does with a packet.
+    enum Fate {
+        Deliver,
+        Drop,
+        /// Answer the sender with a rejection notice hinting this wait.
+        Reject(u64),
+    }
+
+    /// A client and a server on a wire of one-way delay [`DELAY`], with
+    /// no simulator and no threads: the events are the two timer lists
+    /// and the packets in flight, earliest first, a timer before an
+    /// arrival at the same instant (the simulator's order).
+    struct Pair {
+        client: ClientHost,
+        server: ServerHost,
+        envs: [ScriptEnv; 2],
+        wire: Vec<(SimTime, Packet)>,
+        /// When each SYN left the client.
+        syns: Vec<SimTime>,
+    }
+
+    impl Pair {
+        fn new(client: ClientHost) -> Pair {
+            let env = |node| ScriptEnv {
+                now: SimTime::ZERO,
+                node,
+                sent: Vec::new(),
+                timers: Vec::new(),
+                next_timer: 0,
+            };
+            Pair {
+                client,
+                server: ServerHost::new(TcpConfig::default(), 80),
+                envs: [env(SERVER), env(CLIENT)],
+                wire: Vec::new(),
+                syns: Vec::new(),
+            }
+        }
+
+        fn run(&mut self, until: SimTime, mut fate: impl FnMut(&Packet) -> Fate) {
+            self.client.on_start(&mut self.envs[1]);
+            loop {
+                for env in &mut self.envs {
+                    for pkt in env.sent.drain(..) {
+                        if pkt.flags.syn && !pkt.flags.ack {
+                            self.syns.push(pkt.sent_at);
+                        }
+                        match fate(&pkt) {
+                            Fate::Deliver => self.wire.push((pkt.sent_at + DELAY, pkt)),
+                            Fate::Drop => {}
+                            Fate::Reject(ms) => {
+                                let rst = PacketBuilder::new(pkt.flow.reversed())
+                                    .flags(TcpFlags::RST)
+                                    .meta(ms)
+                                    .build();
+                                self.wire.push((pkt.sent_at + DELAY, rst));
+                            }
+                        }
+                    }
+                }
+                // Earliest event, as (time, 0 timer | 1 arrival, host, index):
+                // ties go to timers, then the lower node, then the older entry.
+                let timers = self.envs.iter().enumerate().flat_map(|(h, env)| {
+                    let entries = env.timers.iter().enumerate();
+                    entries.map(move |(i, t)| (t.1, 0, h, i))
+                });
+                let arrivals = self.wire.iter().enumerate().map(|(i, w)| (w.0, 1, 0, i));
+                let Some((at, kind, h, i)) = timers.chain(arrivals).min().filter(|e| e.0 <= until)
+                else {
+                    return;
+                };
+                if kind == 0 {
+                    let (_, _, token) = self.envs[h].timers.remove(i);
+                    self.envs[h].now = at;
+                    if h == 0 {
+                        self.server.on_timer(token, &mut self.envs[0]);
+                    } else {
+                        self.client.on_timer(token, &mut self.envs[1]);
+                    }
+                } else {
+                    let (_, pkt) = self.wire.remove(i);
+                    if pkt.flow.dst == SERVER {
+                        self.envs[0].now = at;
+                        self.server.on_packet(pkt, &mut self.envs[0]);
+                    } else {
+                        self.envs[1].now = at;
+                        self.client.on_packet(pkt, &mut self.envs[1]);
+                    }
+                }
+            }
+        }
+    }
+
+    fn client(max_parallel: usize, log: &SharedFlowLog) -> ClientHost {
+        ClientHost::new(TcpConfig::default(), SERVER, 80, max_parallel, log.clone())
+    }
+
+    fn at_ms(ms: u64) -> SimTime {
+        SimTime::from_millis(ms)
+    }
+
+    #[test]
+    fn lost_syns_back_off_and_a_rejection_notice_sets_the_next_retry() {
+        let log = new_flow_log();
+        let mut c = client(1, &log);
+        c.push_request(Request {
+            tag: 7,
+            bytes: 5_000,
+        });
+        let mut pair = Pair::new(c);
+        let mut syns = 0;
+        pair.run(SimTime::from_secs(60), |pkt| {
+            if !pkt.flags.syn || pkt.flags.ack {
+                return Fate::Deliver;
+            }
+            syns += 1;
+            match syns {
+                1..=3 => Fate::Drop,
+                4 => Fate::Reject(2_500),
+                _ => Fate::Deliver,
+            }
+        });
+        // Blind backoff 1 s, 2 s, 4 s; the notice for the fourth SYN
+        // arrives one wire delay later and moves the fifth to its hint.
+        assert_eq!(
+            pair.syns,
+            [0, 1_000, 3_000, 7_000, 7_000 + 50 + 2_500].map(at_ms)
+        );
+        assert_eq!(pair.client.rejections_seen, 1);
+        assert_eq!(pair.client.completed, 1);
+        let r = &log.lock().unwrap().records[0];
+        assert_eq!((r.tag, r.syn_retries), (7, 4));
+        assert_eq!(r.established_at, Some(at_ms(9_550 + 100)));
+        assert_eq!(
+            (pair.server.accepted, pair.server.live_connections()),
+            (1, 0)
+        );
+    }
+
+    #[test]
+    fn max_syn_retries_abandons_the_attempt() {
+        let log = new_flow_log();
+        let mut c = client(1, &log);
+        c.max_syn_retries = 2;
+        c.push_request(Request {
+            tag: 1,
+            bytes: 5_000,
+        });
+        let mut pair = Pair::new(c);
+        pair.run(SimTime::from_secs(60), |_| Fate::Drop);
+        assert_eq!(pair.syns, [0, 1_000, 3_000].map(at_ms));
+        assert_eq!(pair.client.outstanding(), 0);
+        assert!(pair.envs[1].timers.is_empty(), "no retry left armed");
+        let r = &log.lock().unwrap().records[0];
+        assert_eq!(
+            (r.syn_retries, r.established_at, r.completed_at),
+            (2, None, None)
+        );
+    }
+
+    /// Two queued objects ride one keep-alive connection back to back, a
+    /// third scheduled for t = 5 s enters at that instant and reuses the
+    /// idle connection — and the same script through the simulator, on
+    /// a lossless link of the same delay, logs the same records.
+    #[test]
+    fn scheduled_pipelined_script_logs_what_the_simulator_logs() {
+        let script = |log: &SharedFlowLog| {
+            let mut c = client(1, log).with_pipelining();
+            for (tag, bytes) in [(1, 30_000), (2, 8_000)] {
+                c.push_request(Request { tag, bytes });
+            }
+            c.schedule_request(
+                SimTime::from_secs(5),
+                Request {
+                    tag: 3,
+                    bytes: 12_000,
+                },
+            );
+            c
+        };
+        let horizon = SimTime::from_secs(20);
+
+        let scripted = new_flow_log();
+        let mut pair = Pair::new(script(&scripted));
+        pair.run(horizon, |_| Fate::Deliver);
+        let scripted = std::mem::take(&mut scripted.lock().unwrap().records);
+        assert_eq!(
+            pair.syns,
+            [SimTime::ZERO],
+            "one connection carries all three"
+        );
+        assert_eq!(pair.server.accepted, 1);
+        assert_eq!(
+            scripted.iter().map(|r| r.tag).collect::<Vec<_>>(),
+            [1, 2, 3]
+        );
+        assert!(scripted.iter().all(|r| r.completed_at.is_some()));
+        assert_eq!(scripted[2].queued_at, SimTime::from_secs(5));
+        assert_eq!(scripted[2].first_syn_at, SimTime::from_secs(5));
+
+        let simulated = new_flow_log();
+        let mut sim = taq_sim::Simulator::new(1);
+        let server = sim.add_agent(Box::new(ServerHost::new(TcpConfig::default(), 80)));
+        let client = sim.add_agent(Box::new(script(&simulated)));
+        assert_eq!((server, client), (SERVER, CLIENT));
+        for (from, to) in [(server, client), (client, server)] {
+            // Fast enough that serialization rounds to zero: pure delay.
+            let rate = taq_sim::Bandwidth::from_bps(1 << 50);
+            let fifo = Box::new(taq_sim::UnboundedFifo::new());
+            let link = sim.add_link(from, to, rate, DELAY, fifo);
+            sim.set_default_route(from, link);
+        }
+        sim.schedule_start(client, SimTime::ZERO);
+        sim.run_until(horizon);
+        assert_eq!(scripted, simulated.lock().unwrap().records);
     }
 }

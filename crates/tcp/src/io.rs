@@ -2,11 +2,12 @@
 //!
 //! [`TcpIo`] is everything a sender or receiver needs from its
 //! environment: the clock, a way to emit packets, and timers. Host
-//! agents adapt the simulator's `Ctx` to this trait; unit tests use
-//! [`MockIo`] to drive the state machines packet-by-packet without a
-//! simulator; the real-time testbed provides a wall-clock-backed
-//! implementation. Keeping the state machines I/O-free is what lets the
-//! same TCP code run in all three places.
+//! agents adapt their own environment ([`crate::HostEnv`]: the
+//! simulator's `Ctx`, or the real-time testbed's wall clock and
+//! channels) to this trait; unit tests use [`MockIo`] to drive the
+//! state machines packet-by-packet without a simulator. Keeping the
+//! state machines I/O-free is what lets the same TCP code run in all
+//! three places.
 
 use taq_sim::{Packet, SimDuration, SimTime, TimerId};
 

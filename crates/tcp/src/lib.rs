@@ -20,8 +20,9 @@
 //!
 //! The state machines ([`TcpSender`], [`TcpReceiver`]) are pure: they
 //! talk to the world only through [`TcpIo`], so unit tests drive them
-//! packet-by-packet with [`MockIo`], the simulator drives them through
-//! host agents, and the real-time testbed reuses them unchanged.
+//! packet-by-packet with [`MockIo`], and the host agents that own them
+//! talk to the world only through [`HostEnv`], so the simulator and the
+//! real-time testbed run the same hosts.
 
 mod config;
 mod cubic;
@@ -33,7 +34,9 @@ mod sender;
 
 pub use config::{TcpConfig, Variant};
 pub use cubic::CubicState;
-pub use host::{new_flow_log, ClientHost, FlowLog, FlowRecord, Request, ServerHost, SharedFlowLog};
+pub use host::{
+    new_flow_log, ClientHost, FlowLog, FlowRecord, HostEnv, Request, ServerHost, SharedFlowLog,
+};
 pub use io::{MockIo, TcpIo, TimerKind};
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use rto::RttEstimator;

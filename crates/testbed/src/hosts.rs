@@ -1,56 +1,39 @@
-//! Real-time host threads: the `taq-tcp` state machines driven by wall
-//! clock instead of the simulator.
+//! Real-time host threads: `taq-tcp`'s [`ServerHost`] and [`ClientHost`]
+//! driven by wall clock instead of the simulator.
 //!
-//! Each host runs one thread with a timer heap and a packet channel;
-//! [`RtIo`] adapts the thread's clock and channels to the [`TcpIo`]
-//! interface. Because the state machines are I/O-free, this file
-//! contains *no* TCP logic — only plumbing — which is the point of the
-//! testbed: demonstrating that the exact code evaluated in simulation
-//! runs under real time and real scheduling jitter.
+//! The hosts are the simulator's own, unchanged: connection slots, SYN
+//! retry, rejection notices, request pools, pipelining and flow records
+//! all live in `taq-tcp`. This file owns only what they run in:
+//! [`RtEnv`] (a [`HostEnv`] over a [`ScaledClock`], the channel into the
+//! middlebox and a timer heap keyed by the hosts' own tokens) and
+//! [`run_host`], the thread loop that fires due timers and delivers
+//! packets. What simulation evaluates is what meets real jitter here.
 
 use crate::clock::ScaledClock;
 use crate::middlebox::{Crossing, Direction, MbInput};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
-use taq_sim::{FlowKey, NodeId, Packet, PacketBuilder, SimDuration, SimTime, TcpFlags, TimerId};
-use taq_tcp::{FlowRecord, TcpConfig, TcpIo, TcpReceiver, TcpSender, TimerKind};
+use taq_sim::{NodeId, Packet, SimDuration, SimTime, TimerId};
+use taq_tcp::{ClientHost, HostEnv, ServerHost};
 
-/// A pending timer in a host's heap (min-heap by deadline).
-#[derive(Debug, PartialEq, Eq)]
-struct HeapTimer {
-    at: SimTime,
-    id: TimerId,
-    conn: usize,
-    kind: TimerKind,
-}
-
-impl Ord for HeapTimer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.at.cmp(&self.at) // Reversed for min-heap.
-    }
-}
-
-impl PartialOrd for HeapTimer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Timer bookkeeping shared by both host kinds.
+/// A host's pending timers: a min-heap of `(deadline, serial, token)`,
+/// the token being what the host's `on_timer` gets back. Cancelling
+/// only unmarks the timer; its entry is skipped when it surfaces.
 #[derive(Debug, Default)]
 struct Timers {
-    heap: BinaryHeap<HeapTimer>,
+    heap: BinaryHeap<Reverse<(SimTime, u32, u64)>>,
     alive: HashSet<TimerId>,
     next: u32,
 }
 
 impl Timers {
-    fn set(&mut self, at: SimTime, conn: usize, kind: TimerKind) -> TimerId {
+    fn set(&mut self, at: SimTime, token: u64) -> TimerId {
         let id = TimerId::synthetic(self.next);
+        self.heap.push(Reverse((at, self.next, token)));
         self.next = self.next.wrapping_add(1);
         self.alive.insert(id);
-        self.heap.push(HeapTimer { at, id, conn, kind });
         id
     }
 
@@ -58,59 +41,71 @@ impl Timers {
         self.alive.remove(&id);
     }
 
+    /// Deadline of the earliest live timer.
     fn next_deadline(&mut self) -> Option<SimTime> {
-        while let Some(top) = self.heap.peek() {
-            if self.alive.contains(&top.id) {
-                return Some(top.at);
+        while let Some(&Reverse((at, serial, _))) = self.heap.peek() {
+            if self.alive.contains(&TimerId::synthetic(serial)) {
+                return Some(at);
             }
             self.heap.pop();
         }
         None
     }
 
-    /// Pops the next live timer if it is due at `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<(usize, TimerKind)> {
-        while let Some(top) = self.heap.peek() {
-            if !self.alive.contains(&top.id) {
-                self.heap.pop();
-                continue;
-            }
-            if top.at > now {
-                return None;
-            }
-            let t = self.heap.pop().expect("peeked");
-            self.alive.remove(&t.id);
-            return Some((t.conn, t.kind));
+    /// Pops the earliest live timer's token if it is due at `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<u64> {
+        if self.next_deadline()? > now {
+            return None;
         }
-        None
+        let Reverse((_, serial, token)) = self.heap.pop().expect("live entry on top");
+        self.alive.remove(&TimerId::synthetic(serial));
+        Some(token)
     }
 }
 
-/// [`TcpIo`] over wall clock + channels, scoped to one connection.
-struct RtIo<'a> {
-    clock: &'a ScaledClock,
-    out: &'a Sender<MbInput>,
+/// [`HostEnv`] over wall clock + channels: what one host thread owns.
+struct RtEnv {
+    clock: ScaledClock,
+    /// The clock as read when the current callback began, so time
+    /// stands still inside a callback as it does in the simulator.
+    now: SimTime,
+    node: NodeId,
+    out: Sender<MbInput>,
     dir: Direction,
-    timers: &'a mut Timers,
-    conn: usize,
+    timers: Timers,
 }
 
-impl TcpIo for RtIo<'_> {
+impl RtEnv {
+    fn new(clock: ScaledClock, node: NodeId, out: Sender<MbInput>, dir: Direction) -> Self {
+        RtEnv {
+            now: clock.now(),
+            clock,
+            node,
+            out,
+            dir,
+            timers: Timers::default(),
+        }
+    }
+}
+
+impl HostEnv for RtEnv {
     fn now(&self) -> SimTime {
-        self.clock.now()
+        self.now
     }
 
-    fn emit(&mut self, mut pkt: Packet) {
-        pkt.sent_at = self.clock.now();
-        // Lost channel = testbed shutting down; nothing to do.
-        let _ = self
-            .out
-            .send(MbInput::Packet(Crossing { dir: self.dir, pkt }));
+    fn node(&self) -> NodeId {
+        self.node
     }
 
-    fn set_timer(&mut self, delay: SimDuration, kind: TimerKind) -> TimerId {
-        let at = self.clock.now() + delay;
-        self.timers.set(at, self.conn, kind)
+    fn send(&mut self, _dst: NodeId, pkt: Packet) {
+        // The middlebox routes by `pkt.flow.dst` and stamps id and send
+        // time on ingress. Lost channel = testbed shutting down.
+        let crossing = Crossing { dir: self.dir, pkt };
+        let _ = self.out.send(MbInput::Packet(crossing));
+    }
+
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+        self.timers.set(self.now + delay, token)
     }
 
     fn cancel_timer(&mut self, id: TimerId) {
@@ -118,289 +113,90 @@ impl TcpIo for RtIo<'_> {
     }
 }
 
-fn recv_deadline(clock: &ScaledClock, timers: &mut Timers) -> Duration {
-    match timers.next_deadline() {
-        Some(t) => clock.real_until(t).min(Duration::from_millis(20)),
-        None => Duration::from_millis(20),
+/// Why a host thread woke up.
+enum Wake {
+    Start,
+    Timer(u64),
+    Packet(Packet),
+}
+
+/// Longest a host sleeps without rereading the clock.
+const MAX_WAIT: Duration = Duration::from_millis(20);
+
+/// One host thread: fire due timers, wait for a packet or the next
+/// timer, hand each to `host`. Returns when `host` answers `false`
+/// (nothing left to do), at `deadline`, or when `inbound` closes.
+fn run_host(
+    mut env: RtEnv,
+    inbound: Receiver<Packet>,
+    deadline: SimTime,
+    mut host: impl FnMut(Wake, &mut RtEnv) -> bool,
+) {
+    let mut live = host(Wake::Start, &mut env);
+    while live {
+        env.now = env.clock.now();
+        if env.now >= deadline {
+            break;
+        }
+        while let Some(token) = env.timers.pop_due(env.now) {
+            live = host(Wake::Timer(token), &mut env);
+        }
+        let next = env.timers.next_deadline();
+        let wait = next.map_or(MAX_WAIT, |t| env.clock.real_until(t).min(MAX_WAIT));
+        match inbound.recv_timeout(wait) {
+            Ok(pkt) => {
+                env.now = env.clock.now();
+                live = host(Wake::Packet(pkt), &mut env);
+            }
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
     }
 }
 
-/// Runs a server host: accepts connections on port 80 and serves the
-/// byte count named in each SYN's `meta`. Returns when the inbound
-/// channel closes.
+/// Runs `server` as node `node` until the inbound channel closes, then
+/// hands it back. Its segments cross the middlebox forward (congested).
 pub fn run_server(
     clock: ScaledClock,
-    cfg: TcpConfig,
+    mut server: ServerHost,
+    node: NodeId,
     inbound: Receiver<Packet>,
     out: Sender<MbInput>,
-) {
-    let mut timers = Timers::default();
-    let mut conns: Vec<Option<TcpSender>> = Vec::new();
-    let mut by_peer: HashMap<(NodeId, u16), usize> = HashMap::new();
-    loop {
-        // Fire due timers.
-        let now = clock.now();
-        while let Some((conn, kind)) = timers.pop_due(now) {
-            if let Some(Some(sender)) = conns.get_mut(conn) {
-                let mut io = RtIo {
-                    clock: &clock,
-                    out: &out,
-                    dir: Direction::Forward,
-                    timers: &mut timers,
-                    conn,
-                };
-                sender.on_timer(kind, &mut io);
-            }
+) -> ServerHost {
+    let env = RtEnv::new(clock, node, out, Direction::Forward);
+    run_host(env, inbound, SimTime::MAX, |wake, env| {
+        match wake {
+            Wake::Start => {}
+            Wake::Timer(token) => server.on_timer(token, env),
+            Wake::Packet(pkt) => server.on_packet(pkt, env),
         }
-        let timeout = recv_deadline(&clock, &mut timers);
-        match inbound.recv_timeout(timeout) {
-            Ok(pkt) => {
-                let peer = (pkt.flow.src, pkt.flow.src_port);
-                let slot = if pkt.flags.syn && !pkt.flags.ack {
-                    *by_peer.entry(peer).or_insert_with(|| {
-                        conns.push(Some(TcpSender::new(
-                            cfg.clone(),
-                            pkt.flow.reversed(),
-                            pkt.meta,
-                        )));
-                        conns.len() - 1
-                    })
-                } else {
-                    match by_peer.get(&peer) {
-                        Some(&s) => s,
-                        None => continue,
-                    }
-                };
-                let mut io = RtIo {
-                    clock: &clock,
-                    out: &out,
-                    dir: Direction::Forward,
-                    timers: &mut timers,
-                    conn: slot,
-                };
-                if let Some(sender) = conns[slot].as_mut() {
-                    if pkt.flags.syn && !pkt.flags.ack {
-                        sender.on_syn(&pkt, &mut io);
-                    } else {
-                        sender.on_packet(&pkt, &mut io);
-                    }
-                    if sender.is_closed() {
-                        conns[slot] = None;
-                        by_peer.remove(&peer);
-                    }
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
+        true
+    });
+    server
 }
 
-/// One object to fetch on the real-time client.
-#[derive(Debug, Clone)]
-pub struct RtRequest {
-    /// Caller-assigned tag.
-    pub tag: u64,
-    /// Object size in bytes.
-    pub bytes: u64,
-}
-
-struct RtConn {
-    local_port: u16,
-    receiver: Option<TcpReceiver>,
-    record: FlowRecord,
-    syn_retries: u32,
-}
-
-/// Runs a client host: fetches `requests` with up to `max_parallel`
-/// concurrent connections (SYN retries with exponential backoff), then
-/// sends its [`FlowRecord`]s and returns.
-#[allow(clippy::too_many_arguments)]
+/// Runs `client` as node `node` until every request it holds has
+/// completed or `deadline` passes, logs its unfinished transfers
+/// ([`ClientHost::flush_incomplete`]) and hands it back.
 pub fn run_client(
     clock: ScaledClock,
-    cfg: TcpConfig,
-    me: NodeId,
-    server: NodeId,
-    requests: Vec<RtRequest>,
-    max_parallel: usize,
+    mut client: ClientHost,
+    node: NodeId,
     inbound: Receiver<Packet>,
     out: Sender<MbInput>,
-    records_out: Sender<FlowRecord>,
     deadline: SimTime,
-) {
-    let sack = cfg.variant == taq_tcp::Variant::Sack;
-    let mut timers = Timers::default();
-    let mut pending: std::collections::VecDeque<RtRequest> = requests.into();
-    let mut conns: Vec<Option<RtConn>> = Vec::new();
-    let mut by_port: HashMap<u16, usize> = HashMap::new();
-    let mut next_port = 10_000u16;
-    let mut done = 0usize;
-    let total = pending.len();
-
-    let open = |pending: &mut std::collections::VecDeque<RtRequest>,
-                conns: &mut Vec<Option<RtConn>>,
-                by_port: &mut HashMap<u16, usize>,
-                next_port: &mut u16,
-                timers: &mut Timers,
-                clock: &ScaledClock,
-                out: &Sender<MbInput>| {
-        while by_port.len() < max_parallel {
-            let Some(req) = pending.pop_front() else {
-                break;
-            };
-            let port = *next_port;
-            *next_port = next_port.wrapping_add(1);
-            let now = clock.now();
-            let syn = PacketBuilder::new(FlowKey {
-                src: me,
-                src_port: port,
-                dst: server,
-                dst_port: 80,
-            })
-            .seq(0)
-            .flags(TcpFlags::SYN)
-            .meta(req.bytes)
-            .build();
-            let _ = out.send(MbInput::Packet(Crossing {
-                dir: Direction::Reverse,
-                pkt: syn,
-            }));
-            let slot = conns.len();
-            timers.set(now + cfg.syn_retry_initial, slot, TimerKind::SynRetry);
-            conns.push(Some(RtConn {
-                local_port: port,
-                receiver: None,
-                record: FlowRecord {
-                    client: me,
-                    client_port: port,
-                    tag: req.tag,
-                    bytes: req.bytes,
-                    queued_at: now,
-                    first_syn_at: now,
-                    established_at: None,
-                    completed_at: None,
-                    syn_retries: 0,
-                },
-                syn_retries: 0,
-            }));
-            by_port.insert(port, slot);
+) -> ClientHost {
+    let env = RtEnv::new(clock, node, out, Direction::Reverse);
+    run_host(env, inbound, deadline, |wake, env| {
+        match wake {
+            Wake::Start => client.on_start(env),
+            Wake::Timer(token) => client.on_timer(token, env),
+            Wake::Packet(pkt) => client.on_packet(pkt, env),
         }
-    };
-
-    open(
-        &mut pending,
-        &mut conns,
-        &mut by_port,
-        &mut next_port,
-        &mut timers,
-        &clock,
-        &out,
-    );
-
-    while done < total && clock.now() < deadline {
-        let now = clock.now();
-        while let Some((slot, kind)) = timers.pop_due(now) {
-            let Some(Some(conn)) = conns.get_mut(slot) else {
-                continue;
-            };
-            match kind {
-                TimerKind::SynRetry => {
-                    if conn.receiver.is_some() {
-                        continue; // Established while timer in flight.
-                    }
-                    conn.syn_retries += 1;
-                    conn.record.syn_retries = conn.syn_retries;
-                    let syn = PacketBuilder::new(FlowKey {
-                        src: me,
-                        src_port: conn.local_port,
-                        dst: server,
-                        dst_port: 80,
-                    })
-                    .seq(0)
-                    .flags(TcpFlags::SYN)
-                    .meta(conn.record.bytes)
-                    .build();
-                    let _ = out.send(MbInput::Packet(Crossing {
-                        dir: Direction::Reverse,
-                        pkt: syn,
-                    }));
-                    let backoff = (cfg.syn_retry_initial * (1u64 << conn.syn_retries.min(8)))
-                        .min(cfg.syn_retry_max);
-                    timers.set(now + backoff, slot, TimerKind::SynRetry);
-                }
-                TimerKind::DelayedAck => {
-                    if let Some(receiver) = conn.receiver.as_mut() {
-                        let mut io = RtIo {
-                            clock: &clock,
-                            out: &out,
-                            dir: Direction::Reverse,
-                            timers: &mut timers,
-                            conn: slot,
-                        };
-                        receiver.on_timer(kind, &mut io);
-                    }
-                }
-                TimerKind::Rto => {}
-            }
-        }
-        let timeout = recv_deadline(&clock, &mut timers);
-        match inbound.recv_timeout(timeout) {
-            Ok(pkt) => {
-                let Some(&slot) = by_port.get(&pkt.flow.dst_port) else {
-                    continue;
-                };
-                let Some(conn) = conns[slot].as_mut() else {
-                    continue;
-                };
-                if conn.receiver.is_none() {
-                    if pkt.flags.syn && pkt.flags.ack {
-                        conn.record.established_at = Some(clock.now());
-                        let ack_flow = FlowKey {
-                            src: me,
-                            src_port: conn.local_port,
-                            dst: server,
-                            dst_port: 80,
-                        };
-                        conn.receiver = Some(TcpReceiver::new(cfg.clone(), ack_flow, sack));
-                    } else {
-                        continue;
-                    }
-                }
-                let receiver = conn.receiver.as_mut().expect("set above");
-                let mut io = RtIo {
-                    clock: &clock,
-                    out: &out,
-                    dir: Direction::Reverse,
-                    timers: &mut timers,
-                    conn: slot,
-                };
-                receiver.on_packet(&pkt, &mut io);
-                if receiver.is_complete() {
-                    conn.record.completed_at = receiver.complete_at();
-                    let record = conn.record.clone();
-                    by_port.remove(&pkt.flow.dst_port);
-                    conns[slot] = None;
-                    let _ = records_out.send(record);
-                    done += 1;
-                    open(
-                        &mut pending,
-                        &mut conns,
-                        &mut by_port,
-                        &mut next_port,
-                        &mut timers,
-                        &clock,
-                        &out,
-                    );
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    // Report unfinished transfers too.
-    for conn in conns.into_iter().flatten() {
-        let _ = records_out.send(conn.record);
-    }
+        client.outstanding() > 0
+    });
+    client.flush_incomplete();
+    client
 }
 
 #[cfg(test)]
@@ -410,13 +206,10 @@ mod tests {
     #[test]
     fn timer_heap_orders_and_cancels() {
         let mut t = Timers::default();
-        let a = t.set(SimTime::from_secs(2), 0, TimerKind::Rto);
-        let _b = t.set(SimTime::from_secs(1), 1, TimerKind::SynRetry);
+        let a = t.set(SimTime::from_secs(2), 0);
+        let _b = t.set(SimTime::from_secs(1), 10);
         assert_eq!(t.next_deadline(), Some(SimTime::from_secs(1)));
-        assert_eq!(
-            t.pop_due(SimTime::from_secs(1)),
-            Some((1, TimerKind::SynRetry))
-        );
+        assert_eq!(t.pop_due(SimTime::from_secs(1)), Some(10));
         assert!(t.pop_due(SimTime::from_secs(1)).is_none(), "2s not due");
         t.cancel(a);
         assert_eq!(t.next_deadline(), None);
@@ -426,8 +219,8 @@ mod tests {
     #[test]
     fn cancelled_timer_skipped_in_deadline_scan() {
         let mut t = Timers::default();
-        let a = t.set(SimTime::from_secs(1), 0, TimerKind::Rto);
-        let _b = t.set(SimTime::from_secs(3), 0, TimerKind::Rto);
+        let a = t.set(SimTime::from_secs(1), 0);
+        let _b = t.set(SimTime::from_secs(3), 0);
         t.cancel(a);
         assert_eq!(t.next_deadline(), Some(SimTime::from_secs(3)));
     }

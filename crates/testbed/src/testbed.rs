@@ -2,7 +2,7 @@
 //! clients, each on its own thread.
 //!
 //! Substitutes for the paper's 4-machine Ethernet testbed (§5): the
-//! same `Qdisc` implementations and the same TCP state machines run
+//! same `Qdisc` implementations and the same `taq-tcp` hosts run
 //! against wall-clock time with genuine OS scheduling jitter, which is
 //! the property the paper's testbed experiments establish (that TAQ
 //! works outside the simulator on modest hardware). An optional speedup
@@ -10,13 +10,17 @@
 //! timing.
 
 use crate::clock::ScaledClock;
-use crate::hosts::{run_client, run_server, RtRequest};
+use crate::hosts::{run_client, run_server};
 use crate::middlebox::{run_middlebox, MbInput, MiddleboxStats};
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use taq_sim::{Bandwidth, NodeId, Packet, Qdisc, SimDuration, SimTime};
-use taq_tcp::{FlowRecord, TcpConfig};
+use taq_tcp::{new_flow_log, ClientHost, FlowRecord, Request, ServerHost, TcpConfig};
+
+/// The server's address; client `i` is node `10 + i`.
+const SERVER: NodeId = NodeId(1);
+const SERVER_PORT: u16 = 80;
 
 /// Testbed parameters.
 #[derive(Debug, Clone)]
@@ -71,7 +75,7 @@ pub struct RestartDrill {
 #[derive(Debug, Clone)]
 pub struct ClientSpec {
     /// Objects to fetch, in order.
-    pub requests: Vec<RtRequest>,
+    pub requests: Vec<Request>,
     /// Parallel connection limit (the browser pool size).
     pub max_parallel: usize,
 }
@@ -101,44 +105,59 @@ pub fn run_testbed(
         + 'static,
     clients: Vec<ClientSpec>,
 ) -> TestbedReport {
+    // One log for every client, as in a simulator scenario: records
+    // land in global completion order, and each client adds its
+    // unfinished transfers when it stops at the horizon.
+    let log = new_flow_log();
+    let hosts = clients
+        .into_iter()
+        .map(|spec| {
+            let tcp = cfg.tcp.clone();
+            let mut host =
+                ClientHost::new(tcp, SERVER, SERVER_PORT, spec.max_parallel, log.clone());
+            for req in spec.requests {
+                host.push_request(req);
+            }
+            host
+        })
+        .collect();
+    let (stats, _server, _clients) = run_hosts(cfg, make_qdiscs, hosts);
+    let records = std::mem::take(&mut log.lock().expect("a client panicked").records);
+    TestbedReport { records, stats }
+}
+
+/// [`run_testbed`] below the workload: one thread per ready-made client
+/// host, the server and the middlebox. Returns the bottleneck counters
+/// and every host as its thread left it.
+fn run_hosts(
+    cfg: TestbedConfig,
+    make_qdiscs: impl FnMut(&taq_telemetry::Telemetry) -> (Box<dyn Qdisc>, Box<dyn Qdisc>)
+        + Send
+        + 'static,
+    clients: Vec<ClientHost>,
+) -> (MiddleboxStats, ServerHost, Vec<ClientHost>) {
     assert!(!clients.is_empty(), "no clients");
     let clock = ScaledClock::new(cfg.speedup);
-    let server_id = NodeId(1);
     let (mb_tx, mb_rx) = channel::<MbInput>();
     let (stats_tx, stats_rx) = channel();
-    let (records_tx, records_rx) = channel::<FlowRecord>();
 
     // Host inbound channels, registered with the middlebox.
     let mut host_channels: HashMap<NodeId, Sender<Packet>> = HashMap::new();
     let (server_in_tx, server_in_rx) = channel::<Packet>();
-    host_channels.insert(server_id, server_in_tx);
+    host_channels.insert(SERVER, server_in_tx);
 
-    let mut client_handles: Vec<JoinHandle<()>> = Vec::new();
-    for (i, spec) in clients.into_iter().enumerate() {
+    let mut client_handles: Vec<JoinHandle<ClientHost>> = Vec::new();
+    for (i, host) in clients.into_iter().enumerate() {
         let me = NodeId(10 + i as u32);
         let (in_tx, in_rx) = channel::<Packet>();
         host_channels.insert(me, in_tx);
         let clock = clock.clone();
-        let tcp = cfg.tcp.clone();
         let out = mb_tx.clone();
-        let records = records_tx.clone();
         let horizon = cfg.horizon;
         client_handles.push(std::thread::spawn(move || {
-            run_client(
-                clock,
-                tcp,
-                me,
-                server_id,
-                spec.requests,
-                spec.max_parallel,
-                in_rx,
-                out,
-                records,
-                horizon,
-            );
+            run_client(clock, host, me, in_rx, out, horizon)
         }));
     }
-    drop(records_tx);
 
     let mb_clock = clock.clone();
     let rate = cfg.rate;
@@ -180,10 +199,10 @@ pub fn run_testbed(
     });
 
     let server_clock = clock.clone();
-    let server_tcp = cfg.tcp.clone();
+    let server_host = ServerHost::new(cfg.tcp.clone(), SERVER_PORT);
     let server_out = mb_tx.clone();
     let server = std::thread::spawn(move || {
-        run_server(server_clock, server_tcp, server_in_rx, server_out);
+        run_server(server_clock, server_host, SERVER, server_in_rx, server_out)
     });
 
     // The restart drill runs on its own thread: sleep (in real time)
@@ -198,14 +217,14 @@ pub fn run_testbed(
         })
     });
 
-    // Clients exit when done or at the horizon; collect their records.
-    let mut records = Vec::new();
-    for handle in client_handles {
-        handle.join().expect("client thread panicked");
-    }
-    while let Ok(r) = records_rx.try_recv() {
-        records.push(r);
-    }
+    // Clients exit when done or at the horizon.
+    let clients = client_handles
+        .into_iter()
+        .map(|handle| handle.join().expect("client thread panicked"))
+        .collect();
+    // A client leaves the moment its last FIN arrives; give its final
+    // ACK time to cross, so the server closes that connection too.
+    std::thread::sleep(clock.real_offset(SimTime::ZERO + cfg.one_way_delay * 4));
     // Orderly shutdown: the explicit signal breaks the middlebox loop
     // (the server still holds an input sender, so channel closure alone
     // would never fire); dropping the middlebox's host channels then
@@ -216,9 +235,9 @@ pub fn run_testbed(
     let _ = mb_tx.send(MbInput::Shutdown);
     drop(mb_tx);
     middlebox.join().expect("middlebox thread panicked");
-    server.join().expect("server thread panicked");
+    let server = server.join().expect("server thread panicked");
     let stats = stats_rx.recv().expect("middlebox reports stats");
-    TestbedReport { records, stats }
+    (stats, server, clients)
 }
 
 #[cfg(test)]
@@ -252,7 +271,7 @@ mod tests {
                 )
             },
             vec![ClientSpec {
-                requests: vec![RtRequest {
+                requests: vec![Request {
                     tag: 1,
                     bytes: 30_000,
                 }],
@@ -283,7 +302,7 @@ mod tests {
         });
         let specs: Vec<ClientSpec> = (0..4)
             .map(|i| ClientSpec {
-                requests: vec![RtRequest {
+                requests: vec![Request {
                     tag: i,
                     bytes: 40_000,
                 }],
@@ -328,7 +347,7 @@ mod tests {
         });
         let specs: Vec<ClientSpec> = (0..4)
             .map(|i| ClientSpec {
-                requests: vec![RtRequest {
+                requests: vec![Request {
                     tag: i,
                     bytes: 40_000,
                 }],
@@ -362,7 +381,7 @@ mod tests {
     fn concurrent_clients_all_finish() {
         let specs: Vec<ClientSpec> = (0..4)
             .map(|i| ClientSpec {
-                requests: vec![RtRequest {
+                requests: vec![Request {
                     tag: i,
                     bytes: 20_000,
                 }],
@@ -386,5 +405,87 @@ mod tests {
             .filter(|r| r.completed_at.is_some())
             .count();
         assert_eq!(done, 4, "all transfers finish: {report:?}");
+    }
+    /// The client a testbed thread runs is `taq-tcp`'s, so a TAQ
+    /// rejection notice (the RST with a wait hint) reschedules its SYN
+    /// at the hint instead of being discarded in favour of blind
+    /// backoff (1 s, 2 s, 4 s — two retries before the 3 s hint).
+    #[test]
+    fn rejection_notice_moves_the_retry_to_the_hinted_wait() {
+        use taq::{TaqConfig, TaqPair};
+        let cfg = base_cfg();
+        let rate = cfg.rate;
+        let (handle_tx, handle_rx) = channel();
+        let log = new_flow_log();
+        let mut client = ClientHost::new(cfg.tcp.clone(), SERVER, SERVER_PORT, 1, log.clone());
+        client.push_request(Request {
+            tag: 1,
+            bytes: 20_000,
+        });
+        let (stats, _server, clients) = run_hosts(
+            cfg,
+            move |_| {
+                let mut taq = TaqConfig::for_link(rate).with_admission_control();
+                taq.reject_feedback = true;
+                let pair = TaqPair::new(taq);
+                // Hold the loss meter far above `p_thresh` through the
+                // shared handle: with no admitted traffic to dilute
+                // them, these losses stay in its window until the pool
+                // has waited out `admission_twait`, which releases it.
+                let mut state = pair.state.lock().unwrap();
+                for _ in 0..100 {
+                    state.record_external_loss(SimTime::ZERO);
+                }
+                drop(state);
+                handle_tx.send(pair.state.clone()).unwrap();
+                (Box::new(pair.forward) as _, Box::new(pair.reverse) as _)
+            },
+            vec![client],
+        );
+        let taq = handle_rx.recv().unwrap();
+        let rejected = taq.lock().unwrap().stats.syns_rejected;
+        assert_eq!(rejected, 1, "first SYN refused, the retry admitted");
+        assert_eq!(stats.rev_dropped, 1);
+        assert_eq!(
+            clients[0].rejections_seen, 1,
+            "the notice reached the client"
+        );
+        let records = &log.lock().unwrap().records;
+        assert_eq!(records.len(), 1);
+        let r = &records[0];
+        assert!(r.completed_at.is_some(), "completes once admitted: {r:?}");
+        assert_eq!(r.syn_retries, 1, "one retry, at the hint: {r:?}");
+        let wait = r.established_at.unwrap().saturating_since(r.first_syn_at);
+        // Notice back (~0.1 s) + the 3 s hint + the handshake (~0.2 s).
+        assert!(
+            (3.0..4.5).contains(&wait.as_secs_f64()),
+            "connected {wait:?} after the first SYN"
+        );
+    }
+
+    /// Connection slots are `ServerHost`'s: 200 sequential connections
+    /// leave 200 accepts and nothing behind.
+    #[test]
+    fn server_reuses_connection_slots_across_many_short_flows() {
+        let mut cfg = base_cfg();
+        cfg.horizon = SimTime::from_secs(600);
+        let log = new_flow_log();
+        let mut client = ClientHost::new(cfg.tcp.clone(), SERVER, SERVER_PORT, 2, log.clone());
+        for tag in 0..200 {
+            client.push_request(Request { tag, bytes: 1_500 });
+        }
+        let (_stats, server, clients) = run_hosts(
+            cfg,
+            |_| {
+                (
+                    Box::new(DropTail::with_packets(30)),
+                    Box::new(UnboundedFifo::new()),
+                )
+            },
+            vec![client],
+        );
+        assert_eq!(clients[0].completed, 200);
+        assert_eq!(server.accepted, 200);
+        assert_eq!(server.live_connections(), 0);
     }
 }

@@ -14,8 +14,8 @@
 
 use taq::{TaqConfig, TaqPair};
 use taq_sim::{Bandwidth, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
-use taq_testbed::{run_testbed, ClientSpec, RestartDrill, RtRequest, TestbedConfig};
+use taq_tcp::{Request, TcpConfig};
+use taq_testbed::{run_testbed, ClientSpec, RestartDrill, TestbedConfig};
 use taq_trace::{ReportConfig, TraceReport};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     let clients: Vec<ClientSpec> = (0..8)
         .map(|c| ClientSpec {
             requests: (0..40)
-                .map(|i| RtRequest {
+                .map(|i| Request {
                     tag: c * 100 + i,
                     bytes: 15_000,
                 })

@@ -19,8 +19,8 @@
 use taq::{TaqConfig, TaqPair};
 use taq_metrics::jain_index;
 use taq_sim::{Bandwidth, SimDuration, SimTime};
-use taq_tcp::TcpConfig;
-use taq_testbed::{run_testbed, ClientSpec, RtRequest, TestbedConfig};
+use taq_tcp::{Request, TcpConfig};
+use taq_testbed::{run_testbed, ClientSpec, TestbedConfig};
 
 fn main() {
     let rate = Bandwidth::from_kbps(600);
@@ -38,7 +38,7 @@ fn main() {
     let clients: Vec<ClientSpec> = (0..8)
         .map(|c| ClientSpec {
             requests: (0..50)
-                .map(|i| RtRequest {
+                .map(|i| Request {
                     tag: c * 100 + i,
                     bytes: 15_000,
                 })
@@ -85,4 +85,10 @@ fn main() {
         "bottleneck: {} packets forwarded, {} dropped",
         report.stats.fwd_transmitted, report.stats.fwd_dropped
     );
+    // `scripts/verify.sh testbed_smoke` runs this example as its gate: a
+    // client that completed nothing is a failure, not a low index.
+    if goodputs.contains(&0.0) {
+        eprintln!("testbed_demo: a client completed no object");
+        std::process::exit(1);
+    }
 }

@@ -6,7 +6,7 @@
 #                       benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark and the sweep, fault-matrix, trace,
-#                       and fluid-validation binaries, plus the
+#                       testbed and fluid-validation binaries, plus the
 #                       per-metric regression gate (events/s, the
 #                       hot-path latency histograms, the allocation
 #                       ceiling and the attached-ratio floor) against
@@ -98,13 +98,20 @@ trace_smoke() {
     run cargo test $OFFLINE -q -p taq-trace -p taq-telemetry
 }
 
+# Testbed smoke: the real-time harness outside `cargo test` — eight
+# clients' worth of taq-tcp hosts on threads through a TAQ middlebox,
+# 12 simulated seconds at 6x (about 2 s of wall clock). The example
+# exits nonzero unless every client completed at least one object.
+testbed_smoke() {
+    run cargo run $OFFLINE --release --example testbed_demo
+}
+
 # Execution conformance: how a run is driven (one run_until, chunked
 # run_until with starts scheduled behind the queue's peeked minimum, a
-# manual step loop) and how a qdisc is drained (dequeue_batch vs
-# repeated dequeue) must not be observable; plus the event queue's own
+# manual step loop) must not be observable; plus the event queue's own
 # unit tests (the wheel against its BinaryHeap oracle, the slab, the
 # packed key) and the TAQ queue layer's — among them the index-vs-scan
-# oracle the batched dequeue rests on. All of it also runs inside
+# oracle every pop and eviction rests on. All of it also runs inside
 # test_suite; this entry point exists so bisecting developers can run
 # just the ordering contract and what it stands on.
 execution_conformance() {
@@ -205,6 +212,7 @@ full() {
     sweep_smoke
     fault_smoke
     trace_smoke
+    testbed_smoke
     execution_conformance
     fluid
     bench_gate

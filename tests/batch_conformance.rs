@@ -1,26 +1,17 @@
 //! Execution-shape conformance: how a run is driven — one `run_until`,
 //! many short ones with work scheduled in between, or a manual `step`
-//! loop — and how a qdisc is drained — `dequeue_batch` or repeated
-//! `dequeue` — are never observable.
+//! loop — is never observable.
 //!
-//! Two angles:
-//!
-//! - whole-engine: random topologies run to quiescence three ways — one
-//!   `run_until`; `run_until` at random horizons with a
-//!   [`Simulator::schedule_start`] between chunks, at a time *earlier*
-//!   than the minimum the finished chunk's last peek located (the one
-//!   push the event queue can see behind its cursor); and a manual
-//!   [`Simulator::step`] loop — comparing the full recorded event trace
-//!   (order included), the flow log, per-link counters, TAQ statistics
-//!   and the event count;
-//! - qdisc-level: a TAQ pair under random enqueue/drain churn must hand
-//!   out the identical packet sequence from `dequeue_batch` as from
-//!   repeated `dequeue`, with identical end-of-run statistics.
+//! Random topologies run to quiescence three ways — one `run_until`;
+//! `run_until` at random horizons with a [`Simulator::schedule_start`]
+//! between chunks, at a time *earlier* than the minimum the finished
+//! chunk's last peek located (the one push the event queue can see
+//! behind its cursor); and a manual [`Simulator::step`] loop —
+//! comparing the full recorded event trace (order included), the flow
+//! log, per-link counters, TAQ statistics and the event count.
 
-use taq::{TaqConfig, TaqPair};
 use taq_sim::{
-    Bandwidth, EventRecorder, FlowKey, LinkStats, NodeId, PacketArena, PacketBuilder, PacketId,
-    Qdisc, RecordedEvent, SimDuration, SimRng, SimTime,
+    Bandwidth, EventRecorder, LinkStats, NodeId, RecordedEvent, SimDuration, SimRng, SimTime,
 };
 use taq_tcp::{ClientHost, FlowRecord, Request, TcpConfig};
 use taq_workloads::{PipeSpec, QdiscSpec, TopologySpec};
@@ -210,98 +201,4 @@ fn chunked_run_until_matches_one_run() {
         let stepped = run_case(&spec, &joiners, Driver::StepLoop, seed);
         assert_eq!(one, stepped, "case {case}: step loop diverged");
     }
-}
-
-/// One scripted churn round: enqueue a burst, then drain some packets.
-/// `DRAIN[i]` of 0 models a timer tick that only advances the clock.
-const BURSTS: usize = 200;
-
-fn key(port: u16) -> FlowKey {
-    FlowKey {
-        src: NodeId(1),
-        src_port: 80,
-        dst: NodeId(2),
-        dst_port: port,
-    }
-}
-
-fn data(arena: &mut PacketArena, port: u16, seq: u64, id: u64) -> PacketId {
-    let mut p = PacketBuilder::new(key(port)).seq(seq).payload(460).build();
-    p.id = id;
-    arena.insert(p)
-}
-
-/// Drives one TAQ pair with the scripted churn, draining via `drain`,
-/// and returns the dequeued packet ids in order plus the final stats.
-fn churn_taq(
-    drain: impl Fn(&mut taq::TaqQdisc, &mut PacketArena, SimTime, usize) -> Vec<PacketId>,
-) -> (Vec<u64>, taq::TaqStats) {
-    let mut cfg = TaqConfig::for_link(Bandwidth::from_kbps(600));
-    cfg.buffer_pkts = 24;
-    cfg.newflow_cap_pkts = 12;
-    let pair = TaqPair::new(cfg);
-    let mut q = pair.forward;
-    let mut arena = PacketArena::new();
-    let mut rng = SimRng::new(0xD0_D0);
-    let mut next_id = 1u64;
-    let mut out = Vec::new();
-    for round in 0..BURSTS as u64 {
-        let now = SimTime::from_millis(round * 7);
-        let burst = 1 + rng.next_below(6);
-        for _ in 0..burst {
-            let port = 1000 + rng.next_below(8) as u16;
-            let pkt = data(&mut arena, port, 1 + next_id * 460, next_id);
-            next_id += 1;
-            let outcome = q.enqueue(pkt, &mut arena, now);
-            for dropped in outcome.dropped {
-                arena.remove(dropped);
-            }
-        }
-        let want = rng.next_below(8) as usize;
-        for id in drain(&mut q, &mut arena, now, want) {
-            out.push(arena.get(id).id);
-            arena.remove(id);
-        }
-    }
-    // Final full drain so both scripts see the queue empty.
-    let now = SimTime::from_secs(60);
-    loop {
-        let got = drain(&mut q, &mut arena, now, 16);
-        if got.is_empty() {
-            break;
-        }
-        for id in got {
-            out.push(arena.get(id).id);
-            arena.remove(id);
-        }
-    }
-    assert_eq!(q.len(), 0);
-    let stats = pair.state.lock().unwrap().stats.clone();
-    (out, stats)
-}
-
-#[test]
-fn taq_dequeue_batch_matches_repeated_dequeue() {
-    let (serial, serial_stats) = churn_taq(|q, arena, now, want| {
-        let mut got = Vec::new();
-        for _ in 0..want {
-            match q.dequeue(arena, now) {
-                Some(id) => got.push(id),
-                None => break,
-            }
-        }
-        got
-    });
-    let (batched, batched_stats) = churn_taq(|q, arena, now, want| {
-        let mut got = Vec::new();
-        q.dequeue_batch(arena, now, &mut got, want);
-        got
-    });
-    assert!(
-        serial.len() > 300,
-        "churn script too light ({} packets forwarded)",
-        serial.len()
-    );
-    assert_eq!(serial, batched, "dequeue_batch reordered the packet stream");
-    assert_eq!(serial_stats, batched_stats, "stats diverged under batching");
 }
