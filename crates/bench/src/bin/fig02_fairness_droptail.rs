@@ -8,24 +8,24 @@
 //! fairness stays high; short-term fairness collapses as the fair share
 //! drops below ~30 Kbps (≈3 packets/RTT).
 //!
-//! Usage: `fig02_fairness_droptail [--full] [discipline]` — the
-//! optional discipline (droptail|red|sfq) reproduces §2.4's observation
-//! that RED and SFQ behave like DropTail here.
+//! Usage: `fig02_fairness_droptail [--full] [--threads N] [discipline]`
+//! — the optional discipline (droptail|red|sfq) reproduces §2.4's
+//! observation that RED and SFQ behave like DropTail here.
 
-use taq_bench::{fairness_run, Discipline, FairnessRunConfig, SweepArgs};
+use taq_bench::{
+    fairness_grid, fairness_run, sweep_indexed, Discipline, FairnessRunConfig, SweepArgs,
+};
 use taq_sim::Bandwidth;
-use taq_workloads::flows_for_fair_share;
 
 fn main() {
     let discipline = std::env::args()
         .skip(1)
         .find_map(|a| Discipline::parse(&a))
         .unwrap_or(Discipline::DropTail);
+    let args = SweepArgs::parse(42);
     // Short runs keep the 20 s slice count meaningful; --full matches
     // the paper's scale.
-    let duration = SweepArgs::parse(42).duration(300, 300, 2_000);
-    let shares_bps: [u64; 7] = [2_000, 5_000, 10_000, 15_000, 20_000, 30_000, 50_000];
-    let rates_kbps: [u64; 5] = [200, 400, 600, 800, 1_000];
+    let duration = args.duration(300, 300, 2_000);
 
     println!(
         "# Figure 2 reproduction — discipline: {}",
@@ -33,19 +33,22 @@ fn main() {
     );
     println!("# short-term = mean Jain over 20 s slices; long-term = whole-run Jain");
     println!("# rate_kbps  flows  fair_share_bps  jain_short  jain_long  util  drop_rate");
-    for rate_kbps in rates_kbps {
-        let rate = Bandwidth::from_kbps(rate_kbps);
-        for share in shares_bps {
-            let flows = flows_for_fair_share(rate, share);
-            if !(4..=400).contains(&flows) {
-                continue;
-            }
-            let cfg = FairnessRunConfig::new(42, rate, flows, duration);
-            let r = fairness_run(&cfg, discipline);
-            println!(
-                "{rate_kbps:>10} {flows:>6} {share:>15} {:>11.3} {:>10.3} {:>5.3} {:>9.3}",
-                r.short_term_jain, r.long_term_jain, r.utilization, r.drop_rate
-            );
-        }
+    let rows = sweep_indexed(&fairness_grid(), args.threads, |_, cell| {
+        let rate = Bandwidth::from_kbps(cell.rate_kbps);
+        let cfg = FairnessRunConfig::new(42, rate, cell.flows, duration);
+        let r = fairness_run(&cfg, discipline);
+        format!(
+            "{:>10} {:>6} {:>15} {:>11.3} {:>10.3} {:>5.3} {:>9.3}",
+            cell.rate_kbps,
+            cell.flows,
+            cell.share_bps,
+            r.short_term_jain,
+            r.long_term_jain,
+            r.utilization,
+            r.drop_rate
+        )
+    });
+    for row in rows {
+        println!("{row}");
     }
 }

@@ -20,7 +20,7 @@ use taq_sim::Bandwidth;
 fn main() {
     let extreme = std::env::args().any(|a| a == "--extreme");
     let flows = if extreme { 180 } else { 90 };
-    let duration = SweepArgs::parse(7).duration(300, 300, 1_100);
+    let duration = SweepArgs::parse_with(7, &["--extreme"]).duration(300, 300, 1_100);
     let rate = Bandwidth::from_kbps(600);
 
     println!("# Figure 9 reproduction — flow evolution, {flows} flows over 600 Kbps");

@@ -167,7 +167,7 @@ fn sim_tipping(
 }
 
 fn main() {
-    let mut args = SweepArgs::parse(11);
+    let mut args = SweepArgs::parse_with(11, &["--out"]);
     let cli: Vec<String> = std::env::args().collect();
     let out_path = cli
         .iter()

@@ -11,7 +11,7 @@
 use taq_bench::{telemetry_report, SweepArgs, TelemetryReportConfig};
 
 fn main() {
-    let duration = SweepArgs::parse(42).duration(60, 60, 600);
+    let duration = SweepArgs::parse_with(42, &["--jsonl"]).duration(60, 60, 600);
     let mut cfg = TelemetryReportConfig::small_packet(42, duration);
     let args: Vec<String> = std::env::args().collect();
     if let Some(i) = args.iter().position(|a| a == "--jsonl") {

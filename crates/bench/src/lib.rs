@@ -4,9 +4,9 @@
 //! plus hand-rolled microbenchmarks (see `benches/`). This library
 //! holds the shared pieces: the [`Discipline`] names (each maps onto a
 //! `taq_workloads::QdiscSpec`, the one place disciplines are built),
-//! the standard fairness-run shape used by Figures 2/3/8/9, the
-//! telemetry-report scenario, the parallel sweep runner and the
-//! [`SweepArgs`] CLI surface.
+//! the standard fairness-run shape used by Figures 2/3/8/9 and the
+//! Figure 2/8 grid of them, the telemetry-report scenario, the parallel
+//! sweep runner and the [`SweepArgs`] CLI surface.
 //!
 //! A binary builds its scenario with one call chain:
 //!
@@ -46,7 +46,7 @@ pub use sweep::{default_threads, sweep_indexed, sweep_seeds, SweepArgs};
 use taq_faults::{FaultPlan, FaultStats};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
-use taq_workloads::{DumbbellSpec, QdiscSpec, BULK_BYTES};
+use taq_workloads::{flows_for_fair_share, DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 /// Hand-rolled microbenchmark loop (the workspace builds offline, so no
 /// external bench harness): runs `f` `warmup` times untimed, then
@@ -180,6 +180,39 @@ impl FairnessRunConfig {
         self.telemetry = telemetry;
         self
     }
+}
+
+/// One cell of the grid Figures 2 and 8 sweep: a bottleneck rate and
+/// the flow count that gives each flow `share_bps` of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FairnessCell {
+    /// Bottleneck rate in kbps.
+    pub rate_kbps: u64,
+    /// Ideal per-flow fair share in bits per second.
+    pub share_bps: u64,
+    /// Long-lived flows sharing the bottleneck.
+    pub flows: usize,
+}
+
+/// The Figure 2 / Figure 8 grid in row order: capacities 200–1000 kbps
+/// × fair shares 2–50 kbps, keeping the cells of 4 to 400 flows.
+pub fn fairness_grid() -> Vec<FairnessCell> {
+    const RATES_KBPS: [u64; 5] = [200, 400, 600, 800, 1_000];
+    const SHARES_BPS: [u64; 7] = [2_000, 5_000, 10_000, 15_000, 20_000, 30_000, 50_000];
+    let mut grid = Vec::new();
+    for rate_kbps in RATES_KBPS {
+        for share_bps in SHARES_BPS {
+            let flows = flows_for_fair_share(Bandwidth::from_kbps(rate_kbps), share_bps);
+            if (4..=400).contains(&flows) {
+                grid.push(FairnessCell {
+                    rate_kbps,
+                    share_bps,
+                    flows,
+                });
+            }
+        }
+    }
+    grid
 }
 
 /// Results of a fairness run.

@@ -119,25 +119,38 @@ impl SweepArgs {
         }
     }
 
-    /// Parses the process CLI, exiting with a message on malformed
-    /// flags. `base_seed` seeds the `--runs N` expansion and is the
-    /// single default seed when neither `--seeds` nor `--runs` is
+    /// Parses the process CLI, exiting with a message on a malformed or
+    /// unknown flag. `base_seed` seeds the `--runs N` expansion and is
+    /// the single default seed when neither `--seeds` nor `--runs` is
     /// given.
     pub fn parse(base_seed: u64) -> Self {
+        Self::parse_with(base_seed, &[])
+    }
+
+    /// [`SweepArgs::parse`] for a binary with flags of its own: it
+    /// names them in `own_flags` and reads them from `std::env::args`
+    /// itself.
+    pub fn parse_with(base_seed: u64, own_flags: &[&str]) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(base_seed, &args) {
+        match Self::from_args(base_seed, &args, own_flags) {
             Ok(a) => a,
             Err(e) => {
                 eprintln!("{e}");
-                eprintln!("usage: [--seeds a,b,c | --runs N] [--threads N] [--full] [--smoke]");
+                let own: String = own_flags.iter().map(|f| format!(" [{f}]")).collect();
+                eprintln!(
+                    "usage: [--seeds a,b,c | --runs N] [--threads N] [--full] [--smoke]{own}"
+                );
                 std::process::exit(2);
             }
         }
     }
 
-    /// Pure parser behind [`SweepArgs::parse`]; unknown flags are
-    /// ignored so binaries can layer their own on top.
-    pub fn from_args(base_seed: u64, args: &[String]) -> Result<Self, String> {
+    /// Pure parser behind [`SweepArgs::parse_with`]. A `--flag` that is
+    /// neither one of the five above nor in `own_flags` is an error, so
+    /// a typo (`--ful`) cannot silently run the default configuration;
+    /// positional arguments (a discipline name, an own flag's value)
+    /// pass through.
+    pub fn from_args(base_seed: u64, args: &[String], own_flags: &[&str]) -> Result<Self, String> {
         let mut out = SweepArgs::new(base_seed);
         let mut i = 0;
         while i < args.len() {
@@ -188,7 +201,10 @@ impl SweepArgs {
                     out.smoke = true;
                     i += 1;
                 }
-                _ => i += 1, // a binary-specific flag; not ours to police
+                flag if flag.starts_with("--") && !own_flags.contains(&flag) => {
+                    return Err(format!("unknown flag {flag}"));
+                }
+                _ => i += 1,
             }
         }
         Ok(out)
@@ -293,7 +309,8 @@ mod tests {
 
     #[test]
     fn parses_seed_list_and_threads() {
-        let a = SweepArgs::from_args(42, &args(&["--seeds", "1,2,3", "--threads", "2"])).unwrap();
+        let a =
+            SweepArgs::from_args(42, &args(&["--seeds", "1,2,3", "--threads", "2"]), &[]).unwrap();
         assert_eq!(a.seeds, vec![1, 2, 3]);
         assert_eq!(a.threads, 2);
         assert!(!a.full && !a.smoke);
@@ -301,7 +318,8 @@ mod tests {
 
     #[test]
     fn parses_runs_expansion_and_modes() {
-        let a = SweepArgs::from_args(10, &args(&["--runs", "4", "--smoke", "--full"])).unwrap();
+        let a =
+            SweepArgs::from_args(10, &args(&["--runs", "4", "--smoke", "--full"]), &[]).unwrap();
         assert_eq!(a.seeds, vec![10, 11, 12, 13]);
         assert!(a.full && a.smoke);
         // Smoke wins the duration tie.
@@ -311,19 +329,42 @@ mod tests {
 
     #[test]
     fn defaults_and_unknown_flags() {
-        let a = SweepArgs::from_args(42, &args(&["--whatever", "7"])).unwrap();
+        let a = SweepArgs::from_args(42, &[], &[]).unwrap();
         assert_eq!(a.seeds, vec![42]);
         assert!(a.threads >= 1);
         assert_eq!(a.duration(1, 60, 600), SimTime::from_secs(60));
-        let full = SweepArgs::from_args(42, &args(&["--full"])).unwrap();
+        let full = SweepArgs::from_args(42, &args(&["--full"]), &[]).unwrap();
         assert_eq!(full.duration(1, 60, 600), SimTime::from_secs(600));
+        // A typo must not run the default configuration under the
+        // figure's header.
+        let err = SweepArgs::from_args(42, &args(&["--ful"]), &[]).unwrap_err();
+        assert!(err.contains("--ful"), "{err}");
+        assert!(SweepArgs::from_args(42, &args(&["--whatever", "7"]), &[]).is_err());
+    }
+
+    #[test]
+    fn parses_own_flags_and_positionals() {
+        // A binary's own flags are named in the call; their values and
+        // any other positional argument pass through untouched.
+        let a = SweepArgs::from_args(
+            11,
+            &args(&["--out", "x.json", "--smoke", "--extreme"]),
+            &["--out", "--extreme"],
+        )
+        .unwrap();
+        assert!(a.smoke && !a.full);
+        assert_eq!(a.seeds, vec![11]);
+        let a = SweepArgs::from_args(42, &args(&["red", "--full"]), &[]).unwrap();
+        assert!(a.full);
+        // Naming one flag does not admit another.
+        assert!(SweepArgs::from_args(7, &args(&["--extrem"]), &["--extreme"]).is_err());
     }
 
     #[test]
     fn rejects_malformed_flags() {
-        assert!(SweepArgs::from_args(1, &args(&["--seeds", "1,x"])).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--runs", "0"])).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--threads", "0"])).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--seeds"])).is_err());
+        assert!(SweepArgs::from_args(1, &args(&["--seeds", "1,x"]), &[]).is_err());
+        assert!(SweepArgs::from_args(1, &args(&["--runs", "0"]), &[]).is_err());
+        assert!(SweepArgs::from_args(1, &args(&["--threads", "0"]), &[]).is_err());
+        assert!(SweepArgs::from_args(1, &args(&["--seeds"]), &[]).is_err());
     }
 }

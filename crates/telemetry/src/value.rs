@@ -5,8 +5,8 @@
 //! building values programmatically, writing them out as compact JSON
 //! with correct string escaping and finite-float handling, and parsing
 //! our own output back ([`Value::parse`]) so the trace-analysis tools
-//! and the bench regression gate can read JSONL dumps and
-//! `BENCH_sim.json` without an external dependency.
+//! can read JSONL dumps, and the fluid-validation test its committed
+//! artifact, without an external dependency.
 
 use std::fmt::Write as _;
 

@@ -6,11 +6,9 @@
 #                       benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark and the sweep, fault-matrix, trace,
-#                       testbed and fluid-validation binaries, plus the
-#                       per-metric regression gate (events/s, the
-#                       hot-path latency histograms, the allocation
-#                       ceiling and the attached-ratio floor) against
-#                       the committed BENCH_sim.json.
+#                       testbed and fluid-validation binaries, plus
+#                       the repo benchmark at full size on HEAD~1 and
+#                       on the working tree, compared.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -124,9 +122,8 @@ execution_conformance() {
 # conservation, step-halving stability, DTMC agreement) as the quick
 # layer; the full tier reruns the sim-vs-model convergence ladder at
 # smoke scale and regenerates results/FLUID_validation.json so CI can
-# archive it next to BENCH_sim.json. The committed full-scale artifact
-# is separately held to its convergence contract by
-# tests/fluid_vs_sim.rs inside test_suite.
+# archive it. The committed full-scale artifact is separately held to
+# its convergence contract by tests/fluid_vs_sim.rs inside test_suite.
 fluid() {
     run cargo test $OFFLINE -q -p taq-model --lib fluid
     if [ "$VERIFY_TIER" = "full" ]; then
@@ -134,32 +131,22 @@ fluid() {
     fi
 }
 
-# Bench gate: re-measures the hot-path scenarios and fails on a >10%
-# per-metric regression against the committed BENCH_sim.json —
-# events/s per scenario (the attached-sink fig01 variant included),
-# plus the ns_per_enqueue / ns_per_classify / ns_per_dequeue latency
-# histograms, the steady-state allocations-per-event ceiling (which on
-# the attached variant covers SummarySink and TraceCollector) and the
-# attached-ratio floor (attached events/s over sinkless events/s on the
-# fig01 input, same process; both values live in bench_report.rs as
-# ALLOC_EPSILON and ATTACHED_RATIO_FLOOR and are printed with each
-# verdict). Runs
-# before bench_report so the comparison is against the committed
-# baseline, not a freshly regenerated one. The binary's distinct exit
-# codes say which kind of metric tripped; the per-metric before/after
-# table is in its stdout above.
-bench_gate() {
-    status=0
-    run cargo run $OFFLINE --release -p taq-bench --bin bench_report -- --check --iters 3 || status=$?
-    case "$status" in
-        0) echo "bench_gate: within 10% of committed BENCH_sim.json" >&2 ;;
-        2) echo "bench_gate: FAILED — events/s regressed >10% (see the per-metric table above)" >&2 ;;
-        3) echo "bench_gate: FAILED — a hot-path latency metric (ns_per_enqueue, ns_per_classify or ns_per_dequeue) regressed >10% (see the per-metric table above)" >&2 ;;
-        4) echo "bench_gate: FAILED — a scenario allocates in steady state past the allocations-per-event ceiling (see the allocs/event column above)" >&2 ;;
-        5) echo "bench_gate: FAILED — fig01_weblog_attached ran under the attached-ratio floor of fig01_weblog_churn's events/s (see the attached/sinkless line above)" >&2 ;;
-        *) echo "bench_gate: bench_report exited $status (not a gate verdict)" >&2 ;;
-    esac
-    return "$status"
+# The one performance comparison: the repo benchmark at full size on
+# HEAD~1 (its committed files, unpacked under .bench_build/) and on the
+# working tree, then `run.sh --compare` on the two result files, whose
+# exit status this returns: nonzero when an end-to-end metric is worse
+# than the parent beyond its BENCHMARK.json bound. About six minutes on
+# two cores. Each side builds in its own benchmark/target. The parent is
+# unpacked with `git archive` and not checked out with `git worktree`,
+# so an interrupted run leaves nothing registered in .git.
+bench_compare() {
+    work="$PWD/.bench_build"
+    rm -rf "$work"
+    mkdir -p "$work/parent"
+    git archive HEAD~1 | tar -x -C "$work/parent"
+    (cd "$work/parent" && run bash benchmark/run.sh --out "$work/parent-out")
+    run bash benchmark/run.sh --out "$work/head-out"
+    run bash benchmark/run.sh --compare "$work/parent-out/results.json" "$work/head-out/results.json"
 }
 
 # Dependency advisories via cargo-audit. Never a gate: the CI job runs
@@ -172,14 +159,6 @@ audit() {
         return 0
     fi
     run cargo audit
-}
-
-# Bench tier: regenerates BENCH_sim.json (fig01 churn + fig08 many-flow
-# hot-path numbers, with the tracked pre-overhaul baseline embedded) so
-# CI can archive it and reviewers can diff events/sec against the
-# committed copy.
-bench_report() {
-    run cargo run $OFFLINE --release -p taq-bench --bin bench_report -- --iters 3 --out BENCH_sim.json
 }
 
 # Coverage: workspace line coverage via cargo-llvm-cov, written to
@@ -215,8 +194,7 @@ full() {
     testbed_smoke
     execution_conformance
     fluid
-    bench_gate
-    bench_report
+    bench_compare
 }
 
 if [ "$#" -gt 0 ]; then

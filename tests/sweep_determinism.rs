@@ -7,7 +7,9 @@
 //! `TaqStats` snapshots must be byte-identical, and the merged result
 //! order must match the input seed order regardless of scheduling.
 
-use taq_bench::{sweep_seeds, Discipline};
+use taq_bench::{
+    fairness_grid, fairness_run, sweep_indexed, sweep_seeds, Discipline, FairnessRunConfig,
+};
 use taq_faults::{
     shared_fault_stats, FaultDriver, FaultPlan, FaultStats, FaultyLink, GilbertElliott,
 };
@@ -331,4 +333,31 @@ fn scenario_shapes_are_thread_count_invariant() {
             assert_eq!(s, p, "{shape:?} seed {seed}: thread counts diverged");
         }
     }
+}
+
+/// The Figure 2 / Figure 8 grid, run the way `fig02_fairness_droptail`
+/// and `fig08_fairness_taq` run it (one `sweep_indexed` call over the
+/// cells), yields the same results in grid order on one worker and on
+/// two. Every field of every result is compared, which is more than the
+/// three decimals a printed row shows. The 200 kbps row at 60 simulated
+/// seconds keeps it to a few seconds.
+#[test]
+fn figure_grid_is_thread_count_invariant() {
+    let grid = fairness_grid();
+    assert_eq!(grid.len(), 34, "5 rates x 7 shares, 4..=400 flows kept");
+    assert!(grid
+        .windows(2)
+        .all(|w| { (w[0].rate_kbps, w[0].share_bps) < (w[1].rate_kbps, w[1].share_bps) }));
+    let row: Vec<_> = grid.into_iter().filter(|c| c.rate_kbps == 200).collect();
+    assert_eq!(row.len(), 7);
+    let sweep = |threads| {
+        sweep_indexed(&row, threads, |_, cell| {
+            let rate = Bandwidth::from_kbps(cell.rate_kbps);
+            let cfg = FairnessRunConfig::new(42, rate, cell.flows, SimTime::from_secs(60));
+            [Discipline::Taq, Discipline::DropTail].map(|d| format!("{:?}", fairness_run(&cfg, d)))
+        })
+    };
+    let serial = sweep(1);
+    assert_eq!(serial, sweep(2));
+    assert_ne!(serial[0], serial[1], "cells genuinely differ");
 }
