@@ -6,13 +6,21 @@
 //! table and one dispatch). The rungs span the regimes the figures
 //! live in — a sweep cell sits near 0.1 events per 65.5 µs wheel tick,
 //! a many-flow run near 3 — because a queue tuned at one density can
-//! degenerate at another without `dumbbell_*` moving much.
+//! degenerate at another without `dumbbell_*` moving much. Beside it a
+//! hop ladder isolates forwarding: a fixed window of packets bouncing
+//! between two hosts through 1, 2 and 4 routers over `UnboundedFifo`
+//! links, reported per packet-hop (one link crossing: a `LinkFree`, an
+//! `Arrival`, and whatever the node at the far end does with it), so
+//! the cost of a router shows as the rungs' difference.
 //!
 //! Run with `cargo bench --bench sim_engine`.
 
 use taq_bench::{measure, Discipline};
 use taq_queues::DropTail;
-use taq_sim::{Agent, Bandwidth, Ctx, DumbbellConfig, Packet, SimDuration, SimTime, Simulator};
+use taq_sim::{
+    Agent, Bandwidth, Ctx, DumbbellConfig, FlowKey, NodeId, Packet, PacketBuilder, SimDuration,
+    SimTime, Simulator, UnboundedFifo,
+};
 use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
 fn run_sim(flows: usize, secs: u64) -> u64 {
@@ -96,6 +104,80 @@ fn density_rung(name: &str, timers: u64, delays: &'static [SimDuration]) {
     );
 }
 
+/// Answers every packet with a fresh one to `peer`; the host that is
+/// started also launches the `window` packets that keep circulating.
+struct Bounce {
+    peer: NodeId,
+    window: u32,
+}
+
+impl Bounce {
+    fn send(&self, ctx: &mut Ctx<'_>) {
+        let flow = FlowKey {
+            src: ctx.node(),
+            src_port: 1,
+            dst: self.peer,
+            dst_port: 2,
+        };
+        ctx.send(self.peer, PacketBuilder::new(flow).payload(500).build());
+    }
+}
+
+impl Agent for Bounce {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for _ in 0..self.window {
+            self.send(ctx);
+        }
+    }
+
+    fn on_packet(&mut self, _pkt: Packet, ctx: &mut Ctx<'_>) {
+        self.send(ctx);
+    }
+}
+
+/// One rung of the hop ladder: two [`Bounce`] hosts `routers` routers
+/// apart, 32 packets in flight for 30 simulated seconds (about 10^6
+/// link crossings); prints ns per packet-hop.
+fn hop_rung(name: &str, routers: usize) {
+    let mut hops = 0;
+    let ns = measure(name, 1, 5, || {
+        let mut sim = Simulator::new(1);
+        let far = NodeId(routers as u32 + 1);
+        let a = sim.add_agent(Box::new(Bounce {
+            peer: far,
+            window: 32,
+        }));
+        let mut path = vec![a];
+        path.extend((0..routers).map(|_| sim.add_router()));
+        path.push(sim.add_agent(Box::new(Bounce { peer: a, window: 0 })));
+        assert_eq!(path[routers + 1], far);
+        let mut links = Vec::new();
+        for pair in path.windows(2) {
+            for (from, to, dst) in [(pair[0], pair[1], far), (pair[1], pair[0], a)] {
+                let link = sim.add_link(
+                    from,
+                    to,
+                    Bandwidth::from_mbps(100),
+                    SimDuration::from_millis(1),
+                    Box::new(UnboundedFifo::new()),
+                );
+                sim.add_route(from, dst, link);
+                links.push(link);
+            }
+        }
+        sim.schedule_start(a, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs(30));
+        hops = links
+            .iter()
+            .map(|&l| sim.link_stats(l).transmitted_pkts)
+            .sum();
+    });
+    println!(
+        "#   {:.1} ns per packet-hop ({hops} hops)",
+        ns / hops as f64
+    );
+}
+
 fn main() {
     println!("# sim_engine — dumbbell event throughput");
     let mut events = 0;
@@ -119,4 +201,9 @@ fn main() {
     density_rung("timers_3_per_tick", 64, MEDIUM);
     density_rung("timers_50_per_tick", 1024, DENSE);
     density_rung("timers_mix_1ms_96ms_1s", 256, MIXED);
+
+    println!("# sim_engine — hop ladder (32 packets bouncing through n routers)");
+    hop_rung("hop_1_routers", 1);
+    hop_rung("hop_2_routers", 2);
+    hop_rung("hop_4_routers", 4);
 }

@@ -359,4 +359,22 @@ mod tests {
         assert!(r.utilization > 0.5, "util {}", r.utilization);
         assert!(r.drop_rate > 0.0, "contention causes drops");
     }
+
+    /// Two builds of one Fig. 8 cell (200 kbps, 10 kbps fair share)
+    /// agree on the Jain indices to the last bit: the slice maps
+    /// iterate in an order the input alone decides.
+    #[test]
+    fn fairness_cell_jain_repeats_bit_for_bit() {
+        let cell = fairness_grid()
+            .into_iter()
+            .find(|c| (c.rate_kbps, c.share_bps) == (200, 10_000))
+            .expect("a Fig. 8 cell");
+        let rate = Bandwidth::from_kbps(cell.rate_kbps);
+        let cfg = FairnessRunConfig::new(42, rate, cell.flows, SimTime::from_secs(60));
+        let bits = || {
+            let r = fairness_run(&cfg, Discipline::Taq);
+            (r.short_term_jain.to_bits(), r.long_term_jain.to_bits())
+        };
+        assert_eq!(bits(), bits());
+    }
 }

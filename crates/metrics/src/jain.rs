@@ -1,7 +1,13 @@
 //! Jain Fairness Index and time-sliced throughput accounting.
 
 use std::collections::HashMap;
-use taq_sim::{FlowKey, LinkId, LinkMonitor, Packet, SimDuration, SimTime};
+use taq_sim::{FlowKey, FxBuildHasher, LinkId, LinkMonitor, Packet, SimDuration, SimTime};
+
+/// Per-flow byte totals. Fx-hashed: one multiply per data packet on the
+/// bottleneck in place of SipHash, and an iteration order — the order
+/// the float sums of [`jain_index`] see — that depends on the inserted
+/// keys alone, not on a per-process random state.
+type FlowBytes = HashMap<FlowKey, u64, FxBuildHasher>;
 
 /// Jain's fairness index over a set of allocations: `(Σx)² / (n·Σx²)`,
 /// ranging from `1/n` (one party hogs everything) to 1 (exact equality).
@@ -34,7 +40,7 @@ pub struct SliceThroughput {
     link: LinkId,
     slice_len: SimDuration,
     /// `slices[i][flow]` = wire bytes in slice `i`.
-    slices: Vec<HashMap<FlowKey, u64>>,
+    slices: Vec<FlowBytes>,
 }
 
 impl SliceThroughput {
@@ -54,7 +60,7 @@ impl SliceThroughput {
     }
 
     /// Per-flow byte totals in slice `i`.
-    pub fn slice(&self, i: usize) -> Option<&HashMap<FlowKey, u64>> {
+    pub fn slice(&self, i: usize) -> Option<&FlowBytes> {
         self.slices.get(i)
     }
 
@@ -84,7 +90,7 @@ impl SliceThroughput {
 
     /// Long-term Jain index: totals across the whole run.
     pub fn overall_jain(&self, expected_flows: usize) -> f64 {
-        let mut totals: HashMap<FlowKey, u64> = HashMap::new();
+        let mut totals = FlowBytes::default();
         for slice in &self.slices {
             for (k, b) in slice {
                 *totals.entry(*k).or_default() += b;
@@ -133,7 +139,7 @@ impl LinkMonitor for SliceThroughput {
         }
         let idx = (now.as_nanos() / self.slice_len.as_nanos()) as usize;
         while self.slices.len() <= idx {
-            self.slices.push(HashMap::new());
+            self.slices.push(FlowBytes::default());
         }
         *self.slices[idx].entry(pkt.flow).or_default() += u64::from(pkt.wire_len());
     }
@@ -180,6 +186,23 @@ mod tests {
         let s0 = st.slice(0).unwrap();
         assert_eq!(s0.len(), 2);
         assert_eq!(s0.values().sum::<u64>(), 3 * 500);
+    }
+
+    /// Two recorders fed one input iterate their flows in one order, so
+    /// the float sums behind the Jain indices see one operand order.
+    #[test]
+    fn iteration_order_depends_on_the_input_alone() {
+        let build = || {
+            let mut st = SliceThroughput::new(LinkId(0), SimDuration::from_secs(10));
+            for port in (1..200u16).rev() {
+                st.on_transmit(LinkId(0), &pkt(port, 460), SimTime::from_secs(1));
+            }
+            st
+        };
+        let order = |st: &SliceThroughput| -> Vec<u16> {
+            st.slice(0).unwrap().keys().map(|k| k.dst_port).collect()
+        };
+        assert_eq!(order(&build()), order(&build()));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! The hot path used to move whole [`Packet`]s (~112 bytes) through
 //! event payloads, qdisc buffers, and drop lists. The arena replaces
 //! that traffic with copy-size-8 [`PacketId`] handles: a packet is
-//! inserted once where it enters the network (`Ctx::send` /
-//! `Ctx::forward`), referenced by id while it sits in queues and the
-//! event wheel, and moved out exactly once — at delivery or at a drop.
+//! inserted once where it enters the network (`Ctx::send`), referenced
+//! by id while it sits in queues and the event wheel and while the
+//! engine forwards it through routers (`Simulator::add_router`), and
+//! moved out exactly once — at delivery to an agent or at a drop. An
+//! agent that relays what it received re-inserts it with `Ctx::forward`.
 //!
 //! Slots are recycled through a free list, so steady-state operation
 //! performs no allocation at all; each slot carries a generation tag
@@ -17,7 +19,8 @@
 //!
 //! - exactly one component holds a given `PacketId` at a time — the
 //!   event queue (an `Arrival` in flight), a qdisc buffer, or a
-//!   transient local between calls;
+//!   transient local between calls (a router hop is one: the id goes
+//!   from the popped `Arrival` straight to the next link's `offer`);
 //! - whoever returns an id in an [`crate::EnqueueOutcome::dropped`]
 //!   list gives up ownership: the caller removes the packet;
 //! - ids never cross arenas: each simulator owns exactly one.

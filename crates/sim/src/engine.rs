@@ -1,10 +1,16 @@
 //! The discrete-event simulation engine.
 //!
-//! A [`Simulator`] owns a set of [`Agent`]s (hosts, routers) connected by
-//! unidirectional rate/delay links, and drives them from a totally
-//! ordered event queue. Agents interact with the world only through the
-//! [`Ctx`] handed to their callbacks: sending packets, setting and
-//! cancelling timers, and drawing deterministic random numbers.
+//! A [`Simulator`] owns a set of nodes connected by unidirectional
+//! rate/delay links, and drives them from a totally ordered event
+//! queue. A node is either an [`Agent`] (a host, a traffic source, a
+//! fault injector) or a router. Agents interact with the world only
+//! through the [`Ctx`] handed to their callbacks: sending packets,
+//! setting and cancelling timers, and drawing deterministic random
+//! numbers. Routers ([`Simulator::add_router`]) have no callbacks: the
+//! engine itself forwards a packet arriving at one, by id, onto the
+//! link its static routes name for the packet's destination, so a
+//! packet enters the arena once at [`Ctx::send`] and stays in its slot
+//! until it is delivered to an agent or dropped.
 //! Determinism is guaranteed by the canonical `(time, event-key)`
 //! ordering (see `events::EventKey`) and per-entity seed-derived RNG
 //! streams. A fully built [`Simulator`] is `Send`, so independent runs
@@ -25,8 +31,8 @@ const NODE_RNG_STREAM: u64 = 0x6E6F_6465_7267_6E73;
 /// Stream salt for per-link wire-loss draws.
 const LINK_LOSS_STREAM: u64 = 0x6C6F_7373_7267_6E73;
 
-/// A simulated process attached to a node: a TCP host, a router, a
-/// traffic source.
+/// A simulated process attached to a node: a TCP host, a traffic
+/// source, a relay with behaviour of its own.
 ///
 /// The [`AsAny`] supertrait is blanket-implemented for every `'static`
 /// type, so implementations get `as_any`/`as_any_mut` (and with them
@@ -48,21 +54,6 @@ pub trait Agent: AsAny + Send {
     /// cookie passed to [`Ctx::set_timer`].
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
         let _ = (token, ctx);
-    }
-}
-
-/// A router that forwards every packet toward its flow's destination.
-///
-/// With static routes installed (see [`Simulator::add_route`] /
-/// [`Simulator::set_default_route`]) this is all the paper's dumbbell
-/// topology needs.
-#[derive(Debug, Default)]
-pub struct ForwardingRouter;
-
-impl Agent for ForwardingRouter {
-    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
-        let dst = pkt.flow.dst;
-        ctx.forward(dst, pkt);
     }
 }
 
@@ -103,14 +94,33 @@ struct World {
 }
 
 impl World {
-    fn next_link(&self, from: NodeId, dst: NodeId) -> Option<LinkId> {
-        let table = self.routes.get(from.0 as usize)?;
+    /// The link `from`'s routes name for `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there is none; that is a topology construction bug,
+    /// not a runtime condition.
+    fn next_link(&self, from: NodeId, dst: NodeId) -> LinkId {
+        let table = &self.routes[from.0 as usize];
         table
             .by_dst
             .get(dst.0 as usize)
             .copied()
             .flatten()
             .or(table.default)
+            .unwrap_or_else(|| panic!("node {from:?} has no route to {dst:?}"))
+    }
+
+    /// A packet finished propagating to router `node`: monitors see the
+    /// delivery, then it is offered, in place, to the next link.
+    fn relay(&mut self, node: NodeId, pkt: PacketId) {
+        let now = self.now;
+        let p = self.arena.get(pkt);
+        for m in &mut self.monitors {
+            m.on_deliver(node.0, p, now);
+        }
+        let link = self.next_link(node, p.flow.dst);
+        self.offer(link, pkt);
     }
 
     fn link(&self, id: LinkId) -> &Link {
@@ -171,7 +181,7 @@ impl World {
             return;
         };
         let wire = arena.get(pkt).wire_len();
-        let tx = link.rate.transmission_time(wire);
+        let tx = link.tx_time(wire);
         let done = now + tx;
         let arrive = done + link.delay;
         link.busy = true;
@@ -270,19 +280,17 @@ impl Ctx<'_> {
         self.forward(dst, pkt);
     }
 
-    /// Forwards an in-flight packet toward `dst` without restamping it.
-    /// Routers use this; original senders should use [`Ctx::send`]. The
-    /// packet enters the world's arena here and travels by id from then
-    /// on.
+    /// Forwards a packet this agent received toward `dst` without
+    /// restamping it. Agents that relay (fault injectors, a test's
+    /// by-value router) use this; original senders should use
+    /// [`Ctx::send`]. The packet enters the world's arena here and
+    /// travels by id from then on.
     ///
     /// # Panics
     ///
     /// Panics if this node has no route toward `dst`.
     pub fn forward(&mut self, dst: NodeId, pkt: Packet) {
-        let link = self
-            .world
-            .next_link(self.node, dst)
-            .unwrap_or_else(|| panic!("node {:?} has no route to {:?}", self.node, dst));
+        let link = self.world.next_link(self.node, dst);
         let id = self.world.arena.insert(pkt);
         self.world.offer(link, id);
     }
@@ -339,6 +347,10 @@ impl Ctx<'_> {
 
 /// The discrete-event simulator.
 pub struct Simulator {
+    /// Per node: its agent. `None` for a router
+    /// ([`Simulator::add_router`]), and for an agent only while one of
+    /// its callbacks runs — so between events, where arrivals are
+    /// dispatched, `None` means router.
     agents: Vec<Option<Box<dyn Agent>>>,
     world: World,
     max_events: u64,
@@ -376,8 +388,23 @@ impl Simulator {
 
     /// Adds an agent, returning its node id.
     pub fn add_agent(&mut self, agent: Box<dyn Agent>) -> NodeId {
+        self.add_node(Some(agent))
+    }
+
+    /// Adds a router, returning its node id. A packet arriving at it is
+    /// shown to the monitors (`on_deliver`) and offered to the link
+    /// installed for its flow's destination ([`Simulator::add_route`] /
+    /// [`Simulator::set_default_route`]); the run panics with "no
+    /// route" if there is none. A router has no agent to start, time or
+    /// downcast.
+    pub fn add_router(&mut self) -> NodeId {
+        self.add_node(None)
+    }
+
+    /// A node with an agent, or without one: a router.
+    fn add_node(&mut self, agent: Option<Box<dyn Agent>>) -> NodeId {
         let id = NodeId(self.agents.len() as u32);
-        self.agents.push(Some(agent));
+        self.agents.push(agent);
         self.world.routes.push(RouteTable::default());
         self.world.node_rngs.push(None);
         self.world.timer_seqs.push(0);
@@ -532,30 +559,19 @@ impl Simulator {
         self.world.link(link).qdisc.as_ref()
     }
 
-    /// Downcasts an agent to its concrete type for post-run inspection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly for a node currently executing a
-    /// callback (its slot is temporarily empty).
+    /// Downcasts an agent to its concrete type for post-run inspection;
+    /// `None` for an agent of another type and for a router.
     pub fn agent<T: 'static>(&self, node: NodeId) -> Option<&T> {
         self.agents[node.0 as usize]
-            .as_deref()
-            .expect("agent is executing")
+            .as_deref()?
             .as_any()
             .downcast_ref::<T>()
     }
 
     /// Mutable variant of [`Simulator::agent`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called re-entrantly for a node currently executing a
-    /// callback.
     pub fn agent_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
         self.agents[node.0 as usize]
-            .as_deref_mut()
-            .expect("agent is executing")
+            .as_deref_mut()?
             .as_any_mut()
             .downcast_mut::<T>()
     }
@@ -582,9 +598,12 @@ impl Simulator {
         );
         match ev.kind {
             EventKind::Arrival { node, pkt } => {
+                if self.agents[node.0 as usize].is_none() {
+                    return self.world.relay(node, pkt);
+                }
                 // Delivery moves the packet out of the arena: the agent
                 // owns it from here (and re-inserts via `Ctx::forward`
-                // if it routes it onward). Monitors observe before the
+                // if it relays it). Monitors observe before the
                 // receiving agent runs, so they see the packet's
                 // end-to-end latency even when the agent consumes (or
                 // re-sends) it.
@@ -613,7 +632,7 @@ impl Simulator {
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
         let mut agent = self.agents[node.0 as usize]
             .take()
-            .expect("re-entrant agent dispatch");
+            .expect("re-entrant agent dispatch, or a start scheduled on a router");
         let mut ctx = Ctx {
             world: &mut self.world,
             node,
@@ -862,7 +881,7 @@ mod tests {
             received: None,
             timer_fires: Vec::new(),
         }));
-        let router = sim.add_agent(Box::new(ForwardingRouter));
+        let router = sim.add_router();
         let dst = sim.add_agent(Box::new(Chatter {
             peer: NodeId(0),
             count: 0,
@@ -888,6 +907,71 @@ mod tests {
         sim.schedule_start(src, SimTime::ZERO);
         sim.run();
         assert_eq!(received.lock().unwrap().len(), 2);
+        assert!(
+            sim.agent::<Chatter>(router).is_none(),
+            "a router has no agent"
+        );
+    }
+
+    /// `src → r1 → r2 → dst` over fast links; returns the simulator and
+    /// the receiver's log. `r2` gets its route to `dst` only when
+    /// `routed`.
+    fn two_router_chain(routed: bool) -> (Simulator, Received) {
+        let mut sim = Simulator::new(5);
+        let received = Arc::new(Mutex::new(Vec::new()));
+        let src = sim.add_agent(Box::new(Chatter {
+            peer: NodeId(3),
+            count: 1,
+            received: None,
+            timer_fires: Vec::new(),
+        }));
+        let r1 = sim.add_router();
+        let r2 = sim.add_router();
+        let dst = sim.add_agent(Box::new(Chatter {
+            peer: NodeId(0),
+            count: 0,
+            received: Some(received.clone()),
+            timer_fires: Vec::new(),
+        }));
+        let mut link = |from, to| {
+            sim.add_link(
+                from,
+                to,
+                Bandwidth::from_mbps(10),
+                SimDuration::from_millis(1),
+                Box::new(UnboundedFifo::new()),
+            )
+        };
+        let (l1, l2, l3) = (link(src, r1), link(r1, r2), link(r2, dst));
+        sim.set_default_route(src, l1);
+        sim.set_default_route(r1, l2);
+        if routed {
+            sim.add_route(r2, dst, l3);
+        }
+        sim.schedule_start(src, SimTime::ZERO);
+        (sim, received)
+    }
+
+    #[test]
+    fn packet_crosses_routers_in_its_one_arena_slot() {
+        let (mut sim, received) = two_router_chain(true);
+        sim.run();
+        // Three 432 µs serializations and three 1 ms propagations.
+        let got = received.lock().unwrap();
+        assert_eq!(got.as_slice(), [(SimTime::from_micros(4_296), 1)]);
+        assert_eq!(sim.packets_in_flight(), 0);
+        assert_eq!(
+            sim.world.arena.capacity(),
+            1,
+            "a router hop must not take a second slot"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "no route")]
+    fn router_without_route_panics() {
+        let (mut sim, _received) = two_router_chain(false);
+        sim.run();
     }
 
     #[test]

@@ -11,16 +11,26 @@
 //! reproducible.
 //!
 //! The queue is a hierarchical timer wheel bucketing events by
-//! quantized `SimTime` tick. Events live in one slab of nodes and each
-//! wheel slot is the head of an index-linked list through it, so a push
-//! writes one node and a cascade relinks indices; freed nodes are
-//! recycled LIFO, so steady-state operation performs no per-event
-//! allocation. The cursor only moves when the minimum is asked for and
-//! stops at the minimum's tick, so it never passes the event being
-//! executed and the events that event schedules land in slots ahead of
-//! it. The wheel only changes *how* the minimum is found, never *which*
-//! event is the minimum: this module's tests pin it, pop for pop,
-//! against a plain `BinaryHeap` under random churn.
+//! quantized `SimTime` tick: a near level of 4096 one-tick slots
+//! (268 ms) under four 64-slot levels, then an overflow heap. Events
+//! live in one slab of nodes and each wheel slot is the head of an
+//! index-linked list through it; freed nodes are recycled LIFO, so
+//! steady-state operation performs no per-event allocation. Everything
+//! a hop schedules at the paper's RTTs — `LinkFree`, `Arrival`, the
+//! delayed-ACK timer — falls within the near level, where a push links
+//! the node into the slot of its own tick and the drain reads it once:
+//! it is filed once and never cascades. Only far timers (RTOs, mostly
+//! cancelled before they surface) enter an upper level and are relinked
+//! into the near one when their slot comes due. Near-slot occupancy is a
+//! 64-word bitmap under one summary word, so finding the next occupied
+//! slot is at most two `trailing_zeros`.
+//!
+//! The cursor only moves when the minimum is asked for and stops at the
+//! minimum's tick, so it never passes the event being executed and the
+//! events that event schedules land in slots ahead of it. The wheel
+//! only changes *how* the minimum is found, never *which* event is the
+//! minimum: this module's tests pin it, pop for pop, against a plain
+//! `BinaryHeap` under random churn.
 
 use crate::arena::PacketId;
 use crate::packet::{LinkId, NodeId};
@@ -114,11 +124,12 @@ impl EventKey {
 ///
 /// `Arrival` carries an arena handle, not the packet itself: event
 /// payloads are a few words regardless of packet size, and the wheel
-/// moves slab indices, never events or packet bodies.
+/// moves slab indices, never events or packet bodies. The id stays
+/// valid across router hops: the engine forwards it, not the packet.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EventKind {
-    /// Deliver the packet behind `pkt` to `node` (it finished
-    /// propagating over a link).
+    /// The packet behind `pkt` finished propagating to `node`: deliver
+    /// it to the agent there, or forward it if `node` is a router.
     Arrival { node: NodeId, pkt: PacketId },
     /// A node timer fired; `token` is the node's own cookie.
     Timer {
@@ -141,22 +152,39 @@ pub(crate) struct ScheduledEvent {
 
 /// Nanoseconds per wheel tick, as a shift: 2^16 ns ≈ 65.5 µs. Fine
 /// enough that few unrelated events share a tick, coarse enough that a
-/// multi-second RTO lands within the wheel's six levels.
+/// multi-second RTO lands one level above the near wheel.
 const GRANULARITY_SHIFT: u32 = 16;
-/// log2 of the slots per level.
+/// log2 of the near level's slots. Each spans one tick, so 2^12 of them
+/// cover 268 ms: every `LinkFree`, `Arrival` and delayed-ACK timer at
+/// the paper's 200 ms RTT is filed here directly and never cascades.
+const NEAR_BITS: u32 = 12;
+/// Slots of the near level (level 0).
+const NEAR_SLOTS: usize = 1 << NEAR_BITS;
+/// Words of the near level's occupancy bitmap; one summary word has a
+/// bit per word.
+const NEAR_WORDS: usize = NEAR_SLOTS / 64;
+/// log2 of the slots per upper level.
 const SLOT_BITS: u32 = 6;
-/// Slots per wheel level.
+/// Slots per upper level.
 const SLOTS: usize = 1 << SLOT_BITS;
-/// Wheel levels; together they cover `2^(6*6)` ticks ≈ 52 days of
-/// simulated time ahead of the cursor. Events beyond that horizon go to
-/// the overflow heap (e.g. sentinel timers at `SimTime::MAX`).
-const LEVELS: usize = 6;
+/// Levels above the near one: upper level `u` (`0..UPPER_LEVELS`) is
+/// the wheel's level `u + 1`.
+const UPPER_LEVELS: usize = 4;
+/// Tick bits the wheel resolves: `2^36` ticks ≈ 52 days of simulated
+/// time ahead of the cursor. Events beyond that horizon go to the
+/// overflow heap (e.g. sentinel timers at `SimTime::MAX`).
+const HORIZON_BITS: u32 = NEAR_BITS + SLOT_BITS * UPPER_LEVELS as u32;
 /// End-of-list marker for slab links, slot heads and the free list.
 const NIL: u32 = u32::MAX;
 
 /// The tick an absolute time falls into.
 fn tick_of(t: SimTime) -> u64 {
     t.as_nanos() >> GRANULARITY_SHIFT
+}
+
+/// Lowest tick bit of upper level `u`'s digit.
+fn upper_shift(u: usize) -> u32 {
+    NEAR_BITS + SLOT_BITS * u as u32
 }
 
 /// A slab cell: one pending event and the next cell of whichever list
@@ -172,11 +200,12 @@ struct Node {
 type Entry = (SimTime, EventKey, u32);
 
 /// Min-queue of pending events keyed by `(time, key)`: a hierarchical
-/// timer wheel over quantized ticks.
+/// timer wheel over quantized ticks whose first digit is 12 bits wide
+/// (the one-tick near level) and whose other four are 6 bits each.
 ///
 /// Invariants (DESIGN.md §11.1 has the full argument):
 ///
-/// - the cursor `current_tick` moves only inside [`EventQueue::advance`]
+/// - the cursor `current_tick` moves only inside [`EventQueue::refill`]
 ///   and stops at the tick of the earliest pending event, so it never
 ///   passes an event that has not been popped;
 /// - `ready` holds exactly the pending events whose tick is at or
@@ -185,13 +214,15 @@ type Entry = (SimTime, EventKey, u32);
 ///   cursor's, so while `ready` is non-empty its tail is the global
 ///   minimum and no slot needs scanning;
 /// - every event linked at level `l` agrees with `current_tick` on all
-///   bits above `6·(l+1)` of its tick, and its level-`l` slot index is
+///   tick bits above level `l`'s digit (bits `12..` for the near level,
+///   bits `12 + 6·l..` for upper level `l`), and its level-`l` digit is
 ///   strictly greater than the cursor's — so a forward scan of the
 ///   occupancy bitmaps finds the earliest slot without wraparound, and
 ///   the base tick of a level's first such slot precedes that of every
 ///   higher level's;
-/// - the cursor only ever advances onto a slot *boundary* (cascade), an
-///   exact level-0 tick, or the overflow minimum's tick.
+/// - a near slot is one tick, so an event filed there is linked once
+///   and read once; only an event more than 4095 ticks out is filed at
+///   an upper level and relinked when its slot comes due.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     current_tick: u64,
@@ -201,10 +232,18 @@ pub(crate) struct EventQueue {
     nodes: Vec<Node>,
     /// Head of the LIFO list of recycled cells.
     free: u32,
-    /// Per-slot list heads into `nodes`.
-    heads: [[u32; SLOTS]; LEVELS],
-    /// Per-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
-    occupied: [u64; LEVELS],
+    /// Near-level list heads into `nodes`, indexed by the tick's low 12
+    /// bits (16 KB, the queue's one up-front allocation).
+    near_heads: Box<[u32; NEAR_SLOTS]>,
+    /// Near-level slot occupancy (bit `s % 64` of word `s / 64` = slot
+    /// `s` non-empty).
+    near_occupied: [u64; NEAR_WORDS],
+    /// Bit `w` = `near_occupied[w]` is non-zero.
+    near_summary: u64,
+    /// Upper-level list heads.
+    upper_heads: [[u32; SLOTS]; UPPER_LEVELS],
+    /// Upper-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
+    upper_occupied: [u64; UPPER_LEVELS],
     /// Events beyond the wheel horizon, earliest at `peek()`.
     overflow: BinaryHeap<Reverse<Entry>>,
     len: usize,
@@ -223,8 +262,14 @@ impl EventQueue {
             ready: Vec::new(),
             nodes: Vec::new(),
             free: NIL,
-            heads: [[NIL; SLOTS]; LEVELS],
-            occupied: [0; LEVELS],
+            near_heads: vec![NIL; NEAR_SLOTS]
+                .into_boxed_slice()
+                .try_into()
+                .expect("NEAR_SLOTS heads"),
+            near_occupied: [0; NEAR_WORDS],
+            near_summary: 0,
+            upper_heads: [[NIL; SLOTS]; UPPER_LEVELS],
+            upper_occupied: [0; UPPER_LEVELS],
             overflow: BinaryHeap::new(),
             len: 0,
         }
@@ -262,6 +307,8 @@ impl EventQueue {
     /// `ready` when its tick is at or behind it (a same-tick push, or
     /// one made after a peek moved the cursor on), else onto the list
     /// of the wheel slot, or into the overflow heap, its tick selects.
+    /// The level is that of the highest tick bit in which the event and
+    /// the cursor differ.
     fn place(&mut self, idx: u32) {
         let ScheduledEvent { time, key, .. } = self.nodes[idx as usize].ev;
         let t = tick_of(time);
@@ -273,25 +320,53 @@ impl EventQueue {
             return;
         }
         let diff = t ^ self.current_tick;
-        let level = ((63 - diff.leading_zeros()) / SLOT_BITS) as usize;
-        if level >= LEVELS {
+        let head = if diff < NEAR_SLOTS as u64 {
+            let slot = t as usize % NEAR_SLOTS;
+            self.near_occupied[slot / 64] |= 1 << (slot % 64);
+            self.near_summary |= 1 << (slot / 64);
+            &mut self.near_heads[slot]
+        } else if diff < 1 << HORIZON_BITS {
+            let u = ((63 - diff.leading_zeros() - NEAR_BITS) / SLOT_BITS) as usize;
+            let slot = (t >> upper_shift(u)) as usize % SLOTS;
+            self.upper_occupied[u] |= 1 << slot;
+            &mut self.upper_heads[u][slot]
+        } else {
             self.overflow.push(Reverse((time, key, idx)));
             return;
-        }
-        let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        let head = &mut self.heads[level][slot];
+        };
         self.nodes[idx as usize].next = std::mem::replace(head, idx);
-        self.occupied[level] |= 1 << slot;
     }
 
-    /// Smallest occupied slot index strictly above `above`, if any.
-    fn next_slot(bitmap: u64, above: u64) -> Option<u32> {
-        let mask = if above >= 63 {
-            0
-        } else {
-            bitmap & !((1u64 << (above + 1)) - 1)
-        };
-        (mask != 0).then(|| mask.trailing_zeros())
+    /// Smallest set bit of `bitmap` strictly above bit `above`, if any.
+    fn next_bit(bitmap: u64, above: usize) -> Option<usize> {
+        // Two shifts: `above` may be 63.
+        let mask = bitmap & ((!0u64 << above) << 1);
+        (mask != 0).then(|| mask.trailing_zeros() as usize)
+    }
+
+    /// Smallest occupied near slot strictly above the cursor's: the
+    /// rest of the cursor's bitmap word, else the first bit of the next
+    /// non-zero word the summary names.
+    fn next_near_slot(&self) -> Option<usize> {
+        let cur = self.current_tick as usize % NEAR_SLOTS;
+        let word = cur / 64;
+        if let Some(bit) = Self::next_bit(self.near_occupied[word], cur % 64) {
+            return Some(word * 64 + bit);
+        }
+        let word = Self::next_bit(self.near_summary, word)?;
+        Some(word * 64 + self.near_occupied[word].trailing_zeros() as usize)
+    }
+
+    /// Lowest upper level with an occupied slot above the cursor's, as
+    /// `(upper level, slot, base tick of the slot)`.
+    fn next_upper_slot(&self) -> Option<(usize, usize, u64)> {
+        (0..UPPER_LEVELS).find_map(|u| {
+            let shift = upper_shift(u);
+            let cur = (self.current_tick >> shift) as usize % SLOTS;
+            let slot = Self::next_bit(self.upper_occupied[u], cur)?;
+            let above = self.current_tick >> (shift + SLOT_BITS);
+            Some((u, slot, ((above << SLOT_BITS) | slot as u64) << shift))
+        })
     }
 
     /// Ensures the earliest pending event is at `ready`'s tail (or the
@@ -308,61 +383,75 @@ impl EventQueue {
     /// Moves the cursor to the tick of the earliest pending event and
     /// files every event of that tick in `ready`. Call only with
     /// `ready` empty and the queue not.
+    ///
+    /// The wheel's earliest slot is the near level's first occupied one
+    /// above the cursor, else that of the lowest upper level that has
+    /// one: a level's events differ from the cursor in a more
+    /// significant digit than any lower level's. Overflow events are
+    /// due once the cursor reaches their tick.
     fn refill(&mut self) {
-        // The wheel's earliest slot: the lowest level with an occupied
-        // slot above the cursor's. Its base tick (a lower bound on its
-        // contents, exact at level 0) precedes every higher level's,
-        // which differ from the cursor in a more significant bit range.
-        let wheel = (0..LEVELS).find_map(|level| {
-            let shift = SLOT_BITS * level as u32;
-            let cur_slot = (self.current_tick >> shift) & (SLOTS as u64 - 1);
-            let s = Self::next_slot(self.occupied[level], cur_slot)?;
-            let upper = self.current_tick >> (shift + SLOT_BITS);
-            Some((((upper << SLOT_BITS) | u64::from(s)) << shift, level, s))
-        });
-        // Overflow events are due once the cursor reaches their tick.
         let over = self.overflow.peek().map(|Reverse(e)| tick_of(e.0));
-        let mut head = NIL;
-        let mut first = over.unwrap_or(u64::MAX);
-        match wheel {
-            Some((base, level, slot)) if base <= first => {
-                self.occupied[level] &= !(1u64 << slot);
-                head = std::mem::replace(&mut self.heads[level][slot as usize], NIL);
-                if level == 0 {
-                    // A level-0 list shares one tick.
-                    first = base;
-                } else {
-                    // A higher slot spans many: find the earliest
-                    // actually present.
-                    let mut idx = head;
-                    while idx != NIL {
-                        let node = &self.nodes[idx as usize];
-                        first = first.min(tick_of(node.ev.time));
-                        idx = node.next;
-                    }
+        let limit = over.unwrap_or(u64::MAX);
+        if let Some(slot) = self.next_near_slot() {
+            let tick = (self.current_tick & !(NEAR_SLOTS as u64 - 1)) | slot as u64;
+            if tick <= limit {
+                // A near list shares one tick: all of it is due.
+                self.near_occupied[slot / 64] &= !(1 << (slot % 64));
+                if self.near_occupied[slot / 64] == 0 {
+                    self.near_summary &= !(1 << (slot / 64));
+                }
+                let mut idx = std::mem::replace(&mut self.near_heads[slot], NIL);
+                while idx != NIL {
+                    let Node { ev, next } = &self.nodes[idx as usize];
+                    self.ready.push((ev.time, ev.key, idx));
+                    idx = *next;
                 }
             }
-            _ => debug_assert!(over.is_some(), "len drifted: {} events lost", self.len),
-        }
-        if first == u64::MAX {
-            // Only a drifted `len` (release builds) gets here.
-            return;
-        }
-        // The cursor stops on the minimum's own tick, not on the slot
-        // boundary before it: the slot's other events agree with it
-        // above the slot's bit range, so they relink at lower levels.
-        self.current_tick = first;
-        while head != NIL {
-            let Node { ev, next } = self.nodes[head as usize];
-            if tick_of(ev.time) == first {
-                self.ready.push((ev.time, ev.key, head));
-            } else {
-                self.place(head);
+            self.current_tick = tick.min(limit);
+        } else if let Some((u, slot, _)) =
+            self.next_upper_slot().filter(|&(_, _, base)| base <= limit)
+        {
+            self.upper_occupied[u] &= !(1 << slot);
+            let head = std::mem::replace(&mut self.upper_heads[u][slot], NIL);
+            // An upper slot spans many ticks: find the earliest
+            // actually present.
+            let mut first = limit;
+            let mut idx = head;
+            while idx != NIL {
+                let node = &self.nodes[idx as usize];
+                first = first.min(tick_of(node.ev.time));
+                idx = node.next;
             }
-            head = next;
+            // The cursor stops on the minimum's own tick, not on the
+            // slot boundary before it: the slot's other events agree
+            // with it above the slot's digit, so they relink at lower
+            // levels.
+            self.current_tick = first;
+            let mut idx = head;
+            while idx != NIL {
+                let Node { ev, next } = self.nodes[idx as usize];
+                if tick_of(ev.time) == first {
+                    self.ready.push((ev.time, ev.key, idx));
+                } else {
+                    self.place(idx);
+                }
+                idx = next;
+            }
+        } else {
+            // The overflow minimum precedes the wheel's earliest slot,
+            // or the wheel is empty. The check is hard in every profile:
+            // with nothing in overflow either, `pop` would answer `None`
+            // and a release run would end early with a plausible result.
+            assert!(
+                over.is_some(),
+                "event queue len drifted: {} events lost",
+                self.len
+            );
+            self.current_tick = limit;
         }
+        let cursor = self.current_tick;
         while let Some(&Reverse(entry)) = self.overflow.peek() {
-            if tick_of(entry.0) > first {
+            if tick_of(entry.0) > cursor {
                 break;
             }
             self.overflow.pop();
@@ -598,7 +687,8 @@ mod tests {
     fn wheel_cascades_across_levels() {
         let mut q = EventQueue::new();
         // Spread events across every level: 1 tick ≈ 65.5 µs, so these
-        // spans hit levels 0 through 4 plus overflow.
+        // spans hit the near level (twice), upper levels 1 through 4
+        // and the overflow heap.
         let times = [
             SimDuration::from_micros(70),
             SimDuration::from_millis(3),
@@ -657,58 +747,100 @@ mod tests {
             .collect()
     }
 
-    /// Events exactly at the level-0/level-1 slot boundary (tick 64 =
-    /// `SLOTS`) and the level-1/level-2 boundary (tick 4096 = `SLOTS²`):
-    /// the slot index of a boundary tick is 0 at the lower level, so an
-    /// off-by-one in the level pick or the cursor scan would misfile or
-    /// skip these. Includes times offset *within* a boundary tick and a
-    /// same-tick key tie.
+    /// Events exactly at the near/upper boundary (ticks 4095 and 4096 =
+    /// `NEAR_SLOTS`) and at the first slot of the second upper level
+    /// (tick 2^18): the digit of a boundary tick is 0 at the lower
+    /// level, so an off-by-one in the level pick or the cursor scan
+    /// would misfile or skip these. Includes times offset *within* a
+    /// boundary tick and a same-tick key tie.
     #[test]
     fn wheel_slot_boundary_events_fire_in_order() {
+        let near = NEAR_SLOTS as u64;
+        let second_upper = 1u64 << upper_shift(1);
+        assert_eq!((near, second_upper), (4096, 1 << 18));
         let mut q = EventQueue::new();
-        // Last level-0 slot, both level-1 boundary ticks, one offset
-        // inside the boundary tick, and the level-2 boundary.
-        push_start(&mut q, at_tick(SLOTS as u64 - 1), 0); // tick 63, level 0
-        push_start(&mut q, at_tick(SLOTS as u64), 1); // tick 64: first level-1 slot
-        push_start(
-            &mut q,
-            at_tick(SLOTS as u64) + SimDuration::from_nanos(17),
-            2,
-        ); // same tick, later time
-        push_start(&mut q, at_tick(SLOTS as u64), 10); // tick 64 again: key tie with node 1
-        push_start(&mut q, at_tick(SLOTS as u64 + 1), 3); // tick 65
-        push_start(&mut q, at_tick((SLOTS * SLOTS) as u64 - 1), 4); // tick 4095, level 1
-        push_start(&mut q, at_tick((SLOTS * SLOTS) as u64), 5); // tick 4096: first level-2 slot
-                                                                // Same-time events tie-break by key: node 1 before 10.
+        push_start(&mut q, at_tick(near - 1), 0); // tick 4095: last near slot
+        push_start(&mut q, at_tick(near), 1); // tick 4096: first upper slot
+        push_start(&mut q, at_tick(near) + SimDuration::from_nanos(17), 2); // same tick, later time
+        push_start(&mut q, at_tick(near), 10); // tick 4096 again: key tie with node 1
+        push_start(&mut q, at_tick(near + 1), 3); // tick 4097
+        push_start(&mut q, at_tick(second_upper - 1), 4); // last level-1 tick
+        push_start(&mut q, at_tick(second_upper), 5); // first level-2 slot
+        assert_eq!(q.near_summary.count_ones(), 1, "only tick 4095 is near");
+        assert_eq!(
+            q.upper_occupied.map(u64::count_ones),
+            [2, 1, 0, 0],
+            "ticks 4096 and 4097 share a level-1 slot; 2^18 - 1 has the last"
+        );
+        // Same-time events tie-break by key: node 1 before 10.
         assert_eq!(drain_nodes(&mut q), vec![0, 1, 10, 2, 3, 4, 5]);
         assert!(q.is_empty());
     }
 
-    /// Events on either side of the 6-level horizon (tick `2^36`): one
-    /// tick below lands in level 5, the boundary tick and everything
-    /// past it land in the overflow heap, and both drain in time order.
+    /// Events on either side of the wheel's horizon (tick `2^36`): one
+    /// tick below lands in the top upper level, the boundary tick and
+    /// everything past it land in the overflow heap, and both drain in
+    /// time order.
     #[test]
     fn wheel_horizon_boundary_splits_into_overflow() {
-        let horizon = 1u64 << (SLOT_BITS * LEVELS as u32); // 2^36 ticks
+        let horizon = 1u64 << HORIZON_BITS;
         let mut q = EventQueue::new();
         push_start(&mut q, at_tick(horizon), 1); // first overflow tick
-        push_start(&mut q, at_tick(horizon - 1), 0); // last wheel tick (level 5)
+        push_start(&mut q, at_tick(horizon - 1), 0); // last wheel tick (top level)
         push_start(&mut q, at_tick(horizon + 1), 2); // clearly past the horizon
         push_start(&mut q, at_tick(horizon) + SimDuration::from_nanos(3), 10); // inside the boundary tick
+        assert_eq!(q.overflow.len(), 3);
+        assert_eq!(q.upper_occupied, [0, 0, 0, 1 << (SLOTS - 1)]);
         assert_eq!(drain_nodes(&mut q), vec![0, 1, 10, 2]);
         assert!(q.is_empty());
+    }
+
+    /// The "filed once" property: an event pushed 1..=4095 ticks ahead
+    /// of a cursor at a near-level origin is linked at the near level
+    /// and nowhere else, so draining never relinks it.
+    #[test]
+    fn near_events_never_touch_an_upper_level() {
+        let mut q = EventQueue::new();
+        // Walk the cursor onto a multiple of 4096 that is not tick 0.
+        push_start(&mut q, at_tick(3 * NEAR_SLOTS as u64), 0);
+        assert!(q.pop().is_some());
+        let cursor = q.current_tick;
+        assert_eq!(cursor, 3 * NEAR_SLOTS as u64);
+        for ahead in 1..NEAR_SLOTS as u64 {
+            push_start(&mut q, at_tick(cursor + ahead), ahead as u32);
+        }
+        assert_eq!(q.upper_occupied, [0; UPPER_LEVELS]);
+        assert!(q.overflow.is_empty() && q.ready.is_empty());
+        assert_eq!(q.near_summary, !0);
+        assert_eq!(q.near_occupied[0], !1, "the cursor's own slot stays empty");
+        assert!(q.near_occupied[1..].iter().all(|&w| w == !0));
+        let popped = drain_nodes(&mut q);
+        assert_eq!(popped, (1..NEAR_SLOTS as u32).collect::<Vec<_>>());
+        assert_eq!(q.upper_occupied, [0; UPPER_LEVELS]);
+    }
+
+    /// A drifted `len` must not end a run quietly: with nothing on the
+    /// wheel and nothing in overflow, `pop` panics in every profile.
+    #[test]
+    #[should_panic(expected = "len drifted")]
+    fn drifted_len_panics_in_every_profile() {
+        let mut q = EventQueue::new();
+        push_start(&mut q, SimTime::from_millis(1), 0);
+        assert!(q.pop().is_some());
+        q.len = 1;
+        let _ = q.pop();
     }
 
     /// A wheel drain and an overflow drain colliding at the same
     /// timestamp must still pop in key order. The far event enters the
     /// overflow heap; after the cursor advances to within horizon range,
     /// a second event is pushed at the *exact same time* and lands in a
-    /// level-0 wheel slot. When that slot drains, the loop-top overflow
-    /// drain merges the far event into `ready`, and the smaller key
-    /// must surface first.
+    /// near wheel slot. When that slot drains, the overflow drain merges
+    /// the far event into `ready`, and the smaller key must surface
+    /// first.
     #[test]
     fn overflow_and_wheel_drain_tie_break_at_same_timestamp() {
-        let horizon = 1u64 << (SLOT_BITS * LEVELS as u32);
+        let horizon = 1u64 << HORIZON_BITS;
         let far = horizon + 5;
         let mut q = EventQueue::new();
         push_start(&mut q, at_tick(far), 1); // overflow
@@ -717,7 +849,7 @@ mod tests {
         let first = q.pop().unwrap();
         assert_eq!(first.time, at_tick(horizon + 1));
         // Same absolute time as the far event, but now within wheel
-        // range of the cursor: lands in a level-0 slot. Key 2 > key 1.
+        // range of the cursor: lands in a near slot. Key 2 > key 1.
         push_start(&mut q, at_tick(far), 2);
         let a = q.pop().unwrap();
         let b = q.pop().unwrap();
@@ -750,9 +882,19 @@ mod tests {
         for step in 0..40_000u64 {
             let roll = rng.next_f64();
             if roll < 0.55 {
-                // Mostly near-future, occasionally far-future pushes.
-                let delta = if rng.chance(0.02) {
+                // Mostly near-future, occasionally far-future pushes,
+                // and two classes drawn ±64 ticks around the near/upper
+                // boundary and the level-1/level-2 boundary.
+                let around = |rng: &mut SimRng, ticks: u64| {
+                    rng.range_u64(ticks - 64, ticks + 64) << GRANULARITY_SHIFT
+                };
+                let class = rng.next_f64();
+                let delta = if class < 0.02 {
                     rng.range_u64(0, 1 << 53)
+                } else if class < 0.12 {
+                    around(&mut rng, NEAR_SLOTS as u64)
+                } else if class < 0.16 {
+                    around(&mut rng, 1 << upper_shift(1))
                 } else {
                     rng.range_u64(0, 200_000_000)
                 };
@@ -899,7 +1041,10 @@ mod tests {
         }
         assert_eq!(free, POPULATION);
         assert!(q.ready.is_empty() && q.overflow.is_empty());
-        assert_eq!(q.occupied, [0; LEVELS]);
+        assert_eq!(q.near_occupied, [0; NEAR_WORDS]);
+        assert_eq!(q.near_summary, 0);
+        assert_eq!(q.upper_occupied, [0; UPPER_LEVELS]);
+        assert!(q.near_heads.iter().all(|&h| h == NIL));
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! - a nanosecond integer clock ([`SimTime`], [`SimDuration`],
 //!   [`Bandwidth`]),
 //! - an event queue with cancellable timers: a hierarchical timer
-//!   wheel popping a canonical `(time, event-key)` order,
+//!   wheel (one-tick near level, four coarser ones) popping a canonical
+//!   `(time, event-key)` order,
 //! - rate-limited, delayed, queue-buffered unidirectional [links],
 //! - the [`Qdisc`] trait that DropTail, RED, SFQ and TAQ all implement,
-//! - [`Agent`]s (hosts, routers) driven by packet and timer callbacks,
+//! - [`Agent`]s (hosts, traffic sources) driven by packet and timer
+//!   callbacks, and routers the engine forwards through by packet id,
 //! - router graphs with static routing ([`Topology`]), of which the
 //!   paper's dumbbell ([`DumbbellConfig`]) is the two-router case, and
 //! - [`LinkMonitor`] hooks that the metrics crate uses to observe the
@@ -69,7 +71,7 @@ mod time;
 mod topology;
 
 pub use arena::{PacketArena, PacketId};
-pub use engine::{Agent, Ctx, ForwardingRouter, Simulator};
+pub use engine::{Agent, Ctx, Simulator};
 pub use events::TimerId;
 pub use intern::{fx_hash_key, FlowId, FlowInterner, FxBuildHasher, FxHasher};
 pub use link::LinkStats;

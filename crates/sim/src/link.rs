@@ -5,12 +5,17 @@
 //! serialization takes `wire_len * 8 / rate`; the packet then propagates
 //! for the configured delay before arriving at the destination node.
 //! Queueing delay therefore shows up in measured RTTs exactly as it does
-//! in the paper's simulations.
+//! in the paper's simulations. A link sees few distinct wire lengths
+//! (full segments and bare ACKs), so it remembers the serialization
+//! time of the last two and divides only for a third.
 
 use crate::packet::{LinkId, NodeId};
 use crate::qdisc::Qdisc;
 use crate::rng::SimRng;
 use crate::time::{Bandwidth, SimDuration};
+
+/// One remembered [`Bandwidth::transmission_time`] result.
+type TxMemo = (Bandwidth, u32, SimDuration);
 
 /// Counters maintained per link by the engine.
 ///
@@ -77,6 +82,10 @@ pub(crate) struct Link {
     /// Transmissions started on this link; seeds the canonical
     /// `LinkFree`/`Arrival` event keys (see `events::EventKey`).
     pub tx_seq: u64,
+    /// The two most recently used `(rate, wire_len)` pairs and their
+    /// serialization times, most recent first. The rate is part of the
+    /// key, so a rate change needs no invalidation.
+    tx_memo: [TxMemo; 2],
     pub stats: LinkStats,
 }
 
@@ -100,8 +109,28 @@ impl Link {
             loss_rng: None,
             busy: false,
             tx_seq: 0,
+            // Zero bytes take zero time at any rate: a true entry.
+            tx_memo: [(rate, 0, SimDuration::ZERO); 2],
             stats: LinkStats::default(),
         }
+    }
+
+    /// `self.rate.transmission_time(wire_len)`, divided once per
+    /// `(rate, wire_len)` pair while that pair stays among the last two
+    /// this link used.
+    #[inline]
+    pub fn tx_time(&mut self, wire_len: u32) -> SimDuration {
+        let [first, second] = self.tx_memo;
+        if (first.0, first.1) == (self.rate, wire_len) {
+            return first.2;
+        }
+        let hit = if (second.0, second.1) == (self.rate, wire_len) {
+            second
+        } else {
+            (self.rate, wire_len, self.rate.transmission_time(wire_len))
+        };
+        self.tx_memo = [hit, first];
+        hit.2
     }
 }
 
@@ -122,6 +151,44 @@ impl std::fmt::Debug for Link {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qdisc::UnboundedFifo;
+
+    /// The memo is invisible: on random `(rate, wire_len)` sequences —
+    /// long same-pair runs, two alternating lengths, a third evicting
+    /// one, the rate changed between packets and changed back — every
+    /// answer equals `Bandwidth::transmission_time`'s.
+    #[test]
+    fn tx_time_memo_matches_transmission_time() {
+        let mut rng = SimRng::new(0x7A3E);
+        let rates = [600_000, 1_000_000, 100_000_000, 1, 2_000_003];
+        let wires = [40, 540, 1500, 52, 0, 1 << 30];
+        let mut link = Link::new(
+            LinkId(0),
+            NodeId(0),
+            NodeId(1),
+            Bandwidth::from_bps(rates[0]),
+            SimDuration::ZERO,
+            Box::new(UnboundedFifo::new()),
+        );
+        for step in 0..200_000 {
+            if rng.chance(0.05) {
+                // What `set_link_rate` does.
+                link.rate = Bandwidth::from_bps(rates[rng.next_below(5) as usize]);
+            }
+            // Mostly the first two lengths, as a real link sees.
+            let wire = if rng.chance(0.9) {
+                wires[rng.next_below(2) as usize]
+            } else {
+                wires[rng.next_below(6) as usize]
+            };
+            assert_eq!(
+                link.tx_time(wire),
+                link.rate.transmission_time(wire),
+                "step {step}: {wire} B at {}",
+                link.rate
+            );
+        }
+    }
 
     #[test]
     fn drop_rate_and_utilization() {

@@ -11,11 +11,13 @@
 //! Routing is static and computed once at build time: shortest path by
 //! hop count, ties broken by link declaration order, so a topology is a
 //! pure function of its construction — the same determinism contract
-//! the rest of the simulator keeps. Hosts attach to a router through a
+//! the rest of the simulator keeps. The routers are engine routers
+//! ([`Simulator::add_router`]): a packet crossing one is forwarded by
+//! id and never leaves the arena. Hosts attach to a router through a
 //! pair of fast access links, and routes toward a host are installed on
 //! every router that can reach its attachment point.
 
-use crate::engine::{ForwardingRouter, Simulator};
+use crate::engine::Simulator;
 use crate::packet::{LinkId, NodeId};
 use crate::qdisc::{Qdisc, UnboundedFifo};
 use crate::time::{Bandwidth, SimDuration};
@@ -97,9 +99,7 @@ impl Topology {
             config.links.len(),
             "one qdisc per configured link"
         );
-        let routers: Vec<NodeId> = (0..config.routers)
-            .map(|_| sim.add_agent(Box::new(ForwardingRouter)))
-            .collect();
+        let routers: Vec<NodeId> = (0..config.routers).map(|_| sim.add_router()).collect();
         let links: Vec<LinkId> = config
             .links
             .iter()

@@ -6,9 +6,11 @@
 #                       benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark and the sweep, fault-matrix, trace,
-#                       testbed and fluid-validation binaries, plus
-#                       the repo benchmark at full size on HEAD~1 and
-#                       on the working tree, compared.
+#                       testbed and fluid-validation binaries, the
+#                       execution-conformance oracles in the debug and
+#                       the release profile, plus the repo benchmark at
+#                       full size on HEAD~1 and on the working tree,
+#                       compared.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -109,13 +111,18 @@ testbed_smoke() {
 # manual step loop) must not be observable; plus the event queue's own
 # unit tests (the wheel against its BinaryHeap oracle, the slab, the
 # packed key) and the TAQ queue layer's — among them the index-vs-scan
-# oracle every pop and eviction rests on. All of it also runs inside
-# test_suite; this entry point exists so bisecting developers can run
-# just the ordering contract and what it stands on.
+# oracle every pop and eviction rests on. Each command runs twice: in
+# the debug profile, where `debug_assert`s and overflow checks are on,
+# and with --release, the build every figure and benchmark number comes
+# from — test_suite covers only the first. This entry point also lets a
+# bisecting developer run just the ordering contract and what it stands
+# on.
 execution_conformance() {
-    run cargo test $OFFLINE -q --test batch_conformance
-    run cargo test $OFFLINE -q -p taq-sim --lib events::
-    run cargo test $OFFLINE -q -p taq --lib queues::
+    for profile in "" --release; do
+        run cargo test $OFFLINE $profile -q --test batch_conformance
+        run cargo test $OFFLINE $profile -q -p taq-sim --lib events::
+        run cargo test $OFFLINE $profile -q -p taq --lib queues::
+    done
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass

@@ -14,7 +14,7 @@ use taq_faults::{
     shared_fault_stats, FaultDriver, FaultPlan, FaultStats, FaultyLink, GilbertElliott,
 };
 use taq_sim::{
-    Bandwidth, DumbbellConfig, ForwardingRouter, NodeId, Qdisc, SimDuration, SimRng, SimTime,
+    Agent, Bandwidth, Ctx, DumbbellConfig, NodeId, Packet, Qdisc, SimDuration, SimRng, SimTime,
     Simulator, UnboundedFifo,
 };
 use taq_tcp::{new_flow_log, ClientHost, FlowRecord, Request, ServerHost};
@@ -65,12 +65,24 @@ fn run_spec(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
     }
 }
 
+/// A router as an agent: takes each packet out of the arena by value
+/// and puts it back with `Ctx::forward`, where the engine's own routers
+/// forward the id in place.
+struct Relay;
+
+impl Agent for Relay {
+    fn on_packet(&mut self, pkt: Packet, ctx: &mut Ctx<'_>) {
+        ctx.forward(pkt.flow.dst, pkt);
+    }
+}
+
 /// The independent oracle: the same experiment wired by hand from raw
 /// `Simulator` calls, sharing nothing with `Topology`, `TopologySpec`
-/// or `TopoScenario`. Two routers with *default* routes across the
-/// bottleneck (the topology engine installs explicit per-host routes
-/// instead), the fault layer, the server, the fault driver, then the
-/// clients with the workload RNG's start and access-delay draws.
+/// or `TopoScenario`. Two by-value [`Relay`]s with *default* routes
+/// across the bottleneck (the topology engine creates engine routers
+/// and installs explicit per-host routes instead), the fault layer, the
+/// server, the fault driver, then the clients with the workload RNG's
+/// start and access-delay draws.
 fn run_hand_wired(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
     let cfg = &spec.topo;
     let built = taq_pipe(spec, seed);
@@ -88,8 +100,8 @@ fn run_hand_wired(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
     };
 
     let mut sim = Simulator::new(seed);
-    let left = sim.add_agent(Box::new(ForwardingRouter));
-    let right = sim.add_agent(Box::new(ForwardingRouter));
+    let left = sim.add_agent(Box::new(Relay));
+    let right = sim.add_agent(Box::new(Relay));
     let bottleneck = sim.add_link(
         left,
         right,
