@@ -1,12 +1,14 @@
 //! Microbenchmark: enqueue/dequeue throughput of each discipline under a
 //! steady multi-flow packet stream, plus the telemetry-overhead check —
 //! TAQ with no telemetry attached vs an attached hub with no sinks vs a
-//! live ring-buffer sink vs a live trace collector. The "no sinks"
-//! column is the cost the instrumentation adds to every deployment
-//! whether or not anyone is listening — tracing included, since the
-//! trace collector is just another sink; the bench *asserts* it stays
-//! under 3% over the detached baseline (one retry to damp scheduler
-//! noise).
+//! live ring-buffer sink vs a live trace collector vs the summary sink
+//! and trace collector together (the pair every attached run in the
+//! repo carries). The "no sinks" column is the cost the instrumentation
+//! adds to every deployment whether or not anyone is listening —
+//! tracing included, since the trace collector is just another sink;
+//! the bench *asserts* it stays under 3% over the detached baseline (one
+//! retry to damp scheduler noise). The fan-out rows after it time
+//! `Telemetry::emit` alone, per emission, into one sink and into two.
 //!
 //! The ring-length ladder at the end holds 64 / 512 / 4096 single-packet
 //! flows resident in TAQ (half of them in the Recovery class) and times
@@ -22,7 +24,7 @@ use taq_bench::{measure, Discipline};
 use taq_sim::{
     Bandwidth, FlowKey, NodeId, Packet, PacketArena, PacketBuilder, PacketId, Qdisc, SimTime,
 };
-use taq_telemetry::{shared_sink, RingBufferSink, Telemetry};
+use taq_telemetry::{shared_sink, Event, FlowId, RingBufferSink, SummarySink, Telemetry};
 use taq_trace::{TraceCollector, TraceConfig};
 use taq_workloads::BuiltPipe;
 
@@ -76,6 +78,29 @@ fn bench_discipline(d: Discipline, suffix: &str, telemetry: Option<&Telemetry>) 
         }
         drive(built, packets(1_000));
     })
+}
+
+/// Mean ns per `Telemetry::emit` of a `classified` event (one per
+/// bottleneck packet in a run) into whatever sinks `telemetry` holds:
+/// the hub lock and the fan-out, with no qdisc under them.
+fn emit_ns(label: &str, telemetry: &Telemetry) -> f64 {
+    const EMITS: u32 = 100_000;
+    let per_batch = measure(label, 2, 20, || {
+        for i in 0..u64::from(EMITS) {
+            telemetry.emit(i, || Event::Classified {
+                packet: i,
+                flow: FlowId {
+                    src: 1,
+                    src_port: 80,
+                    dst: 2,
+                    dst_port: i as u16,
+                },
+                class: "BelowFairShare",
+                retransmission: false,
+            });
+        }
+    });
+    per_batch / f64::from(EMITS)
 }
 
 /// A TAQ forward queue with `flows` single-packet flows resident in a
@@ -236,14 +261,27 @@ fn main() {
     let (_collector, erased) = shared_sink(TraceCollector::new(TraceConfig::default()));
     traced.add_shared_sink(erased);
     let traced_ns = bench_discipline(Discipline::Taq, "+trace_collector", Some(&traced));
+    // What an attached run actually carries: both at once.
+    let both = Telemetry::new();
+    both.add_sink(SummarySink::new());
+    both.add_sink(TraceCollector::new(TraceConfig::default()));
+    let both_ns = bench_discipline(Discipline::Taq, "+summary+trace", Some(&both));
 
     let pct = |x: f64, base: f64| (x / base - 1.0) * 100.0;
     println!(
-        "# overhead: nosink {:+.2}%   live ring sink {:+.2}%   live trace {:+.2}%",
+        "# overhead: nosink {:+.2}%   live ring sink {:+.2}%   live trace {:+.2}%   summary+trace {:+.2}%",
         pct(nosink_ns, baseline),
         pct(live_ns, baseline),
-        pct(traced_ns, baseline)
+        pct(traced_ns, baseline),
+        pct(both_ns, baseline)
     );
+
+    println!("# emit fan-out — 100 000 classified events per batch");
+    let one = Telemetry::new();
+    one.add_sink(SummarySink::new());
+    let one_ns = emit_ns("emit/summary", &one);
+    let two_ns = emit_ns("emit/summary+trace", &both);
+    println!("# per emission: one sink {one_ns:.1} ns   two sinks {two_ns:.1} ns");
 
     // The disabled-path budget is a tracked acceptance criterion, not
     // just a printout. Microbenchmark noise can fake a failure, so one

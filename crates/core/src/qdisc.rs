@@ -23,20 +23,27 @@ use crate::queues::{classify, fair_share_bps, QueueClass, QueuedPkt, TaqQueues};
 use crate::tracker::{flow_id, FlowTable};
 use std::sync::{Arc, Mutex};
 use taq_sim::{
-    EnqueueOutcome, Packet, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime,
-    TcpFlags,
+    EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime, TcpFlags,
 };
-use taq_telemetry::{Event, GaugeId, HistogramId, Telemetry, Value};
+use taq_telemetry::{Event, GaugeId, HistogramId, ScopedTimer, Telemetry, Value};
 
 /// Queue depth is sampled on every nth offered packet: often enough for
 /// meaningful percentiles, cheap enough for the hot path.
 const DEPTH_SAMPLE_EVERY: u64 = 32;
 
 /// One classify decision in this many is wall-clock timed (see
-/// `enqueue_forward`); the rest run untimed. The stride trades sample
-/// count against self-interference: the sampled timer's clock reads
-/// land inside the *enqueue* window, so it stays sparse.
+/// `classify_and_queue`); the rest run untimed. The stride trades
+/// sample count against self-interference: the sampled timer's clock
+/// reads land inside the *enqueue* window, so it stays sparse.
 const CLASSIFY_SAMPLE_EVERY: u64 = 64;
+
+/// One enqueue in this many, and one dequeue in this many, is
+/// wall-clock timed into `taq_enqueue_ns` / `taq_dequeue_ns`. A scoped
+/// timer is two clock reads and a hub lock — about what the work it
+/// brackets costs — so an attached run samples instead of paying that
+/// on every bottleneck packet. Both strides count packets, not time, so
+/// two runs of one seed time the same packets.
+const HOT_PATH_SAMPLE_EVERY: u64 = 16;
 
 /// Aggregate statistics a TAQ instance maintains.
 ///
@@ -139,6 +146,10 @@ pub struct TaqState {
     pending_rejects: std::collections::VecDeque<(PacketId, u32)>,
     /// Aggregate counters.
     pub stats: TaqStats,
+    /// `dequeue_forward` calls so far: the dequeue timer's stride
+    /// counter (the enqueue side strides on `stats.offered`). Not a
+    /// `TaqStats` field — it is a sampling detail, not a result.
+    dequeues: u64,
     telemetry: Telemetry,
     /// Next sim-time at which the flow table runs epoch-roll + GC.
     /// Ticking every packet is O(flows) and dominates the enqueue path
@@ -182,6 +193,7 @@ impl TaqState {
             pending_rejects: std::collections::VecDeque::new(),
             cfg,
             stats: TaqStats::default(),
+            dequeues: 0,
             telemetry: disabled,
             next_gc_at: SimTime::ZERO,
             event_buf: Vec::new(),
@@ -248,6 +260,13 @@ impl TaqState {
         self.fair_share_cache
     }
 
+    /// A scoped wall-clock timer into `id` on the first of every
+    /// `every` calls, `nth` being this call's 1-based count; `None`
+    /// (no clock read, no hub lock) on the rest.
+    fn sampled_timer(&self, nth: u64, every: u64, id: HistogramId) -> Option<ScopedTimer> {
+        (nth % every == 1).then(|| self.telemetry.scoped(id))
+    }
+
     /// Pools currently waiting for admission.
     pub fn waiting_pools(&self) -> usize {
         self.admission.waiting_pools()
@@ -263,7 +282,7 @@ impl TaqState {
         // Periodic table maintenance — the epoch-roll/GC tick (every
         // `min_epoch`) and the fair-share refresh (every quarter of it)
         // — runs before the enqueue timer starts: `taq_enqueue_ns`
-        // brackets the per-packet admission work, while the amortized
+        // samples the per-packet admission work, while the amortized
         // O(flows) sweeps show up where they belong, in the run's
         // wall-clock (the repo benchmark's `wall_s` and `events_per_s`).
         if now >= self.next_gc_at {
@@ -274,7 +293,8 @@ impl TaqState {
             self.flows.tick(now, |id| queues.holds(id));
         }
         let outcome = {
-            let _enq_timer = self.telemetry.scoped(self.enqueue_ns);
+            let _enq_timer =
+                self.sampled_timer(self.stats.offered, HOT_PATH_SAMPLE_EVERY, self.enqueue_ns);
             self.classify_and_queue(pkt, arena, now)
         };
         // Depth sampling is pure observation (gauges + a QueueDepth
@@ -325,11 +345,11 @@ impl TaqState {
         let class = {
             // Sampled profiling: the scoped timer costs two clock reads
             // plus a registry record — more than `classify` itself — so
-            // time only every 16th decision. The histogram's mean stays
-            // an unbiased estimate of classify latency; the deterministic
-            // stride keeps instrumented runs reproducible.
-            let _cls_timer = (self.stats.offered % CLASSIFY_SAMPLE_EVERY == 1)
-                .then(|| self.telemetry.scoped(self.classify_ns));
+            // time only one decision per stride. The histogram's mean
+            // stays an unbiased estimate of classify latency; the
+            // deterministic stride keeps instrumented runs reproducible.
+            let _cls_timer =
+                self.sampled_timer(self.stats.offered, CLASSIFY_SAMPLE_EVERY, self.classify_ns);
             classify(&obs, backlog, share_pkts, fair)
         };
         if self.telemetry.listening() {
@@ -426,7 +446,8 @@ impl TaqState {
     }
 
     fn dequeue_forward(&mut self, now: SimTime) -> Option<PacketId> {
-        let _deq_timer = self.telemetry.scoped(self.dequeue_ns);
+        self.dequeues += 1;
+        let _deq_timer = self.sampled_timer(self.dequeues, HOT_PATH_SAMPLE_EVERY, self.dequeue_ns);
         // Rejection notices are tiny and latency-sensitive: inject them
         // ahead of buffered data.
         if let Some((rst, _)) = self.pending_rejects.pop_front() {
@@ -439,13 +460,17 @@ impl TaqState {
 
     fn observe_reverse(
         &mut self,
-        pkt: &Packet,
+        pkt: PacketId,
         arena: &mut PacketArena,
         now: SimTime,
     ) -> AdmissionDecision {
-        if pkt.flags.syn && !pkt.flags.ack {
+        let body = arena.get(pkt);
+        if body.flags.syn && !body.flags.ack {
+            // The SYN's key, read before the arena is borrowed mutably
+            // for the rejection notice.
+            let flow = body.flow;
             let loss = self.loss_meter.rate(now);
-            let decision = self.admission.on_syn(pkt.flow.src, loss, now);
+            let decision = self.admission.on_syn(flow.src, loss, now);
             if decision == AdmissionDecision::Reject {
                 self.stats.syns_rejected += 1;
                 if self.cfg.reject_feedback {
@@ -454,7 +479,7 @@ impl TaqState {
                     // the suggested wait in milliseconds (the paper's
                     // expected-wait-time feedback, an in-band stand-in
                     // for its spoofed HTTP 503).
-                    let rst = PacketBuilder::new(pkt.flow.reversed())
+                    let rst = PacketBuilder::new(flow.reversed())
                         .flags(TcpFlags::RST)
                         .meta(self.cfg.admission_twait.as_millis())
                         .build();
@@ -465,7 +490,7 @@ impl TaqState {
             }
             return decision;
         }
-        self.flows.observe_reverse(pkt, now);
+        self.flows.observe_reverse(body, now);
         AdmissionDecision::Admit
     }
 }
@@ -569,16 +594,11 @@ impl Qdisc for TaqQdisc {
 
 impl Qdisc for TaqReverseQdisc {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        let body = arena.get(pkt).clone();
-        let decision = self
-            .state
-            .lock()
-            .unwrap()
-            .observe_reverse(&body, arena, now);
+        let wire = arena.get(pkt).wire_len();
+        let decision = self.state.lock().unwrap().observe_reverse(pkt, arena, now);
         if decision == AdmissionDecision::Reject {
             return EnqueueOutcome::rejected(pkt);
         }
-        let wire = body.wire_len();
         self.bytes += wire as usize;
         self.fifo.push_back((pkt, wire));
         EnqueueOutcome::accepted()
@@ -835,6 +855,55 @@ mod tests {
             .build(),
         );
         assert!(rev.enqueue(syn, &mut a, t(1)).dropped.is_empty());
+    }
+
+    /// Drives a fixed packet pattern through a pair and returns how
+    /// many samples the three hot-path histograms hold.
+    fn timer_samples(telemetry: &Telemetry, offered: u64, dequeues: u64) -> [u64; 3] {
+        let mut a = PacketArena::new();
+        let pair = TaqPair::new(cfg());
+        pair.attach_telemetry(telemetry.clone());
+        let mut q = pair.forward;
+        for i in 0..offered {
+            let pkt = data(&mut a, (i % 5) as u16 + 1, 1 + (i / 5) * 460, i);
+            for d in q.enqueue(pkt, &mut a, t(i)).dropped {
+                a.remove(d);
+            }
+        }
+        // Dequeues past the backlog return `None` and still count: the
+        // stride is over calls.
+        for i in 0..dequeues {
+            if let Some(id) = q.dequeue(&mut a, t(offered + i)) {
+                a.remove(id);
+            }
+        }
+        ["taq_enqueue_ns", "taq_dequeue_ns", "taq_classify_ns"]
+            .map(|name| telemetry.histogram_value(telemetry.histogram(name)).count())
+    }
+
+    #[test]
+    fn hot_path_timers_sample_on_a_deterministic_stride() {
+        let attached = || {
+            let telemetry = Telemetry::new();
+            telemetry.add_sink(taq_telemetry::RingBufferSink::new(0));
+            telemetry
+        };
+        for (offered, dequeues) in [(1u64, 1u64), (16, 17), (100, 37), (161, 300)] {
+            let want = [
+                offered.div_ceil(HOT_PATH_SAMPLE_EVERY),
+                dequeues.div_ceil(HOT_PATH_SAMPLE_EVERY),
+                offered.div_ceil(CLASSIFY_SAMPLE_EVERY),
+            ];
+            assert_eq!(timer_samples(&attached(), offered, dequeues), want);
+            assert_eq!(
+                timer_samples(&attached(), offered, dequeues),
+                want,
+                "the same packets are timed on a second run"
+            );
+        }
+        // A hub nobody listens to reads no clock at all.
+        assert_eq!(timer_samples(&Telemetry::new(), 100, 100), [0; 3]);
+        assert_eq!(timer_samples(&Telemetry::disabled(), 100, 100), [0; 3]);
     }
 
     #[test]

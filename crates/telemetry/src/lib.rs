@@ -20,13 +20,19 @@
 //!    to a slot once ([`NameTable`], matched by pointer), counts live
 //!    in fixed slots, and sorted, string-keyed views are built when
 //!    somebody reads them.
-//! 4. **One transport.** Every emission goes through the mutex hub and
-//!    reaches every sink in emission order.
+//! 4. **One transport, one lock.** The hub owns its sinks. Every
+//!    emission takes the hub mutex — and no other lock — and calls each
+//!    sink in turn with it held, so every sink sees every event in
+//!    emission order. A harness reads a sink back by checking it out of
+//!    the hub through its [`SinkHandle`], which never holds the hub
+//!    lock while the caller looks.
 //!
 //! ```
-//! use taq_telemetry::{shared_sink, Event, FlowId, RingBufferSink, Telemetry};
+//! use taq_telemetry::{shared_sink, Event, RingBufferSink, Telemetry};
 //!
 //! let telemetry = Telemetry::new();
+//! // The erased half moves the sink into the hub; the typed half
+//! // reads it back.
 //! let (ring, erased) = shared_sink(RingBufferSink::new(64));
 //! telemetry.add_shared_sink(erased);
 //! telemetry.emit(5, || Event::PoolWaiting { src: 9 });
@@ -45,8 +51,8 @@ pub use fx::{FxBuildHasher, FxHasher};
 pub use names::NameTable;
 pub use registry::{CounterId, GaugeId, HistogramId, LogHistogram, MetricRegistry};
 pub use sink::{
-    jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SummarySink,
-    SummaryStats, TelemetrySink,
+    jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SinkCheckedOut,
+    SinkGuard, SinkHandle, SummarySink, SummaryStats, TelemetrySink,
 };
 pub use value::{ParseError, Value};
 
@@ -54,18 +60,47 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-/// Locks the hub or a sink even if an earlier holder panicked. A harness
-/// thread that dies holding its typed [`shared_sink`] handle poisons the
-/// mutex; telemetry must never take down the data path, so the next
-/// per-packet `emit` takes the guard anyway. That is sound here because
-/// sinks and the hub hold only counters and buffers — the worst a torn
-/// update leaves behind is one miscounted event, never invalid state.
+/// Locks the hub (or a shared sink's slot) even if an earlier holder
+/// panicked. A sink that panics inside `emit` poisons the hub mutex,
+/// which is held across the fan-out; telemetry must never take down the
+/// data path, so the next per-packet `emit` takes the guard anyway. That
+/// is sound here because sinks and the hub hold only counters and
+/// buffers — the worst a torn update leaves behind is one miscounted
+/// event, never invalid state.
 fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// One sink's place in the hub's fan-out.
+struct Seat {
+    /// `None` while the sink is checked out through its
+    /// [`SinkHandle`](sink::SinkHandle).
+    sink: Option<Box<dyn TelemetrySink>>,
+    /// What was emitted while the sink was out, in emission order.
+    missed: Vec<(u64, Event)>,
+    /// A `flush` arrived while the sink was out.
+    flush_missed: bool,
+}
+
+impl Seat {
+    #[inline]
+    fn emit(&mut self, at_ns: u64, event: &Event) {
+        match &mut self.sink {
+            Some(sink) => sink.emit(at_ns, event),
+            None => self.missed.push((at_ns, event.clone())),
+        }
+    }
+
+    fn flush(&mut self) {
+        match &mut self.sink {
+            Some(sink) => sink.flush(),
+            None => self.flush_missed = true,
+        }
+    }
+}
+
 struct Hub {
-    sinks: Vec<SharedSink>,
+    seats: Vec<Seat>,
     registry: MetricRegistry,
 }
 
@@ -76,6 +111,43 @@ struct Hub {
 struct HubShared {
     has_sinks: AtomicBool,
     hub: Mutex<Hub>,
+}
+
+impl HubShared {
+    /// Appends a seat (empty when its sink is checked out right now)
+    /// and returns its index.
+    fn add_seat(&self, sink: Option<Box<dyn TelemetrySink>>) -> usize {
+        let mut hub = lock_unpoisoned(&self.hub);
+        hub.seats.push(Seat {
+            sink,
+            missed: Vec::new(),
+            flush_missed: false,
+        });
+        self.has_sinks.store(true, Ordering::Release);
+        hub.seats.len() - 1
+    }
+
+    /// Takes the sink out of `seat`; `None` if it is out already.
+    fn check_out(&self, seat: usize) -> Option<Box<dyn TelemetrySink>> {
+        lock_unpoisoned(&self.hub).seats[seat].sink.take()
+    }
+
+    /// Puts a checked-out sink back, first handing it what it missed.
+    /// All under the hub lock, so no emission can slip between the
+    /// replay and the sink being live again.
+    fn check_in(&self, seat: usize, sink: Box<dyn TelemetrySink>) {
+        let mut hub = lock_unpoisoned(&self.hub);
+        let seat = &mut hub.seats[seat];
+        // Seated before the replay: a sink that panics on a replayed
+        // event is still at home for the next emission.
+        let sink = seat.sink.insert(sink);
+        for (at_ns, event) in seat.missed.drain(..) {
+            sink.emit(at_ns, &event);
+        }
+        if std::mem::take(&mut seat.flush_missed) {
+            sink.flush();
+        }
+    }
 }
 
 /// Cheaply clonable handle to a telemetry hub, or to nothing at all.
@@ -112,7 +184,7 @@ impl Telemetry {
             inner: Some(Arc::new(HubShared {
                 has_sinks: AtomicBool::new(false),
                 hub: Mutex::new(Hub {
-                    sinks: Vec::new(),
+                    seats: Vec::new(),
                     registry: MetricRegistry::new(),
                 }),
             })),
@@ -156,18 +228,20 @@ impl Telemetry {
             .is_some_and(|shared| shared.has_sinks.load(Ordering::Acquire))
     }
 
-    /// Attaches an owned sink.
-    pub fn add_sink<S: TelemetrySink + 'static>(&self, sink: S) {
-        let (_, erased) = shared_sink(sink);
-        self.add_shared_sink(erased);
+    /// Attaches a sink nobody needs to read back. No-op on a disabled
+    /// handle.
+    pub fn add_sink<S: TelemetrySink>(&self, sink: S) {
+        if let Some(shared) = &self.inner {
+            shared.add_seat(Some(Box::new(sink)));
+        }
     }
 
-    /// Attaches a shared sink (keep the typed half to inspect later).
-    /// No-op on a disabled handle.
+    /// Moves a shared sink into the hub (keep the typed half of
+    /// [`shared_sink`] to inspect it later). On a disabled handle the
+    /// sink stays where it is, still readable through its typed half.
     pub fn add_shared_sink(&self, sink: SharedSink) {
         if let Some(shared) = &self.inner {
-            lock_unpoisoned(&shared.hub).sinks.push(sink);
-            shared.has_sinks.store(true, Ordering::Release);
+            sink.seat_in(shared);
         }
     }
 
@@ -180,28 +254,26 @@ impl Telemetry {
             return;
         }
         let event = build();
-        if let Some(hub) = self.hub() {
-            for sink in &hub.sinks {
-                lock_unpoisoned(sink).emit(at_ns, &event);
+        if let Some(mut hub) = self.hub() {
+            for seat in &mut hub.seats {
+                seat.emit(at_ns, &event);
             }
         }
     }
 
     /// Emits a pre-built batch of timestamped events and clears the
-    /// buffer. One hub lock and one lock *per sink* cover the whole
-    /// batch (each per-packet `emit` pays both locks), so a hot path
-    /// can gather the events one packet produces — gated on
-    /// [`listening`](Self::listening) so nothing is built for nobody —
-    /// and fan them out once, outside its own timed section. Every sink
-    /// sees the batch in push order, exactly as if each event had been
-    /// emitted individually.
+    /// buffer. One hub lock covers the whole batch (each `emit` takes
+    /// it once per event), so a hot path can gather the events one
+    /// packet produces — gated on [`listening`](Self::listening) so
+    /// nothing is built for nobody — and fan them out once, outside its
+    /// own timed section. Every sink sees the batch in push order,
+    /// exactly as if each event had been emitted individually.
     pub fn emit_batch(&self, events: &mut Vec<(u64, Event)>) {
         if self.listening() {
-            if let Some(hub) = self.hub() {
-                for sink in &hub.sinks {
-                    let mut sink = lock_unpoisoned(sink);
+            if let Some(mut hub) = self.hub() {
+                for seat in &mut hub.seats {
                     for (at_ns, event) in events.iter() {
-                        sink.emit(*at_ns, event);
+                        seat.emit(*at_ns, event);
                     }
                 }
             }
@@ -220,11 +292,11 @@ impl Telemetry {
         }
     }
 
-    /// Flushes every sink.
+    /// Flushes every sink (one that is checked out, when it returns).
     pub fn flush(&self) {
-        if let Some(hub) = self.hub() {
-            for sink in &hub.sinks {
-                lock_unpoisoned(sink).flush();
+        if let Some(mut hub) = self.hub() {
+            for seat in &mut hub.seats {
+                seat.flush();
             }
         }
     }
@@ -423,29 +495,26 @@ mod tests {
         let (summary, erased) = shared_sink(SummarySink::new());
         t.add_shared_sink(erased);
         t.emit(1, || Event::PoolWaiting { src: 1 });
-        // A harness thread dies holding its typed handle.
+        // A harness thread dies holding its typed guard, with the run
+        // still emitting: unwinding returns the sink to its seat.
         let died = std::thread::scope(|s| {
             s.spawn(|| {
                 let _held = summary.lock().unwrap();
+                t.emit(2, || Event::PoolWaiting { src: 1 });
                 panic!("harness assertion failed");
             })
             .join()
         });
         assert!(died.is_err());
-        assert!(summary.is_poisoned());
         // The per-packet path carries on, and nothing counted is lost.
-        t.emit(2, || Event::PoolWaiting { src: 1 });
         t.emit_batch(&mut vec![(3, Event::PoolAdmitted { src: 1 })]);
         t.flush();
-        let stats = summary
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .stats();
+        let stats = summary.lock().expect("back in its seat").stats();
         assert_eq!(stats.pools_waited, 2);
         assert_eq!(stats.total_events(), 3);
 
-        // A sink that panics inside `emit` poisons the hub as well (the
-        // hub lock is held across the fan-out).
+        // A sink that panics inside `emit` poisons the hub (its lock is
+        // held across the fan-out); the hub keeps serving regardless.
         struct Exploding;
         impl TelemetrySink for Exploding {
             fn emit(&mut self, _at_ns: u64, _event: &Event) {
@@ -465,6 +534,110 @@ mod tests {
         t.inc(c, 2);
         assert_eq!(t.counter_value(c), 2, "the hub still serves metrics");
         assert_eq!(ring.lock().unwrap().total(), 1);
+    }
+
+    /// Logs what reaches it, flushes included.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl TelemetrySink for Recorder {
+        fn emit(&mut self, at_ns: u64, event: &Event) {
+            self.0.push(format!("{}@{at_ns}", event.kind()));
+        }
+
+        fn flush(&mut self) {
+            self.0.push("flush".to_string());
+        }
+    }
+
+    #[test]
+    fn guards_of_two_sinks_are_held_together() {
+        let t = Telemetry::new();
+        let (a, erased) = shared_sink(RingBufferSink::new(8));
+        t.add_shared_sink(erased);
+        let (b, erased) = shared_sink(Recorder::default());
+        t.add_shared_sink(erased);
+        t.emit(1, || Event::PoolWaiting { src: 1 });
+        // The repo benchmark's shape: both guards are temporaries of
+        // one tuple expression, alive until the statement ends. A guard
+        // that held the hub lock would deadlock on the second.
+        let counts = (
+            a.lock().expect("ring").total(),
+            b.lock().expect("recorder").0.len(),
+        );
+        assert_eq!(counts, (1, 1));
+    }
+
+    #[test]
+    fn checked_out_sink_catches_up_in_emission_order() {
+        let t = Telemetry::new();
+        let (away, erased) = shared_sink(Recorder::default());
+        t.add_shared_sink(erased);
+        let (home, erased) = shared_sink(Recorder::default());
+        t.add_shared_sink(erased);
+        t.emit(5, || Event::PoolWaiting { src: 1 });
+        let want = [
+            "pool_waiting@5",
+            "pool_admitted@9",
+            "pool_waiting@4",
+            "pool_admitted@2",
+            "flush",
+            "pool_waiting@7",
+        ];
+
+        let guard = away.lock().unwrap();
+        t.emit(9, || Event::PoolAdmitted { src: 1 });
+        t.emit_batch(&mut vec![
+            (4, Event::PoolWaiting { src: 1 }),
+            (2, Event::PoolAdmitted { src: 1 }),
+        ]);
+        t.flush();
+        // The seated sink saw each of them as it was emitted; the
+        // checked-out one is exactly as the guard found it.
+        assert_eq!(home.lock().unwrap().0, want[..5]);
+        assert_eq!(guard.0, want[..1]);
+        drop(guard);
+        t.emit(7, || Event::PoolWaiting { src: 1 });
+
+        assert_eq!(away.lock().unwrap().0, want);
+        assert_eq!(home.lock().unwrap().0, want);
+    }
+
+    #[test]
+    fn second_lock_of_a_checked_out_sink_is_an_error() {
+        let t = Telemetry::new();
+        let (ring, erased) = shared_sink(RingBufferSink::new(8));
+        t.add_shared_sink(erased);
+        let mut guard = ring.lock().unwrap();
+        assert_eq!(ring.lock().err(), Some(SinkCheckedOut));
+        assert!(SinkCheckedOut.to_string().contains("checked out"));
+        // The guard is the sink itself, writable.
+        guard.emit(1, &Event::PoolWaiting { src: 1 });
+        drop(guard);
+        assert_eq!(ring.lock().unwrap().total(), 1);
+    }
+
+    #[test]
+    fn sink_outside_a_hub_stays_readable() {
+        // Offered to a disabled handle: nothing owns it but its slot.
+        let (ring, erased) = shared_sink(RingBufferSink::new(8));
+        Telemetry::disabled().add_shared_sink(erased);
+        assert_eq!(ring.lock().unwrap().total(), 0);
+        assert_eq!(ring.lock().unwrap().total(), 0, "the guard put it back");
+
+        // Attached while checked out: the seat collects until the guard
+        // drops, and the sink then comes home to the hub.
+        let t = Telemetry::new();
+        let (ring, erased) = shared_sink(RingBufferSink::new(8));
+        let guard = ring.lock().unwrap();
+        t.add_shared_sink(erased);
+        t.emit(1, || Event::PoolWaiting { src: 1 });
+        drop(guard);
+        t.emit(2, || Event::PoolWaiting { src: 1 });
+        assert_eq!(ring.lock().unwrap().total(), 2);
+        // The handle keeps the hub (and so the sink) alive by itself.
+        drop(t);
+        assert_eq!(ring.lock().unwrap().total(), 2);
     }
 
     #[test]

@@ -5,17 +5,36 @@
 use crate::event::Event;
 use crate::names::NameTable;
 use crate::registry::LogHistogram;
+use crate::{lock_unpoisoned, HubShared};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
+use std::marker::PhantomData;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex};
+
+/// The upcast every sink gets for free (the blanket impl below covers
+/// any `'static` type), so a [`SinkHandle`] can turn the hub's
+/// `Box<dyn TelemetrySink>` back into the `Box<S>` it was made from.
+pub trait AnySink: Any {
+    /// `self`, as a box that can be downcast.
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
+}
+
+impl<T: Any> AnySink for T {
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
 
 /// Consumes timestamped events. `at_ns` is nanoseconds of simulated
 /// (or scaled-real) time, matching the emitting layer's clock.
 ///
 /// Sinks are `Send` so a fully-wired [`crate::Telemetry`] hub can move
-/// into a sweep worker thread along with the simulator that feeds it.
-pub trait TelemetrySink: Send {
+/// into a sweep worker thread along with the simulator that feeds it,
+/// and `'static` (through [`AnySink`]) because the hub owns them.
+pub trait TelemetrySink: AnySink + Send {
     /// Handles one event.
     fn emit(&mut self, at_ns: u64, event: &Event);
 
@@ -23,19 +42,128 @@ pub trait TelemetrySink: Send {
     fn flush(&mut self) {}
 }
 
-/// A sink handle shareable between the telemetry hub and a harness that
-/// wants to inspect the sink afterwards (same pattern as the TAQ
-/// forward/reverse pair's shared state). The mutex is uncontended in
-/// practice — each run is single-threaded; `Arc<Mutex<…>>` is what
-/// makes the handle `Send` so whole runs can move across threads.
-pub type SharedSink = Arc<Mutex<dyn TelemetrySink>>;
+/// Where a shared sink lives. Only [`SinkHandle::lock`], its guard's
+/// drop and [`crate::Telemetry::add_shared_sink`] ever look here — the
+/// emission path does not.
+enum Home {
+    /// Not in a hub (not yet, or it was offered to a disabled handle):
+    /// the slot keeps the sink itself, `None` while it is checked out.
+    Detached(Option<Box<dyn TelemetrySink>>),
+    /// In this seat of this hub.
+    Seated(Arc<HubShared>, usize),
+}
 
-/// Wraps a sink so the caller keeps a typed handle while the telemetry
-/// hub holds a type-erased one.
-pub fn shared_sink<S: TelemetrySink + 'static>(sink: S) -> (Arc<Mutex<S>>, SharedSink) {
-    let typed = Arc::new(Mutex::new(sink));
-    let erased: SharedSink = typed.clone();
-    (typed, erased)
+type Slot = Mutex<Home>;
+
+/// The type-erased half of [`shared_sink`]: hand it to
+/// [`crate::Telemetry::add_shared_sink`], which moves the sink into the
+/// hub.
+pub struct SharedSink {
+    slot: Arc<Slot>,
+}
+
+impl SharedSink {
+    /// Moves the sink into the next free seat of `hub` and points the
+    /// typed half at it. A sink that is checked out right now takes its
+    /// seat when its guard drops; until then the seat collects what is
+    /// emitted.
+    pub(crate) fn seat_in(self, hub: &Arc<HubShared>) {
+        let mut home = lock_unpoisoned(&self.slot);
+        let Home::Detached(sink) = &mut *home else {
+            unreachable!("add_shared_sink consumes the only SharedSink of a slot");
+        };
+        let seat = hub.add_seat(sink.take());
+        *home = Home::Seated(hub.clone(), seat);
+    }
+}
+
+/// The typed half of [`shared_sink`]: reads the sink back while the hub
+/// owns it.
+pub struct SinkHandle<S> {
+    slot: Arc<Slot>,
+    _sink: PhantomData<fn() -> S>,
+}
+
+/// [`SinkHandle::lock`] found the sink already checked out: an earlier
+/// guard of the same sink is still alive.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SinkCheckedOut;
+
+impl std::fmt::Display for SinkCheckedOut {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("sink is checked out: an earlier guard of it is still alive")
+    }
+}
+
+impl std::error::Error for SinkCheckedOut {}
+
+impl<S: TelemetrySink> SinkHandle<S> {
+    /// Checks the sink out of its hub seat (one brief hub lock) and
+    /// returns a guard that dereferences to it. The hub is *not* locked
+    /// while the guard lives: emission carries on, the other sinks see
+    /// every event at once, and this sink is handed what it missed, in
+    /// emission order, when the guard drops. Guards of different sinks
+    /// can therefore be held together; a second guard of the same sink
+    /// is an error, not a wait.
+    pub fn lock(&self) -> Result<SinkGuard<'_, S>, SinkCheckedOut> {
+        let sink = match &mut *lock_unpoisoned(&self.slot) {
+            Home::Detached(sink) => sink.take(),
+            Home::Seated(hub, seat) => hub.check_out(*seat),
+        };
+        let sink = sink
+            .ok_or(SinkCheckedOut)?
+            .into_any()
+            .downcast::<S>()
+            .expect("shared_sink made this handle and its sink from one S");
+        Ok(SinkGuard {
+            sink: Some(sink),
+            slot: &self.slot,
+        })
+    }
+}
+
+/// A checked-out sink; dropping it (also during a panic's unwinding)
+/// puts the sink back where it lives.
+pub struct SinkGuard<'a, S: TelemetrySink> {
+    /// `Some` until `drop` moves it home.
+    sink: Option<Box<S>>,
+    slot: &'a Slot,
+}
+
+impl<S: TelemetrySink> Deref for SinkGuard<'_, S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        self.sink.as_deref().expect("held until drop")
+    }
+}
+
+impl<S: TelemetrySink> DerefMut for SinkGuard<'_, S> {
+    fn deref_mut(&mut self) -> &mut S {
+        self.sink.as_deref_mut().expect("held until drop")
+    }
+}
+
+impl<S: TelemetrySink> Drop for SinkGuard<'_, S> {
+    fn drop(&mut self) {
+        let Some(sink) = self.sink.take() else { return };
+        let sink: Box<dyn TelemetrySink> = sink;
+        match &mut *lock_unpoisoned(self.slot) {
+            Home::Detached(home) => *home = Some(sink),
+            Home::Seated(hub, seat) => hub.check_in(*seat, sink),
+        }
+    }
+}
+
+/// Splits a sink into a typed handle the caller keeps to read it back
+/// and the type-erased half a telemetry hub takes ownership through.
+pub fn shared_sink<S: TelemetrySink>(sink: S) -> (SinkHandle<S>, SharedSink) {
+    let slot = Arc::new(Mutex::new(Home::Detached(Some(Box::new(sink)))));
+    let typed = SinkHandle {
+        slot: slot.clone(),
+        _sink: PhantomData,
+    };
+    (typed, SharedSink { slot })
 }
 
 /// Bounded in-memory sink: keeps the most recent `capacity` events and
@@ -168,7 +296,7 @@ impl<W: Write> Drop for JsonlSink<W> {
     }
 }
 
-impl<W: Write + Send> TelemetrySink for JsonlSink<W> {
+impl<W: Write + Send + 'static> TelemetrySink for JsonlSink<W> {
     fn emit(&mut self, at_ns: u64, event: &Event) {
         let mut line = event.to_value(at_ns).to_json();
         line.push('\n');

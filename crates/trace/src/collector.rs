@@ -89,8 +89,9 @@ impl Default for TraceConfig {
 
 /// Assembles packet-lifecycle spans from a telemetry event stream.
 ///
-/// Attach with [`taq_telemetry::shared_sink`] to keep a typed handle
-/// for post-run inspection:
+/// Attach with [`taq_telemetry::shared_sink`]: the hub takes the
+/// collector, and the typed handle checks it out for inspection (during
+/// the run or after it):
 ///
 /// ```
 /// use taq_telemetry::{shared_sink, Telemetry};

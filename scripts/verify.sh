@@ -90,12 +90,19 @@ fault_smoke() {
 # dump, and re-analyzes it through the --input path (so both the
 # collector and the parser are exercised), then the two sink crates'
 # own tests, among them the oracles that hold TraceCollector and
-# SummarySink to their pre-cache twins on random event streams. CI
-# archives the dump.
+# SummarySink to their pre-cache twins on random event streams and the
+# hub's sink check-out/replay tests. Those, with the two root suites
+# that pin what an attached run emits (trace_determinism,
+# telemetry_events), run again with --release: every attached number in
+# EXPERIMENTS.md and the repo benchmark comes from that profile, and
+# test_suite covers only the debug one. CI archives the dump.
 trace_smoke() {
     run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --out results/trace_dump.jsonl
     run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --input results/trace_dump.jsonl
-    run cargo test $OFFLINE -q -p taq-trace -p taq-telemetry
+    for profile in "" --release; do
+        run cargo test $OFFLINE $profile -q -p taq-trace -p taq-telemetry
+    done
+    run cargo test $OFFLINE --release -q --test trace_determinism --test telemetry_events
 }
 
 # Testbed smoke: the real-time harness outside `cargo test` — eight
