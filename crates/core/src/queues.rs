@@ -54,31 +54,40 @@
 //! `next` columns, in round-robin order: append, rotate-to-tail and
 //! unlink (drain, migrate, evict) are O(1) and preserve the order a
 //! ring would have. Every pick the policy makes by comparing flows is
-//! answered by an ordered index holding exactly the compared key:
+//! the maximum of a binary max-heap over exactly the compared key,
+//! packed into one integer, most significant field first, above the
+//! complement of the flow id in the low 32 bits — so a comparison is
+//! one integer compare, every key is unique, a full tie breaks towards
+//! the *smallest* id, and the key alone names its flow:
 //!
-//! - Recovery: `(silence, Reverse(last_normal_at), Reverse(id))`. Its
-//!   maximum is the flow Level 1 serves. The last-resort eviction
-//!   victim is the minimum of `(silence, Reverse(last_normal_at))` —
-//!   but both picks break a full tie towards the *smallest* id, so as
-//!   orders they differ in the id direction: the victim is the last
-//!   entry of the index's lowest two-field prefix, not its first;
-//! - OverPenalized, BelowFairShare, AboveFairShare:
-//!   `(score, backlog, Reverse(id))`, maximum = eviction victim by
-//!   window;
-//! - NewFlow, BelowFairShare: `(backlog, Reverse(id))`, maximum =
-//!   eviction victim by backlog (and "does any ordinary flow hold a
-//!   burst" is that maximum's backlog being at least 2).
+//! - Recovery, service order: `silence << 96 | !last_normal_at << 32 |
+//!   !id`. Its maximum is the flow Level 1 serves;
+//! - Recovery, victim order: `!silence << 96 | last_normal_at << 32 |
+//!   !id`. Its maximum is the last-resort eviction victim — shortest
+//!   silence, then most recent normal transmission, then (like the
+//!   service order) smallest id;
+//! - OverPenalized, BelowFairShare, AboveFairShare: `score << 96 |
+//!   backlog << 32 | !id`, maximum = eviction victim by window;
+//! - NewFlow, BelowFairShare: `backlog << 32 | !id` (one `u64`; the
+//!   others are `u128`), maximum = eviction victim by backlog (and "does
+//!   any ordinary flow hold a burst" is that maximum's backlog being at
+//!   least 2).
 //!
-//! An entry is taken out under its old key and put back under the new
-//! one around every mutation of a keyed column: a `push` to a live flow
-//! rewrites score, silence, last-normal time and backlog and may move
-//! the flow to another class; every pop and eviction changes backlog. A
-//! pop that leaves a Recovery flow backlogged skips the re-key, since
-//! the Recovery key does not read backlog.
+//! A heap entry knows its slot. A flow sits in exactly one class, so two
+//! slab columns serve every heap: `pos_a` holds the flow's position in
+//! its class's score heap or Recovery's service heap, `pos_b` in the
+//! backlog heap or Recovery's victim heap. A flow enters its class's
+//! heaps on arrival and after a migration, and leaves them on drain and
+//! before a migration. In between, every mutation of a keyed column
+//! re-keys it — the new key overwrites the old in place and sifts up or
+//! down, O(log n) with nothing removed and reinserted: a `push` to a
+//! live flow rewrites score, silence, last-normal time and backlog;
+//! every pop and eviction changes backlog. A pop that leaves a Recovery
+//! flow backlogged skips the re-key, since neither Recovery key reads
+//! backlog.
 
 use crate::tracker::Observation;
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimTime};
 
 /// Which TAQ class a flow is assigned to.
@@ -265,6 +274,12 @@ struct FlowSlabs {
     /// meaningful only while the flow is live.
     prev: Vec<FlowId>,
     next: Vec<FlowId>,
+    /// The flow's slot in its class's score heap or Recovery's service
+    /// heap, [`ABSENT`] while it is in neither.
+    pos_a: Vec<u32>,
+    /// The flow's slot in its class's backlog heap or Recovery's victim
+    /// heap, [`ABSENT`] while it is in neither.
+    pos_b: Vec<u32>,
 }
 
 impl FlowSlabs {
@@ -278,54 +293,221 @@ impl FlowSlabs {
             self.packets.resize_with(idx + 1, VecDeque::new);
             self.prev.resize(idx + 1, NIL);
             self.next.resize(idx + 1, NIL);
+            self.pos_a.resize(idx + 1, ABSENT);
+            self.pos_b.resize(idx + 1, ABSENT);
         }
     }
 
-    // The index keys of flow `id`, as its columns stand right now.
+    // The heap keys of flow `id`, as its columns stand right now.
 
-    fn recovery_key(&self, id: FlowId) -> RecoveryKey {
+    /// Recovery service order: longest silence, then least-recent
+    /// normal transmission, then lowest id.
+    fn recovery_key(&self, id: FlowId) -> u128 {
         let idx = id.index();
-        (
-            self.silence[idx],
-            Reverse(self.last_normal_at[idx]),
-            Reverse(id),
-        )
+        let last_normal_ns = self.last_normal_at[idx].as_nanos();
+        pack_wide(self.silence[idx], !last_normal_ns, id)
     }
 
-    fn score_key(&self, id: FlowId) -> ScoreKey {
+    /// Recovery victim order: shortest silence, then most-recent normal
+    /// transmission, then lowest id.
+    fn victim_key(&self, id: FlowId) -> u128 {
         let idx = id.index();
-        (self.score[idx], self.packets[idx].len(), Reverse(id))
+        let last_normal_ns = self.last_normal_at[idx].as_nanos();
+        pack_wide(!self.silence[idx], last_normal_ns, id)
     }
 
-    fn backlog_key(&self, id: FlowId) -> BacklogKey {
-        (self.packets[id.index()].len(), Reverse(id))
+    /// Eviction by window: biggest score, then deepest backlog, then
+    /// lowest id.
+    fn score_key(&self, id: FlowId) -> u128 {
+        let idx = id.index();
+        let backlog = u64::try_from(self.packets[idx].len()).expect("backlog fits 64 bits");
+        pack_wide(self.score[idx], backlog, id)
+    }
+
+    /// Eviction by backlog: deepest backlog, then lowest id.
+    fn backlog_key(&self, id: FlowId) -> u64 {
+        pack_backlog(self.packets[id.index()].len(), id)
     }
 }
 
-/// Recovery priority: longest silence, then least-recent normal
-/// transmission, then lowest id.
-type RecoveryKey = (u32, Reverse<SimTime>, Reverse<FlowId>);
-/// Eviction by window: biggest score, then deepest backlog, then
-/// lowest id.
-type ScoreKey = (u32, usize, Reverse<FlowId>);
-/// Eviction by backlog: deepest backlog, then lowest id.
-type BacklogKey = (usize, Reverse<FlowId>);
+/// `hi << 96 | mid << 32 | !id`. Every field has its full width, so
+/// nothing can overflow.
+fn pack_wide(hi: u32, mid: u64, id: FlowId) -> u128 {
+    u128::from(hi) << 96 | u128::from(mid) << 32 | u128::from(!id.0)
+}
+
+/// `backlog << 32 | !id`. A backlog past 32 bits panics in every build
+/// profile: a wrapped field would silently reorder the victims.
+fn pack_backlog(backlog: usize, id: FlowId) -> u64 {
+    let backlog = u32::try_from(backlog).expect("backlog overflowed its 32-bit key field");
+    u64::from(backlog) << 32 | u64::from(!id.0)
+}
+
+/// A packed heap key (see the module docs): compared fields above the
+/// flow id's complement in the low 32 bits.
+trait PackedKey: Copy + Ord {
+    /// The flow the key belongs to.
+    fn flow(self) -> FlowId;
+}
+
+impl PackedKey for u64 {
+    fn flow(self) -> FlowId {
+        FlowId(!(self as u32))
+    }
+}
+
+impl PackedKey for u128 {
+    fn flow(self) -> FlowId {
+        FlowId(!(self as u32))
+    }
+}
+
+/// Slot-column marker: the flow has no entry in the heap the column
+/// serves. Never a position: a heap holds at most one entry per live
+/// flow, and `NIL`'s id is never live.
+const ABSENT: u32 = u32::MAX;
+
+/// How a flow's heap entries change.
+#[derive(Debug, Clone, Copy)]
+enum Reindex {
+    /// Arrival, or the end of a migration: a new entry.
+    Enter,
+    /// Drain, or the start of a migration: the entry goes.
+    Leave,
+    /// A keyed column changed: the entry takes its new key in place.
+    Rekey,
+}
+
+/// A binary max-heap of packed keys whose entries know their slot: the
+/// entry of flow `id` sits at `pos[id]` of the slab column the caller
+/// passes with every operation, so a re-key or a removal finds it in
+/// O(1) and only sifts.
+#[derive(Debug)]
+struct SlotHeap<K> {
+    keys: Vec<K>,
+}
+
+impl<K> Default for SlotHeap<K> {
+    fn default() -> Self {
+        SlotHeap { keys: Vec::new() }
+    }
+}
+
+impl<K: PackedKey> SlotHeap<K> {
+    fn max(&self) -> Option<K> {
+        self.keys.first().copied()
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Applies `op` to the entry of `key`'s flow; `key` is the flow's
+    /// current key (a `Leave` reads only its flow).
+    fn apply(&mut self, op: Reindex, pos: &mut [u32], key: K) {
+        match op {
+            Reindex::Enter => {
+                self.keys.push(key);
+                self.sift_up(pos, self.keys.len() - 1, key);
+            }
+            Reindex::Leave => {
+                let at = std::mem::replace(&mut pos[key.flow().index()], ABSENT) as usize;
+                let last = self.keys.pop().expect("leaving an empty heap");
+                if at < self.keys.len() {
+                    let gone = std::mem::replace(&mut self.keys[at], last);
+                    self.resift(pos, at, gone, last);
+                }
+            }
+            Reindex::Rekey => {
+                let at = pos[key.flow().index()] as usize;
+                let old = std::mem::replace(&mut self.keys[at], key);
+                self.resift(pos, at, old, key);
+            }
+        }
+    }
+
+    /// Restores heap order after the entry at `at` changed from `old`
+    /// to `new`.
+    fn resift(&mut self, pos: &mut [u32], at: usize, old: K, new: K) {
+        if new > old {
+            self.sift_up(pos, at, new);
+        } else {
+            self.sift_down(pos, at, new);
+        }
+    }
+
+    /// Moves `key`, meant for slot `at`, up past every smaller parent.
+    fn sift_up(&mut self, pos: &mut [u32], mut at: usize, key: K) {
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            let above = self.keys[parent];
+            if above > key {
+                break;
+            }
+            self.place(pos, at, above);
+            at = parent;
+        }
+        self.place(pos, at, key);
+    }
+
+    /// Moves `key`, meant for slot `at`, down past every greater child,
+    /// always trading places with the greater of two.
+    fn sift_down(&mut self, pos: &mut [u32], mut at: usize, key: K) {
+        let n = self.keys.len();
+        loop {
+            let mut child = 2 * at + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && self.keys[child + 1] > self.keys[child] {
+                child += 1;
+            }
+            let below = self.keys[child];
+            if below < key {
+                break;
+            }
+            self.place(pos, at, below);
+            at = child;
+        }
+        self.place(pos, at, key);
+    }
+
+    fn place(&mut self, pos: &mut [u32], at: usize, key: K) {
+        self.keys[at] = key;
+        pos[key.flow().index()] = at as u32;
+    }
+
+    /// `true` if `key`'s flow's slot holds exactly `key`.
+    fn holds(&self, pos: &[u32], key: K) -> bool {
+        self.keys.get(pos[key.flow().index()] as usize) == Some(&key)
+    }
+
+    /// Panics unless every entry is no greater than its parent.
+    fn check_order(&self) {
+        for at in 1..self.keys.len() {
+            assert!(
+                self.keys[at] < self.keys[(at - 1) / 2],
+                "heap entry {at} above its parent"
+            );
+        }
+    }
+}
 
 /// Which classes the eviction policy picks from by score / by backlog
-/// (priority order, as [`QueueClass::ALL`]); only those keep the index.
+/// (priority order, as [`QueueClass::ALL`]); only those keep the heap.
 const BY_SCORE: [bool; 5] = [false, false, true, true, true];
 const BY_BACKLOG: [bool; 5] = [false, true, false, true, false];
 
 /// One class: its flows in round-robin order (an intrusive list through
-/// the slabs' `prev` / `next` columns) and the victim indexes the
+/// the slabs' `prev` / `next` columns) and the victim heaps the
 /// eviction policy reads for it.
 #[derive(Debug)]
 struct ClassList {
     head: FlowId,
     tail: FlowId,
     flows: usize,
-    by_score: BTreeSet<ScoreKey>,
-    by_backlog: BTreeSet<BacklogKey>,
+    by_score: SlotHeap<u128>,
+    by_backlog: SlotHeap<u64>,
 }
 
 impl Default for ClassList {
@@ -334,8 +516,8 @@ impl Default for ClassList {
             head: NIL,
             tail: NIL,
             flows: 0,
-            by_score: BTreeSet::new(),
-            by_backlog: BTreeSet::new(),
+            by_score: SlotHeap::default(),
+            by_backlog: SlotHeap::default(),
         }
     }
 }
@@ -366,23 +548,16 @@ struct SchedState {
 pub struct TaqQueues {
     flows: FlowSlabs,
     /// Per class, in priority order: round-robin list and victim
-    /// indexes.
+    /// heaps.
     lists: [ClassList; 5],
-    /// Level-1 priority index over the Recovery class.
-    recovery: BTreeSet<RecoveryKey>,
+    /// Level-1 service heap over the Recovery class (slots in `pos_a`).
+    recovery: SlotHeap<u128>,
+    /// Last-resort victim heap over the Recovery class (slots in
+    /// `pos_b`).
+    recovery_victims: SlotHeap<u128>,
     len: usize,
     bytes: usize,
     sched: SchedState,
-}
-
-/// Inserts (`present`) or removes `key`; the set must change.
-fn set_member<K: Ord>(set: &mut BTreeSet<K>, key: K, present: bool) {
-    let changed = if present {
-        set.insert(key)
-    } else {
-        set.remove(&key)
-    };
-    debug_assert!(changed, "index out of step with the slabs");
 }
 
 impl TaqQueues {
@@ -393,7 +568,8 @@ impl TaqQueues {
         TaqQueues {
             flows: FlowSlabs::default(),
             lists: Default::default(),
-            recovery: BTreeSet::new(),
+            recovery: SlotHeap::default(),
+            recovery_victims: SlotHeap::default(),
             len: 0,
             bytes: 0,
             sched: SchedState {
@@ -506,21 +682,28 @@ impl TaqQueues {
         list.flows -= 1;
     }
 
-    /// Enters (`present`) or withdraws live flow `id` in the indexes its
-    /// class uses, under the key its slab columns spell right now. Call
-    /// it with `false` before touching a keyed column (class, score,
-    /// silence, last-normal time, backlog) and with `true` after.
-    fn set_indexed(&mut self, id: FlowId, present: bool) {
+    /// Applies `op` to live flow `id`'s entries in the heaps its class
+    /// keeps, under the keys its slab columns spell right now: `Enter`
+    /// and `Rekey` after the keyed columns (score, silence, last-normal
+    /// time, backlog) are written, `Leave` while `class` still names the
+    /// class being left.
+    fn reindex(&mut self, id: FlowId, op: Reindex) {
         let class = self.flows.class[id.index()] as usize;
+        let f = &mut self.flows;
         if class == RECOVERY {
-            set_member(&mut self.recovery, self.flows.recovery_key(id), present);
+            let (serve, victim) = (f.recovery_key(id), f.victim_key(id));
+            self.recovery.apply(op, &mut f.pos_a, serve);
+            self.recovery_victims.apply(op, &mut f.pos_b, victim);
+            return;
         }
         let list = &mut self.lists[class];
         if BY_SCORE[class] {
-            set_member(&mut list.by_score, self.flows.score_key(id), present);
+            let key = f.score_key(id);
+            list.by_score.apply(op, &mut f.pos_a, key);
         }
         if BY_BACKLOG[class] {
-            set_member(&mut list.by_backlog, self.flows.backlog_key(id), present);
+            let key = f.backlog_key(id);
+            list.by_backlog.apply(op, &mut f.pos_b, key);
         }
     }
 
@@ -537,9 +720,8 @@ impl TaqQueues {
         let wire = qp.wire as usize;
         self.flows.ensure(idx);
         let mut to = class.index();
-        if self.flows.class[idx] != NO_CLASS {
+        let op = if self.flows.class[idx] != NO_CLASS {
             let cur = self.flows.class[idx] as usize;
-            self.set_indexed(id, false);
             self.flows.score[idx] = obs.window_estimate;
             if class == QueueClass::Recovery {
                 self.flows.silence[idx] = self.flows.silence[idx].max(obs.silent_epochs);
@@ -549,15 +731,19 @@ impl TaqQueues {
             if cur == RECOVERY {
                 to = cur;
             }
-            if to != cur {
+            if to == cur {
+                Reindex::Rekey
+            } else {
                 // The whole per-flow queue migrates, to the tail of its
                 // new class.
+                self.reindex(id, Reindex::Leave);
                 let moved = self.flows.packets[idx].len();
                 self.sched.class_pkts[cur] -= moved;
                 self.sched.class_pkts[to] += moved;
                 self.unlink(id, cur);
                 self.flows.class[idx] = to as u8;
                 self.link_back(id, to);
+                Reindex::Enter
             }
         } else {
             self.flows.class[idx] = to as u8;
@@ -566,10 +752,11 @@ impl TaqQueues {
             self.flows.last_normal_at[idx] = obs.last_normal_at;
             self.flows.bytes[idx] = wire;
             self.link_back(id, to);
-        }
+            Reindex::Enter
+        };
         self.flows.packets[idx].push_back(qp);
         self.sched.class_pkts[to] += 1;
-        self.set_indexed(id, true);
+        self.reindex(id, op);
         self.len += 1;
         self.bytes += wire;
     }
@@ -588,28 +775,24 @@ impl TaqQueues {
     }
 
     /// Removes the packet at `pkt_idx` in `id`'s queue; a drained flow
-    /// leaves its class list and indexes.
+    /// leaves its class list and heaps.
     fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
         let idx = id.index();
         let class = self.flows.class[idx] as usize;
-        let drained = self.flows.packets[idx].len() == 1;
-        // Backlog is the only keyed column a removal changes, and the
-        // Recovery key does not read it.
-        let rekey = drained || class != RECOVERY;
-        if rekey {
-            self.set_indexed(id, false);
-        }
         let qp = self.flows.packets[idx]
             .remove(pkt_idx)
             .expect("valid index");
         let wire = qp.wire as usize;
         self.flows.bytes[idx] -= wire;
         self.sched.class_pkts[class] -= 1;
-        if drained {
+        if self.flows.packets[idx].is_empty() {
+            self.reindex(id, Reindex::Leave);
             self.unlink(id, class);
             self.flows.class[idx] = NO_CLASS;
-        } else if rekey {
-            self.set_indexed(id, true);
+        } else if class != RECOVERY {
+            // Backlog is the only keyed column a removal changes, and
+            // neither Recovery key reads it.
+            self.reindex(id, Reindex::Rekey);
         }
         self.len -= 1;
         self.bytes -= wire;
@@ -619,19 +802,14 @@ impl TaqQueues {
     /// The Recovery flow with the highest priority: longest silence,
     /// then least-recent normal transmission, then lowest id.
     fn best_recovery(&self) -> Option<FlowId> {
-        self.recovery.last().map(|&(_, _, Reverse(id))| id)
+        self.recovery.max().map(PackedKey::flow)
     }
 
     /// The Recovery flow to sacrifice when nothing else is buffered:
     /// shortest silence, then most-recent normal transmission, then
-    /// lowest id — the last entry of the index's lowest
-    /// `(silence, last_normal_at)` prefix.
+    /// lowest id.
     fn recovery_victim(&self) -> Option<FlowId> {
-        let &(silence, last_normal_at, _) = self.recovery.first()?;
-        self.recovery
-            .range(..=(silence, last_normal_at, Reverse(FlowId(0))))
-            .next_back()
-            .map(|&(_, _, Reverse(id))| id)
+        self.recovery_victims.max().map(PackedKey::flow)
     }
 
     /// Serves the next flow of `class` in rotation.
@@ -719,16 +897,16 @@ impl TaqQueues {
     /// Victim flow within `class` by maximum score, ties by backlog
     /// then id.
     fn victim_by_score(&self, class: QueueClass) -> Option<FlowId> {
-        debug_assert!(BY_SCORE[class.index()], "{class} keeps no score index");
-        let best = self.lists[class.index()].by_score.last();
-        best.map(|&(_, _, Reverse(id))| id)
+        debug_assert!(BY_SCORE[class.index()], "{class} keeps no score heap");
+        let best = self.lists[class.index()].by_score.max();
+        best.map(PackedKey::flow)
     }
 
     /// Victim flow within `class` by maximum backlog.
     fn victim_by_backlog(&self, class: QueueClass) -> Option<FlowId> {
-        debug_assert!(BY_BACKLOG[class.index()], "{class} keeps no backlog index");
-        let best = self.lists[class.index()].by_backlog.last();
-        best.map(|&(_, Reverse(id))| id)
+        debug_assert!(BY_BACKLOG[class.index()], "{class} keeps no backlog heap");
+        let best = self.lists[class.index()].by_backlog.max();
+        best.map(PackedKey::flow)
     }
 
     /// `true` if some BelowFairShare flow buffers a burst (two packets
@@ -736,8 +914,9 @@ impl TaqQueues {
     fn below_burst(&self) -> bool {
         let deepest = self.lists[QueueClass::BelowFairShare.index()]
             .by_backlog
-            .last();
-        deepest.is_some_and(|&(backlog, _)| backlog >= 2)
+            .max();
+        // The backlog is the key's high word.
+        deepest.is_some_and(|key| key >> 32 >= 2)
     }
 
     /// Evicts one packet from `class` (head of the victim flow, sparing
@@ -810,53 +989,64 @@ impl TaqQueues {
     }
 
     /// Internal consistency check used by tests and debug assertions.
-    /// Linear in flows plus buffered packets (and a logarithm per index
-    /// lookup).
+    /// Linear in flows plus buffered packets.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
+        let f = &self.flows;
         let mut len = 0;
         let mut bytes = 0;
         let mut per_class = [0usize; 5];
         let mut flows_per_class = [0usize; 5];
-        for (idx, &class) in self.flows.class.iter().enumerate() {
+        for (idx, &class) in f.class.iter().enumerate() {
             let id = FlowId(idx as u32);
             if class == NO_CLASS {
-                assert!(
-                    self.flows.packets[idx].is_empty(),
-                    "vacant flow {id} holds packets"
+                assert!(f.packets[idx].is_empty(), "vacant flow {id} holds packets");
+                assert_eq!(
+                    (f.pos_a[idx], f.pos_b[idx]),
+                    (ABSENT, ABSENT),
+                    "vacant flow {id} holds a heap slot"
                 );
                 continue;
             }
             let class = class as usize;
-            let pkts = &self.flows.packets[idx];
+            let pkts = &f.packets[idx];
             assert!(!pkts.is_empty(), "empty flow {id} retained");
             len += pkts.len();
-            bytes += self.flows.bytes[idx];
+            bytes += f.bytes[idx];
             per_class[class] += pkts.len();
             flows_per_class[class] += 1;
             assert_eq!(
-                self.flows.bytes[idx],
+                f.bytes[idx],
                 pkts.iter().map(|qp| qp.wire as usize).sum::<usize>()
             );
-            // Indexed under its current key, in exactly the indexes its
-            // class uses; with the size checks below, no stale entry
-            // can sit beside it.
-            assert_eq!(
-                self.recovery.contains(&self.flows.recovery_key(id)),
-                class == RECOVERY,
-                "flow {id} vs the recovery index"
-            );
-            let list = &self.lists[class];
-            assert_eq!(
-                list.by_score.contains(&self.flows.score_key(id)),
-                BY_SCORE[class],
-                "flow {id} vs its class's score index"
-            );
-            assert_eq!(
-                list.by_backlog.contains(&self.flows.backlog_key(id)),
-                BY_BACKLOG[class],
-                "flow {id} vs its class's backlog index"
-            );
+            // Each slot column points at an entry holding the flow's
+            // current key in the heap its class keeps there, and is
+            // `ABSENT` where the class keeps none; with the size checks
+            // below, no stale entry can sit beside it.
+            let (held_a, held_b) = if class == RECOVERY {
+                (
+                    Some(self.recovery.holds(&f.pos_a, f.recovery_key(id))),
+                    Some(self.recovery_victims.holds(&f.pos_b, f.victim_key(id))),
+                )
+            } else {
+                let list = &self.lists[class];
+                (
+                    BY_SCORE[class].then(|| list.by_score.holds(&f.pos_a, f.score_key(id))),
+                    BY_BACKLOG[class].then(|| list.by_backlog.holds(&f.pos_b, f.backlog_key(id))),
+                )
+            };
+            for (held, slot, column) in [
+                (held_a, f.pos_a[idx], "pos_a"),
+                (held_b, f.pos_b[idx], "pos_b"),
+            ] {
+                match held {
+                    Some(held) => assert!(held, "flow {id}'s {column} slot holds a stale key"),
+                    None => assert_eq!(
+                        slot, ABSENT,
+                        "flow {id} holds a {column} slot its class keeps no heap for"
+                    ),
+                }
+            }
         }
         assert_eq!(len, self.len);
         assert_eq!(bytes, self.bytes);
@@ -890,8 +1080,13 @@ impl TaqQueues {
             let expect = |used: bool| if used { list.flows } else { 0 };
             assert_eq!(list.by_score.len(), expect(BY_SCORE[class]));
             assert_eq!(list.by_backlog.len(), expect(BY_BACKLOG[class]));
+            list.by_score.check_order();
+            list.by_backlog.check_order();
         }
-        assert_eq!(self.recovery.len(), self.lists[RECOVERY].flows);
+        for heap in [&self.recovery, &self.recovery_victims] {
+            assert_eq!(heap.len(), self.lists[RECOVERY].flows);
+            heap.check_order();
+        }
     }
 }
 
@@ -904,6 +1099,7 @@ pub fn fair_share_bps(link_rate: Bandwidth, active_flows: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
     use std::collections::HashMap;
     use taq_sim::{FlowKey, NodeId, PacketArena, PacketBuilder, SimDuration, TcpFlags};
 
@@ -1775,6 +1971,83 @@ mod tests {
             );
             assert!(rekeyed_in_recovery > 500, "{rekeyed_in_recovery}");
         }
+    }
+
+    #[test]
+    fn slot_heap_matches_a_sorted_oracle() {
+        // One heap through random enter, leave and re-key operations
+        // against a sorted `Vec` of the same keys, the maximum compared
+        // after every operation. Few values per id: ties on the packed
+        // field everywhere, broken by the id word.
+        const IDS: u32 = 48;
+        let mut rng = taq_sim::SimRng::new(0x5EED);
+        let mut heap = SlotHeap::<u64>::default();
+        let mut pos = vec![ABSENT; IDS as usize];
+        let mut current: Vec<Option<u64>> = vec![None; IDS as usize];
+        let mut oracle: Vec<u64> = Vec::new();
+        let mut ops = [0u32; 3];
+        for step in 0..40_000 {
+            let id = FlowId(rng.next_below(u64::from(IDS)) as u32);
+            let fresh = pack_backlog(rng.next_below(12) as usize, id);
+            let op = match current[id.index()] {
+                None => Reindex::Enter,
+                Some(_) if rng.chance(0.3) => Reindex::Leave,
+                Some(_) => Reindex::Rekey,
+            };
+            if let Some(old) = current[id.index()] {
+                oracle.remove(oracle.binary_search(&old).expect("oracle holds it"));
+            }
+            let key = match op {
+                Reindex::Leave => current[id.index()].take().expect("live"),
+                _ => {
+                    oracle.insert(oracle.binary_search(&fresh).unwrap_err(), fresh);
+                    current[id.index()] = Some(fresh);
+                    fresh
+                }
+            };
+            heap.apply(op, &mut pos, key);
+            ops[op as usize] += 1;
+            assert_eq!(heap.max(), oracle.last().copied(), "{op:?} at step {step}");
+            assert_eq!(heap.len(), oracle.len());
+        }
+        heap.check_order();
+        assert!(ops.iter().all(|&n| n > 5_000), "{ops:?}");
+    }
+
+    #[test]
+    fn packed_keys_order_like_their_field_tuples() {
+        let mut rng = taq_sim::SimRng::new(9);
+        // Mostly tiny draws, for ties; the rest at the fields' edges.
+        let mut draw = |max: u64| match rng.next_below(4) {
+            0 => max,
+            1 => max - 1,
+            _ => rng.next_below(3),
+        };
+        for _ in 0..5_000 {
+            let mut field = || {
+                let hi = draw(u64::from(u32::MAX)) as u32;
+                let mid = draw(u64::MAX);
+                let id = FlowId(draw(u64::from(u32::MAX)) as u32);
+                (hi, mid, id)
+            };
+            let (a, b) = (field(), field());
+            let (ka, kb) = (pack_wide(a.0, a.1, a.2), pack_wide(b.0, b.1, b.2));
+            let tuple = |(hi, mid, id): (u32, u64, FlowId)| (hi, mid, Reverse(id));
+            assert_eq!(ka.cmp(&kb), tuple(a).cmp(&tuple(b)), "{a:?} vs {b:?}");
+            assert_eq!((ka.flow(), kb.flow()), (a.2, b.2));
+            let (ka, kb) = (
+                pack_backlog(a.0 as usize, a.2),
+                pack_backlog(b.0 as usize, b.2),
+            );
+            assert_eq!(ka.cmp(&kb), (a.0, Reverse(a.2)).cmp(&(b.0, Reverse(b.2))));
+            assert_eq!((ka.flow(), kb.flow()), (a.2, b.2));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "backlog overflowed")]
+    fn backlog_key_overflow_panics() {
+        pack_backlog(1 << 32, FlowId(0));
     }
 
     #[test]

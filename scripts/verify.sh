@@ -118,18 +118,24 @@ testbed_smoke() {
 # manual step loop) must not be observable; plus the event queue's own
 # unit tests (the wheel against its BinaryHeap oracle, the slab, the
 # packed key) and the TAQ queue layer's — among them the index-vs-scan
-# oracle every pop and eviction rests on. Each command runs twice: in
-# the debug profile, where `debug_assert`s and overflow checks are on,
-# and with --release, the build every figure and benchmark number comes
-# from — test_suite covers only the first. This entry point also lets a
-# bisecting developer run just the ordering contract and what it stands
-# on.
+# oracle every pop and eviction rests on and the slot heap against its
+# sorted-Vec oracle. Each command runs twice: in the debug profile,
+# where `debug_assert`s and overflow checks are on, and with --release,
+# the build every figure and benchmark number comes from — test_suite
+# covers only the first. Then the qdisc_throughput microbenchmark, once
+# (under a second of run time): its ladders assert their own set-up
+# (buffer exactly full, half classified Recovery, every enqueue
+# evicted, every call re-keys), and `--ungated` prints its timings
+# without checking them, since a shared runner swings further than any
+# band. This entry point also lets a bisecting developer run just the
+# ordering contract and what it stands on.
 execution_conformance() {
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q --test batch_conformance
         run cargo test $OFFLINE $profile -q -p taq-sim --lib events::
         run cargo test $OFFLINE $profile -q -p taq --lib queues::
     done
+    run cargo bench $OFFLINE -q -p taq-bench --bench qdisc_throughput -- --ungated
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass

@@ -75,12 +75,30 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 /// Ceiling for steady-state allocations per simulator event. The
 /// per-event path itself is allocation-free (arena packets, SoA flow
 /// slabs, reused scratch buffers, integer-only sinks); what remains at
-/// steady state is per-*request* bookkeeping — flow-log entries as
-/// transfers complete, about one allocation per 20–50 events (0.023,
-/// 0.054 and 0.026 on the three scenarios). The ceiling sits above that
-/// residue and below what one new allocation per packet costs: a `Vec`
-/// in `TaqState::enqueue_forward` reads 0.10 on the replay, where about
-/// one event in thirteen is a bottleneck enqueue.
+/// steady state follows *losses*. Counted over the measured half, with
+/// allocation backtraces sampled one in three:
+///
+/// - every enqueue that drops allocates its `EnqueueOutcome::dropped`
+///   list — TAQ drops 9 206 packets on the replay and 2 493 on the
+///   many-flow point, one per dropping enqueue (38 % and 73 % of the
+///   residue);
+/// - every out-of-order segment a receiver buffers after a loss
+///   allocates in `TcpReceiver::insert_ooo` (57 % and 27 %);
+/// - connection set-up and tear-down in the client hosts take about 4 %
+///   of the replay's; the flow log, only its end-of-run flush (8
+///   allocations for the many-flow point's 300 unfinished records — it
+///   completes none before);
+/// - attached, the replay adds 3 596: the per-class `Vec` of each
+///   sampled `queue_depth` event (about 3 000) and the trace
+///   collector's windows and flight recorder.
+///
+/// That is 0.01882, 0.04904 and 0.02161 per event on the three
+/// scenarios (0.02287, 0.05371 and 0.02565 while the queue layer's
+/// indexes were B-trees, whose nodes split as flows re-keyed). The
+/// ceiling sits above that residue and below what one new allocation
+/// per packet costs: a `Vec` in `TaqState::enqueue_forward` reads 0.10
+/// on the replay, where about one event in thirteen is a bottleneck
+/// enqueue.
 const ALLOCS_PER_EVENT_CEILING: f64 = 0.08;
 
 #[derive(Debug, Clone, Copy)]
