@@ -1,14 +1,15 @@
 //! # taq-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation (see `src/bin/`),
-//! plus hand-rolled microbenchmarks (see `benches/`). This library
-//! holds the shared pieces: the [`Discipline`] names (each maps onto a
+//! One binary, `taq-bench <experiment>`, runs every figure of the
+//! paper's evaluation (see `src/main.rs`), plus hand-rolled
+//! microbenchmarks (see `benches/`). This library holds the shared
+//! pieces: the [`Discipline`] names (each maps onto a
 //! `taq_workloads::QdiscSpec`, the one place disciplines are built),
-//! the standard fairness-run shape used by Figures 2/3/8/9 and the
-//! Figure 2/8 grid of them, the telemetry-report scenario, the parallel
-//! sweep runner and the [`SweepArgs`] CLI surface.
+//! the standard fairness run used by Figures 2/3/8/9 and the Figure 2/8
+//! grid of them, the telemetry-report scenario, the parallel sweep
+//! runner and the [`SweepArgs`] CLI parser.
 //!
-//! A binary builds its scenario with one call chain:
+//! An experiment builds its scenario with one call chain:
 //!
 //! ```
 //! use taq_bench::Discipline;
@@ -25,11 +26,11 @@
 //! assert!(built.taq.expect("TAQ state").lock().unwrap().stats.offered > 0);
 //! ```
 //!
-//! Every binary prints the same rows/series its figure plots, prefixed
-//! with `#`-comment headers, so outputs can be piped into a plotting
-//! tool directly. Binaries accept `--full` for paper-scale durations
-//! (parsed once, by [`SweepArgs`]) and default to shorter runs with the
-//! same shape.
+//! Every experiment prints the same rows/series its figure plots,
+//! prefixed with `#`-comment headers, so outputs can be piped into a
+//! plotting tool directly. Most accept `--full` for paper-scale
+//! durations (parsed once, by [`SweepArgs`]) and default to shorter
+//! runs with the same shape.
 
 mod fluid;
 mod report;
@@ -41,12 +42,13 @@ pub use fluid::{
     FLUID_EPOCH_MS, FLUID_LADDER_MS, FLUID_MAX_BACKOFF, FLUID_STAGGER_MS, FLUID_WMAX,
 };
 pub use report::{telemetry_report, DisciplineReport, TelemetryReport, TelemetryReportConfig};
-pub use sweep::{default_threads, sweep_indexed, sweep_seeds, SweepArgs};
+pub use sweep::{default_threads, sweep_cells, sweep_indexed, sweep_seeds, SweepArgs};
 
 use taq_faults::{FaultPlan, FaultStats};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
-use taq_workloads::{flows_for_fair_share, DumbbellSpec, QdiscSpec, BULK_BYTES};
+use taq_tcp::TcpConfig;
+use taq_workloads::{flows_for_fair_share, BuiltPipe, DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 /// Hand-rolled microbenchmark loop (the workspace builds offline, so no
 /// external bench harness): runs `f` `warmup` times untimed, then
@@ -148,6 +150,9 @@ pub struct FairnessRunConfig {
     /// Telemetry handle handed to the fault layer (fault injections
     /// emit events). Defaults to disabled.
     pub telemetry: taq_telemetry::Telemetry,
+    /// TCP parameters of every host (defaults to `TcpConfig::default()`,
+    /// as `DumbbellSpec::new` has them).
+    pub tcp: TcpConfig,
 }
 
 impl FairnessRunConfig {
@@ -164,6 +169,7 @@ impl FairnessRunConfig {
             evolution_window: SimDuration::from_secs(2),
             faults: FaultPlan::none(),
             telemetry: taq_telemetry::Telemetry::disabled(),
+            tcp: TcpConfig::default(),
         }
     }
 
@@ -178,6 +184,13 @@ impl FairnessRunConfig {
     #[must_use]
     pub fn telemetry(mut self, telemetry: taq_telemetry::Telemetry) -> Self {
         self.telemetry = telemetry;
+        self
+    }
+
+    /// Replaces the TCP parameters.
+    #[must_use]
+    pub fn tcp(mut self, tcp: TcpConfig) -> Self {
+        self.tcp = tcp;
         self
     }
 }
@@ -228,6 +241,9 @@ pub struct FairnessRunResult {
     pub drop_rate: f64,
     /// Mean per-window evolution counts over the steady half.
     pub evolution: taq_metrics::EvolutionCounts,
+    /// Stalled flow-windows over all flow-windows of the steady half:
+    /// exact sums, not the ratio of `evolution`'s integer means.
+    pub stalled_fraction: f64,
     /// Mean fraction of flows completely silent per slice.
     pub shutout_fraction: f64,
     /// Fault-injection counters, when the run had a fault plan.
@@ -237,11 +253,20 @@ pub struct FairnessRunResult {
 /// Runs `flows` long-lived flows through `discipline` and measures
 /// fairness, utilization and flow evolution.
 pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> FairnessRunResult {
-    let built = discipline.spec(cfg.buffer_pkts).build(cfg.rate, cfg.seed);
+    fairness_run_on(
+        cfg,
+        discipline.spec(cfg.buffer_pkts).build(cfg.rate, cfg.seed),
+    )
+}
+
+/// [`fairness_run`] through disciplines built by the caller (a TAQ
+/// variant, say); `cfg.buffer_pkts` is then the caller's to honour.
+pub fn fairness_run_on(cfg: &FairnessRunConfig, built: BuiltPipe) -> FairnessRunResult {
     let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
     let spec = DumbbellSpec::new(topo)
         .faults(cfg.faults.clone())
-        .telemetry(cfg.telemetry.clone());
+        .telemetry(cfg.telemetry.clone())
+        .tcp(cfg.tcp.clone());
     let mut sc = spec.build_with_reverse(cfg.seed, built.forward, built.reverse);
     let bottleneck = sc.db.bottleneck;
     let slices_id = sc
@@ -281,15 +306,14 @@ pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> Fairness
     let series = evo.series();
     let from = series.len() / 4;
     let mut sum = taq_metrics::EvolutionCounts::default();
-    let mut n = 0;
     for c in &series[from..] {
         sum.maintained += c.maintained;
         sum.dropped += c.dropped;
         sum.arriving += c.arriving;
         sum.stalled += c.stalled;
-        n += 1;
     }
-    let evolution = match n {
+    let stalled_fraction = sum.stalled as f64 / sum.total().max(1) as f64;
+    let evolution = match series.len() - from {
         0 => taq_metrics::EvolutionCounts::default(),
         n => taq_metrics::EvolutionCounts {
             maintained: sum.maintained / n,
@@ -306,6 +330,7 @@ pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> Fairness
         utilization: stats.utilization(cfg.duration.saturating_since(SimTime::ZERO)),
         drop_rate: stats.drop_rate(),
         evolution,
+        stalled_fraction,
         shutout_fraction,
         fault_stats: sc.fault_stats().map(|s| s.lock().unwrap().clone()),
     }

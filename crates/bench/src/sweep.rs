@@ -9,10 +9,13 @@
 //! finished first. This is what the Send-clean refactor of the
 //! simulation stack buys (see DESIGN.md's "Concurrency model").
 //!
-//! [`SweepArgs`] is the shared CLI surface: every sweep binary accepts
-//! the same `--seeds`/`--runs`/`--threads`/`--full`/`--smoke` flags
-//! instead of growing its own ad-hoc parsing.
+//! [`SweepArgs`] is the one CLI parser: `taq-bench <experiment>` hands
+//! it the experiment's flag list, and every experiment reads the same
+//! `--seeds`/`--runs`/`--threads`/`--full`/`--smoke` flags — those of
+//! them it names — instead of growing its own ad-hoc parsing.
 
+use crate::Discipline;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use taq_sim::SimTime;
@@ -79,21 +82,39 @@ where
     sweep_indexed(seeds, threads, |_, &seed| f(seed))
 }
 
+/// Runs `f(&cell, seed)` for every seed of every cell, all of them
+/// fanned across one pool, and returns each cell's results in seed-list
+/// order, cells in input order — the shape a seed-averaged table reads.
+pub fn sweep_cells<C, T, F>(cells: &[C], seeds: &[u64], threads: usize, f: F) -> Vec<Vec<T>>
+where
+    C: Sync,
+    T: Send,
+    F: Fn(&C, u64) -> T + Sync,
+{
+    let grid: Vec<(usize, u64)> = (0..cells.len())
+        .flat_map(|c| seeds.iter().map(move |&seed| (c, seed)))
+        .collect();
+    let mut runs = sweep_indexed(&grid, threads, |_, &(c, seed)| f(&cells[c], seed)).into_iter();
+    cells
+        .iter()
+        .map(|_| runs.by_ref().take(seeds.len()).collect())
+        .collect()
+}
+
 /// The threads a sweep uses when the CLI does not pin one: all
 /// available cores.
 pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
 
-/// Shared CLI surface for the sweep binaries: seed list, worker count,
-/// and the standard duration scaling flags.
+/// The parsed command line of one experiment.
 ///
-/// Flags (all optional):
-/// - `--seeds 1,2,3` — explicit seed list
-/// - `--runs N` — `N` seeds counting up from the base seed
-/// - `--threads N` — worker threads (default: all cores)
-/// - `--full` — paper-scale durations
-/// - `--smoke` — minimal durations/grids for CI smoke runs
+/// An experiment lists every flag it reads as its usage line prints
+/// them: `--name` for a switch, `--name VALUE` for a flag with a value
+/// (an `N` value must be a non-negative integer), `[discipline]` for a
+/// positional discipline name. The shared flags are [`SweepArgs::SWEEP`]:
+/// an explicit seed list, `N` seeds counting up from the base seed, the
+/// worker threads (default: all cores), paper-scale and CI-smoke scale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
     /// Seeds to run, in output order.
@@ -105,121 +126,107 @@ pub struct SweepArgs {
     /// CI smoke mode requested (`--smoke`): binaries shrink grids and
     /// durations to seconds of wall clock.
     pub smoke: bool,
+    /// The positional discipline, when one was given.
+    pub discipline: Option<Discipline>,
+    /// Every flag given, with its last value (empty for a switch).
+    given: BTreeMap<&'static str, String>,
 }
 
 impl SweepArgs {
-    /// The historical single-run default: one run of `base_seed`, all
-    /// cores available (harmless for a one-item sweep).
-    pub fn new(base_seed: u64) -> Self {
-        SweepArgs {
+    /// The five shared flags, for an experiment that sweeps seeds.
+    pub const SWEEP: &'static [&'static str] = &[
+        "--seeds a,b,c",
+        "--runs N",
+        "--threads N",
+        "--full",
+        "--smoke",
+    ];
+    /// Duration scaling alone, for a fixed-seed serial experiment.
+    pub const SCALE: &'static [&'static str] = &["--full", "--smoke"];
+
+    /// Parses `args` against `flags`, the experiment's full flag list. An
+    /// argument not in the list — a typo such as `--ful`, or a shared
+    /// flag the experiment would ignore — is an error, as is a missing or
+    /// malformed value. `base_seed` seeds the `--runs N` expansion and is
+    /// the one seed when neither `--seeds` nor `--runs` is given.
+    pub fn from_args(
+        base_seed: u64,
+        args: &[String],
+        flags: &[&'static str],
+    ) -> Result<Self, String> {
+        let mut out = SweepArgs {
             seeds: vec![base_seed],
             threads: default_threads(),
             full: false,
             smoke: false,
-        }
-    }
-
-    /// Parses the process CLI, exiting with a message on a malformed or
-    /// unknown flag. `base_seed` seeds the `--runs N` expansion and is
-    /// the single default seed when neither `--seeds` nor `--runs` is
-    /// given.
-    pub fn parse(base_seed: u64) -> Self {
-        Self::parse_with(base_seed, &[])
-    }
-
-    /// [`SweepArgs::parse`] for a binary with flags of its own: it
-    /// names them in `own_flags` and reads them from `std::env::args`
-    /// itself.
-    pub fn parse_with(base_seed: u64, own_flags: &[&str]) -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match Self::from_args(base_seed, &args, own_flags) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                let own: String = own_flags.iter().map(|f| format!(" [{f}]")).collect();
-                eprintln!(
-                    "usage: [--seeds a,b,c | --runs N] [--threads N] [--full] [--smoke]{own}"
-                );
-                std::process::exit(2);
+            discipline: None,
+            given: BTreeMap::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") && flags.contains(&"[discipline]") {
+                let d = Discipline::parse(arg).ok_or(format!("unknown discipline {arg:?}"))?;
+                out.discipline = Some(d);
+                continue;
             }
-        }
-    }
-
-    /// Pure parser behind [`SweepArgs::parse_with`]. A `--flag` that is
-    /// neither one of the five above nor in `own_flags` is an error, so
-    /// a typo (`--ful`) cannot silently run the default configuration;
-    /// positional arguments (a discipline name, an own flag's value)
-    /// pass through.
-    pub fn from_args(base_seed: u64, args: &[String], own_flags: &[&str]) -> Result<Self, String> {
-        let mut out = SweepArgs::new(base_seed);
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--seeds" => {
-                    let list = args.get(i + 1).ok_or("--seeds needs a list (e.g. 1,2,3)")?;
-                    out.seeds = list
+            let (name, placeholder) = flags
+                .iter()
+                .map(|f| f.split_once(' ').unwrap_or((f, "")))
+                .find(|(name, _)| name == arg)
+                .ok_or(format!("{arg} is not an argument of this experiment"))?;
+            let value = match placeholder {
+                "" => String::new(),
+                v => args
+                    .next()
+                    .ok_or(format!("{name} needs a value ({v})"))?
+                    .clone(),
+            };
+            let n = value.parse::<u64>().ok();
+            if placeholder == "N" && n.is_none() {
+                return Err(format!("{name} needs an integer, not {value:?}"));
+            }
+            match (name, n) {
+                ("--runs" | "--threads", Some(0)) => {
+                    return Err(format!("{name} must be at least 1"))
+                }
+                ("--runs", Some(n)) => out.seeds = (0..n).map(|k| base_seed + k).collect(),
+                ("--threads", Some(n)) => out.threads = n as usize,
+                ("--seeds", _) => {
+                    out.seeds = value
                         .split(',')
-                        .map(|s| {
-                            s.trim()
-                                .parse::<u64>()
-                                .map_err(|_| format!("bad seed {s:?}"))
-                        })
+                        .map(|s| s.trim().parse().map_err(|_| format!("bad seed {s:?}")))
                         .collect::<Result<_, _>>()?;
-                    if out.seeds.is_empty() {
-                        return Err("--seeds list is empty".into());
-                    }
-                    i += 2;
                 }
-                "--runs" => {
-                    let n: u64 = args
-                        .get(i + 1)
-                        .ok_or("--runs needs a count")?
-                        .parse()
-                        .map_err(|_| "--runs needs an integer".to_string())?;
-                    if n == 0 {
-                        return Err("--runs must be at least 1".into());
-                    }
-                    out.seeds = (0..n).map(|k| base_seed + k).collect();
-                    i += 2;
-                }
-                "--threads" => {
-                    out.threads = args
-                        .get(i + 1)
-                        .ok_or("--threads needs a count")?
-                        .parse()
-                        .map_err(|_| "--threads needs an integer".to_string())?;
-                    if out.threads == 0 {
-                        return Err("--threads must be at least 1".into());
-                    }
-                    i += 2;
-                }
-                "--full" => {
-                    out.full = true;
-                    i += 1;
-                }
-                "--smoke" => {
-                    out.smoke = true;
-                    i += 1;
-                }
-                flag if flag.starts_with("--") && !own_flags.contains(&flag) => {
-                    return Err(format!("unknown flag {flag}"));
-                }
-                _ => i += 1,
+                ("--full", _) => out.full = true,
+                ("--smoke", _) => out.smoke = true,
+                _ => {}
             }
+            out.given.insert(name, value);
         }
         Ok(out)
+    }
+
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.contains_key(flag)
+    }
+
+    /// The value `flag` was last given, if any (empty for a switch).
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.given.get(flag).map(String::as_str)
+    }
+
+    /// The integer `flag` was last given, or `default`.
+    pub fn num(&self, flag: &str, default: u64) -> u64 {
+        self.value(flag).map_or(default, |v| {
+            v.parse().expect("N values are checked when parsed")
+        })
     }
 
     /// Duration scaling honouring both `--smoke` and `--full` (smoke
     /// wins, since CI sets it deliberately).
     pub fn duration(&self, smoke_secs: u64, short_secs: u64, full_secs: u64) -> SimTime {
-        if self.smoke {
-            SimTime::from_secs(smoke_secs)
-        } else if self.full {
-            SimTime::from_secs(full_secs)
-        } else {
-            SimTime::from_secs(short_secs)
-        }
+        SimTime::from_secs(self.secs(smoke_secs, short_secs, full_secs))
     }
 
     /// Seconds variant of [`SweepArgs::duration`] for binaries that
@@ -307,19 +314,29 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
     }
 
+    /// Parses a whitespace-separated command line against `flags`.
+    fn parse(base_seed: u64, line: &str, flags: &[&'static str]) -> Result<SweepArgs, String> {
+        SweepArgs::from_args(
+            base_seed,
+            &args(&line.split_whitespace().collect::<Vec<_>>()),
+            flags,
+        )
+    }
+
+    const SWEEP: &[&str] = SweepArgs::SWEEP;
+
     #[test]
     fn parses_seed_list_and_threads() {
-        let a =
-            SweepArgs::from_args(42, &args(&["--seeds", "1,2,3", "--threads", "2"]), &[]).unwrap();
+        let a = parse(42, "--seeds 1,2,3 --threads 2", SWEEP).unwrap();
         assert_eq!(a.seeds, vec![1, 2, 3]);
         assert_eq!(a.threads, 2);
         assert!(!a.full && !a.smoke);
+        assert!(a.has("--seeds") && !a.has("--runs"));
     }
 
     #[test]
     fn parses_runs_expansion_and_modes() {
-        let a =
-            SweepArgs::from_args(10, &args(&["--runs", "4", "--smoke", "--full"]), &[]).unwrap();
+        let a = parse(10, "--runs 4 --smoke --full", SWEEP).unwrap();
         assert_eq!(a.seeds, vec![10, 11, 12, 13]);
         assert!(a.full && a.smoke);
         // Smoke wins the duration tie.
@@ -329,42 +346,66 @@ mod tests {
 
     #[test]
     fn defaults_and_unknown_flags() {
-        let a = SweepArgs::from_args(42, &[], &[]).unwrap();
+        let a = parse(42, "", SWEEP).unwrap();
         assert_eq!(a.seeds, vec![42]);
         assert!(a.threads >= 1);
         assert_eq!(a.duration(1, 60, 600), SimTime::from_secs(60));
-        let full = SweepArgs::from_args(42, &args(&["--full"]), &[]).unwrap();
+        let full = parse(42, "--full", SWEEP).unwrap();
         assert_eq!(full.duration(1, 60, 600), SimTime::from_secs(600));
         // A typo must not run the default configuration under the
         // figure's header.
-        let err = SweepArgs::from_args(42, &args(&["--ful"]), &[]).unwrap_err();
+        let err = parse(42, "--ful", SWEEP).unwrap_err();
         assert!(err.contains("--ful"), "{err}");
-        assert!(SweepArgs::from_args(42, &args(&["--whatever", "7"]), &[]).is_err());
+        assert!(parse(42, "--whatever 7", SWEEP).is_err());
+        // Nor may a shared flag the experiment does not read: a seed
+        // list for a fixed-seed experiment is not seed 42 under its
+        // header.
+        let err = parse(42, "--seeds 1,2", &["--threads N"]).unwrap_err();
+        assert!(err.contains("--seeds"), "{err}");
     }
 
     #[test]
     fn parses_own_flags_and_positionals() {
-        // A binary's own flags are named in the call; their values and
-        // any other positional argument pass through untouched.
-        let a = SweepArgs::from_args(
-            11,
-            &args(&["--out", "x.json", "--smoke", "--extreme"]),
-            &["--out", "--extreme"],
-        )
-        .unwrap();
+        // An experiment's own flags sit in its list next to the shared
+        // ones it reads; a value flag takes the next argument.
+        let flags = &[
+            "--smoke",
+            "--out PATH",
+            "--extreme",
+            "--seed N",
+            "[discipline]",
+        ];
+        let a = parse(11, "--out x.json --smoke --extreme --seed 9 red", flags).unwrap();
         assert!(a.smoke && !a.full);
         assert_eq!(a.seeds, vec![11]);
-        let a = SweepArgs::from_args(42, &args(&["red", "--full"]), &[]).unwrap();
-        assert!(a.full);
+        assert_eq!(a.value("--out"), Some("x.json"));
+        assert!(a.has("--extreme"));
+        assert_eq!(a.num("--seed", 42), 9);
+        assert_eq!(a.num("--window-ms", 5_000), 5_000);
+        assert_eq!(a.discipline, Some(Discipline::Red));
         // Naming one flag does not admit another.
-        assert!(SweepArgs::from_args(7, &args(&["--extrem"]), &["--extreme"]).is_err());
+        assert!(parse(7, "--extrem", flags).is_err());
+        // A positional is a discipline, and only where the list says so.
+        assert!(parse(7, "bogus", flags).is_err());
+        assert!(parse(7, "red", SWEEP).is_err());
     }
 
     #[test]
     fn rejects_malformed_flags() {
-        assert!(SweepArgs::from_args(1, &args(&["--seeds", "1,x"]), &[]).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--runs", "0"]), &[]).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--threads", "0"]), &[]).is_err());
-        assert!(SweepArgs::from_args(1, &args(&["--seeds"]), &[]).is_err());
+        for line in ["--seeds 1,x", "--runs 0", "--threads 0", "--seeds"] {
+            assert!(parse(1, line, SWEEP).is_err(), "{line}");
+        }
+        // An `N` value must be an integer; a missing value is an error.
+        let flags = &["--seed N", "--out PATH"];
+        assert!(parse(1, "--seed x", flags).unwrap_err().contains("--seed"));
+        assert!(parse(1, "--out", flags).is_err());
+    }
+
+    #[test]
+    fn sweep_cells_groups_each_cell_in_seed_order() {
+        for threads in [1, 2, 4] {
+            let out = sweep_cells(&["a", "b", "c"], &[5, 6], threads, |c, s| format!("{c}{s}"));
+            assert_eq!(out, [["a5", "a6"], ["b5", "b6"], ["c5", "c6"]]);
+        }
     }
 }

@@ -67,19 +67,9 @@ pub struct TaqStats {
 }
 
 impl TaqStats {
-    fn class_index(class: QueueClass) -> usize {
-        match class {
-            QueueClass::Recovery => 0,
-            QueueClass::NewFlow => 1,
-            QueueClass::OverPenalized => 2,
-            QueueClass::BelowFairShare => 3,
-            QueueClass::AboveFairShare => 4,
-        }
-    }
-
     /// Packets enqueued into `class` so far.
     pub fn class_count(&self, class: QueueClass) -> u64 {
-        self.per_class[Self::class_index(class)]
+        self.per_class[class.index()]
     }
 
     /// Fraction of offered packets that were dropped.
@@ -376,7 +366,7 @@ impl TaqState {
             return outcome;
         }
 
-        self.stats.per_class[TaqStats::class_index(class)] += 1;
+        self.stats.per_class[class.index()] += 1;
         self.queues.push(class, qp, &obs);
 
         // Enforce total buffer capacity by evicting per policy.

@@ -128,7 +128,7 @@ impl QueueClass {
         }
     }
 
-    const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         match self {
             QueueClass::Recovery => 0,
             QueueClass::NewFlow => 1,

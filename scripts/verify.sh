@@ -5,8 +5,8 @@
 #                       clippy, fmt, and a type-check of the repo
 #                       benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
-#                       benchmark and the sweep, fault-matrix, trace,
-#                       testbed and fluid-validation binaries, the
+#                       benchmark, of the sweep, fault-matrix, trace and
+#                       fluid-validation experiments and of the testbed, the
 #                       execution-conformance oracles in the debug and
 #                       the release profile, plus the repo benchmark at
 #                       full size on HEAD~1 and on the working tree,
@@ -73,16 +73,16 @@ benchmark_smoke() {
 # topo_placement rides along to exercise the multi-bottleneck topology
 # engine (parking lot + access tree) under the same runner.
 sweep_smoke() {
-    run cargo run $OFFLINE --release -p taq-bench --bin fig03_buffer_tradeoff -- --smoke --seeds 1,2 --threads 2
-    run cargo run $OFFLINE --release -p taq-bench --bin model_tipping_point -- --threads 2
-    run cargo run $OFFLINE --release -p taq-bench --bin topo_placement -- --smoke --seeds 1,2 --threads 2
+    run cargo run $OFFLINE --release -p taq-bench -- fig03_buffer_tradeoff --smoke --seeds 1,2 --threads 2
+    run cargo run $OFFLINE --release -p taq-bench -- model_tipping_point --threads 2
+    run cargo run $OFFLINE --release -p taq-bench -- topo_placement --smoke --seeds 1,2 --threads 2
 }
 
 # Fault smoke: the robustness matrix at smoke scale exercises the
 # fault-injection layer end to end (burst loss, reordering, corruption,
 # flaps, jitter) under the parallel sweep runner.
 fault_smoke() {
-    run cargo run $OFFLINE --release -p taq-bench --bin faults_matrix -- --smoke --seeds 1,2 --threads 2
+    run cargo run $OFFLINE --release -p taq-bench -- faults_matrix --smoke --seeds 1,2 --threads 2
 }
 
 # Trace smoke: the packet-lifecycle tracer end to end — runs the
@@ -97,8 +97,8 @@ fault_smoke() {
 # EXPERIMENTS.md and the repo benchmark comes from that profile, and
 # test_suite covers only the debug one. CI archives the dump.
 trace_smoke() {
-    run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --out results/trace_dump.jsonl
-    run cargo run $OFFLINE --release -p taq-bench --bin trace_report -- --input results/trace_dump.jsonl
+    run cargo run $OFFLINE --release -p taq-bench -- trace_report --out results/trace_dump.jsonl
+    run cargo run $OFFLINE --release -p taq-bench -- trace_report --input results/trace_dump.jsonl
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q -p taq-trace -p taq-telemetry
     done
@@ -147,7 +147,7 @@ execution_conformance() {
 fluid() {
     run cargo test $OFFLINE -q -p taq-model --lib fluid
     if [ "$VERIFY_TIER" = "full" ]; then
-        run cargo run $OFFLINE --release -p taq-bench --bin fluid_validation -- --smoke --out results/FLUID_validation_smoke.json
+        run cargo run $OFFLINE --release -p taq-bench -- fluid_validation --smoke --out results/FLUID_validation_smoke.json
     fi
 }
 
