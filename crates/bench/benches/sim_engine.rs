@@ -6,7 +6,11 @@
 //! table and one dispatch). The rungs span the regimes the figures
 //! live in — a sweep cell sits near 0.1 events per 65.5 µs wheel tick,
 //! a many-flow run near 3 — because a queue tuned at one density can
-//! degenerate at another without `dumbbell_*` moving much. Beside it a
+//! degenerate at another without `dumbbell_*` moving much. A re-arm
+//! ladder prices the RTO pattern — 300 and 5 000 timers each cancelled
+//! and set again 1 s out every millisecond — per re-arm: a cancelled
+//! timer that stayed queued would be walked, relinked and popped a
+//! second later, so its cost would show here. Beside it a
 //! hop ladder isolates forwarding: a fixed window of packets bouncing
 //! between two hosts through 1, 2 and 4 routers over `UnboundedFifo`
 //! links, reported per packet-hop (one link crossing: a `LinkFree`, an
@@ -19,7 +23,7 @@ use taq_bench::{measure, Discipline};
 use taq_queues::DropTail;
 use taq_sim::{
     Agent, Bandwidth, Ctx, DumbbellConfig, FlowKey, NodeId, Packet, PacketBuilder, SimDuration,
-    SimTime, Simulator, UnboundedFifo,
+    SimTime, Simulator, TimerId, UnboundedFifo,
 };
 use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
@@ -104,6 +108,69 @@ fn density_rung(name: &str, timers: u64, delays: &'static [SimDuration]) {
     );
 }
 
+/// The RTO pattern: `timers` retransmission timers, every one cancelled
+/// and set again 1 s out each millisecond — what a sender does on every
+/// segment sent and every new ACK — by one agent ticking at 1 ms. No
+/// RTO ever fires.
+struct RtoRearm {
+    timers: usize,
+    rtos: Vec<TimerId>,
+    rearms: u64,
+}
+
+impl RtoRearm {
+    const TICK: u64 = u64::MAX;
+
+    /// Timer `i`'s RTO, skewed a little per timer so the population
+    /// does not share one instant.
+    fn rto(i: usize) -> SimDuration {
+        SimDuration::from_secs(1) + SimDuration::from_nanos(i as u64 * 97)
+    }
+}
+
+impl Agent for RtoRearm {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.rtos = (0..self.timers)
+            .map(|i| ctx.set_timer(Self::rto(i), i as u64))
+            .collect();
+        ctx.set_timer(SimDuration::from_millis(1), Self::TICK);
+    }
+
+    fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+        assert_eq!(token, Self::TICK, "an RTO fired");
+        for (i, id) in self.rtos.iter_mut().enumerate() {
+            assert!(ctx.cancel_timer(*id));
+            *id = ctx.set_timer(Self::rto(i), i as u64);
+        }
+        self.rearms += self.rtos.len() as u64;
+        ctx.set_timer(SimDuration::from_millis(1), Self::TICK);
+    }
+}
+
+/// One rung of the re-arm ladder: `timers` RTOs re-armed every 1 ms for
+/// 3 simulated seconds (past the first second, when a cancelled timer
+/// left in the queue would start to surface); prints ns per re-arm.
+fn rearm_rung(name: &str, timers: usize) {
+    let mut rearms = 0;
+    let ns = measure(name, 1, 5, || {
+        let mut sim = Simulator::new(1);
+        let node = sim.add_agent(Box::new(RtoRearm {
+            timers,
+            rtos: Vec::new(),
+            rearms: 0,
+        }));
+        sim.schedule_start(node, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs(3));
+        rearms = sim.agent::<RtoRearm>(node).expect("the agent").rearms;
+    });
+    println!(
+        "#   {:.1} ns per re-arm ({rearms} re-arms)",
+        ns / rearms as f64
+    );
+}
+
 /// Answers every packet with a fresh one to `peer`; the host that is
 /// started also launches the `window` packets that keep circulating.
 struct Bounce {
@@ -180,13 +247,23 @@ fn hop_rung(name: &str, routers: usize) {
 
 fn main() {
     println!("# sim_engine — dumbbell event throughput");
+    // Events are those executed (a cancelled timer is not one), so a
+    // change in how many events a run takes shows in ms per run, not
+    // in Mevents/s.
     let mut events = 0;
+    let throughput = |ns: f64, events: u64| {
+        println!(
+            "#   {:.2} Mevents/s, {:.1} ms per run",
+            events as f64 / ns * 1e3,
+            ns / 1e6
+        );
+    };
     let ns = measure("dumbbell_20flows_30s", 1, 5, || events = run_sim(20, 30));
-    println!("#   {:.2} Mevents/s", events as f64 / ns * 1e3);
+    throughput(ns, events);
     let ns = measure("dumbbell_60flows_30s", 1, 5, || events = run_sim(60, 30));
-    println!("#   {:.2} Mevents/s", events as f64 / ns * 1e3);
+    throughput(ns, events);
     let ns = measure("taq_300flows_30s", 1, 5, || events = run_taq_manyflow(30));
-    println!("#   {:.2} Mevents/s", events as f64 / ns * 1e3);
+    throughput(ns, events);
 
     println!("# sim_engine — event-queue density ladder (timers only)");
     const SPARSE: &[SimDuration] = &[SimDuration::from_micros(10_486)];
@@ -201,6 +278,10 @@ fn main() {
     density_rung("timers_3_per_tick", 64, MEDIUM);
     density_rung("timers_50_per_tick", 1024, DENSE);
     density_rung("timers_mix_1ms_96ms_1s", 256, MIXED);
+
+    println!("# sim_engine — RTO re-arm ladder (cancel + set 1 s out, every 1 ms)");
+    rearm_rung("rearm_300_timers", 300);
+    rearm_rung("rearm_5000_timers", 5_000);
 
     println!("# sim_engine — hop ladder (32 packets bouncing through n routers)");
     hop_rung("hop_1_routers", 1);

@@ -298,26 +298,29 @@ impl Ctx<'_> {
     /// Schedules `on_timer(token)` on this agent after `delay`. Returns a
     /// handle usable with [`Ctx::cancel_timer`].
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        let id = self.world.timers.allocate();
-        let at = self.world.now + delay;
-        let idx = self.node.0 as usize;
-        let seq = self.world.timer_seqs[idx];
-        self.world.timer_seqs[idx] += 1;
-        self.world.queue.push(
-            at,
-            EventKey::timer(self.node, seq),
-            EventKind::Timer {
-                node: self.node,
-                timer: id,
-                token,
-            },
-        );
-        id
+        let World {
+            now,
+            queue,
+            timers,
+            timer_seqs,
+            ..
+        } = &mut *self.world;
+        let node = self.node;
+        let at = *now + delay;
+        let seq = &mut timer_seqs[node.0 as usize];
+        let key = EventKey::timer(node, *seq);
+        *seq += 1;
+        timers.allocate(|timer| queue.push(at, key, EventKind::Timer { node, timer, token }))
     }
 
     /// Cancels a pending timer; returns `true` if it had not yet fired.
+    /// Its event leaves the queue here, so it is never popped or counted.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.world.timers.cancel(id)
+        let cell = self.world.timers.release(id);
+        if let Some(cell) = cell {
+            self.world.queue.remove(cell);
+        }
+        cell.is_some()
     }
 
     /// Changes a link's rate mid-run. Takes effect from the next packet
@@ -380,7 +383,8 @@ impl Simulator {
         }
     }
 
-    /// Caps the number of events processed; exceeded caps abort the run
+    /// Caps the number of events executed (see
+    /// [`Simulator::events_processed`]); exceeded caps abort the run
     /// with a panic. Useful in tests against runaway loops.
     pub fn set_max_events(&mut self, max: u64) {
         self.max_events = max;
@@ -536,7 +540,9 @@ impl Simulator {
         self.world.now
     }
 
-    /// Number of events processed so far.
+    /// Number of events executed so far: arrivals, link-free polls,
+    /// starts and timers that fired. A cancelled timer leaves the queue
+    /// when it is cancelled and is not counted.
     pub fn events_processed(&self) -> u64 {
         self.world.events_processed
     }
@@ -576,7 +582,9 @@ impl Simulator {
             .downcast_mut::<T>()
     }
 
-    /// Processes a single event. Returns `false` when the queue is empty.
+    /// Executes the earliest pending event, which is always live (a
+    /// cancelled timer is no longer queued). Returns `false` when the
+    /// queue is empty.
     pub fn step(&mut self) -> bool {
         let Some(ev) = self.world.queue.pop() else {
             return false;
@@ -615,9 +623,11 @@ impl Simulator {
                 self.with_agent(node, |agent, ctx| agent.on_packet(pkt, ctx));
             }
             EventKind::Timer { node, timer, token } => {
-                if self.world.timers.fire(timer) {
-                    self.with_agent(node, |agent, ctx| agent.on_timer(token, ctx));
-                }
+                self.world
+                    .timers
+                    .release(timer)
+                    .expect("a queued timer is live: cancelling one removes its event");
+                self.with_agent(node, |agent, ctx| agent.on_timer(token, ctx));
             }
             EventKind::LinkFree { link } => {
                 self.world.link_mut(link).busy = false;
@@ -858,6 +868,9 @@ mod tests {
         sim.schedule_start(n, SimTime::ZERO);
         sim.run();
         FIRED.with(|f| assert_eq!(*f.borrow(), vec![10, 30]));
+        // The start and the two timers that fired: the cancelled one
+        // left the queue when it was cancelled.
+        assert_eq!(sim.events_processed(), 3);
     }
 
     #[test]

@@ -13,16 +13,18 @@
 //! The queue is a hierarchical timer wheel bucketing events by
 //! quantized `SimTime` tick: a near level of 4096 one-tick slots
 //! (268 ms) under four 64-slot levels, then an overflow heap. Events
-//! live in one slab of nodes and each wheel slot is the head of an
-//! index-linked list through it; freed nodes are recycled LIFO, so
-//! steady-state operation performs no per-event allocation. Everything
-//! a hop schedules at the paper's RTTs — `LinkFree`, `Arrival`, the
-//! delayed-ACK timer — falls within the near level, where a push links
-//! the node into the slot of its own tick and the drain reads it once:
-//! it is filed once and never cascades. Only far timers (RTOs, mostly
-//! cancelled before they surface) enter an upper level and are relinked
-//! into the near one when their slot comes due. Near-slot occupancy is a
-//! 64-word bitmap under one summary word, so finding the next occupied
+//! live in one slab of nodes and each wheel slot is the head of a
+//! doubly index-linked list through it; freed nodes are recycled LIFO,
+//! so steady-state operation performs no per-event allocation.
+//! Everything a hop schedules at the paper's RTTs — `LinkFree`,
+//! `Arrival`, the delayed-ACK timer — falls within the near level, where
+//! a push links the node into the slot of its own tick and the drain
+//! reads it once: it is filed once and never cascades. Only far timers
+//! (RTOs) enter an upper level and are relinked into the near one when
+//! their slot comes due — and most never do: cancelling a timer unlinks
+//! its node on the spot ([`EventQueue::remove`]), so a re-armed RTO
+//! leaves nothing behind to walk, relink or pop. Near-slot occupancy is
+//! a 64-word bitmap under one summary word, so finding the next occupied
 //! slot is at most two `trailing_zeros`.
 //!
 //! The cursor only moves when the minimum is asked for and stops at the
@@ -30,7 +32,7 @@
 //! events that event schedules land in slots ahead of it. The wheel
 //! only changes *how* the minimum is found, never *which* event is the
 //! minimum: this module's tests pin it, pop for pop, against a plain
-//! `BinaryHeap` under random churn.
+//! ordered set under random pushes, pops and cancellations.
 
 use crate::arena::PacketId;
 use crate::packet::{LinkId, NodeId};
@@ -174,8 +176,16 @@ const UPPER_LEVELS: usize = 4;
 /// time ahead of the cursor. Events beyond that horizon go to the
 /// overflow heap (e.g. sentinel timers at `SimTime::MAX`).
 const HORIZON_BITS: u32 = NEAR_BITS + SLOT_BITS * UPPER_LEVELS as u32;
+/// Slot heads: the near level's, then each upper level's in turn.
+const HEADS: usize = NEAR_SLOTS + UPPER_LEVELS * SLOTS;
 /// End-of-list marker for slab links, slot heads and the free list.
 const NIL: u32 = u32::MAX;
+/// Tag of a node's `prev` when the node is first on its slot list: the
+/// low bits are the slot's index into `heads`. Cell indices stay below
+/// it.
+const HEAD: u32 = 1 << 31;
+/// `prev` of a node in the overflow heap.
+const OVERFLOWED: u32 = NIL - 1;
 
 /// The tick an absolute time falls into.
 fn tick_of(t: SimTime) -> u64 {
@@ -187,12 +197,21 @@ fn upper_shift(u: usize) -> u32 {
     NEAR_BITS + SLOT_BITS * u as u32
 }
 
-/// A slab cell: one pending event and the next cell of whichever list
-/// it is on (a wheel slot's, or the free list).
+/// Index into `heads` of upper level `u`'s slot `slot`.
+fn upper_head(u: usize, slot: usize) -> usize {
+    NEAR_SLOTS + u * SLOTS + slot
+}
+
+/// A slab cell: one pending event and its links. `next` is the next
+/// cell of whichever list it is on (a wheel slot's, or the free list);
+/// `prev` is the cell before it on its slot list, `HEAD | slot` for a
+/// list's first cell, or `OVERFLOWED`. A cell in `ready` is known by
+/// its tick, not its links, which are then stale.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     ev: ScheduledEvent,
     next: u32,
+    prev: u32,
 }
 
 /// An event's order position plus its slab index: what `ready` and the
@@ -222,7 +241,10 @@ type Entry = (SimTime, EventKey, u32);
 ///   higher level's;
 /// - a near slot is one tick, so an event filed there is linked once
 ///   and read once; only an event more than 4095 ticks out is filed at
-///   an upper level and relinked when its slot comes due.
+///   an upper level and relinked when its slot comes due;
+/// - a slot's occupancy bit is set exactly when its list is non-empty,
+///   so [`EventQueue::remove`] clears it when it unlinks a list's last
+///   node.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     current_tick: u64,
@@ -232,16 +254,15 @@ pub(crate) struct EventQueue {
     nodes: Vec<Node>,
     /// Head of the LIFO list of recycled cells.
     free: u32,
-    /// Near-level list heads into `nodes`, indexed by the tick's low 12
-    /// bits (16 KB, the queue's one up-front allocation).
-    near_heads: Box<[u32; NEAR_SLOTS]>,
+    /// List heads into `nodes`: the near level's, indexed by the tick's
+    /// low 12 bits, then the upper levels' ([`upper_head`]) — 17 KB,
+    /// the queue's one up-front allocation.
+    heads: Box<[u32; HEADS]>,
     /// Near-level slot occupancy (bit `s % 64` of word `s / 64` = slot
     /// `s` non-empty).
     near_occupied: [u64; NEAR_WORDS],
     /// Bit `w` = `near_occupied[w]` is non-zero.
     near_summary: u64,
-    /// Upper-level list heads.
-    upper_heads: [[u32; SLOTS]; UPPER_LEVELS],
     /// Upper-level slot-occupancy bitmaps (bit `s` = slot `s` non-empty).
     upper_occupied: [u64; UPPER_LEVELS],
     /// Events beyond the wheel horizon, earliest at `peek()`.
@@ -262,13 +283,12 @@ impl EventQueue {
             ready: Vec::new(),
             nodes: Vec::new(),
             free: NIL,
-            near_heads: vec![NIL; NEAR_SLOTS]
+            heads: vec![NIL; HEADS]
                 .into_boxed_slice()
                 .try_into()
-                .expect("NEAR_SLOTS heads"),
+                .expect("HEADS heads"),
             near_occupied: [0; NEAR_WORDS],
             near_summary: 0,
-            upper_heads: [[NIL; SLOTS]; UPPER_LEVELS],
             upper_occupied: [0; UPPER_LEVELS],
             overflow: BinaryHeap::new(),
             len: 0,
@@ -276,9 +296,11 @@ impl EventQueue {
     }
 
     /// Schedules `kind` at absolute time `at` under the caller-computed
-    /// canonical `key` (see [`EventKey`]).
+    /// canonical `key` (see [`EventKey`]). Returns the event's slab
+    /// cell, valid for [`EventQueue::remove`] until the event is popped
+    /// or removed.
     #[inline]
-    pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) {
+    pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) -> u32 {
         let node = Node {
             ev: ScheduledEvent {
                 time: at,
@@ -286,11 +308,12 @@ impl EventQueue {
                 kind,
             },
             next: NIL,
+            prev: NIL,
         };
         let idx = match self.free {
             NIL => {
-                let idx = u32::try_from(self.nodes.len()).unwrap_or(NIL);
-                assert!(idx != NIL, "event slab full");
+                let idx = u32::try_from(self.nodes.len()).unwrap_or(HEAD);
+                assert!(idx < HEAD, "event slab full");
                 self.nodes.push(node);
                 idx
             }
@@ -301,6 +324,7 @@ impl EventQueue {
         };
         self.place(idx);
         self.len += 1;
+        idx
     }
 
     /// Files the slab cell `idx` relative to the current cursor: into
@@ -320,21 +344,76 @@ impl EventQueue {
             return;
         }
         let diff = t ^ self.current_tick;
-        let head = if diff < NEAR_SLOTS as u64 {
+        let slot = if diff < NEAR_SLOTS as u64 {
             let slot = t as usize % NEAR_SLOTS;
             self.near_occupied[slot / 64] |= 1 << (slot % 64);
             self.near_summary |= 1 << (slot / 64);
-            &mut self.near_heads[slot]
+            slot
         } else if diff < 1 << HORIZON_BITS {
             let u = ((63 - diff.leading_zeros() - NEAR_BITS) / SLOT_BITS) as usize;
             let slot = (t >> upper_shift(u)) as usize % SLOTS;
             self.upper_occupied[u] |= 1 << slot;
-            &mut self.upper_heads[u][slot]
+            upper_head(u, slot)
         } else {
+            self.nodes[idx as usize].prev = OVERFLOWED;
             self.overflow.push(Reverse((time, key, idx)));
             return;
         };
-        self.nodes[idx as usize].next = std::mem::replace(head, idx);
+        let next = std::mem::replace(&mut self.heads[slot], idx);
+        if next != NIL {
+            self.nodes[next as usize].prev = idx;
+        }
+        let node = &mut self.nodes[idx as usize];
+        node.next = next;
+        node.prev = HEAD | slot as u32;
+    }
+
+    /// Clears the occupancy bit of slot `slot` (an index into `heads`),
+    /// whose list has just emptied.
+    fn vacate(&mut self, slot: usize) {
+        if let Some(upper) = slot.checked_sub(NEAR_SLOTS) {
+            self.upper_occupied[upper / SLOTS] &= !(1 << (upper % SLOTS));
+        } else {
+            self.near_occupied[slot / 64] &= !(1 << (slot % 64));
+            if self.near_occupied[slot / 64] == 0 {
+                self.near_summary &= !(1 << (slot / 64));
+            }
+        }
+    }
+
+    /// Unschedules the pending event in slab cell `cell` (as returned by
+    /// [`EventQueue::push`]) and recycles the cell: O(1) from a wheel
+    /// slot's list, a binary search and a shift from `ready`, a linear
+    /// filter from the overflow heap (far past any timer the engine
+    /// re-arms). The cell must hold a pending event.
+    pub fn remove(&mut self, cell: u32) {
+        let Node { ev, next, prev } = self.nodes[cell as usize];
+        if tick_of(ev.time) <= self.current_tick {
+            // Due: in `ready`, and only there (the first invariant).
+            let entry = (ev.time, ev.key, cell);
+            let pos = self
+                .ready
+                .binary_search_by(|e| entry.cmp(e))
+                .expect("a due event is in ready");
+            self.ready.remove(pos);
+        } else if prev == OVERFLOWED {
+            self.overflow.retain(|Reverse(e)| e.2 != cell);
+        } else {
+            if next != NIL {
+                self.nodes[next as usize].prev = prev;
+            }
+            if prev & HEAD == 0 {
+                self.nodes[prev as usize].next = next;
+            } else {
+                let slot = (prev & !HEAD) as usize;
+                self.heads[slot] = next;
+                if next == NIL {
+                    self.vacate(slot);
+                }
+            }
+        }
+        self.nodes[cell as usize].next = std::mem::replace(&mut self.free, cell);
+        self.len -= 1;
     }
 
     /// Smallest set bit of `bitmap` strictly above bit `above`, if any.
@@ -396,13 +475,10 @@ impl EventQueue {
             let tick = (self.current_tick & !(NEAR_SLOTS as u64 - 1)) | slot as u64;
             if tick <= limit {
                 // A near list shares one tick: all of it is due.
-                self.near_occupied[slot / 64] &= !(1 << (slot % 64));
-                if self.near_occupied[slot / 64] == 0 {
-                    self.near_summary &= !(1 << (slot / 64));
-                }
-                let mut idx = std::mem::replace(&mut self.near_heads[slot], NIL);
+                self.vacate(slot);
+                let mut idx = std::mem::replace(&mut self.heads[slot], NIL);
                 while idx != NIL {
-                    let Node { ev, next } = &self.nodes[idx as usize];
+                    let Node { ev, next, .. } = &self.nodes[idx as usize];
                     self.ready.push((ev.time, ev.key, idx));
                     idx = *next;
                 }
@@ -411,8 +487,9 @@ impl EventQueue {
         } else if let Some((u, slot, _)) =
             self.next_upper_slot().filter(|&(_, _, base)| base <= limit)
         {
-            self.upper_occupied[u] &= !(1 << slot);
-            let head = std::mem::replace(&mut self.upper_heads[u][slot], NIL);
+            let slot = upper_head(u, slot);
+            self.vacate(slot);
+            let head = std::mem::replace(&mut self.heads[slot], NIL);
             // An upper slot spans many ticks: find the earliest
             // actually present.
             let mut first = limit;
@@ -429,7 +506,7 @@ impl EventQueue {
             self.current_tick = first;
             let mut idx = head;
             while idx != NIL {
-                let Node { ev, next } = self.nodes[idx as usize];
+                let Node { ev, next, .. } = self.nodes[idx as usize];
                 if tick_of(ev.time) == first {
                     self.ready.push((ev.time, ev.key, idx));
                 } else {
@@ -490,15 +567,18 @@ impl EventQueue {
 
 /// Timer liveness table.
 ///
-/// Timers fire as queued events, which cannot be removed from the middle
-/// of the wheel; cancellation instead bumps a per-slot
-/// generation counter so the stale event is discarded when it surfaces.
-/// Slots are recycled through a free list, keeping the table size
-/// proportional to the number of *live* timers, not the number ever
-/// created.
+/// Each live timer's slot records the event-queue cell of its `Timer`
+/// event, so cancelling the timer removes that event from the queue on
+/// the spot ([`EventQueue::remove`]): a cancelled timer is never popped,
+/// dispatched or counted, and every timer event that is popped is live.
+/// Firing or cancelling bumps the slot's generation, so a stale
+/// [`TimerId`] is recognised and ignored. Slots are recycled through a
+/// free list, keeping the table size proportional to the number of
+/// *live* timers, not the number ever created.
 #[derive(Debug, Default)]
 pub(crate) struct TimerTable {
-    generations: Vec<u32>,
+    /// Per slot: its generation, and the cell of the live timer's event.
+    slots: Vec<(u32, u32)>,
     free: Vec<u32>,
 }
 
@@ -507,45 +587,31 @@ impl TimerTable {
         TimerTable::default()
     }
 
-    /// Allocates a live timer id.
-    pub fn allocate(&mut self) -> TimerId {
-        if let Some(slot) = self.free.pop() {
-            TimerId {
-                slot,
-                generation: self.generations[slot as usize],
-            }
-        } else {
-            let slot = self.generations.len() as u32;
-            self.generations.push(0);
-            TimerId {
-                slot,
-                generation: 0,
-            }
+    /// Allocates a live timer id and records the cell `schedule` returns
+    /// for it: the queue cell of the event that carries the id.
+    pub fn allocate(&mut self, schedule: impl FnOnce(TimerId) -> u32) -> TimerId {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push((0, NIL));
+            self.slots.len() as u32 - 1
+        });
+        let id = TimerId {
+            slot,
+            generation: self.slots[slot as usize].0,
+        };
+        self.slots[slot as usize].1 = schedule(id);
+        id
+    }
+
+    /// Ends a timer as it fires or is cancelled, returning its event's
+    /// cell; `None` if it had already ended.
+    pub fn release(&mut self, id: TimerId) -> Option<u32> {
+        let (generation, cell) = self.slots.get_mut(id.slot as usize)?;
+        if *generation != id.generation {
+            return None;
         }
-    }
-
-    /// Cancels a timer; returns `true` if it was still live.
-    pub fn cancel(&mut self, id: TimerId) -> bool {
-        if self.is_live(id) {
-            self.generations[id.slot as usize] = self.generations[id.slot as usize].wrapping_add(1);
-            self.free.push(id.slot);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Marks a timer consumed as it fires; returns `true` if it was live
-    /// (i.e. not previously cancelled).
-    pub fn fire(&mut self, id: TimerId) -> bool {
-        self.cancel(id)
-    }
-
-    /// `true` if the timer has neither fired nor been cancelled.
-    pub fn is_live(&self, id: TimerId) -> bool {
-        self.generations
-            .get(id.slot as usize)
-            .is_some_and(|&g| g == id.generation)
+        *generation = generation.wrapping_add(1);
+        self.free.push(id.slot);
+        Some(*cell)
     }
 }
 
@@ -555,24 +621,70 @@ mod tests {
     use crate::packet::{LinkId, NodeId};
     use crate::rng::SimRng;
     use crate::time::SimDuration;
+    use std::collections::{BTreeSet, HashMap};
 
-    /// The wheel's oracle: a plain binary heap over `(time, key)` order
+    /// The wheel's oracle: an ordered set of `(time, key)` order
     /// positions, obviously correct and nothing else.
     #[derive(Default)]
-    struct RefHeap(BinaryHeap<Reverse<(SimTime, EventKey)>>);
+    struct RefSet(BTreeSet<(SimTime, EventKey)>);
 
-    impl RefHeap {
+    impl RefSet {
         fn push(&mut self, time: SimTime, key: EventKey) {
-            self.0.push(Reverse((time, key)));
+            assert!(self.0.insert((time, key)), "keys are unique");
         }
 
         fn pop(&mut self) -> Option<(SimTime, EventKey)> {
-            self.0.pop().map(|Reverse(e)| e)
+            self.0.pop_first()
+        }
+
+        fn remove(&mut self, time: SimTime, key: EventKey) {
+            assert!(self.0.remove(&(time, key)), "removed a pending event");
         }
 
         fn peek_entry(&self) -> Option<(SimTime, EventKey)> {
-            self.0.peek().map(|&Reverse(e)| e)
+            self.0.first().copied()
         }
+    }
+
+    /// Where a pending cell is held: 0 `ready`, 1 a near slot, `2 + u`
+    /// upper level `u`, `2 + UPPER_LEVELS` the overflow heap.
+    fn residence(q: &EventQueue, cell: u32) -> usize {
+        let node = q.nodes[cell as usize];
+        if tick_of(node.ev.time) <= q.current_tick {
+            assert!(q.ready.iter().any(|e| e.2 == cell), "due but not ready");
+            return 0;
+        }
+        if node.prev == OVERFLOWED {
+            assert!(q.overflow.iter().any(|Reverse(e)| e.2 == cell));
+            return 2 + UPPER_LEVELS;
+        }
+        let mut prev = node.prev;
+        while prev & HEAD == 0 {
+            prev = q.nodes[prev as usize].prev;
+        }
+        match (prev & !HEAD) as usize {
+            slot if slot < NEAR_SLOTS => 1,
+            slot => 2 + (slot - NEAR_SLOTS) / SLOTS,
+        }
+    }
+
+    /// Every queue structure is empty and every cell of the slab is on
+    /// the free list, once.
+    fn assert_drained(q: &EventQueue) {
+        assert!(q.is_empty());
+        assert!(q.ready.is_empty() && q.overflow.is_empty());
+        assert_eq!(q.near_occupied, [0; NEAR_WORDS]);
+        assert_eq!(q.near_summary, 0);
+        assert_eq!(q.upper_occupied, [0; UPPER_LEVELS]);
+        assert!(q.heads.iter().all(|&h| h == NIL));
+        let mut free = 0;
+        let mut idx = q.free;
+        while idx != NIL {
+            free += 1;
+            assert!(free <= q.nodes.len(), "free list cycles");
+            idx = q.nodes[idx as usize].next;
+        }
+        assert_eq!(free, q.nodes.len(), "a cell is missing from the free list");
     }
 
     /// Unpacks a key into its `(class, origin, seq)` fields.
@@ -862,85 +974,134 @@ mod tests {
 
     #[test]
     fn wheel_matches_heap_under_random_churn() {
-        // Drive the wheel and the reference heap with an identical
-        // random push/pop/peek script and require the exact same pop
-        // sequence — the wheel must be indistinguishable from the heap.
+        // Drive the wheel and the reference set with an identical random
+        // push/pop/peek/cancel script and require the exact same pop
+        // sequence — the wheel must be indistinguishable from the set.
+        struct Churn {
+            wheel: EventQueue,
+            set: RefSet,
+            /// Per event id (the key's seq): its cell while pending.
+            cells: Vec<Option<u32>>,
+        }
+
+        impl Churn {
+            fn push(&mut self, at: u64) {
+                let at = SimTime::from_nanos(at);
+                let id = self.cells.len() as u64;
+                let node = NodeId((id & 0xFF_FFFF) as u32);
+                let key = EventKey::start(node, id);
+                let cell = self.wheel.push(at, key, EventKind::Start { node });
+                self.cells.push(Some(cell));
+                self.set.push(at, key);
+            }
+
+            fn pop(&mut self) -> Option<(SimTime, EventKey)> {
+                let got = self.wheel.pop().map(|e| (e.time, e.key));
+                assert_eq!(got, self.set.pop());
+                if let Some((_, key)) = got {
+                    self.cells[fields(key).2 as usize] = None;
+                }
+                got
+            }
+
+            /// Cancels pending event `id`, returning the residence it
+            /// left.
+            fn cancel(&mut self, id: usize) -> usize {
+                let cell = self.cells[id].take().expect("cancelled a pending event");
+                let ScheduledEvent { time, key, .. } = self.wheel.nodes[cell as usize].ev;
+                let from = residence(&self.wheel, cell);
+                self.wheel.remove(cell);
+                self.set.remove(time, key);
+                assert_eq!(self.wheel.len, self.set.0.len());
+                from
+            }
+        }
+
         let mut rng = SimRng::new(0xBEE5);
-        let mut wheel = EventQueue::new();
-        let mut heap = RefHeap::default();
-        let mut now = 0u64;
-        let mut next_id = 0u64;
-        let mut push = |wheel: &mut EventQueue, heap: &mut RefHeap, at: u64| {
-            let at = SimTime::from_nanos(at);
-            let node = NodeId((next_id & 0xFF_FFFF) as u32);
-            let key = EventKey::start(node, next_id);
-            next_id += 1;
-            wheel.push(at, key, EventKind::Start { node });
-            heap.push(at, key);
+        let mut q = Churn {
+            wheel: EventQueue::new(),
+            set: RefSet::default(),
+            cells: Vec::new(),
         };
+        let mut now = 0u64;
         let mut peeked_earlier = 0u32;
+        // Cancellations per residence (see `residence`).
+        let mut cancelled = [0u32; 3 + UPPER_LEVELS];
         for step in 0..40_000u64 {
             let roll = rng.next_f64();
             if roll < 0.55 {
-                // Mostly near-future, occasionally far-future pushes,
-                // and two classes drawn ±64 ticks around the near/upper
-                // boundary and the level-1/level-2 boundary.
+                // Mostly near-future pushes; two classes drawn ±64 ticks
+                // around the near/upper boundary and the level-1/level-2
+                // boundary; and far ones, log-uniform up to past the
+                // horizon, so every upper level and the overflow heap
+                // hold events.
                 let around = |rng: &mut SimRng, ticks: u64| {
                     rng.range_u64(ticks - 64, ticks + 64) << GRANULARITY_SHIFT
                 };
                 let class = rng.next_f64();
-                let delta = if class < 0.02 {
-                    rng.range_u64(0, 1 << 53)
-                } else if class < 0.12 {
+                let delta = if class < 0.10 {
+                    let bits = rng.range_u64(20, 56);
+                    rng.range_u64(0, 1 << bits)
+                } else if class < 0.17 {
                     around(&mut rng, NEAR_SLOTS as u64)
-                } else if class < 0.16 {
+                } else if class < 0.21 {
                     around(&mut rng, 1 << upper_shift(1))
                 } else {
                     rng.range_u64(0, 200_000_000)
                 };
-                push(&mut wheel, &mut heap, now + delta);
+                q.push(now + delta);
             } else if roll < 0.60 {
                 // Peek (the cursor moves to the minimum's tick), then
                 // push strictly earlier than what the peek found: the
                 // one push-behind-the-cursor case the engine can make
                 // (`schedule_start` between two `run_until` chunks).
-                let min = wheel.peek_entry();
-                assert_eq!(min, heap.peek_entry(), "step {step}");
+                let min = q.wheel.peek_entry();
+                assert_eq!(min, q.set.peek_entry(), "step {step}");
                 if let Some((t, _)) = min {
                     if t.as_nanos() > now {
-                        push(&mut wheel, &mut heap, rng.range_u64(now, t.as_nanos() - 1));
+                        q.push(rng.range_u64(now, t.as_nanos() - 1));
                         peeked_earlier += 1;
-                        assert_eq!(wheel.peek_entry(), heap.peek_entry(), "step {step}");
+                        assert_eq!(q.wheel.peek_entry(), q.set.peek_entry(), "step {step}");
                     }
                 }
             } else if roll < 0.601 {
                 // A same-tick burst: 1000 events inside the tick the
                 // cursor is about to reach (or already stands on).
-                let base = wheel.peek_entry().map_or(now, |(t, _)| t.as_nanos());
+                let base = q.wheel.peek_entry().map_or(now, |(t, _)| t.as_nanos());
                 for _ in 0..1_000 {
-                    let at = base + rng.range_u64(0, (1 << GRANULARITY_SHIFT) - 1);
-                    push(&mut wheel, &mut heap, at);
+                    q.push(base + rng.range_u64(0, (1 << GRANULARITY_SHIFT) - 1));
                 }
-            } else {
-                let a = wheel.pop().map(|e| (e.time, e.key));
-                assert_eq!(a, heap.pop(), "step {step}");
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
+            } else if roll < 0.70 {
+                // Cancel a pending event — half the time one of the
+                // last 64 pushed, like an RTO re-arm, else one drawn
+                // from every id pushed so far — then check the minimum.
+                let pushed = q.cells.len() as u64;
+                let span = if rng.chance(0.5) {
+                    pushed.min(64)
+                } else {
+                    pushed
+                };
+                let pending = (0..64)
+                    .map(|_| pushed.saturating_sub(1 + rng.next_below(span.max(1))) as usize)
+                    .find(|&id| q.cells.get(id).is_some_and(Option::is_some));
+                if let Some(id) = pending {
+                    cancelled[q.cancel(id)] += 1;
+                    assert_eq!(q.wheel.peek_entry(), q.set.peek_entry(), "step {step}");
                 }
+            } else if let Some((t, _)) = q.pop() {
+                now = t.as_nanos();
             }
         }
         assert!(
             peeked_earlier > 500,
             "script made {peeked_earlier} earlier pushes"
         );
-        loop {
-            let a = wheel.pop().map(|e| (e.time, e.key));
-            assert_eq!(a, heap.pop());
-            if a.is_none() {
-                break;
-            }
-        }
-        assert!(wheel.is_empty());
+        assert!(
+            cancelled.iter().all(|&n| n >= 10),
+            "cancellations per residence (ready, near, upper 0-3, overflow): {cancelled:?}"
+        );
+        while q.pop().is_some() {}
+        assert_drained(&q.wheel);
     }
 
     #[test]
@@ -997,64 +1158,66 @@ mod tests {
 
     #[test]
     fn slab_recycles_nodes_at_steady_population() {
-        // 10^6 pop+push rounds at a fixed population, with the delay
-        // mix the engine produces (same tick, next tick, 1 ms, 96 ms,
-        // 1 s): every freed cell must be reused, so the slab never
-        // grows past the population.
+        // 10^6 rounds at a fixed population, with the delay mix the
+        // engine produces (same tick, next tick, 1 ms, 96 ms, 1 s), each
+        // a pop and a push, then — the RTO re-arm — a cancel of a random
+        // pending event and a push in its place: every freed cell must
+        // be reused, so the slab never grows past the population.
         const POPULATION: usize = 512;
         let delays = [0u64, 43_000, 432_000, 1_000_000, 96_000_000, 1_000_000_000];
         let mut rng = SimRng::new(0x51AB);
         let mut q = EventQueue::new();
+        // Pending events' cells by key seq.
+        let mut pending: HashMap<u64, u32> = HashMap::new();
         let mut seq = 0u64;
-        let mut push = |q: &mut EventQueue, rng: &mut SimRng, now: u64| {
-            let at = SimTime::from_nanos(now + delays[rng.next_below(6) as usize]);
-            q.push(
-                at,
-                EventKey::timer(NodeId(0), seq),
-                EventKind::Start { node: NodeId(0) },
-            );
-            seq += 1;
-        };
+        let mut push =
+            |q: &mut EventQueue, pending: &mut HashMap<u64, u32>, rng: &mut SimRng, now: u64| {
+                let at = SimTime::from_nanos(now + delays[rng.next_below(6) as usize]);
+                let cell = q.push(
+                    at,
+                    EventKey::timer(NodeId(0), seq),
+                    EventKind::Start { node: NodeId(0) },
+                );
+                pending.insert(seq, cell);
+                seq += 1;
+                seq
+            };
         for _ in 0..POPULATION {
-            push(&mut q, &mut rng, 0);
+            push(&mut q, &mut pending, &mut rng, 0);
         }
         assert_eq!(q.nodes.len(), POPULATION);
         let mut last = SimTime::ZERO;
+        let mut cancels = 0;
         for _ in 0..1_000_000 {
             let ev = q.pop().expect("population is steady");
             assert!(ev.time >= last, "time went backwards");
             last = ev.time;
-            push(&mut q, &mut rng, ev.time.as_nanos());
+            pending.remove(&fields(ev.key).2);
+            let pushed = push(&mut q, &mut pending, &mut rng, last.as_nanos());
+            let victim = (0..64)
+                .map(|_| pushed - 1 - rng.next_below(pushed.min(4 * POPULATION as u64)))
+                .find_map(|s| pending.remove(&s));
+            if let Some(cell) = victim {
+                q.remove(cell);
+                push(&mut q, &mut pending, &mut rng, last.as_nanos());
+                cancels += 1;
+            }
             assert_eq!(q.len, POPULATION);
         }
+        assert!(cancels > 900_000, "{cancels} re-arms");
         assert_eq!(q.nodes.len(), POPULATION, "slab grew at steady population");
         while q.pop().is_some() {}
-        assert!(q.is_empty());
-        assert_eq!(q.len, 0);
-        // Every cell is back on the free list, and none twice.
-        let mut free = 0;
-        let mut idx = q.free;
-        while idx != NIL {
-            free += 1;
-            assert!(free <= POPULATION, "free list cycles");
-            idx = q.nodes[idx as usize].next;
-        }
-        assert_eq!(free, POPULATION);
-        assert!(q.ready.is_empty() && q.overflow.is_empty());
-        assert_eq!(q.near_occupied, [0; NEAR_WORDS]);
-        assert_eq!(q.near_summary, 0);
-        assert_eq!(q.upper_occupied, [0; UPPER_LEVELS]);
-        assert!(q.near_heads.iter().all(|&h| h == NIL));
+        assert_drained(&q);
     }
 
     #[test]
     fn peek_entry_tracks_the_minimum_across_pushes_on_both_backends() {
         let mut q = EventQueue::new();
-        let mut heap = RefHeap::default();
+        let mut set = RefSet::default();
         let mut push = |q: &mut EventQueue, at: SimTime, n: u32| {
             push_start(q, at, n);
-            heap.push(at, EventKey::start(NodeId(n), 0));
-            assert_eq!(q.peek_entry(), heap.peek_entry());
+            set.push(at, EventKey::start(NodeId(n), 0));
+            assert_eq!(q.peek_entry(), set.peek_entry());
         };
         assert_eq!(q.peek_entry(), None, "empty queue");
         push(&mut q, SimTime::from_millis(5), 0);
@@ -1074,33 +1237,27 @@ mod tests {
     #[test]
     fn timer_lifecycle() {
         let mut t = TimerTable::new();
-        let a = t.allocate();
-        assert!(t.is_live(a));
-        assert!(t.cancel(a));
-        assert!(!t.is_live(a));
-        assert!(!t.cancel(a), "double cancel is a no-op");
+        let a = t.allocate(|_| 7);
+        assert_eq!(t.release(a), Some(7), "a live timer yields its cell");
+        assert_eq!(t.release(a), None, "double cancel is a no-op");
         // Slot is recycled with a new generation.
-        let b = t.allocate();
+        let b = t.allocate(|_| 9);
         assert_eq!(b.slot, a.slot);
         assert_ne!(b.generation, a.generation);
-        assert!(t.is_live(b));
-        assert!(!t.is_live(a), "stale handle stays dead");
-        assert!(t.fire(b));
-        assert!(!t.fire(b), "timer fires at most once");
+        assert_eq!(t.release(a), None, "stale handle stays dead");
+        assert_eq!(t.release(b), Some(9));
+        assert_eq!(t.release(b), None, "timer fires at most once");
     }
 
     #[test]
     fn many_timers_unique_until_cancelled() {
         let mut t = TimerTable::new();
-        let ids: Vec<TimerId> = (0..100).map(|_| t.allocate()).collect();
-        for id in &ids {
-            assert!(t.is_live(*id));
+        let ids: Vec<TimerId> = (0..100).map(|n| t.allocate(|_| n)).collect();
+        for (n, id) in (0..).zip(&ids) {
+            assert_eq!(t.release(*id), Some(n));
         }
         for id in &ids {
-            assert!(t.cancel(*id));
-        }
-        for id in &ids {
-            assert!(!t.is_live(*id));
+            assert_eq!(t.release(*id), None);
         }
     }
 }

@@ -178,21 +178,25 @@ impl TcpReceiver {
         }
     }
 
+    /// Adds `[start, end)` to the out-of-order ranges in place, merging
+    /// every range it overlaps or touches.
     fn insert_ooo(&mut self, start: u64, end: u64) {
-        if self.ooo.iter().any(|&(s, e)| s <= start && end <= e) {
+        // The ranges are sorted and disjoint, so those that meet the new
+        // one are a run: from the first ending at or after `start` to
+        // the last starting at or before `end`.
+        let lo = self.ooo.partition_point(|&(_, e)| e < start);
+        let hi = self.ooo.partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.ooo.insert(lo, (start, end));
+            return;
+        }
+        let (s, e) = self.ooo[lo];
+        if s <= start && end <= e {
             self.stats.duplicate_segments += 1;
             return;
         }
-        self.ooo.push((start, end));
-        self.ooo.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.ooo.len());
-        for &(s, e) in &self.ooo {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.ooo = merged;
+        self.ooo[lo] = (s.min(start), end.max(self.ooo[hi - 1].1));
+        self.ooo.drain(lo + 1..hi);
     }
 
     /// The merged out-of-order block containing `seq`.
@@ -264,7 +268,7 @@ impl TcpReceiver {
 mod tests {
     use super::*;
     use crate::io::MockIo;
-    use taq_sim::{NodeId, SimDuration, TcpFlags};
+    use taq_sim::{NodeId, SimDuration, SimRng, TcpFlags};
 
     fn ack_flow() -> FlowKey {
         FlowKey {
@@ -448,6 +452,37 @@ mod tests {
         // Filling the hole delivers everything.
         r.on_packet(&data(1, 460), &mut io);
         assert_eq!(io.take_sent()[0].ack, 1381);
+    }
+
+    #[test]
+    fn ooo_ranges_are_the_runs_of_received_bytes() {
+        // Random segments above a hole, against a byte map: after each
+        // insert the ranges must be exactly the maximal runs of received
+        // bytes, and a segment counts as a duplicate exactly when it
+        // brought no new byte.
+        let mut rng = SimRng::new(0x00C5);
+        for _ in 0..300 {
+            let (mut r, _io) = recv(false);
+            let mut got = [false; 128];
+            for _ in 0..24 {
+                let start = 1 + rng.next_below(100) as usize;
+                let end = start + 1 + rng.next_below(24) as usize;
+                let dups = r.stats.duplicate_segments;
+                let old = got[start..end].iter().all(|&b| b);
+                r.insert_ooo(start as u64, end as u64);
+                got[start..end].fill(true);
+                assert_eq!(r.stats.duplicate_segments - dups, u64::from(old));
+                let mut runs = Vec::new();
+                for (i, &b) in got.iter().enumerate() {
+                    match runs.last_mut() {
+                        Some((_, e)) if b && *e == i as u64 => *e += 1,
+                        _ if b => runs.push((i as u64, i as u64 + 1)),
+                        _ => {}
+                    }
+                }
+                assert_eq!(r.ooo, runs);
+            }
+        }
     }
 
     #[test]

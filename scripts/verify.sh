@@ -116,10 +116,12 @@ testbed_smoke() {
 # Execution conformance: how a run is driven (one run_until, chunked
 # run_until with starts scheduled behind the queue's peeked minimum, a
 # manual step loop) must not be observable; plus the event queue's own
-# unit tests (the wheel against its BinaryHeap oracle, the slab, the
-# packed key) and the TAQ queue layer's — among them the index-vs-scan
-# oracle every pop and eviction rests on and the slot heap against its
-# sorted-Vec oracle. Each command runs twice: in the debug profile,
+# unit tests (the wheel against its ordered-set oracle under pushes,
+# pops and cancellations, the slab, the packed key), the engine's (timer
+# cancellation, event counting, routing) and the TAQ queue layer's —
+# among them the index-vs-scan oracle every pop and eviction rests on
+# and the slot heap against its sorted-Vec oracle. Each command runs
+# twice: in the debug profile,
 # where `debug_assert`s and overflow checks are on, and with --release,
 # the build every figure and benchmark number comes from — test_suite
 # covers only the first. Then the qdisc_throughput microbenchmark, once
@@ -133,6 +135,7 @@ execution_conformance() {
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q --test batch_conformance
         run cargo test $OFFLINE $profile -q -p taq-sim --lib events::
+        run cargo test $OFFLINE $profile -q -p taq-sim --lib engine::
         run cargo test $OFFLINE $profile -q -p taq --lib queues::
     done
     run cargo bench $OFFLINE -q -p taq-bench --bench qdisc_throughput -- --ungated

@@ -74,31 +74,32 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ceiling for steady-state allocations per simulator event. The
 /// per-event path itself is allocation-free (arena packets, SoA flow
-/// slabs, reused scratch buffers, integer-only sinks); what remains at
-/// steady state follows *losses*. Counted over the measured half, with
-/// allocation backtraces sampled one in three:
+/// slabs, reused scratch buffers, integer-only sinks, out-of-order
+/// ranges merged in place); what remains at steady state follows
+/// *losses*. Counted over the measured half:
 ///
 /// - every enqueue that drops allocates its `EnqueueOutcome::dropped`
 ///   list — TAQ drops 9 206 packets on the replay and 2 493 on the
-///   many-flow point, one per dropping enqueue (38 % and 73 % of the
+///   many-flow point, one per dropping enqueue (85 % and 98 % of the
 ///   residue);
-/// - every out-of-order segment a receiver buffers after a loss
-///   allocates in `TcpReceiver::insert_ooo` (57 % and 27 %);
-/// - connection set-up and tear-down in the client hosts take about 4 %
-///   of the replay's; the flow log, only its end-of-run flush (8
-///   allocations for the many-flow point's 300 unfinished records — it
-///   completes none before);
+/// - connection set-up and tear-down in the client hosts, and the flow
+///   log's end-of-run flush (8 allocations for the many-flow point's
+///   300 unfinished records — it completes none before), make up the
+///   rest: 1 577 on the replay, 55 on the many-flow point;
 /// - attached, the replay adds 3 596: the per-class `Vec` of each
 ///   sampled `queue_depth` event (about 3 000) and the trace
 ///   collector's windows and flight recorder.
 ///
-/// That is 0.01882, 0.04904 and 0.02161 per event on the three
-/// scenarios (0.02287, 0.05371 and 0.02565 while the queue layer's
-/// indexes were B-trees, whose nodes split as flows re-keyed). The
-/// ceiling sits above that residue and below what one new allocation
-/// per packet costs: a `Vec` in `TaqState::enqueue_forward` reads 0.10
-/// on the replay, where about one event in thirteen is a bottleneck
-/// enqueue.
+/// That is 10 783, 2 548 and 14 379 allocations over 1 119 279, 60 707
+/// and 1 119 279 steady-state events: 0.00963, 0.04197 and 0.01285 per
+/// event on the three scenarios. While `TcpReceiver::insert_ooo` built a
+/// fresh merged `Vec` for every out-of-order segment they were 24 320,
+/// 3 406 and 27 916 (0.02173, 0.05611 and 0.02494 per event; 0.01882,
+/// 0.04904 and 0.02161 while a cancelled timer still surfaced and
+/// counted as an event, 13 % more events). The ceiling sits above that
+/// residue and below what one new allocation per packet costs: a `Vec`
+/// in `TaqState::enqueue_forward` reads 0.0995 on the replay, where
+/// about one event in eleven is a bottleneck enqueue.
 const ALLOCS_PER_EVENT_CEILING: f64 = 0.08;
 
 #[derive(Debug, Clone, Copy)]
@@ -198,8 +199,9 @@ fn steady_state_allocations_per_event_stay_under_the_ceiling() {
         );
         let rate = outcome.steady_allocs as f64 / outcome.steady_events as f64;
         println!(
-            "{scenario:?} attached={attached}: {} events, {} steady-state allocations, {rate:.5} per event",
-            outcome.events, outcome.steady_allocs
+            "{scenario:?} attached={attached}: {} events, {} steady-state allocations over {} \
+             steady-state events, {rate:.5} per event",
+            outcome.events, outcome.steady_allocs, outcome.steady_events
         );
         assert!(
             rate <= ALLOCS_PER_EVENT_CEILING,
