@@ -11,9 +11,8 @@
 //!
 //! Slots are recycled through a free list, so steady-state operation
 //! performs no allocation at all; each slot carries a generation tag
-//! (the same scheme as `events::TimerTable`) so a stale id kept across
-//! a slot recycle is detected instead of silently aliasing the new
-//! occupant.
+//! so a stale id kept across a slot recycle is detected instead of
+//! silently aliasing the new occupant.
 //!
 //! Ownership rules (see DESIGN.md §15):
 //!

@@ -18,7 +18,7 @@
 //! "Concurrency model"). Each run itself is single-threaded.
 
 use crate::arena::{PacketArena, PacketId};
-use crate::events::{EventKey, EventKind, EventQueue, ScheduledEvent, TimerId, TimerTable};
+use crate::events::{EventKey, EventKind, EventQueue, ScheduledEvent, TimerId};
 use crate::link::{Link, LinkStats};
 use crate::monitor::{AsAny, LinkMonitor, MonitorId};
 use crate::packet::{LinkId, NodeId, Packet};
@@ -73,7 +73,6 @@ struct World {
     /// Slab of every packet currently in flight anywhere in this world
     /// (queued in a qdisc, serializing, or propagating as an `Arrival`).
     arena: PacketArena,
-    timers: TimerTable,
     links: Vec<Link>,
     routes: Vec<RouteTable>,
     monitors: Vec<Box<dyn LinkMonitor>>,
@@ -296,31 +295,28 @@ impl Ctx<'_> {
     }
 
     /// Schedules `on_timer(token)` on this agent after `delay`. Returns a
-    /// handle usable with [`Ctx::cancel_timer`].
+    /// handle usable with [`Ctx::cancel_timer`]: the timer's queued
+    /// event is all there is of it, and the handle names that event.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let World {
             now,
             queue,
-            timers,
             timer_seqs,
             ..
         } = &mut *self.world;
-        let node = self.node;
-        let at = *now + delay;
-        let seq = &mut timer_seqs[node.0 as usize];
-        let key = EventKey::timer(node, *seq);
+        let seq = &mut timer_seqs[self.node.0 as usize];
+        let id = queue.push_timer(*now + delay, self.node, *seq, token);
         *seq += 1;
-        timers.allocate(|timer| queue.push(at, key, EventKind::Timer { node, timer, token }))
+        id
     }
 
-    /// Cancels a pending timer; returns `true` if it had not yet fired.
-    /// Its event leaves the queue here, so it is never popped or counted.
+    /// Cancels a timer this node set; returns `true` if it had not yet
+    /// fired. Its event leaves the queue here, so it is never popped or
+    /// counted. A handle that fired or was cancelled, another node's
+    /// handle and a [`TimerId::synthetic`] one match no event: they
+    /// return `false` and change nothing.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        let cell = self.world.timers.release(id);
-        if let Some(cell) = cell {
-            self.world.queue.remove(cell);
-        }
-        cell.is_some()
+        self.world.queue.cancel_timer(self.node, id)
     }
 
     /// Changes a link's rate mid-run. Takes effect from the next packet
@@ -368,7 +364,6 @@ impl Simulator {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
                 arena: PacketArena::new(),
-                timers: TimerTable::new(),
                 links: Vec::new(),
                 routes: Vec::new(),
                 monitors: Vec::new(),
@@ -622,11 +617,7 @@ impl Simulator {
                 }
                 self.with_agent(node, |agent, ctx| agent.on_packet(pkt, ctx));
             }
-            EventKind::Timer { node, timer, token } => {
-                self.world
-                    .timers
-                    .release(timer)
-                    .expect("a queued timer is live: cancelling one removes its event");
+            EventKind::Timer { node, token } => {
                 self.with_agent(node, |agent, ctx| agent.on_timer(token, ctx));
             }
             EventKind::LinkFree { link } => {
@@ -832,6 +823,7 @@ mod tests {
             let _keep = ctx.set_timer(SimDuration::from_secs(1), 10);
             let cancel = ctx.set_timer(SimDuration::from_secs(2), 20);
             assert!(ctx.cancel_timer(cancel));
+            assert!(!ctx.cancel_timer(cancel), "a second cancel is a no-op");
             ctx.set_timer(SimDuration::from_secs(3), 30);
         }
 
@@ -871,6 +863,77 @@ mod tests {
         // The start and the two timers that fired: the cancelled one
         // left the queue when it was cancelled.
         assert_eq!(sim.events_processed(), 3);
+    }
+
+    /// The setter sets timers at 1 s and 2 s and publishes their
+    /// handles; when `probing`, every callback also cancels handles
+    /// that match no event: the setter its own once they fired, the
+    /// other node the setter's pending ones, both synthetic ones.
+    struct HandleProbe {
+        board: Arc<Mutex<Vec<TimerId>>>,
+        setter: bool,
+        probing: bool,
+        fired: Vec<u64>,
+    }
+
+    impl HandleProbe {
+        fn probe(&self, ctx: &mut Ctx<'_>) {
+            if !self.probing {
+                return;
+            }
+            let board = self.board.lock().unwrap().clone();
+            let stale = if self.setter {
+                &board[..self.fired.len()]
+            } else {
+                &board[..]
+            };
+            let synthetic = [TimerId::synthetic(0), TimerId::synthetic(1)];
+            for &id in stale.iter().chain(&synthetic) {
+                assert!(!ctx.cancel_timer(id), "{id:?} matched an event");
+            }
+        }
+    }
+
+    impl Agent for HandleProbe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if self.setter {
+                let ids = [1, 2].map(|s| ctx.set_timer(SimDuration::from_secs(s), s));
+                self.board.lock().unwrap().extend(ids);
+            }
+            self.probe(ctx);
+        }
+
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_>) {
+            self.fired.push(token);
+            self.probe(ctx);
+        }
+    }
+
+    #[test]
+    fn failed_cancels_change_nothing() {
+        let run = |probing| {
+            let mut sim = Simulator::new(6);
+            let board = Arc::new(Mutex::new(Vec::new()));
+            let mut node = |setter| {
+                sim.add_agent(Box::new(HandleProbe {
+                    board: board.clone(),
+                    setter,
+                    probing,
+                    fired: Vec::new(),
+                }))
+            };
+            let (setter, other) = (node(true), node(false));
+            sim.schedule_start(setter, SimTime::ZERO);
+            sim.schedule_start(other, SimTime::from_millis(500));
+            sim.run();
+            let fired = sim.agent::<HandleProbe>(setter).unwrap().fired.clone();
+            (fired, sim.events_processed())
+        };
+        // Two starts and two timers, whether or not anything probed.
+        assert_eq!(run(true), (vec![1, 2], 4));
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -22,9 +22,12 @@
 //! reads it once: it is filed once and never cascades. Only far timers
 //! (RTOs) enter an upper level and are relinked into the near one when
 //! their slot comes due — and most never do: cancelling a timer unlinks
-//! its node on the spot ([`EventQueue::remove`]), so a re-armed RTO
-//! leaves nothing behind to walk, relink or pop. Near-slot occupancy is
-//! a 64-word bitmap under one summary word, so finding the next occupied
+//! its node on the spot ([`EventQueue::cancel_timer`]), so a re-armed
+//! RTO leaves nothing behind to walk, relink or pop. A timer is nothing
+//! but its queued event: its [`TimerId`] is the cell and key of that
+//! event, and a handle whose event fired or was cancelled matches no
+//! event, whatever its cell holds next. Near-slot occupancy is a
+//! 64-word bitmap under one summary word, so finding the next occupied
 //! slot is at most two `trailing_zeros`.
 //!
 //! The cursor only moves when the minimum is asked for and stops at the
@@ -41,20 +44,24 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A handle to a scheduled timer; see [`crate::engine::Ctx::set_timer`].
+///
+/// It is the slab cell of the timer's event and the event key's `seq`,
+/// the node's own timer counter. A node's timer seqs never repeat
+/// within a run, so a handle names exactly one event ever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
-    pub(crate) slot: u32,
-    pub(crate) generation: u32,
+    cell: u32,
+    seq: u64,
 }
 
 impl TimerId {
     /// Fabricates a timer id outside any engine, for mock environments
-    /// (e.g. `taq_tcp::MockIo`). Synthetic ids must never be passed to a
-    /// real [`crate::Ctx::cancel_timer`].
+    /// (e.g. `taq_tcp::MockIo`). A synthetic id matches no event: a real
+    /// [`crate::Ctx::cancel_timer`] returns `false` for it.
     pub fn synthetic(n: u32) -> TimerId {
         TimerId {
-            slot: n,
-            generation: u32::MAX,
+            cell: NIL,
+            seq: u64::from(n),
         }
     }
 }
@@ -134,11 +141,7 @@ pub(crate) enum EventKind {
     /// it to the agent there, or forward it if `node` is a router.
     Arrival { node: NodeId, pkt: PacketId },
     /// A node timer fired; `token` is the node's own cookie.
-    Timer {
-        node: NodeId,
-        timer: TimerId,
-        token: u64,
-    },
+    Timer { node: NodeId, token: u64 },
     /// `link` finished serializing a packet: poll its queue again.
     LinkFree { link: LinkId },
     /// Deliver the start callback to `node`.
@@ -186,6 +189,8 @@ const NIL: u32 = u32::MAX;
 const HEAD: u32 = 1 << 31;
 /// `prev` of a node in the overflow heap.
 const OVERFLOWED: u32 = NIL - 1;
+/// `prev` of a recycled cell: what no pending event's is.
+const FREE: u32 = NIL - 2;
 
 /// The tick an absolute time falls into.
 fn tick_of(t: SimTime) -> u64 {
@@ -205,14 +210,18 @@ fn upper_head(u: usize, slot: usize) -> usize {
 /// A slab cell: one pending event and its links. `next` is the next
 /// cell of whichever list it is on (a wheel slot's, or the free list);
 /// `prev` is the cell before it on its slot list, `HEAD | slot` for a
-/// list's first cell, or `OVERFLOWED`. A cell in `ready` is known by
-/// its tick, not its links, which are then stale.
+/// list's first cell, `OVERFLOWED`, or `FREE` once the cell is
+/// recycled. A pending cell in `ready` is known by its tick, not its
+/// links, which are then stale.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     ev: ScheduledEvent,
     next: u32,
     prev: u32,
 }
+
+// A cell is a 32-byte event (its kind 16 bytes) and two links.
+const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 /// An event's order position plus its slab index: what `ready` and the
 /// overflow heap hold in place of the event itself.
@@ -243,8 +252,7 @@ type Entry = (SimTime, EventKey, u32);
 ///   and read once; only an event more than 4095 ticks out is filed at
 ///   an upper level and relinked when its slot comes due;
 /// - a slot's occupancy bit is set exactly when its list is non-empty,
-///   so [`EventQueue::remove`] clears it when it unlinks a list's last
-///   node.
+///   so `remove` clears it when it unlinks a list's last node.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     current_tick: u64,
@@ -295,10 +303,34 @@ impl EventQueue {
         }
     }
 
+    /// Schedules `node`'s timer number `seq` (the node's own timer
+    /// counter) at `at`, returning the handle that names its event.
+    pub fn push_timer(&mut self, at: SimTime, node: NodeId, seq: u64, token: u64) -> TimerId {
+        let cell = self.push(
+            at,
+            EventKey::timer(node, seq),
+            EventKind::Timer { node, token },
+        );
+        TimerId { cell, seq }
+    }
+
+    /// Unschedules `node`'s timer `id` if its event is still pending:
+    /// the cell `id` names is not free and holds exactly
+    /// `EventKey::timer(node, id.seq)`. Returns whether it was.
+    pub fn cancel_timer(&mut self, node: NodeId, id: TimerId) -> bool {
+        let pending = self
+            .nodes
+            .get(id.cell as usize)
+            .is_some_and(|n| n.prev != FREE && n.ev.key == EventKey::timer(node, id.seq));
+        if pending {
+            self.remove(id.cell);
+        }
+        pending
+    }
+
     /// Schedules `kind` at absolute time `at` under the caller-computed
     /// canonical `key` (see [`EventKey`]). Returns the event's slab
-    /// cell, valid for [`EventQueue::remove`] until the event is popped
-    /// or removed.
+    /// cell, which holds the event until it is popped or removed.
     #[inline]
     pub fn push(&mut self, at: SimTime, key: EventKey, kind: EventKind) -> u32 {
         let node = Node {
@@ -386,7 +418,7 @@ impl EventQueue {
     /// slot's list, a binary search and a shift from `ready`, a linear
     /// filter from the overflow heap (far past any timer the engine
     /// re-arms). The cell must hold a pending event.
-    pub fn remove(&mut self, cell: u32) {
+    fn remove(&mut self, cell: u32) {
         let Node { ev, next, prev } = self.nodes[cell as usize];
         if tick_of(ev.time) <= self.current_tick {
             // Due: in `ready`, and only there (the first invariant).
@@ -412,7 +444,15 @@ impl EventQueue {
                 }
             }
         }
-        self.nodes[cell as usize].next = std::mem::replace(&mut self.free, cell);
+        self.recycle(cell);
+    }
+
+    /// Puts the cell of an event leaving the queue on the free list,
+    /// marked `FREE` so no handle matches it until it is reused.
+    fn recycle(&mut self, cell: u32) {
+        let node = &mut self.nodes[cell as usize];
+        node.next = std::mem::replace(&mut self.free, cell);
+        node.prev = FREE;
         self.len -= 1;
     }
 
@@ -543,10 +583,8 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<ScheduledEvent> {
         self.advance();
         let (_, _, idx) = self.ready.pop()?;
-        let node = &mut self.nodes[idx as usize];
-        node.next = std::mem::replace(&mut self.free, idx);
-        self.len -= 1;
-        Some(node.ev)
+        self.recycle(idx);
+        Some(self.nodes[idx as usize].ev)
     }
 
     /// Full `(time, key)` order position of the earliest pending event.
@@ -565,63 +603,14 @@ impl EventQueue {
     }
 }
 
-/// Timer liveness table.
-///
-/// Each live timer's slot records the event-queue cell of its `Timer`
-/// event, so cancelling the timer removes that event from the queue on
-/// the spot ([`EventQueue::remove`]): a cancelled timer is never popped,
-/// dispatched or counted, and every timer event that is popped is live.
-/// Firing or cancelling bumps the slot's generation, so a stale
-/// [`TimerId`] is recognised and ignored. Slots are recycled through a
-/// free list, keeping the table size proportional to the number of
-/// *live* timers, not the number ever created.
-#[derive(Debug, Default)]
-pub(crate) struct TimerTable {
-    /// Per slot: its generation, and the cell of the live timer's event.
-    slots: Vec<(u32, u32)>,
-    free: Vec<u32>,
-}
-
-impl TimerTable {
-    pub fn new() -> Self {
-        TimerTable::default()
-    }
-
-    /// Allocates a live timer id and records the cell `schedule` returns
-    /// for it: the queue cell of the event that carries the id.
-    pub fn allocate(&mut self, schedule: impl FnOnce(TimerId) -> u32) -> TimerId {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push((0, NIL));
-            self.slots.len() as u32 - 1
-        });
-        let id = TimerId {
-            slot,
-            generation: self.slots[slot as usize].0,
-        };
-        self.slots[slot as usize].1 = schedule(id);
-        id
-    }
-
-    /// Ends a timer as it fires or is cancelled, returning its event's
-    /// cell; `None` if it had already ended.
-    pub fn release(&mut self, id: TimerId) -> Option<u32> {
-        let (generation, cell) = self.slots.get_mut(id.slot as usize)?;
-        if *generation != id.generation {
-            return None;
-        }
-        *generation = generation.wrapping_add(1);
-        self.free.push(id.slot);
-        Some(*cell)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{LinkId, NodeId};
+    use crate::arena::PacketArena;
+    use crate::packet::{FlowKey, LinkId, NodeId, PacketBuilder};
     use crate::rng::SimRng;
     use crate::time::SimDuration;
-    use std::collections::{BTreeSet, HashMap};
+    use std::collections::{BTreeSet, HashMap, HashSet};
 
     /// The wheel's oracle: an ordered set of `(time, key)` order
     /// positions, obviously correct and nothing else.
@@ -1234,30 +1223,123 @@ mod tests {
         assert_eq!(q.peek_entry(), Some(late));
     }
 
-    #[test]
-    fn timer_lifecycle() {
-        let mut t = TimerTable::new();
-        let a = t.allocate(|_| 7);
-        assert_eq!(t.release(a), Some(7), "a live timer yields its cell");
-        assert_eq!(t.release(a), None, "double cancel is a no-op");
-        // Slot is recycled with a new generation.
-        let b = t.allocate(|_| 9);
-        assert_eq!(b.slot, a.slot);
-        assert_ne!(b.generation, a.generation);
-        assert_eq!(t.release(a), None, "stale handle stays dead");
-        assert_eq!(t.release(b), Some(9));
-        assert_eq!(t.release(b), None, "timer fires at most once");
+    /// Node `node`'s timer number `seq`, due at `at`, set the way
+    /// `Ctx::set_timer` sets one; the token is the seq.
+    fn set_timer(q: &mut EventQueue, at: SimTime, node: u32, seq: u64) -> TimerId {
+        q.push_timer(at, NodeId(node), seq, seq)
     }
 
     #[test]
-    fn many_timers_unique_until_cancelled() {
-        let mut t = TimerTable::new();
-        let ids: Vec<TimerId> = (0..100).map(|n| t.allocate(|_| n)).collect();
-        for (n, id) in (0..).zip(&ids) {
-            assert_eq!(t.release(*id), Some(n));
+    fn a_handle_cancels_its_pending_event_once() {
+        let mut q = EventQueue::new();
+        let n = NodeId(0);
+        let a = set_timer(&mut q, SimTime::from_secs(1), 0, 0);
+        let b = set_timer(&mut q, SimTime::from_secs(2), 0, 1);
+        assert!(q.cancel_timer(n, a), "a live handle cancels");
+        assert!(!q.cancel_timer(n, a), "a second cancel is a no-op");
+        let fired = q.pop().expect("the other timer is still queued");
+        assert_eq!(fired.key, EventKey::timer(n, 1));
+        assert!(!q.cancel_timer(n, b), "a timer that fired cancels nothing");
+        assert_drained(&q);
+    }
+
+    /// A handle whose cell was recycled, after its timer fired or was
+    /// cancelled, matches nothing and leaves the cell's new occupant
+    /// queued: the same node's next timer, another node's timer of the
+    /// same seq, a `LinkFree` or an `Arrival`.
+    #[test]
+    fn a_recycled_cell_keeps_its_new_occupant() {
+        let at = SimTime::from_secs(1);
+        let flow = FlowKey {
+            src: NodeId(0),
+            src_port: 1,
+            dst: NodeId(1),
+            dst_port: 2,
+        };
+        let pkt = PacketArena::new().insert(PacketBuilder::new(flow).build());
+        let (n0, n1, link) = (NodeId(0), NodeId(1), LinkId(0));
+        let occupants = [
+            (
+                EventKey::timer(n0, 1),
+                EventKind::Timer { node: n0, token: 1 },
+            ),
+            (
+                EventKey::timer(n1, 0),
+                EventKind::Timer { node: n1, token: 0 },
+            ),
+            (EventKey::link_free(link, 0), EventKind::LinkFree { link }),
+            (
+                EventKey::arrival(link, 0),
+                EventKind::Arrival { node: n1, pkt },
+            ),
+        ];
+        for (key, kind) in occupants {
+            for fired in [false, true] {
+                let mut q = EventQueue::new();
+                let old = set_timer(&mut q, at, 0, 0);
+                if fired {
+                    assert!(q.pop().is_some());
+                } else {
+                    assert!(q.cancel_timer(n0, old));
+                }
+                assert_eq!(q.push(at, key, kind), old.cell, "the cell is reused");
+                assert!(!q.cancel_timer(n0, old), "{key:?}, fired: {fired}");
+                assert_eq!(q.pop().map(|e| e.key), Some(key), "the occupant stays");
+                assert_drained(&q);
+            }
         }
-        for id in &ids {
-            assert_eq!(t.release(*id), None);
+    }
+
+    /// A timer already due in `ready` (a peek moved the cursor onto its
+    /// tick) leaves it when cancelled and never fires.
+    #[test]
+    fn a_due_timer_cancels_out_of_ready() {
+        let mut q = EventQueue::new();
+        let t = set_timer(&mut q, at_tick(5) + SimDuration::from_nanos(9), 0, 0);
+        push_start(&mut q, at_tick(5), 1);
+        assert_eq!(q.peek_entry().map(|(at, _)| at), Some(at_tick(5)));
+        assert_eq!(residence(&q, t.cell), 0, "the timer is in ready");
+        assert!(q.cancel_timer(NodeId(0), t));
+        assert_eq!(drain_nodes(&mut q), vec![1]);
+        assert_drained(&q);
+    }
+
+    /// Only the node that set a timer cancels it, and no synthetic id
+    /// matches an event, not even one whose number is a live timer's
+    /// cell or seq.
+    #[test]
+    fn foreign_and_synthetic_handles_match_nothing() {
+        let mut q = EventQueue::new();
+        let ids: Vec<TimerId> = (0..4)
+            .map(|s| set_timer(&mut q, SimTime::from_secs(1 + s), 0, s))
+            .collect();
+        for &id in &ids {
+            assert!(!q.cancel_timer(NodeId(1), id), "another node's handle");
         }
+        for n in [0, 1, 3, u32::MAX] {
+            assert!(!q.cancel_timer(NodeId(0), TimerId::synthetic(n)));
+        }
+        let fired: Vec<u64> = std::iter::from_fn(|| q.pop())
+            .map(|e| fields(e.key).2)
+            .collect();
+        assert_eq!(fired, [0, 1, 2, 3]);
+    }
+
+    /// 100 live handles are distinct, and each cancels its own event
+    /// exactly once, in an order unrelated to when they were set.
+    #[test]
+    fn many_live_handles_each_cancel_once() {
+        let mut q = EventQueue::new();
+        let ids: Vec<TimerId> = (0..100)
+            .map(|s| set_timer(&mut q, SimTime::from_millis(1 + 10 * s), 0, s))
+            .collect();
+        assert_eq!(ids.iter().collect::<HashSet<_>>().len(), 100);
+        for i in 0..100 {
+            assert!(q.cancel_timer(NodeId(0), ids[i * 37 % 100]));
+        }
+        for &id in &ids {
+            assert!(!q.cancel_timer(NodeId(0), id));
+        }
+        assert_drained(&q);
     }
 }

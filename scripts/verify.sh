@@ -117,8 +117,11 @@ testbed_smoke() {
 # run_until with starts scheduled behind the queue's peeked minimum, a
 # manual step loop) must not be observable; plus the event queue's own
 # unit tests (the wheel against its ordered-set oracle under pushes,
-# pops and cancellations, the slab, the packed key), the engine's (timer
-# cancellation, event counting, routing) and the TAQ queue layer's —
+# pops and cancellations, the slab, the packed key, and the timer
+# handles' identity: a handle cancels its own pending event once, and a
+# fired, cancelled, recycled, foreign or synthetic one matches nothing),
+# the engine's (timer cancellation, failed cancels changing nothing,
+# event counting, routing) and the TAQ queue layer's —
 # among them the index-vs-scan oracle every pop and eviction rests on
 # and the slot heap against its sorted-Vec oracle. Each command runs
 # twice: in the debug profile,
