@@ -25,12 +25,11 @@ pub fn run(args: SweepArgs) {
     // Background: 50 long-lived flows (20 Kbps fair share).
     sc.add_bulk_clients(50, BULK_BYTES, SimDuration::from_secs(2));
     // 32 short flows of varying length, staggered into the steady state.
-    let mss = 460u64;
     let start_base = args.duration(40, 40, 120);
     let mut short_tags = Vec::new();
     for i in 0..32u64 {
         let packets = 1 + (i * 80) / 31; // 1..=81 packets
-        let bytes = packets * mss;
+        let bytes = packets * u64::from(taq_tcp::MSS);
         let start = start_base + SimDuration::from_secs(4 * i);
         sc.add_bulk_client(bytes, start);
         short_tags.push((sc.clients.len() as u64 - 1, packets));

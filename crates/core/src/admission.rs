@@ -15,14 +15,26 @@
 //!   admission after `Twait`, oldest-waiting first.
 //!
 //! Pools are keyed by source address; SYNs from one source within
-//! `pool_window` of each other join the same pool, matching the paper's
+//! [`POOL_WINDOW`] of each other join the same pool, matching the paper's
 //! simplifying assumption that a user does not interleave applications
 //! within a few seconds.
 
 use crate::config::TaqConfig;
 use std::collections::HashMap;
-use taq_sim::{NodeId, SimTime};
+use taq_sim::{NodeId, SimDuration, SimTime};
 use taq_telemetry::{Event, Telemetry};
+
+/// Loss-rate threshold beyond which admission control engages (the
+/// model's tipping point, `p_thresh = 0.1`).
+pub(crate) const P_THRESH: f64 = 0.1;
+
+/// Headroom applied to [`P_THRESH`] when admitting new pools ("in
+/// practice we use a threshold slightly smaller than p_thresh as a
+/// congestion avoidance strategy").
+pub(crate) const P_THRESH_HEADROOM: f64 = 0.9;
+
+/// SYNs from one source within this window belong to one flow pool.
+pub(crate) const POOL_WINDOW: SimDuration = SimDuration::from_secs(3);
 
 /// Decision for one SYN.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +62,13 @@ struct Pool {
 pub struct LossRateMeter {
     buckets: Vec<(u64, u64)>,
     current: usize,
-    bucket_len: taq_sim::SimDuration,
+    bucket_len: SimDuration,
     bucket_start: SimTime,
 }
 
 impl LossRateMeter {
     /// Creates a meter with `n` buckets of `bucket_len` each.
-    pub fn new(n: usize, bucket_len: taq_sim::SimDuration) -> Self {
+    pub fn new(n: usize, bucket_len: SimDuration) -> Self {
         assert!(n >= 2, "need at least two buckets");
         LossRateMeter {
             buckets: vec![(0, 0); n],
@@ -142,14 +154,13 @@ impl AdmissionController {
             });
             return AdmissionDecision::Admit;
         }
-        let window = self.cfg.pool_window;
         let pool = self.pools.entry(src).or_insert(Pool {
             admitted: false,
             last_syn_at: now,
             waiting_since: None,
         });
         // A long-quiet source starts a fresh pool (new session).
-        if pool.admitted && now.saturating_since(pool.last_syn_at) > window {
+        if pool.admitted && now.saturating_since(pool.last_syn_at) > POOL_WINDOW {
             pool.admitted = false;
             pool.waiting_since = None;
         }
@@ -157,7 +168,7 @@ impl AdmissionController {
         if pool.admitted {
             return AdmissionDecision::Admit;
         }
-        let under_threshold = loss_rate < self.cfg.p_thresh * self.cfg.p_thresh_headroom;
+        let under_threshold = loss_rate < P_THRESH * P_THRESH_HEADROOM;
         let waited_out = pool
             .waiting_since
             .is_some_and(|since| now.saturating_since(since) >= self.cfg.admission_twait);
@@ -203,7 +214,7 @@ impl AdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taq_sim::{Bandwidth, SimDuration};
+    use taq_sim::Bandwidth;
 
     fn cfg() -> TaqConfig {
         TaqConfig::for_link(Bandwidth::from_mbps(1)).with_admission_control()
@@ -262,15 +273,13 @@ mod tests {
         assert_eq!(ac.waiting_pools(), 0);
     }
 
-    /// The admit threshold is `p_thresh × headroom = 0.09` and the
-    /// comparison is strict: a loss rate epsilon below admits, the exact
-    /// boundary rejects, epsilon above rejects. Each probe uses a fresh
-    /// controller so the wait queue cannot mask the comparison.
+    /// The admit threshold is `P_THRESH × P_THRESH_HEADROOM ≈ 0.09` and
+    /// the comparison is strict: a loss rate epsilon below admits, the
+    /// exact boundary rejects, epsilon above rejects. Each probe uses a
+    /// fresh controller so the wait queue cannot mask the comparison.
     #[test]
     fn threshold_boundary_is_exclusive_from_both_sides() {
-        let c = cfg();
-        assert_eq!(c.p_thresh, 0.1, "paper's tipping point");
-        let effective = c.p_thresh * c.p_thresh_headroom;
+        let effective = P_THRESH * P_THRESH_HEADROOM;
         assert!((effective - 0.09).abs() < 1e-12);
         let probe = |loss: f64| AdmissionController::new(cfg()).on_syn(NodeId(1), loss, t(0));
         assert_eq!(probe(effective - 1e-9), AdmissionDecision::Admit);

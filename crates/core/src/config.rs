@@ -1,5 +1,6 @@
 //! TAQ middlebox configuration.
 
+use crate::tracker::MAX_EPOCH;
 use taq_sim::{Bandwidth, SimDuration};
 
 /// Configuration for a TAQ middlebox instance.
@@ -19,16 +20,6 @@ pub struct TaqConfig {
     /// limit the NewQueue capacity to limit the number of new
     /// connections in the system").
     pub newflow_cap_pkts: usize,
-    /// Packets observed in a flow's life below which it still counts as
-    /// "new" (slow-start classification into the NewFlow queue).
-    pub newflow_packet_horizon: u64,
-    /// Loss-rate threshold beyond which admission control engages
-    /// (the model's tipping point, `p_thresh = 0.1`).
-    pub p_thresh: f64,
-    /// Headroom applied to `p_thresh` when admitting new pools ("in
-    /// practice we use a threshold slightly smaller than p_thresh as a
-    /// congestion avoidance strategy").
-    pub p_thresh_headroom: f64,
     /// Whether admission control is enabled at all.
     pub admission_control: bool,
     /// With admission control: answer rejected connection attempts with
@@ -42,21 +33,9 @@ pub struct TaqConfig {
     /// (`Twait`, "small (few seconds) and less than the TCP SYN
     /// connection timeout").
     pub admission_twait: SimDuration,
-    /// SYNs from one source within this window belong to one flow pool.
-    pub pool_window: SimDuration,
     /// Initial epoch estimate before any measurement, and the floor for
     /// estimates.
     pub min_epoch: SimDuration,
-    /// Ceiling for epoch estimates (guards against wild RTT readings).
-    pub max_epoch: SimDuration,
-    /// EWMA weight for new epoch measurements.
-    pub epoch_alpha: f64,
-    /// Epochs of continuous silence after which a flow in a timeout
-    /// state is considered in *extended* silence.
-    pub extended_silence_epochs: u32,
-    /// Epochs with no traffic after which a flow's tracker state is
-    /// garbage collected entirely.
-    pub flow_gc_epochs: u32,
     /// Ablation switch: bypass the five-class policy and run plain
     /// per-flow fair queueing with head-of-longest-queue drops (the
     /// recovery and new-flow machinery disabled). Used by the ablation
@@ -67,7 +46,7 @@ pub struct TaqConfig {
 
 impl TaqConfig {
     /// A reasonable default for a bottleneck of the given rate: one
-    /// 200 ms-RTT worth of 500-byte packets of buffering, 20% recovery
+    /// 200 ms-RTT worth of 500-byte packets of buffering, 35% recovery
     /// cap, admission control off (the paper evaluates it separately).
     pub fn for_link(link_rate: Bandwidth) -> Self {
         let buffer = link_rate
@@ -82,18 +61,10 @@ impl TaqConfig {
             // on retransmission priority. See the ablation bench.
             recovery_cap_fraction: 0.35,
             newflow_cap_pkts: (buffer / 5).max(2),
-            newflow_packet_horizon: 10,
-            p_thresh: 0.1,
-            p_thresh_headroom: 0.9,
             admission_control: false,
             reject_feedback: false,
             admission_twait: SimDuration::from_secs(3),
-            pool_window: SimDuration::from_secs(3),
             min_epoch: SimDuration::from_millis(100),
-            max_epoch: SimDuration::from_secs(2),
-            epoch_alpha: 0.25,
-            extended_silence_epochs: 2,
-            flow_gc_epochs: 60,
             fq_mode: false,
         }
     }
@@ -119,16 +90,7 @@ impl TaqConfig {
             self.newflow_cap_pkts <= self.buffer_pkts,
             "NewFlow cap exceeds buffer"
         );
-        assert!((0.0..1.0).contains(&self.p_thresh), "p_thresh out of range");
-        assert!(
-            (0.0..=1.0).contains(&self.p_thresh_headroom),
-            "headroom out of range"
-        );
-        assert!(self.min_epoch <= self.max_epoch, "epoch bounds inverted");
-        assert!(
-            (0.0..=1.0).contains(&self.epoch_alpha),
-            "epoch alpha out of range"
-        );
+        assert!(self.min_epoch <= MAX_EPOCH, "epoch bounds inverted");
     }
 }
 

@@ -221,11 +221,6 @@ impl TaqState {
         &self.telemetry
     }
 
-    /// The currently measured loss rate at the queue.
-    pub fn loss_rate(&mut self, now: SimTime) -> f64 {
-        self.loss_meter.rate(now)
-    }
-
     /// Feeds one loss observation into the admission meter directly.
     /// The paper's middlebox "automatically adjusts the state of the
     /// flow in future epochs" for losses it observes but did not
@@ -255,11 +250,6 @@ impl TaqState {
     /// (no clock read, no hub lock) on the rest.
     fn sampled_timer(&self, nth: u64, every: u64, id: HistogramId) -> Option<ScopedTimer> {
         (nth % every == 1).then(|| self.telemetry.scoped(id))
-    }
-
-    /// Pools currently waiting for admission.
-    pub fn waiting_pools(&self) -> usize {
-        self.admission.waiting_pools()
     }
 
     fn enqueue_forward(
@@ -697,11 +687,11 @@ mod tests {
         q.enqueue(p2, &mut a, t(5));
         // This queue drops the flow's packet, so the re-sent sequence
         // is a true repair and rides the Recovery class.
-        pair.state
-            .lock()
-            .unwrap()
-            .flows
-            .on_drop(&key(1), false, t(6));
+        {
+            let flows = &mut pair.state.lock().unwrap().flows;
+            let id = flows.id_of(&key(1)).unwrap();
+            flows.on_drop_id(id, false, t(6));
+        }
         let p3 = data(&mut a, 1, 1, 3); // seq reuse = retransmission
         q.enqueue(p3, &mut a, t(10));
         assert_eq!(

@@ -193,8 +193,8 @@ const fn build_class_lut() -> [QueueClass; 32] {
 /// definition claiming more than its share.
 ///
 /// The five predicates are evaluated unconditionally (none has side
-/// effects) and combined through [`CLASS_LUT`], keeping the per-packet
-/// classification branchless.
+/// effects) and combined through a 32-entry lookup table, keeping the
+/// per-packet classification branchless.
 pub fn classify(
     obs: &Observation,
     backlog_pkts: usize,
@@ -950,14 +950,8 @@ impl TaqQueues {
     }
 
     /// Chooses and removes a victim to make room, per the policy in the
-    /// module docs. Returns the evicted packet and whether it came from
-    /// a Recovery-class flow.
-    pub fn evict(&mut self) -> Option<(QueuedPkt, bool)> {
-        self.evict_staged().map(|(qp, retx, _)| (qp, retx))
-    }
-
-    /// [`TaqQueues::evict`] with the policy stage (1-6) that produced
-    /// the victim, for diagnostics and ablation studies.
+    /// module docs. Returns the evicted packet, whether it came from a
+    /// Recovery-class flow, and the policy stage (1-6) that produced it.
     pub fn evict_staged(&mut self) -> Option<(QueuedPkt, bool, u8)> {
         // 1. Above fair share: biggest recent window pays first.
         if let Some(qp) = self.evict_from(QueueClass::AboveFairShare, true, false) {
@@ -1426,7 +1420,7 @@ mod tests {
         q.push(QueueClass::AboveFairShare, p2, &obs_win(1));
         let p3 = pkt(&mut a, 3, 100);
         q.push(QueueClass::Recovery, p3, &obs(true, 4));
-        let (victim, was_retx) = q.evict().unwrap();
+        let (victim, was_retx, _) = q.evict_staged().unwrap();
         assert!(!was_retx);
         assert_eq!(
             victim.flow,
@@ -1448,7 +1442,7 @@ mod tests {
         }
         let p2 = pkt(&mut a, 2, 9);
         q.push(QueueClass::BelowFairShare, p2, &obs(false, 0));
-        let (victim, _) = q.evict().unwrap();
+        let (victim, ..) = q.evict_staged().unwrap();
         assert_eq!(victim.flow, fid(1), "burst trimmed first");
         assert_eq!(victim.pkt_id, 0, "head drop");
     }
@@ -1463,17 +1457,17 @@ mod tests {
         q.push(QueueClass::NewFlow, p2, &obs(false, 0));
         let p3 = pkt(&mut a, 1, 3);
         q.push(QueueClass::NewFlow, p3, &obs(false, 0));
-        let (victim, _) = q.evict().unwrap();
+        let (victim, ..) = q.evict_staged().unwrap();
         assert_eq!(
             victim.pkt_id, 2,
             "first data packet evicted, SYN-ACK spared"
         );
-        let (victim, _) = q.evict().unwrap();
+        let (victim, ..) = q.evict_staged().unwrap();
         assert_eq!(victim.pkt_id, 3);
         // Only the SYN-ACK remains: it must still be evictable.
-        let (victim, _) = q.evict().unwrap();
+        let (victim, ..) = q.evict_staged().unwrap();
         assert_eq!(victim.pkt_id, 1);
-        assert!(q.evict().is_none());
+        assert!(q.evict_staged().is_none());
         q.check_invariants();
     }
 
@@ -1485,12 +1479,12 @@ mod tests {
         q.push(QueueClass::Recovery, p1, &obs(true, 5));
         let p2 = pkt(&mut a, 2, 2);
         q.push(QueueClass::Recovery, p2, &obs(true, 1));
-        let (victim, was_retx) = q.evict().unwrap();
+        let (victim, was_retx, _) = q.evict_staged().unwrap();
         assert!(was_retx);
         assert_eq!(victim.pkt_id, 2, "shortest-silence flow dropped first");
-        let (victim2, _) = q.evict().unwrap();
+        let (victim2, ..) = q.evict_staged().unwrap();
         assert_eq!(victim2.pkt_id, 1);
-        assert!(q.evict().is_none());
+        assert!(q.evict_staged().is_none());
         assert_eq!(q.len(), 0);
         assert_eq!(q.byte_len(), 0);
     }
@@ -1507,7 +1501,7 @@ mod tests {
         q.push(QueueClass::Recovery, p2, &obs(true, 1));
         assert_eq!(q.len(), 5);
         assert_eq!(q.byte_len(), 5 * 500);
-        q.evict();
+        q.evict_staged();
         q.pop(SimTime::from_secs(1));
         assert_eq!(q.len(), 3);
         assert_eq!(q.byte_len(), 3 * 500);
@@ -1539,7 +1533,7 @@ mod tests {
                 }
             }
             while q.len() > 30 {
-                let (qp, _) = q.evict().expect("non-empty above cap");
+                let (qp, ..) = q.evict_staged().expect("non-empty above cap");
                 a.remove(qp.pid);
                 evicted += 1;
             }

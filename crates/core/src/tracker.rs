@@ -22,6 +22,24 @@ use taq_sim::{
 };
 use taq_telemetry::{Event, Telemetry};
 
+/// Packets observed in a flow's life below which it still counts as
+/// "new" (slow-start classification into the NewFlow queue).
+pub(crate) const NEWFLOW_PACKET_HORIZON: u64 = 10;
+
+/// Ceiling for epoch estimates (guards against wild RTT readings).
+pub(crate) const MAX_EPOCH: SimDuration = SimDuration::from_secs(2);
+
+/// EWMA weight for new epoch measurements.
+pub(crate) const EPOCH_ALPHA: f64 = 0.25;
+
+/// Epochs of continuous silence after which a flow in a timeout state
+/// is considered in *extended* silence.
+pub(crate) const EXTENDED_SILENCE_EPOCHS: u32 = 2;
+
+/// Epochs with no traffic after which a flow's tracker state is garbage
+/// collected entirely.
+pub(crate) const FLOW_GC_EPOCHS: u32 = 60;
+
 /// Converts a simulator flow key into the telemetry layer's flow
 /// identity (the telemetry crate sits below `taq-sim` in the dependency
 /// graph, so it has its own 4-tuple type).
@@ -186,8 +204,8 @@ impl FlowInfo {
 
     /// `true` while the flow counts as "new" for NewFlow-queue
     /// classification.
-    pub fn is_new(&self, cfg: &TaqConfig) -> bool {
-        self.state == FlowState::SlowStart && self.total_packets <= cfg.newflow_packet_horizon
+    pub fn is_new(&self) -> bool {
+        self.state == FlowState::SlowStart && self.total_packets <= NEWFLOW_PACKET_HORIZON
     }
 
     /// Cumulative drops over the current and previous epochs (the
@@ -232,10 +250,10 @@ impl FlowInfo {
     /// machine's per-epoch transitions once per elapsed epoch. Each
     /// transition that changes state is emitted, timestamped at the
     /// epoch boundary it fired on.
-    fn roll_epochs(&mut self, now: SimTime, cfg: &TaqConfig, telemetry: &Telemetry) {
+    fn roll_epochs(&mut self, now: SimTime, telemetry: &Telemetry) {
         while now >= self.epoch_start + self.epoch_len {
             let old = self.state;
-            let trigger = self.apply_epoch_transition(cfg);
+            let trigger = self.apply_epoch_transition();
             if self.state != old {
                 let boundary = self.epoch_start + self.epoch_len;
                 let (from, to, key) = (old.name(), self.state.name(), self.key);
@@ -264,7 +282,7 @@ impl FlowInfo {
 
     /// The end-of-epoch state transition (paper §3.3/§4.1). Returns the
     /// trigger tag describing which transition family fired.
-    fn apply_epoch_transition(&mut self, cfg: &TaqConfig) -> &'static str {
+    fn apply_epoch_transition(&mut self) -> &'static str {
         let sent = self.current.new_packets + self.current.retransmitted;
         if sent == 0 {
             self.silent_epochs += 1;
@@ -274,7 +292,7 @@ impl FlowInfo {
                     FlowState::TimeoutSilence
                 }
                 FlowState::TimeoutSilence | FlowState::ExtendedSilence => {
-                    if self.silent_epochs >= cfg.extended_silence_epochs {
+                    if self.silent_epochs >= EXTENDED_SILENCE_EPOCHS {
                         FlowState::ExtendedSilence
                     } else {
                         FlowState::TimeoutSilence
@@ -352,7 +370,7 @@ struct HotColumns {
     /// before it, `roll_epochs` is a no-op; [`SimTime::MAX`] for
     /// vacant slots.
     epoch_deadline: Vec<SimTime>,
-    /// `silent_epochs >= flow_gc_epochs`: the flow is GC-ripe and
+    /// `silent_epochs >= FLOW_GC_EPOCHS`: the flow is GC-ripe and
     /// `tick` must consult `in_use` even when no epoch elapsed.
     gc_eligible: Vec<bool>,
 }
@@ -367,14 +385,14 @@ impl HotColumns {
 
     /// Recomputes slot `idx` from its flow's current state.
     #[inline]
-    fn refresh(&mut self, idx: usize, flow: &FlowInfo, gc_epochs: u32) {
+    fn refresh(&mut self, idx: usize, flow: &FlowInfo) {
         self.active_until[idx] = if flow.state == FlowState::DummySilence {
             SimTime::ZERO
         } else {
             flow.last_packet_at + flow.epoch_len * 4
         };
         self.epoch_deadline[idx] = flow.epoch_start + flow.epoch_len;
-        self.gc_eligible[idx] = flow.silent_epochs >= gc_epochs;
+        self.gc_eligible[idx] = flow.silent_epochs >= FLOW_GC_EPOCHS;
     }
 
     /// Marks slot `idx` vacant.
@@ -489,23 +507,16 @@ impl FlowTable {
             telemetry,
             ..
         } = self;
-        let cfg_min_epoch = cfg.min_epoch;
         let flow = slots[id.index()].as_mut().expect("interned flow has state");
-        flow.roll_epochs(now, cfg, telemetry);
+        flow.roll_epochs(now, telemetry);
 
         // One-way epoch refinement: a gap longer than half the current
         // estimate, followed by a burst, marks an epoch boundary; take
         // the gap between burst starts as an epoch sample.
         if let Some(prev) = flow.prev_packet_at {
             let gap = now.saturating_since(prev);
-            if gap > flow.epoch_len / 2 && gap <= cfg.max_epoch {
-                let alpha = cfg.epoch_alpha;
-                let sample = gap.as_secs_f64();
-                let cur = flow.epoch_len.as_secs_f64();
-                let blended = (1.0 - alpha) * cur + alpha * sample;
-                flow.epoch_len = SimDuration::from_secs_f64(blended)
-                    .max(cfg_min_epoch)
-                    .min(cfg.max_epoch);
+            if gap > flow.epoch_len / 2 && gap <= MAX_EPOCH {
+                flow.epoch_len = blend_epoch(flow.epoch_len, gap, cfg.min_epoch);
             }
         }
         flow.prev_packet_at = Some(now);
@@ -552,14 +563,14 @@ impl FlowTable {
                 trigger: "retransmit-after-silence",
             });
         }
-        hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
+        hot.refresh(id.index(), flow);
         Observation {
             id,
             retransmission,
             repairs_our_drop,
             state: flow.state,
             silent_epochs: flow.silent_epochs,
-            is_new: flow.is_new(cfg),
+            is_new: flow.is_new(),
             recent_drops: flow.recent_drops(),
             rate_bps: flow.rate_bps(),
             epoch_len: flow.epoch_len,
@@ -570,44 +581,25 @@ impl FlowTable {
         }
     }
 
-    /// Records that a packet of `key` was forwarded onto the link (rate
-    /// accounting). Key-based convenience over [`Self::on_forwarded_id`].
-    pub fn on_forwarded(&mut self, key: &FlowKey, bytes: u32, now: SimTime) {
-        let Some(id) = self.interner.get(key) else {
-            return;
-        };
-        self.on_forwarded_id(id, bytes, now);
-    }
-
-    /// [`Self::on_forwarded`] by dense id — the hot-path form: the
-    /// caller already holds the flow's id from classification, so no
-    /// key hash is paid per forwarded packet.
+    /// Records, by dense id, that a packet was forwarded onto the link
+    /// (rate accounting). The caller already holds the flow's id from
+    /// classification, so no key hash is paid per forwarded packet.
     pub fn on_forwarded_id(&mut self, id: FlowId, bytes: u32, now: SimTime) {
         let FlowTable {
-            cfg,
             slots,
             hot,
             telemetry,
             ..
         } = self;
         if let Some(flow) = slots.get_mut(id.index()).and_then(|s| s.as_mut()) {
-            flow.roll_epochs(now, cfg, telemetry);
+            flow.roll_epochs(now, telemetry);
             flow.bytes_this_epoch += u64::from(bytes);
             // Arm a two-way RTT probe if none outstanding.
             if flow.rtt_probe.is_none() {
                 flow.rtt_probe = Some((flow.highest_seq_end, now));
             }
-            hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
+            hot.refresh(id.index(), flow);
         }
-    }
-
-    /// Records that a packet of `key` was dropped at the TAQ queue.
-    /// Key-based convenience over [`Self::on_drop_id`].
-    pub fn on_drop(&mut self, key: &FlowKey, retransmission: bool, now: SimTime) {
-        let Some(id) = self.interner.get(key) else {
-            return;
-        };
-        self.on_drop_id(id, retransmission, now);
     }
 
     /// Records, by dense id, that a packet was dropped at the TAQ
@@ -616,14 +608,13 @@ impl FlowTable {
     /// prediction).
     pub fn on_drop_id(&mut self, id: FlowId, retransmission: bool, now: SimTime) {
         let FlowTable {
-            cfg,
             slots,
             hot,
             telemetry,
             ..
         } = self;
         if let Some(flow) = slots.get_mut(id.index()).and_then(|s| s.as_mut()) {
-            flow.roll_epochs(now, cfg, telemetry);
+            flow.roll_epochs(now, telemetry);
             flow.current.drops += 1;
             flow.pending_repairs += 1;
             let old = flow.state;
@@ -652,7 +643,7 @@ impl FlowTable {
                     },
                 });
             }
-            hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
+            hot.refresh(id.index(), flow);
         }
     }
 
@@ -677,14 +668,9 @@ impl FlowTable {
         };
         if pkt.ack >= probe_end {
             let sample = now.saturating_since(sent);
-            if sample >= SimDuration::from_millis(1) && sample <= cfg.max_epoch {
-                let alpha = cfg.epoch_alpha;
-                let blended =
-                    (1.0 - alpha) * flow.epoch_len.as_secs_f64() + alpha * sample.as_secs_f64();
-                flow.epoch_len = SimDuration::from_secs_f64(blended)
-                    .max(cfg.min_epoch)
-                    .min(cfg.max_epoch);
-                hot.refresh(id.index(), flow, cfg.flow_gc_epochs);
+            if sample >= SimDuration::from_millis(1) && sample <= MAX_EPOCH {
+                flow.epoch_len = blend_epoch(flow.epoch_len, sample, cfg.min_epoch);
+                hot.refresh(id.index(), flow);
             }
             flow.rtt_probe = None;
         }
@@ -700,9 +686,7 @@ impl FlowTable {
     /// still addressable. Pass `|_| false` when no such structure
     /// exists.
     pub fn tick(&mut self, now: SimTime, in_use: impl Fn(FlowId) -> bool) {
-        let gc = self.cfg.flow_gc_epochs;
         let FlowTable {
-            cfg,
             slots,
             hot,
             telemetry,
@@ -721,14 +705,14 @@ impl FlowTable {
             let Some(flow) = slot.as_mut() else {
                 continue;
             };
-            flow.roll_epochs(now, cfg, telemetry);
+            flow.roll_epochs(now, telemetry);
             let id = FlowId(idx as u32);
-            if flow.silent_epochs >= gc && !in_use(id) {
+            if flow.silent_epochs >= FLOW_GC_EPOCHS && !in_use(id) {
                 *slot = None;
                 interner.release(id);
                 hot.clear(idx);
             } else {
-                hot.refresh(idx, flow, gc);
+                hot.refresh(idx, flow);
             }
         }
     }
@@ -737,6 +721,15 @@ impl FlowTable {
     pub fn iter(&self) -> impl Iterator<Item = &FlowInfo> {
         self.slots.iter().flatten()
     }
+}
+
+/// Blends an epoch `sample` into the estimate `cur` by EWMA, clamped
+/// to `[min_epoch, MAX_EPOCH]`.
+fn blend_epoch(cur: SimDuration, sample: SimDuration, min_epoch: SimDuration) -> SimDuration {
+    let blended = (1.0 - EPOCH_ALPHA) * cur.as_secs_f64() + EPOCH_ALPHA * sample.as_secs_f64();
+    SimDuration::from_secs_f64(blended)
+        .max(min_epoch)
+        .min(MAX_EPOCH)
 }
 
 /// What the tracker can say about a packet's flow at classification
@@ -798,6 +791,19 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// A local drop of `port`'s flow, if the table tracks it.
+    fn drop_on(tab: &mut FlowTable, port: u16, retransmission: bool, now: SimTime) {
+        if let Some(id) = tab.id_of(&key(port)) {
+            tab.on_drop_id(id, retransmission, now);
+        }
+    }
+
+    /// `bytes` of `port`'s flow forwarded onto the link.
+    fn forwarded(tab: &mut FlowTable, port: u16, bytes: u32, now: SimTime) {
+        let id = tab.id_of(&key(port)).expect("tracked flow");
+        tab.on_forwarded_id(id, bytes, now);
+    }
+
     #[test]
     fn new_flow_starts_in_slow_start() {
         let mut tab = FlowTable::new(cfg());
@@ -843,7 +849,7 @@ mod tests {
                 0 => tab.tick(now, |_| false),
                 1 => {
                     let port = 1 + rng.next_below(37) as u16;
-                    tab.on_drop(&key(port), false, now);
+                    drop_on(&mut tab, port, false, now);
                 }
                 _ => {
                     let i = rng.next_below(37) as usize;
@@ -882,7 +888,7 @@ mod tests {
         }
         let flow = tab.get(&key(1)).unwrap();
         assert_eq!(flow.state, FlowState::Normal);
-        assert!(!flow.is_new(tab.config()), "past the new-flow horizon");
+        assert!(!flow.is_new(), "past the new-flow horizon");
     }
 
     #[test]
@@ -912,7 +918,7 @@ mod tests {
                 seq += 460;
             }
         }
-        tab.on_drop(&key(1), false, t(500));
+        drop_on(&mut tab, 1, false, t(500));
         assert_eq!(
             tab.get(&key(1)).unwrap().state,
             FlowState::ExplicitLossRecovery
@@ -935,7 +941,7 @@ mod tests {
         let mut tab = FlowTable::new(cfg());
         tab.observe_forward(&data(1, 1), t(0));
         tab.observe_forward(&data(1, 461), t(10));
-        tab.on_drop(&key(1), true, t(20));
+        drop_on(&mut tab, 1, true, t(20));
         assert_eq!(tab.get(&key(1)).unwrap().state, FlowState::TimeoutSilence);
     }
 
@@ -949,7 +955,7 @@ mod tests {
                 seq += 460;
             }
         }
-        tab.on_drop(&key(1), false, t(310));
+        drop_on(&mut tab, 1, false, t(310));
         // Nothing for many epochs; tick rolls the window.
         tab.tick(t(900), |_| false);
         let flow = tab.get(&key(1)).unwrap();
@@ -987,7 +993,7 @@ mod tests {
                 seq += 460;
             }
         }
-        tab.on_drop(&key(1), false, t(310));
+        drop_on(&mut tab, 1, false, t(310));
         tab.tick(t(700), |_| false); // Silence: timeout.
         assert!(tab.get(&key(1)).unwrap().state.is_timeout());
         // The retransmission repairs the loss...
@@ -1004,7 +1010,7 @@ mod tests {
         let mut tab = FlowTable::new(cfg());
         let initial = tab.config().min_epoch;
         tab.observe_forward(&data(1, 1), t(0));
-        tab.on_forwarded(&key(1), 500, t(1));
+        forwarded(&mut tab, 1, 500, t(1));
         // The ACK comes back 400 ms later.
         let ack = PacketBuilder::new(key(1).reversed())
             .seq(1)
@@ -1069,8 +1075,8 @@ mod tests {
         tab.observe_forward(&data(1, 1), t(0));
         tab.observe_forward(&data(1, 461), t(10));
         tab.observe_forward(&data(1, 921), t(20));
-        tab.on_forwarded(&key(1), 500, t(20));
-        tab.on_drop(&key(1), false, t(30));
+        forwarded(&mut tab, 1, 500, t(20));
+        drop_on(&mut tab, 1, false, t(30));
         let dead = tab.id_of(&key(1)).unwrap();
         assert!(tab.by_id(dead).unwrap().recent_drops() > 0);
         assert!(tab.by_id(dead).unwrap().pending_repairs > 0);
@@ -1116,7 +1122,7 @@ mod tests {
             for i in 0..5u64 {
                 let now = t(epoch * 100 + i * 15);
                 tab.observe_forward(&data(1, seq), now);
-                tab.on_forwarded(&key(1), 500, now);
+                forwarded(&mut tab, 1, 500, now);
                 seq += 460;
             }
         }

@@ -15,8 +15,7 @@
 //!
 //! All collectors implement [`taq_sim::LinkMonitor`], so they attach to
 //! a simulation's bottleneck with `sim.add_monitor(...)` and are read
-//! back after the run through the typed handle returned by
-//! [`taq_sim::shared`].
+//! back after the run with [`taq_sim::Simulator::monitor`].
 
 mod dist;
 mod epochs;

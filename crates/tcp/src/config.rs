@@ -1,6 +1,12 @@
 //! TCP endpoint configuration.
 
+use crate::rto::MAX_RTO;
 use taq_sim::SimDuration;
+
+/// Maximum segment size — application payload bytes per segment: the
+/// paper's ns2-style 500-byte on-the-wire packets less the 40-byte
+/// header.
+pub const MSS: u32 = 460;
 
 /// Loss-recovery variant of the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,57 +31,37 @@ pub enum Variant {
 /// Configuration for a TCP sender/receiver pair.
 ///
 /// Defaults mirror the paper's ns2-style setup: 500-byte on-the-wire
-/// segments (460-byte MSS + 40-byte header), initial window of 2
-/// segments, no delayed ACKs, NewReno recovery, and a 200 ms minimum RTO.
+/// segments ([`MSS`] + 40-byte header), initial window of 2 segments, no
+/// delayed ACKs, NewReno recovery, and RFC 6298's 1 s minimum RTO.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment size — application payload bytes per segment.
-    pub mss: u32,
     /// Initial congestion window, in segments.
     pub initial_window: u32,
     /// Loss-recovery variant.
     pub variant: Variant,
-    /// Duplicate-ACK threshold for fast retransmit (3 per RFC 5681).
-    pub dupack_threshold: u32,
     /// Lower bound on the retransmission timeout (RFC 6298 §2.4: SHOULD
     /// be 1 second). Lowering this below the per-flow service interval
     /// of a fair-queued bottleneck causes chronic spurious timeouts.
     pub min_rto: SimDuration,
-    /// Upper bound on the retransmission timeout (backoff saturates
-    /// here).
-    pub max_rto: SimDuration,
     /// Receiver delays ACKs (off in all paper experiments, which note
     /// that delayed ACKs obscure congestion dynamics).
     pub delayed_ack: bool,
-    /// Delayed-ACK flush timer, when `delayed_ack` is set.
-    pub delayed_ack_timeout: SimDuration,
     /// Cap on the congestion window, in segments (0 = uncapped). The
     /// paper's model uses Wmax = 6; simulations leave this uncapped.
     pub max_window_segments: u32,
     /// Initial RTO before any RTT sample exists (RFC 6298 says 1 s).
     pub initial_rto: SimDuration,
-    /// Initial timeout for an unanswered connection request (SYN), before
-    /// any RTT estimate exists.
-    pub syn_retry_initial: SimDuration,
-    /// Cap on the SYN retry backoff.
-    pub syn_retry_max: SimDuration,
 }
 
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: 460,
             initial_window: 2,
             variant: Variant::NewReno,
-            dupack_threshold: 3,
             min_rto: SimDuration::from_secs(1),
-            max_rto: SimDuration::from_secs(60),
             delayed_ack: false,
-            delayed_ack_timeout: SimDuration::from_millis(100),
             max_window_segments: 0,
             initial_rto: SimDuration::from_secs(1),
-            syn_retry_initial: SimDuration::from_secs(1),
-            syn_retry_max: SimDuration::from_secs(8),
         }
     }
 }
@@ -93,12 +79,12 @@ impl TcpConfig {
 
     /// On-the-wire size of a full segment (MSS + header).
     pub fn wire_segment(&self) -> u32 {
-        self.mss + taq_sim::Packet::DEFAULT_HEADER
+        MSS + taq_sim::Packet::DEFAULT_HEADER
     }
 
     /// Initial congestion window in bytes.
     pub fn iw_bytes(&self) -> u64 {
-        u64::from(self.initial_window) * u64::from(self.mss)
+        u64::from(self.initial_window) * u64::from(MSS)
     }
 
     /// Window cap in bytes, or `u64::MAX` if uncapped.
@@ -106,7 +92,7 @@ impl TcpConfig {
         if self.max_window_segments == 0 {
             u64::MAX
         } else {
-            u64::from(self.max_window_segments) * u64::from(self.mss)
+            u64::from(self.max_window_segments) * u64::from(MSS)
         }
     }
 
@@ -114,16 +100,11 @@ impl TcpConfig {
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical parameters (zero MSS, zero initial window,
-    /// inverted RTO bounds); these are construction bugs.
+    /// Panics on nonsensical parameters (zero initial window, a minimum
+    /// RTO above the maximum); these are construction bugs.
     pub fn validate(&self) {
-        assert!(self.mss > 0, "mss must be positive");
         assert!(self.initial_window > 0, "initial window must be positive");
-        assert!(
-            self.dupack_threshold > 0,
-            "dupack threshold must be positive"
-        );
-        assert!(self.min_rto <= self.max_rto, "min_rto > max_rto");
+        assert!(self.min_rto <= MAX_RTO, "min_rto > max_rto");
     }
 }
 
@@ -152,10 +133,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "mss")]
-    fn zero_mss_rejected() {
+    #[should_panic(expected = "initial window")]
+    fn zero_initial_window_rejected() {
         TcpConfig {
-            mss: 0,
+            initial_window: 0,
             ..TcpConfig::default()
         }
         .validate();

@@ -26,6 +26,13 @@ use taq_sim::{
     TcpFlags, TimerId,
 };
 
+/// Initial timeout for an unanswered connection request (SYN), before
+/// any RTT estimate exists (RFC 6298 §2.1's 1 s initial RTO).
+pub(crate) const SYN_RETRY_INITIAL: SimDuration = SimDuration::from_secs(1);
+
+/// Cap on the SYN retry backoff.
+pub(crate) const SYN_RETRY_MAX: SimDuration = SimDuration::from_secs(8);
+
 /// Completion record for one requested object.
 ///
 /// `PartialEq` so determinism tests can compare whole record sets
@@ -513,10 +520,7 @@ impl ClientHost {
             completed_at: None,
             syn_retries: 0,
         };
-        let retry_timer = env.set_timer(
-            self.cfg.syn_retry_initial,
-            encode_token(slot, TimerKind::SynRetry),
-        );
+        let retry_timer = env.set_timer(SYN_RETRY_INITIAL, encode_token(slot, TimerKind::SynRetry));
         self.conns[slot] = Some(ClientConn {
             local_port,
             server: self.server,
@@ -772,8 +776,7 @@ impl ClientHost {
                 conn.record.syn_retries = retries;
                 let bytes = conn.record.bytes;
                 // Exponential backoff on connection attempts.
-                let delay = (self.cfg.syn_retry_initial * (1u64 << retries.min(8)))
-                    .min(self.cfg.syn_retry_max);
+                let delay = (SYN_RETRY_INITIAL * (1u64 << retries.min(8))).min(SYN_RETRY_MAX);
                 let timer = env.set_timer(delay, encode_token(slot, TimerKind::SynRetry));
                 if let Some(conn) = self.conns[slot].as_mut() {
                     conn.state = ConnState::Connecting {

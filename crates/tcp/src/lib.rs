@@ -32,7 +32,7 @@ mod receiver;
 mod rto;
 mod sender;
 
-pub use config::{TcpConfig, Variant};
+pub use config::{TcpConfig, Variant, MSS};
 pub use cubic::CubicState;
 pub use host::{
     new_flow_log, ClientHost, FlowLog, FlowRecord, HostEnv, Request, ServerHost, SharedFlowLog,
@@ -41,3 +41,33 @@ pub use io::{MockIo, TcpIo, TimerKind};
 pub use receiver::{ReceiverStats, TcpReceiver};
 pub use rto::RttEstimator;
 pub use sender::{SenderState, SenderStats, TcpSender};
+
+#[cfg(test)]
+mod tests {
+    use crate::config::MSS;
+    use crate::host::{SYN_RETRY_INITIAL, SYN_RETRY_MAX};
+    use crate::receiver::DELAYED_ACK_TIMEOUT;
+    use crate::rto::MAX_RTO;
+    use crate::sender::DUPACK_THRESHOLD;
+    use taq_sim::SimDuration;
+
+    /// The fixed parameters, each with where its value comes from.
+    #[test]
+    fn fixed_parameters_hold_their_values() {
+        // The paper's ns2-style 500-byte packets less the 40-byte header.
+        assert_eq!(MSS, 460);
+        // RFC 5681 §3.2: fast retransmit "uses the arrival of 3 duplicate
+        // ACKs" as the sign of a loss.
+        assert_eq!(DUPACK_THRESHOLD, 3);
+        // RFC 6298 §2.5: "a maximum value MAY be placed on RTO provided
+        // it is at least 60 seconds".
+        assert_eq!(MAX_RTO, SimDuration::from_secs(60));
+        // RFC 1122 §4.2.3.2: the ACK delay "MUST be less than 0.5
+        // seconds"; 100 ms sits well inside that.
+        assert_eq!(DELAYED_ACK_TIMEOUT, SimDuration::from_millis(100));
+        // RFC 6298 §2.1's 1 s initial RTO for the first SYN, doubling
+        // per retry up to 8 s (the cap is not an RFC number).
+        assert_eq!(SYN_RETRY_INITIAL, SimDuration::from_secs(1));
+        assert_eq!(SYN_RETRY_MAX, SimDuration::from_secs(8));
+    }
+}

@@ -7,7 +7,11 @@
 
 use crate::config::TcpConfig;
 use crate::io::{TcpIo, TimerKind};
-use taq_sim::{FlowKey, Packet, PacketBuilder, SackBlocks, SimTime, TimerId};
+use taq_sim::{FlowKey, Packet, PacketBuilder, SackBlocks, SimDuration, SimTime, TimerId};
+
+/// Delayed-ACK flush timer, when `delayed_ack` is set (RFC 1122
+/// §4.2.3.2: "the delay MUST be less than 0.5 seconds").
+pub(crate) const DELAYED_ACK_TIMEOUT: SimDuration = SimDuration::from_millis(100);
 
 /// Counters exposed for experiments and tests.
 #[derive(Debug, Default, Clone)]
@@ -237,8 +241,7 @@ impl TcpReceiver {
             if let Some(t) = self.delack_timer.take() {
                 io.cancel_timer(t);
             }
-            self.delack_timer =
-                Some(io.set_timer(self.cfg.delayed_ack_timeout, TimerKind::DelayedAck));
+            self.delack_timer = Some(io.set_timer(DELAYED_ACK_TIMEOUT, TimerKind::DelayedAck));
         }
     }
 

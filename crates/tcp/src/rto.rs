@@ -10,25 +10,28 @@
 
 use taq_sim::SimDuration;
 
+/// Upper bound on the retransmission timeout: backoff saturates here
+/// (RFC 6298 §2.5: "a maximum value MAY be placed on RTO provided it is
+/// at least 60 seconds").
+pub(crate) const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+
 /// RFC 6298 smoothed RTT estimator.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
     srtt: Option<f64>,
     rttvar: f64,
     min_rto: SimDuration,
-    max_rto: SimDuration,
     initial_rto: SimDuration,
 }
 
 impl RttEstimator {
-    /// Creates an estimator with the given RTO clamps and pre-sample
-    /// default.
-    pub fn new(min_rto: SimDuration, max_rto: SimDuration, initial_rto: SimDuration) -> Self {
+    /// Creates an estimator with the given RTO floor and pre-sample
+    /// default; the ceiling is `MAX_RTO` (60 s).
+    pub fn new(min_rto: SimDuration, initial_rto: SimDuration) -> Self {
         RttEstimator {
             srtt: None,
             rttvar: 0.0,
             min_rto,
-            max_rto,
             initial_rto,
         }
     }
@@ -60,7 +63,7 @@ impl RttEstimator {
         let raw = srtt + (4.0 * self.rttvar).max(0.001);
         SimDuration::from_secs_f64(raw)
             .max(self.min_rto)
-            .min(self.max_rto)
+            .min(MAX_RTO)
     }
 
     /// RTO after `backoff` consecutive timeouts (doubling, saturating at
@@ -68,7 +71,7 @@ impl RttEstimator {
     pub fn backed_off_rto(&self, backoff: u32) -> SimDuration {
         let base = self.rto();
         let factor = 1u64 << backoff.min(16);
-        (base * factor).min(self.max_rto)
+        (base * factor).min(MAX_RTO)
     }
 
     /// The smoothed RTT, if at least one sample has been taken.
@@ -87,11 +90,7 @@ mod tests {
     use super::*;
 
     fn est() -> RttEstimator {
-        RttEstimator::new(
-            SimDuration::from_millis(200),
-            SimDuration::from_secs(60),
-            SimDuration::from_secs(1),
-        )
+        RttEstimator::new(SimDuration::from_millis(200), SimDuration::from_secs(1))
     }
 
     #[test]

@@ -33,7 +33,8 @@ impl<T: Any> AnySink for T {
 ///
 /// Sinks are `Send` so a fully-wired [`crate::Telemetry`] hub can move
 /// into a sweep worker thread along with the simulator that feeds it,
-/// and `'static` (through [`AnySink`]) because the hub owns them.
+/// and `'static` (its supertrait `AnySink` requires `Any`) because the
+/// hub owns them.
 pub trait TelemetrySink: AnySink + Send {
     /// Handles one event.
     fn emit(&mut self, at_ns: u64, event: &Event);

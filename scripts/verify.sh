@@ -2,8 +2,8 @@
 # The local gate, tiered so CI and pre-push hooks can pick their depth.
 #
 #   VERIFY_TIER=quick   fast correctness gate (< 5 min): build, tests,
-#                       clippy, fmt, and a type-check of the repo
-#                       benchmark. The default.
+#                       clippy, fmt, rustdoc with warnings denied, and a
+#                       type-check of the repo benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark, of the sweep, fault-matrix, trace and
 #                       fluid-validation experiments and of the testbed, the
@@ -42,6 +42,13 @@ fmt_check() {
 
 lint() {
     run cargo clippy $OFFLINE --workspace --all-targets -- -D warnings
+}
+
+# Rustdoc with warnings denied: a doc link to a removed or private item
+# (a deleted config field, an unexported helper) fails here instead of
+# rendering as dead text.
+doc_check() {
+    run env RUSTDOCFLAGS="-D warnings" cargo doc $OFFLINE --workspace --no-deps
 }
 
 build_release() {
@@ -206,6 +213,7 @@ coverage() {
 quick() {
     fmt_check
     lint
+    doc_check
     build_release
     test_suite
     benchmark_check

@@ -47,7 +47,8 @@ fn scripted_flow_emits_exact_transition_sequence() {
         }
     }
     // The queue drops one of its packets: explicit loss recovery.
-    tab.on_drop(&key(), false, t(310));
+    let id = tab.id_of(&key()).unwrap();
+    tab.on_drop_id(id, false, t(310));
     // One fully silent epoch with the repair outstanding: the sender is
     // waiting out its RTO.
     tab.tick(t(450), |_| false);
