@@ -53,7 +53,7 @@ mod tracker;
 pub use admission::{AdmissionController, AdmissionDecision, LossRateMeter};
 pub use config::TaqConfig;
 pub use qdisc::{SharedTaq, TaqPair, TaqQdisc, TaqReverseQdisc, TaqState, TaqStats};
-pub use queues::{classify, fair_share_bps, QueueClass, TaqQueues};
+pub use queues::{classify, fair_share_bps, QueueClass, QueuedPkt, TaqQueues};
 pub use tracker::{flow_id, EpochCounters, FlowInfo, FlowState, FlowTable, Observation};
 
 #[cfg(test)]

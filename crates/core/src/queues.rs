@@ -145,34 +145,6 @@ impl std::fmt::Display for QueueClass {
     }
 }
 
-/// Classification lookup table. Index bits, most significant first:
-/// recovery, fq-only, new, over-penalized, above-share. The table
-/// encodes the fixed priority recovery > fq-only > new > over > above,
-/// with BelowFairShare as the default.
-const CLASS_LUT: [QueueClass; 32] = build_class_lut();
-
-const fn build_class_lut() -> [QueueClass; 32] {
-    let mut t = [QueueClass::BelowFairShare; 32];
-    let mut i = 0;
-    while i < 32 {
-        t[i] = if i & 0b10000 != 0 {
-            QueueClass::Recovery
-        } else if i & 0b01000 != 0 {
-            QueueClass::BelowFairShare
-        } else if i & 0b00100 != 0 {
-            QueueClass::NewFlow
-        } else if i & 0b00010 != 0 {
-            QueueClass::OverPenalized
-        } else if i & 0b00001 != 0 {
-            QueueClass::AboveFairShare
-        } else {
-            QueueClass::BelowFairShare
-        };
-        i += 1;
-    }
-    t
-}
-
 /// Classifies a packet's flow given its observation, the flow's
 /// currently buffered backlog, and the fair share (paper §4.2's queue
 /// definitions).
@@ -192,24 +164,28 @@ const fn build_class_lut() -> [QueueClass; 32] {
 /// per RTT and any flow keeping several packets buffered is by
 /// definition claiming more than its share.
 ///
-/// The five predicates are evaluated unconditionally (none has side
-/// effects) and combined through a 32-entry lookup table, keeping the
-/// per-packet classification branchless.
+/// The rules form one fixed priority chain: Recovery, then the
+/// plain-FQ ablation's single class, then NewFlow, OverPenalized and
+/// AboveFairShare, with BelowFairShare as the default.
 pub fn classify(
     obs: &Observation,
     backlog_pkts: usize,
     share_backlog_pkts: usize,
     fair_share_bps: f64,
 ) -> QueueClass {
-    let recovery = obs.repairs_our_drop | (obs.retransmission & obs.protected);
-    let over = obs.protected | (obs.recent_drops >= 2);
-    let above = (obs.rate_bps > fair_share_bps) | (backlog_pkts >= share_backlog_pkts.max(1));
-    let idx = ((recovery as usize) << 4)
-        | ((obs.fq_only as usize) << 3)
-        | ((obs.is_new as usize) << 2)
-        | ((over as usize) << 1)
-        | (above as usize);
-    CLASS_LUT[idx]
+    if obs.repairs_our_drop || (obs.retransmission && obs.protected) {
+        QueueClass::Recovery
+    } else if obs.fq_only {
+        QueueClass::BelowFairShare
+    } else if obs.is_new {
+        QueueClass::NewFlow
+    } else if obs.protected || obs.recent_drops >= 2 {
+        QueueClass::OverPenalized
+    } else if obs.rate_bps > fair_share_bps || backlog_pkts >= share_backlog_pkts.max(1) {
+        QueueClass::AboveFairShare
+    } else {
+        QueueClass::BelowFairShare
+    }
 }
 
 /// A buffered packet handle: the arena id plus the only per-packet
@@ -1219,13 +1195,23 @@ mod tests {
             classify(&mk(false, false, 0, 5_000.0), 2, 3, fs),
             QueueClass::BelowFairShare
         );
+        // Plain-FQ ablation: every non-recovery flow shares one class,
+        // whatever else it would be.
+        let fq_hog = Observation {
+            fq_only: true,
+            ..mk(false, true, 2, 50_000.0)
+        };
+        assert_eq!(classify(&fq_hog, 9, 1, fs), QueueClass::BelowFairShare);
     }
 
     #[test]
     fn lut_agrees_with_reference_branches() {
-        // Exhaustive check of the 32-entry table against the written-out
-        // priority chain.
-        for (bits, &got) in CLASS_LUT.iter().enumerate() {
+        // Exhaustive check over all 32 combinations of the five
+        // predicates (recovery, fq-only, new, over-penalized, above-share),
+        // each raised through every observation signal that can raise it,
+        // against the written-out priority chain.
+        let fs = 10_000.0;
+        for bits in 0..32u32 {
             let (recovery, fq, new, over, above) = (
                 bits & 16 != 0,
                 bits & 8 != 0,
@@ -1246,7 +1232,42 @@ mod tests {
             } else {
                 QueueClass::BelowFairShare
             };
-            assert_eq!(got, expect, "bits {bits:05b}");
+            for way in 0..2 {
+                let mut o = Observation {
+                    fq_only: fq,
+                    is_new: new,
+                    rate_bps: 5_000.0,
+                    ..obs(false, 0)
+                };
+                if recovery {
+                    if way == 0 {
+                        o.repairs_our_drop = true;
+                    } else {
+                        o.retransmission = true;
+                        o.protected = true;
+                    }
+                }
+                if over {
+                    if way == 0 {
+                        o.recent_drops = 2;
+                    } else {
+                        o.protected = true;
+                    }
+                }
+                let (backlog, share_backlog) = match (above, way) {
+                    (true, 0) => {
+                        o.rate_bps = 50_000.0;
+                        (0, 1)
+                    }
+                    (true, _) => (3, 3),
+                    (false, _) => (0, 1),
+                };
+                assert_eq!(
+                    classify(&o, backlog, share_backlog, fs),
+                    expect,
+                    "bits {bits:05b} way {way}"
+                );
+            }
         }
     }
 
@@ -1594,377 +1615,6 @@ mod tests {
             check(&qp, &mut a);
         }
         assert!(a.is_empty());
-    }
-
-    // ---- The scanning oracle ---------------------------------------
-    //
-    // What each indexed pick replaced, bodies unchanged: a `max_by` /
-    // `min_by` / `any` over the flows of one class in ring order.
-
-    fn scan_best_recovery(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
-        ring.max_by(|a, b| {
-            let (ia, ib) = (a.index(), b.index());
-            f.silence[ia]
-                .cmp(&f.silence[ib])
-                .then(f.last_normal_at[ib].cmp(&f.last_normal_at[ia]))
-                .then(b.cmp(a))
-        })
-    }
-
-    fn scan_recovery_victim(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
-        ring.min_by(|a, b| {
-            let (ia, ib) = (a.index(), b.index());
-            f.silence[ia]
-                .cmp(&f.silence[ib])
-                .then(f.last_normal_at[ib].cmp(&f.last_normal_at[ia]))
-                .then(a.cmp(b))
-        })
-    }
-
-    fn scan_victim_by_score(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
-        ring.max_by_key(|k| {
-            let i = k.index();
-            (f.score[i], f.packets[i].len(), Reverse(*k))
-        })
-    }
-
-    fn scan_victim_by_backlog(f: &FlowSlabs, ring: impl Iterator<Item = FlowId>) -> Option<FlowId> {
-        ring.max_by_key(|k| (f.packets[k.index()].len(), Reverse(*k)))
-    }
-
-    fn scan_below_burst(f: &FlowSlabs, mut ring: impl Iterator<Item = FlowId>) -> bool {
-        ring.any(|k| f.packets[k.index()].len() >= 2)
-    }
-
-    /// Every answer the indexes give against the scan over the same
-    /// queue's own lists and slabs.
-    fn assert_index_matches_scan(q: &TaqQueues) {
-        let f = &q.flows;
-        assert_eq!(
-            q.best_recovery(),
-            scan_best_recovery(f, q.class_iter(RECOVERY))
-        );
-        assert_eq!(
-            q.recovery_victim(),
-            scan_recovery_victim(f, q.class_iter(RECOVERY))
-        );
-        for class in QueueClass::ALL {
-            let c = class.index();
-            if BY_SCORE[c] {
-                assert_eq!(
-                    q.victim_by_score(class),
-                    scan_victim_by_score(f, q.class_iter(c)),
-                    "{class} by score"
-                );
-            }
-            if BY_BACKLOG[c] {
-                assert_eq!(
-                    q.victim_by_backlog(class),
-                    scan_victim_by_backlog(f, q.class_iter(c)),
-                    "{class} by backlog"
-                );
-            }
-        }
-        assert_eq!(
-            q.below_burst(),
-            scan_below_burst(f, q.class_iter(QueueClass::BelowFairShare.index()))
-        );
-    }
-
-    /// The pre-index `TaqQueues`, kept whole as the twin the indexed
-    /// one must match packet for packet: class rings are `VecDeque`s
-    /// unlinked by `retain`, and every pick is one of the scans above.
-    struct ScanQueues {
-        flows: FlowSlabs,
-        rings: [VecDeque<FlowId>; 5],
-        len: usize,
-        sched: SchedState,
-    }
-
-    impl ScanQueues {
-        fn new() -> Self {
-            ScanQueues {
-                flows: FlowSlabs::default(),
-                rings: Default::default(),
-                len: 0,
-                sched: queues().sched,
-            }
-        }
-
-        fn ring(&self, class: QueueClass) -> impl Iterator<Item = FlowId> + '_ {
-            self.rings[class.index()].iter().copied()
-        }
-
-        fn class_len(&self, class: QueueClass) -> usize {
-            self.sched.class_pkts[class.index()]
-        }
-
-        fn migrate(&mut self, id: FlowId, to: QueueClass) {
-            let idx = id.index();
-            let from = self.flows.class[idx] as usize;
-            if from == to.index() {
-                return;
-            }
-            let moved = self.flows.packets[idx].len();
-            self.flows.class[idx] = to.index() as u8;
-            self.sched.class_pkts[from] -= moved;
-            self.sched.class_pkts[to.index()] += moved;
-            self.rings[from].retain(|k| *k != id);
-            self.rings[to.index()].push_back(id);
-        }
-
-        fn push(&mut self, class: QueueClass, qp: QueuedPkt, obs: &Observation) {
-            let id = qp.flow;
-            let idx = id.index();
-            self.flows.ensure(idx);
-            if self.flows.class[idx] != NO_CLASS {
-                self.flows.score[idx] = obs.window_estimate;
-                if class == QueueClass::Recovery {
-                    self.flows.silence[idx] = self.flows.silence[idx].max(obs.silent_epochs);
-                }
-                self.flows.last_normal_at[idx] = obs.last_normal_at;
-                self.flows.packets[idx].push_back(qp);
-                let cur = self.flows.class[idx] as usize;
-                self.sched.class_pkts[cur] += 1;
-                let keep_recovery = cur == RECOVERY && class != QueueClass::Recovery;
-                if !keep_recovery {
-                    self.migrate(id, class);
-                }
-            } else {
-                self.flows.class[idx] = class.index() as u8;
-                self.flows.score[idx] = obs.window_estimate;
-                self.flows.silence[idx] = obs.silent_epochs;
-                self.flows.last_normal_at[idx] = obs.last_normal_at;
-                self.flows.packets[idx].push_back(qp);
-                self.sched.class_pkts[class.index()] += 1;
-                self.rings[class.index()].push_back(id);
-            }
-            self.len += 1;
-        }
-
-        fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
-            let idx = id.index();
-            let qp = self.flows.packets[idx].remove(pkt_idx).expect("valid");
-            let class = self.flows.class[idx] as usize;
-            self.sched.class_pkts[class] -= 1;
-            if self.flows.packets[idx].is_empty() {
-                self.flows.class[idx] = NO_CLASS;
-                self.rings[class].retain(|k| *k != id);
-            }
-            self.len -= 1;
-            qp
-        }
-
-        fn pop_rr(&mut self, class: QueueClass) -> Option<QueuedPkt> {
-            let id = self.rings[class.index()].pop_front()?;
-            self.rings[class.index()].push_back(id);
-            Some(self.remove_at(id, 0))
-        }
-
-        fn pop(&mut self, now: SimTime) -> Option<QueuedPkt> {
-            let dt = now.saturating_since(self.sched.last_refill).as_secs_f64();
-            self.sched.last_refill = now;
-            self.sched.recovery_tokens = (self.sched.recovery_tokens
-                + dt * self.sched.recovery_rate_bps)
-                .min(self.sched.token_cap);
-            let recovery_pkts = self.class_len(QueueClass::Recovery);
-            if recovery_pkts > 0 {
-                let id = scan_best_recovery(&self.flows, self.ring(QueueClass::Recovery))
-                    .expect("non-empty");
-                let bits = f64::from(self.flows.packets[id.index()][0].wire) * 8.0;
-                let others_waiting = self.len > recovery_pkts;
-                if self.sched.recovery_tokens >= bits || !others_waiting {
-                    self.sched.recovery_tokens = (self.sched.recovery_tokens - bits).max(0.0);
-                    return Some(self.remove_at(id, 0));
-                }
-            }
-            // Level 2 as the guarded scan the branchless pick stands
-            // for: rotation order, only a strictly deeper class wins.
-            let level2 = [
-                QueueClass::BelowFairShare,
-                QueueClass::NewFlow,
-                QueueClass::OverPenalized,
-            ];
-            let mut pick = None;
-            let mut deepest = 0;
-            for k in 0..3 {
-                let class = level2[(self.sched.rr_next as usize + k) % 3];
-                if self.class_len(class) > deepest {
-                    deepest = self.class_len(class);
-                    pick = Some(class);
-                }
-            }
-            if let Some(class) = pick {
-                self.sched.rr_next = (self.sched.rr_next + 1) % 3;
-                return self.pop_rr(class);
-            }
-            self.pop_rr(QueueClass::AboveFairShare)
-        }
-
-        fn first_data_idx(&self, id: FlowId) -> Option<usize> {
-            self.flows.packets[id.index()]
-                .iter()
-                .position(|qp| !qp.synack)
-        }
-
-        fn evict_from(
-            &mut self,
-            class: QueueClass,
-            by_score: bool,
-            spare_synack: bool,
-        ) -> Option<QueuedPkt> {
-            let id = if by_score {
-                scan_victim_by_score(&self.flows, self.ring(class))?
-            } else {
-                scan_victim_by_backlog(&self.flows, self.ring(class))?
-            };
-            if spare_synack {
-                if let Some(idx) = self.first_data_idx(id) {
-                    return Some(self.remove_at(id, idx));
-                }
-                let fallback = self.ring(class).find(|k| self.first_data_idx(*k).is_some());
-                if let Some(k) = fallback {
-                    let idx = self.first_data_idx(k).expect("checked");
-                    return Some(self.remove_at(k, idx));
-                }
-            }
-            Some(self.remove_at(id, 0))
-        }
-
-        fn evict_staged(&mut self) -> Option<(QueuedPkt, bool, u8)> {
-            if let Some(qp) = self.evict_from(QueueClass::AboveFairShare, true, false) {
-                return Some((qp, false, 1));
-            }
-            if scan_below_burst(&self.flows, self.ring(QueueClass::BelowFairShare)) {
-                if let Some(qp) = self.evict_from(QueueClass::BelowFairShare, false, true) {
-                    return Some((qp, false, 2));
-                }
-            }
-            if let Some(qp) = self.evict_from(QueueClass::NewFlow, false, true) {
-                return Some((qp, false, 3));
-            }
-            if let Some(qp) = self.evict_from(QueueClass::BelowFairShare, true, true) {
-                return Some((qp, false, 4));
-            }
-            if let Some(qp) = self.evict_from(QueueClass::OverPenalized, true, true) {
-                return Some((qp, false, 5));
-            }
-            let victim = scan_recovery_victim(&self.flows, self.ring(QueueClass::Recovery));
-            victim.map(|id| (self.remove_at(id, 0), true, 6))
-        }
-    }
-
-    #[test]
-    fn index_matches_scan_under_random_churn() {
-        // The indexed queue against (a) the scans run over its own
-        // lists before every pop and eviction, and (b) the scanning
-        // twin fed the same schedule, packet for packet. Six phases per
-        // seed, each growing one favoured class past 500 flows from
-        // empty, holding it at the buffer cap by eviction, then
-        // draining everything.
-        const PHASES: u64 = 6;
-        const STEPS_PER_PHASE: u64 = 4_000;
-        const CAP: usize = 1_100;
-        const FLOW_IDS: u64 = 4_000;
-        // Ids from here up only ever send SYN-ACKs.
-        const SYNACK_ONLY_FROM: u64 = 3_800;
-        for seed in [7u64, 42, 0x1DE5] {
-            let mut a = PacketArena::new();
-            let mut rng = taq_sim::SimRng::new(seed);
-            let mut q = queues();
-            let mut twin = ScanQueues::new();
-            let ident = |qp: QueuedPkt| (qp.pkt_id, qp.flow, qp.wire, qp.synack);
-            let ident3 = |(qp, retx, stage): (QueuedPkt, bool, u8)| (ident(qp), retx, stage);
-            let mut now_ms = 0u64;
-            let mut next_pkt = 0u64;
-            let mut peak_flows = [0usize; 5];
-            let mut stages = [0u32; 7];
-            let mut rekeyed_in_recovery = 0u32;
-            for step in 0..PHASES * STEPS_PER_PHASE {
-                let phase = step / STEPS_PER_PHASE;
-                now_ms += rng.next_below(3);
-                let now = SimTime::from_millis(now_ms);
-                if rng.chance(0.75) {
-                    // The last phase has no favourite.
-                    let class = if phase < 5 && rng.chance(0.7) {
-                        QueueClass::ALL[phase as usize]
-                    } else {
-                        QueueClass::ALL[rng.next_below(5) as usize]
-                    };
-                    let port = rng.next_below(FLOW_IDS);
-                    next_pkt += 1;
-                    let qp = if port >= SYNACK_ONLY_FROM || rng.chance(0.05) {
-                        synack(&mut a, port as u16, next_pkt)
-                    } else {
-                        pkt(&mut a, port as u16, next_pkt)
-                    };
-                    // Small value ranges: ties on every key field.
-                    let o = Observation {
-                        window_estimate: rng.next_below(6) as u32,
-                        last_normal_at: SimTime::from_millis(10 * rng.next_below(8)),
-                        ..obs(class == QueueClass::Recovery, rng.next_below(5) as u32)
-                    };
-                    if q.class_of(qp.flow) == Some(RECOVERY) {
-                        rekeyed_in_recovery += 1;
-                    }
-                    q.push(class, qp, &o);
-                    twin.push(class, qp, &o);
-                }
-                if rng.chance(0.15) {
-                    assert_index_matches_scan(&q);
-                    assert_eq!(q.pop(now).map(ident), twin.pop(now).map(ident));
-                }
-                if rng.chance(0.04) {
-                    assert_index_matches_scan(&q);
-                    for _ in 0..1 + rng.next_below(6) {
-                        assert_eq!(q.pop(now).map(ident), twin.pop(now).map(ident));
-                    }
-                }
-                let extra = usize::from(rng.chance(0.06));
-                for _ in 0..q.len().saturating_sub(CAP) + extra {
-                    assert_index_matches_scan(&q);
-                    let got = q.evict_staged();
-                    let want = twin.evict_staged();
-                    assert_eq!(got.map(ident3), want.map(ident3), "seed {seed} step {step}");
-                    if let Some((_, _, stage)) = got {
-                        stages[stage as usize] += 1;
-                    }
-                }
-                assert_eq!(q.len(), twin.len);
-                assert_eq!(q.sched.class_pkts, twin.sched.class_pkts);
-                for class in QueueClass::ALL {
-                    let flows = q.class_flows(class);
-                    assert_eq!(flows, twin.rings[class.index()].len());
-                    peak_flows[class.index()] = peak_flows[class.index()].max(flows);
-                }
-                if step % 256 == 0 {
-                    q.check_invariants();
-                    for class in QueueClass::ALL {
-                        assert!(
-                            q.class_iter(class.index()).eq(twin.ring(class)),
-                            "{class} rotation order, seed {seed} step {step}"
-                        );
-                    }
-                }
-                if (step + 1) % STEPS_PER_PHASE == 0 {
-                    let end = SimTime::from_millis(now_ms);
-                    while let Some(qp) = q.pop(end) {
-                        assert_eq!(Some(ident(qp)), twin.pop(end).map(ident));
-                    }
-                    assert!(q.is_empty() && twin.len == 0);
-                    q.check_invariants();
-                }
-            }
-            assert!(
-                peak_flows.iter().all(|&n| n >= 500),
-                "every class reaches 500 flows: {peak_flows:?}"
-            );
-            assert!(
-                stages[1..].iter().all(|&n| n > 0),
-                "every eviction stage fires: {stages:?}"
-            );
-            assert!(rekeyed_in_recovery > 500, "{rekeyed_in_recovery}");
-        }
     }
 
     #[test]

@@ -11,10 +11,6 @@ pub const MSS: u32 = 460;
 /// Loss-recovery variant of the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
-    /// Classic Reno: fast retransmit/recovery, exits recovery on the
-    /// first partial ACK (handles one loss per window well, multiple
-    /// losses poorly).
-    Reno,
     /// NewReno (RFC 6582): stays in recovery across partial ACKs,
     /// retransmitting one hole per RTT.
     NewReno,

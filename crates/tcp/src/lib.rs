@@ -6,7 +6,7 @@
 //! - slow start and congestion avoidance over byte-based windows,
 //! - duplicate-ACK fast retransmit (3 dupACKs, hence impossible below
 //!   4 segments in flight — the small-packet-regime breakdown),
-//! - Reno, NewReno (RFC 6582) and SACK-scoreboard loss recovery,
+//! - NewReno (RFC 6582) and SACK-scoreboard loss recovery,
 //! - RFC 6298 RTO with exponential backoff that collapses only on a
 //!   fresh RTT sample (Karn's algorithm), producing the repetitive
 //!   timeouts and geometric silences the paper models,

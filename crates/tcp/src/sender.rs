@@ -2,7 +2,7 @@
 //!
 //! Implements the data-sending half of a connection: SYN-ACK handshake
 //! reply, slow start, congestion avoidance, duplicate-ACK fast
-//! retransmit, Reno / NewReno (RFC 6582) / SACK-scoreboard loss recovery,
+//! retransmit, NewReno (RFC 6582) / SACK-scoreboard loss recovery,
 //! and the RFC 6298 retransmission timer with exponential backoff.
 //!
 //! Two behaviours matter specially for the paper's small-packet-regime
@@ -437,14 +437,6 @@ impl TcpSender {
                 self.dup_acks = 0;
             } else {
                 match self.cfg.variant {
-                    Variant::Reno => {
-                        // Classic Reno deflates fully on the first
-                        // partial ACK and hopes; multiple losses in a
-                        // window then typically cost a timeout.
-                        self.cwnd = self.ssthresh.max(f64::from(MSS));
-                        self.in_recovery = false;
-                        self.dup_acks = 0;
-                    }
                     Variant::NewReno | Variant::Cubic => {
                         // Partial ACK: retransmit the next hole, deflate
                         // by the amount acked, stay in recovery.
@@ -891,27 +883,6 @@ mod tests {
         s.on_packet(&ack_pkt(s.recover), &mut io);
         assert!(!s.in_recovery);
         assert_eq!(s.stats.timeouts, 0);
-    }
-
-    #[test]
-    fn reno_partial_ack_exits_recovery() {
-        let cfg = TcpConfig {
-            variant: Variant::Reno,
-            ..TcpConfig::default()
-        };
-        let (mut s, mut io) = established(1_000_000, cfg);
-        let w1 = io.take_sent();
-        for p in &w1 {
-            s.on_packet(&ack_pkt(p.seq_end()), &mut io);
-        }
-        io.take_sent();
-        let una = s.snd_una;
-        for _ in 0..3 {
-            s.on_packet(&ack_pkt(una), &mut io);
-        }
-        io.take_sent();
-        s.on_packet(&ack_pkt(una + 460), &mut io);
-        assert!(!s.in_recovery, "Reno leaves recovery on partial ACK");
     }
 
     #[test]

@@ -128,9 +128,10 @@ testbed_smoke() {
 # handles' identity: a handle cancels its own pending event once, and a
 # fired, cancelled, recycled, foreign or synthetic one matches nothing),
 # the engine's (timer cancellation, failed cancels changing nothing,
-# event counting, routing) and the TAQ queue layer's —
-# among them the index-vs-scan oracle every pop and eviction rests on
-# and the slot heap against its sorted-Vec oracle. Each command runs
+# event counting, routing), the TAQ queue layer's (among them the slot
+# heap against its sorted-Vec oracle), and the reference TAQ written
+# from the paper (tests/reference_taq.rs) that every class, drop, pop,
+# eviction and tracker state is held to. Each command runs
 # twice: in the debug profile,
 # where `debug_assert`s and overflow checks are on, and with --release,
 # the build every figure and benchmark number comes from — test_suite
@@ -147,6 +148,7 @@ execution_conformance() {
         run cargo test $OFFLINE $profile -q -p taq-sim --lib events::
         run cargo test $OFFLINE $profile -q -p taq-sim --lib engine::
         run cargo test $OFFLINE $profile -q -p taq --lib queues::
+        run cargo test $OFFLINE $profile -q --test reference_taq
     done
     run cargo bench $OFFLINE -q -p taq-bench --bench qdisc_throughput -- --ungated
 }
