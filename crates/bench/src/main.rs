@@ -30,7 +30,6 @@ mod experiments {
     pub mod fig12_admission_cdf;
     pub mod fluid_validation;
     pub mod model_tipping_point;
-    pub mod modern_stacks;
     pub mod sec23_user_hangs;
     pub mod telemetry_report;
     pub mod topo_placement;
@@ -59,7 +58,6 @@ experiments! {
     fig12_admission_cdf:     42, SweepArgs::SCALE;
     sec23_user_hangs:        42, SweepArgs::SWEEP;
     ablation_taq:            42, SweepArgs::SCALE;
-    modern_stacks:           42, SweepArgs::SCALE;
     topo_placement:          42, SweepArgs::SWEEP;
     faults_matrix:            7, SweepArgs::SWEEP;
     model_tipping_point:      0, &["--threads N"];

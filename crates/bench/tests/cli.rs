@@ -41,7 +41,6 @@ fn an_unknown_experiment_exits_2_and_lists_all_of_them() {
         "fig12_admission_cdf",
         "sec23_user_hangs",
         "ablation_taq",
-        "modern_stacks",
         "topo_placement",
         "faults_matrix",
         "model_tipping_point",
@@ -51,7 +50,10 @@ fn an_unknown_experiment_exits_2_and_lists_all_of_them() {
     ] {
         assert!(err.contains(name), "{name} missing from:\n{err}");
     }
+    assert!(!err.contains("taq-bench modern_stacks"), "{err}");
     assert_eq!(taq_bench(&[]).status.code(), Some(2), "no experiment named");
+    let removed = taq_bench(&["modern_stacks"]);
+    assert_eq!(removed.status.code(), Some(2), "a deleted experiment");
 }
 
 /// Pure math: the whole experiment runs in milliseconds.

@@ -24,6 +24,7 @@ use crate::tracker::{flow_id, FlowTable};
 use std::sync::{Arc, Mutex};
 use taq_sim::{
     EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime, TcpFlags,
+    UnboundedFifo,
 };
 use taq_telemetry::{Event, GaugeId, HistogramId, ScopedTimer, Telemetry, Value};
 
@@ -506,8 +507,7 @@ pub struct TaqQdisc {
 #[derive(Debug)]
 pub struct TaqReverseQdisc {
     state: SharedTaq,
-    fifo: std::collections::VecDeque<(PacketId, u32)>,
-    bytes: usize,
+    fifo: UnboundedFifo,
 }
 
 /// Constructor bundle for the two halves of one middlebox.
@@ -530,8 +530,7 @@ impl TaqPair {
             },
             reverse: TaqReverseQdisc {
                 state: state.clone(),
-                fifo: std::collections::VecDeque::new(),
-                bytes: 0,
+                fifo: UnboundedFifo::new(),
             },
             state,
         }
@@ -574,20 +573,15 @@ impl Qdisc for TaqQdisc {
 
 impl Qdisc for TaqReverseQdisc {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        let wire = arena.get(pkt).wire_len();
         let decision = self.state.lock().unwrap().observe_reverse(pkt, arena, now);
         if decision == AdmissionDecision::Reject {
             return EnqueueOutcome::rejected(pkt);
         }
-        self.bytes += wire as usize;
-        self.fifo.push_back((pkt, wire));
-        EnqueueOutcome::accepted()
+        self.fifo.enqueue(pkt, arena, now)
     }
 
-    fn dequeue(&mut self, _arena: &mut PacketArena, _now: SimTime) -> Option<PacketId> {
-        let (pkt, wire) = self.fifo.pop_front()?;
-        self.bytes -= wire as usize;
-        Some(pkt)
+    fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketId> {
+        self.fifo.dequeue(arena, now)
     }
 
     fn len(&self) -> usize {
@@ -595,7 +589,7 @@ impl Qdisc for TaqReverseQdisc {
     }
 
     fn byte_len(&self) -> usize {
-        self.bytes
+        self.fifo.byte_len()
     }
 
     fn name(&self) -> &'static str {

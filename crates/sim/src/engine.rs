@@ -346,10 +346,8 @@ impl Ctx<'_> {
 
 /// The discrete-event simulator.
 pub struct Simulator {
-    /// Per node: its agent. `None` for a router
-    /// ([`Simulator::add_router`]), and for an agent only while one of
-    /// its callbacks runs — so between events, where arrivals are
-    /// dispatched, `None` means router.
+    /// Per node: its agent, or `None` for a router
+    /// ([`Simulator::add_router`]).
     agents: Vec<Option<Box<dyn Agent>>>,
     world: World,
     max_events: u64,
@@ -631,15 +629,14 @@ impl Simulator {
     }
 
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
-        let mut agent = self.agents[node.0 as usize]
-            .take()
-            .expect("re-entrant agent dispatch, or a start scheduled on a router");
+        let agent = self.agents[node.0 as usize]
+            .as_deref_mut()
+            .expect("a start or timer scheduled on a router");
         let mut ctx = Ctx {
             world: &mut self.world,
             node,
         };
-        f(agent.as_mut(), &mut ctx);
-        self.agents[node.0 as usize] = Some(agent);
+        f(agent, &mut ctx);
     }
 
     /// Runs until the event queue drains or the clock passes `until`.

@@ -8,6 +8,9 @@ use taq_sim::SimDuration;
 /// header.
 pub const MSS: u32 = 460;
 
+/// Initial congestion window, in segments: the paper's ns2-style setup.
+pub const INITIAL_WINDOW: u32 = 2;
+
 /// Loss-recovery variant of the sender.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Variant {
@@ -18,21 +21,16 @@ pub enum Variant {
     /// losses per window can be repaired without timeouts (subject to
     /// having enough dupACKs, which small windows do not provide).
     Sack,
-    /// CUBIC congestion avoidance (RFC 8312, simplified) over NewReno
-    /// loss recovery — the "modern stack" the paper's SPK definition
-    /// references.
-    Cubic,
 }
 
 /// Configuration for a TCP sender/receiver pair.
 ///
 /// Defaults mirror the paper's ns2-style setup: 500-byte on-the-wire
-/// segments ([`MSS`] + 40-byte header), initial window of 2 segments, no
-/// delayed ACKs, NewReno recovery, and RFC 6298's 1 s minimum RTO.
+/// segments ([`MSS`] + 40-byte header), an initial window of
+/// [`INITIAL_WINDOW`] segments, no delayed ACKs, NewReno recovery, and
+/// RFC 6298's 1 s minimum RTO.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Initial congestion window, in segments.
-    pub initial_window: u32,
     /// Loss-recovery variant.
     pub variant: Variant,
     /// Lower bound on the retransmission timeout (RFC 6298 §2.4: SHOULD
@@ -52,7 +50,6 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            initial_window: 2,
             variant: Variant::NewReno,
             min_rto: SimDuration::from_secs(1),
             delayed_ack: false,
@@ -63,24 +60,9 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// The "modern stack" profile the paper's SPK(k) discussion cites:
-    /// CUBIC with an initial window of 10 segments.
-    pub fn cubic_modern() -> Self {
-        TcpConfig {
-            variant: Variant::Cubic,
-            initial_window: 10,
-            ..TcpConfig::default()
-        }
-    }
-
     /// On-the-wire size of a full segment (MSS + header).
     pub fn wire_segment(&self) -> u32 {
         MSS + taq_sim::Packet::DEFAULT_HEADER
-    }
-
-    /// Initial congestion window in bytes.
-    pub fn iw_bytes(&self) -> u64 {
-        u64::from(self.initial_window) * u64::from(MSS)
     }
 
     /// Window cap in bytes, or `u64::MAX` if uncapped.
@@ -96,10 +78,8 @@ impl TcpConfig {
     ///
     /// # Panics
     ///
-    /// Panics on nonsensical parameters (zero initial window, a minimum
-    /// RTO above the maximum); these are construction bugs.
+    /// Panics on a minimum RTO above the maximum, a construction bug.
     pub fn validate(&self) {
-        assert!(self.initial_window > 0, "initial window must be positive");
         assert!(self.min_rto <= MAX_RTO, "min_rto > max_rto");
     }
 }
@@ -113,7 +93,7 @@ mod tests {
         let c = TcpConfig::default();
         c.validate();
         assert_eq!(c.wire_segment(), 500, "500-byte on-the-wire packets");
-        assert_eq!(c.iw_bytes(), 920);
+        assert_eq!(INITIAL_WINDOW * MSS, 920, "initial window in bytes");
         assert_eq!(c.variant, Variant::NewReno);
         assert!(!c.delayed_ack);
         assert_eq!(c.max_window_bytes(), u64::MAX);
@@ -126,15 +106,5 @@ mod tests {
             ..TcpConfig::default()
         };
         assert_eq!(c.max_window_bytes(), 6 * 460);
-    }
-
-    #[test]
-    #[should_panic(expected = "initial window")]
-    fn zero_initial_window_rejected() {
-        TcpConfig {
-            initial_window: 0,
-            ..TcpConfig::default()
-        }
-        .validate();
     }
 }

@@ -25,15 +25,13 @@
 //! real-time testbed run the same hosts.
 
 mod config;
-mod cubic;
 mod host;
 mod io;
 mod receiver;
 mod rto;
 mod sender;
 
-pub use config::{TcpConfig, Variant, MSS};
-pub use cubic::CubicState;
+pub use config::{TcpConfig, Variant, INITIAL_WINDOW, MSS};
 pub use host::{
     new_flow_log, ClientHost, FlowLog, FlowRecord, HostEnv, Request, ServerHost, SharedFlowLog,
 };
@@ -44,7 +42,7 @@ pub use sender::{SenderState, SenderStats, TcpSender};
 
 #[cfg(test)]
 mod tests {
-    use crate::config::MSS;
+    use crate::config::{INITIAL_WINDOW, MSS};
     use crate::host::{SYN_RETRY_INITIAL, SYN_RETRY_MAX};
     use crate::receiver::DELAYED_ACK_TIMEOUT;
     use crate::rto::MAX_RTO;
@@ -56,6 +54,9 @@ mod tests {
     fn fixed_parameters_hold_their_values() {
         // The paper's ns2-style 500-byte packets less the 40-byte header.
         assert_eq!(MSS, 460);
+        // The paper's ns2 setup starts every flow with a window of two
+        // segments.
+        assert_eq!(INITIAL_WINDOW, 2);
         // RFC 5681 §3.2: fast retransmit "uses the arrival of 3 duplicate
         // ACKs" as the sign of a loss.
         assert_eq!(DUPACK_THRESHOLD, 3);

@@ -24,8 +24,7 @@
 //! Sequence numbering: the SYN-ACK consumes sequence 0, data occupies
 //! `[1, 1+len)`, and the FIN consumes `1+len`.
 
-use crate::config::{TcpConfig, Variant, MSS};
-use crate::cubic::CubicState;
+use crate::config::{TcpConfig, Variant, INITIAL_WINDOW, MSS};
 use crate::io::{TcpIo, TimerKind};
 use crate::rto::RttEstimator;
 use taq_sim::{FlowKey, Packet, PacketBuilder, SimTime, TcpFlags, TimerId};
@@ -87,9 +86,6 @@ pub struct TcpSender {
     /// NewReno recovery point: recovery ends when `snd_una` passes it.
     recover: u64,
 
-    /// CUBIC growth state (used when the variant is Cubic).
-    cubic: CubicState,
-
     // SACK scoreboard: sorted, disjoint sacked ranges above snd_una.
     sacked: Vec<(u64, u64)>,
     /// Highest sequence retransmitted in the current SACK recovery
@@ -123,7 +119,7 @@ impl TcpSender {
     pub fn new(cfg: TcpConfig, flow: FlowKey, object_len: u64) -> Self {
         cfg.validate();
         let rtt = RttEstimator::new(cfg.min_rto, cfg.initial_rto);
-        let cwnd = cfg.iw_bytes() as f64;
+        let cwnd = f64::from(INITIAL_WINDOW * MSS);
         let ssthresh = cfg.max_window_bytes().min(1 << 30) as f64;
         TcpSender {
             cfg,
@@ -140,7 +136,6 @@ impl TcpSender {
             dup_acks: 0,
             in_recovery: false,
             recover: 0,
-            cubic: CubicState::default(),
             sacked: Vec::new(),
             sack_retx_mark: 0,
             rtt,
@@ -325,12 +320,7 @@ impl TcpSender {
         // Karn: an RTO invalidates any outstanding probe.
         self.rtt_probe = None;
         let flight = self.flight_size() as f64;
-        let mss = f64::from(MSS);
-        self.ssthresh = if self.cfg.variant == Variant::Cubic {
-            self.cubic.on_congestion(self.cwnd / mss) * mss
-        } else {
-            (flight / 2.0).max(2.0 * mss)
-        };
+        self.ssthresh = (flight / 2.0).max(2.0 * f64::from(MSS));
         self.cwnd = f64::from(MSS);
         self.in_recovery = false;
         self.dup_acks = 0;
@@ -397,12 +387,7 @@ impl TcpSender {
     fn enter_fast_recovery(&mut self, io: &mut dyn TcpIo) {
         self.stats.fast_retransmits += 1;
         let flight = self.flight_size() as f64;
-        let mss = f64::from(MSS);
-        self.ssthresh = if self.cfg.variant == Variant::Cubic {
-            self.cubic.on_congestion(self.cwnd / mss) * mss
-        } else {
-            (flight / 2.0).max(2.0 * mss)
-        };
+        self.ssthresh = (flight / 2.0).max(2.0 * f64::from(MSS));
         self.recover = self.snd_nxt;
         self.in_recovery = true;
         self.sack_retx_mark = self.snd_una;
@@ -437,7 +422,7 @@ impl TcpSender {
                 self.dup_acks = 0;
             } else {
                 match self.cfg.variant {
-                    Variant::NewReno | Variant::Cubic => {
+                    Variant::NewReno => {
                         // Partial ACK: retransmit the next hole, deflate
                         // by the amount acked, stay in recovery.
                         self.retransmit_at(self.snd_una, io);
@@ -457,12 +442,6 @@ impl TcpSender {
             // Window growth, capped.
             if self.cwnd < self.ssthresh {
                 self.cwnd += f64::from(MSS);
-            } else if self.cfg.variant == Variant::Cubic {
-                let mss = f64::from(MSS);
-                let segs = self.cwnd / mss;
-                let rtt = self.rtt.srtt().unwrap_or(0.2);
-                let new_segs = self.cubic.on_ack(segs, rtt / segs.max(1.0), rtt);
-                self.cwnd = new_segs * mss;
             } else {
                 self.cwnd += f64::from(MSS) * f64::from(MSS) / self.cwnd.max(1.0);
             }
@@ -889,12 +868,16 @@ mod tests {
     fn sack_recovery_repairs_multiple_holes() {
         let cfg = TcpConfig {
             variant: Variant::Sack,
-            initial_window: 8,
             ..TcpConfig::default()
         };
         let (mut s, mut io) = established(1_000_000, cfg);
-        let w1 = io.take_sent();
-        assert_eq!(w1.len(), 8);
+        // Two slow-start rounds grow the window from 2 to 8 segments.
+        for _ in 0..2 {
+            for p in &io.take_sent() {
+                s.on_packet(&ack_pkt(p.seq_end()), &mut io);
+            }
+        }
+        assert_eq!(io.take_sent().len(), 8);
         let una = s.snd_una;
         // Segments 0 and 2 lost; receiver SACKs {1} then {1,3} then
         // {1,3,4}...
@@ -991,47 +974,17 @@ mod tests {
     fn window_cap_limits_flight() {
         let cfg = TcpConfig {
             max_window_segments: 3,
-            initial_window: 10,
             ..TcpConfig::default()
         };
-        let (s, mut io) = established(1_000_000, cfg);
-        let w1 = io.take_sent();
-        assert_eq!(w1.len(), 3, "window capped at 3 segments");
-        assert_eq!(s.flight_size(), 3 * 460);
-    }
-
-    #[test]
-    fn cubic_variant_grows_and_decreases_by_beta() {
-        let cfg = TcpConfig {
-            variant: Variant::Cubic,
-            initial_window: 10,
-            ..TcpConfig::default()
-        };
-        let (mut s, mut io) = established(10_000_000, cfg);
-        let w1 = io.take_sent();
-        assert_eq!(w1.len(), 10, "modern IW of 10 segments");
-        // Grow past ssthresh into CUBIC congestion avoidance.
-        s.ssthresh = 5.0 * 460.0;
-        let before = s.cwnd;
-        for p in &w1 {
-            io.now += SimDuration::from_millis(20);
-            s.on_packet(&ack_pkt(p.seq_end()), &mut io);
+        let (mut s, mut io) = established(1_000_000, cfg);
+        // Uncapped, slow start would send 4 and then 8 segments.
+        for _ in 0..2 {
+            for p in &io.take_sent() {
+                s.on_packet(&ack_pkt(p.seq_end()), &mut io);
+            }
+            assert_eq!(io.sent.len(), 3, "window capped at 3 segments");
+            assert_eq!(s.flight_size(), 3 * 460);
         }
-        assert!(s.cwnd > before, "CUBIC grows in CA");
-        io.take_sent();
-        // Three dupACKs: multiplicative decrease by beta = 0.7.
-        let una = s.snd_una;
-        let cwnd_before_loss = s.cwnd;
-        for _ in 0..3 {
-            s.on_packet(&ack_pkt(una), &mut io);
-        }
-        assert!(s.in_recovery);
-        let expected = cwnd_before_loss / 460.0 * 0.7;
-        assert!(
-            (s.ssthresh / 460.0 - expected).abs() < 0.6,
-            "beta decrease: ssthresh {} vs expected {expected}",
-            s.ssthresh / 460.0
-        );
     }
 
     #[test]

@@ -6,7 +6,8 @@
 #                       type-check of the repo benchmark. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark, of the sweep, fault-matrix, trace and
-#                       fluid-validation experiments and of the testbed, the
+#                       fluid-validation experiments, of every experiment
+#                       that takes --smoke and of the testbed, the
 #                       execution-conformance oracles in the debug and
 #                       the release profile, plus the repo benchmark at
 #                       full size on HEAD~1 and on the working tree,
@@ -83,6 +84,27 @@ sweep_smoke() {
     run cargo run $OFFLINE --release -p taq-bench -- fig03_buffer_tradeoff --smoke --seeds 1,2 --threads 2
     run cargo run $OFFLINE --release -p taq-bench -- model_tipping_point --threads 2
     run cargo run $OFFLINE --release -p taq-bench -- topo_placement --smoke --seeds 1,2 --threads 2
+}
+
+# Experiment smoke: every `taq-bench` experiment whose usage line lists
+# --smoke, run at that scale. The list is read from the binary's own
+# usage output (run with no experiment, it exits 2 and prints every
+# usage line), so it cannot drift from the dispatch table. Each runs in
+# results/experiment_smoke/, where its stdout is kept as <name>.txt and
+# any file it writes by default (fluid_validation's report) lands.
+experiment_smoke() {
+    run cargo build $OFFLINE --release -p taq-bench
+    bin="${CARGO_TARGET_DIR:-target}/release/taq-bench"
+    case "$bin" in /*) ;; *) bin="$PWD/$bin" ;; esac
+    names=$("$bin" 2>&1 | awk '$1 == "taq-bench" && /\[--smoke\]/ { print $2 }')
+    if [ -z "$names" ]; then
+        echo "experiment_smoke: no experiment lists --smoke" >&2
+        return 1
+    fi
+    mkdir -p results/experiment_smoke
+    for name in $names; do
+        (cd results/experiment_smoke && run "$bin" "$name" --smoke >"$name.txt")
+    done
 }
 
 # Fault smoke: the robustness matrix at smoke scale exercises the
@@ -226,6 +248,7 @@ full() {
     benchmark_smoke
     sweep_smoke
     fault_smoke
+    experiment_smoke
     trace_smoke
     testbed_smoke
     execution_conformance
