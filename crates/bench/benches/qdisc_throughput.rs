@@ -333,10 +333,10 @@ fn main() {
 
     println!("# telemetry overhead (TAQ) — acceptance bar: nosink < 3% over detached");
     let mut baseline = bench_discipline(Discipline::Taq, "", None);
-    // A hub with no sinks: handles are registered but event closures are
-    // skipped; only the latency histograms are recorded. This is the
-    // tracing-disabled path: a TraceCollector never attached costs the
-    // same single atomic check as any other absent sink.
+    // A hub with no sinks: every emission is one atomic load and its
+    // event closure never runs. This is the tracing-disabled path: a
+    // TraceCollector never attached costs the same single atomic check
+    // as any other absent sink.
     let nosink = Telemetry::new();
     let mut nosink_ns = bench_discipline(Discipline::Taq, "+hub_nosink", Some(&nosink));
     // A live ring sink: full event construction and delivery.

@@ -26,25 +26,11 @@ use taq_sim::{
     EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime, TcpFlags,
     UnboundedFifo,
 };
-use taq_telemetry::{Event, GaugeId, HistogramId, ScopedTimer, Telemetry, Value};
+use taq_telemetry::{Event, Telemetry, Value};
 
 /// Queue depth is sampled on every nth offered packet: often enough for
 /// meaningful percentiles, cheap enough for the hot path.
 const DEPTH_SAMPLE_EVERY: u64 = 32;
-
-/// One classify decision in this many is wall-clock timed (see
-/// `classify_and_queue`); the rest run untimed. The stride trades
-/// sample count against self-interference: the sampled timer's clock
-/// reads land inside the *enqueue* window, so it stays sparse.
-const CLASSIFY_SAMPLE_EVERY: u64 = 64;
-
-/// One enqueue in this many, and one dequeue in this many, is
-/// wall-clock timed into `taq_enqueue_ns` / `taq_dequeue_ns`. A scoped
-/// timer is two clock reads and a hub lock — about what the work it
-/// brackets costs — so an attached run samples instead of paying that
-/// on every bottleneck packet. Both strides count packets, not time, so
-/// two runs of one seed time the same packets.
-const HOT_PATH_SAMPLE_EVERY: u64 = 16;
 
 /// Aggregate statistics a TAQ instance maintains.
 ///
@@ -137,10 +123,6 @@ pub struct TaqState {
     pending_rejects: std::collections::VecDeque<(PacketId, u32)>,
     /// Aggregate counters.
     pub stats: TaqStats,
-    /// `dequeue_forward` calls so far: the dequeue timer's stride
-    /// counter (the enqueue side strides on `stats.offered`). Not a
-    /// `TaqStats` field — it is a sampling detail, not a result.
-    dequeues: u64,
     telemetry: Telemetry,
     /// Next sim-time at which the flow table runs epoch-roll + GC.
     /// Ticking every packet is O(flows) and dominates the enqueue path
@@ -153,29 +135,12 @@ pub struct TaqState {
     /// computes the identical sequence.
     fair_share_cache: f64,
     fair_share_expires: SimTime,
-    /// Events one enqueue produces (classification, drops, depth
-    /// samples), gathered here during the timed section and fanned out
-    /// in one [`Telemetry::emit_batch`] after it — the sink fan-out is
-    /// observer cost (one atomic load when nobody listens), so it stays
-    /// outside `taq_enqueue_ns`. Reused across packets; push order is
-    /// emission order.
-    event_buf: Vec<(u64, Event)>,
-    /// Hot-path latency histograms (dead handles until telemetry is
-    /// attached).
-    enqueue_ns: HistogramId,
-    classify_ns: HistogramId,
-    dequeue_ns: HistogramId,
-    depth_gauge: GaugeId,
-    class_gauges: [GaugeId; 5],
 }
 
 impl TaqState {
     /// Creates the shared state.
     pub fn new(cfg: TaqConfig) -> Self {
         cfg.validate();
-        let disabled = Telemetry::disabled();
-        let dead_hist = disabled.histogram("dead");
-        let dead_gauge = disabled.gauge("dead");
         TaqState {
             queues: TaqQueues::new(cfg.link_rate, cfg.recovery_cap_fraction),
             flows: FlowTable::new(cfg.clone()),
@@ -184,33 +149,17 @@ impl TaqState {
             pending_rejects: std::collections::VecDeque::new(),
             cfg,
             stats: TaqStats::default(),
-            dequeues: 0,
-            telemetry: disabled,
+            telemetry: Telemetry::disabled(),
             next_gc_at: SimTime::ZERO,
-            event_buf: Vec::new(),
             fair_share_cache: 0.0,
             fair_share_expires: SimTime::ZERO,
-            enqueue_ns: dead_hist,
-            classify_ns: dead_hist,
-            dequeue_ns: dead_hist,
-            depth_gauge: dead_gauge,
-            class_gauges: [dead_gauge; 5],
         }
     }
 
     /// Wires a telemetry hub through the whole middlebox: flow tracker
-    /// transitions, classification/drop decisions, admission events, and
-    /// hot-path latency histograms all flow into `telemetry`'s sinks.
+    /// transitions, classification/drop decisions, admission events and
+    /// queue-depth samples all flow into `telemetry`'s sinks.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.enqueue_ns = telemetry.histogram("taq_enqueue_ns");
-        self.classify_ns = telemetry.histogram("taq_classify_ns");
-        self.dequeue_ns = telemetry.histogram("taq_dequeue_ns");
-        self.depth_gauge = telemetry.gauge("taq_queue_depth_pkts");
-        let mut gauges = self.class_gauges;
-        for (slot, class) in gauges.iter_mut().zip(QueueClass::ALL) {
-            *slot = telemetry.gauge_with("taq_class_depth_pkts", &[("class", class.name())]);
-        }
-        self.class_gauges = gauges;
         self.flows.set_telemetry(telemetry.clone());
         self.admission.set_telemetry(telemetry.clone());
         self.telemetry = telemetry;
@@ -246,13 +195,6 @@ impl TaqState {
         self.fair_share_cache
     }
 
-    /// A scoped wall-clock timer into `id` on the first of every
-    /// `every` calls, `nth` being this call's 1-based count; `None`
-    /// (no clock read, no hub lock) on the rest.
-    fn sampled_timer(&self, nth: u64, every: u64, id: HistogramId) -> Option<ScopedTimer> {
-        (nth % every == 1).then(|| self.telemetry.scoped(id))
-    }
-
     fn enqueue_forward(
         &mut self,
         pkt: PacketId,
@@ -260,12 +202,8 @@ impl TaqState {
         now: SimTime,
     ) -> EnqueueOutcome {
         self.stats.offered += 1;
-        // Periodic table maintenance — the epoch-roll/GC tick (every
-        // `min_epoch`) and the fair-share refresh (every quarter of it)
-        // — runs before the enqueue timer starts: `taq_enqueue_ns`
-        // samples the per-packet admission work, while the amortized
-        // O(flows) sweeps show up where they belong, in the run's
-        // wall-clock (the repo benchmark's `wall_s` and `events_per_s`).
+        // Periodic table maintenance: the epoch-roll/GC tick, once per
+        // `min_epoch` (an O(flows) sweep, amortized over the packets).
         if now >= self.next_gc_at {
             self.next_gc_at = now + self.cfg.min_epoch;
             // A flow whose packets are still buffered must keep its id:
@@ -273,40 +211,6 @@ impl TaqState {
             let queues = &self.queues;
             self.flows.tick(now, |id| queues.holds(id));
         }
-        let outcome = {
-            let _enq_timer =
-                self.sampled_timer(self.stats.offered, HOT_PATH_SAMPLE_EVERY, self.enqueue_ns);
-            self.classify_and_queue(pkt, arena, now)
-        };
-        // Depth sampling is pure observation (gauges + a QueueDepth
-        // event), so it runs after the timer; it was already the last
-        // event an enqueue produced, so the stream order is unchanged.
-        if self.telemetry.is_active() && self.stats.offered % DEPTH_SAMPLE_EVERY == 1 {
-            self.sample_depth(now);
-        }
-        // Sink fan-out happens after the timer closes: when no sink is
-        // attached the whole per-packet telemetry cost is one atomic
-        // load, so the fan-out is overhead *observation induces* and
-        // would distort the latency it exists to measure. Push order is
-        // preserved, so every sink sees the stream unchanged.
-        if !self.event_buf.is_empty() {
-            let mut buf = std::mem::take(&mut self.event_buf);
-            self.telemetry.emit_batch(&mut buf);
-            self.event_buf = buf;
-        }
-        outcome
-    }
-
-    /// The timed body of [`enqueue_forward`]: observation, fair-share
-    /// refresh, classification, queueing, and eviction. Events are
-    /// pushed to `event_buf`, not emitted — the caller fans them out
-    /// once the enqueue timer has stopped.
-    fn classify_and_queue(
-        &mut self,
-        pkt: PacketId,
-        arena: &mut PacketArena,
-        now: SimTime,
-    ) -> EnqueueOutcome {
         // The single packet-body read of the enqueue path: everything
         // downstream works on the observation and the QueuedPkt handle.
         let (obs, qp, fkey) = {
@@ -323,112 +227,73 @@ impl TaqState {
         let share_pkts =
             (fair * obs.epoch_len.as_secs_f64() / (8.0 * f64::from(qp.wire.max(1)))) as usize;
         let backlog = self.queues.flow_backlog(obs.id);
-        let class = {
-            // Sampled profiling: the scoped timer costs two clock reads
-            // plus a registry record — more than `classify` itself — so
-            // time only one decision per stride. The histogram's mean
-            // stays an unbiased estimate of classify latency; the
-            // deterministic stride keeps instrumented runs reproducible.
-            let _cls_timer =
-                self.sampled_timer(self.stats.offered, CLASSIFY_SAMPLE_EVERY, self.classify_ns);
-            classify(&obs, backlog, share_pkts, fair)
-        };
-        if self.telemetry.listening() {
-            self.event_buf.push((
-                now.as_nanos(),
-                Event::Classified {
-                    packet: qp.pkt_id,
-                    flow: flow_id(&fkey),
-                    class: class.name(),
-                    retransmission: obs.retransmission,
-                },
-            ));
-        }
-        let mut outcome = EnqueueOutcome::accepted();
+        let class = classify(&obs, backlog, share_pkts, fair);
 
-        // NewFlow admission pressure: its own cap limits how many
-        // connection-opening packets may queue.
-        if class == QueueClass::NewFlow
-            && self.queues.class_len(QueueClass::NewFlow) >= self.cfg.newflow_cap_pkts
-        {
-            self.stats.drops_by_stage[7] += 1;
-            self.record_drop(&qp, arena, obs.retransmission, 7, now);
-            outcome.dropped.push(pkt);
-            return outcome;
-        }
-
-        self.stats.per_class[class.index()] += 1;
-        self.queues.push(class, qp, &obs);
-
-        // Enforce total buffer capacity by evicting per policy.
-        while self.queues.len() > self.cfg.buffer_pkts {
-            let Some((victim, was_retx, stage)) = self.queues.evict_staged() else {
-                break;
+        // At most one packet is dropped per offer: the offered one at
+        // the NewFlow cap (its own cap limits how many connection-opening
+        // packets may queue), or one victim of the staged eviction. The
+        // queue held at most `buffer_pkts` before this push, so a single
+        // eviction restores the bound.
+        let capped = class == QueueClass::NewFlow
+            && self.queues.class_len(QueueClass::NewFlow) >= self.cfg.newflow_cap_pkts;
+        let drop = if capped {
+            Some((qp, obs.retransmission, 7))
+        } else {
+            self.stats.per_class[class.index()] += 1;
+            self.queues.push(class, qp, &obs);
+            let victim = if self.queues.len() > self.cfg.buffer_pkts {
+                self.queues.evict_staged()
+            } else {
+                None
             };
+            debug_assert!(self.queues.len() <= self.cfg.buffer_pkts);
+            victim
+        };
+        if let Some((victim, was_retx, stage)) = drop {
+            self.stats.dropped += 1;
             self.stats.drops_by_stage[usize::from(stage)] += 1;
-            self.record_drop(&victim, arena, was_retx, stage, now);
+            if was_retx {
+                self.stats.retransmissions_dropped += 1;
+            }
+            self.loss_meter.record(true, now);
+            self.flows.on_drop_id(victim.flow, was_retx, now);
+        }
+        if !capped {
+            // What stayed counts as a non-drop observation.
+            self.loss_meter.record(false, now);
+        }
+
+        // The tracker emits as it goes (this offer's epoch rolls and the
+        // drop's state change); the offer's own records follow them:
+        // classified, then dropped with its stage.
+        self.telemetry.emit(now.as_nanos(), || Event::Classified {
+            packet: qp.pkt_id,
+            flow: flow_id(&fkey),
+            class: class.name(),
+            retransmission: obs.retransmission,
+        });
+        let mut outcome = EnqueueOutcome::accepted();
+        if let Some((victim, was_retx, stage)) = drop {
+            self.telemetry.emit(now.as_nanos(), || Event::Dropped {
+                packet: victim.pkt_id,
+                flow: flow_id(&arena.get(victim.pid).flow),
+                stage,
+                retransmission: was_retx,
+            });
             outcome.dropped.push(victim.pid);
         }
-        // Everything that stayed counts as a non-drop observation.
-        self.loss_meter.record(false, now);
+        // The depth sample is the last event an offer produces.
+        if self.stats.offered % DEPTH_SAMPLE_EVERY == 1 {
+            self.telemetry.emit(now.as_nanos(), || Event::QueueDepth {
+                pkts: self.queues.len() as u64,
+                bytes: self.queues.byte_len() as u64,
+                per_class: self.queues.depth_per_class(),
+            });
+        }
         outcome
     }
 
-    /// Emits one queue-depth sample (packet/byte totals plus the
-    /// per-class breakdown) and refreshes the depth gauges.
-    fn sample_depth(&mut self, now: SimTime) {
-        let per_class = self.queues.depth_per_class();
-        // One registry lock for the whole gauge family.
-        let mut gauges = [(self.depth_gauge, self.queues.len() as f64); 6];
-        for (slot, (gauge, (_, depth))) in gauges[1..]
-            .iter_mut()
-            .zip(self.class_gauges.iter().zip(per_class.iter()))
-        {
-            *slot = (*gauge, *depth as f64);
-        }
-        self.telemetry.set_gauges(&gauges);
-        if self.telemetry.listening() {
-            self.event_buf.push((
-                now.as_nanos(),
-                Event::QueueDepth {
-                    pkts: self.queues.len() as u64,
-                    bytes: self.queues.byte_len() as u64,
-                    per_class,
-                },
-            ));
-        }
-    }
-
-    fn record_drop(
-        &mut self,
-        qp: &QueuedPkt,
-        arena: &PacketArena,
-        was_retransmission: bool,
-        stage: u8,
-        now: SimTime,
-    ) {
-        self.stats.dropped += 1;
-        if was_retransmission {
-            self.stats.retransmissions_dropped += 1;
-        }
-        if self.telemetry.listening() {
-            self.event_buf.push((
-                now.as_nanos(),
-                Event::Dropped {
-                    packet: qp.pkt_id,
-                    flow: flow_id(&arena.get(qp.pid).flow),
-                    stage,
-                    retransmission: was_retransmission,
-                },
-            ));
-        }
-        self.loss_meter.record(true, now);
-        self.flows.on_drop_id(qp.flow, was_retransmission, now);
-    }
-
     fn dequeue_forward(&mut self, now: SimTime) -> Option<PacketId> {
-        self.dequeues += 1;
-        let _deq_timer = self.sampled_timer(self.dequeues, HOT_PATH_SAMPLE_EVERY, self.dequeue_ns);
         // Rejection notices are tiny and latency-sensitive: inject them
         // ahead of buffered data.
         if let Some((rst, _)) = self.pending_rejects.pop_front() {
@@ -829,55 +694,6 @@ mod tests {
             .build(),
         );
         assert!(rev.enqueue(syn, &mut a, t(1)).dropped.is_empty());
-    }
-
-    /// Drives a fixed packet pattern through a pair and returns how
-    /// many samples the three hot-path histograms hold.
-    fn timer_samples(telemetry: &Telemetry, offered: u64, dequeues: u64) -> [u64; 3] {
-        let mut a = PacketArena::new();
-        let pair = TaqPair::new(cfg());
-        pair.attach_telemetry(telemetry.clone());
-        let mut q = pair.forward;
-        for i in 0..offered {
-            let pkt = data(&mut a, (i % 5) as u16 + 1, 1 + (i / 5) * 460, i);
-            for d in q.enqueue(pkt, &mut a, t(i)).dropped {
-                a.remove(d);
-            }
-        }
-        // Dequeues past the backlog return `None` and still count: the
-        // stride is over calls.
-        for i in 0..dequeues {
-            if let Some(id) = q.dequeue(&mut a, t(offered + i)) {
-                a.remove(id);
-            }
-        }
-        ["taq_enqueue_ns", "taq_dequeue_ns", "taq_classify_ns"]
-            .map(|name| telemetry.histogram_value(telemetry.histogram(name)).count())
-    }
-
-    #[test]
-    fn hot_path_timers_sample_on_a_deterministic_stride() {
-        let attached = || {
-            let telemetry = Telemetry::new();
-            telemetry.add_sink(taq_telemetry::RingBufferSink::new(0));
-            telemetry
-        };
-        for (offered, dequeues) in [(1u64, 1u64), (16, 17), (100, 37), (161, 300)] {
-            let want = [
-                offered.div_ceil(HOT_PATH_SAMPLE_EVERY),
-                dequeues.div_ceil(HOT_PATH_SAMPLE_EVERY),
-                offered.div_ceil(CLASSIFY_SAMPLE_EVERY),
-            ];
-            assert_eq!(timer_samples(&attached(), offered, dequeues), want);
-            assert_eq!(
-                timer_samples(&attached(), offered, dequeues),
-                want,
-                "the same packets are timed on a second run"
-            );
-        }
-        // A hub nobody listens to reads no clock at all.
-        assert_eq!(timer_samples(&Telemetry::new(), 100, 100), [0; 3]);
-        assert_eq!(timer_samples(&Telemetry::disabled(), 100, 100), [0; 3]);
     }
 
     #[test]

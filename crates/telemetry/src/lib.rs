@@ -1,13 +1,13 @@
-//! Unified telemetry for the TAQ reproduction: structured events, a
-//! metric registry, and pluggable sinks, shared by the middlebox core,
-//! the discrete-event simulator, and the real-time testbed.
+//! Unified telemetry for the TAQ reproduction: structured events and
+//! pluggable sinks, shared by the middlebox core, the discrete-event
+//! simulator, and the real-time testbed.
 //!
 //! Everything is hand-rolled (the build is fully offline), in the same
 //! spirit as `taq-sim`'s own RNG. The design constraints, in order:
 //!
 //! 1. **Free when off.** A [`Telemetry`] handle with no sinks is a
 //!    single `Option` check on the hot path; events are built inside
-//!    closures that never run, and scoped timers skip the clock read.
+//!    closures that never run.
 //! 2. **One stream, three layers.** The [`Event`] taxonomy covers flow
 //!    state transitions, classification, drops, admission, queue depth,
 //!    and link/engine aggregates, so a simulator run and a testbed run
@@ -41,15 +41,15 @@
 
 mod event;
 mod fx;
+mod histogram;
 mod names;
-mod registry;
 mod sink;
 mod value;
 
 pub use event::{Event, FlowId};
 pub use fx::{FxBuildHasher, FxHasher};
+pub use histogram::LogHistogram;
 pub use names::NameTable;
-pub use registry::{CounterId, GaugeId, HistogramId, LogHistogram, MetricRegistry};
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SinkCheckedOut,
     SinkGuard, SinkHandle, SummarySink, SummaryStats, TelemetrySink,
@@ -58,7 +58,6 @@ pub use value::{ParseError, Value};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
 /// Locks the hub (or a shared sink's slot) even if an earlier holder
 /// panicked. A sink that panics inside `emit` poisons the hub mutex,
@@ -99,45 +98,40 @@ impl Seat {
     }
 }
 
-struct Hub {
-    seats: Vec<Seat>,
-    registry: MetricRegistry,
-}
-
-/// The shared half behind a [`Telemetry`] handle: the mutex-guarded hub
-/// plus a lock-free mirror of "does any sink listen?" so the per-packet
-/// `emit`/`scoped` calls on a sinkless hub cost one atomic load, not a
+/// The shared half behind a [`Telemetry`] handle: the mutex-guarded
+/// seats plus a lock-free mirror of "does any sink listen?" so the
+/// per-packet `emit` calls on a sinkless hub cost one atomic load, not a
 /// mutex acquisition.
 struct HubShared {
     has_sinks: AtomicBool,
-    hub: Mutex<Hub>,
+    seats: Mutex<Vec<Seat>>,
 }
 
 impl HubShared {
     /// Appends a seat (empty when its sink is checked out right now)
     /// and returns its index.
     fn add_seat(&self, sink: Option<Box<dyn TelemetrySink>>) -> usize {
-        let mut hub = lock_unpoisoned(&self.hub);
-        hub.seats.push(Seat {
+        let mut seats = lock_unpoisoned(&self.seats);
+        seats.push(Seat {
             sink,
             missed: Vec::new(),
             flush_missed: false,
         });
         self.has_sinks.store(true, Ordering::Release);
-        hub.seats.len() - 1
+        seats.len() - 1
     }
 
     /// Takes the sink out of `seat`; `None` if it is out already.
     fn check_out(&self, seat: usize) -> Option<Box<dyn TelemetrySink>> {
-        lock_unpoisoned(&self.hub).seats[seat].sink.take()
+        lock_unpoisoned(&self.seats)[seat].sink.take()
     }
 
     /// Puts a checked-out sink back, first handing it what it missed.
     /// All under the hub lock, so no emission can slip between the
     /// replay and the sink being live again.
     fn check_in(&self, seat: usize, sink: Box<dyn TelemetrySink>) {
-        let mut hub = lock_unpoisoned(&self.hub);
-        let seat = &mut hub.seats[seat];
+        let mut seats = lock_unpoisoned(&self.seats);
+        let seat = &mut seats[seat];
         // Seated before the replay: a sink that panics on a replayed
         // event is still at home for the next emission.
         let sink = seat.sink.insert(sink);
@@ -172,7 +166,7 @@ pub struct Telemetry {
 impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
-            .field("active", &self.is_active())
+            .field("active", &self.inner.is_some())
             .finish()
     }
 }
@@ -183,10 +177,7 @@ impl Telemetry {
         Telemetry {
             inner: Some(Arc::new(HubShared {
                 has_sinks: AtomicBool::new(false),
-                hub: Mutex::new(Hub {
-                    seats: Vec::new(),
-                    registry: MetricRegistry::new(),
-                }),
+                seats: Mutex::new(Vec::new()),
             })),
         }
     }
@@ -197,32 +188,24 @@ impl Telemetry {
         Telemetry { inner: None }
     }
 
-    /// `true` when a hub is attached (it may still have zero sinks;
-    /// metrics are recorded either way).
+    /// Locks the hub's seats. The lock never crosses a user callback
+    /// except the sink `emit`/`flush` calls, and sinks never call back
+    /// into the hub, so this cannot deadlock (std mutexes are not
+    /// reentrant).
     #[inline]
-    pub fn is_active(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Locks the hub. The lock never crosses a user callback except the
-    /// sink `emit`/`flush` calls, and sinks never call back into the
-    /// hub, so this cannot deadlock (std mutexes are not reentrant).
-    #[inline]
-    fn hub(&self) -> Option<MutexGuard<'_, Hub>> {
+    fn seats(&self) -> Option<MutexGuard<'_, Vec<Seat>>> {
         self.inner
             .as_ref()
-            .map(|shared| lock_unpoisoned(&shared.hub))
+            .map(|shared| lock_unpoisoned(&shared.seats))
     }
 
     /// Lock-free "would an emit reach anyone?" check — the fast path
     /// for the per-packet calls. `Acquire` pairs with the `Release`
     /// store in [`add_shared_sink`](Self::add_shared_sink); in the
     /// common single-threaded-per-run discipline it is simply a cached
-    /// load. Public so hot paths can gate event *construction* (e.g.
-    /// batching events for a deferred [`emit_batch`](Self::emit_batch))
-    /// on the same check `emit` uses.
+    /// load.
     #[inline]
-    pub fn listening(&self) -> bool {
+    fn listening(&self) -> bool {
         self.inner
             .as_ref()
             .is_some_and(|shared| shared.has_sinks.load(Ordering::Acquire))
@@ -254,180 +237,19 @@ impl Telemetry {
             return;
         }
         let event = build();
-        if let Some(mut hub) = self.hub() {
-            for seat in &mut hub.seats {
+        if let Some(mut seats) = self.seats() {
+            for seat in seats.iter_mut() {
                 seat.emit(at_ns, &event);
-            }
-        }
-    }
-
-    /// Emits a pre-built batch of timestamped events and clears the
-    /// buffer. One hub lock covers the whole batch (each `emit` takes
-    /// it once per event), so a hot path can gather the events one
-    /// packet produces — gated on [`listening`](Self::listening) so
-    /// nothing is built for nobody — and fan them out once, outside its
-    /// own timed section. Every sink sees the batch in push order,
-    /// exactly as if each event had been emitted individually.
-    pub fn emit_batch(&self, events: &mut Vec<(u64, Event)>) {
-        if self.listening() {
-            if let Some(mut hub) = self.hub() {
-                for seat in &mut hub.seats {
-                    for (at_ns, event) in events.iter() {
-                        seat.emit(*at_ns, event);
-                    }
-                }
-            }
-        }
-        events.clear();
-    }
-
-    /// Sets several gauges under one hub lock (no-op when disabled) —
-    /// the batched form of [`set_gauge`](Self::set_gauge) for callers
-    /// refreshing a family of related gauges together.
-    pub fn set_gauges(&self, values: &[(GaugeId, f64)]) {
-        if let Some(mut hub) = self.hub() {
-            for &(id, v) in values {
-                hub.registry.set(id, v);
             }
         }
     }
 
     /// Flushes every sink (one that is checked out, when it returns).
     pub fn flush(&self) {
-        if let Some(mut hub) = self.hub() {
-            for seat in &mut hub.seats {
+        if let Some(mut seats) = self.seats() {
+            for seat in seats.iter_mut() {
                 seat.flush();
             }
-        }
-    }
-
-    /// Registers (or finds) a counter. Returns a dead handle on a
-    /// disabled hub — `inc` on it is a no-op.
-    pub fn counter(&self, name: &'static str) -> CounterId {
-        match self.hub() {
-            Some(mut hub) => hub.registry.counter(name),
-            None => MetricRegistry::new().counter(name),
-        }
-    }
-
-    /// Registers (or finds) a gauge.
-    pub fn gauge(&self, name: &'static str) -> GaugeId {
-        match self.hub() {
-            Some(mut hub) => hub.registry.gauge(name),
-            None => MetricRegistry::new().gauge(name),
-        }
-    }
-
-    /// Registers (or finds) a labeled gauge.
-    pub fn gauge_with(&self, name: &'static str, labels: &[(&'static str, &str)]) -> GaugeId {
-        match self.hub() {
-            Some(mut hub) => hub.registry.gauge_with(name, labels),
-            None => MetricRegistry::new().gauge_with(name, labels),
-        }
-    }
-
-    /// Registers (or finds) a histogram.
-    pub fn histogram(&self, name: &'static str) -> HistogramId {
-        match self.hub() {
-            Some(mut hub) => hub.registry.histogram(name),
-            None => MetricRegistry::new().histogram(name),
-        }
-    }
-
-    /// Registers (or finds) a labeled histogram.
-    pub fn histogram_with(
-        &self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-    ) -> HistogramId {
-        match self.hub() {
-            Some(mut hub) => hub.registry.histogram_with(name, labels),
-            None => MetricRegistry::new().histogram_with(name, labels),
-        }
-    }
-
-    /// Adds to a counter (no-op when disabled).
-    #[inline]
-    pub fn inc(&self, id: CounterId, by: u64) {
-        if let Some(mut hub) = self.hub() {
-            hub.registry.inc(id, by);
-        }
-    }
-
-    /// Sets a gauge (no-op when disabled).
-    #[inline]
-    pub fn set_gauge(&self, id: GaugeId, v: f64) {
-        if let Some(mut hub) = self.hub() {
-            hub.registry.set(id, v);
-        }
-    }
-
-    /// Records a histogram sample (no-op when disabled).
-    #[inline]
-    pub fn record(&self, id: HistogramId, v: u64) {
-        if let Some(mut hub) = self.hub() {
-            hub.registry.record(id, v);
-        }
-    }
-
-    /// Starts a scoped wall-clock timer that records elapsed
-    /// nanoseconds into `id` when dropped. The guard is inert — no
-    /// clock reads at all — unless a hub with at least one sink is
-    /// attached: the timers exist to profile the hot path for a
-    /// listener, and two `Instant::now()` calls per packet are exactly
-    /// the cost an idle deployment must not pay.
-    #[inline]
-    pub fn scoped(&self, id: HistogramId) -> ScopedTimer {
-        ScopedTimer {
-            // Clone the handle *before* reading the clock: the Arc
-            // refcount bump is bookkeeping for the guard, not part of
-            // the caller's measured window.
-            armed: self.listening().then(|| {
-                let handle = self.clone();
-                (Instant::now(), handle, id)
-            }),
-        }
-    }
-
-    /// Reads a counter's current value (0 when disabled).
-    pub fn counter_value(&self, id: CounterId) -> u64 {
-        match self.hub() {
-            Some(hub) => hub.registry.counter_value(id),
-            None => 0,
-        }
-    }
-
-    /// Clones out a histogram's current state (empty when disabled).
-    pub fn histogram_value(&self, id: HistogramId) -> LogHistogram {
-        match self.hub() {
-            Some(hub) => hub.registry.histogram_value(id),
-            None => LogHistogram::new(),
-        }
-    }
-
-    /// Serializes the whole metric registry (Null when disabled).
-    pub fn metrics_snapshot(&self) -> Value {
-        match self.hub() {
-            Some(hub) => hub.registry.snapshot(),
-            None => Value::Null,
-        }
-    }
-}
-
-/// Guard returned by [`Telemetry::scoped`]; records the elapsed time on
-/// drop. Inert (no clock reads, no handle clone) when telemetry is
-/// disabled or sinkless — the guard owns its handle only while someone
-/// is listening, so callers holding `&mut self` state never need a
-/// per-call `Telemetry` clone just to satisfy the borrow checker.
-pub struct ScopedTimer {
-    armed: Option<(Instant, Telemetry, HistogramId)>,
-}
-
-impl Drop for ScopedTimer {
-    fn drop(&mut self) {
-        if let Some((start, telemetry, id)) = self.armed.take() {
-            let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            telemetry.record(id, ns);
         }
     }
 }
@@ -439,20 +261,13 @@ mod tests {
     #[test]
     fn disabled_handle_is_inert() {
         let t = Telemetry::disabled();
-        assert!(!t.is_active());
+        assert!(!t.listening());
         let mut built = false;
         t.emit(0, || {
             built = true;
             Event::PoolWaiting { src: 1 }
         });
         assert!(!built, "event closure must not run when disabled");
-        let c = t.counter("x");
-        t.inc(c, 5);
-        assert_eq!(t.counter_value(c), 0);
-        let h = t.histogram("y");
-        drop(t.scoped(h));
-        assert_eq!(t.histogram_value(h).count(), 0);
-        assert_eq!(t.metrics_snapshot(), Value::Null);
     }
 
     #[test]
@@ -462,13 +277,10 @@ mod tests {
         t.add_shared_sink(erased);
         let (ring_b, erased) = shared_sink(RingBufferSink::new(8));
         t.add_shared_sink(erased);
-        // Call order, not timestamp order, through `emit` and
-        // `emit_batch` alike.
+        // Call order, not timestamp order.
         t.emit(3, || Event::PoolAdmitted { src: 7 });
-        t.emit_batch(&mut vec![
-            (9, Event::PoolWaiting { src: 7 }),
-            (1, Event::PoolWaiting { src: 7 }),
-        ]);
+        t.emit(9, || Event::PoolWaiting { src: 7 });
+        t.emit(1, || Event::PoolWaiting { src: 7 });
         t.emit(2, || Event::PoolAdmitted { src: 7 });
         for ring in [ring_a, ring_b] {
             let ring = ring.lock().unwrap();
@@ -507,7 +319,7 @@ mod tests {
         });
         assert!(died.is_err());
         // The per-packet path carries on, and nothing counted is lost.
-        t.emit_batch(&mut vec![(3, Event::PoolAdmitted { src: 1 })]);
+        t.emit(3, || Event::PoolAdmitted { src: 1 });
         t.flush();
         let stats = summary.lock().expect("back in its seat").stats();
         assert_eq!(stats.pools_waited, 2);
@@ -530,9 +342,6 @@ mod tests {
                 .join()
         });
         assert!(died.is_err());
-        let c = t.counter("pkts");
-        t.inc(c, 2);
-        assert_eq!(t.counter_value(c), 2, "the hub still serves metrics");
         assert_eq!(ring.lock().unwrap().total(), 1);
     }
 
@@ -587,10 +396,8 @@ mod tests {
 
         let guard = away.lock().unwrap();
         t.emit(9, || Event::PoolAdmitted { src: 1 });
-        t.emit_batch(&mut vec![
-            (4, Event::PoolWaiting { src: 1 }),
-            (2, Event::PoolAdmitted { src: 1 }),
-        ]);
+        t.emit(4, || Event::PoolWaiting { src: 1 });
+        t.emit(2, || Event::PoolAdmitted { src: 1 });
         t.flush();
         // The seated sink saw each of them as it was emitted; the
         // checked-out one is exactly as the guard found it.
@@ -638,41 +445,5 @@ mod tests {
         // The handle keeps the hub (and so the sink) alive by itself.
         drop(t);
         assert_eq!(ring.lock().unwrap().total(), 2);
-    }
-
-    #[test]
-    fn scoped_timer_records() {
-        let t = Telemetry::new();
-        let (_ring, erased) = shared_sink(RingBufferSink::new(1));
-        t.add_shared_sink(erased);
-        let h = t.histogram("latency_ns");
-        {
-            let _guard = t.scoped(h);
-            std::hint::black_box(1 + 1);
-        }
-        let hist = t.histogram_value(h);
-        assert_eq!(hist.count(), 1);
-    }
-
-    #[test]
-    fn scoped_timer_inert_without_sinks() {
-        // An attached hub with no sinks must not pay for clock reads:
-        // the guard stays disarmed and the histogram stays empty.
-        let t = Telemetry::new();
-        let h = t.histogram("latency_ns");
-        drop(t.scoped(h));
-        assert_eq!(t.histogram_value(h).count(), 0);
-    }
-
-    #[test]
-    fn metrics_shared_across_clones() {
-        let t = Telemetry::new();
-        let t2 = t.clone();
-        let c = t.counter("pkts");
-        let c2 = t2.counter("pkts");
-        assert_eq!(c, c2);
-        t.inc(c, 2);
-        t2.inc(c2, 3);
-        assert_eq!(t.counter_value(c), 5);
     }
 }

@@ -3,8 +3,8 @@
 //! summarizer that aggregates into a human-readable table.
 
 use crate::event::Event;
+use crate::histogram::LogHistogram;
 use crate::names::NameTable;
-use crate::registry::LogHistogram;
 use crate::{lock_unpoisoned, HubShared};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -237,9 +237,7 @@ impl TelemetrySink for RingBufferSink {
 /// in [`JsonlSink::write_errors`] and reported (once, to stderr) at
 /// flush time instead of being silently dropped.
 pub struct JsonlSink<W: Write> {
-    /// `None` only after [`JsonlSink::into_inner`] hands the writer
-    /// back (`Drop` then has nothing left to flush).
-    out: Option<io::BufWriter<W>>,
+    out: io::BufWriter<W>,
     lines: u64,
     write_errors: u64,
     errors_reported: bool,
@@ -256,7 +254,7 @@ impl<W: Write> JsonlSink<W> {
     /// Wraps a writer.
     pub fn new(out: W) -> Self {
         JsonlSink {
-            out: Some(io::BufWriter::new(out)),
+            out: io::BufWriter::new(out),
             lines: 0,
             write_errors: 0,
             errors_reported: false,
@@ -276,14 +274,6 @@ impl<W: Write> JsonlSink<W> {
     pub fn write_errors(&self) -> u64 {
         self.write_errors
     }
-
-    /// Flushes and returns the inner writer.
-    pub fn into_inner(mut self) -> W {
-        match self.out.take().expect("writer present").into_inner() {
-            Ok(w) => w,
-            Err(_) => panic!("jsonl flush failed"),
-        }
-    }
 }
 
 impl<W: Write> Drop for JsonlSink<W> {
@@ -291,9 +281,7 @@ impl<W: Write> Drop for JsonlSink<W> {
     /// without an explicit [`TelemetrySink::flush`]) must not lose the
     /// buffered tail of the trace: flush it here, best-effort.
     fn drop(&mut self) {
-        if let Some(out) = &mut self.out {
-            let _ = out.flush();
-        }
+        let _ = self.out.flush();
     }
 }
 
@@ -301,15 +289,14 @@ impl<W: Write + Send + 'static> TelemetrySink for JsonlSink<W> {
     fn emit(&mut self, at_ns: u64, event: &Event) {
         let mut line = event.to_value(at_ns).to_json();
         line.push('\n');
-        let out = self.out.as_mut().expect("writer present");
-        if out.write_all(line.as_bytes()).is_err() {
+        if self.out.write_all(line.as_bytes()).is_err() {
             self.write_errors += 1;
         }
         self.lines += 1;
     }
 
     fn flush(&mut self) {
-        if self.out.as_mut().expect("writer present").flush().is_err() {
+        if self.out.flush().is_err() {
             self.write_errors += 1;
         }
         if self.write_errors > 0 && !self.errors_reported {
@@ -672,9 +659,31 @@ mod tests {
         assert_eq!(times, vec![3, 4]);
     }
 
+    /// A writer whose bytes stay readable after the sink that owns it
+    /// is gone.
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+    impl SharedBuf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    impl Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn jsonl_writes_one_line_per_event() {
-        let mut sink = JsonlSink::new(Vec::new());
+        let buf = SharedBuf::default();
+        let mut sink = JsonlSink::new(buf.clone());
         sink.emit(
             7,
             &Event::Admission {
@@ -691,8 +700,8 @@ mod tests {
                 per_class: vec![("Recovery", 1)],
             },
         );
-        let bytes = sink.into_inner();
-        let text = String::from_utf8(bytes).unwrap();
+        sink.flush();
+        let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"event\":\"admission\""));
@@ -775,18 +784,7 @@ mod tests {
         // A run that ends without an explicit flush (worker panic, early
         // teardown) drops the sink with lines still sitting in the
         // BufWriter. The Drop impl must push them out.
-        #[derive(Clone)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
+        let buf = SharedBuf::default();
         let mut sink = JsonlSink::new(buf.clone());
         for i in 0..5u64 {
             sink.emit(i, &Event::PoolWaiting { src: 7 });
@@ -796,8 +794,7 @@ mod tests {
             "5 short lines must still sit in the BufWriter"
         );
         drop(sink); // no flush() call — simulates a mid-run teardown
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
+        let text = buf.text();
         assert_eq!(text.lines().count(), 5, "drop must flush the tail");
         assert!(text
             .lines()
@@ -808,7 +805,7 @@ mod tests {
     fn jsonl_counts_write_errors_instead_of_swallowing() {
         // A tiny BufWriter forces every emit through the broken writer.
         let mut sink = JsonlSink {
-            out: Some(io::BufWriter::with_capacity(1, BrokenWriter)),
+            out: io::BufWriter::with_capacity(1, BrokenWriter),
             lines: 0,
             write_errors: 0,
             errors_reported: false,

@@ -7,11 +7,11 @@
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark, of the sweep, fault-matrix, trace and
 #                       fluid-validation experiments, of every experiment
-#                       that takes --smoke and of the testbed, the
-#                       execution-conformance oracles in the debug and
-#                       the release profile, plus the repo benchmark at
-#                       full size on HEAD~1 and on the working tree,
-#                       compared.
+#                       that takes --smoke, of every example and of the
+#                       testbed, the execution-conformance oracles in
+#                       the debug and the release profile, plus the
+#                       repo benchmark at full size on HEAD~1 and on
+#                       the working tree, compared.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -104,6 +104,20 @@ experiment_smoke() {
     mkdir -p results/experiment_smoke
     for name in $names; do
         (cd results/experiment_smoke && run "$bin" "$name" --smoke >"$name.txt")
+    done
+}
+
+# Examples smoke: every example under examples/ runs once in release
+# and must exit 0. The list is the directory's own, so a new example
+# cannot be missed. testbed_demo is left to testbed_smoke, which runs
+# it the same way.
+examples_smoke() {
+    run cargo build $OFFLINE --release --examples
+    for src in examples/*.rs; do
+        name=$(basename "$src" .rs)
+        if [ "$name" != testbed_demo ]; then
+            run cargo run $OFFLINE --release --example "$name"
+        fi
     done
 }
 
@@ -249,6 +263,7 @@ full() {
     sweep_smoke
     fault_smoke
     experiment_smoke
+    examples_smoke
     trace_smoke
     testbed_smoke
     execution_conformance

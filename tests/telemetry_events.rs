@@ -159,3 +159,79 @@ fn telemetry_report_trace_is_complete_and_consistent() {
         "state transitions observed"
     );
 }
+
+/// One TAQ offer's records reach the sinks in a fixed order: the
+/// tracker's own (here, the state change a drop causes), then
+/// `classified`, then `dropped` with its eviction stage, then the
+/// `queue_depth` sample (every 32nd offer from the first). The trace
+/// collector's span assembly relies on the middle two. A scripted
+/// `TaqPair` run through a two-packet buffer drops at the NewFlow cap,
+/// then evicts on every offer, and pins the whole sequence.
+#[test]
+fn taq_offer_emits_tracker_classified_dropped_depth_in_order() {
+    use taq_sim::{PacketArena, Qdisc};
+
+    let mut cfg = TaqConfig::for_link(Bandwidth::from_kbps(600));
+    cfg.buffer_pkts = 2;
+    cfg.newflow_cap_pkts = 1;
+    let pair = taq::TaqPair::new(cfg);
+    let telemetry = Telemetry::new();
+    let (ring, erased) = shared_sink(RingBufferSink::new(256));
+    telemetry.add_shared_sink(erased);
+    pair.attach_telemetry(telemetry);
+    let mut q = pair.forward;
+    let mut arena = PacketArena::new();
+    // ((destination port, seq), ms): flow 1's first packet, flow 2's
+    // first, then 31 more of flow 2's, one offer per millisecond.
+    let offers = [(1, 1), (2, 1)]
+        .into_iter()
+        .chain((1..32).map(|i| (2, 1 + i * 460)))
+        .zip(0..);
+    for ((port, seq), ms) in offers {
+        let flow = FlowKey {
+            dst_port: port,
+            ..key()
+        };
+        let pkt = arena.insert(PacketBuilder::new(flow).seq(seq).payload(460).build());
+        for dropped in q.enqueue(pkt, &mut arena, t(ms)).dropped {
+            arena.remove(dropped);
+        }
+    }
+
+    let seen: Vec<(&str, u16, Option<u8>)> = ring
+        .lock()
+        .unwrap()
+        .events()
+        .map(|(_, e)| match e {
+            Event::FlowStateChanged { flow, .. } | Event::Classified { flow, .. } => {
+                (e.kind(), flow.dst_port, None)
+            }
+            Event::Dropped { flow, stage, .. } => (e.kind(), flow.dst_port, Some(*stage)),
+            _ => (e.kind(), 0, None),
+        })
+        .collect();
+    let mut want = vec![
+        // Offer 1 queues flow 1's first packet and takes a depth sample.
+        ("classified", 1, None),
+        ("queue_depth", 0, None),
+        // Offer 2 meets the NewFlow cap: the drop takes flow 2 out of
+        // slow start before the offer's own records.
+        ("flow_state", 2, None),
+        ("classified", 2, None),
+        ("dropped", 2, Some(7)),
+        // Offer 3 queues.
+        ("classified", 2, None),
+        // Offer 4 overflows the buffer, and stage 3 evicts flow 1's
+        // NewFlow packet: the victim's state change comes first.
+        ("flow_state", 1, None),
+        ("classified", 2, None),
+        ("dropped", 1, Some(3)),
+    ];
+    // Offers 5 to 33 each evict one of flow 2's packets (stage 5:
+    // OverPenalized), and offer 33 samples the depth after its drop.
+    for _ in 5..=33 {
+        want.extend([("classified", 2, None), ("dropped", 2, Some(5))]);
+    }
+    want.push(("queue_depth", 0, None));
+    assert_eq!(seen, want, "per-offer event order");
+}
