@@ -1,9 +1,9 @@
 //! # taq-bench — the experiment harness
 //!
 //! One binary, `taq-bench <experiment>`, runs every figure of the
-//! paper's evaluation (see `src/main.rs`), plus hand-rolled
-//! microbenchmarks (see `benches/`). This library holds the shared
-//! pieces: the [`Discipline`] names (each maps onto a
+//! paper's evaluation (see `src/main.rs`). Performance is measured
+//! elsewhere, by the repo benchmark (`benchmark/`). This library holds
+//! the shared pieces: the [`Discipline`] names (each maps onto a
 //! `taq_workloads::QdiscSpec`, the one place disciplines are built),
 //! the standard fairness run used by Figures 2/3/8/9 and the Figure 2/8
 //! grid of them, the telemetry-report scenario, the parallel sweep
@@ -49,23 +49,6 @@ use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_tcp::TcpConfig;
 use taq_workloads::{flows_for_fair_share, BuiltPipe, DumbbellSpec, QdiscSpec, BULK_BYTES};
-
-/// Hand-rolled microbenchmark loop (the workspace builds offline, so no
-/// external bench harness): runs `f` `warmup` times untimed, then
-/// `iters` timed runs, prints one aligned row, and returns the mean
-/// nanoseconds per iteration.
-pub fn measure<R>(name: &str, warmup: u32, iters: u32, mut f: impl FnMut() -> R) -> f64 {
-    for _ in 0..warmup {
-        std::hint::black_box(f());
-    }
-    let start = std::time::Instant::now();
-    for _ in 0..iters.max(1) {
-        std::hint::black_box(f());
-    }
-    let mean_ns = start.elapsed().as_nanos() as f64 / f64::from(iters.max(1));
-    println!("{name:<36} {mean_ns:>14.0} ns/iter   ({iters} iters)");
-    mean_ns
-}
 
 /// The disciplines the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

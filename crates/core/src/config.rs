@@ -38,9 +38,9 @@ pub struct TaqConfig {
     pub min_epoch: SimDuration,
     /// Ablation switch: bypass the five-class policy and run plain
     /// per-flow fair queueing with head-of-longest-queue drops (the
-    /// recovery and new-flow machinery disabled). Used by the ablation
-    /// benches to isolate how much of TAQ's gain comes from timeout
-    /// awareness versus plain FQ.
+    /// recovery and new-flow machinery disabled). Used by the
+    /// `ablation_taq` experiment to isolate how much of TAQ's gain comes
+    /// from timeout awareness versus plain FQ.
     pub fq_mode: bool,
 }
 

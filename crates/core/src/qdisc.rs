@@ -731,4 +731,141 @@ mod tests {
         assert_eq!(q.byte_len(), 0);
         assert!(a.is_empty(), "arena leak-free across churn");
     }
+
+    /// A forward queue driven through the `Qdisc` interface alone, one
+    /// microsecond per call, so a whole test sits inside one tracker
+    /// epoch. Flow `f` is `0:(f >> 16) -> 1:f`.
+    struct Resident {
+        q: TaqQdisc,
+        state: SharedTaq,
+        arena: PacketArena,
+        now_ns: u64,
+    }
+
+    impl Resident {
+        fn new(cfg: TaqConfig) -> Resident {
+            let pair = TaqPair::new(cfg);
+            Resident {
+                q: pair.forward,
+                state: pair.state,
+                arena: PacketArena::new(),
+                now_ns: 0,
+            }
+        }
+
+        fn key(flow: u32) -> FlowKey {
+            FlowKey {
+                src: NodeId(0),
+                src_port: (flow >> 16) as u16,
+                dst: NodeId(1),
+                dst_port: flow as u16,
+            }
+        }
+
+        fn tick(&mut self) -> SimTime {
+            self.now_ns += 1_000;
+            SimTime::from_nanos(self.now_ns)
+        }
+
+        /// Enqueues `flow`'s segment at `seq`; returns how many packets
+        /// the queue evicted for it.
+        fn enqueue(&mut self, flow: u32, seq: u64) -> usize {
+            let pkt = PacketBuilder::new(Self::key(flow))
+                .seq(seq)
+                .payload(460)
+                .build();
+            let pkt = self.arena.insert(pkt);
+            let now = self.tick();
+            let dropped = self.q.enqueue(pkt, &mut self.arena, now).dropped;
+            for &victim in &dropped {
+                self.arena.remove(victim);
+            }
+            dropped.len()
+        }
+
+        /// Dequeues one packet and returns the flow it belongs to.
+        fn dequeue(&mut self) -> Option<FlowKey> {
+            let now = self.tick();
+            let out = self.q.dequeue(&mut self.arena, now)?;
+            Some(self.arena.remove(out).flow)
+        }
+
+        fn class_count(&self, class: QueueClass) -> u64 {
+            self.state.lock().unwrap().stats.class_count(class)
+        }
+    }
+
+    #[test]
+    fn full_buffer_of_repairs_and_new_flows_holds_under_evicting_arrivals() {
+        const FLOWS: u32 = 64;
+        let mut cfg = TaqConfig::for_link(Bandwidth::from_mbps(10));
+        cfg.buffer_pkts = FLOWS as usize;
+        cfg.newflow_cap_pkts = FLOWS as usize;
+        let mut r = Resident::new(cfg);
+        let half = FLOWS / 2;
+        // Each flow of the first half sends three segments into a buffer
+        // that holds two apiece: the third makes it the deepest backlog,
+        // so the eviction takes its own head and the queue owes every one
+        // of them a repair.
+        for seg in 0..3 {
+            for f in 0..half {
+                r.enqueue(f, 1 + seg * 460);
+            }
+        }
+        while r.dequeue().is_some() {}
+        // The repairs ride the Recovery class; the second half are first
+        // packets of fresh flows.
+        for f in 0..FLOWS {
+            r.enqueue(f, 1);
+        }
+        assert_eq!(r.q.len(), FLOWS as usize, "buffer exactly full");
+        assert_eq!(
+            r.class_count(QueueClass::Recovery),
+            u64::from(half),
+            "half classified Recovery"
+        );
+        // A never-seen flow evicts exactly one packet, so occupancy holds.
+        for f in FLOWS..FLOWS + FLOWS / 8 {
+            assert_eq!(r.enqueue(f, 1), 1, "flow {f} evicts one packet");
+            assert_eq!(r.q.len(), FLOWS as usize, "occupancy holds");
+        }
+        for _ in 0..FLOWS / 8 {
+            assert!(r.dequeue().is_some(), "resident");
+        }
+    }
+
+    #[test]
+    fn fq_mode_backlog_serves_the_flow_just_pushed() {
+        const FLOWS: u32 = 64;
+        const ROUNDS: u32 = 8;
+        let mut cfg = TaqConfig::for_link(Bandwidth::from_mbps(10));
+        cfg.fq_mode = true;
+        cfg.buffer_pkts = 4 * FLOWS as usize + 1;
+        let mut r = Resident::new(cfg);
+        for seg in 0..4 {
+            for f in 0..FLOWS {
+                assert_eq!(r.enqueue(f, 1 + seg * 460), 0);
+            }
+        }
+        assert_eq!(r.q.len(), 4 * FLOWS as usize, "four packets per flow");
+        // An enqueue to each flow in turn alternates with a dequeue: every
+        // call re-keys a live flow in both victim heaps.
+        for round in 0..ROUNDS {
+            let seq = 1 + u64::from(4 + round) * 460;
+            for f in 0..FLOWS {
+                assert_eq!(r.enqueue(f, seq), 0, "nothing evicts");
+                assert_eq!(
+                    r.dequeue(),
+                    Some(Resident::key(f)),
+                    "the dequeue serves the flow just pushed"
+                );
+            }
+        }
+        assert_eq!(r.state.lock().unwrap().stats.dropped, 0, "nothing evicts");
+        assert_eq!(
+            r.class_count(QueueClass::BelowFairShare),
+            u64::from((4 + ROUNDS) * FLOWS),
+            "every enqueue classified BelowFairShare"
+        );
+    }
 }

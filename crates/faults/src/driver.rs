@@ -2,7 +2,7 @@
 //!
 //! Per-packet faults live in the [`crate::FaultyLink`] qdisc wrapper;
 //! changes to the link itself — bandwidth steps, propagation-delay
-//! steps, and periodic jitter around the base values — need a foothold
+//! steps, and periodic jitter around the base rate — need a foothold
 //! in simulated time, so they are applied by a node. The driver is a
 //! normal [`Agent`] that schedules one timer per fault and mutates the
 //! target link through [`Ctx::set_link_rate`] / [`Ctx::set_link_delay`],
@@ -19,10 +19,9 @@ use taq_telemetry::{Event, Telemetry};
 const TOKEN_RATE_STEP: u64 = 1_000_000;
 const TOKEN_DELAY_STEP: u64 = 2_000_000;
 const TOKEN_RATE_JITTER: u64 = 3_000_000;
-const TOKEN_DELAY_JITTER: u64 = 4_000_000;
 
 /// An agent that applies a [`FaultPlan`]'s rate/delay schedules and
-/// jitter to one link. Add it to the simulator with
+/// rate jitter to one link. Add it to the simulator with
 /// [`taq_sim::Simulator::add_agent`] and arm it with
 /// [`taq_sim::Simulator::schedule_start`] (its timers are set from
 /// `on_start`); it sends no packets and ignores any it receives.
@@ -31,11 +30,9 @@ pub struct FaultDriver {
     /// Telemetry link label (the sim-side `LinkId` index).
     label: u32,
     base_rate: Bandwidth,
-    base_delay: SimDuration,
     rate_schedule: Vec<RateStep>,
     delay_schedule: Vec<DelayStep>,
     rate_jitter: Option<JitterSpec>,
-    delay_jitter: Option<JitterSpec>,
     rng: SimRng,
     stats: SharedFaultStats,
     telemetry: Telemetry,
@@ -44,13 +41,12 @@ pub struct FaultDriver {
 impl FaultDriver {
     /// Builds a driver for `link` from the link-schedule half of
     /// `plan`, or `None` when the plan has no link-parameter faults.
-    /// `base_rate`/`base_delay` anchor the jitter factors. Jitter draws
+    /// `base_rate` anchors the jitter factor. Jitter draws
     /// come from the `salt::JITTER` stream of `seed`.
     pub fn from_plan(
         plan: &FaultPlan,
         link: LinkId,
         base_rate: Bandwidth,
-        base_delay: SimDuration,
         seed: u64,
         telemetry: Telemetry,
         stats: SharedFaultStats,
@@ -66,11 +62,9 @@ impl FaultDriver {
             link,
             label: link.0,
             base_rate,
-            base_delay,
             rate_schedule,
             delay_schedule,
             rate_jitter: plan.rate_jitter,
-            delay_jitter: plan.delay_jitter,
             rng: rng_for(seed, salt::JITTER),
             stats,
             telemetry,
@@ -113,9 +107,6 @@ impl Agent for FaultDriver {
         if let Some(j) = self.rate_jitter {
             ctx.set_timer(j.period, TOKEN_RATE_JITTER);
         }
-        if let Some(j) = self.delay_jitter {
-            ctx.set_timer(j.period, TOKEN_DELAY_JITTER);
-        }
     }
 
     fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
@@ -129,14 +120,6 @@ impl Agent for FaultDriver {
                 self.apply_rate(Bandwidth::from_bps(bps), ctx);
                 if ctx.now() + j.period <= j.until {
                     ctx.set_timer(j.period, TOKEN_RATE_JITTER);
-                }
-            }
-            TOKEN_DELAY_JITTER => {
-                let j = self.delay_jitter.expect("jitter timer without spec");
-                let factor = self.rng.range_f64(j.lo, j.hi);
-                self.apply_delay(self.base_delay.mul_f64(factor), ctx);
-                if ctx.now() + j.period <= j.until {
-                    ctx.set_timer(j.period, TOKEN_DELAY_JITTER);
                 }
             }
             t if (TOKEN_RATE_STEP..TOKEN_DELAY_STEP).contains(&t) => {
@@ -170,16 +153,9 @@ mod tests {
         let delay = SimDuration::from_millis(10);
         let link = sim.add_link(a, b, rate, delay, Box::new(UnboundedFifo::new()));
         let stats = shared_fault_stats();
-        let driver = FaultDriver::from_plan(
-            plan,
-            link,
-            rate,
-            delay,
-            7,
-            Telemetry::disabled(),
-            stats.clone(),
-        )
-        .expect("plan has link schedule");
+        let driver =
+            FaultDriver::from_plan(plan, link, rate, 7, Telemetry::disabled(), stats.clone())
+                .expect("plan has link schedule");
         let node = sim.add_agent(Box::new(driver));
         sim.schedule_start(node, SimTime::ZERO);
         (sim, link, stats)
@@ -191,7 +167,6 @@ mod tests {
             &FaultPlan::none(),
             LinkId(0),
             Bandwidth::from_kbps(1),
-            SimDuration::ZERO,
             1,
             Telemetry::disabled(),
             shared_fault_stats(),

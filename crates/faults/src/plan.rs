@@ -75,9 +75,9 @@ pub struct DelayStep {
     pub delay: SimDuration,
 }
 
-/// Periodic multiplicative jitter around the link's base rate or
-/// delay: every `period` the driver redraws a factor uniformly from
-/// `[lo, hi)` and applies `base * factor`, until `until`.
+/// Periodic multiplicative jitter around the link's base rate: every
+/// `period` the driver redraws a factor uniformly from `[lo, hi)` and
+/// applies `base * factor`, until `until`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JitterSpec {
     pub period: SimDuration,
@@ -109,8 +109,6 @@ pub struct FaultPlan {
     pub delay_schedule: Vec<DelayStep>,
     /// Periodic multiplicative bandwidth jitter.
     pub rate_jitter: Option<JitterSpec>,
-    /// Periodic multiplicative delay jitter.
-    pub delay_jitter: Option<JitterSpec>,
 }
 
 impl FaultPlan {
@@ -196,23 +194,6 @@ impl FaultPlan {
         self
     }
 
-    /// Enables periodic delay jitter.
-    pub fn with_delay_jitter(
-        mut self,
-        period: SimDuration,
-        lo: f64,
-        hi: f64,
-        until: SimTime,
-    ) -> Self {
-        self.delay_jitter = Some(JitterSpec {
-            period,
-            lo,
-            hi,
-            until,
-        });
-        self
-    }
-
     /// `true` when nothing is enabled — the clean link.
     pub fn is_none(&self) -> bool {
         !self.has_packet_faults() && !self.has_link_schedule()
@@ -234,7 +215,6 @@ impl FaultPlan {
         !self.rate_schedule.is_empty()
             || !self.delay_schedule.is_empty()
             || self.rate_jitter.is_some()
-            || self.delay_jitter.is_some()
     }
 }
 

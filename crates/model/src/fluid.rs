@@ -374,16 +374,6 @@ impl FluidModel {
         }
     }
 
-    /// Evolves `state` forward by `epochs` of model time in fixed steps
-    /// of `dt_epochs` (the count is rounded to the nearest whole number
-    /// of steps, so pass a multiple for exact horizons).
-    pub fn evolve(&self, state: &mut FluidState, epochs: f64, dt_epochs: f64) {
-        let steps = (epochs / dt_epochs).round().max(0.0) as u64;
-        for _ in 0..steps {
-            *state = self.step(state, dt_epochs);
-        }
-    }
-
     /// The density averaged over the trajectory's first `epochs` epochs
     /// from the canonical initial state (left Riemann sum at step
     /// `dt_epochs`). This is what a finite measurement horizon

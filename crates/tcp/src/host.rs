@@ -256,15 +256,6 @@ impl ServerHost {
         self.conns.iter().filter(|c| c.is_some()).count()
     }
 
-    /// Diagnostic snapshot of every live sender's state.
-    pub fn debug_states(&self) -> Vec<String> {
-        self.conns
-            .iter()
-            .flatten()
-            .map(|c| format!("{:?}: {}", c.peer, c.sender.debug_state()))
-            .collect()
-    }
-
     /// Aggregated sender statistics across live connections.
     pub fn aggregate_stats(&self) -> crate::sender::SenderStats {
         let mut agg = crate::sender::SenderStats::default();

@@ -219,24 +219,6 @@ impl TcpSender {
         self.in_recovery
     }
 
-    /// One-line state summary for diagnostics.
-    pub fn debug_state(&self) -> String {
-        format!(
-            "{:?} una={} nxt={} end={} cwnd={} ssthresh={} dup={} rec={} backoff={} fin={:?} timer={}",
-            self.state,
-            self.snd_una,
-            self.snd_nxt,
-            self.data_end,
-            self.cwnd as u64,
-            self.ssthresh as u64,
-            self.dup_acks,
-            self.in_recovery,
-            self.backoff,
-            self.fin_seq,
-            self.rto_timer.is_some(),
-        )
-    }
-
     /// Responds to a (possibly retransmitted) SYN from the client: sends
     /// the SYN-ACK and arms the handshake timer.
     pub fn on_syn(&mut self, syn: &Packet, io: &mut dyn TcpIo) {

@@ -141,17 +141,10 @@ pub enum Event {
         virtual_ns: u64,
         wall_ns: u64,
     },
-    /// An escape hatch for layer-specific one-offs; prefer a typed
-    /// variant once an event has more than one producer.
-    Custom {
-        name: &'static str,
-        fields: Vec<(&'static str, Value)>,
-    },
 }
 
 impl Event {
-    /// Kind tags of the typed variants, in declaration order. `Custom`
-    /// carries its own name and takes the slot one past the end.
+    /// Kind tags of the variants, in declaration order.
     pub(crate) const TAGS: [&'static str; 13] = [
         "flow_state",
         "retransmit",
@@ -168,9 +161,9 @@ impl Event {
         "engine_summary",
     ];
 
-    /// The variant's dense index — its position in [`Event::TAGS`], or
-    /// `TAGS.len()` for `Custom` — so a sink can count kinds in a fixed
-    /// array instead of a map keyed by [`Event::kind`].
+    /// The variant's dense index — its position in [`Event::TAGS`] — so
+    /// a sink can count kinds in a fixed array instead of a map keyed by
+    /// [`Event::kind`].
     #[inline]
     pub(crate) fn slot(&self) -> usize {
         match self {
@@ -187,7 +180,6 @@ impl Event {
             Event::Fault { .. } => 10,
             Event::LinkSummary { .. } => 11,
             Event::EngineSummary { .. } => 12,
-            Event::Custom { .. } => 13,
         }
     }
 
@@ -195,10 +187,7 @@ impl Event {
     /// field and as the aggregation key in [`crate::SummarySink`] and
     /// [`crate::RingBufferSink`].
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::Custom { name, .. } => name,
-            typed => Self::TAGS[typed.slot()],
-        }
+        Self::TAGS[self.slot()]
     }
 
     /// Renders the event (with its timestamp, in nanoseconds of
@@ -345,11 +334,6 @@ impl Event {
                         "virtual_time_rate",
                         Value::Float(*virtual_ns as f64 / *wall_ns as f64),
                     );
-                }
-            }
-            Event::Custom { fields, .. } => {
-                for (k, v) in fields {
-                    push(k, v.clone());
                 }
             }
         }

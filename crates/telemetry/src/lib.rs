@@ -260,14 +260,17 @@ mod tests {
 
     #[test]
     fn disabled_handle_is_inert() {
-        let t = Telemetry::disabled();
-        assert!(!t.listening());
-        let mut built = false;
-        t.emit(0, || {
-            built = true;
-            Event::PoolWaiting { src: 1 }
-        });
-        assert!(!built, "event closure must not run when disabled");
+        // A detached handle and a hub no sink was ever added to: the
+        // telemetry-off path every unwired deployment takes.
+        for t in [Telemetry::disabled(), Telemetry::new()] {
+            assert!(!t.listening());
+            let mut built = false;
+            t.emit(0, || {
+                built = true;
+                Event::PoolWaiting { src: 1 }
+            });
+            assert!(!built, "event closure must not run without a sink");
+        }
     }
 
     #[test]

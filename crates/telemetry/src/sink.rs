@@ -466,7 +466,7 @@ impl SummaryStats {
 ///
 /// `emit` does integer work only: the event kind counts into a slot by
 /// [`Event`] variant, and each name an event carries (link kind, class,
-/// tracker state, fault class, custom tag) resolves to a slot in a
+/// tracker state, fault class) resolves to a slot in a
 /// first-seen [`NameTable`]. The sorted maps of [`SummaryStats`] are
 /// produced from those slots when [`SummarySink::stats`] is read.
 #[derive(Debug, Clone, Default)]
@@ -474,12 +474,8 @@ pub struct SummarySink {
     /// The aggregates that are not keyed by a name, updated in place.
     /// Its name-keyed maps stay empty; `stats()` fills them.
     live: SummaryStats,
-    /// Events per variant, indexed by `Event::slot`. The last slot is
-    /// `Custom`'s, there so `emit` indexes without a branch; reads take
-    /// custom counts from `custom`, by name.
-    kinds: [u64; Event::TAGS.len() + 1],
-    /// `Custom` events by their own name.
-    custom: NameTable<u64>,
+    /// Events per variant, indexed by `Event::slot`.
+    kinds: [u64; Event::TAGS.len()],
     /// Entry counts per tracker state; a state seen only as a
     /// transition's source holds a slot with a zero count.
     states: NameTable<u64>,
@@ -516,13 +512,12 @@ impl SummarySink {
     /// before the call is counted, flushed or not.
     pub fn stats(&self) -> SummaryStats {
         let mut s = self.live.clone();
-        s.counts_by_kind = sorted(&self.custom);
-        for (tag, &n) in Event::TAGS.iter().zip(&self.kinds) {
-            if n > 0 {
-                // A custom event may reuse a typed tag; they share a row.
-                *s.counts_by_kind.entry(tag).or_insert(0) += n;
-            }
-        }
+        s.counts_by_kind = Event::TAGS
+            .iter()
+            .zip(&self.kinds)
+            .filter(|(_, &n)| n > 0)
+            .map(|(&tag, &n)| (tag, n))
+            .collect();
         s.state_entries = sorted(&self.states);
         s.transitions = self
             .transitions
@@ -608,7 +603,6 @@ impl TelemetrySink for SummarySink {
                 );
             }
             Event::EngineSummary { .. } => {}
-            Event::Custom { name, .. } => bump(&mut self.custom, name),
         }
     }
 }
@@ -896,7 +890,7 @@ mod tests {
                         ),
                     );
                 }
-                Event::EngineSummary { .. } | Event::Custom { .. } => {}
+                Event::EngineSummary { .. } => {}
             }
         }
     }
@@ -947,8 +941,6 @@ mod tests {
         ];
         let link_kinds = ["enqueue", "transmit", "drop", again("enqueue")];
         let fault_kinds = ["burst_loss", "reorder", "restart", again("reorder")];
-        // A custom event may carry a typed variant's tag.
-        let custom = ["gc_tick", "link", again("gc_tick")];
         for seed in [11u64, 12, 13] {
             let mut rng = Rng(seed);
             let mut fast = SummarySink::new();
@@ -1018,22 +1010,18 @@ mod tests {
                         flow: None,
                         value: 0.0,
                     },
-                    14 => match rng.below(8) {
-                        0 => Event::LinkSummary {
+                    14 => match rng.below(4) {
+                        0 => Event::EngineSummary {
+                            events: 1,
+                            virtual_ns: 2,
+                            wall_ns: 3,
+                        },
+                        _ => Event::LinkSummary {
                             link: rng.below(12) as u32,
                             offered_pkts: rng.next() % 1_000,
                             dropped_pkts: 3,
                             transmitted_pkts: 5,
                             utilization: 0.5,
-                        },
-                        1 => Event::EngineSummary {
-                            events: 1,
-                            virtual_ns: 2,
-                            wall_ns: 3,
-                        },
-                        _ => Event::Custom {
-                            name: rng.pick(&custom),
-                            fields: Vec::new(),
                         },
                     },
                     _ => Event::Classified {
@@ -1065,7 +1053,10 @@ mod tests {
             let got = fast.stats();
             assert_eq!(got.total_events(), EVENTS as u64);
             assert!(got.classified["Probation"] > 0 && got.link_events["mark"] > 0);
-            assert!(got.counts_by_kind["link"] > got.link_events.values().sum());
+            assert_eq!(
+                got.counts_by_kind["link"],
+                got.link_events.values().sum::<u64>()
+            );
             assert_eq!(got.classified.len(), 6, "two addresses, one Recovery row");
             // Only seed 12 ever enters "FastRecovery": a state seen only
             // as a transition's source must not show up with a zero count.

@@ -249,13 +249,6 @@ impl TopologySpec {
         self
     }
 
-    /// Moves the primary server to `router`.
-    #[must_use]
-    pub fn server_at(mut self, router: usize) -> Self {
-        self.server_router = router;
-        self
-    }
-
     /// Builds the scenario for `seed`, each pipe's disciplines built
     /// from its [`QdiscSpec`].
     pub fn build(&self, seed: u64) -> TopoScenario {
@@ -313,7 +306,6 @@ impl TopologySpec {
                     &p.faults,
                     topo.link(2 * i),
                     p.rate,
-                    p.delay,
                     pipe_seed(seed, i as u64),
                     self.telemetry.clone(),
                     stats.clone(),

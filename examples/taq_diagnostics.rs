@@ -3,8 +3,8 @@
 //! [`SummarySink`] aggregates every structured event the middlebox and
 //! simulator emit (state transitions, classification, staged drops,
 //! queue-depth samples, link records) and renders one table per run.
-//! Knobs via env vars: `FLOWS`, `RECOV_FRAC`, `TAQ_BUF`, `EVO_WIN_MS`,
-//! `MINRTO_MS`.
+//! Both runs use the default TCP (1 s minimum RTO) and, for TAQ, the
+//! default `TaqConfig` for the link.
 //!
 //! Run with: `cargo run --release --example taq_diagnostics`
 
@@ -12,24 +12,18 @@ use taq::{QueueClass, TaqConfig, TaqPair};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_queues::DropTail;
 use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime, TelemetryBridge};
-use taq_tcp::{ServerHost, TcpConfig};
+use taq_tcp::ServerHost;
 use taq_telemetry::{shared_sink, SummarySink, Telemetry};
 use taq_workloads::{DumbbellSpec, BULK_BYTES};
 
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+/// Bulk flows sharing the 600 kbps bottleneck.
+const FLOWS: usize = 60;
+/// Window of the evolution tracker behind `stalled_frac`.
+const EVOLUTION_WINDOW: SimDuration = SimDuration::from_secs(1);
 
 fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
     let rate = Bandwidth::from_kbps(600);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let tcp = TcpConfig {
-        min_rto: SimDuration::from_millis(env_or("MINRTO_MS", 1000)),
-        ..TcpConfig::default()
-    };
 
     let telemetry = Telemetry::new();
     let (summary, erased) = shared_sink(SummarySink::new());
@@ -38,7 +32,7 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
         state.lock().unwrap().attach_telemetry(telemetry.clone());
     }
 
-    let mut sc = DumbbellSpec::new(topo).tcp(tcp).build(42, qdisc);
+    let mut sc = DumbbellSpec::new(topo).build(42, qdisc);
     let bottleneck = sc.db.bottleneck;
     let bridge = TelemetryBridge::new(telemetry.clone()).only(bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
@@ -48,10 +42,9 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
     )));
     let evo = sc.sim.add_monitor(Box::new(EvolutionTracker::new(
         bottleneck,
-        SimDuration::from_millis(env_or("EVO_WIN_MS", 1000)),
+        EVOLUTION_WINDOW,
     )));
-    let flows = env_or("FLOWS", 60);
-    sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
+    sc.add_bulk_clients(FLOWS, BULK_BYTES, SimDuration::from_secs(2));
     let wall = std::time::Instant::now();
     sc.run_until(SimTime::from_secs(300));
     sc.sim.emit_telemetry_summary(&telemetry, wall.elapsed());
@@ -64,7 +57,7 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
         .sim
         .monitor::<SliceThroughput>(slices)
         .expect("slice monitor");
-    let jain = slices.mean_jain(2, 15, flows);
+    let jain = slices.mean_jain(2, 15, FLOWS);
     let series = sc
         .sim
         .monitor::<EvolutionTracker>(evo)
@@ -120,14 +113,7 @@ fn main() {
     let rate = Bandwidth::from_kbps(600);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     run("droptail", Box::new(DropTail::with_packets(buffer)), None);
-    let mut cfg = TaqConfig::for_link(rate);
-    if let Ok(v) = std::env::var("RECOV_FRAC") {
-        cfg.recovery_cap_fraction = v.parse().unwrap();
-    }
-    if let Ok(v) = std::env::var("TAQ_BUF") {
-        cfg.buffer_pkts = v.parse().unwrap();
-    }
-    let pair = TaqPair::new(cfg);
+    let pair = TaqPair::new(TaqConfig::for_link(rate));
     let state = pair.state.clone();
     run("taq", Box::new(pair.forward), Some(state));
 }

@@ -165,28 +165,26 @@ testbed_smoke() {
 # fired, cancelled, recycled, foreign or synthetic one matches nothing),
 # the engine's (timer cancellation, failed cancels changing nothing,
 # event counting, routing), the TAQ queue layer's (among them the slot
-# heap against its sorted-Vec oracle), and the reference TAQ written
+# heap against its sorted-Vec oracle), the TAQ discipline's (among them
+# a full buffer under evicting arrivals and an FQ-mode backlog that
+# re-keys on every call), and the reference TAQ written
 # from the paper (tests/reference_taq.rs) that every class, drop, pop,
 # eviction and tracker state is held to. Each command runs
 # twice: in the debug profile,
 # where `debug_assert`s and overflow checks are on, and with --release,
 # the build every figure and benchmark number comes from — test_suite
-# covers only the first. Then the qdisc_throughput microbenchmark, once
-# (under a second of run time): its ladders assert their own set-up
-# (buffer exactly full, half classified Recovery, every enqueue
-# evicted, every call re-keys), and `--ungated` prints its timings
-# without checking them, since a shared runner swings further than any
-# band. This entry point also lets a bisecting developer run just the
-# ordering contract and what it stands on.
+# covers only the first. Nothing here is timed: performance is the repo
+# benchmark's (bench_compare). This entry point also lets a bisecting
+# developer run just the ordering contract and what it stands on.
 execution_conformance() {
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q --test batch_conformance
         run cargo test $OFFLINE $profile -q -p taq-sim --lib events::
         run cargo test $OFFLINE $profile -q -p taq-sim --lib engine::
         run cargo test $OFFLINE $profile -q -p taq --lib queues::
+        run cargo test $OFFLINE $profile -q -p taq --lib qdisc::
         run cargo test $OFFLINE $profile -q --test reference_taq
     done
-    run cargo bench $OFFLINE -q -p taq-bench --bench qdisc_throughput -- --ungated
 }
 
 # Fluid oracle: the mean-field model's own invariants (mass

@@ -1,11 +1,14 @@
 //! The allocation ceiling: the simulator's per-event path does not
 //! allocate, with or without telemetry sinks attached.
 //!
-//! Three scenarios run under a counting `#[global_allocator]` scoped to
+//! Four inputs run under a counting `#[global_allocator]` scoped to
 //! this test binary: the Figure 1 web-log replay through TAQ (flow
 //! churn), the Figure 8 many-flow point (steady small-packet regime),
-//! and the replay again with `SummarySink` + `TraceCollector` on the
-//! hub, a `TelemetryBridge` on every link and the TAQ state attached.
+//! and the replay twice more with a hub wired everywhere (a
+//! `TelemetryBridge` on every link and the TAQ state attached): once
+//! with no sink on it, once with `SummarySink` + `TraceCollector`. The
+//! sinkless run must match the detached one exactly, allocations
+//! included: telemetry that nobody listens to costs nothing.
 //! Allocations are charged against the run's second half only, so
 //! one-time growth (event-queue slots, per-flow state, TCP windows) is
 //! warmup and what is left is the steady state.
@@ -85,12 +88,12 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 /// - connection set-up and tear-down in the client hosts, and the flow
 ///   log's end-of-run flush (8 allocations for the many-flow point's
 ///   300 unfinished records — it completes none before), make up the
-///   rest: 1 577 on the replay, 55 on the many-flow point;
+///   rest: 1 576 on the replay, 55 on the many-flow point;
 /// - attached, the replay adds 3 596: the per-class `Vec` of each
 ///   sampled `queue_depth` event (about 3 000) and the trace
 ///   collector's windows and flight recorder.
 ///
-/// That is 10 783, 2 548 and 14 379 allocations over 1 119 279, 60 707
+/// That is 10 782, 2 548 and 14 378 allocations over 1 119 279, 60 707
 /// and 1 119 279 steady-state events: 0.00963, 0.04197 and 0.01285 per
 /// event on the three scenarios. While `TcpReceiver::insert_ooo` built a
 /// fresh merged `Vec` for every out-of-order segment they were 24 320,
@@ -121,13 +124,31 @@ struct Outcome {
     steady_events: u64,
 }
 
-/// A hub with both shipped aggregating sinks attached, what the repo
-/// benchmark's `weblog_attached` workload attaches.
-fn attached_hub() -> Telemetry {
-    let telemetry = Telemetry::new();
-    telemetry.add_sink(SummarySink::new());
-    telemetry.add_sink(TraceCollector::new(TraceConfig::default()));
-    telemetry
+/// What a run's telemetry hub carries.
+#[derive(Debug, Clone, Copy)]
+enum Wiring {
+    /// No hub at all.
+    Detached,
+    /// A hub wired everywhere with no sink on it.
+    Sinkless,
+    /// A hub with both shipped aggregating sinks attached, what the
+    /// repo benchmark's `weblog_attached` workload attaches.
+    Attached,
+}
+
+impl Wiring {
+    fn hub(self) -> Option<Telemetry> {
+        match self {
+            Wiring::Detached => None,
+            Wiring::Sinkless => Some(Telemetry::new()),
+            Wiring::Attached => {
+                let telemetry = Telemetry::new();
+                telemetry.add_sink(SummarySink::new());
+                telemetry.add_sink(TraceCollector::new(TraceConfig::default()));
+                Some(telemetry)
+            }
+        }
+    }
 }
 
 /// Runs one scenario. `telemetry`, when given, is attached to the TAQ
@@ -186,33 +207,37 @@ fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> Outcome {
 
 #[test]
 fn steady_state_allocations_per_event_stay_under_the_ceiling() {
-    let measure = |scenario: Scenario, attached: bool| {
-        let once = || {
-            let hub = attached.then(attached_hub);
-            run(scenario, hub.as_ref())
-        };
+    let measure = |scenario: Scenario, wiring: Wiring| {
+        let once = || run(scenario, wiring.hub().as_ref());
         let outcome = once();
         assert_eq!(
             outcome,
             once(),
-            "{scenario:?} attached={attached}: two runs of one input must count the same"
+            "{scenario:?} {wiring:?}: two runs of one input must count the same"
         );
         let rate = outcome.steady_allocs as f64 / outcome.steady_events as f64;
         println!(
-            "{scenario:?} attached={attached}: {} events, {} steady-state allocations over {} \
+            "{scenario:?} {wiring:?}: {} events, {} steady-state allocations over {} \
              steady-state events, {rate:.5} per event",
             outcome.events, outcome.steady_allocs, outcome.steady_events
         );
         assert!(
             rate <= ALLOCS_PER_EVENT_CEILING,
-            "{scenario:?} attached={attached}: {rate:.4} allocations per event in steady state \
+            "{scenario:?} {wiring:?}: {rate:.4} allocations per event in steady state \
              (ceiling {ALLOCS_PER_EVENT_CEILING}): something allocates on the per-event path"
         );
         outcome
     };
-    let churn = measure(Scenario::WeblogChurn, false);
-    measure(Scenario::ManyFlow, false);
-    let attached = measure(Scenario::WeblogChurn, true);
+    let churn = measure(Scenario::WeblogChurn, Wiring::Detached);
+    measure(Scenario::ManyFlow, Wiring::Detached);
+    // Telemetry-off is free: a hub nobody listens to never builds an
+    // event, so the run is the detached one, allocation for allocation.
+    let sinkless = measure(Scenario::WeblogChurn, Wiring::Sinkless);
+    assert_eq!(
+        sinkless, churn,
+        "a sinkless hub changed the event count or the steady-state allocations"
+    );
+    let attached = measure(Scenario::WeblogChurn, Wiring::Attached);
     // Telemetry observes, never steers: the same input takes exactly as
     // many simulator events with the sinks listening as without.
     assert_eq!(

@@ -133,7 +133,6 @@ fn run_hand_wired(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
             &spec.faults,
             bottleneck,
             cfg.bottleneck_rate,
-            cfg.bottleneck_delay,
             seed,
             spec.telemetry.clone(),
             stats.clone(),
