@@ -13,8 +13,10 @@
 //!   through the bottleneck; writes the dump (default
 //!   `results/trace_dump.jsonl`), then analyzes it.
 //!
-//! Flags: `--seed N`, `--silence-ms N` (silence threshold, default
-//! 2000), `--window-ms N` (Jain window, default 5000).
+//! Flags: `--seed N`, `--silence-ms N` (silence threshold for the demo's
+//! trip-wire and the report's silence table, default 2000),
+//! `--window-ms N` (the Jain timeline's window only, default 5000; the
+//! dump does not depend on it).
 
 use taq_bench::{Discipline, SweepArgs};
 use taq_faults::{FaultPlan, GilbertElliott};
@@ -25,7 +27,7 @@ use taq_workloads::{weblog, DumbbellSpec};
 
 /// Runs the faulted Figure 1 workload with a trace collector attached
 /// and returns the full-run dump.
-fn run_demo(seed: u64, silence_ns: u64, window_ns: u64) -> String {
+fn run_demo(seed: u64, silence_ns: u64) -> String {
     let rate = Bandwidth::from_mbps(2);
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     let built = Discipline::Taq.spec(buffer).build(rate, seed);
@@ -36,7 +38,6 @@ fn run_demo(seed: u64, silence_ns: u64, window_ns: u64) -> String {
     let (collector, erased) = shared_sink(TraceCollector::new(TraceConfig {
         flight_capacity: 1 << 17,
         silence_ns: Some(silence_ns),
-        series_window_ns: window_ns,
         dump_path: None,
     }));
     telemetry.add_shared_sink(erased);
@@ -98,7 +99,7 @@ pub fn run(args: SweepArgs) {
         },
         None => {
             println!("# trace_report — faulted fig01 demo (seed {seed})");
-            let dump = run_demo(seed, silence_ns, window_ns);
+            let dump = run_demo(seed, silence_ns);
             // Default under results/ so demo runs never litter the
             // repository root (override with --out).
             let out = args.value("--out").unwrap_or("results/trace_dump.jsonl");

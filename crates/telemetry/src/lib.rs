@@ -17,7 +17,7 @@
 //!    are each ~100 lines. An aggregating sink's `emit` runs once per
 //!    event, millions of times a run, so the per-event rule is: no
 //!    allocation, no formatting, no string-keyed lookup. Names resolve
-//!    to a slot once ([`NameTable`], matched by pointer), counts live
+//!    to a slot once (a first-seen table matched by pointer), counts live
 //!    in fixed slots, and sorted, string-keyed views are built when
 //!    somebody reads them.
 //! 4. **One transport, one lock.** The hub owns its sinks. Every
@@ -49,7 +49,6 @@ mod value;
 pub use event::{Event, FlowId};
 pub use fx::{FxBuildHasher, FxHasher};
 pub use histogram::LogHistogram;
-pub use names::NameTable;
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SinkCheckedOut,
     SinkGuard, SinkHandle, SummarySink, SummaryStats, TelemetrySink,

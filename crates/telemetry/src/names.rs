@@ -12,7 +12,7 @@ use std::ops::{Index, IndexMut};
 
 /// Values keyed by name, in first-seen order.
 #[derive(Debug, Clone)]
-pub struct NameTable<T> {
+pub(crate) struct NameTable<T> {
     entries: Vec<(&'static str, T)>,
 }
 
@@ -25,14 +25,9 @@ impl<T> Default for NameTable<T> {
 }
 
 impl<T> NameTable<T> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The slot holding `name`, opened with `make()` at first sight.
     /// `make` runs at most once per distinct name, so it may allocate
-    /// or format (a sink registering a series column, say).
+    /// or format.
     #[inline]
     pub fn slot(&mut self, name: &'static str, make: impl FnOnce() -> T) -> usize {
         match self
@@ -91,7 +86,7 @@ mod tests {
         let b: &'static str = String::from("Recovery").leak();
         assert!(!std::ptr::eq(a, b));
         let mut made = 0;
-        let mut table = NameTable::new();
+        let mut table = NameTable::default();
         let first = table.slot(a, || {
             made += 1;
             0u64
@@ -115,7 +110,7 @@ mod tests {
         // "link_summary" starts at the same byte.
         let long: &'static str = "link_summary";
         let short: &'static str = &long[..4];
-        let mut table = NameTable::new();
+        let mut table = NameTable::default();
         assert_eq!(table.slot(long, || ()), 0);
         assert_eq!(table.slot(short, || ()), 1);
     }

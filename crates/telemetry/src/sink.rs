@@ -467,7 +467,7 @@ impl SummaryStats {
 /// `emit` does integer work only: the event kind counts into a slot by
 /// [`Event`] variant, and each name an event carries (link kind, class,
 /// tracker state, fault class) resolves to a slot in a
-/// first-seen [`NameTable`]. The sorted maps of [`SummaryStats`] are
+/// first-seen table matched by pointer. The sorted maps of [`SummaryStats`] are
 /// produced from those slots when [`SummarySink::stats`] is read.
 #[derive(Debug, Clone, Default)]
 pub struct SummarySink {

@@ -134,11 +134,14 @@ impl Value {
     /// serializes (plus standard whitespace and any numeric notation
     /// `f64::from_str` accepts); rejects trailing garbage. Numbers
     /// parse to [`Value::UInt`] / [`Value::Int`] when they are plain
-    /// integers in range, [`Value::Float`] otherwise.
+    /// integers in range, [`Value::Float`] otherwise. Arrays and
+    /// objects nest at most 128 levels deep; a deeper document is an
+    /// error, not a stack overflow.
     pub fn parse(input: &str) -> Result<Value, ParseError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -179,9 +182,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so without a bound one line of `[`s from
+/// outside the program overflows the stack; this module's own records
+/// nest three levels at most.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -226,11 +237,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`]: each level is a recursive call.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -508,5 +534,20 @@ mod tests {
         }
         let err = Value::parse("{\"a\":!}").unwrap_err();
         assert!(err.to_string().contains("byte 5"), "{err}");
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Value::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&objects).is_err());
+        // Unbounded recursion would overflow the stack here.
+        assert!(Value::parse(&"[".repeat(100_000)).is_err());
     }
 }

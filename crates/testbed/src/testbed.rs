@@ -48,7 +48,7 @@ pub struct TestbedConfig {
     /// When set, a [`taq_trace::TraceCollector`] flight recorder rides
     /// the middlebox's telemetry hub and writes its post-mortem span
     /// dump (the last [`taq_trace::TraceConfig::flight_capacity`] packet
-    /// lifecycles plus the sim-time series) to this file — immediately
+    /// lifecycles, plus any still in flight) to this file — immediately
     /// when a crash-restart drill fires, otherwise at shutdown. Feed the
     /// dump to `trace_report --input` for analysis. Works with or
     /// without `telemetry_jsonl`.

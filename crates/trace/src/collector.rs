@@ -1,26 +1,18 @@
 //! The trace collector: a [`TelemetrySink`] that assembles the
 //! per-packet event stream into lifecycle spans, feeds the flight
-//! recorder and sim-time series, and dumps a post-mortem when the
-//! trip-wire fires.
+//! recorder, and dumps a post-mortem when the trip-wire fires.
 //!
 //! Sitting behind the telemetry hub is what makes tracing free when
 //! disabled (the hub's emit closures never run without sinks) and
 //! deterministic when enabled (the collector only *observes* the
 //! stream; it feeds nothing back into the simulation).
 //!
-//! The per-event path does integer work only. A series column is
-//! resolved once: each link's `depth_link{n}` column the first time the
-//! link appears, each `class_{c}` column the first time the class name
-//! does, and cached (by link index, by name pointer) from then on — the
-//! formatted name and the series' name index are touched at first sight
-//! and never again. Registration order is therefore still first-seen
-//! order, which the dump depends on: the series header lists columns in
-//! registration order and every row is positional, so a collector that
-//! registered the same columns in another order would write a
-//! different dump for the same run. Open spans, the per-window flow
-//! set and the trip-wire's table hash with the workspace's Fx hasher;
-//! none of their iteration orders reaches output (open spans are sorted
-//! by packet id before they are dumped).
+//! The per-event path does integer work only: it keeps each link's
+//! resident packet count (the depth a span records at enqueue) in a
+//! table indexed by link id, and looks nothing up by name. Open spans
+//! and the trip-wire's table hash with the workspace's Fx hasher;
+//! neither iteration order reaches output (open spans are sorted by
+//! packet id before they are dumped).
 //!
 //! Event ordering contract (guaranteed by the engine and middlebox):
 //! `link/enqueue` precedes the discipline's `classified` and `dropped`
@@ -30,29 +22,20 @@
 //! `delivered` for delivered ones.
 
 use crate::recorder::FlightRecorder;
-use crate::series::{ColumnId, ColumnKind, TimeSeries};
 use crate::span::{PacketSpan, SpanOutcome};
 use crate::tripwire::TripWire;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use taq_telemetry::{Event, FlowId, FxBuildHasher, NameTable, TelemetrySink, Value};
+use taq_telemetry::{Event, FlowId, FxBuildHasher, TelemetrySink, Value};
 
-/// Link ids below this bound get a dense [`LinkSlot`]. Every topology
-/// in the repo numbers its links densely from 0, but the id arrives
-/// inside an event (testbed, replayed JSONL), so one `link: u32::MAX`
-/// must not size a table: ids at or above the bound take the by-name
-/// path instead.
+/// Link ids below this bound get a slot in the dense depth table. Every
+/// topology in the repo numbers its links densely from 0, but the id
+/// arrives inside an event (testbed, replayed JSONL), so one
+/// `link: u32::MAX` must not size a table: ids at or above the bound
+/// are kept in a map instead.
 const DENSE_LINKS: usize = 4096;
-
-/// What the collector keeps per link: the packets resident on it and
-/// the link's `depth_link{n}` series column, resolved at first sight.
-#[derive(Debug, Clone, Default)]
-struct LinkSlot {
-    depth: u64,
-    col: Option<ColumnId>,
-}
 
 /// Fault classes that terminate a packet (the fault layer rejects the
 /// packet and the engine records the drop).
@@ -69,8 +52,6 @@ pub struct TraceConfig {
     /// triggers a post-mortem dump. `None` disarms the wire (restart
     /// drills and manual [`TraceCollector::trip`] still work).
     pub silence_ns: Option<u64>,
-    /// Sim-time series cadence.
-    pub series_window_ns: u64,
     /// Where to write the JSONL dump (post-mortem on trip, otherwise at
     /// flush). `None` keeps everything in memory for programmatic use.
     pub dump_path: Option<PathBuf>,
@@ -81,7 +62,6 @@ impl Default for TraceConfig {
         TraceConfig {
             flight_capacity: 512,
             silence_ns: None,
-            series_window_ns: 1_000_000_000,
             dump_path: None,
         }
     }
@@ -110,19 +90,12 @@ pub struct TraceCollector {
     open: HashMap<u64, PacketSpan, FxBuildHasher>,
     recorder: FlightRecorder,
     tripwire: Option<TripWire>,
-    series: TimeSeries,
-    active_col: ColumnId,
-    delivered_pkts_col: ColumnId,
-    delivered_bytes_col: ColumnId,
-    dropped_col: ColumnId,
-    window_flows: HashSet<FlowId, FxBuildHasher>,
-    /// Indexed by link id, grown on demand up to [`DENSE_LINKS`].
-    links: Vec<LinkSlot>,
+    /// Resident packets per link, indexed by link id, grown on demand
+    /// up to [`DENSE_LINKS`].
+    depths: Vec<u64>,
     /// Resident packets on links at or beyond [`DENSE_LINKS`]. Ids no
     /// topology of ours produces, so the default keyed hasher stays.
     far_depths: HashMap<u32, u64>,
-    /// The `class_{c}` column of each class name seen so far.
-    class_cols: NameTable<ColumnId>,
     dump_path: Option<PathBuf>,
     dumped: bool,
     dump_errors: u64,
@@ -133,27 +106,14 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// Creates a collector. Core series columns register up front so
-    /// every dump shares their order.
+    /// Creates a collector.
     pub fn new(cfg: TraceConfig) -> Self {
-        let mut series = TimeSeries::new(cfg.series_window_ns);
-        let active_col = series.column("active_flows", ColumnKind::Counter);
-        let delivered_pkts_col = series.column("delivered_pkts", ColumnKind::Counter);
-        let delivered_bytes_col = series.column("delivered_bytes", ColumnKind::Counter);
-        let dropped_col = series.column("dropped_pkts", ColumnKind::Counter);
         TraceCollector {
             open: HashMap::default(),
             recorder: FlightRecorder::new(cfg.flight_capacity),
             tripwire: cfg.silence_ns.map(TripWire::new),
-            series,
-            active_col,
-            delivered_pkts_col,
-            delivered_bytes_col,
-            dropped_col,
-            window_flows: HashSet::default(),
-            links: Vec::new(),
+            depths: Vec::new(),
             far_depths: HashMap::new(),
-            class_cols: NameTable::new(),
             dump_path: cfg.dump_path,
             dumped: false,
             dump_errors: 0,
@@ -186,11 +146,6 @@ impl TraceCollector {
         &self.recorder
     }
 
-    /// The sim-time series collected so far.
-    pub fn series(&self) -> &TimeSeries {
-        &self.series
-    }
-
     /// Dump I/O failures (the collector, like every sink, never takes
     /// down the data path over them).
     pub fn dump_errors(&self) -> u64 {
@@ -212,7 +167,6 @@ impl TraceCollector {
     }
 
     fn note_activity(&mut self, flow: FlowId, at_ns: u64) {
-        self.window_flows.insert(flow);
         if let Some(wire) = &mut self.tripwire {
             if wire.note_activity(flow, at_ns) {
                 self.post_mortem();
@@ -220,35 +174,17 @@ impl TraceCollector {
         }
     }
 
-    /// Closes every series window the stream has moved past. The
-    /// active-flow gauge is per-window, so it is finalized into the row
-    /// just before the close.
-    fn roll_windows(&mut self, at_ns: u64) {
-        while self.series.window_due(at_ns) {
-            let n = self.window_flows.len() as u64;
-            self.series.set(self.active_col, n);
-            self.window_flows.clear();
-            self.series.close_window();
-        }
-    }
-
-    /// Moves `link`'s resident count one packet up or down, mirrors the
-    /// new count into the link's depth gauge, and returns the count
-    /// before the move. The gauge column registers the first time the
-    /// link is seen, so columns keep their first-seen order.
+    /// Moves `link`'s resident count one packet up or down and returns
+    /// the count before the move.
     fn move_depth(&mut self, link: u32, up: bool) -> u64 {
-        let series = &mut self.series;
-        let mut depth_col = || series.column(&format!("depth_link{link}"), ColumnKind::Gauge);
         let index = link as usize;
-        let (depth, col) = if index < DENSE_LINKS {
-            if index >= self.links.len() {
-                self.links.resize(index + 1, LinkSlot::default());
+        let depth = if index < DENSE_LINKS {
+            if index >= self.depths.len() {
+                self.depths.resize(index + 1, 0);
             }
-            let slot = &mut self.links[index];
-            let col = *slot.col.get_or_insert_with(depth_col);
-            (&mut slot.depth, col)
+            &mut self.depths[index]
         } else {
-            (self.far_depths.entry(link).or_insert(0), depth_col())
+            self.far_depths.entry(link).or_insert(0)
         };
         let before = *depth;
         *depth = if up {
@@ -256,7 +192,6 @@ impl TraceCollector {
         } else {
             before.saturating_sub(1)
         };
-        self.series.set(col, *depth);
         before
     }
 
@@ -296,7 +231,6 @@ impl TraceCollector {
             }
             "drop" => {
                 self.move_depth(link, false);
-                self.series.add(self.dropped_col, 1);
                 // The authoritative finalizer: a core `dropped` record,
                 // if any, already parked its stage on the span; a
                 // terminal fault parked its class; a bare queue drop
@@ -324,12 +258,12 @@ impl TraceCollector {
     }
 
     /// Writes the whole trace as JSONL: a meta line, the trip record
-    /// (if any), every retained span, every still-open span (outcome
-    /// `incomplete`), then the series header and rows.
+    /// (if any), every retained span, then every still-open span
+    /// (outcome `incomplete`).
     pub fn dump_to_writer<W: Write>(&self, out: &mut W) -> io::Result<()> {
         let meta = Value::Object(vec![
             ("record".to_string(), Value::from("meta")),
-            ("schema".to_string(), Value::from("taq-trace-v1")),
+            ("schema".to_string(), Value::from("taq-trace-v2")),
             ("spans_started".to_string(), Value::UInt(self.started)),
             ("spans_completed".to_string(), Value::UInt(self.completed)),
             (
@@ -358,18 +292,16 @@ impl TraceCollector {
         for span in pending {
             writeln!(out, "{}", span.to_value().to_json())?;
         }
-        writeln!(out, "{}", self.series.header_value().to_json())?;
-        for (t_ns, cells) in self.series.rows_padded() {
-            writeln!(out, "{}", TimeSeries::row_value(t_ns, &cells).to_json())?;
-        }
         Ok(())
     }
 
     /// The dump as an in-memory string (tests, embedding harnesses).
     pub fn dump_string(&self) -> String {
         let mut buf = Vec::new();
+        // `Write for Vec<u8>` never returns an error.
         self.dump_to_writer(&mut buf)
             .expect("writing to a Vec cannot fail");
+        // Every line is `Value::to_json` output, which is built in a `String`.
         String::from_utf8(buf).expect("dump is UTF-8")
     }
 
@@ -401,7 +333,6 @@ impl TraceCollector {
 impl TelemetrySink for TraceCollector {
     fn emit(&mut self, at_ns: u64, event: &Event) {
         self.last_ns = self.last_ns.max(at_ns);
-        self.roll_windows(at_ns);
         match event {
             Event::Link {
                 link,
@@ -414,11 +345,6 @@ impl TelemetrySink for TraceCollector {
                 if let Some(span) = self.open.get_mut(packet) {
                     span.class = Some(class);
                 }
-                let series = &mut self.series;
-                let slot = self.class_cols.slot(class, || {
-                    series.column(&format!("class_{class}"), ColumnKind::Counter)
-                });
-                self.series.add(self.class_cols[slot], 1);
             }
             Event::Dropped { packet, stage, .. } => {
                 // Park the stage; the engine's link/drop finalizes.
@@ -430,11 +356,9 @@ impl TelemetrySink for TraceCollector {
             Event::Delivered {
                 packet,
                 flow,
-                bytes,
                 latency_ns,
+                ..
             } => {
-                self.series.add(self.delivered_pkts_col, 1);
-                self.series.add(self.delivered_bytes_col, *bytes);
                 if !self.finalize(
                     *packet,
                     SpanOutcome::Delivered {
@@ -453,14 +377,7 @@ impl TelemetrySink for TraceCollector {
                     }
                 }
                 if *kind == "restart" {
-                    let at = self.last_ns;
-                    let first = self
-                        .tripwire
-                        .get_or_insert_with(|| TripWire::new(u64::MAX))
-                        .trip("restart", at);
-                    if first {
-                        self.post_mortem();
-                    }
+                    self.trip("restart");
                 }
             }
             _ => {}
@@ -661,56 +578,34 @@ mod tests {
     }
 
     #[test]
-    fn series_counts_windows_and_orphans() {
-        let mut c = TraceCollector::new(TraceConfig {
-            series_window_ns: 100,
-            ..TraceConfig::default()
-        });
+    fn counts_orphans_and_dumps_open_spans() {
+        let mut c = TraceCollector::new(TraceConfig::default());
         c.emit(10, &enqueue(1, 1));
         c.emit(20, &transmit(1, 1));
         c.emit(30, &deliver(1, 1, 20));
         // An ACK delivered on an untraced path: orphan.
         c.emit(40, &deliver(99, 2, 5));
-        // Crossing t=100 closes the first window.
         c.emit(150, &enqueue(2, 1));
         assert_eq!(c.orphan_deliveries(), 1);
-        assert_eq!(c.series().len(), 1);
         let dump = c.dump_string();
         assert!(dump.contains("\"record\":\"meta\""));
-        assert!(dump.contains("\"record\":\"series_header\""));
-        assert!(dump.contains("\"record\":\"series_row\""));
         assert!(
             dump.contains("\"outcome\":\"incomplete\""),
             "open span dumped"
         );
-        // The first window saw both flows and the two deliveries.
-        let row = dump
-            .lines()
-            .find(|l| l.contains("series_row"))
-            .expect("one row");
-        let v = Value::parse(row).unwrap();
-        let values = v.get("values").and_then(Value::as_array).unwrap();
-        // Columns: active_flows, delivered_pkts, delivered_bytes, ...
-        assert_eq!(values[0].as_u64(), Some(2));
-        assert_eq!(values[1].as_u64(), Some(2));
-        assert_eq!(values[2].as_u64(), Some(1_000));
     }
 
-    /// The pre-cache collector, kept as the twin the fast one must match
-    /// byte for byte: `emit`, `on_link_event` and `depth_col` are the
-    /// bodies that formatted `depth_link{n}` / `class_{c}` and looked
-    /// the name up in SipHash tables on every event. It never has a
-    /// dump path, so `post_mortem` has nothing to write.
+    /// The twin the collector must match byte for byte. It keeps every
+    /// link's resident count in one SipHash map where the collector
+    /// splits a dense table from a far map, and otherwise repeats the
+    /// collector's span assembly, so the random streams below hold the
+    /// collector's depth table (the `depth` each span records), its span
+    /// outcomes and its counters to it. It never has a dump path, so
+    /// `post_mortem` has nothing to write.
     struct RefCollector {
         open: HashMap<u64, PacketSpan>,
         recorder: FlightRecorder,
         tripwire: Option<TripWire>,
-        series: TimeSeries,
-        active_col: ColumnId,
-        delivered_pkts_col: ColumnId,
-        delivered_bytes_col: ColumnId,
-        dropped_col: ColumnId,
-        window_flows: HashSet<FlowId>,
         link_depths: HashMap<u32, u64>,
         started: u64,
         completed: u64,
@@ -720,21 +615,10 @@ mod tests {
 
     impl RefCollector {
         fn new(cfg: &TraceConfig) -> Self {
-            let mut series = TimeSeries::new(cfg.series_window_ns);
-            let active_col = series.column("active_flows", ColumnKind::Counter);
-            let delivered_pkts_col = series.column("delivered_pkts", ColumnKind::Counter);
-            let delivered_bytes_col = series.column("delivered_bytes", ColumnKind::Counter);
-            let dropped_col = series.column("dropped_pkts", ColumnKind::Counter);
             RefCollector {
                 open: HashMap::new(),
                 recorder: FlightRecorder::new(cfg.flight_capacity),
                 tripwire: cfg.silence_ns.map(TripWire::new),
-                series,
-                active_col,
-                delivered_pkts_col,
-                delivered_bytes_col,
-                dropped_col,
-                window_flows: HashSet::new(),
                 link_depths: HashMap::new(),
                 started: 0,
                 completed: 0,
@@ -746,26 +630,11 @@ mod tests {
         fn post_mortem(&mut self) {}
 
         fn note_activity(&mut self, flow: FlowId, at_ns: u64) {
-            self.window_flows.insert(flow);
             if let Some(wire) = &mut self.tripwire {
                 if wire.note_activity(flow, at_ns) {
                     self.post_mortem();
                 }
             }
-        }
-
-        fn roll_windows(&mut self, at_ns: u64) {
-            while self.series.window_due(at_ns) {
-                let n = self.window_flows.len() as u64;
-                self.series.set(self.active_col, n);
-                self.window_flows.clear();
-                self.series.close_window();
-            }
-        }
-
-        fn depth_col(&mut self, link: u32) -> ColumnId {
-            self.series
-                .column(&format!("depth_link{link}"), ColumnKind::Gauge)
         }
 
         fn finalize(&mut self, packet: u64, outcome: SpanOutcome, end_ns: u64) -> bool {
@@ -803,17 +672,11 @@ mod tests {
                             );
                         }
                     }
-                    let col = self.depth_col(link);
-                    self.series.set(col, resident + 1);
                     self.note_activity(flow, at_ns);
                 }
                 "drop" => {
                     let depth = self.link_depths.entry(link).or_insert(0);
                     *depth = depth.saturating_sub(1);
-                    let resident = *depth;
-                    let col = self.depth_col(link);
-                    self.series.set(col, resident);
-                    self.series.add(self.dropped_col, 1);
                     let outcome = match self.open.get(&packet) {
                         Some(span) => match span.outcome {
                             SpanOutcome::Dropped { stage } => SpanOutcome::Dropped { stage },
@@ -829,9 +692,6 @@ mod tests {
                 "transmit" => {
                     let depth = self.link_depths.entry(link).or_insert(0);
                     *depth = depth.saturating_sub(1);
-                    let resident = *depth;
-                    let col = self.depth_col(link);
-                    self.series.set(col, resident);
                     if let Some(span) = self.open.get_mut(&packet) {
                         span.transmit_ns = Some(at_ns);
                     }
@@ -842,7 +702,6 @@ mod tests {
 
         fn emit(&mut self, at_ns: u64, event: &Event) {
             self.last_ns = self.last_ns.max(at_ns);
-            self.roll_windows(at_ns);
             match event {
                 Event::Link {
                     link,
@@ -855,10 +714,6 @@ mod tests {
                     if let Some(span) = self.open.get_mut(packet) {
                         span.class = Some(class);
                     }
-                    let col = self
-                        .series
-                        .column(&format!("class_{class}"), ColumnKind::Counter);
-                    self.series.add(col, 1);
                 }
                 Event::Dropped { packet, stage, .. } => {
                     if let Some(span) = self.open.get_mut(packet) {
@@ -869,11 +724,9 @@ mod tests {
                 Event::Delivered {
                     packet,
                     flow,
-                    bytes,
                     latency_ns,
+                    ..
                 } => {
-                    self.series.add(self.delivered_pkts_col, 1);
-                    self.series.add(self.delivered_bytes_col, *bytes);
                     if !self.finalize(
                         *packet,
                         SpanOutcome::Delivered {
@@ -907,14 +760,13 @@ mod tests {
         }
 
         /// The twin's dump, written by the real dump code: its state is
-        /// lent to a collector shell (whose caches play no part in
+        /// lent to a collector shell (whose depth tables play no part in
         /// dumping) and taken back.
         fn dump_string(&mut self) -> String {
             let mut shell = TraceCollector::new(TraceConfig::default());
             let lend = |shell: &mut TraceCollector, twin: &mut RefCollector| {
                 std::mem::swap(&mut shell.recorder, &mut twin.recorder);
                 std::mem::swap(&mut shell.tripwire, &mut twin.tripwire);
-                std::mem::swap(&mut shell.series, &mut twin.series);
             };
             lend(&mut shell, self);
             shell.open = self.open.iter().map(|(k, v)| (*k, v.clone())).collect();
@@ -977,14 +829,13 @@ mod tests {
                 // Odd seeds arm the silence wire, so its trip lands
                 // first; even seeds leave the first trip to the restart.
                 silence_ns: (seed % 2 == 1).then_some(40_000_000),
-                series_window_ns: 50_000_000,
                 dump_path: None,
             };
             let mut fast = TraceCollector::new(cfg.clone());
             let mut reference = RefCollector::new(&cfg);
             // Eight links, first seen in an order that differs per
             // seed: the last dense slot, and two ids past the bound
-            // that must take the by-name path.
+            // that must take the far map.
             let bound = DENSE_LINKS as u32;
             let mut links: Vec<u32> = vec![0, 1, 2, 3, 4, bound - 1, bound, u32::MAX];
             for i in (1..links.len()).rev() {
@@ -998,8 +849,8 @@ mod tests {
             let mut checks = 0;
             for step in 0..EVENTS {
                 now += rng.next() % 20_000;
-                // Links join one by one, so column registration
-                // interleaves with class columns.
+                // Links join one by one, so the dense table grows while
+                // packets sit on the links already seen.
                 if step % 500 == 499 && seen_links < links.len() {
                     seen_links += 1;
                 }
@@ -1141,28 +992,20 @@ mod tests {
             }
             // The stream did what the test claims it covers.
             assert!(checks >= 2, "seed {seed}: {checks} comparisons");
-            assert!(fast.series().len() >= 5, "several windows rolled");
             assert!(fast.orphan_deliveries() > 0);
             assert!(fast.recorder().evicted() > 0);
-            assert_eq!(fast.far_depths.len(), 2, "two links took the by-name path");
-            assert_eq!(fast.links.len(), DENSE_LINKS);
+            assert_eq!(fast.far_depths.len(), 2, "two links took the far map");
+            assert_eq!(fast.depths.len(), DENSE_LINKS);
             let dump = fast.dump_string();
             for needle in [
                 "\"record\":\"trip\"",
                 "\"outcome\":\"faulted\"",
                 "\"outcome\":\"incomplete\"",
                 "\"fault\":\"duplicate\"",
-                "class_Probation",
+                "\"class\":\"Probation\"",
             ] {
                 assert!(dump.contains(needle), "seed {seed}: dump lacks {needle}");
             }
-            let columns = fast.series().columns();
-            let first_depth = columns.iter().find(|c| c.starts_with("depth_link"));
-            assert_eq!(
-                first_depth,
-                Some(&format!("depth_link{}", links[0])),
-                "depth columns register in first-seen order"
-            );
         }
     }
 

@@ -17,9 +17,6 @@
 //!   per-flow silence beyond a threshold), testbed crash-restart
 //!   drills, and harness-raised invariant violations; the first trip
 //!   freezes a post-mortem JSONL dump.
-//! - [`TimeSeries`] — registry-driven periodic sampling (queue depths,
-//!   per-class rates, active flows) on a sim-clock cadence, stored
-//!   columnar.
 //! - [`TraceReport`] — offline analysis of dumps: per-flow latency
 //!   percentiles, silence-period distributions, and a sliding-window
 //!   Jain fairness timeline.
@@ -33,13 +30,11 @@
 mod collector;
 mod recorder;
 mod report;
-mod series;
 mod span;
 mod tripwire;
 
 pub use collector::{TraceCollector, TraceConfig};
 pub use recorder::FlightRecorder;
 pub use report::{LatencyStats, ParsedSpan, ParsedTrip, ReportConfig, SilenceStats, TraceReport};
-pub use series::{ColumnId, ColumnKind, TimeSeries};
 pub use span::{PacketSpan, SpanOutcome};
 pub use tripwire::{TripRecord, TripWire};

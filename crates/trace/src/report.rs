@@ -78,9 +78,6 @@ pub struct SilenceStats {
 pub struct TraceReport {
     pub spans: Vec<ParsedSpan>,
     pub trip: Option<ParsedTrip>,
-    pub series_columns: Vec<String>,
-    pub series_window_ns: u64,
-    pub series_rows: Vec<(u64, Vec<u64>)>,
     /// Lines that failed to parse (a truncated dump still reports).
     pub skipped_lines: u64,
 }
@@ -108,9 +105,10 @@ fn ms(ns: u64) -> f64 {
 }
 
 impl TraceReport {
-    /// Parses a JSONL dump. Unknown record kinds and malformed lines
-    /// are skipped (and counted), so a post-mortem truncated by a crash
-    /// still yields a report.
+    /// Parses a JSONL dump. Malformed lines, spans missing a required
+    /// field and lines with no `record` kind are skipped (and counted),
+    /// so a post-mortem truncated by a crash still yields a report;
+    /// record kinds the report does not read are ignored.
     pub fn parse(text: &str) -> TraceReport {
         let mut report = TraceReport::default();
         for line in text.lines() {
@@ -135,7 +133,7 @@ impl TraceReport {
                     report.spans.push(ParsedSpan {
                         packet,
                         flow,
-                        link: get_u64(&v, "link").unwrap_or(0) as u32,
+                        link: get_u64(&v, "link").map_or(0, |l| l.min(u32::MAX.into()) as u32),
                         bytes: get_u64(&v, "bytes").unwrap_or(0),
                         class: get_str(&v, "class"),
                         arrive_ns: get_u64(&v, "arrive_ns").unwrap_or(0),
@@ -155,27 +153,6 @@ impl TraceReport {
                         at_ns: get_u64(&v, "at_ns").unwrap_or(0),
                         gap_ns: get_u64(&v, "gap_ns").unwrap_or(0),
                     });
-                }
-                Some("series_header") => {
-                    report.series_window_ns = get_u64(&v, "window_ns").unwrap_or(0);
-                    report.series_columns = v
-                        .get("columns")
-                        .and_then(Value::as_array)
-                        .map(|cols| {
-                            cols.iter()
-                                .filter_map(|c| c.as_str().map(str::to_string))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                }
-                Some("series_row") => {
-                    let t_ns = get_u64(&v, "t_ns").unwrap_or(0);
-                    let cells = v
-                        .get("values")
-                        .and_then(Value::as_array)
-                        .map(|vals| vals.iter().filter_map(Value::as_u64).collect())
-                        .unwrap_or_default();
-                    report.series_rows.push((t_ns, cells));
                 }
                 Some("meta") | Some(_) => {}
                 None => report.skipped_lines += 1,
@@ -201,6 +178,7 @@ impl TraceReport {
                     p50: percentile(&lat, 0.50),
                     p95: percentile(&lat, 0.95),
                     p99: percentile(&lat, 0.99),
+                    // Each flow's entry is created by the push of its first latency.
                     max: *lat.last().unwrap(),
                 };
                 (flow, stats)
@@ -411,28 +389,61 @@ mod tests {
 
     fn dump() -> String {
         [
-            r#"{"record":"meta","schema":"taq-trace-v1","spans_started":4}"#,
+            r#"{"record":"meta","schema":"taq-trace-v2","spans_started":4}"#,
             r#"{"record":"trip","reason":"flow-silence","flow":"1:10->2:80","at_ns":9000000000,"gap_ns":4000000000}"#,
             r#"{"record":"span","packet":1,"flow":"1:10->2:80","link":0,"bytes":500,"class":"Normal","arrive_ns":0,"depth":0,"transmit_ns":100,"outcome":"delivered","latency_ns":1000000,"end_ns":1000000}"#,
             r#"{"record":"span","packet":2,"flow":"1:10->2:80","link":0,"bytes":500,"arrive_ns":2000000,"depth":1,"outcome":"delivered","latency_ns":3000000,"end_ns":5000000}"#,
             r#"{"record":"span","packet":3,"flow":"1:11->2:80","link":0,"bytes":500,"arrive_ns":2500000,"depth":2,"outcome":"delivered","latency_ns":2000000,"end_ns":4500000}"#,
             r#"{"record":"span","packet":4,"flow":"1:10->2:80","link":0,"bytes":500,"arrive_ns":9000000000,"depth":0,"outcome":"dropped","stage":4,"end_ns":9000000000}"#,
-            r#"{"record":"series_header","window_ns":1000000000,"columns":["active_flows","delivered_pkts"]}"#,
-            r#"{"record":"series_row","t_ns":1000000000,"values":[2,3]}"#,
             "not json at all",
         ]
         .join("\n")
     }
 
     #[test]
-    fn parses_spans_trip_and_series() {
+    fn parses_spans_and_trip() {
         let report = TraceReport::parse(&dump());
         assert_eq!(report.spans.len(), 4);
         assert_eq!(report.skipped_lines, 1);
         assert_eq!(report.trip.as_ref().unwrap().reason, "flow-silence");
-        assert_eq!(report.series_columns.len(), 2);
-        assert_eq!(report.series_rows, vec![(1_000_000_000, vec![2, 3])]);
         assert_eq!(report.spans[3].stage, Some(4));
+    }
+
+    #[test]
+    fn hostile_lines_are_counted_not_fatal() {
+        let text = [
+            "not json at all",
+            r#"{"record":"span","packet":1,"flow":"1:10->2:80","outc"#,
+            r#"{"record":"span","flow":"1:10->2:80","outcome":"delivered","end_ns":5}"#,
+            r#"{"packet":2,"flow":"1:10->2:80","outcome":"delivered"}"#,
+            r#"{"record":"span","packet":3,"flow":"1:10->2:80","outcome":"dropped","link":99999999999999,"stage":70000,"end_ns":9}"#,
+            r#"{"record":"from_a_later_schema","packet":4}"#,
+            "[]",
+            "42",
+        ]
+        .join("\n");
+        let report = TraceReport::parse(&text);
+        // Non-JSON, truncated, span without `packet`, no `record` key,
+        // and the two records that are not objects; a record kind the
+        // report does not read is ignored, not skipped.
+        assert_eq!(report.skipped_lines, 6);
+        assert_eq!(report.spans.len(), 1);
+        let span = &report.spans[0];
+        assert_eq!(
+            (span.packet, span.link, span.stage),
+            (3, u32::MAX, Some(255))
+        );
+    }
+
+    #[test]
+    fn deep_nesting_is_one_skipped_line() {
+        let text = format!("{}\n{}", dump(), "[".repeat(100_000));
+        let report = TraceReport::parse(&text);
+        assert_eq!(report.spans.len(), 4);
+        assert_eq!(
+            report.skipped_lines, 2,
+            "the fixture's one bad line plus the deep one"
+        );
     }
 
     #[test]

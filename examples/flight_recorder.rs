@@ -4,7 +4,7 @@
 //! simulated seconds in, the middlebox "crashes" — buffered packets
 //! discarded, all per-flow TAQ state lost, a 2 s stall. The `restart`
 //! fault event trips the flight recorder, which dumps the last few
-//! hundred packet lifecycles (plus the sim-time series) to a JSONL
+//! hundred packet lifecycles (and those still in flight) to a JSONL
 //! post-mortem at the crash instant. The example then re-reads the dump
 //! with the same parser `trace_report --input` uses and renders the
 //! analysis: what every packet was doing just before the lights went

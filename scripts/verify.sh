@@ -130,18 +130,25 @@ fault_smoke() {
 
 # Trace smoke: the packet-lifecycle tracer end to end — runs the
 # faulted fig01 demo with the flight recorder attached, writes the span
-# dump, and re-analyzes it through the --input path (so both the
-# collector and the parser are exercised), then the two sink crates'
-# own tests, among them the oracles that hold TraceCollector and
-# SummarySink to their pre-cache twins on random event streams and the
-# hub's sink check-out/replay tests. Those, with the two root suites
-# that pin what an attached run emits (trace_determinism,
-# telemetry_events), run again with --release: every attached number in
-# EXPERIMENTS.md and the repo benchmark comes from that profile, and
-# test_suite covers only the debug one. CI archives the dump.
+# dump, and re-analyzes it through the --input path. The two reports'
+# non-`#` lines must be identical, so a drift between what the
+# collector writes and what the parser reads fails the leg. Then the
+# two sink crates' own tests, among them the oracles that hold
+# TraceCollector and SummarySink to their test-local twins on random
+# event streams and the hub's sink check-out/replay tests. Those, with
+# the two root suites that pin what an attached run emits
+# (trace_determinism, whose seed-3 dump must equal
+# tests/golden/trace_seed3.jsonl, and telemetry_events), run again with
+# --release: every attached number in EXPERIMENTS.md and the repo
+# benchmark comes from that profile, and test_suite covers only the
+# debug one. CI archives the dump.
 trace_smoke() {
-    run cargo run $OFFLINE --release -p taq-bench -- trace_report --out results/trace_dump.jsonl
-    run cargo run $OFFLINE --release -p taq-bench -- trace_report --input results/trace_dump.jsonl
+    run cargo run $OFFLINE --release -p taq-bench -- trace_report --out results/trace_dump.jsonl >results/trace_report_out.txt
+    run cargo run $OFFLINE --release -p taq-bench -- trace_report --input results/trace_dump.jsonl >results/trace_report_in.txt
+    cat results/trace_report_out.txt
+    grep -v '^#' results/trace_report_out.txt >results/trace_report_out.body
+    grep -v '^#' results/trace_report_in.txt >results/trace_report_in.body
+    run diff results/trace_report_out.body results/trace_report_in.body
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q -p taq-trace -p taq-telemetry
     done

@@ -7,9 +7,15 @@
 //!    `FlowLog` records and `TaqStats` counters are byte-identical to
 //!    the same (seed, config) run with telemetry fully disabled.
 //! 2. **The trace itself is deterministic** — the full span dump
-//!    (every packet lifecycle through the bottleneck, plus the
-//!    sim-time series) is byte-identical across sweep thread counts
-//!    (1/2/4).
+//!    (the meta record, the trip record if any, and every retained or
+//!    still-open packet lifecycle through the bottleneck) is
+//!    byte-identical across sweep thread counts (1/2/4), and seed 3's
+//!    equals the committed `tests/golden/trace_seed3.jsonl`.
+//!
+//! The golden file pins the dump format and the run it traces. When a
+//! change moves it on purpose, the failing test writes the fresh dump
+//! under cargo's `CARGO_TARGET_TMPDIR` and names it: copy that file
+//! over the golden one and say why in CHANGES.md.
 
 use taq_bench::{sweep_seeds, Discipline};
 use taq_faults::{FaultPlan, GilbertElliott};
@@ -18,6 +24,9 @@ use taq_tcp::FlowRecord;
 use taq_telemetry::{shared_sink, Telemetry};
 use taq_trace::{TraceCollector, TraceConfig};
 use taq_workloads::DumbbellSpec;
+
+/// Seed 3's dump as committed.
+const GOLDEN_SEED3: &str = include_str!("golden/trace_seed3.jsonl");
 
 struct TracedRun {
     records: Vec<FlowRecord>,
@@ -116,6 +125,7 @@ fn span_dump_is_byte_identical_across_threads() {
     // Distinct seeds genuinely differ — the comparisons below are not
     // between trivially identical dumps.
     assert_ne!(reference[0], reference[1]);
+    assert_matches_golden(&reference[0]);
 
     for threads in [1usize, 2, 4] {
         let dumps = sweep_seeds(&seeds, threads, |seed| run_traced(seed, true).dump);
@@ -124,6 +134,31 @@ fn span_dump_is_byte_identical_across_threads() {
                 dump, expected,
                 "seed {seed} threads {threads}: span dump diverged"
             );
+        }
+    }
+}
+
+/// Byte-compares seed 3's dump with the golden file; on a mismatch,
+/// writes the fresh dump out and fails naming it and the first line
+/// that differs.
+fn assert_matches_golden(dump: &str) {
+    if dump == GOLDEN_SEED3 {
+        return;
+    }
+    let fresh = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_seed3.jsonl");
+    std::fs::write(&fresh, dump).expect("write the fresh dump");
+    let (mut got, mut want) = (dump.lines(), GOLDEN_SEED3.lines());
+    let mut line = 1;
+    loop {
+        match (got.next(), want.next()) {
+            (Some(a), Some(b)) if a == b => line += 1,
+            (a, b) => panic!(
+                "seed 3's trace dump differs from tests/golden/trace_seed3.jsonl at line {line}\n  \
+                 fresh:  {}\n  golden: {}\nfresh dump: {}",
+                a.unwrap_or("<end of dump>"),
+                b.unwrap_or("<end of file>"),
+                fresh.display()
+            ),
         }
     }
 }
