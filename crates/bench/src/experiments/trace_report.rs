@@ -72,11 +72,13 @@ fn run_demo(seed: u64, silence_ns: u64) -> String {
 
     let collector = collector.lock().unwrap();
     println!(
-        "# demo run: {} spans started, {} completed, {} orphan deliveries, {} evicted",
+        "# demo run: {} spans started, {} completed, {} orphan deliveries, {} evicted, {} retained in {} recorder bytes",
         collector.spans_started(),
         collector.spans_completed(),
         collector.orphan_deliveries(),
-        collector.recorder().evicted()
+        collector.recorder().evicted(),
+        collector.recorder().len(),
+        collector.recorder().retained_bytes()
     );
     collector.dump_string()
 }

@@ -49,6 +49,7 @@ mod value;
 pub use event::{Event, FlowId};
 pub use fx::{FxBuildHasher, FxHasher};
 pub use histogram::LogHistogram;
+pub use names::NameTable;
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SinkCheckedOut,
     SinkGuard, SinkHandle, SummarySink, SummaryStats, TelemetrySink,

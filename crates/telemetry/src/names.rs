@@ -10,9 +10,10 @@
 
 use std::ops::{Index, IndexMut};
 
-/// Values keyed by name, in first-seen order.
+/// Values keyed by name, in first-seen order. A name keeps its slot for
+/// the table's life, so a slot index can stand in for the name.
 #[derive(Debug, Clone)]
-pub(crate) struct NameTable<T> {
+pub struct NameTable<T> {
     entries: Vec<(&'static str, T)>,
 }
 

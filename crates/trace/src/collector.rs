@@ -21,6 +21,7 @@
 //! therefore the authoritative finalizer for dropped spans, and
 //! `delivered` for delivered ones.
 
+use crate::links::LinkTable;
 use crate::recorder::FlightRecorder;
 use crate::span::{PacketSpan, SpanOutcome};
 use crate::tripwire::TripWire;
@@ -29,13 +30,6 @@ use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use taq_telemetry::{Event, FlowId, FxBuildHasher, TelemetrySink, Value};
-
-/// Link ids below this bound get a slot in the dense depth table. Every
-/// topology in the repo numbers its links densely from 0, but the id
-/// arrives inside an event (testbed, replayed JSONL), so one
-/// `link: u32::MAX` must not size a table: ids at or above the bound
-/// are kept in a map instead.
-const DENSE_LINKS: usize = 4096;
 
 /// Fault classes that terminate a packet (the fault layer rejects the
 /// packet and the engine records the drop).
@@ -90,12 +84,8 @@ pub struct TraceCollector {
     open: HashMap<u64, PacketSpan, FxBuildHasher>,
     recorder: FlightRecorder,
     tripwire: Option<TripWire>,
-    /// Resident packets per link, indexed by link id, grown on demand
-    /// up to [`DENSE_LINKS`].
-    depths: Vec<u64>,
-    /// Resident packets on links at or beyond [`DENSE_LINKS`]. Ids no
-    /// topology of ours produces, so the default keyed hasher stays.
-    far_depths: HashMap<u32, u64>,
+    /// Resident packets per link.
+    depths: LinkTable<u64>,
     dump_path: Option<PathBuf>,
     dumped: bool,
     dump_errors: u64,
@@ -112,8 +102,7 @@ impl TraceCollector {
             open: HashMap::default(),
             recorder: FlightRecorder::new(cfg.flight_capacity),
             tripwire: cfg.silence_ns.map(TripWire::new),
-            depths: Vec::new(),
-            far_depths: HashMap::new(),
+            depths: LinkTable::new(),
             dump_path: cfg.dump_path,
             dumped: false,
             dump_errors: 0,
@@ -177,15 +166,7 @@ impl TraceCollector {
     /// Moves `link`'s resident count one packet up or down and returns
     /// the count before the move.
     fn move_depth(&mut self, link: u32, up: bool) -> u64 {
-        let index = link as usize;
-        let depth = if index < DENSE_LINKS {
-            if index >= self.depths.len() {
-                self.depths.resize(index + 1, 0);
-            }
-            &mut self.depths[index]
-        } else {
-            self.far_depths.entry(link).or_insert(0)
-        };
+        let depth = self.depths.entry(link);
         let before = *depth;
         *depth = if up {
             before + 1
@@ -402,6 +383,9 @@ impl TelemetrySink for TraceCollector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::links::DENSE_LINKS;
+    use crate::tripwire::TripRecord;
+    use std::collections::{BTreeMap, VecDeque};
 
     fn flow(port: u16) -> FlowId {
         FlowId {
@@ -597,14 +581,19 @@ mod tests {
 
     /// The twin the collector must match byte for byte. It keeps every
     /// link's resident count in one SipHash map where the collector
-    /// splits a dense table from a far map, and otherwise repeats the
-    /// collector's span assembly, so the random streams below hold the
-    /// collector's depth table (the `depth` each span records), its span
-    /// outcomes and its counters to it. It never has a dump path, so
-    /// `post_mortem` has nothing to write.
+    /// splits a dense table from a far map, keeps its completed spans
+    /// wide in per-link rings where the collector encodes them into the
+    /// flight recorder's compact records, writes its own dump with
+    /// `PacketSpan::to_value`, and otherwise repeats the collector's span
+    /// assembly. So the random streams below hold the collector's depth
+    /// table (the `depth` each span records), its span outcomes, the
+    /// recorder's encode/decode and eviction and its counters to it. It
+    /// never has a dump path, so `post_mortem` has nothing to write.
     struct RefCollector {
         open: HashMap<u64, PacketSpan>,
-        recorder: FlightRecorder,
+        rings: BTreeMap<u32, VecDeque<PacketSpan>>,
+        capacity: usize,
+        evicted: u64,
         tripwire: Option<TripWire>,
         link_depths: HashMap<u32, u64>,
         started: u64,
@@ -617,7 +606,9 @@ mod tests {
         fn new(cfg: &TraceConfig) -> Self {
             RefCollector {
                 open: HashMap::new(),
-                recorder: FlightRecorder::new(cfg.flight_capacity),
+                rings: BTreeMap::new(),
+                capacity: cfg.flight_capacity,
+                evicted: 0,
                 tripwire: cfg.silence_ns.map(TripWire::new),
                 link_depths: HashMap::new(),
                 started: 0,
@@ -644,7 +635,16 @@ mod tests {
             span.outcome = outcome;
             span.end_ns = end_ns;
             self.completed += 1;
-            self.recorder.push(span);
+            if self.capacity == 0 {
+                self.evicted += 1;
+                return true;
+            }
+            let ring = self.rings.entry(span.link).or_default();
+            if ring.len() == self.capacity {
+                ring.pop_front();
+                self.evicted += 1;
+            }
+            ring.push_back(span);
             true
         }
 
@@ -759,23 +759,34 @@ mod tests {
             }
         }
 
-        /// The twin's dump, written by the real dump code: its state is
-        /// lent to a collector shell (whose depth tables play no part in
-        /// dumping) and taken back.
-        fn dump_string(&mut self) -> String {
-            let mut shell = TraceCollector::new(TraceConfig::default());
-            let lend = |shell: &mut TraceCollector, twin: &mut RefCollector| {
-                std::mem::swap(&mut shell.recorder, &mut twin.recorder);
-                std::mem::swap(&mut shell.tripwire, &mut twin.tripwire);
-            };
-            lend(&mut shell, self);
-            shell.open = self.open.iter().map(|(k, v)| (*k, v.clone())).collect();
-            shell.started = self.started;
-            shell.completed = self.completed;
-            shell.orphan_deliveries = self.orphan_deliveries;
-            let dump = shell.dump_string();
-            lend(&mut shell, self);
-            dump
+        fn dump_string(&self) -> String {
+            let meta = Value::Object(vec![
+                ("record".to_string(), Value::from("meta")),
+                ("schema".to_string(), Value::from("taq-trace-v2")),
+                ("spans_started".to_string(), Value::UInt(self.started)),
+                ("spans_completed".to_string(), Value::UInt(self.completed)),
+                (
+                    "spans_open".to_string(),
+                    Value::UInt(self.open.len() as u64),
+                ),
+                (
+                    "orphan_deliveries".to_string(),
+                    Value::UInt(self.orphan_deliveries),
+                ),
+                ("recorder_evicted".to_string(), Value::UInt(self.evicted)),
+            ]);
+            let mut lines = vec![meta];
+            lines.extend(
+                self.tripwire
+                    .as_ref()
+                    .and_then(TripWire::record)
+                    .map(TripRecord::to_value),
+            );
+            lines.extend(self.rings.values().flatten().map(PacketSpan::to_value));
+            let mut pending: Vec<&PacketSpan> = self.open.values().collect();
+            pending.sort_by_key(|s| s.packet);
+            lines.extend(pending.into_iter().map(PacketSpan::to_value));
+            lines.iter().map(|line| line.to_json() + "\n").collect()
         }
     }
 
@@ -994,8 +1005,8 @@ mod tests {
             assert!(checks >= 2, "seed {seed}: {checks} comparisons");
             assert!(fast.orphan_deliveries() > 0);
             assert!(fast.recorder().evicted() > 0);
-            assert_eq!(fast.far_depths.len(), 2, "two links took the far map");
-            assert_eq!(fast.depths.len(), DENSE_LINKS);
+            assert_eq!(fast.depths.far.len(), 2, "two links took the far map");
+            assert_eq!(fast.depths.dense.len(), DENSE_LINKS);
             let dump = fast.dump_string();
             for needle in [
                 "\"record\":\"trip\"",

@@ -12,7 +12,8 @@
 //!   fault(kind), assembled by [`TraceCollector`] from the event
 //!   stream.
 //! - [`FlightRecorder`] — a fixed-capacity ring of recent spans per
-//!   link, so the dump near a pathology holds its local history.
+//!   link, so the dump near a pathology holds its local history; each
+//!   retained span is a 72-byte record, decoded back on read.
 //! - [`TripWire`] — live detection of the Figure 1 pathology (a
 //!   per-flow silence beyond a threshold), testbed crash-restart
 //!   drills, and harness-raised invariant violations; the first trip
@@ -28,6 +29,7 @@
 //! at one atomic load per would-be event.
 
 mod collector;
+mod links;
 mod recorder;
 mod report;
 mod span;

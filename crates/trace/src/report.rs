@@ -214,40 +214,26 @@ impl TraceReport {
         out
     }
 
-    /// Jain fairness index over sliding windows of per-flow delivered
-    /// bytes. Each element is `(window_end_ns, index, active_flows)`;
-    /// the index is `None` for windows with no deliveries.
-    pub fn jain_timeline(&self, window_ns: u64) -> Vec<(u64, Option<f64>, usize)> {
+    /// Jain fairness index over consecutive windows of per-flow
+    /// delivered bytes. Window `i` covers `[i·window_ns, (i+1)·window_ns)`;
+    /// each element is `(i, index, active_flows)`, in window order, for
+    /// the windows that hold a delivery only. A timeline therefore has
+    /// at most one element per span, whatever times the dump claims.
+    pub fn jain_timeline(&self, window_ns: u64) -> Vec<(u64, f64, usize)> {
         let window_ns = window_ns.max(1);
-        let horizon = self
-            .spans
-            .iter()
-            .filter(|s| s.outcome == "delivered")
-            .map(|s| s.end_ns)
-            .max()
-            .unwrap_or(0);
-        if horizon == 0 {
-            return Vec::new();
-        }
-        let windows = horizon / window_ns + 1;
-        let mut per_window: Vec<BTreeMap<&str, u64>> =
-            (0..windows).map(|_| BTreeMap::new()).collect();
+        let mut per_window: BTreeMap<u64, BTreeMap<&str, u64>> = BTreeMap::new();
         for span in &self.spans {
             if span.outcome != "delivered" {
                 continue;
             }
-            let w = (span.end_ns / window_ns) as usize;
-            *per_window[w].entry(span.flow.as_str()).or_insert(0) += span.bytes;
+            let flows = per_window.entry(span.end_ns / window_ns).or_default();
+            let bytes = flows.entry(span.flow.as_str()).or_insert(0);
+            *bytes = bytes.saturating_add(span.bytes);
         }
         per_window
             .into_iter()
-            .enumerate()
             .map(|(i, flows)| {
-                let end = (i as u64 + 1) * window_ns;
                 let n = flows.len();
-                if n == 0 {
-                    return (end, None, 0);
-                }
                 let sum: f64 = flows.values().map(|&b| b as f64).sum();
                 let sumsq: f64 = flows.values().map(|&b| (b as f64) * (b as f64)).sum();
                 let jain = if sumsq > 0.0 {
@@ -255,7 +241,7 @@ impl TraceReport {
                 } else {
                     1.0
                 };
-                (end, Some(jain), n)
+                (i, jain, n)
             })
             .collect()
     }
@@ -366,17 +352,37 @@ impl TraceReport {
                 "    {:>10} {:>7} {:>7}  0 ........ 1",
                 "t ms", "jain", "flows"
             );
-            for (end, jain, flows) in &timeline {
-                match jain {
-                    Some(j) => {
-                        let bar = "#".repeat((j * 12.0).round() as usize);
-                        let _ =
-                            writeln!(out, "    {:>10.0} {:>7.3} {:>7}  {bar}", ms(*end), j, flows);
-                    }
-                    None => {
-                        let _ = writeln!(out, "    {:>10.0} {:>7} {:>7}", ms(*end), "-", 0);
-                    }
+            // Window `i` ends at (i+1)·window; `i·window` is at most a
+            // delivery's end time, so only the `+1` can overflow.
+            let window_ns = cfg.window_ns.max(1);
+            let mut next = 0u64;
+            for &(i, jain, flows) in &timeline {
+                // A run of empty windows is one row, at the run's last end.
+                if i > next {
+                    let empty = i - next;
+                    let run = if empty > 1 {
+                        format!("  ({empty} empty windows)")
+                    } else {
+                        String::new()
+                    };
+                    let _ = writeln!(
+                        out,
+                        "    {:>10.0} {:>7} {:>7}{run}",
+                        ms(i * window_ns),
+                        "-",
+                        0
+                    );
                 }
+                let end = i.saturating_add(1).saturating_mul(window_ns);
+                let bar = "#".repeat((jain * 12.0).round() as usize);
+                let _ = writeln!(
+                    out,
+                    "    {:>10.0} {:>7.3} {:>7}  {bar}",
+                    ms(end),
+                    jain,
+                    flows
+                );
+                next = i.saturating_add(1);
             }
         }
         out
@@ -473,17 +479,73 @@ mod tests {
         let report = TraceReport::parse(&dump());
         let timeline = report.jain_timeline(1_000_000_000);
         // All three deliveries land in window 0 (the dropped span at
-        // t=9 s contributes nothing, so the horizon stops at 5 ms):
-        // two flows, 1000 vs 500 bytes ->
+        // t=9 s contributes nothing): two flows, 1000 vs 500 bytes ->
         // jain = 1500^2 / (2 * (1000^2 + 500^2)) = 0.9.
         assert_eq!(timeline.len(), 1);
-        let (_, jain, flows) = timeline[0];
-        assert_eq!(flows, 2);
-        assert!((jain.unwrap() - 0.9).abs() < 1e-9);
+        let (window, jain, flows) = timeline[0];
+        assert_eq!((window, flows), (0, 2));
+        assert!((jain - 0.9).abs() < 1e-9);
         let rendered = report.render(&ReportConfig::default());
         assert!(rendered.contains("TRIP: flow-silence"));
         assert!(rendered.contains("per-flow delivery latency"));
         assert!(rendered.contains("silence periods"));
         assert!(rendered.contains("Jain fairness timeline"));
+    }
+
+    /// One delivered span at the far end of time: the timeline keeps
+    /// the one window that holds it, and the report prints the empty
+    /// windows before it as one row. `scripts/verify.sh trace_smoke`
+    /// runs `trace_report --input` on the same file.
+    const END_OF_TIME: &str = include_str!("../../../tests/data/trace_end_of_time.jsonl");
+
+    #[test]
+    fn a_span_at_the_end_of_time_renders_in_bounded_output() {
+        let report = TraceReport::parse(END_OF_TIME);
+        assert_eq!(report.spans.len(), 1);
+        assert_eq!(report.spans[0].end_ns, u64::MAX - 1);
+        let window_ns = ReportConfig::default().window_ns;
+        let timeline = report.jain_timeline(window_ns);
+        assert_eq!(timeline, vec![((u64::MAX - 1) / window_ns, 1.0, 1)]);
+        let rendered = report.render(&ReportConfig::default());
+        assert!(
+            rendered.lines().count() <= 12,
+            "output bounded by the span count:\n{rendered}"
+        );
+        assert!(rendered.contains(&format!("({} empty windows)", timeline[0].0)));
+        // A one-nanosecond window puts the span in the last window of
+        // all, whose end saturates.
+        let timeline = report.jain_timeline(1);
+        assert_eq!(timeline, vec![(u64::MAX - 1, 1.0, 1)]);
+        let rendered = report.render(&ReportConfig {
+            window_ns: 1,
+            ..ReportConfig::default()
+        });
+        assert!(rendered.lines().count() <= 12);
+    }
+
+    #[test]
+    fn empty_windows_between_deliveries_share_a_row() {
+        let text = [
+            r#"{"record":"span","packet":1,"flow":"1:10->2:80","bytes":500,"outcome":"delivered","end_ns":500}"#,
+            r#"{"record":"span","packet":2,"flow":"1:10->2:80","bytes":500,"outcome":"delivered","end_ns":2500}"#,
+            r#"{"record":"span","packet":3,"flow":"1:10->2:80","bytes":500,"outcome":"delivered","end_ns":9500}"#,
+        ]
+        .join("\n");
+        let report = TraceReport::parse(&text);
+        let timeline: Vec<u64> = report.jain_timeline(1_000).iter().map(|w| w.0).collect();
+        assert_eq!(timeline, vec![0, 2, 9]);
+        let rendered = report.render(&ReportConfig {
+            window_ns: 1_000,
+            ..ReportConfig::default()
+        });
+        let rows: Vec<&str> = rendered
+            .lines()
+            .skip_while(|line| !line.contains("Jain fairness timeline"))
+            .skip(2)
+            .collect();
+        // Windows 0, 1 (empty), 2, 3..=8 (six empty), 9.
+        assert_eq!(rows.len(), 5, "{rendered}");
+        assert!(rows[1].ends_with(" -       0"), "{}", rows[1]);
+        assert!(rows[3].ends_with("(6 empty windows)"), "{}", rows[3]);
     }
 }

@@ -132,7 +132,11 @@ fault_smoke() {
 # faulted fig01 demo with the flight recorder attached, writes the span
 # dump, and re-analyzes it through the --input path. The two reports'
 # non-`#` lines must be identical, so a drift between what the
-# collector writes and what the parser reads fails the leg. Then the
+# collector writes and what the parser reads fails the leg. Next,
+# --input on tests/data/trace_end_of_time.jsonl, one delivered span
+# ending at u64::MAX - 1: the report keeps state and rows only for
+# windows that hold a delivery, so it must finish within the timeout
+# and print the empty windows before the span as one row. Then the
 # two sink crates' own tests, among them the oracles that hold
 # TraceCollector and SummarySink to their test-local twins on random
 # event streams and the hub's sink check-out/replay tests. Those, with
@@ -149,6 +153,9 @@ trace_smoke() {
     grep -v '^#' results/trace_report_out.txt >results/trace_report_out.body
     grep -v '^#' results/trace_report_in.txt >results/trace_report_in.body
     run diff results/trace_report_out.body results/trace_report_in.body
+    run timeout 60 cargo run $OFFLINE --release -q -p taq-bench -- trace_report --input tests/data/trace_end_of_time.jsonl >results/trace_report_end_of_time.txt
+    cat results/trace_report_end_of_time.txt
+    run grep -q 'empty windows)$' results/trace_report_end_of_time.txt
     for profile in "" --release; do
         run cargo test $OFFLINE $profile -q -p taq-trace -p taq-telemetry
     done
