@@ -21,7 +21,7 @@ use crate::admission::{AdmissionController, AdmissionDecision, LossRateMeter};
 use crate::config::TaqConfig;
 use crate::queues::{classify, fair_share_bps, QueueClass, QueuedPkt, TaqQueues};
 use crate::tracker::{flow_id, FlowTable};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use taq_sim::{
     EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime, TcpFlags,
     UnboundedFifo,
@@ -360,6 +360,13 @@ impl std::fmt::Debug for TaqState {
 /// uncontended and never held across a callback.
 pub type SharedTaq = Arc<Mutex<TaqState>>;
 
+/// Locks the middlebox state for one step.
+fn lock(state: &SharedTaq) -> MutexGuard<'_, TaqState> {
+    // Invariant: the lock is poisoned only by a TAQ step that already
+    // panicked holding it, so this re-raises that panic, no new one.
+    state.lock().unwrap()
+}
+
 /// The data-direction (congested) half of the middlebox.
 #[derive(Debug)]
 pub struct TaqQdisc {
@@ -404,26 +411,26 @@ impl TaqPair {
     /// Wires a telemetry hub through the shared state (see
     /// [`TaqState::attach_telemetry`]).
     pub fn attach_telemetry(&self, telemetry: Telemetry) {
-        self.state.lock().unwrap().attach_telemetry(telemetry);
+        lock(&self.state).attach_telemetry(telemetry);
     }
 }
 
 impl Qdisc for TaqQdisc {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        self.state.lock().unwrap().enqueue_forward(pkt, arena, now)
+        lock(&self.state).enqueue_forward(pkt, arena, now)
     }
 
     fn dequeue(&mut self, _arena: &mut PacketArena, now: SimTime) -> Option<PacketId> {
-        self.state.lock().unwrap().dequeue_forward(now)
+        lock(&self.state).dequeue_forward(now)
     }
 
     fn len(&self) -> usize {
-        let st = self.state.lock().unwrap();
+        let st = lock(&self.state);
         st.queues.len() + st.pending_rejects.len()
     }
 
     fn byte_len(&self) -> usize {
-        let st = self.state.lock().unwrap();
+        let st = lock(&self.state);
         st.queues.byte_len()
             + st.pending_rejects
                 .iter()
@@ -438,7 +445,7 @@ impl Qdisc for TaqQdisc {
 
 impl Qdisc for TaqReverseQdisc {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome {
-        let decision = self.state.lock().unwrap().observe_reverse(pkt, arena, now);
+        let decision = lock(&self.state).observe_reverse(pkt, arena, now);
         if decision == AdmissionDecision::Reject {
             return EnqueueOutcome::rejected(pkt);
         }

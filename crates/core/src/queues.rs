@@ -296,6 +296,7 @@ impl FlowSlabs {
     /// lowest id.
     fn score_key(&self, id: FlowId) -> u128 {
         let idx = id.index();
+        // Invariant: `usize` is at most 64 bits on every supported target.
         let backlog = u64::try_from(self.packets[idx].len()).expect("backlog fits 64 bits");
         pack_wide(self.score[idx], backlog, id)
     }
@@ -315,6 +316,7 @@ fn pack_wide(hi: u32, mid: u64, id: FlowId) -> u128 {
 /// `backlog << 32 | !id`. A backlog past 32 bits panics in every build
 /// profile: a wrapped field would silently reorder the victims.
 fn pack_backlog(backlog: usize, id: FlowId) -> u64 {
+    // Invariant: a backlog is at most the configured `buffer_pkts`, whatever the headers.
     let backlog = u32::try_from(backlog).expect("backlog overflowed its 32-bit key field");
     u64::from(backlog) << 32 | u64::from(!id.0)
 }
@@ -388,6 +390,7 @@ impl<K: PackedKey> SlotHeap<K> {
             }
             Reindex::Leave => {
                 let at = std::mem::replace(&mut pos[key.flow().index()], ABSENT) as usize;
+                // Invariant: only a flow on this heap leaves it, so it is non-empty.
                 let last = self.keys.pop().expect("leaving an empty heap");
                 if at < self.keys.len() {
                     let gone = std::mem::replace(&mut self.keys[at], last);
@@ -755,6 +758,8 @@ impl TaqQueues {
     fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
         let idx = id.index();
         let class = self.flows.class[idx] as usize;
+        // Invariant: callers pass the head (0) of a non-empty queue or an
+        // index `first_data_idx` just found in it.
         let qp = self.flows.packets[idx]
             .remove(pkt_idx)
             .expect("valid index");
@@ -810,6 +815,8 @@ impl TaqQueues {
         let recovery_pkts = self.class_len(QueueClass::Recovery);
         // Level 1: recovery, if within its rate budget (or alone).
         if recovery_pkts > 0 {
+            // Invariant: a packet in the recovery class is some flow's, and
+            // every flow in the class is on the recovery heap.
             let id = self.best_recovery().expect("non-empty");
             let bits = f64::from(self.flows.packets[id.index()][0].wire) * 8.0;
             let others_waiting = self.len > recovery_pkts;
@@ -918,6 +925,7 @@ impl TaqQueues {
                 .class_iter(class.index())
                 .find(|k| self.first_data_idx(*k).is_some());
             if let Some(k) = fallback {
+                // Invariant: `find` just matched `k` on this very call.
                 let idx = self.first_data_idx(k).expect("checked");
                 return Some(self.remove_at(k, idx));
             }

@@ -507,6 +507,8 @@ impl FlowTable {
             telemetry,
             ..
         } = self;
+        // Invariant: a slot is filled when its id is interned and emptied
+        // only when the GC releases that id.
         let flow = slots[id.index()].as_mut().expect("interned flow has state");
         flow.roll_epochs(now, telemetry);
 

@@ -40,17 +40,19 @@ impl EvolutionCounts {
 /// Collects per-window activity from bottleneck transmissions and
 /// classifies flow evolution.
 ///
-/// Flow keys are interned into dense ids; per-window activity and
-/// per-flow lifespans are `Vec`s indexed by id (ids are never released,
-/// as every flow stays in the census until marked finished).
+/// Flow keys are interned into dense ids; per-window activity is one
+/// bit per id and per-flow lifespans a `Vec` indexed by id (ids are
+/// never released, as every flow stays in the census until marked
+/// finished).
 #[derive(Debug)]
 pub struct EvolutionTracker {
     link: LinkId,
     window: SimDuration,
     interner: FlowInterner,
-    /// Window index -> per-flow packet counts, indexed by interned id
-    /// (zero = silent; windows may be shorter than the flow roster).
-    activity: Vec<Vec<u32>>,
+    /// Window index -> one bit per flow, set if it transmitted in the
+    /// window: bit `id % 64` of word `id / 64` (a window's words may
+    /// stop short of the flow roster; missing bits are silent).
+    activity: Vec<Vec<u64>>,
     /// First and last window in which each flow may be counted,
     /// indexed by interned id.
     lifespan: Vec<(usize, Option<usize>)>,
@@ -97,7 +99,11 @@ impl EvolutionTracker {
         if w == 0 || w >= self.activity.len() {
             return c;
         }
-        let active_in = |window: &Vec<u32>, idx: usize| window.get(idx).is_some_and(|&c| c > 0);
+        let active_in = |window: &[u64], idx: usize| {
+            window
+                .get(idx / 64)
+                .is_some_and(|&word| (word >> (idx % 64)) & 1 == 1)
+        };
         for (idx, &(first, last)) in self.lifespan.iter().enumerate() {
             if first >= w {
                 continue; // Not yet born at the previous window.
@@ -143,18 +149,20 @@ impl LinkMonitor for EvolutionTracker {
             );
             self.lifespan.push((w, None));
         }
+        let (word, bit) = (id.index() / 64, id.index() % 64);
         let window = &mut self.activity[w];
-        if window.len() <= id.index() {
-            window.resize(id.index() + 1, 0);
+        if window.len() <= word {
+            window.resize(word + 1, 0);
         }
-        window[id.index()] += 1;
+        window[word] |= 1 << bit;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taq_sim::{NodeId, PacketBuilder};
+    use std::collections::{BTreeMap, BTreeSet};
+    use taq_sim::{NodeId, PacketBuilder, SimRng};
 
     fn pkt(port: u16) -> Packet {
         PacketBuilder::new(FlowKey {
@@ -169,6 +177,10 @@ mod tests {
 
     fn at(s: u64) -> SimTime {
         SimTime::from_secs(s)
+    }
+
+    fn at_ns(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
     }
 
     fn tracker() -> EvolutionTracker {
@@ -250,6 +262,102 @@ mod tests {
         assert_eq!(t.windows(), 10);
         assert_eq!(t.series().len(), 9);
         assert!(t.series().iter().all(|c| c.maintained == 1));
+    }
+
+    /// The census written the slow way: a `BTreeSet` of active flows
+    /// per window, and each flow's birth and finish windows by key.
+    #[derive(Default)]
+    struct NaiveCensus {
+        active: Vec<BTreeSet<u16>>,
+        born: BTreeMap<u16, usize>,
+        finished: BTreeMap<u16, usize>,
+    }
+
+    impl NaiveCensus {
+        fn transmit(&mut self, port: u16, w: usize) {
+            while self.active.len() <= w {
+                self.active.push(BTreeSet::new());
+            }
+            self.born.entry(port).or_insert(w);
+            self.active[w].insert(port);
+        }
+
+        fn finish(&mut self, port: u16, w: usize) {
+            if self.born.contains_key(&port) {
+                self.finished.insert(port, w);
+            }
+        }
+
+        fn series(&self) -> Vec<EvolutionCounts> {
+            let mut out = Vec::new();
+            for w in 1..self.active.len() {
+                let mut c = EvolutionCounts::default();
+                for (port, &born) in &self.born {
+                    let gone = self.finished.get(port).is_some_and(|&end| end < w);
+                    if born >= w || gone {
+                        continue;
+                    }
+                    let was = self.active[w - 1].contains(port);
+                    let is = self.active[w].contains(port);
+                    *match (was, is) {
+                        (true, true) => &mut c.maintained,
+                        (true, false) => &mut c.dropped,
+                        (false, true) => &mut c.arriving,
+                        (false, false) => &mut c.stalled,
+                    } += 1;
+                }
+                out.push(c);
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn bit_census_matches_a_naive_census_on_random_streams() {
+        const FLOWS: u64 = 260; // ids 0..260 span five 64-bit words
+        for seed in 1..=4 {
+            let mut rng = SimRng::new(seed);
+            let mut t = tracker();
+            let mut naive = NaiveCensus::default();
+            let mut now = 0u64;
+            let mut empty_runs = 0;
+            for _ in 0..20_000 {
+                now += match rng.next_below(1_000) {
+                    // A run of two to nine empty windows.
+                    0 => {
+                        empty_runs += 1;
+                        rng.range_u64(3, 10) * 1_000_000_000
+                    }
+                    _ => rng.next_below(20_000_000),
+                };
+                let port = 1 + rng.next_below(FLOWS) as u16;
+                let w = (now / 1_000_000_000) as usize;
+                match rng.next_below(100) {
+                    // Neither a pure ACK nor another link's packet counts.
+                    0 => t.on_transmit(
+                        LinkId(0),
+                        &PacketBuilder::new(pkt(port).flow).build(),
+                        at_ns(now),
+                    ),
+                    1 => t.on_transmit(LinkId(1), &pkt(port), at_ns(now)),
+                    2 => {
+                        t.mark_finished(pkt(port).flow, at_ns(now));
+                        naive.finish(port, w);
+                    }
+                    _ => {
+                        t.on_transmit(LinkId(0), &pkt(port), at_ns(now));
+                        naive.transmit(port, w);
+                    }
+                }
+            }
+            assert!(empty_runs > 5, "seed {seed}: the stream needs gaps");
+            assert!(
+                naive.finished.len() > 100,
+                "seed {seed}: and finished flows"
+            );
+            assert_eq!(t.windows(), naive.active.len(), "seed {seed}");
+            assert_eq!(t.series(), naive.series(), "seed {seed}");
+        }
     }
 
     #[test]

@@ -361,7 +361,7 @@ enum ConnState {
     /// SYN sent, awaiting SYN-ACK.
     Connecting { retry_timer: TimerId, retries: u32 },
     /// Transfer in progress.
-    Established(Box<TcpReceiver>),
+    Established(TcpReceiver),
 }
 
 struct ClientConn {
@@ -390,10 +390,10 @@ pub struct ClientHost {
     pending: std::collections::VecDeque<(SimTime, Request)>,
     /// Requests to enqueue at future times: `(when, request)`.
     scheduled: Vec<(SimTime, Request)>,
+    /// Connection slots, found per packet by scanning for the local
+    /// port (a client holds a handful). Grown one slot at a time, so
+    /// the table is as long as the most connections ever held at once.
     conns: Vec<Option<ClientConn>>,
-    /// Connection slot by local port; looked up per packet, never
-    /// iterated.
-    by_port: HashMap<u16, usize, FxBuildHasher>,
     free: Vec<usize>,
     next_port: u16,
     log: SharedFlowLog,
@@ -415,6 +415,11 @@ pub struct ClientHost {
 impl ClientHost {
     /// Creates a client fetching from `server:server_port`, holding at
     /// most `max_parallel` simultaneous connections, logging into `log`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < max_parallel < 65 535`: each live connection
+    /// holds its own nonzero local port.
     pub fn new(
         cfg: TcpConfig,
         server: NodeId,
@@ -423,6 +428,10 @@ impl ClientHost {
         log: SharedFlowLog,
     ) -> Self {
         assert!(max_parallel > 0, "need at least one connection slot");
+        assert!(
+            max_parallel < usize::from(u16::MAX),
+            "each live connection needs its own nonzero local port"
+        );
         ClientHost {
             sack: cfg.variant == crate::config::Variant::Sack,
             cfg,
@@ -432,7 +441,6 @@ impl ClientHost {
             pending: std::collections::VecDeque::new(),
             scheduled: Vec::new(),
             conns: Vec::new(),
-            by_port: HashMap::default(),
             free: Vec::new(),
             next_port: 10_000,
             log,
@@ -480,8 +488,15 @@ impl ClientHost {
         }
     }
 
+    /// The live slot whose connection holds local port `port`.
+    fn slot_of(&self, port: u16) -> Option<usize> {
+        self.conns
+            .iter()
+            .position(|c| c.as_ref().is_some_and(|c| c.local_port == port))
+    }
+
     fn start_next<E: HostEnv>(&mut self, env: &mut E) {
-        while self.by_port.len() < self.max_parallel {
+        while self.conns.iter().flatten().count() < self.max_parallel {
             let Some((queued_at, req)) = self.pending.pop_front() else {
                 break;
             };
@@ -490,9 +505,15 @@ impl ClientHost {
     }
 
     fn open<E: HostEnv>(&mut self, req: Request, queued_at: SimTime, env: &mut E) {
-        let local_port = self.next_port;
-        self.next_port = self.next_port.wrapping_add(1);
+        // Skip port 0 and the ports live connections hold, so the port
+        // names one slot; fewer than `u16::MAX` are live, so one is free.
+        let mut local_port = self.next_port;
+        while local_port == 0 || self.slot_of(local_port).is_some() {
+            local_port = local_port.wrapping_add(1);
+        }
+        self.next_port = local_port.wrapping_add(1);
         let slot = self.free.pop().unwrap_or_else(|| {
+            self.conns.reserve_exact(1);
             self.conns.push(None);
             self.conns.len() - 1
         });
@@ -524,7 +545,6 @@ impl ClientHost {
             boundary: req.bytes,
             idle: false,
         });
-        self.by_port.insert(local_port, slot);
         self.send_syn(slot, req.bytes, env);
     }
 
@@ -630,7 +650,6 @@ impl ClientHost {
 
     fn close_slot<E: HostEnv>(&mut self, slot: usize, env: &mut E) {
         if let Some(conn) = self.conns[slot].take() {
-            self.by_port.remove(&conn.local_port);
             self.free.push(slot);
             self.log.lock().unwrap().records.push(conn.record);
         }
@@ -668,10 +687,10 @@ impl ClientHost {
 
     /// Handles a packet delivered to this host.
     pub fn on_packet<E: HostEnv>(&mut self, pkt: Packet, env: &mut E) {
-        let Some(&slot) = self.by_port.get(&pkt.flow.dst_port) else {
+        let Some(slot) = self.slot_of(pkt.flow.dst_port) else {
             return; // Late packet for a finished connection.
         };
-        let conn = self.conns[slot].as_mut().expect("indexed slot live");
+        let conn = self.conns[slot].as_mut().expect("found slot live");
         if let ConnState::Connecting {
             retry_timer,
             retries,
@@ -701,7 +720,7 @@ impl ClientHost {
                     dst_port: conn.server_port,
                 };
                 let receiver = TcpReceiver::new(self.cfg.clone(), ack_flow, self.sack);
-                conn.state = ConnState::Established(Box::new(receiver));
+                conn.state = ConnState::Established(receiver);
             } else {
                 return; // Data before SYN-ACK: drop (no reassembly yet).
             }
@@ -1046,6 +1065,55 @@ mod tests {
         assert_eq!(
             (r.syn_retries, r.established_at, r.completed_at),
             (2, None, None)
+        );
+    }
+
+    /// Port reuse: with `next_port` wound back onto a live connection's
+    /// port (what 65 536 opens do), the next open skips that port, and
+    /// port 0; both transfers then complete, each on its own receiver.
+    #[test]
+    fn live_connections_never_share_a_local_port() {
+        let log = new_flow_log();
+        let mut c = client(3, &log);
+        c.push_request(Request {
+            tag: 1,
+            bytes: 20_000,
+        });
+        let mut pair = Pair::new(c);
+        pair.client.on_start(&mut pair.envs[1]);
+        let ports = |c: &ClientHost| {
+            c.conns
+                .iter()
+                .flatten()
+                .map(|c| c.local_port)
+                .collect::<Vec<_>>()
+        };
+        let [first] = ports(&pair.client)[..] else {
+            panic!("one connection open");
+        };
+        for (tag, next_port, bytes) in [(2, first, 35_000), (3, 0, 9_000)] {
+            pair.client.next_port = next_port;
+            pair.client.push_request(Request { tag, bytes });
+            pair.client.start_next(&mut pair.envs[1]);
+        }
+        assert_eq!(ports(&pair.client), [first, first + 1, 1]);
+
+        pair.run(SimTime::from_secs(60), |_| Fate::Deliver);
+        assert_eq!(pair.server.accepted, 3);
+        assert_eq!(pair.client.completed, 3);
+        let mut records = log.lock().unwrap().records.clone();
+        records.sort_by_key(|r| r.tag);
+        let got: Vec<_> = records
+            .iter()
+            .map(|r| (r.tag, r.client_port, r.bytes, r.completed_at.is_some()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (1, first, 20_000, true),
+                (2, first + 1, 35_000, true),
+                (3, 1, 9_000, true)
+            ]
         );
     }
 

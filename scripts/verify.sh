@@ -68,13 +68,15 @@ test_suite() {
 # own that calls the crates' public API, so nothing above compiles it.
 # Type-check it in the quick tier so a crates/ API change cannot break
 # it unseen; the full tier also runs it end to end at toy size
-# (packet conservation and digest equality are checked inside).
+# (packet conservation and digest equality are checked inside), then
+# runs its own unit and integration tests, which nothing else runs.
 benchmark_check() {
     run cargo check $OFFLINE --manifest-path benchmark/Cargo.toml --all-targets
 }
 
 benchmark_smoke() {
     run bash benchmark/run.sh --smoke
+    run cargo test $OFFLINE --release --manifest-path benchmark/Cargo.toml
 }
 
 # Sweep smoke: 2 seeds x 2 worker threads through the parallel runner.

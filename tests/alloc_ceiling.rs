@@ -13,12 +13,17 @@
 //! one-time growth (event-queue slots, per-flow state, TCP windows) is
 //! warmup and what is left is the steady state.
 //!
-//! A run is seeded and single-threaded and the counter is per thread,
-//! so the steady-state count is a function of the code alone: no wall
-//! clock, no host noise, the same number in debug and release. The test
-//! asserts that by running every scenario twice and requiring equal
-//! counts, and that determinism is what lets the ceiling sit in tier-1
-//! rather than behind a tolerance band.
+//! The same allocator also counts the heap bytes each thread holds, and
+//! the many-flow point must end its run holding no more than a ceiling
+//! per flow: what a flow costs is what bounds the flow count a run can
+//! reach.
+//!
+//! A run is seeded and single-threaded and the counters are per
+//! thread, so the steady-state count and the bytes held are a function
+//! of the code alone: no wall clock, no host noise, the same number in
+//! debug and release. The test asserts that by running every scenario
+//! twice and requiring equal counts, and that determinism is what lets
+//! the ceilings sit in tier-1 rather than behind a tolerance band.
 #![allow(unsafe_code)] // denied workspace-wide; `GlobalAlloc` has no safe form
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -36,10 +41,25 @@ thread_local! {
     /// initialised and without a destructor, so reading it inside the
     /// allocator neither allocates nor outlives the thread's storage.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Heap bytes this thread holds: allocated minus freed, a realloc
+    /// counting its size difference. Signed, since a thread may free
+    /// what another allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE.with(Cell::get)
+}
+
+/// Charges `calls` allocation calls and a change of `bytes` in the
+/// bytes held to this thread.
+fn count(calls: u64, bytes: i64) {
+    ALLOCS.with(|n| n.set(n.get() + calls));
+    LIVE.with(|n| n.set(n.get() + bytes));
 }
 
 struct CountingAlloc;
@@ -48,25 +68,26 @@ struct CountingAlloc;
 // is a thread-local side effect that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(1, layout.size() as i64);
         // SAFETY: the caller's contract for `alloc`, passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through this allocator with
         // this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(1, new_size as i64 - layout.size() as i64);
         // SAFETY: the caller's contract for `realloc`, passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(1, layout.size() as i64);
         // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -83,27 +104,39 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 ///
 /// - every enqueue that drops allocates its `EnqueueOutcome::dropped`
 ///   list — TAQ drops 9 206 packets on the replay and 2 493 on the
-///   many-flow point, one per dropping enqueue (85 % and 98 % of the
+///   many-flow point, one per dropping enqueue (89 % and 98 % of the
 ///   residue);
-/// - connection set-up and tear-down in the client hosts, and the flow
-///   log's end-of-run flush (8 allocations for the many-flow point's
-///   300 unfinished records — it completes none before), make up the
-///   rest: 1 576 on the replay, 55 on the many-flow point;
-/// - attached, the replay adds 3 596: the per-class `Vec` of each
+/// - connection set-up and tear-down in the client hosts (a client's
+///   receiver lives in its connection slot, so set-up boxes nothing),
+///   and the flow log's end-of-run flush (8 allocations for the
+///   many-flow point's 300 unfinished records — it completes none
+///   before), make up the rest: 1 110 on the replay, 51 on the
+///   many-flow point;
+/// - attached, the replay adds 3 370: the per-class `Vec` of each
 ///   sampled `queue_depth` event (about 3 000) and the trace
 ///   collector's windows and flight recorder.
 ///
-/// That is 10 782, 2 548 and 14 378 allocations over 1 119 279, 60 707
-/// and 1 119 279 steady-state events: 0.00963, 0.04197 and 0.01285 per
-/// event on the three scenarios. While `TcpReceiver::insert_ooo` built a
-/// fresh merged `Vec` for every out-of-order segment they were 24 320,
-/// 3 406 and 27 916 (0.02173, 0.05611 and 0.02494 per event; 0.01882,
-/// 0.04904 and 0.02161 while a cancelled timer still surfaced and
-/// counted as an event, 13 % more events). The ceiling sits above that
+/// That is 10 316, 2 544 and 13 686 allocations over 1 119 279, 60 707
+/// and 1 119 279 steady-state events: 0.00922, 0.04191 and 0.01223 per
+/// event on the three scenarios (10 782, 2 548 and 14 152 while each
+/// established connection boxed its receiver). While
+/// `TcpReceiver::insert_ooo` built a fresh merged `Vec` for every
+/// out-of-order segment they were 24 320, 3 406 and 27 916 (0.02173,
+/// 0.05611 and 0.02494 per event; 0.01882, 0.04904 and 0.02161 while a
+/// cancelled timer still surfaced and counted as an event, 13 % more
+/// events). The ceiling sits above that
 /// residue and below what one new allocation per packet costs: a `Vec`
 /// in `TaqState::enqueue_forward` reads 0.0995 on the replay, where
 /// about one event in eleven is a bottleneck enqueue.
 const ALLOCS_PER_EVENT_CEILING: f64 = 0.08;
+
+/// Ceiling for the heap bytes the many-flow point holds per flow at the
+/// end of its run, everything the scenario built included (simulator,
+/// TAQ state, hosts, flow log). It holds 3 368: each bulk client keeps
+/// one connection slot with its receiver inline and no port map. While
+/// a client grew a four-slot table, kept a port map and boxed its
+/// receiver it held 3 892, which this ceiling refuses.
+const HELD_BYTES_PER_FLOW_CEILING: i64 = 3_400;
 
 #[derive(Debug, Clone, Copy)]
 enum Scenario {
@@ -122,6 +155,15 @@ struct Outcome {
     events: u64,
     steady_allocs: u64,
     steady_events: u64,
+}
+
+/// What a run holds: the heap bytes live at its end, counted from just
+/// before its scenario was built, and the flows it ran (bulk flows, or
+/// the replay's clients).
+#[derive(Debug, PartialEq)]
+struct Footprint {
+    held_bytes: i64,
+    flows: usize,
 }
 
 /// What a run's telemetry hub carries.
@@ -155,12 +197,13 @@ impl Wiring {
 /// state and, through a [`TelemetryBridge`] monitor, to every link, so
 /// the sinks see the full per-packet enqueue/transmit/drop/deliver
 /// stream and not just qdisc aggregates.
-fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> Outcome {
+fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> (Outcome, Footprint) {
     let rate = match scenario {
         Scenario::WeblogChurn => Bandwidth::from_mbps(2),
         Scenario::ManyFlow => Bandwidth::from_kbps(600),
     };
     let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
+    let live_before = live_bytes();
     let built = Discipline::Taq.spec(buffer).build(rate, 42);
     if let (Some(t), Some(state)) = (telemetry, &built.taq) {
         state.lock().unwrap().attach_telemetry(t.clone());
@@ -174,20 +217,24 @@ fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> Outcome {
         sc.sim
             .add_monitor(Box::new(TelemetryBridge::new(t.clone())));
     }
-    let run_end = match scenario {
+    let (flows, run_end) = match scenario {
         Scenario::WeblogChurn => {
             let cfg = weblog::WebLogConfig::campus_two_hour(24);
             let mut rng = SimRng::new(42 ^ 7);
             let log = weblog::generate(&cfg, &mut rng);
-            for (_client, entries) in weblog::by_client(&log) {
-                sc.add_scheduled_client(&entries, 4, SimTime::ZERO);
+            let clients = weblog::by_client(&log);
+            for entries in clients.values() {
+                sc.add_scheduled_client(entries, 4, SimTime::ZERO);
             }
-            SimTime::ZERO + cfg.duration + SimDuration::from_secs(60)
+            (
+                clients.len(),
+                SimTime::ZERO + cfg.duration + SimDuration::from_secs(60),
+            )
         }
         Scenario::ManyFlow => {
             let flows = flows_for_fair_share(rate, 2_000).clamp(4, 400);
             sc.add_bulk_clients(flows, BULK_BYTES, SimDuration::from_secs(2));
-            SimTime::from_secs(60)
+            (flows, SimTime::from_secs(60))
         }
     };
     // First half = warmup. (`sc.run_until` also flushes unfinished
@@ -198,46 +245,63 @@ fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> Outcome {
     let mid_allocs = allocs();
     sc.run_until(run_end);
     let events = sc.sim.events_processed();
-    Outcome {
+    let outcome = Outcome {
         events,
         steady_allocs: allocs() - mid_allocs,
         steady_events: events - mid_events,
-    }
+    };
+    let footprint = Footprint {
+        held_bytes: live_bytes() - live_before,
+        flows,
+    };
+    (outcome, footprint)
 }
 
 #[test]
 fn steady_state_allocations_per_event_stay_under_the_ceiling() {
     let measure = |scenario: Scenario, wiring: Wiring| {
         let once = || run(scenario, wiring.hub().as_ref());
-        let outcome = once();
+        let first = once();
         assert_eq!(
-            outcome,
+            first,
             once(),
             "{scenario:?} {wiring:?}: two runs of one input must count the same"
         );
+        let (outcome, footprint) = first;
         let rate = outcome.steady_allocs as f64 / outcome.steady_events as f64;
         println!(
             "{scenario:?} {wiring:?}: {} events, {} steady-state allocations over {} \
-             steady-state events, {rate:.5} per event",
-            outcome.events, outcome.steady_allocs, outcome.steady_events
+             steady-state events, {rate:.5} per event; {} B held at the end by {} flows",
+            outcome.events,
+            outcome.steady_allocs,
+            outcome.steady_events,
+            footprint.held_bytes,
+            footprint.flows
         );
         assert!(
             rate <= ALLOCS_PER_EVENT_CEILING,
             "{scenario:?} {wiring:?}: {rate:.4} allocations per event in steady state \
              (ceiling {ALLOCS_PER_EVENT_CEILING}): something allocates on the per-event path"
         );
-        outcome
+        (outcome, footprint)
     };
-    let churn = measure(Scenario::WeblogChurn, Wiring::Detached);
-    measure(Scenario::ManyFlow, Wiring::Detached);
+    let (churn, _) = measure(Scenario::WeblogChurn, Wiring::Detached);
+    let (_, many) = measure(Scenario::ManyFlow, Wiring::Detached);
+    let per_flow = many.held_bytes / many.flows as i64;
+    println!("ManyFlow Detached: {per_flow} held bytes per flow");
+    assert!(
+        per_flow <= HELD_BYTES_PER_FLOW_CEILING,
+        "ManyFlow: {per_flow} B held per flow at the end of the run \
+         (ceiling {HELD_BYTES_PER_FLOW_CEILING}): per-flow state grew"
+    );
     // Telemetry-off is free: a hub nobody listens to never builds an
     // event, so the run is the detached one, allocation for allocation.
-    let sinkless = measure(Scenario::WeblogChurn, Wiring::Sinkless);
+    let (sinkless, _) = measure(Scenario::WeblogChurn, Wiring::Sinkless);
     assert_eq!(
         sinkless, churn,
         "a sinkless hub changed the event count or the steady-state allocations"
     );
-    let attached = measure(Scenario::WeblogChurn, Wiring::Attached);
+    let (attached, _) = measure(Scenario::WeblogChurn, Wiring::Attached);
     // Telemetry observes, never steers: the same input takes exactly as
     // many simulator events with the sinks listening as without.
     assert_eq!(
