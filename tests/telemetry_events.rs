@@ -235,3 +235,61 @@ fn taq_offer_emits_tracker_classified_dropped_depth_in_order() {
     want.push(("queue_depth", 0, None));
     assert_eq!(seen, want, "per-offer event order");
 }
+
+/// The TAQ half of `telemetry_report` at seed 42 over the shortest
+/// horizon whose trace holds every event kind the 60 s run writes, as
+/// committed, with the engine summary's wall-clock fields zeroed.
+const GOLDEN_TAQ_SEED42: &str = include_str!("golden/telemetry_taq_seed42.jsonl");
+
+/// The JSONL trace is pinned byte for byte: every event kind, field
+/// order and number formatting. When a change moves it on purpose, the
+/// failing test writes the fresh trace under cargo's
+/// `CARGO_TARGET_TMPDIR` and names it: copy that file over the golden
+/// one and say why in CHANGES.md.
+#[test]
+fn telemetry_jsonl_matches_golden() {
+    let cfg = TelemetryReportConfig::small_packet(42, SimTime::from_millis(1_200));
+    let mut jsonl = String::new();
+    for line in telemetry_report(&cfg).taq.jsonl {
+        let line = if jsonl_event_kind(&line) == Some("engine_summary") {
+            zero_field(&zero_field(&line, "wall_ns"), "virtual_time_rate")
+        } else {
+            line
+        };
+        jsonl.push_str(&line);
+        jsonl.push('\n');
+    }
+    if jsonl == GOLDEN_TAQ_SEED42 {
+        return;
+    }
+    let fresh =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_taq_seed42.jsonl");
+    std::fs::write(&fresh, &jsonl).expect("write the fresh trace");
+    let (mut got, mut want) = (jsonl.lines(), GOLDEN_TAQ_SEED42.lines());
+    let mut line = 1;
+    loop {
+        match (got.next(), want.next()) {
+            (Some(a), Some(b)) if a == b => line += 1,
+            (a, b) => panic!(
+                "the seed-42 TAQ trace differs from tests/golden/telemetry_taq_seed42.jsonl at line {line}\n  \
+                 fresh:  {}\n  golden: {}\nfresh trace: {}",
+                a.unwrap_or("<end of trace>"),
+                b.unwrap_or("<end of file>"),
+                fresh.display()
+            ),
+        }
+    }
+}
+
+/// Replaces the number after `"key":` in one JSON line with `0`.
+fn zero_field(line: &str, key: &str) -> String {
+    let tag = format!("\"{key}\":");
+    let Some(at) = line.find(&tag) else {
+        return line.to_string();
+    };
+    let start = at + tag.len();
+    let len = line[start..]
+        .find(|c: char| c == ',' || c == '}')
+        .unwrap_or(line.len() - start);
+    format!("{}0{}", &line[..start], &line[start + len..])
+}
