@@ -22,7 +22,7 @@
 use crate::config::TaqConfig;
 use std::collections::HashMap;
 use taq_sim::{NodeId, SimDuration, SimTime};
-use taq_telemetry::{Event, Telemetry};
+use taq_telemetry::{AdmissionDecision, Event, Telemetry};
 
 /// Loss-rate threshold beyond which admission control engages (the
 /// model's tipping point, `p_thresh = 0.1`).
@@ -35,15 +35,6 @@ pub(crate) const P_THRESH_HEADROOM: f64 = 0.9;
 
 /// SYNs from one source within this window belong to one flow pool.
 pub(crate) const POOL_WINDOW: SimDuration = SimDuration::from_secs(3);
-
-/// Decision for one SYN.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDecision {
-    /// Forward the SYN.
-    Admit,
-    /// Drop the SYN; the client will retry.
-    Reject,
-}
 
 #[derive(Debug)]
 struct Pool {
@@ -149,7 +140,7 @@ impl AdmissionController {
             // every SYN the middlebox saw, whatever the configuration.
             self.telemetry.emit(now.as_nanos(), || Event::Admission {
                 src: src.0,
-                decision: "admit",
+                decision: AdmissionDecision::Admit,
                 loss_rate,
             });
             return AdmissionDecision::Admit;
@@ -196,10 +187,7 @@ impl AdmissionController {
         };
         self.telemetry.emit(now.as_nanos(), || Event::Admission {
             src: src.0,
-            decision: match decision {
-                AdmissionDecision::Admit => "admit",
-                AdmissionDecision::Reject => "reject",
-            },
+            decision,
             loss_rate,
         });
         decision

@@ -50,11 +50,12 @@ mod qdisc;
 mod queues;
 mod tracker;
 
-pub use admission::{AdmissionController, AdmissionDecision, LossRateMeter};
+pub use admission::{AdmissionController, LossRateMeter};
 pub use config::TaqConfig;
 pub use qdisc::{SharedTaq, TaqPair, TaqQdisc, TaqReverseQdisc, TaqState, TaqStats};
-pub use queues::{classify, fair_share_bps, QueueClass, QueuedPkt, TaqQueues};
-pub use tracker::{flow_id, EpochCounters, FlowInfo, FlowState, FlowTable, Observation};
+pub use queues::{classify, fair_share_bps, QueuedPkt, TaqQueues};
+pub use taq_telemetry::{AdmissionDecision, FlowState, QueueClass};
+pub use tracker::{EpochCounters, FlowInfo, FlowTable, Observation};
 
 #[cfg(test)]
 mod tests {

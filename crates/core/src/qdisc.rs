@@ -17,16 +17,16 @@
 //! path are inserted into the arena passed to the reverse half and later
 //! handed out by the forward half's `dequeue`.
 
-use crate::admission::{AdmissionController, AdmissionDecision, LossRateMeter};
+use crate::admission::{AdmissionController, LossRateMeter};
 use crate::config::TaqConfig;
-use crate::queues::{classify, fair_share_bps, QueueClass, QueuedPkt, TaqQueues};
-use crate::tracker::{flow_id, FlowTable};
+use crate::queues::{classify, fair_share_bps, QueuedPkt, TaqQueues};
+use crate::tracker::FlowTable;
 use std::sync::{Arc, Mutex, MutexGuard};
 use taq_sim::{
-    EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration, SimTime, TcpFlags,
-    UnboundedFifo,
+    telemetry_flow_id, EnqueueOutcome, PacketArena, PacketBuilder, PacketId, Qdisc, SimDuration,
+    SimTime, TcpFlags, UnboundedFifo,
 };
-use taq_telemetry::{Event, Telemetry, Value};
+use taq_telemetry::{AdmissionDecision, Event, QueueClass, Telemetry, Value};
 
 /// Queue depth is sampled on every nth offered packet: often enough for
 /// meaningful percentiles, cheap enough for the hot path.
@@ -268,15 +268,15 @@ impl TaqState {
         // classified, then dropped with its stage.
         self.telemetry.emit(now.as_nanos(), || Event::Classified {
             packet: qp.pkt_id,
-            flow: flow_id(&fkey),
-            class: class.name(),
+            flow: telemetry_flow_id(&fkey),
+            class,
             retransmission: obs.retransmission,
         });
         let mut outcome = EnqueueOutcome::accepted();
         if let Some((victim, was_retx, stage)) = drop {
             self.telemetry.emit(now.as_nanos(), || Event::Dropped {
                 packet: victim.pkt_id,
-                flow: flow_id(&arena.get(victim.pid).flow),
+                flow: telemetry_flow_id(&arena.get(victim.pid).flow),
                 stage,
                 retransmission: was_retx,
             });

@@ -89,61 +89,7 @@
 use crate::tracker::Observation;
 use std::collections::VecDeque;
 use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimTime};
-
-/// Which TAQ class a flow is assigned to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueueClass {
-    /// Flows retransmitting after losses (Level 1).
-    Recovery,
-    /// New flows in slow start (Level 2).
-    NewFlow,
-    /// Flows recently dropped on or mid-recovery (Level 2).
-    OverPenalized,
-    /// Flows under their fair share (Level 2).
-    BelowFairShare,
-    /// Flows over their fair share (Level 3).
-    AboveFairShare,
-}
-
-impl QueueClass {
-    /// All classes in scheduler-priority order (diagnostics, telemetry,
-    /// iteration).
-    pub const ALL: [QueueClass; 5] = [
-        QueueClass::Recovery,
-        QueueClass::NewFlow,
-        QueueClass::OverPenalized,
-        QueueClass::BelowFairShare,
-        QueueClass::AboveFairShare,
-    ];
-
-    /// Stable human- and machine-readable name, used in telemetry
-    /// events and report rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            QueueClass::Recovery => "Recovery",
-            QueueClass::NewFlow => "NewFlow",
-            QueueClass::OverPenalized => "OverPenalized",
-            QueueClass::BelowFairShare => "BelowFairShare",
-            QueueClass::AboveFairShare => "AboveFairShare",
-        }
-    }
-
-    pub(crate) const fn index(self) -> usize {
-        match self {
-            QueueClass::Recovery => 0,
-            QueueClass::NewFlow => 1,
-            QueueClass::OverPenalized => 2,
-            QueueClass::BelowFairShare => 3,
-            QueueClass::AboveFairShare => 4,
-        }
-    }
-}
-
-impl std::fmt::Display for QueueClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use taq_telemetry::QueueClass;
 
 /// Classifies a packet's flow given its observation, the flow's
 /// currently buffered backlog, and the fair share (paper §4.2's queue
@@ -615,11 +561,8 @@ impl TaqQueues {
 
     /// Packet counts per class in priority order, shaped for the
     /// telemetry `QueueDepth` event.
-    pub fn depth_per_class(&self) -> Vec<(&'static str, u64)> {
-        QueueClass::ALL
-            .iter()
-            .map(|&c| (c.name(), self.class_len(c) as u64))
-            .collect()
+    pub fn depth_per_class(&self) -> [u64; QueueClass::ALL.len()] {
+        QueueClass::ALL.map(|c| self.class_len(c) as u64)
     }
 
     /// The flows of `class` in round-robin order.
@@ -1117,7 +1060,7 @@ mod tests {
             id: FlowId(0),
             retransmission: retx,
             repairs_our_drop: retx,
-            state: crate::tracker::FlowState::Normal,
+            state: taq_telemetry::FlowState::Normal,
             silent_epochs: silence,
             is_new: false,
             recent_drops: 0,

@@ -18,9 +18,10 @@
 
 use crate::config::TaqConfig;
 use taq_sim::{
-    seq_reuse_is_retransmission, FlowId, FlowInterner, FlowKey, Packet, SimDuration, SimTime,
+    seq_reuse_is_retransmission, telemetry_flow_id, FlowId, FlowInterner, FlowKey, Packet,
+    SimDuration, SimTime,
 };
-use taq_telemetry::{Event, Telemetry};
+use taq_telemetry::{Event, FlowState, Telemetry};
 
 /// Packets observed in a flow's life below which it still counts as
 /// "new" (slow-start classification into the NewFlow queue).
@@ -39,74 +40,6 @@ pub(crate) const EXTENDED_SILENCE_EPOCHS: u32 = 2;
 /// Epochs with no traffic after which a flow's tracker state is garbage
 /// collected entirely.
 pub(crate) const FLOW_GC_EPOCHS: u32 = 60;
-
-/// Converts a simulator flow key into the telemetry layer's flow
-/// identity (the telemetry crate sits below `taq-sim` in the dependency
-/// graph, so it has its own 4-tuple type).
-pub fn flow_id(key: &FlowKey) -> taq_telemetry::FlowId {
-    taq_sim::telemetry_flow_id(key)
-}
-
-/// The approximate per-flow state a middlebox tracks (paper Figure 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlowState {
-    /// Exponential window growth: significant growth in new packets per
-    /// epoch.
-    SlowStart,
-    /// No losses, roughly steady or slowly growing packet counts.
-    Normal,
-    /// The middlebox dropped (or observed the effects of) a loss and
-    /// expects retransmissions.
-    ExplicitLossRecovery,
-    /// A silent epoch following a loss: the sender is waiting out its
-    /// RTO.
-    TimeoutSilence,
-    /// Retransmissions after a timeout.
-    TimeoutRecovery,
-    /// Multiple consecutive silent epochs: repetitive timeouts.
-    ExtendedSilence,
-    /// Silence with no reason to suspect a timeout (no recent losses):
-    /// the flow simply has nothing to send.
-    DummySilence,
-}
-
-impl FlowState {
-    /// Stable human- and machine-readable name, used in telemetry
-    /// events and report rendering.
-    pub fn name(self) -> &'static str {
-        match self {
-            FlowState::SlowStart => "SlowStart",
-            FlowState::Normal => "Normal",
-            FlowState::ExplicitLossRecovery => "ExplicitLossRecovery",
-            FlowState::TimeoutSilence => "TimeoutSilence",
-            FlowState::TimeoutRecovery => "TimeoutRecovery",
-            FlowState::ExtendedSilence => "ExtendedSilence",
-            FlowState::DummySilence => "DummySilence",
-        }
-    }
-
-    /// `true` for the states in which the flow is transmitting nothing.
-    pub fn is_silent(self) -> bool {
-        matches!(
-            self,
-            FlowState::TimeoutSilence | FlowState::ExtendedSilence | FlowState::DummySilence
-        )
-    }
-
-    /// `true` for states reached through a timeout.
-    pub fn is_timeout(self) -> bool {
-        matches!(
-            self,
-            FlowState::TimeoutSilence | FlowState::TimeoutRecovery | FlowState::ExtendedSilence
-        )
-    }
-}
-
-impl std::fmt::Display for FlowState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Per-epoch observation counters (the paper's four parameters).
 #[derive(Debug, Clone, Copy, Default)]
@@ -256,10 +189,10 @@ impl FlowInfo {
             let trigger = self.apply_epoch_transition();
             if self.state != old {
                 let boundary = self.epoch_start + self.epoch_len;
-                let (from, to, key) = (old.name(), self.state.name(), self.key);
+                let (to, key) = (self.state, self.key);
                 telemetry.emit(boundary.as_nanos(), || Event::FlowStateChanged {
-                    flow: flow_id(&key),
-                    from,
+                    flow: telemetry_flow_id(&key),
+                    from: old,
                     to,
                     trigger,
                 });
@@ -547,7 +480,7 @@ impl FlowTable {
         }
         if retransmission {
             telemetry.emit(now.as_nanos(), || Event::Retransmit {
-                flow: flow_id(&pkt.flow),
+                flow: telemetry_flow_id(&pkt.flow),
                 repairs_local_drop: repairs_our_drop,
             });
         }
@@ -555,13 +488,13 @@ impl FlowTable {
         // detection: retransmissions from a silent flow mean timeout
         // recovery is underway.
         if retransmission && flow.state.is_silent() {
-            let from = flow.state.name();
+            let from = flow.state;
             flow.state = FlowState::TimeoutRecovery;
             flow.silent_epochs = 0;
             telemetry.emit(now.as_nanos(), || Event::FlowStateChanged {
-                flow: flow_id(&pkt.flow),
+                flow: telemetry_flow_id(&pkt.flow),
                 from,
-                to: FlowState::TimeoutRecovery.name(),
+                to: FlowState::TimeoutRecovery,
                 trigger: "retransmit-after-silence",
             });
         }
@@ -633,10 +566,10 @@ impl FlowTable {
                 }
             };
             if flow.state != old {
-                let (from, to, key) = (old.name(), flow.state.name(), flow.key);
+                let (to, key) = (flow.state, flow.key);
                 telemetry.emit(now.as_nanos(), || Event::FlowStateChanged {
-                    flow: flow_id(&key),
-                    from,
+                    flow: telemetry_flow_id(&key),
+                    from: old,
                     to,
                     trigger: if retransmission {
                         "dropped-retransmission"

@@ -13,7 +13,7 @@
 use crate::plan::{rng_for, salt, DelayStep, FaultPlan, JitterSpec, RateStep};
 use crate::qdisc::SharedFaultStats;
 use taq_sim::{Agent, Bandwidth, Ctx, LinkId, Packet, SimDuration, SimRng, SimTime};
-use taq_telemetry::{Event, Telemetry};
+use taq_telemetry::{Event, FaultKind, Telemetry};
 
 // Timer-token namespaces. Schedule indices are added to the bases.
 const TOKEN_RATE_STEP: u64 = 1_000_000;
@@ -71,7 +71,7 @@ impl FaultDriver {
         })
     }
 
-    fn emit(&self, kind: &'static str, value: f64, now: SimTime) {
+    fn emit(&self, kind: FaultKind, value: f64, now: SimTime) {
         let link = self.label;
         self.telemetry.emit(now.as_nanos(), || Event::Fault {
             link,
@@ -85,13 +85,13 @@ impl FaultDriver {
     fn apply_rate(&mut self, rate: Bandwidth, ctx: &mut Ctx<'_>) {
         ctx.set_link_rate(self.link, rate);
         self.stats.lock().unwrap().rate_changes += 1;
-        self.emit("rate_change", rate.bps() as f64, ctx.now());
+        self.emit(FaultKind::RateChange, rate.bps() as f64, ctx.now());
     }
 
     fn apply_delay(&mut self, delay: SimDuration, ctx: &mut Ctx<'_>) {
         ctx.set_link_delay(self.link, delay);
         self.stats.lock().unwrap().delay_changes += 1;
-        self.emit("delay_change", delay.as_nanos() as f64, ctx.now());
+        self.emit(FaultKind::DelayChange, delay.as_nanos() as f64, ctx.now());
     }
 }
 

@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex};
 use taq_sim::{
     telemetry_flow_id, EnqueueOutcome, Packet, PacketArena, PacketId, Qdisc, SimRng, SimTime,
 };
-use taq_telemetry::{Event, Telemetry};
+use taq_telemetry::{Event, FaultKind, Telemetry};
 
 /// Counters for every fault the wrapper (and the driver) injected.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -132,7 +132,7 @@ impl FaultyLink {
         Arc::clone(&self.stats)
     }
 
-    fn emit(&self, kind: &'static str, pkt: &Packet, now: SimTime) {
+    fn emit(&self, kind: FaultKind, pkt: &Packet, now: SimTime) {
         let link = self.link;
         let packet = pkt.id;
         let flow = telemetry_flow_id(&pkt.flow);
@@ -156,14 +156,14 @@ impl Qdisc for FaultyLink {
         // 1. Blackout: the link is dead, nothing gets through.
         if self.in_blackout(now) {
             self.stats.lock().unwrap().blackout_drops += 1;
-            self.emit("blackout", arena.get(pkt), now);
+            self.emit(FaultKind::Blackout, arena.get(pkt), now);
             return EnqueueOutcome::rejected(pkt);
         }
         // 2. Burst loss: step the Gilbert–Elliott chain once per packet.
         if let Some((chain, rng)) = &mut self.burst {
             if chain.step(rng) {
                 self.stats.lock().unwrap().burst_losses += 1;
-                self.emit("burst_loss", arena.get(pkt), now);
+                self.emit(FaultKind::BurstLoss, arena.get(pkt), now);
                 return EnqueueOutcome::rejected(pkt);
             }
         }
@@ -172,7 +172,7 @@ impl Qdisc for FaultyLink {
         if let Some((p, rng)) = &mut self.corrupt {
             if rng.chance(*p) {
                 self.stats.lock().unwrap().corrupted += 1;
-                self.emit("corrupt", arena.get(pkt), now);
+                self.emit(FaultKind::Corrupt, arena.get(pkt), now);
                 return EnqueueOutcome::rejected(pkt);
             }
         }
@@ -183,7 +183,7 @@ impl Qdisc for FaultyLink {
         if let Some((p, rng)) = &mut self.duplicate {
             if rng.chance(*p) {
                 self.stats.lock().unwrap().duplicated += 1;
-                self.emit("duplicate", arena.get(pkt), now);
+                self.emit(FaultKind::Duplicate, arena.get(pkt), now);
                 let copy = arena.insert(arena.get(pkt).clone());
                 out.dropped
                     .extend(self.inner.enqueue(copy, arena, now).dropped);
@@ -205,7 +205,7 @@ impl Qdisc for FaultyLink {
             if release {
                 let (held, _) = self.reorder.as_mut().unwrap().held.take().unwrap();
                 self.stats.lock().unwrap().reordered += 1;
-                self.emit("reorder", arena.get(held), now);
+                self.emit(FaultKind::Reorder, arena.get(held), now);
                 out.dropped
                     .extend(self.inner.enqueue(held, arena, now).dropped);
             }
@@ -225,7 +225,7 @@ impl Qdisc for FaultyLink {
         if let Some(re) = &mut self.reorder {
             if let Some((held, _)) = re.held.take() {
                 self.stats.lock().unwrap().reordered += 1;
-                self.emit("reorder", arena.get(held), now);
+                self.emit(FaultKind::Reorder, arena.get(held), now);
                 return Some(held);
             }
         }

@@ -107,6 +107,7 @@ impl World {
             .copied()
             .flatten()
             .or(table.default)
+            // Invariant: agents address nodes of their own topology, which routes every node.
             .unwrap_or_else(|| panic!("node {from:?} has no route to {dst:?}"))
     }
 
@@ -203,6 +204,7 @@ impl World {
             let lost = link
                 .loss_rng
                 .as_mut()
+                // Invariant: the one setter of a nonzero loss rate installs its stream.
                 .expect("loss stream installed with the loss rate")
                 .chance(loss_rate);
             if lost {
@@ -631,6 +633,7 @@ impl Simulator {
     fn with_agent(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Agent, &mut Ctx<'_>)) {
         let agent = self.agents[node.0 as usize]
             .as_deref_mut()
+            // Invariant: only agent nodes are started or arm timers; routers have neither.
             .expect("a start or timer scheduled on a router");
         let mut ctx = Ctx {
             world: &mut self.world,

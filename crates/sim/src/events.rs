@@ -294,6 +294,7 @@ impl EventQueue {
             heads: vec![NIL; HEADS]
                 .into_boxed_slice()
                 .try_into()
+                // Invariant: the vector was built with exactly HEADS entries.
                 .expect("HEADS heads"),
             near_occupied: [0; NEAR_WORDS],
             near_summary: 0,
@@ -426,6 +427,7 @@ impl EventQueue {
             let pos = self
                 .ready
                 .binary_search_by(|e| entry.cmp(e))
+                // Invariant: a due event lives in `ready` (the queue's first invariant).
                 .expect("a due event is in ready");
             self.ready.remove(pos);
         } else if prev == OVERFLOWED {

@@ -189,6 +189,7 @@ impl Add<SimDuration> for SimTime {
         SimTime(
             self.0
                 .checked_add(rhs.0)
+                // Invariant: runs end centuries before u64 nanoseconds; header-derived waits are clamped first.
                 .expect("simulation clock overflow"),
         )
     }
@@ -203,6 +204,7 @@ impl AddAssign<SimDuration> for SimTime {
 impl Sub<SimTime> for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
+        // Invariant: callers subtract an earlier time; observed gaps use `saturating_since`.
         SimDuration(self.0.checked_sub(rhs.0).expect("negative duration"))
     }
 }
@@ -210,6 +212,7 @@ impl Sub<SimTime> for SimTime {
 impl Sub<SimDuration> for SimTime {
     type Output = SimTime;
     fn sub(self, rhs: SimDuration) -> SimTime {
+        // Invariant: callers step back only from times at least `rhs` past the epoch.
         SimTime(self.0.checked_sub(rhs.0).expect("time before epoch"))
     }
 }
@@ -217,6 +220,7 @@ impl Sub<SimDuration> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
+        // Invariant: summed durations are timers and backoffs capped far below u64 nanoseconds.
         SimDuration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
@@ -230,6 +234,7 @@ impl AddAssign for SimDuration {
 impl Sub for SimDuration {
     type Output = SimDuration;
     fn sub(self, rhs: SimDuration) -> SimDuration {
+        // Invariant: callers subtract a shorter duration; gaps use `saturating_sub`.
         SimDuration(self.0.checked_sub(rhs.0).expect("negative duration"))
     }
 }
@@ -243,6 +248,7 @@ impl SubAssign for SimDuration {
 impl Mul<u64> for SimDuration {
     type Output = SimDuration;
     fn mul(self, rhs: u64) -> SimDuration {
+        // Invariant: factors are small constants or capped backoff exponents.
         SimDuration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
 }

@@ -30,7 +30,10 @@ use taq_sim::{
 /// any RTT estimate exists (RFC 6298 §2.1's 1 s initial RTO).
 pub(crate) const SYN_RETRY_INITIAL: SimDuration = SimDuration::from_secs(1);
 
-/// Cap on the SYN retry backoff.
+/// Cap on the SYN retry backoff, and on the wait a rejection notice's
+/// hint can impose. The hint is header data, so it is clamped rather
+/// than trusted: the paper asks that `Twait` be "less than the TCP SYN
+/// connection timeout", so no honest hint exceeds this cap.
 pub(crate) const SYN_RETRY_MAX: SimDuration = SimDuration::from_secs(8);
 
 /// Completion record for one requested object.
@@ -702,7 +705,7 @@ impl ClientHost {
                 // the attempt alive as the paper's feedback scheme does.
                 self.rejections_seen += 1;
                 env.cancel_timer(retry_timer);
-                let wait = SimDuration::from_millis(pkt.meta.max(1));
+                let wait = SimDuration::from_millis(pkt.meta.clamp(1, SYN_RETRY_MAX.as_millis()));
                 let timer = env.set_timer(wait, encode_token(slot, TimerKind::SynRetry));
                 conn.state = ConnState::Connecting {
                     retry_timer: timer,
@@ -1045,6 +1048,33 @@ mod tests {
             (pair.server.accepted, pair.server.live_connections()),
             (1, 0)
         );
+    }
+
+    /// A notice's hint is header data: one too large for the clock
+    /// (milliseconds that overflow nanoseconds) waits the cap instead.
+    #[test]
+    fn an_oversized_rejection_hint_waits_the_cap() {
+        let log = new_flow_log();
+        let mut c = client(1, &log);
+        c.push_request(Request {
+            tag: 1,
+            bytes: 5_000,
+        });
+        let mut pair = Pair::new(c);
+        let mut syns = 0;
+        pair.run(SimTime::from_secs(60), |pkt| {
+            if !pkt.flags.syn || pkt.flags.ack {
+                return Fate::Deliver;
+            }
+            syns += 1;
+            match syns {
+                1 => Fate::Reject(u64::MAX),
+                _ => Fate::Deliver,
+            }
+        });
+        let notice_at = at_ms(50);
+        assert_eq!(pair.syns, [SimTime::ZERO, notice_at + SYN_RETRY_MAX]);
+        assert_eq!(pair.client.completed, 1);
     }
 
     #[test]

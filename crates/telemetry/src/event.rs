@@ -7,6 +7,7 @@
 //! the simulator and one in the testbed yield directly comparable JSONL.
 
 use crate::value::Value;
+use crate::vocab::{AdmissionDecision, FaultKind, FlowState, QueueClass};
 use std::fmt;
 
 /// A flow identified by its 4-tuple. This mirrors the simulator's
@@ -43,11 +44,13 @@ impl FlowId {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// The per-flow state machine moved. `trigger` names the transition
-    /// cause ("epoch-roll", "local-drop", "retransmit-after-silence"...).
+    /// cause ("epoch-roll", "local-drop", "retransmit-after-silence"...);
+    /// it stays a string because nothing counts or stores it, so an enum
+    /// would remove no lookup.
     FlowStateChanged {
         flow: FlowId,
-        from: &'static str,
-        to: &'static str,
+        from: FlowState,
+        to: FlowState,
         trigger: &'static str,
     },
     /// A forwarded data packet was recognized as a retransmission.
@@ -64,7 +67,7 @@ pub enum Event {
     Classified {
         packet: u64,
         flow: FlowId,
-        class: &'static str,
+        class: QueueClass,
         retransmission: bool,
     },
     /// A packet was dropped by the queue discipline. `stage` is the TAQ
@@ -77,16 +80,17 @@ pub enum Event {
         stage: u8,
         retransmission: bool,
     },
-    /// Periodic sample of queue occupancy, with per-class breakdown.
+    /// Periodic sample of queue occupancy, with per-class packet
+    /// counts in [`QueueClass::ALL`] order.
     QueueDepth {
         pkts: u64,
         bytes: u64,
-        per_class: Vec<(&'static str, u64)>,
+        per_class: [u64; QueueClass::ALL.len()],
     },
-    /// Admission control decided on a SYN ("admit" / "reject").
+    /// Admission control decided on a SYN.
     Admission {
         src: u32,
-        decision: &'static str,
+        decision: AdmissionDecision,
         loss_rate: f64,
     },
     /// A source pool entered the admission wait queue.
@@ -95,7 +99,8 @@ pub enum Event {
     PoolAdmitted { src: u32 },
     /// A packet entered, left, or was lost on a link (kind is
     /// "enqueue", "drop", or "transmit"). `packet` is the packet's
-    /// dense id.
+    /// dense id. `kind` stays a string because the repo benchmark
+    /// builds this variant with a literal.
     Link {
         link: u32,
         kind: &'static str,
@@ -112,16 +117,14 @@ pub enum Event {
         bytes: u64,
         latency_ns: u64,
     },
-    /// The fault-injection layer perturbed traffic. `kind` names the
-    /// fault class ("burst_loss", "reorder", "duplicate", "corrupt",
-    /// "blackout", "rate_change", "delay_change", "restart"); `packet`
-    /// and `flow` are present for per-packet faults and absent for
-    /// link-level ones; `value` carries the class-specific detail
-    /// (bytes affected, new rate in bps, new delay in ns, packets
-    /// discarded by a restart).
+    /// The fault-injection layer perturbed traffic. `packet` and `flow`
+    /// are present for per-packet faults and absent for link-level
+    /// ones; `value` carries the kind-specific detail (bytes affected,
+    /// new rate in bps, new delay in ns, packets discarded by a
+    /// restart).
     Fault {
         link: u32,
-        kind: &'static str,
+        kind: FaultKind,
         packet: Option<u64>,
         flow: Option<FlowId>,
         value: f64,
@@ -206,8 +209,8 @@ impl Event {
                 trigger,
             } => {
                 push("flow", flow.to_value());
-                push("from", Value::from(*from));
-                push("to", Value::from(*to));
+                push("from", Value::from(from.name()));
+                push("to", Value::from(to.name()));
                 push("trigger", Value::from(*trigger));
             }
             Event::Retransmit {
@@ -225,7 +228,7 @@ impl Event {
             } => {
                 push("packet", Value::UInt(*packet));
                 push("flow", flow.to_value());
-                push("class", Value::from(*class));
+                push("class", Value::from(class.name()));
                 push("retransmission", Value::Bool(*retransmission));
             }
             Event::Dropped {
@@ -249,9 +252,10 @@ impl Event {
                 push(
                     "per_class",
                     Value::Object(
-                        per_class
+                        QueueClass::ALL
                             .iter()
-                            .map(|(k, v)| (k.to_string(), Value::UInt(*v)))
+                            .zip(per_class)
+                            .map(|(class, n)| (class.name().to_string(), Value::UInt(*n)))
                             .collect(),
                     ),
                 );
@@ -262,7 +266,7 @@ impl Event {
                 loss_rate,
             } => {
                 push("src", Value::from(*src));
-                push("decision", Value::from(*decision));
+                push("decision", Value::from(decision.name()));
                 push("loss_rate", Value::Float(*loss_rate));
             }
             Event::PoolWaiting { src } => push("src", Value::from(*src)),
@@ -299,7 +303,7 @@ impl Event {
                 value,
             } => {
                 push("link", Value::from(*link));
-                push("kind", Value::from(*kind));
+                push("kind", Value::from(kind.name()));
                 if let Some(packet) = packet {
                     push("packet", Value::UInt(*packet));
                 }
@@ -402,7 +406,7 @@ mod tests {
     fn fault_renders_optional_flow() {
         let link_level = Event::Fault {
             link: 0,
-            kind: "rate_change",
+            kind: FaultKind::RateChange,
             packet: None,
             flow: None,
             value: 300_000.0,
@@ -420,7 +424,7 @@ mod tests {
         assert!(link_level.get("packet").is_none());
         let per_packet = Event::Fault {
             link: 0,
-            kind: "burst_loss",
+            kind: FaultKind::BurstLoss,
             packet: Some(42),
             flow: Some(FlowId {
                 src: 1,

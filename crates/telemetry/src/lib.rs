@@ -16,10 +16,12 @@
 //!    nothing else; the ring buffer, JSONL writer, and summary table
 //!    are each ~100 lines. An aggregating sink's `emit` runs once per
 //!    event, millions of times a run, so the per-event rule is: no
-//!    allocation, no formatting, no string-keyed lookup. Names resolve
-//!    to a slot once (a first-seen table matched by pointer), counts live
-//!    in fixed slots, and sorted, string-keyed views are built when
-//!    somebody reads them.
+//!    allocation, no formatting, no string-keyed lookup. States,
+//!    classes, admission decisions and fault kinds travel as enums
+//!    ([`FlowState`], [`QueueClass`], [`AdmissionDecision`],
+//!    [`FaultKind`]) and count into fixed arrays indexed by value; only
+//!    a reader that renders them spells their names, and sorted,
+//!    string-keyed views are built when somebody reads them.
 //! 4. **One transport, one lock.** The hub owns its sinks. Every
 //!    emission takes the hub mutex — and no other lock — and calls each
 //!    sink in turn with it held, so every sink sees every event in
@@ -42,19 +44,19 @@
 mod event;
 mod fx;
 mod histogram;
-mod names;
 mod sink;
 mod value;
+mod vocab;
 
 pub use event::{Event, FlowId};
 pub use fx::{FxBuildHasher, FxHasher};
 pub use histogram::LogHistogram;
-pub use names::NameTable;
 pub use sink::{
     jsonl_event_kind, shared_sink, JsonlSink, RingBufferSink, SharedSink, SinkCheckedOut,
     SinkGuard, SinkHandle, SummarySink, SummaryStats, TelemetrySink,
 };
 pub use value::{ParseError, Value};
+pub use vocab::{AdmissionDecision, FaultKind, FlowState, QueueClass};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};

@@ -4,7 +4,7 @@
 
 use crate::event::Event;
 use crate::histogram::LogHistogram;
-use crate::names::NameTable;
+use crate::vocab::{AdmissionDecision, FaultKind, FlowState, QueueClass};
 use crate::{lock_unpoisoned, HubShared};
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -464,11 +464,11 @@ impl SummaryStats {
 /// Aggregating sink rendering a human-readable table — the shared
 /// replacement for ad-hoc diagnostic printing.
 ///
-/// `emit` does integer work only: the event kind counts into a slot by
-/// [`Event`] variant, and each name an event carries (link kind, class,
-/// tracker state, fault class) resolves to a slot in a
-/// first-seen table matched by pointer. The sorted maps of [`SummaryStats`] are
-/// produced from those slots when [`SummarySink::stats`] is read.
+/// `emit` does integer work only: the event kind, state transitions,
+/// classes and fault kinds each count into a fixed array indexed by
+/// value, and link kinds match against the three names the engine
+/// emits. The sorted maps of [`SummaryStats`] are produced from those
+/// arrays when [`SummarySink::stats`] is read.
 #[derive(Debug, Clone, Default)]
 pub struct SummarySink {
     /// The aggregates that are not keyed by a name, updated in place.
@@ -476,29 +476,30 @@ pub struct SummarySink {
     live: SummaryStats,
     /// Events per variant, indexed by `Event::slot`.
     kinds: [u64; Event::TAGS.len()],
-    /// Entry counts per tracker state; a state seen only as a
-    /// transition's source holds a slot with a zero count.
-    states: NameTable<u64>,
-    /// `(from, to, count)` over slots of `states`, first-seen order.
-    transitions: Vec<(usize, usize, u64)>,
-    classified: NameTable<u64>,
-    link_events: NameTable<u64>,
-    faults: NameTable<u64>,
+    /// Transitions, indexed `[from][to]`; a state's entries are its
+    /// column's sum.
+    transitions: [[u64; FlowState::ALL.len()]; FlowState::ALL.len()],
+    classified: [u64; QueueClass::ALL.len()],
+    faults: [u64; FaultKind::ALL.len()],
+    /// Link events of the kinds in [`LINK_KINDS`], in its order.
+    link_kinds: [u64; LINK_KINDS.len()],
+    /// Link events of any other kind, in first-seen order.
+    other_link_kinds: Vec<(&'static str, u64)>,
 }
 
-/// Counts one occurrence of `name`.
-#[inline]
-fn bump(table: &mut NameTable<u64>, name: &'static str) {
-    let slot = table.slot(name, || 0);
-    table[slot] += 1;
-}
+/// The link event kinds the engine and the testbed emit.
+const LINK_KINDS: [&str; 3] = ["enqueue", "drop", "transmit"];
 
-/// The sorted view of a name table, without the names never counted.
-fn sorted(table: &NameTable<u64>) -> BTreeMap<&'static str, u64> {
-    table
-        .iter()
-        .filter(|(_, n)| **n > 0)
-        .map(|(name, n)| (name, *n))
+/// The sorted view of per-name counts, without the names never counted.
+fn counted<'a>(
+    names: impl IntoIterator<Item = &'static str>,
+    counts: impl IntoIterator<Item = &'a u64>,
+) -> BTreeMap<&'static str, u64> {
+    names
+        .into_iter()
+        .zip(counts)
+        .filter(|(_, &n)| n > 0)
+        .map(|(name, &n)| (name, n))
         .collect()
 }
 
@@ -512,21 +513,22 @@ impl SummarySink {
     /// before the call is counted, flushed or not.
     pub fn stats(&self) -> SummaryStats {
         let mut s = self.live.clone();
-        s.counts_by_kind = Event::TAGS
-            .iter()
-            .zip(&self.kinds)
-            .filter(|(_, &n)| n > 0)
-            .map(|(&tag, &n)| (tag, n))
-            .collect();
-        s.state_entries = sorted(&self.states);
-        s.transitions = self
-            .transitions
-            .iter()
-            .map(|&(from, to, n)| ((self.states.name(from), self.states.name(to)), n))
-            .collect();
-        s.classified = sorted(&self.classified);
-        s.link_events = sorted(&self.link_events);
-        s.faults = sorted(&self.faults);
+        s.counts_by_kind = counted(Event::TAGS, &self.kinds);
+        let entries =
+            FlowState::ALL.map(|to| self.transitions.iter().map(|row| row[to as usize]).sum());
+        s.state_entries = counted(FlowState::ALL.map(FlowState::name), &entries);
+        for from in FlowState::ALL {
+            for to in FlowState::ALL {
+                let n = self.transitions[from as usize][to as usize];
+                if n > 0 {
+                    s.transitions.insert((from.name(), to.name()), n);
+                }
+            }
+        }
+        s.classified = counted(QueueClass::ALL.map(QueueClass::name), &self.classified);
+        s.link_events = counted(LINK_KINDS, &self.link_kinds);
+        s.link_events.extend(self.other_link_kinds.iter().copied());
+        s.faults = counted(FaultKind::ALL.map(FaultKind::name), &self.faults);
         s
     }
 
@@ -534,6 +536,15 @@ impl SummarySink {
     /// family, indented under `title`.
     pub fn render(&self, title: &str) -> String {
         self.stats().render(title)
+    }
+
+    /// Counts one link event of a kind outside [`LINK_KINDS`].
+    #[cold]
+    fn count_other_link_kind(&mut self, kind: &'static str) {
+        match self.other_link_kinds.iter_mut().find(|(k, _)| *k == kind) {
+            Some((_, n)) => *n += 1,
+            None => self.other_link_kinds.push((kind, 1)),
+        }
     }
 }
 
@@ -543,17 +554,7 @@ impl TelemetrySink for SummarySink {
         let s = &mut self.live;
         match event {
             Event::FlowStateChanged { from, to, .. } => {
-                let from = self.states.slot(from, || 0);
-                let to = self.states.slot(to, || 0);
-                self.states[to] += 1;
-                match self
-                    .transitions
-                    .iter_mut()
-                    .find(|(f, t, _)| (*f, *t) == (from, to))
-                {
-                    Some((_, _, n)) => *n += 1,
-                    None => self.transitions.push((from, to, 1)),
-                }
+                self.transitions[*from as usize][*to as usize] += 1;
             }
             Event::Retransmit {
                 repairs_local_drop, ..
@@ -563,7 +564,7 @@ impl TelemetrySink for SummarySink {
                     s.repairs_local += 1;
                 }
             }
-            Event::Classified { class, .. } => bump(&mut self.classified, class),
+            Event::Classified { class, .. } => self.classified[class.index()] += 1,
             Event::Dropped { stage, .. } => {
                 s.drops_by_stage[(*stage as usize).min(15)] += 1;
             }
@@ -574,17 +575,19 @@ impl TelemetrySink for SummarySink {
                 s.delivered += 1;
                 s.delivery_latency.record(*latency_ns);
             }
-            Event::Admission { decision, .. } => {
-                if *decision == "admit" {
-                    s.admitted += 1;
-                } else {
-                    s.rejected += 1;
-                }
-            }
+            Event::Admission { decision, .. } => match decision {
+                AdmissionDecision::Admit => s.admitted += 1,
+                AdmissionDecision::Reject => s.rejected += 1,
+            },
             Event::PoolWaiting { .. } => s.pools_waited += 1,
             Event::PoolAdmitted { .. } => s.pools_admitted += 1,
-            Event::Link { kind, .. } => bump(&mut self.link_events, kind),
-            Event::Fault { kind, .. } => bump(&mut self.faults, kind),
+            Event::Link { kind, .. } => match *kind {
+                "enqueue" => self.link_kinds[0] += 1,
+                "drop" => self.link_kinds[1] += 1,
+                "transmit" => self.link_kinds[2] += 1,
+                other => self.count_other_link_kind(other),
+            },
+            Event::Fault { kind, .. } => self.faults[*kind as usize] += 1,
             Event::LinkSummary {
                 link,
                 offered_pkts,
@@ -682,7 +685,7 @@ mod tests {
             7,
             &Event::Admission {
                 src: 3,
-                decision: "admit",
+                decision: AdmissionDecision::Admit,
                 loss_rate: 0.25,
             },
         );
@@ -691,7 +694,7 @@ mod tests {
             &Event::QueueDepth {
                 pkts: 4,
                 bytes: 2000,
-                per_class: vec![("Recovery", 1)],
+                per_class: [1, 0, 0, 0, 0],
             },
         );
         sink.flush();
@@ -710,8 +713,8 @@ mod tests {
             0,
             &Event::FlowStateChanged {
                 flow: flow(),
-                from: "SlowStart",
-                to: "Normal",
+                from: FlowState::SlowStart,
+                to: FlowState::Normal,
                 trigger: "epoch-roll",
             },
         );
@@ -729,7 +732,7 @@ mod tests {
             &Event::QueueDepth {
                 pkts: 10,
                 bytes: 5000,
-                per_class: vec![],
+                per_class: [0; 5],
             },
         );
         let s = sink.stats();
@@ -810,7 +813,7 @@ mod tests {
                 &Event::QueueDepth {
                     pkts: 1,
                     bytes: 40,
-                    per_class: vec![],
+                    per_class: [0; 5],
                 },
             );
         }
@@ -834,8 +837,8 @@ mod tests {
             *s.counts_by_kind.entry(event.kind()).or_insert(0) += 1;
             match event {
                 Event::FlowStateChanged { from, to, .. } => {
-                    *s.transitions.entry((from, to)).or_insert(0) += 1;
-                    *s.state_entries.entry(to).or_insert(0) += 1;
+                    *s.transitions.entry((from.name(), to.name())).or_insert(0) += 1;
+                    *s.state_entries.entry(to.name()).or_insert(0) += 1;
                 }
                 Event::Retransmit {
                     repairs_local_drop, ..
@@ -846,7 +849,7 @@ mod tests {
                     }
                 }
                 Event::Classified { class, .. } => {
-                    *s.classified.entry(class).or_insert(0) += 1;
+                    *s.classified.entry(class.name()).or_insert(0) += 1;
                 }
                 Event::Dropped { stage, .. } => {
                     s.drops_by_stage[(*stage as usize).min(15)] += 1;
@@ -859,7 +862,7 @@ mod tests {
                     s.delivery_latency.record(*latency_ns);
                 }
                 Event::Admission { decision, .. } => {
-                    if *decision == "admit" {
+                    if *decision == AdmissionDecision::Admit {
                         s.admitted += 1;
                     } else {
                         s.rejected += 1;
@@ -871,7 +874,7 @@ mod tests {
                     *s.link_events.entry(kind).or_insert(0) += 1;
                 }
                 Event::Fault { kind, .. } => {
-                    *s.faults.entry(kind).or_insert(0) += 1;
+                    *s.faults.entry(kind.name()).or_insert(0) += 1;
                 }
                 Event::LinkSummary {
                     link,
@@ -911,7 +914,7 @@ mod tests {
             (self.next() % n as u64) as usize
         }
 
-        fn pick(&mut self, from: &[&'static str]) -> &'static str {
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
             from[self.below(from.len())]
         }
     }
@@ -919,28 +922,11 @@ mod tests {
     #[test]
     fn fast_path_matches_reference_under_random_streams() {
         const EVENTS: usize = 60_000;
-        // Every vocabulary holds one name twice, at two addresses — what
-        // a literal spelled in two crates looks like — so the content
-        // fallback runs; "Probation" and "mark" join late.
-        let again = |name: &str| -> &'static str { String::from(name).leak() };
-        let classes = [
-            "Recovery",
-            "NewFlow",
-            "OverPenalized",
-            "BelowFairShare",
-            "AboveFairShare",
-            again("Recovery"),
-        ];
-        let states = [
-            "SlowStart",
-            "Normal",
-            "Silent",
-            "TimeoutRecovery",
-            "FastRecovery",
-            again("Normal"),
-        ];
-        let link_kinds = ["enqueue", "transmit", "drop", again("enqueue")];
-        let fault_kinds = ["burst_loss", "reorder", "restart", again("reorder")];
+        // Link kinds are names, not values: one arrives at two
+        // addresses, as a literal spelled in two crates does, and "mark"
+        // joins late.
+        let again = String::from("enqueue").leak();
+        let link_kinds = ["enqueue", "transmit", "drop", again];
         for seed in [11u64, 12, 13] {
             let mut rng = Rng(seed);
             let mut fast = SummarySink::new();
@@ -952,8 +938,8 @@ mod tests {
                 let event = match rng.below(16) {
                     0 | 1 => Event::FlowStateChanged {
                         flow: flow(),
-                        from: rng.pick(&states),
-                        to: rng.pick(&states[..5 - seed as usize % 3]),
+                        from: rng.pick(&FlowState::ALL),
+                        to: rng.pick(&FlowState::ALL[..5 - seed as usize % 3]),
                         trigger: "epoch-roll",
                     },
                     2 => Event::Retransmit {
@@ -963,11 +949,7 @@ mod tests {
                     3 | 4 => Event::Classified {
                         packet,
                         flow: flow(),
-                        class: if late {
-                            "Probation"
-                        } else {
-                            rng.pick(&classes)
-                        },
+                        class: rng.pick(&QueueClass::ALL),
                         retransmission: false,
                     },
                     5 => Event::Dropped {
@@ -979,11 +961,11 @@ mod tests {
                     6 => Event::QueueDepth {
                         pkts: rng.next() % 300,
                         bytes: 0,
-                        per_class: Vec::new(),
+                        per_class: [0; 5],
                     },
                     7 => Event::Admission {
                         src: 1,
-                        decision: rng.pick(&["admit", "reject"]),
+                        decision: rng.pick(&AdmissionDecision::ALL),
                         loss_rate: 0.1,
                     },
                     8 => match rng.below(2) {
@@ -1005,7 +987,7 @@ mod tests {
                     },
                     13 => Event::Fault {
                         link: 0,
-                        kind: rng.pick(&fault_kinds),
+                        kind: rng.pick(&FaultKind::ALL),
                         packet: None,
                         flow: None,
                         value: 0.0,
@@ -1027,7 +1009,7 @@ mod tests {
                     _ => Event::Classified {
                         packet,
                         flow: flow(),
-                        class: rng.pick(&classes[..5]),
+                        class: rng.pick(&QueueClass::ALL),
                         retransmission: true,
                     },
                 };
@@ -1052,16 +1034,18 @@ mod tests {
             assert!(reads >= 3, "seed {seed}: {reads} mid-stream reads");
             let got = fast.stats();
             assert_eq!(got.total_events(), EVENTS as u64);
-            assert!(got.classified["Probation"] > 0 && got.link_events["mark"] > 0);
+            assert!(got.link_events["mark"] > 0);
             assert_eq!(
                 got.counts_by_kind["link"],
                 got.link_events.values().sum::<u64>()
             );
-            assert_eq!(got.classified.len(), 6, "two addresses, one Recovery row");
-            // Only seed 12 ever enters "FastRecovery": a state seen only
+            assert_eq!(got.link_events.len(), 4, "two addresses, one enqueue row");
+            assert_eq!(got.classified.len(), QueueClass::ALL.len());
+            assert_eq!(got.faults.len(), FaultKind::ALL.len());
+            // Only seed 12 ever enters TimeoutRecovery: a state seen only
             // as a transition's source must not show up with a zero count.
             assert_eq!(
-                got.state_entries.contains_key("FastRecovery"),
+                got.state_entries.contains_key("TimeoutRecovery"),
                 seed % 3 == 0
             );
         }

@@ -57,6 +57,7 @@ impl Timers {
         if self.next_deadline()? > now {
             return None;
         }
+        // Invariant: `next_deadline` just returned the top entry's time.
         let Reverse((_, serial, token)) = self.heap.pop().expect("live entry on top");
         self.alive.remove(&TimerId::synthetic(serial));
         Some(token)

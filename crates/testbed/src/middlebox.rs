@@ -17,7 +17,7 @@ use std::time::Duration;
 use taq_sim::{
     telemetry_flow_id, Bandwidth, NodeId, Packet, PacketArena, Qdisc, SimDuration, SimTime,
 };
-use taq_telemetry::{Event, Telemetry};
+use taq_telemetry::{Event, FaultKind, Telemetry};
 
 /// Link id the middlebox uses for its forward (congested) direction in
 /// telemetry events — the testbed has exactly one bottleneck, so its
@@ -171,6 +171,7 @@ pub fn run_middlebox(
         let mut i = 0;
         while i < in_flight.len() {
             if in_flight[i].0 <= now {
+                // Invariant: the loop condition keeps `i` in bounds.
                 let (_, pkt) = in_flight.remove(i).expect("index checked");
                 if let Some(tx) = hosts.get(&pkt.flow.dst) {
                     telemetry.emit(now.as_nanos(), || Event::Delivered {
@@ -299,7 +300,7 @@ pub fn run_middlebox(
                 stats.restart_discarded += discarded;
                 telemetry.emit(now.as_nanos(), || Event::Fault {
                     link: TELEMETRY_FORWARD_LINK,
-                    kind: "restart",
+                    kind: FaultKind::Restart,
                     packet: None,
                     flow: None,
                     value: discarded as f64,

@@ -122,6 +122,7 @@ pub fn run_testbed(
         })
         .collect();
     let (stats, _server, _clients) = run_hosts(cfg, make_qdiscs, hosts);
+    // Invariant: a poisoned log means a client panicked, and `run_hosts` re-raised that.
     let records = std::mem::take(&mut log.lock().expect("a client panicked").records);
     TestbedReport { records, stats }
 }
@@ -218,6 +219,8 @@ fn run_hosts(
     });
 
     // Clients exit when done or at the horizon.
+    // Invariant (here and in the joins below): a join fails only by
+    // re-raising a panic its thread already raised.
     let clients = client_handles
         .into_iter()
         .map(|handle| handle.join().expect("client thread panicked"))
@@ -236,6 +239,7 @@ fn run_hosts(
     drop(mb_tx);
     middlebox.join().expect("middlebox thread panicked");
     let server = server.join().expect("server thread panicked");
+    // Invariant: the middlebox thread returned normally, so it sent its stats.
     let stats = stats_rx.recv().expect("middlebox reports stats");
     (stats, server, clients)
 }

@@ -29,13 +29,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use taq_telemetry::{Event, FlowId, FxBuildHasher, TelemetrySink, Value};
-
-/// Fault classes that terminate a packet (the fault layer rejects the
-/// packet and the engine records the drop).
-fn terminal_fault(kind: &str) -> bool {
-    matches!(kind, "blackout" | "burst_loss" | "corrupt")
-}
+use taq_telemetry::{Event, FaultKind, FlowId, FxBuildHasher, TelemetrySink, Value};
 
 /// Configuration for a [`TraceCollector`].
 #[derive(Debug, Clone)]
@@ -220,7 +214,7 @@ impl TraceCollector {
                     Some(span) => match span.outcome {
                         SpanOutcome::Dropped { stage } => SpanOutcome::Dropped { stage },
                         _ => match span.fault {
-                            Some(kind) if terminal_fault(kind) => SpanOutcome::Faulted { kind },
+                            Some(kind) if kind.is_terminal() => SpanOutcome::Faulted { kind },
                             _ => SpanOutcome::Dropped { stage: 0 },
                         },
                     },
@@ -324,7 +318,7 @@ impl TelemetrySink for TraceCollector {
             } => self.on_link_event(at_ns, *link, kind, *packet, *flow, *bytes),
             Event::Classified { packet, class, .. } => {
                 if let Some(span) = self.open.get_mut(packet) {
-                    span.class = Some(class);
+                    span.class = Some(*class);
                 }
             }
             Event::Dropped { packet, stage, .. } => {
@@ -354,10 +348,10 @@ impl TelemetrySink for TraceCollector {
             Event::Fault { kind, packet, .. } => {
                 if let Some(packet) = packet {
                     if let Some(span) = self.open.get_mut(packet) {
-                        span.fault = Some(kind);
+                        span.fault = Some(*kind);
                     }
                 }
-                if *kind == "restart" {
+                if *kind == FaultKind::Restart {
                     self.trip("restart");
                 }
             }
@@ -386,6 +380,7 @@ mod tests {
     use crate::links::DENSE_LINKS;
     use crate::tripwire::TripRecord;
     use std::collections::{BTreeMap, VecDeque};
+    use taq_telemetry::QueueClass;
 
     fn flow(port: u16) -> FlowId {
         FlowId {
@@ -434,7 +429,7 @@ mod tests {
             &Event::Classified {
                 packet: 1,
                 flow: flow(1),
-                class: "NewFlow",
+                class: QueueClass::NewFlow,
                 retransmission: false,
             },
         );
@@ -444,7 +439,7 @@ mod tests {
         assert_eq!(c.spans_completed(), 1);
         let span = c.recorder().iter().next().expect("one span");
         assert_eq!(span.packet, 1);
-        assert_eq!(span.class, Some("NewFlow"));
+        assert_eq!(span.class, Some(QueueClass::NewFlow));
         assert_eq!(span.depth_at_enqueue, 0);
         assert_eq!(span.transmit_ns, Some(200));
         assert_eq!(span.outcome, SpanOutcome::Delivered { latency_ns: 250 });
@@ -492,7 +487,7 @@ mod tests {
             10,
             &Event::Fault {
                 link: 0,
-                kind: "burst_loss",
+                kind: FaultKind::BurstLoss,
                 packet: Some(1),
                 flow: Some(flow(1)),
                 value: 500.0,
@@ -509,8 +504,13 @@ mod tests {
             },
         );
         let span = c.recorder().iter().next().expect("faulted span");
-        assert_eq!(span.outcome, SpanOutcome::Faulted { kind: "burst_loss" });
-        assert_eq!(span.fault, Some("burst_loss"));
+        assert_eq!(
+            span.outcome,
+            SpanOutcome::Faulted {
+                kind: FaultKind::BurstLoss
+            }
+        );
+        assert_eq!(span.fault, Some(FaultKind::BurstLoss));
     }
 
     #[test]
@@ -550,7 +550,7 @@ mod tests {
             50,
             &Event::Fault {
                 link: 0,
-                kind: "restart",
+                kind: FaultKind::Restart,
                 packet: None,
                 flow: None,
                 value: 3.0,
@@ -681,7 +681,7 @@ mod tests {
                         Some(span) => match span.outcome {
                             SpanOutcome::Dropped { stage } => SpanOutcome::Dropped { stage },
                             _ => match span.fault {
-                                Some(kind) if terminal_fault(kind) => SpanOutcome::Faulted { kind },
+                                Some(kind) if kind.is_terminal() => SpanOutcome::Faulted { kind },
                                 _ => SpanOutcome::Dropped { stage: 0 },
                             },
                         },
@@ -712,7 +712,7 @@ mod tests {
                 } => self.on_link_event(at_ns, *link, kind, *packet, *flow, *bytes),
                 Event::Classified { packet, class, .. } => {
                     if let Some(span) = self.open.get_mut(packet) {
-                        span.class = Some(class);
+                        span.class = Some(*class);
                     }
                 }
                 Event::Dropped { packet, stage, .. } => {
@@ -741,10 +741,10 @@ mod tests {
                 Event::Fault { kind, packet, .. } => {
                     if let Some(packet) = packet {
                         if let Some(span) = self.open.get_mut(packet) {
-                            span.fault = Some(kind);
+                            span.fault = Some(*kind);
                         }
                     }
-                    if *kind == "restart" {
+                    if *kind == FaultKind::Restart {
                         let at = self.last_ns;
                         let first = self
                             .tripwire
@@ -826,13 +826,6 @@ mod tests {
     #[test]
     fn fast_path_matches_reference_under_random_streams() {
         const EVENTS: usize = 60_000;
-        const CLASSES: [&str; 5] = [
-            "Recovery",
-            "NewFlow",
-            "OverPenalized",
-            "BelowFairShare",
-            "AboveFairShare",
-        ];
         for seed in [1u64, 2, 3, 4] {
             let mut rng = Rng(seed);
             let cfg = TraceConfig {
@@ -877,19 +870,12 @@ mod tests {
                         };
                         batch.push((now, link_event(live, "enqueue")));
                         if rng.below(4) > 0 {
-                            // One class never appears before the last
-                            // third of the stream.
-                            let class = if step > 2 * EVENTS / 3 && rng.below(6) == 0 {
-                                "Probation"
-                            } else {
-                                rng.pick(&CLASSES)
-                            };
                             batch.push((
                                 now,
                                 Event::Classified {
                                     packet: live.packet,
                                     flow: flow(live.port),
-                                    class,
+                                    class: rng.pick(&QueueClass::ALL),
                                     retransmission: rng.below(8) == 0,
                                 },
                             ));
@@ -922,7 +908,7 @@ mod tests {
                                 // A non-terminal fault annotates a span
                                 // that still delivers — twice, for a
                                 // duplicate; the second is an orphan.
-                                batch.push((now, fault("duplicate", Some(live))));
+                                batch.push((now, fault(FaultKind::Duplicate, Some(live))));
                                 batch.push((now, delivered(live)));
                             }
                             batch.push((now, delivered(live)));
@@ -943,7 +929,11 @@ mod tests {
                                     },
                                 )),
                                 2 => {
-                                    let kind = rng.pick(&["burst_loss", "blackout", "reorder"]);
+                                    let kind = rng.pick(&[
+                                        FaultKind::BurstLoss,
+                                        FaultKind::Blackout,
+                                        FaultKind::Reorder,
+                                    ]);
                                     batch.push((now, fault(kind, Some(live))));
                                 }
                                 _ => {}
@@ -972,18 +962,18 @@ mod tests {
                         };
                         batch.push((now, link_event(live, "mark")));
                     }
-                    18 => batch.push((now, fault("rate_change", None))),
+                    18 => batch.push((now, fault(FaultKind::RateChange, None))),
                     _ => batch.push((
                         now,
                         Event::QueueDepth {
                             pkts: queued.len() as u64,
                             bytes: 0,
-                            per_class: Vec::new(),
+                            per_class: [0; 5],
                         },
                     )),
                 }
                 if step == EVENTS / 2 {
-                    batch.push((now, fault("restart", None)));
+                    batch.push((now, fault(FaultKind::Restart, None)));
                 }
                 for (at_ns, event) in &batch {
                     fast.emit(*at_ns, event);
@@ -1013,7 +1003,6 @@ mod tests {
                 "\"outcome\":\"faulted\"",
                 "\"outcome\":\"incomplete\"",
                 "\"fault\":\"duplicate\"",
-                "\"class\":\"Probation\"",
             ] {
                 assert!(dump.contains(needle), "seed {seed}: dump lacks {needle}");
             }
@@ -1034,7 +1023,7 @@ mod tests {
         deliver(live.packet, live.port, 1_000)
     }
 
-    fn fault(kind: &'static str, on: Option<Live>) -> Event {
+    fn fault(kind: FaultKind, on: Option<Live>) -> Event {
         Event::Fault {
             link: on.map_or(0, |live| live.link),
             kind,

@@ -4,28 +4,20 @@
 //!
 //! A long run keeps `links × capacity` spans resident, so each one is
 //! stored as a compact [`Record`] (at most 72 bytes, against the wide
-//! [`PacketSpan`]'s 136): names become one-byte codes into the
-//! recorder's own [`NameTable`], the outcome a tag and one `u64`.
-//! Readers get wide spans back, decoded on the way out.
+//! [`PacketSpan`]'s 96): counts narrow to `u32`, and the outcome becomes
+//! a tag and one `u64`. Readers get wide spans back, decoded on the way
+//! out.
 
 use crate::links::LinkTable;
 use crate::span::{PacketSpan, SpanOutcome};
 use std::collections::VecDeque;
-use taq_telemetry::{FlowId, NameTable};
+use taq_telemetry::{FaultKind, FlowId, QueueClass};
 
 /// `transmit_ns` of a packet that never finished serialization. Event
 /// times are sim or wall-clock nanoseconds, and `u64::MAX` is the
 /// engine's "never" (`SimTime::MAX`), so no transmit is stamped with
 /// it; a `Some(u64::MAX)` would read back as `None`.
 const NO_TRANSMIT: u64 = u64::MAX;
-
-/// Name code for "no name".
-const NO_NAME: u8 = 0;
-/// Name code shared by every name after the table's 254th; it reads
-/// back as [`OVERFLOW_NAME`]. The repo's vocabularies (TAQ classes,
-/// fault kinds) hold about a dozen names.
-const OVERFLOW: u8 = u8::MAX;
-const OVERFLOW_NAME: &str = "(overflow)";
 
 // `Record::outcome` tags.
 const INCOMPLETE: u8 = 0;
@@ -42,7 +34,8 @@ struct Record {
     /// [`NO_TRANSMIT`] when the span has no transmit time.
     transmit_ns: u64,
     /// The outcome's payload: latency for `Delivered`, stage for
-    /// `Dropped`, the kind's name code for `Faulted`, 0 otherwise.
+    /// `Dropped`, the kind's position in [`FaultKind::ALL`] for
+    /// `Faulted`, 0 otherwise.
     outcome_value: u64,
     flow: FlowId,
     link: u32,
@@ -52,9 +45,8 @@ struct Record {
     /// at most its buffer, thousands of packets).
     depth: u32,
     hops: u32,
-    /// Name codes, [`NO_NAME`] for `None`.
-    class: u8,
-    fault: u8,
+    class: Option<QueueClass>,
+    fault: Option<FaultKind>,
     /// Outcome tag: [`INCOMPLETE`], [`DELIVERED`], [`DROPPED`] or [`FAULTED`].
     outcome: u8,
 }
@@ -73,8 +65,6 @@ fn saturate(value: u64) -> u32 {
 pub struct FlightRecorder {
     capacity: usize,
     rings: LinkTable<VecDeque<Record>>,
-    /// Class, fault and fault-kind names; a name's code is its slot + 1.
-    names: NameTable<()>,
     total: u64,
     evicted: u64,
 }
@@ -85,7 +75,6 @@ impl FlightRecorder {
         FlightRecorder {
             capacity,
             rings: LinkTable::new(),
-            names: NameTable::default(),
             total: 0,
             evicted: 0,
         }
@@ -99,7 +88,7 @@ impl FlightRecorder {
             self.evicted += 1;
             return;
         }
-        let record = self.encode(&span);
+        let record = encode(&span);
         let ring = self.rings.entry(span.link);
         if ring.len() == self.capacity {
             ring.pop_front();
@@ -129,93 +118,71 @@ impl FlightRecorder {
     }
 
     /// Bytes the retained spans occupy: `len()` times the stored
-    /// record's size (ring slack and the name table aside).
+    /// record's size (ring slack aside).
     pub fn retained_bytes(&self) -> usize {
         self.len() * std::mem::size_of::<Record>()
     }
 
     /// Retained spans on one link, oldest first.
     pub fn link(&self, link: u32) -> impl Iterator<Item = PacketSpan> + '_ {
-        self.rings
-            .get(link)
-            .into_iter()
-            .flatten()
-            .map(|record| self.decode(record))
+        self.rings.get(link).into_iter().flatten().map(decode)
     }
 
     /// All retained spans, grouped by link id (ascending), oldest first
     /// within a link.
     pub fn iter(&self) -> impl Iterator<Item = PacketSpan> + '_ {
-        self.rings
-            .values()
-            .flatten()
-            .map(|record| self.decode(record))
+        self.rings.values().flatten().map(decode)
     }
+}
 
-    fn code(&mut self, name: Option<&'static str>) -> u8 {
-        let Some(name) = name else {
-            return NO_NAME;
-        };
-        let slot = self.names.slot(name, || ());
-        u8::try_from(slot + 1).unwrap_or(OVERFLOW)
+fn encode(span: &PacketSpan) -> Record {
+    let (outcome, outcome_value) = match span.outcome {
+        SpanOutcome::Incomplete => (INCOMPLETE, 0),
+        SpanOutcome::Delivered { latency_ns } => (DELIVERED, latency_ns),
+        SpanOutcome::Dropped { stage } => (DROPPED, u64::from(stage)),
+        SpanOutcome::Faulted { kind } => (FAULTED, kind as u64),
+    };
+    Record {
+        packet: span.packet,
+        arrive_ns: span.arrive_ns,
+        end_ns: span.end_ns,
+        transmit_ns: span.transmit_ns.unwrap_or(NO_TRANSMIT),
+        outcome_value,
+        flow: span.flow,
+        link: span.link,
+        bytes: saturate(span.bytes),
+        depth: saturate(span.depth_at_enqueue),
+        hops: span.hops,
+        class: span.class,
+        fault: span.fault,
+        outcome,
     }
+}
 
-    fn name(&self, code: u8) -> Option<&'static str> {
-        match code {
-            NO_NAME => None,
-            OVERFLOW => Some(OVERFLOW_NAME),
-            code => Some(self.names.name(usize::from(code) - 1)),
-        }
-    }
-
-    fn encode(&mut self, span: &PacketSpan) -> Record {
-        let (outcome, outcome_value) = match span.outcome {
-            SpanOutcome::Incomplete => (INCOMPLETE, 0),
-            SpanOutcome::Delivered { latency_ns } => (DELIVERED, latency_ns),
-            SpanOutcome::Dropped { stage } => (DROPPED, u64::from(stage)),
-            SpanOutcome::Faulted { kind } => (FAULTED, u64::from(self.code(Some(kind)))),
-        };
-        Record {
-            packet: span.packet,
-            arrive_ns: span.arrive_ns,
-            end_ns: span.end_ns,
-            transmit_ns: span.transmit_ns.unwrap_or(NO_TRANSMIT),
-            outcome_value,
-            flow: span.flow,
-            link: span.link,
-            bytes: saturate(span.bytes),
-            depth: saturate(span.depth_at_enqueue),
-            hops: span.hops,
-            class: self.code(span.class),
-            fault: self.code(span.fault),
-            outcome,
-        }
-    }
-
-    fn decode(&self, record: &Record) -> PacketSpan {
-        let value = record.outcome_value;
-        let outcome = match record.outcome {
-            DELIVERED => SpanOutcome::Delivered { latency_ns: value },
-            DROPPED => SpanOutcome::Dropped { stage: value as u8 },
-            FAULTED => SpanOutcome::Faulted {
-                kind: self.name(value as u8).unwrap_or(OVERFLOW_NAME),
-            },
-            _ => SpanOutcome::Incomplete,
-        };
-        PacketSpan {
-            packet: record.packet,
-            flow: record.flow,
-            link: record.link,
-            bytes: u64::from(record.bytes),
-            class: self.name(record.class),
-            arrive_ns: record.arrive_ns,
-            depth_at_enqueue: u64::from(record.depth),
-            transmit_ns: (record.transmit_ns != NO_TRANSMIT).then_some(record.transmit_ns),
-            hops: record.hops,
-            fault: self.name(record.fault),
-            outcome,
-            end_ns: record.end_ns,
-        }
+fn decode(record: &Record) -> PacketSpan {
+    let value = record.outcome_value;
+    let outcome = match record.outcome {
+        DELIVERED => SpanOutcome::Delivered { latency_ns: value },
+        DROPPED => SpanOutcome::Dropped { stage: value as u8 },
+        // Invariant: `encode` stored a position in `FaultKind::ALL`.
+        FAULTED => SpanOutcome::Faulted {
+            kind: FaultKind::ALL[value as usize],
+        },
+        _ => SpanOutcome::Incomplete,
+    };
+    PacketSpan {
+        packet: record.packet,
+        flow: record.flow,
+        link: record.link,
+        bytes: u64::from(record.bytes),
+        class: record.class,
+        arrive_ns: record.arrive_ns,
+        depth_at_enqueue: u64::from(record.depth),
+        transmit_ns: (record.transmit_ns != NO_TRANSMIT).then_some(record.transmit_ns),
+        hops: record.hops,
+        fault: record.fault,
+        outcome,
+        end_ns: record.end_ns,
     }
 }
 
@@ -297,17 +264,6 @@ mod tests {
 
     #[test]
     fn spans_read_back_as_pushed() {
-        // "Recovery" arrives through two pointers with equal contents,
-        // as one literal spelled in two crates does.
-        let recovery_again: &'static str = String::from("Recovery").leak();
-        let names = [
-            "Recovery",
-            recovery_again,
-            "NewFlow",
-            "burst_loss",
-            "blackout",
-            "reorder",
-        ];
         const LINKS: u32 = 3;
         const CAPACITY: usize = 64;
         for seed in [1u64, 2, 3] {
@@ -324,11 +280,10 @@ mod tests {
                     rng.next(),
                     wide_count(&mut rng),
                 );
-                let name = |rng: &mut Rng| {
-                    (rng.below(3) > 0).then(|| names[rng.below(names.len() as u64) as usize])
-                };
-                span.class = name(&mut rng);
-                span.fault = name(&mut rng);
+                span.class = (rng.below(3) > 0)
+                    .then(|| QueueClass::ALL[rng.below(QueueClass::ALL.len() as u64) as usize]);
+                span.fault = (rng.below(3) > 0)
+                    .then(|| FaultKind::ALL[rng.below(FaultKind::ALL.len() as u64) as usize]);
                 span.transmit_ns = match rng.below(3) {
                     0 => None,
                     1 => Some(0),
@@ -344,23 +299,27 @@ mod tests {
                         stage: rng.next() as u8,
                     },
                     _ => SpanOutcome::Faulted {
-                        kind: names[3 + rng.below(3) as usize],
+                        kind: FaultKind::ALL[rng.below(FaultKind::ALL.len() as u64) as usize],
                     },
                 };
                 span.end_ns = rng.next();
                 rec.push(span.clone());
                 pushed[link as usize].push(span);
             }
-            // Every outcome, every name form and every edge appeared.
+            // Every outcome, every value and every edge appeared.
             let all: Vec<&PacketSpan> = pushed.iter().flatten().collect();
             for tag in ["incomplete", "delivered", "dropped", "faulted"] {
                 assert!(all.iter().any(|s| s.outcome.tag() == tag), "{tag}");
             }
             assert!(all.iter().any(|s| s.class.is_none()));
-            assert!(all
-                .iter()
-                .any(|s| s.class.is_some_and(|c| std::ptr::eq(c, recovery_again))));
+            for class in QueueClass::ALL {
+                assert!(all.iter().any(|s| s.class == Some(class)), "{class}");
+            }
             assert!(all.iter().any(|s| s.fault.is_none()));
+            for kind in FaultKind::ALL {
+                let faulted = SpanOutcome::Faulted { kind };
+                assert!(all.iter().any(|s| s.outcome == faulted), "{kind}");
+            }
             assert!(all.iter().any(|s| s.transmit_ns.is_none()));
             assert!(all.iter().any(|s| s.transmit_ns == Some(0)));
             assert!(all.iter().any(|s| s.hops > 1));
@@ -385,21 +344,6 @@ mod tests {
             assert_eq!(rec.iter().collect::<Vec<_>>(), expected_all);
             assert_eq!(rec.total(), 2_000);
             assert_eq!(rec.evicted(), 2_000 - (LINKS as u64) * CAPACITY as u64);
-        }
-    }
-
-    #[test]
-    fn names_past_the_code_space_read_back_as_overflow() {
-        let mut rec = FlightRecorder::new(1_000);
-        let names: Vec<&'static str> = (0..300).map(|i| &*format!("class-{i}").leak()).collect();
-        for (packet, name) in names.iter().enumerate() {
-            let mut span = span(packet as u64, 0);
-            span.class = Some(name);
-            rec.push(span);
-        }
-        for (i, (read, name)) in rec.iter().zip(&names).enumerate() {
-            let expected = if i < 254 { *name } else { OVERFLOW_NAME };
-            assert_eq!(read.class, Some(expected), "name {i}");
         }
     }
 }

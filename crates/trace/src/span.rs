@@ -1,7 +1,7 @@
 //! The packet-lifecycle span: one packet's causal chain from link
 //! ingress to its terminal event, assembled from the telemetry stream.
 
-use taq_telemetry::{FlowId, Value};
+use taq_telemetry::{FaultKind, FlowId, QueueClass, Value};
 
 /// How a packet's lifecycle ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -13,9 +13,9 @@ pub enum SpanOutcome {
     /// (1-6), 7 for the NewFlow cap, 0 for non-staged drops (DropTail,
     /// fault-induced rejects without a core drop record).
     Dropped { stage: u8 },
-    /// Rejected by the fault layer (`kind` names the fault class:
-    /// "blackout", "burst_loss", "corrupt").
-    Faulted { kind: &'static str },
+    /// Rejected by the fault layer: `kind` is a terminal fault
+    /// ([`FaultKind::is_terminal`]).
+    Faulted { kind: FaultKind },
     /// Still in flight when the trace was dumped — a packet buffered in
     /// a queue (or lost to an untraced path) at post-mortem time.
     Incomplete,
@@ -48,7 +48,7 @@ pub struct PacketSpan {
     /// Wire bytes.
     pub bytes: u64,
     /// TAQ class assigned at enqueue, when the discipline classifies.
-    pub class: Option<&'static str>,
+    pub class: Option<QueueClass>,
     /// Time of the first link enqueue.
     pub arrive_ns: u64,
     /// Queue depth (packets already resident on `link`) at enqueue.
@@ -58,10 +58,10 @@ pub struct PacketSpan {
     /// Link enqueues observed (>1 on multi-hop paths with an unfiltered
     /// bridge).
     pub hops: u32,
-    /// Fault class that touched this packet in flight, if any
-    /// (non-terminal faults — "reorder", "duplicate" — annotate a span
-    /// that still delivers).
-    pub fault: Option<&'static str>,
+    /// Fault that touched this packet in flight, if any (non-terminal
+    /// faults — reorder, duplicate — annotate a span that still
+    /// delivers).
+    pub fault: Option<FaultKind>,
     /// Terminal event.
     pub outcome: SpanOutcome,
     /// Time of the terminal event (equals `arrive_ns` for spans dumped
@@ -99,7 +99,7 @@ impl PacketSpan {
             ("bytes".to_string(), Value::UInt(self.bytes)),
         ];
         if let Some(class) = self.class {
-            pairs.push(("class".to_string(), Value::from(class)));
+            pairs.push(("class".to_string(), Value::from(class.name())));
         }
         pairs.push(("arrive_ns".to_string(), Value::UInt(self.arrive_ns)));
         pairs.push(("depth".to_string(), Value::UInt(self.depth_at_enqueue)));
@@ -110,7 +110,7 @@ impl PacketSpan {
             pairs.push(("hops".to_string(), Value::from(self.hops)));
         }
         if let Some(fault) = self.fault {
-            pairs.push(("fault".to_string(), Value::from(fault)));
+            pairs.push(("fault".to_string(), Value::from(fault.name())));
         }
         pairs.push(("outcome".to_string(), Value::from(self.outcome.tag())));
         match self.outcome {
@@ -121,7 +121,7 @@ impl PacketSpan {
                 pairs.push(("stage".to_string(), Value::UInt(u64::from(stage))));
             }
             SpanOutcome::Faulted { kind } => {
-                pairs.push(("fault_kind".to_string(), Value::from(kind)));
+                pairs.push(("fault_kind".to_string(), Value::from(kind.name())));
             }
             SpanOutcome::Incomplete => {}
         }
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn span_renders_causal_chain() {
         let mut span = PacketSpan::begin(42, flow(), 0, 500, 1_000, 3);
-        span.class = Some("Normal");
+        span.class = Some(QueueClass::NewFlow);
         span.transmit_ns = Some(2_000);
         span.outcome = SpanOutcome::Delivered { latency_ns: 4_000 };
         span.end_ns = 5_000;
@@ -154,7 +154,7 @@ mod tests {
         assert_eq!(v.get("record").and_then(Value::as_str), Some("span"));
         assert_eq!(v.get("packet").and_then(Value::as_u64), Some(42));
         assert_eq!(v.get("flow").and_then(Value::as_str), Some("1:80->2:9000"));
-        assert_eq!(v.get("class").and_then(Value::as_str), Some("Normal"));
+        assert_eq!(v.get("class").and_then(Value::as_str), Some("NewFlow"));
         assert_eq!(v.get("depth").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("outcome").and_then(Value::as_str), Some("delivered"));
         assert_eq!(v.get("latency_ns").and_then(Value::as_u64), Some(4_000));

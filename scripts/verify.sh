@@ -144,10 +144,14 @@ fault_smoke() {
 # event streams and the hub's sink check-out/replay tests. Those, with
 # the two root suites that pin what an attached run emits
 # (trace_determinism, whose seed-3 dump must equal
-# tests/golden/trace_seed3.jsonl, and telemetry_events), run again with
-# --release: every attached number in EXPERIMENTS.md and the repo
-# benchmark comes from that profile, and test_suite covers only the
-# debug one. CI archives the dump.
+# tests/golden/trace_seed3.jsonl, and telemetry_events, whose seed-42
+# TAQ trace must equal tests/golden/telemetry_taq_seed42.jsonl), run
+# again with --release: every attached number in EXPERIMENTS.md and the
+# repo benchmark comes from that profile, and test_suite covers only
+# the debug one. A golden test that fails writes the fresh file under
+# target/tmp/ and names the first differing line; to update a golden
+# file, copy that file over it, for an intended change only, and say
+# why in CHANGES.md. CI archives the dump.
 trace_smoke() {
     run cargo run $OFFLINE --release -p taq-bench -- trace_report --out results/trace_dump.jsonl >results/trace_report_out.txt
     run cargo run $OFFLINE --release -p taq-bench -- trace_report --input results/trace_dump.jsonl >results/trace_report_in.txt

@@ -562,7 +562,7 @@ fn taq_pair_matches_reference_on_random_header_streams() {
                         _ => {}
                     }
                 }
-                assert_eq!(classes, [(p.id, class.name())], "{at}");
+                assert_eq!(classes, [(p.id, class)], "{at}");
                 assert_eq!(dropped, r.drops, "{at}");
                 let ids = out.dropped.into_iter().map(|d| arena.remove(d).id);
                 assert!(ids.eq(r.drops.iter().map(|d| d.0)), "{at}");

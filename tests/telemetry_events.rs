@@ -3,10 +3,13 @@
 //! trace, and the agreement between the `telemetry_report` summary
 //! aggregates and the raw event stream.
 
-use taq::{FlowTable, TaqConfig};
+use taq::{FlowState, FlowTable, TaqConfig};
 use taq_bench::{telemetry_report, TelemetryReportConfig};
 use taq_sim::{Bandwidth, FlowKey, NodeId, PacketBuilder, SimTime};
-use taq_telemetry::{jsonl_event_kind, shared_sink, Event, RingBufferSink, Telemetry};
+use taq_telemetry::{
+    jsonl_event_kind, shared_sink, AdmissionDecision, Event, FaultKind, QueueClass, RingBufferSink,
+    Telemetry,
+};
 
 fn key() -> FlowKey {
     FlowKey {
@@ -58,8 +61,9 @@ fn scripted_flow_emits_exact_transition_sequence() {
     // A clean epoch of fresh data completes the recovery into SlowStart.
     tab.observe_forward(&data(seq), t(560));
 
+    use FlowState::*;
     let ring = ring.lock().unwrap();
-    let transitions: Vec<(&str, &str, &str)> = ring
+    let transitions: Vec<(FlowState, FlowState, &str)> = ring
         .events()
         .filter_map(|(_, e)| match e {
             Event::FlowStateChanged {
@@ -71,15 +75,11 @@ fn scripted_flow_emits_exact_transition_sequence() {
     assert_eq!(
         transitions,
         vec![
-            ("SlowStart", "Normal", "active-epoch"),
-            ("Normal", "ExplicitLossRecovery", "local-drop"),
-            ("ExplicitLossRecovery", "TimeoutSilence", "silent-epoch"),
-            (
-                "TimeoutSilence",
-                "TimeoutRecovery",
-                "retransmit-after-silence"
-            ),
-            ("TimeoutRecovery", "SlowStart", "active-epoch"),
+            (SlowStart, Normal, "active-epoch"),
+            (Normal, ExplicitLossRecovery, "local-drop"),
+            (ExplicitLossRecovery, TimeoutSilence, "silent-epoch"),
+            (TimeoutSilence, TimeoutRecovery, "retransmit-after-silence"),
+            (TimeoutRecovery, SlowStart, "active-epoch"),
         ],
         "exact transition sequence"
     );
@@ -281,6 +281,121 @@ fn telemetry_jsonl_matches_golden() {
     }
 }
 
+/// Every value of the four vocabularies renders to the name the JSONL
+/// has always carried, through `name()`, `Display` and an event's JSON.
+/// The golden run covers every state and class; this covers what it
+/// cannot reach: fault kinds and a rejected SYN.
+#[test]
+fn vocabularies_render_their_names() {
+    assert_eq!(
+        FlowState::ALL.map(FlowState::name),
+        [
+            "SlowStart",
+            "Normal",
+            "ExplicitLossRecovery",
+            "TimeoutSilence",
+            "TimeoutRecovery",
+            "ExtendedSilence",
+            "DummySilence",
+        ]
+    );
+    assert_eq!(
+        QueueClass::ALL.map(QueueClass::name),
+        [
+            "Recovery",
+            "NewFlow",
+            "OverPenalized",
+            "BelowFairShare",
+            "AboveFairShare",
+        ]
+    );
+    assert_eq!(
+        AdmissionDecision::ALL.map(AdmissionDecision::name),
+        ["admit", "reject"]
+    );
+    assert_eq!(
+        FaultKind::ALL.map(FaultKind::name),
+        [
+            "burst_loss",
+            "reorder",
+            "duplicate",
+            "corrupt",
+            "blackout",
+            "rate_change",
+            "delay_change",
+            "restart",
+        ]
+    );
+    let terminal: Vec<_> = FaultKind::ALL
+        .into_iter()
+        .filter(|k| k.is_terminal())
+        .collect();
+    assert_eq!(
+        terminal,
+        [
+            FaultKind::BurstLoss,
+            FaultKind::Corrupt,
+            FaultKind::Blackout
+        ]
+    );
+
+    let field = |event: Event, field: &str| {
+        let value = event.to_value(0);
+        value
+            .get(field)
+            .and_then(|v| v.as_str())
+            .map(str::to_string)
+    };
+    for state in FlowState::ALL {
+        assert_eq!(state.to_string(), state.name());
+        let event = Event::FlowStateChanged {
+            flow: taq_sim::telemetry_flow_id(&key()),
+            from: state,
+            to: state,
+            trigger: "epoch-roll",
+        };
+        assert_eq!(field(event, "to").as_deref(), Some(state.name()));
+    }
+    for class in QueueClass::ALL {
+        assert_eq!(class.to_string(), class.name());
+        let event = Event::Classified {
+            packet: 1,
+            flow: taq_sim::telemetry_flow_id(&key()),
+            class,
+            retransmission: false,
+        };
+        assert_eq!(field(event, "class").as_deref(), Some(class.name()));
+    }
+    for decision in AdmissionDecision::ALL {
+        assert_eq!(decision.to_string(), decision.name());
+        let event = Event::Admission {
+            src: 1,
+            decision,
+            loss_rate: 0.5,
+        };
+        assert_eq!(field(event, "decision").as_deref(), Some(decision.name()));
+    }
+    for kind in FaultKind::ALL {
+        assert_eq!(kind.to_string(), kind.name());
+        let event = Event::Fault {
+            link: 0,
+            kind,
+            packet: None,
+            flow: None,
+            value: 0.0,
+        };
+        assert_eq!(field(event, "kind").as_deref(), Some(kind.name()));
+    }
+    let depth = Event::QueueDepth {
+        pkts: 15,
+        bytes: 7_500,
+        per_class: [1, 2, 3, 4, 5],
+    };
+    assert!(depth.to_value(0).to_json().ends_with(
+        r#""per_class":{"Recovery":1,"NewFlow":2,"OverPenalized":3,"BelowFairShare":4,"AboveFairShare":5}}"#
+    ));
+}
+
 /// Replaces the number after `"key":` in one JSON line with `0`.
 fn zero_field(line: &str, key: &str) -> String {
     let tag = format!("\"{key}\":");
@@ -288,8 +403,6 @@ fn zero_field(line: &str, key: &str) -> String {
         return line.to_string();
     };
     let start = at + tag.len();
-    let len = line[start..]
-        .find(|c: char| c == ',' || c == '}')
-        .unwrap_or(line.len() - start);
+    let len = line[start..].find([',', '}']).unwrap_or(line.len() - start);
     format!("{}0{}", &line[..start], &line[start + len..])
 }
