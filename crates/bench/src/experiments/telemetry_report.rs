@@ -2,7 +2,7 @@
 //! telemetry stack attached (JSONL traces, exact event counts, aggregate
 //! summaries), rendered side by side.
 //!
-//! Usage: `taq-bench telemetry_report [--full] [--jsonl DIR]`
+//! Usage: `taq-bench telemetry_report [--full] [--smoke] [--jsonl DIR]`
 //!
 //! With `--jsonl DIR` the per-discipline event traces are written to
 //! `DIR/droptail.jsonl` and `DIR/taq.jsonl` for offline analysis
@@ -11,7 +11,9 @@
 use taq_bench::{telemetry_report, SweepArgs, TelemetryReportConfig};
 
 pub fn run(args: SweepArgs) {
-    let duration = args.duration(60, 60, 600);
+    // The 10 s smoke horizon checks that the report runs, not its
+    // numbers.
+    let duration = args.duration(10, 60, 600);
     let mut cfg = TelemetryReportConfig::small_packet(args.seeds[0], duration);
     if let Some(dir) = args.value("--jsonl") {
         let dir = std::path::PathBuf::from(dir);

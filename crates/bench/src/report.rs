@@ -215,8 +215,8 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
         rendered,
         ring_counts: ring
             .counts()
-            .iter()
-            .map(|(k, v)| (k.to_string(), *v))
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
             .collect(),
         ring_total: ring.total(),
         jsonl,

@@ -44,10 +44,14 @@
 //! The buffer stores [`QueuedPkt`] handles — the arena [`PacketId`]
 //! plus the few fields the scheduler ever reads (wire length, SYN-ACK
 //! bit, observational id) — so the hot path never chases the packet
-//! body. Per-flow scheduling metadata lives in parallel slabs indexed
-//! by the dense [`FlowId`] (structure-of-arrays), and the per-class
-//! packet counts are maintained incrementally in a cache-line-aligned
-//! scheduler header, making `class_len` O(1).
+//! body. The handles of every flow share one pool of cells recycled
+//! through a free list, each flow's queue a chain of cells from its
+//! head to its tail, so the buffer costs one cell per packet buffered
+//! and nothing per flow that drained. Per-flow scheduling metadata
+//! lives in parallel slabs indexed by the dense [`FlowId`]
+//! (structure-of-arrays), and the per-class packet counts are
+//! maintained incrementally in a cache-line-aligned scheduler header,
+//! making `class_len` O(1).
 //!
 //! No per-packet decision walks a class. Each class keeps its flows on
 //! an intrusive doubly-linked list threaded through the slabs' `prev` /
@@ -87,7 +91,6 @@
 //! backlog.
 
 use crate::tracker::Observation;
-use std::collections::VecDeque;
 use taq_sim::{Bandwidth, FlowId, Packet, PacketId, SimTime};
 use taq_telemetry::QueueClass;
 
@@ -173,10 +176,12 @@ const NIL: FlowId = FlowId(u32::MAX);
 
 const RECOVERY: usize = QueueClass::Recovery.index();
 
+/// End-of-queue marker in a [`FlowChain`]'s ends and the pool's
+/// `next` links. Never a cell: the pool holds fewer cells than this.
+const NO_CELL: u32 = u32::MAX;
+
 /// Per-flow scheduling state in structure-of-arrays form, indexed by
-/// the dense [`FlowId`]. A flow is live iff `class[i] != NO_CLASS`;
-/// drained flows keep their (empty) packet deque so re-activation
-/// reuses the allocation.
+/// the dense [`FlowId`]. A flow is live iff `class[i] != NO_CLASS`.
 #[derive(Debug, Default)]
 struct FlowSlabs {
     /// Current [`QueueClass`] index, or [`NO_CLASS`].
@@ -190,8 +195,8 @@ struct FlowSlabs {
     last_normal_at: Vec<SimTime>,
     /// Buffered wire bytes of the flow.
     bytes: Vec<usize>,
-    /// The flow's buffered packets, arrival order.
-    packets: Vec<VecDeque<QueuedPkt>>,
+    /// The flow's buffered packets: its chain of [`PacketPool`] cells.
+    chains: Vec<FlowChain>,
     /// Neighbours on the flow's class list ([`NIL`] at the ends);
     /// meaningful only while the flow is live.
     prev: Vec<FlowId>,
@@ -212,7 +217,7 @@ impl FlowSlabs {
             self.silence.resize(idx + 1, 0);
             self.last_normal_at.resize(idx + 1, SimTime::ZERO);
             self.bytes.resize(idx + 1, 0);
-            self.packets.resize_with(idx + 1, VecDeque::new);
+            self.chains.resize(idx + 1, FlowChain::EMPTY);
             self.prev.resize(idx + 1, NIL);
             self.next.resize(idx + 1, NIL);
             self.pos_a.resize(idx + 1, ABSENT);
@@ -242,14 +247,99 @@ impl FlowSlabs {
     /// lowest id.
     fn score_key(&self, id: FlowId) -> u128 {
         let idx = id.index();
-        // Invariant: `usize` is at most 64 bits on every supported target.
-        let backlog = u64::try_from(self.packets[idx].len()).expect("backlog fits 64 bits");
-        pack_wide(self.score[idx], backlog, id)
+        pack_wide(self.score[idx], u64::from(self.chains[idx].backlog), id)
     }
 
     /// Eviction by backlog: deepest backlog, then lowest id.
     fn backlog_key(&self, id: FlowId) -> u64 {
-        pack_backlog(self.packets[id.index()].len(), id)
+        pack_backlog(self.chains[id.index()].backlog as usize, id)
+    }
+}
+
+/// One flow's queue in the [`PacketPool`]: its oldest and newest cells
+/// ([`NO_CELL`] while it buffers nothing) and how many it holds. Its
+/// packets, in arrival order, are the cells linked from `head` through
+/// the pool's `next`. The three share a slab entry because every push
+/// and removal reads or writes all three.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FlowChain {
+    head: u32,
+    tail: u32,
+    backlog: u32,
+}
+
+impl FlowChain {
+    const EMPTY: FlowChain = FlowChain {
+        head: NO_CELL,
+        tail: NO_CELL,
+        backlog: 0,
+    };
+}
+
+/// One [`PacketPool`] cell: a buffered packet and the next cell of its
+/// flow's queue, or of the free list while the cell is vacant.
+#[derive(Debug, Clone, Copy)]
+struct PoolCell {
+    qp: QueuedPkt,
+    next: u32,
+}
+
+/// Every buffered packet of every flow, one cell each. Cells are
+/// recycled through a free list, so the pool only grows past the most
+/// packets ever buffered at once (`buffer_pkts + 1`: a push lands
+/// before the eviction it causes), however many flows come and go.
+#[derive(Debug)]
+struct PacketPool {
+    cells: Vec<PoolCell>,
+    /// First vacant cell ([`NO_CELL`] if none), the rest linked through
+    /// `next`.
+    free: u32,
+}
+
+impl Default for PacketPool {
+    fn default() -> Self {
+        PacketPool {
+            cells: Vec::new(),
+            free: NO_CELL,
+        }
+    }
+}
+
+impl PacketPool {
+    /// Stores `qp` in a vacant cell (a new one only if none is vacant)
+    /// as the end of a queue, and returns the cell.
+    fn alloc(&mut self, qp: QueuedPkt) -> u32 {
+        let cell = PoolCell { qp, next: NO_CELL };
+        if self.free == NO_CELL {
+            // Invariant: the pool holds at most the packets buffered at
+            // once, which the configured `buffer_pkts` caps far below
+            // `NO_CELL`, whatever the headers.
+            let at = u32::try_from(self.cells.len())
+                .ok()
+                .filter(|&at| at != NO_CELL)
+                .expect("packet pool outgrew its 32-bit cell index");
+            self.cells.push(cell);
+            at
+        } else {
+            let at = self.free;
+            self.free = self.cells[at as usize].next;
+            self.cells[at as usize] = cell;
+            at
+        }
+    }
+
+    /// Vacates cell `at` and returns the packet it held.
+    fn release(&mut self, at: u32) -> QueuedPkt {
+        let cell = &mut self.cells[at as usize];
+        cell.next = self.free;
+        self.free = at;
+        cell.qp
+    }
+
+    /// The cells of the chain starting at `head`, in link order.
+    fn chain(&self, head: u32) -> impl Iterator<Item = u32> + '_ {
+        let live = |at: u32| (at != NO_CELL).then_some(at);
+        std::iter::successors(live(head), move |&at| live(self.cells[at as usize].next))
     }
 }
 
@@ -472,6 +562,8 @@ struct SchedState {
 #[derive(Debug)]
 pub struct TaqQueues {
     flows: FlowSlabs,
+    /// The buffered packets of every flow.
+    pool: PacketPool,
     /// Per class, in priority order: round-robin list and victim
     /// heaps.
     lists: [ClassList; 5],
@@ -492,6 +584,7 @@ impl TaqQueues {
         let rate = link_rate.bps() as f64 * recovery_fraction;
         TaqQueues {
             flows: FlowSlabs::default(),
+            pool: PacketPool::default(),
             lists: Default::default(),
             recovery: SlotHeap::default(),
             recovery_victims: SlotHeap::default(),
@@ -542,7 +635,7 @@ impl TaqQueues {
     /// Buffered packets of one flow.
     pub fn flow_backlog(&self, id: FlowId) -> usize {
         if self.holds(id) {
-            self.flows.packets[id.index()].len()
+            self.flows.chains[id.index()].backlog as usize
         } else {
             0
         }
@@ -659,7 +752,7 @@ impl TaqQueues {
                 // The whole per-flow queue migrates, to the tail of its
                 // new class.
                 self.reindex(id, Reindex::Leave);
-                let moved = self.flows.packets[idx].len();
+                let moved = self.flows.chains[idx].backlog as usize;
                 self.sched.class_pkts[cur] -= moved;
                 self.sched.class_pkts[to] += moved;
                 self.unlink(id, cur);
@@ -676,7 +769,14 @@ impl TaqQueues {
             self.link_back(id, to);
             Reindex::Enter
         };
-        self.flows.packets[idx].push_back(qp);
+        let cell = self.pool.alloc(qp);
+        let chain = &mut self.flows.chains[idx];
+        match chain.tail {
+            NO_CELL => chain.head = cell,
+            tail => self.pool.cells[tail as usize].next = cell,
+        }
+        chain.tail = cell;
+        chain.backlog += 1;
         self.sched.class_pkts[to] += 1;
         self.reindex(id, op);
         self.len += 1;
@@ -693,23 +793,36 @@ impl TaqQueues {
 
     /// Pops the head packet of `id`'s queue, cleaning up if drained.
     fn pop_head(&mut self, id: FlowId) -> QueuedPkt {
-        self.remove_at(id, 0)
+        self.remove_after(id, NO_CELL)
     }
 
-    /// Removes the packet at `pkt_idx` in `id`'s queue; a drained flow
-    /// leaves its class list and heaps.
-    fn remove_at(&mut self, id: FlowId, pkt_idx: usize) -> QueuedPkt {
+    /// Removes the packet behind cell `prev` in live flow `id`'s queue,
+    /// or its head when `prev` is [`NO_CELL`]; a drained flow leaves its
+    /// class list and heaps. Callers pass `NO_CELL` or a cell
+    /// [`TaqQueues::before_first_data`] just found, never the tail.
+    fn remove_after(&mut self, id: FlowId, prev: u32) -> QueuedPkt {
         let idx = id.index();
         let class = self.flows.class[idx] as usize;
-        // Invariant: callers pass the head (0) of a non-empty queue or an
-        // index `first_data_idx` just found in it.
-        let qp = self.flows.packets[idx]
-            .remove(pkt_idx)
-            .expect("valid index");
+        let chain = &mut self.flows.chains[idx];
+        let at = match prev {
+            NO_CELL => chain.head,
+            prev => self.pool.cells[prev as usize].next,
+        };
+        let next = self.pool.cells[at as usize].next;
+        match prev {
+            NO_CELL => chain.head = next,
+            prev => self.pool.cells[prev as usize].next = next,
+        }
+        if chain.tail == at {
+            chain.tail = prev;
+        }
+        chain.backlog -= 1;
+        let drained = chain.backlog == 0;
+        let qp = self.pool.release(at);
         let wire = qp.wire as usize;
         self.flows.bytes[idx] -= wire;
         self.sched.class_pkts[class] -= 1;
-        if self.flows.packets[idx].is_empty() {
+        if drained {
             self.reindex(id, Reindex::Leave);
             self.unlink(id, class);
             self.flows.class[idx] = NO_CLASS;
@@ -761,7 +874,8 @@ impl TaqQueues {
             // Invariant: a packet in the recovery class is some flow's, and
             // every flow in the class is on the recovery heap.
             let id = self.best_recovery().expect("non-empty");
-            let bits = f64::from(self.flows.packets[id.index()][0].wire) * 8.0;
+            let head = self.flows.chains[id.index()].head;
+            let bits = f64::from(self.pool.cells[head as usize].qp.wire) * 8.0;
             let others_waiting = self.len > recovery_pkts;
             if self.sched.recovery_tokens >= bits || !others_waiting {
                 self.sched.recovery_tokens = (self.sched.recovery_tokens - bits).max(0.0);
@@ -813,11 +927,19 @@ impl TaqQueues {
         None
     }
 
-    /// Head index of the first non-SYN-ACK packet of `id`'s queue.
-    fn first_data_idx(&self, id: FlowId) -> Option<usize> {
-        self.flows.packets[id.index()]
-            .iter()
-            .position(|qp| !qp.synack)
+    /// Where the first non-SYN-ACK packet of `id`'s queue sits: the
+    /// cell before it, [`NO_CELL`] if it is the head; `None` if the
+    /// flow buffers only SYN-ACKs. What [`TaqQueues::remove_after`]
+    /// takes.
+    fn before_first_data(&self, id: FlowId) -> Option<u32> {
+        let mut prev = NO_CELL;
+        for at in self.pool.chain(self.flows.chains[id.index()].head) {
+            if !self.pool.cells[at as usize].qp.synack {
+                return Some(prev);
+            }
+            prev = at;
+        }
+        None
     }
 
     /// Victim flow within `class` by maximum score, ties by backlog
@@ -859,18 +981,16 @@ impl TaqQueues {
             self.victim_by_backlog(class)?
         };
         if spare_synack {
-            if let Some(idx) = self.first_data_idx(id) {
-                return Some(self.remove_at(id, idx));
+            if let Some(prev) = self.before_first_data(id) {
+                return Some(self.remove_after(id, prev));
             }
             // This flow holds only SYN-ACKs; look for any flow in the
             // class with data before sacrificing a handshake.
             let fallback = self
                 .class_iter(class.index())
-                .find(|k| self.first_data_idx(*k).is_some());
-            if let Some(k) = fallback {
-                // Invariant: `find` just matched `k` on this very call.
-                let idx = self.first_data_idx(k).expect("checked");
-                return Some(self.remove_at(k, idx));
+                .find_map(|k| Some((k, self.before_first_data(k)?)));
+            if let Some((k, prev)) = fallback {
+                return Some(self.remove_after(k, prev));
             }
         }
         Some(self.pop_head(id))
@@ -914,6 +1034,13 @@ impl TaqQueues {
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let f = &self.flows;
+        // Every pool cell is in exactly one chain: a flow's or the free
+        // list. A cell met twice fails here, so no walk can cycle.
+        let mut seen = vec![false; self.pool.cells.len()];
+        let mut claim = |at: u32| {
+            let first = !std::mem::replace(&mut seen[at as usize], true);
+            assert!(first, "pool cell {at} linked twice");
+        };
         let mut len = 0;
         let mut bytes = 0;
         let mut per_class = [0usize; 5];
@@ -921,7 +1048,11 @@ impl TaqQueues {
         for (idx, &class) in f.class.iter().enumerate() {
             let id = FlowId(idx as u32);
             if class == NO_CLASS {
-                assert!(f.packets[idx].is_empty(), "vacant flow {id} holds packets");
+                assert_eq!(
+                    f.chains[idx],
+                    FlowChain::EMPTY,
+                    "vacant flow {id} holds packets"
+                );
                 assert_eq!(
                     (f.pos_a[idx], f.pos_b[idx]),
                     (ABSENT, ABSENT),
@@ -930,16 +1061,26 @@ impl TaqQueues {
                 continue;
             }
             let class = class as usize;
-            let pkts = &f.packets[idx];
-            assert!(!pkts.is_empty(), "empty flow {id} retained");
-            len += pkts.len();
+            // The chain from `head` is `backlog` cells of this flow's,
+            // none seen before, ending at `tail`.
+            let (mut pkts, mut flow_bytes, mut last) = (0, 0, NO_CELL);
+            let chain = f.chains[idx];
+            for at in self.pool.chain(chain.head) {
+                claim(at);
+                let qp = self.pool.cells[at as usize].qp;
+                assert_eq!(qp.flow, id, "flow {id} chains another flow's cell");
+                pkts += 1;
+                flow_bytes += qp.wire as usize;
+                last = at;
+            }
+            assert!(pkts > 0, "empty flow {id} retained");
+            assert_eq!(pkts, chain.backlog as usize, "flow {id}'s chain vs backlog");
+            assert_eq!(last, chain.tail, "flow {id}'s tail");
+            assert_eq!(f.bytes[idx], flow_bytes);
+            len += pkts;
             bytes += f.bytes[idx];
-            per_class[class] += pkts.len();
+            per_class[class] += pkts;
             flows_per_class[class] += 1;
-            assert_eq!(
-                f.bytes[idx],
-                pkts.iter().map(|qp| qp.wire as usize).sum::<usize>()
-            );
             // Each slot column points at an entry holding the flow's
             // current key in the heap its class keeps there, and is
             // `ABSENT` where the class keeps none; with the size checks
@@ -971,6 +1112,8 @@ impl TaqQueues {
         }
         assert_eq!(len, self.len);
         assert_eq!(bytes, self.bytes);
+        self.pool.chain(self.pool.free).for_each(&mut claim);
+        assert!(seen.iter().all(|&s| s), "pool cell leaked");
         assert_eq!(
             per_class, self.sched.class_pkts,
             "incremental class counts drifted"
@@ -1021,7 +1164,7 @@ pub fn fair_share_bps(link_rate: Bandwidth, active_flows: usize) -> f64 {
 mod tests {
     use super::*;
     use std::cmp::Reverse;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, VecDeque};
     use taq_sim::{FlowKey, NodeId, PacketArena, PacketBuilder, SimDuration, TcpFlags};
 
     fn key(port: u16) -> FlowKey {
@@ -1441,6 +1584,40 @@ mod tests {
         assert_eq!(victim.pkt_id, 1);
         assert!(q.evict_staged().is_none());
         q.check_invariants();
+
+        // The deepest flow holds only SYN-ACKs, so the data behind
+        // another flow's SYN-ACK pays, from the middle of its queue; the
+        // rest leave in arrival order, through recycled pool cells.
+        for id in 10..13 {
+            let s = synack(&mut a, 4, id);
+            q.push(QueueClass::NewFlow, s, &obs(false, 0));
+        }
+        for (id, data) in [(20, false), (21, true), (22, true)] {
+            let p = if data {
+                pkt(&mut a, 5, id)
+            } else {
+                synack(&mut a, 5, id)
+            };
+            q.push(QueueClass::NewFlow, p, &obs(false, 0));
+        }
+        let (victim, ..) = q.evict_staged().unwrap();
+        assert_eq!(victim.pkt_id, 21, "data behind a SYN-ACK, not a handshake");
+        q.check_invariants();
+        assert_eq!(q.pool.cells.len(), 6, "cells reused, none added");
+        let mut left: Vec<(FlowId, u64)> = std::iter::from_fn(|| q.pop(SimTime::ZERO))
+            .map(|qp| (qp.flow, qp.pkt_id))
+            .collect();
+        left.sort_by_key(|&(flow, _)| flow);
+        assert_eq!(
+            left,
+            [
+                (fid(4), 10),
+                (fid(4), 11),
+                (fid(4), 12),
+                (fid(5), 20),
+                (fid(5), 22)
+            ]
+        );
     }
 
     #[test]
@@ -1526,46 +1703,71 @@ mod tests {
 
     #[test]
     fn per_flow_packets_always_leave_in_arrival_order() {
-        // Random class assignments must never reorder one flow's
-        // packets.
+        // Random class assignments, SYN-ACKs among the data, and
+        // evictions that take the first data packet from behind them
+        // must never reorder one flow's packets; and the shared pool
+        // never holds more cells than the most packets buffered at once.
         let mut a = PacketArena::new();
         let mut rng = taq_sim::SimRng::new(11);
         let classes = [
-            QueueClass::Recovery,
             QueueClass::NewFlow,
             QueueClass::OverPenalized,
             QueueClass::BelowFairShare,
+            QueueClass::Recovery,
             QueueClass::AboveFairShare,
         ];
         let mut q = queues();
-        let mut next_id_per_flow: HashMap<u16, u64> = HashMap::new();
-        let mut last_out: HashMap<FlowId, u64> = HashMap::new();
-        let mut check = |qp: &QueuedPkt, a: &mut PacketArena| {
+        // Per flow, the ids it buffers in arrival order.
+        let mut buffered: HashMap<FlowId, VecDeque<u64>> = HashMap::new();
+        let (mut peak, mut middle) = (0, 0);
+        let pop = |q: &mut TaqQueues, a: &mut PacketArena, buffered: &mut HashMap<_, _>, now| {
+            let qp: QueuedPkt = q.pop(now)?;
             a.remove(qp.pid);
-            if let Some(prev) = last_out.insert(qp.flow, qp.pkt_id) {
-                assert!(qp.pkt_id > prev, "flow {} reordered", qp.flow);
-            }
+            let head = buffered.get_mut(&qp.flow).and_then(VecDeque::pop_front);
+            assert_eq!(head, Some(qp.pkt_id), "flow {} reordered", qp.flow);
+            Some(qp)
         };
-        for i in 0..3_000u64 {
+        for i in 0..6_000u64 {
             let port = (i % 5) as u16;
-            let id = {
-                let n = next_id_per_flow.entry(port).or_insert(0);
-                *n += 1;
-                *n
+            // The two classes that never spare a SYN-ACK (Recovery is
+            // also sticky) only rarely, so evictions mostly reach the
+            // ones that do.
+            let drawn = if rng.chance(0.1) { 5 } else { 3 };
+            let class = classes[rng.next_below(drawn) as usize];
+            let p = if rng.chance(0.2) {
+                synack(&mut a, port, i)
+            } else {
+                pkt(&mut a, port, i)
             };
-            let class = classes[rng.next_below(5) as usize];
-            let p = pkt(&mut a, port, id);
+            buffered.entry(p.flow).or_default().push_back(i);
             q.push(class, p, &obs(class == QueueClass::Recovery, 0));
+            peak = peak.max(q.len());
             if rng.chance(0.6) {
-                if let Some(qp) = q.pop(SimTime::from_millis(i)) {
-                    check(&qp, &mut a);
-                }
+                // 50 ms a step: the Recovery budget refills about a
+                // packet's worth, so a sticky Recovery flow drains.
+                pop(&mut q, &mut a, &mut buffered, SimTime::from_millis(50 * i));
+            }
+            if q.len() > 12 {
+                let (qp, ..) = q.evict_staged().expect("non-empty above cap");
+                a.remove(qp.pid);
+                let flow = buffered.get_mut(&qp.flow).expect("evicted flow buffers");
+                let at = flow.iter().position(|&id| id == qp.pkt_id);
+                let at = at.expect("evicted a buffered packet");
+                middle += usize::from(at > 0);
+                flow.remove(at);
+            }
+            assert!(q.pool.cells.len() <= peak, "pool outgrew the peak backlog");
+            if i % 256 == 0 {
+                q.check_invariants();
             }
         }
-        while let Some(qp) = q.pop(SimTime::from_secs(100)) {
-            check(&qp, &mut a);
-        }
+        while pop(&mut q, &mut a, &mut buffered, SimTime::from_secs(100)).is_some() {}
         assert!(a.is_empty());
+        assert!(
+            middle > 300,
+            "{middle} evictions from behind a queue's head"
+        );
+        q.check_invariants();
     }
 
     #[test]

@@ -72,6 +72,13 @@ pub struct PacketArena {
     slots: Vec<Packet>,
     /// Current generation per slot; bumped on every release.
     gens: Vec<u32>,
+    /// Per slot, the index of the packet queued behind it: the links of
+    /// the engine's FIFO queues ([`crate::UnboundedFifo`]). One column
+    /// serves every queue because a packet sits in at most one queue at
+    /// a time (DESIGN.md §15), so no two queues ever write one slot's
+    /// successor. Meaningful only while the slot's packet is queued and
+    /// not at its queue's tail; never reset.
+    successors: Vec<u32>,
     /// Vacant slot indices, reused LIFO.
     free: Vec<u32>,
 }
@@ -95,6 +102,7 @@ impl PacketArena {
             let idx = self.slots.len() as u32;
             self.slots.push(pkt);
             self.gens.push(0);
+            self.successors.push(0);
             PacketId { idx, gen: 0 }
         }
     }
@@ -136,6 +144,35 @@ impl PacketArena {
     pub fn get_mut(&mut self, id: PacketId) -> &mut Packet {
         self.check(id);
         &mut self.slots[id.idx as usize]
+    }
+
+    /// Queues `next` behind the live packet `id` in the successor column.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale `id`.
+    #[inline]
+    pub(crate) fn set_successor(&mut self, id: PacketId, next: PacketId) {
+        self.check(id);
+        self.successors[id.idx as usize] = next.idx;
+    }
+
+    /// The packet queued behind the live packet `id`, as its queue last
+    /// wrote it with [`PacketArena::set_successor`]. The handle carries
+    /// the successor slot's current generation: valid while that packet
+    /// is still queued, which is the only time a queue asks.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale `id`.
+    #[inline]
+    pub(crate) fn successor(&self, id: PacketId) -> PacketId {
+        self.check(id);
+        let idx = self.successors[id.idx as usize];
+        PacketId {
+            idx,
+            gen: self.gens[idx as usize],
+        }
     }
 
     /// Releases the slot and moves the packet out. The id (and any copy

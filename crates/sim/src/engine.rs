@@ -19,7 +19,7 @@
 
 use crate::arena::{PacketArena, PacketId};
 use crate::events::{EventKey, EventKind, EventQueue, ScheduledEvent, TimerId};
-use crate::link::{Link, LinkStats};
+use crate::link::{Link, LinkStats, WireLoss};
 use crate::monitor::{AsAny, LinkMonitor, MonitorId};
 use crate::packet::{LinkId, NodeId, Packet};
 use crate::qdisc::Qdisc;
@@ -199,15 +199,8 @@ impl World {
         // validation. Draws come from the link's own seed-derived
         // stream, so they are identical no matter what any other
         // component drew first.
-        if link.loss_rate > 0.0 {
-            let loss_rate = link.loss_rate;
-            let lost = link
-                .loss_rng
-                .as_mut()
-                // Invariant: the one setter of a nonzero loss rate installs its stream.
-                .expect("loss stream installed with the loss rate")
-                .chance(loss_rate);
-            if lost {
+        if let Some(loss) = link.loss.as_deref_mut() {
+            if loss.rate > 0.0 && loss.rng.chance(loss.rate) {
                 link.stats.wire_lost_pkts += 1;
                 let victim = arena.remove(pkt);
                 for m in monitors.iter_mut() {
@@ -468,6 +461,8 @@ impl Simulator {
     /// probability `rate`. This realizes the Markov model's own i.i.d.
     /// loss assumption, independent of queue contention. The draws come
     /// from a per-link stream derived from the run seed and the link id.
+    /// A rate of zero draws nothing; a nonzero rate set after it
+    /// continues the stream where the earlier rate left it.
     ///
     /// # Panics
     ///
@@ -476,12 +471,15 @@ impl Simulator {
         assert!((0.0..1.0).contains(&rate), "loss rate out of range");
         let seed = self.world.seed;
         let l = self.world.link_mut(link);
-        l.loss_rate = rate;
-        if rate > 0.0 && l.loss_rng.is_none() {
-            l.loss_rng = Some(SimRng::for_stream(
-                seed,
-                LINK_LOSS_STREAM ^ u64::from(link.0),
-            ));
+        match l.loss.as_deref_mut() {
+            Some(loss) => loss.rate = rate,
+            None if rate > 0.0 => {
+                l.loss = Some(Box::new(WireLoss {
+                    rate,
+                    rng: SimRng::for_stream(seed, LINK_LOSS_STREAM ^ u64::from(link.0)),
+                }));
+            }
+            None => {}
         }
     }
 
@@ -850,6 +848,40 @@ mod tests {
         // Second packet began serializing after the change: 43.2 ms at
         // 100 Kbps starting at 4.32 ms, plus the new 20 ms delay.
         assert_eq!(got[1].0, SimTime::from_micros(4_320 + 43_200 + 20_000));
+    }
+
+    /// Wire loss set to a rate, then 0, then the rate again: the first
+    /// and last phases draw one variate per transmission from the
+    /// link's one stream, continued rather than reseeded, and the zero
+    /// phase draws nothing. A rate of 0 on a lossless link installs no
+    /// stream at all.
+    #[test]
+    fn wire_loss_stream_pauses_at_zero_and_continues() {
+        const PKTS: u32 = 300;
+        let rate = 0.3;
+        let (mut sim, _a, _b, received) = two_node_sim(PKTS);
+        let link = LinkId(0);
+        sim.set_link_loss(link, 0.0);
+        assert!(sim.world.link(link).loss.is_none(), "zero installs nothing");
+        sim.set_link_loss(link, rate);
+        // Packet k starts serializing at k × 4.32 ms, and its draw is
+        // taken then: packets 0–99 draw at `rate`, 100–199 at zero, the
+        // rest at `rate` again.
+        sim.run_until(SimTime::from_millis(430));
+        sim.set_link_loss(link, 0.0);
+        sim.run_until(SimTime::from_millis(862));
+        sim.set_link_loss(link, rate);
+        sim.run();
+        let mut stream = SimRng::for_stream(1, LINK_LOSS_STREAM);
+        let expect: Vec<u64> = (0..u64::from(PKTS))
+            .filter(|&k| (100..200).contains(&k) || !stream.chance(rate))
+            .map(|k| k + 1)
+            .collect();
+        let got: Vec<u64> = received.lock().unwrap().iter().map(|&(_, id)| id).collect();
+        assert_eq!(got, expect);
+        let lost = u64::from(PKTS) - expect.len() as u64;
+        assert!(lost > 30, "{lost} lost");
+        assert_eq!(sim.link_stats(link).wire_lost_pkts, lost);
     }
 
     #[test]

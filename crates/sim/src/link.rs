@@ -62,6 +62,16 @@ impl LinkStats {
     }
 }
 
+/// A link's Bernoulli wire loss: the probability each serialized
+/// packet is corrupted in flight, and the link's own draw stream
+/// (derived from the run seed and the link id), so loss draws on one
+/// link never perturb any other component's variates.
+#[derive(Debug)]
+pub(crate) struct WireLoss {
+    pub rate: f64,
+    pub rng: SimRng,
+}
+
 /// One unidirectional link.
 pub(crate) struct Link {
     pub id: LinkId,
@@ -71,12 +81,10 @@ pub(crate) struct Link {
     pub rate: Bandwidth,
     pub delay: SimDuration,
     pub qdisc: Box<dyn Qdisc>,
-    /// Probability each serialized packet is corrupted in flight.
-    pub loss_rate: f64,
-    /// Dedicated wire-loss stream (derived from the run seed and the
-    /// link id when a loss rate is installed), so loss draws on one link
-    /// never perturb any other component's variates.
-    pub loss_rng: Option<SimRng>,
+    /// Wire loss, boxed because only model-validation links set a rate:
+    /// `None` until a nonzero rate is first set, and kept (stream
+    /// position included) when the rate later returns to zero.
+    pub loss: Option<Box<WireLoss>>,
     /// `true` while a packet is being serialized.
     pub busy: bool,
     /// Transmissions started on this link; seeds the canonical
@@ -105,8 +113,7 @@ impl Link {
             rate,
             delay,
             qdisc,
-            loss_rate: 0.0,
-            loss_rng: None,
+            loss: None,
             busy: false,
             tx_seq: 0,
             // Zero bytes take zero time at any rate: a true entry.

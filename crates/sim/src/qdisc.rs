@@ -97,7 +97,7 @@ pub trait Qdisc: Send {
     }
 
     /// Total payload+header bytes currently buffered. Implementations
-    /// cache wire lengths at enqueue so this never needs the arena.
+    /// keep a running count so this never needs the arena.
     fn byte_len(&self) -> usize;
 
     /// Short human-readable name for reports ("droptail", "red", "taq"...).
@@ -106,10 +106,18 @@ pub trait Qdisc: Send {
 
 /// An unbounded FIFO used for uncongested links (access links, the
 /// reverse ACK path). It never drops.
+///
+/// The queue holds no buffer of its own: its packets are linked oldest
+/// to newest through the arena's successor column, so a link's queue
+/// is its two ends and two counts, whatever it holds. A packet's wire
+/// length is read from the arena when it leaves, not cached.
 #[derive(Debug, Default)]
 pub struct UnboundedFifo {
-    /// Buffered ids with their cached wire lengths.
-    queue: std::collections::VecDeque<(PacketId, u32)>,
+    /// Oldest buffered packet, `None` while empty.
+    head: Option<PacketId>,
+    /// Newest buffered packet, `None` while empty.
+    tail: Option<PacketId>,
+    len: usize,
     bytes: usize,
 }
 
@@ -122,20 +130,31 @@ impl UnboundedFifo {
 
 impl Qdisc for UnboundedFifo {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, _now: SimTime) -> EnqueueOutcome {
-        let wire = arena.get(pkt).wire_len();
-        self.bytes += wire as usize;
-        self.queue.push_back((pkt, wire));
+        self.bytes += arena.get(pkt).wire_len() as usize;
+        match self.tail {
+            Some(tail) => arena.set_successor(tail, pkt),
+            None => self.head = Some(pkt),
+        }
+        self.tail = Some(pkt);
+        self.len += 1;
         EnqueueOutcome::accepted()
     }
 
-    fn dequeue(&mut self, _arena: &mut PacketArena, _now: SimTime) -> Option<PacketId> {
-        let (pkt, wire) = self.queue.pop_front()?;
-        self.bytes -= wire as usize;
+    fn dequeue(&mut self, arena: &mut PacketArena, _now: SimTime) -> Option<PacketId> {
+        let pkt = self.head?;
+        self.len -= 1;
+        self.bytes -= arena.get(pkt).wire_len() as usize;
+        if self.len == 0 {
+            self.head = None;
+            self.tail = None;
+        } else {
+            self.head = Some(arena.successor(pkt));
+        }
         Some(pkt)
     }
 
     fn len(&self) -> usize {
-        self.queue.len()
+        self.len
     }
 
     fn byte_len(&self) -> usize {
@@ -184,6 +203,61 @@ mod tests {
         assert_eq!(q.byte_len(), 0);
         assert!(q.dequeue(&mut arena, SimTime::ZERO).is_none());
         assert!(arena.is_empty(), "fifo leaked no packets");
+    }
+
+    /// FIFOs that share one arena, and with it one successor column,
+    /// never cross-link: under random interleaved enqueues and dequeues
+    /// each answers order, `len` and `byte_len` as its own `VecDeque`
+    /// does, through queues emptied and refilled over recycled slots.
+    #[test]
+    fn fifos_sharing_an_arena_match_a_deque_oracle() {
+        const QUEUES: usize = 4;
+        let mut rng = crate::rng::SimRng::new(0xF1F0);
+        let mut arena = PacketArena::new();
+        let mut queues: Vec<UnboundedFifo> = (0..QUEUES).map(|_| UnboundedFifo::new()).collect();
+        let mut oracles = vec![std::collections::VecDeque::<(u64, usize)>::new(); QUEUES];
+        let (mut enqueued, mut emptied) = (0u64, 0u64);
+        for step in 0..60_000u64 {
+            let q = rng.next_below(QUEUES as u64) as usize;
+            // Biased per queue, so some queues run long while others
+            // keep emptying.
+            if rng.chance(0.3 + 0.1 * q as f64) {
+                let mut p = pkt(step);
+                p.payload_len = rng.next_below(1_460) as u32;
+                let wire = p.wire_len() as usize;
+                let id = arena.insert(p);
+                assert!(queues[q]
+                    .enqueue(id, &mut arena, SimTime::ZERO)
+                    .dropped
+                    .is_empty());
+                oracles[q].push_back((step, wire));
+                enqueued += 1;
+            } else {
+                let got = queues[q].dequeue(&mut arena, SimTime::ZERO);
+                let want = oracles[q].pop_front();
+                assert_eq!(
+                    got.map(|id| arena.remove(id).id),
+                    want.map(|(id, _)| id),
+                    "queue {q} at step {step}"
+                );
+                if want.is_some() && oracles[q].is_empty() {
+                    emptied += 1;
+                }
+            }
+            for (queue, oracle) in queues.iter().zip(&oracles) {
+                assert_eq!(queue.len(), oracle.len(), "step {step}");
+                assert_eq!(
+                    queue.byte_len(),
+                    oracle.iter().map(|&(_, wire)| wire).sum::<usize>(),
+                    "step {step}"
+                );
+            }
+        }
+        assert!(
+            enqueued > 20_000 && emptied > 1_000,
+            "{enqueued} in, {emptied} drains"
+        );
+        assert_eq!(arena.len(), oracles.iter().map(|o| o.len()).sum::<usize>());
     }
 
     #[test]

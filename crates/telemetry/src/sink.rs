@@ -71,6 +71,9 @@ impl SharedSink {
     pub(crate) fn seat_in(self, hub: &Arc<HubShared>) {
         let mut home = lock_unpoisoned(&self.slot);
         let Home::Detached(sink) = &mut *home else {
+            // Invariant: `shared_sink` makes one `SharedSink` per slot, not
+            // `Clone`, and this call consumes it, so its slot is seated here
+            // or nowhere.
             unreachable!("add_shared_sink consumes the only SharedSink of a slot");
         };
         let seat = hub.add_seat(sink.take());
@@ -115,6 +118,8 @@ impl<S: TelemetrySink> SinkHandle<S> {
             .ok_or(SinkCheckedOut)?
             .into_any()
             .downcast::<S>()
+            // Invariant: the slot only ever holds the `S` that `shared_sink`
+            // put there; checking it in and out moves that same box.
             .expect("shared_sink made this handle and its sink from one S");
         Ok(SinkGuard {
             sink: Some(sink),
@@ -135,12 +140,14 @@ impl<S: TelemetrySink> Deref for SinkGuard<'_, S> {
     type Target = S;
 
     fn deref(&self) -> &S {
+        // Invariant: `sink` is `Some` from `lock` until `drop` takes it.
         self.sink.as_deref().expect("held until drop")
     }
 }
 
 impl<S: TelemetrySink> DerefMut for SinkGuard<'_, S> {
     fn deref_mut(&mut self) -> &mut S {
+        // Invariant: `sink` is `Some` from `lock` until `drop` takes it.
         self.sink.as_deref_mut().expect("held until drop")
     }
 }
@@ -174,8 +181,8 @@ pub fn shared_sink<S: TelemetrySink>(sink: S) -> (SinkHandle<S>, SharedSink) {
 pub struct RingBufferSink {
     capacity: usize,
     events: std::collections::VecDeque<(u64, Event)>,
-    counts: BTreeMap<&'static str, u64>,
-    total: u64,
+    /// Events per variant, indexed by `Event::slot`.
+    kinds: [u64; Event::TAGS.len()],
     evicted: u64,
 }
 
@@ -195,7 +202,7 @@ impl RingBufferSink {
 
     /// Total events observed (including evicted ones).
     pub fn total(&self) -> u64 {
-        self.total
+        self.kinds.iter().sum()
     }
 
     /// Events pushed out of the ring to respect `capacity`.
@@ -203,21 +210,25 @@ impl RingBufferSink {
         self.evicted
     }
 
-    /// Exact count of events with the given kind tag.
+    /// Exact count of events with the given kind tag (0 for a tag no
+    /// event carries).
     pub fn count(&self, kind: &str) -> u64 {
-        self.counts.get(kind).copied().unwrap_or(0)
+        Event::TAGS
+            .iter()
+            .position(|&tag| tag == kind)
+            .map_or(0, |slot| self.kinds[slot])
     }
 
-    /// All per-kind counts, sorted by kind.
-    pub fn counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.counts
+    /// The per-kind counts of the kinds seen, sorted by kind; built on
+    /// read.
+    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+        counted(Event::TAGS, &self.kinds)
     }
 }
 
 impl TelemetrySink for RingBufferSink {
     fn emit(&mut self, at_ns: u64, event: &Event) {
-        self.total += 1;
-        *self.counts.entry(event.kind()).or_insert(0) += 1;
+        self.kinds[event.slot()] += 1;
         if self.capacity == 0 {
             self.evicted += 1;
             return;
@@ -919,6 +930,123 @@ mod tests {
         }
     }
 
+    /// One event of any variant, drawn from `rng`: of the flow states
+    /// only the first few (how many depends on `seed`), and a `Link`
+    /// event's kind from `link_kinds`.
+    fn random_event(rng: &mut Rng, seed: u64, link_kinds: &[&'static str]) -> Event {
+        let packet = rng.next();
+        match rng.below(16) {
+            0 | 1 => Event::FlowStateChanged {
+                flow: flow(),
+                from: rng.pick(&FlowState::ALL),
+                to: rng.pick(&FlowState::ALL[..5 - seed as usize % 3]),
+                trigger: "epoch-roll",
+            },
+            2 => Event::Retransmit {
+                flow: flow(),
+                repairs_local_drop: rng.below(2) == 0,
+            },
+            3 | 4 => Event::Classified {
+                packet,
+                flow: flow(),
+                class: rng.pick(&QueueClass::ALL),
+                retransmission: false,
+            },
+            5 => Event::Dropped {
+                packet,
+                flow: flow(),
+                stage: rng.below(20) as u8,
+                retransmission: false,
+            },
+            6 => Event::QueueDepth {
+                pkts: rng.next() % 300,
+                bytes: 0,
+                per_class: [0; 5],
+            },
+            7 => Event::Admission {
+                src: 1,
+                decision: rng.pick(&AdmissionDecision::ALL),
+                loss_rate: 0.1,
+            },
+            8 => match rng.below(2) {
+                0 => Event::PoolWaiting { src: 1 },
+                _ => Event::PoolAdmitted { src: 1 },
+            },
+            9..=11 => Event::Link {
+                link: rng.below(4) as u32,
+                kind: rng.pick(link_kinds),
+                packet,
+                flow: flow(),
+                bytes: 500,
+            },
+            12 => Event::Delivered {
+                packet,
+                flow: flow(),
+                bytes: 500,
+                latency_ns: rng.next() % 1_000_000_000,
+            },
+            13 => Event::Fault {
+                link: 0,
+                kind: rng.pick(&FaultKind::ALL),
+                packet: None,
+                flow: None,
+                value: 0.0,
+            },
+            14 => match rng.below(4) {
+                0 => Event::EngineSummary {
+                    events: 1,
+                    virtual_ns: 2,
+                    wall_ns: 3,
+                },
+                _ => Event::LinkSummary {
+                    link: rng.below(12) as u32,
+                    offered_pkts: rng.next() % 1_000,
+                    dropped_pkts: 3,
+                    transmitted_pkts: 5,
+                    utilization: 0.5,
+                },
+            },
+            _ => Event::Classified {
+                packet,
+                flow: flow(),
+                class: rng.pick(&QueueClass::ALL),
+                retransmission: true,
+            },
+        }
+    }
+
+    /// The ring's per-kind counts, kept by index, against a tally keyed
+    /// by kind name over a random stream: `count` answers every tag and
+    /// 0 for a name no event carries, and `counts` lists exactly the
+    /// kinds seen.
+    #[test]
+    fn ring_counts_match_a_tally_by_name() {
+        let mut rng = Rng(21);
+        let mut ring = RingBufferSink::new(16);
+        let mut tally: BTreeMap<&'static str, u64> = BTreeMap::new();
+        assert!(ring.counts().is_empty());
+        for step in 0..20_000u64 {
+            // A few variants only at first, so a read finds kinds unseen.
+            let event = loop {
+                let event = random_event(&mut rng, 12, &["enqueue", "drop"]);
+                if step > 200 || event.slot() < 4 {
+                    break event;
+                }
+            };
+            ring.emit(step, &event);
+            *tally.entry(event.kind()).or_insert(0) += 1;
+            if step % 97 == 0 {
+                assert_eq!(ring.counts(), tally, "step {step}");
+                for tag in Event::TAGS.into_iter().chain(["mark", "", "Dropped"]) {
+                    let want = tally.get(tag).copied().unwrap_or(0);
+                    assert_eq!(ring.count(tag), want, "{tag} at step {step}");
+                }
+            }
+        }
+        assert_eq!(tally.len(), Event::TAGS.len(), "every kind drawn");
+        assert_eq!(ring.total(), tally.values().sum::<u64>());
+    }
+
     #[test]
     fn fast_path_matches_reference_under_random_streams() {
         const EVENTS: usize = 60_000;
@@ -934,85 +1062,8 @@ mod tests {
             let mut reads = 0;
             for step in 0..EVENTS {
                 let late = step > 2 * EVENTS / 3 && rng.below(5) == 0;
-                let packet = rng.next();
-                let event = match rng.below(16) {
-                    0 | 1 => Event::FlowStateChanged {
-                        flow: flow(),
-                        from: rng.pick(&FlowState::ALL),
-                        to: rng.pick(&FlowState::ALL[..5 - seed as usize % 3]),
-                        trigger: "epoch-roll",
-                    },
-                    2 => Event::Retransmit {
-                        flow: flow(),
-                        repairs_local_drop: rng.below(2) == 0,
-                    },
-                    3 | 4 => Event::Classified {
-                        packet,
-                        flow: flow(),
-                        class: rng.pick(&QueueClass::ALL),
-                        retransmission: false,
-                    },
-                    5 => Event::Dropped {
-                        packet,
-                        flow: flow(),
-                        stage: rng.below(20) as u8,
-                        retransmission: false,
-                    },
-                    6 => Event::QueueDepth {
-                        pkts: rng.next() % 300,
-                        bytes: 0,
-                        per_class: [0; 5],
-                    },
-                    7 => Event::Admission {
-                        src: 1,
-                        decision: rng.pick(&AdmissionDecision::ALL),
-                        loss_rate: 0.1,
-                    },
-                    8 => match rng.below(2) {
-                        0 => Event::PoolWaiting { src: 1 },
-                        _ => Event::PoolAdmitted { src: 1 },
-                    },
-                    9..=11 => Event::Link {
-                        link: rng.below(4) as u32,
-                        kind: if late { "mark" } else { rng.pick(&link_kinds) },
-                        packet,
-                        flow: flow(),
-                        bytes: 500,
-                    },
-                    12 => Event::Delivered {
-                        packet,
-                        flow: flow(),
-                        bytes: 500,
-                        latency_ns: rng.next() % 1_000_000_000,
-                    },
-                    13 => Event::Fault {
-                        link: 0,
-                        kind: rng.pick(&FaultKind::ALL),
-                        packet: None,
-                        flow: None,
-                        value: 0.0,
-                    },
-                    14 => match rng.below(4) {
-                        0 => Event::EngineSummary {
-                            events: 1,
-                            virtual_ns: 2,
-                            wall_ns: 3,
-                        },
-                        _ => Event::LinkSummary {
-                            link: rng.below(12) as u32,
-                            offered_pkts: rng.next() % 1_000,
-                            dropped_pkts: 3,
-                            transmitted_pkts: 5,
-                            utilization: 0.5,
-                        },
-                    },
-                    _ => Event::Classified {
-                        packet,
-                        flow: flow(),
-                        class: rng.pick(&QueueClass::ALL),
-                        retransmission: true,
-                    },
-                };
+                let event =
+                    random_event(&mut rng, seed, if late { &["mark"] } else { &link_kinds });
                 fast.emit(step as u64, &event);
                 reference.emit(step as u64, &event);
                 // Reads land mid-stream, with no flush before them.

@@ -381,6 +381,8 @@ impl Parser<'_> {
                 _ => break,
             }
         }
+        // Invariant: the loop above advanced only over ASCII bytes, whatever
+        // the input.
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number span");
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {

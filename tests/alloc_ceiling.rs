@@ -98,45 +98,47 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 
 /// Ceiling for steady-state allocations per simulator event. The
 /// per-event path itself is allocation-free (arena packets, SoA flow
-/// slabs, reused scratch buffers, integer-only sinks, out-of-order
-/// ranges merged in place); what remains at steady state follows
-/// *losses*. Counted over the measured half:
+/// slabs, one pooled cell per packet TAQ buffers, FIFO queues linked
+/// through the arena, reused scratch buffers, integer-only sinks,
+/// out-of-order ranges merged in place); what remains at steady state
+/// follows *losses*. Counted over the measured half:
 ///
 /// - every enqueue that drops allocates its `EnqueueOutcome::dropped`
 ///   list — TAQ drops 9 206 packets on the replay and 2 493 on the
-///   many-flow point, one per dropping enqueue (89 % and 98 % of the
+///   many-flow point, one per dropping enqueue (92 % and 98 % of the
 ///   residue);
 /// - connection set-up and tear-down in the client hosts (a client's
 ///   receiver lives in its connection slot, so set-up boxes nothing),
 ///   and the flow log's end-of-run flush (8 allocations for the
 ///   many-flow point's 300 unfinished records — it completes none
-///   before), make up the rest: 1 110 on the replay, 51 on the
-///   many-flow point;
-/// - attached, the replay adds 3 370: the per-class `Vec` of each
-///   sampled `queue_depth` event (about 3 000) and the trace
-///   collector's windows and flight recorder.
+///   before), make up the rest: 854 on the replay, 47 on the many-flow
+///   point;
+/// - attached, the replay adds 227: the trace collector's windows and
+///   flight recorder.
 ///
-/// That is 10 316, 2 544 and 13 686 allocations over 1 119 279, 60 707
-/// and 1 119 279 steady-state events: 0.00922, 0.04191 and 0.01223 per
-/// event on the three scenarios (10 782, 2 548 and 14 152 while each
-/// established connection boxed its receiver). While
-/// `TcpReceiver::insert_ooo` built a fresh merged `Vec` for every
-/// out-of-order segment they were 24 320, 3 406 and 27 916 (0.02173,
-/// 0.05611 and 0.02494 per event; 0.01882, 0.04904 and 0.02161 while a
-/// cancelled timer still surfaced and counted as an event, 13 % more
-/// events). The ceiling sits above that
-/// residue and below what one new allocation per packet costs: a `Vec`
-/// in `TaqState::enqueue_forward` reads 0.0995 on the replay, where
-/// about one event in eleven is a bottleneck enqueue.
+/// That is 10 060, 2 540 and 10 287 allocations over 1 119 279, 60 707
+/// and 1 119 279 steady-state events: 0.00899, 0.04184 and 0.00919 per
+/// event on the three scenarios. While TAQ kept a packet deque per flow
+/// and every FIFO link a buffer of its own, growing as new flows first
+/// buffered, they were 10 316, 2 544 and 10 543 (0.00922, 0.04191 and
+/// 0.00942); while `TcpReceiver::insert_ooo` built a fresh merged `Vec`
+/// for every out-of-order segment, 24 320, 3 406 and 27 916 (0.02173,
+/// 0.05611 and 0.02494). The ceiling sits above that residue and below
+/// what one new allocation per packet costs: a `Vec` in
+/// `TaqState::enqueue_forward` reads 0.0995 on the replay, where about
+/// one event in eleven is a bottleneck enqueue.
 const ALLOCS_PER_EVENT_CEILING: f64 = 0.08;
 
 /// Ceiling for the heap bytes the many-flow point holds per flow at the
 /// end of its run, everything the scenario built included (simulator,
-/// TAQ state, hosts, flow log). It holds 3 368: each bulk client keeps
-/// one connection slot with its receiver inline and no port map. While
-/// a client grew a four-slot table, kept a port map and boxed its
-/// receiver it held 3 892, which this ceiling refuses.
-const HELD_BYTES_PER_FLOW_CEILING: i64 = 3_400;
+/// TAQ state, hosts, flow log). It holds 2 978: each bulk client keeps
+/// one connection slot with its receiver inline and no port map, its
+/// access links queue through the packet arena, and TAQ's flows share
+/// one packet pool. While every link carried a FIFO buffer and a
+/// wire-loss rate and stream, and TAQ a packet deque per flow, it held
+/// 3 368; while a client also grew a four-slot table, kept a port map
+/// and boxed its receiver, 3 892. This ceiling refuses both.
+const HELD_BYTES_PER_FLOW_CEILING: i64 = 3_000;
 
 #[derive(Debug, Clone, Copy)]
 enum Scenario {
