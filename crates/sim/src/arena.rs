@@ -146,29 +146,26 @@ impl PacketArena {
         &mut self.slots[id.idx as usize]
     }
 
-    /// Queues `next` behind the live packet `id` in the successor column.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stale `id`.
+    /// Links slot `next` behind slot `idx` in the successor column.
+    /// Slots, not handles: a queue links the packets it holds, which
+    /// are live by the ownership rules above.
     #[inline]
-    pub(crate) fn set_successor(&mut self, id: PacketId, next: PacketId) {
-        self.check(id);
-        self.successors[id.idx as usize] = next.idx;
+    pub(crate) fn set_successor(&mut self, idx: u32, next: u32) {
+        self.successors[idx as usize] = next;
     }
 
-    /// The packet queued behind the live packet `id`, as its queue last
-    /// wrote it with [`PacketArena::set_successor`]. The handle carries
-    /// the successor slot's current generation: valid while that packet
-    /// is still queued, which is the only time a queue asks.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a stale `id`.
+    /// The slot linked behind slot `idx`, as its queue last wrote it
+    /// with [`PacketArena::set_successor`].
     #[inline]
-    pub(crate) fn successor(&self, id: PacketId) -> PacketId {
-        self.check(id);
-        let idx = self.successors[id.idx as usize];
+    pub(crate) fn successor(&self, idx: u32) -> u32 {
+        self.successors[idx as usize]
+    }
+
+    /// The handle of slot `idx` at its current generation: the live
+    /// packet's id while the slot holds one, which is the only time a
+    /// queue asks.
+    #[inline]
+    pub(crate) fn id_at(&self, idx: u32) -> PacketId {
         PacketId {
             idx,
             gen: self.gens[idx as usize],

@@ -151,7 +151,7 @@ impl World {
             link.stats.offered_pkts += 1;
             link.stats.offered_bytes += u64::from(p.wire_len());
         }
-        let outcome = link.qdisc.enqueue(pkt, arena, now);
+        let outcome = link.queue.enqueue(pkt, arena, now);
         for dropped in outcome.dropped {
             let victim = arena.remove(dropped);
             link.stats.dropped_pkts += 1;
@@ -177,7 +177,7 @@ impl World {
         if link.busy {
             return;
         }
-        let Some(pkt) = link.qdisc.dequeue(arena, now) else {
+        let Some(pkt) = link.queue.dequeue(arena, now) else {
             return;
         };
         let wire = arena.get(pkt).wire_len();
@@ -186,8 +186,7 @@ impl World {
         let arrive = done + link.delay;
         link.busy = true;
         link.stats.busy_time += tx;
-        let seq = link.tx_seq;
-        link.tx_seq += 1;
+        let seq = link.tx_count();
         queue.push(
             done,
             EventKey::link_free(link_id, seq),
@@ -319,7 +318,7 @@ impl Ctx<'_> {
     /// started with. Fault drivers use this for bandwidth jitter
     /// schedules.
     pub fn set_link_rate(&mut self, link: LinkId, rate: Bandwidth) {
-        self.world.link_mut(link).rate = rate;
+        self.world.link_mut(link).set_rate(rate);
     }
 
     /// Changes a link's propagation delay mid-run. Packets already
@@ -330,7 +329,7 @@ impl Ctx<'_> {
 
     /// A link's current rate.
     pub fn link_rate(&self, link: LinkId) -> Bandwidth {
-        self.world.link(link).rate
+        self.world.link(link).rate()
     }
 
     /// A link's current propagation delay.
@@ -404,7 +403,9 @@ impl Simulator {
         id
     }
 
-    /// Adds a unidirectional link from `from` to `to`.
+    /// Adds a unidirectional link from `from` to `to`. An
+    /// [`UnboundedFifo`](crate::UnboundedFifo) discipline is unboxed and
+    /// kept inline in the link; any other stays boxed.
     pub fn add_link(
         &mut self,
         from: NodeId,
@@ -413,10 +414,11 @@ impl Simulator {
         delay: SimDuration,
         qdisc: Box<dyn Qdisc>,
     ) -> LinkId {
+        // `from` is the transmitting end only through the routes that
+        // name the link (`add_route`); the link itself keeps its far end.
+        let _ = from;
         let id = LinkId(self.world.links.len() as u32);
-        self.world
-            .links
-            .push(Link::new(id, from, to, rate, delay, qdisc));
+        self.world.links.push(Link::new(to, rate, delay, qdisc));
         id
     }
 
@@ -438,7 +440,7 @@ impl Simulator {
     /// Changes a link's rate (the construction-time counterpart of
     /// [`Ctx::set_link_rate`]; both mutate the same field).
     pub fn set_link_rate(&mut self, link: LinkId, rate: Bandwidth) {
-        self.world.link_mut(link).rate = rate;
+        self.world.link_mut(link).set_rate(rate);
     }
 
     /// Changes a link's propagation delay.
@@ -448,7 +450,7 @@ impl Simulator {
 
     /// A link's current rate.
     pub fn link_rate(&self, link: LinkId) -> Bandwidth {
-        self.world.link(link).rate
+        self.world.link(link).rate()
     }
 
     /// A link's current propagation delay.
@@ -555,7 +557,7 @@ impl Simulator {
     /// Immutable access to a link's queue (for inspecting discipline
     /// state mid-run).
     pub fn link_qdisc(&self, link: LinkId) -> &dyn Qdisc {
-        self.world.link(link).qdisc.as_ref()
+        self.world.link(link).queue.qdisc()
     }
 
     /// Downcasts an agent to its concrete type for post-run inspection;
@@ -679,10 +681,10 @@ impl Simulator {
     ) {
         let now_ns = self.world.now.as_nanos();
         let elapsed = self.world.now - SimTime::ZERO;
-        for link in &self.world.links {
+        for (id, link) in (0u32..).zip(&self.world.links) {
             let stats = &link.stats;
             telemetry.emit(now_ns, || taq_telemetry::Event::LinkSummary {
-                link: link.id.0,
+                link: id,
                 offered_pkts: stats.offered_pkts,
                 dropped_pkts: stats.dropped_pkts,
                 transmitted_pkts: stats.transmitted_pkts,
@@ -808,6 +810,146 @@ mod tests {
         assert_eq!(stats.dropped_pkts, 0);
         assert_eq!(stats.transmitted_bytes, 4 * 540);
         assert_eq!(stats.busy_time, SimDuration::from_micros(4 * 4_320));
+    }
+
+    /// Sends bursts of 0–5 packets of random size every 0–6 ms, from its
+    /// own seeded stream, so two simulators given one run it the same.
+    struct Burster {
+        peer: NodeId,
+        rng: crate::rng::SimRng,
+    }
+
+    impl Agent for Burster {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::ZERO, 0);
+        }
+
+        fn on_packet(&mut self, _pkt: Packet, _ctx: &mut Ctx<'_>) {}
+
+        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_>) {
+            for _ in 0..self.rng.next_below(6) {
+                let pkt = PacketBuilder::new(FlowKey {
+                    src: ctx.node(),
+                    src_port: 1,
+                    dst: self.peer,
+                    dst_port: 2,
+                })
+                .payload(self.rng.next_below(1_461) as u32)
+                .build();
+                ctx.send(self.peer, pkt);
+            }
+            let gap = SimDuration::from_micros(self.rng.range_u64(0, 6_000));
+            ctx.set_timer(gap, 0);
+        }
+    }
+
+    /// A discipline that is an [`UnboundedFifo`] inside but not one to
+    /// the engine, so its link keeps it boxed.
+    struct WrappedFifo(UnboundedFifo);
+
+    impl Qdisc for WrappedFifo {
+        fn enqueue(
+            &mut self,
+            pkt: PacketId,
+            arena: &mut PacketArena,
+            now: SimTime,
+        ) -> crate::qdisc::EnqueueOutcome {
+            self.0.enqueue(pkt, arena, now)
+        }
+
+        fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketId> {
+            self.0.dequeue(arena, now)
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn byte_len(&self) -> usize {
+            self.0.byte_len()
+        }
+
+        fn name(&self) -> &'static str {
+            "wrapped-fifo"
+        }
+    }
+
+    /// The same bursty traffic over a link given
+    /// `Box::new(UnboundedFifo::new())`, which the engine unboxes and
+    /// keeps inline, and over one given the same FIFO behind a wrapper,
+    /// which stays boxed: after every 1 ms step the two simulators hold
+    /// identical arrival logs, link counters and queue lengths, through
+    /// queues that build up and drain, rate changes and wire loss.
+    #[test]
+    fn inline_fifo_link_matches_a_boxed_one() {
+        let build = |qdisc: Box<dyn Qdisc>| {
+            let mut sim = Simulator::new(5);
+            let received = Arc::new(Mutex::new(Vec::new()));
+            let a = sim.add_agent(Box::new(Burster {
+                peer: NodeId(1),
+                rng: crate::rng::SimRng::new(0xB0B),
+            }));
+            let b = sim.add_agent(Box::new(Chatter {
+                peer: NodeId(0),
+                count: 0,
+                received: Some(received.clone()),
+                timer_fires: Vec::new(),
+            }));
+            let link = sim.add_link(
+                a,
+                b,
+                Bandwidth::from_mbps(8),
+                SimDuration::from_millis(10),
+                qdisc,
+            );
+            sim.set_default_route(a, link);
+            sim.set_link_loss(link, 0.02);
+            sim.schedule_start(a, SimTime::ZERO);
+            (sim, link, received)
+        };
+        let (mut inline, link, inline_log) = build(Box::new(UnboundedFifo::new()));
+        let (mut boxed, _, boxed_log) = build(Box::new(WrappedFifo(UnboundedFifo::new())));
+        assert!(matches!(
+            inline.world.link(link).queue,
+            crate::link::LinkQueue::Fifo(_)
+        ));
+        assert!(matches!(
+            boxed.world.link(link).queue,
+            crate::link::LinkQueue::Boxed(_)
+        ));
+        let rates = [8_000, 4_000, 16_000, 6_000];
+        let (mut peak, mut drains) = (0, 0);
+        for ms in 1..=3_000u64 {
+            if ms % 400 == 0 {
+                let rate = Bandwidth::from_kbps(rates[(ms / 400) as usize % rates.len()]);
+                inline.set_link_rate(link, rate);
+                boxed.set_link_rate(link, rate);
+            }
+            inline.run_until(SimTime::from_millis(ms));
+            boxed.run_until(SimTime::from_millis(ms));
+            assert_eq!(
+                inline.events_processed(),
+                boxed.events_processed(),
+                "{ms} ms"
+            );
+            assert_eq!(
+                *inline_log.lock().unwrap(),
+                *boxed_log.lock().unwrap(),
+                "{ms} ms"
+            );
+            assert_eq!(inline.link_stats(link), boxed.link_stats(link), "{ms} ms");
+            let (q, r) = (inline.link_qdisc(link), boxed.link_qdisc(link));
+            assert_eq!((q.len(), q.byte_len()), (r.len(), r.byte_len()), "{ms} ms");
+            if q.is_empty() && peak > 0 {
+                drains += 1;
+            }
+            peak = if q.is_empty() { 0 } else { peak.max(q.len()) };
+        }
+        let stats = inline.link_stats(link);
+        assert!(
+            stats.transmitted_pkts > 1_000 && stats.wire_lost_pkts > 20 && drains > 20,
+            "{stats:?}, {drains} drains"
+        );
     }
 
     /// Agent that sets two timers and cancels one.

@@ -42,27 +42,42 @@ use crate::packet::{LinkId, NodeId};
 use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::num::NonZeroU64;
 
 /// A handle to a scheduled timer; see [`crate::engine::Ctx::set_timer`].
 ///
 /// It is the slab cell of the timer's event and the event key's `seq`,
 /// the node's own timer counter. A node's timer seqs never repeat
-/// within a run, so a handle names exactly one event ever.
+/// within a run, so a handle names exactly one event ever. The seq is
+/// stored one up, as a `NonZeroU64`, so an `Option<TimerId>` — what
+/// every TCP endpoint holds per timer — is no larger than the handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId {
     cell: u32,
-    seq: u64,
+    seq_plus_one: NonZeroU64,
 }
 
+const _: () = assert!(std::mem::size_of::<Option<TimerId>>() == 16);
+
 impl TimerId {
+    /// A real seq is below 2^38 (`EventKey::pack` refuses more) and a
+    /// synthetic one a `u32`, so the saturating add is exact.
+    fn new(cell: u32, seq: u64) -> TimerId {
+        TimerId {
+            cell,
+            seq_plus_one: NonZeroU64::MIN.saturating_add(seq),
+        }
+    }
+
+    fn seq(self) -> u64 {
+        self.seq_plus_one.get() - 1
+    }
+
     /// Fabricates a timer id outside any engine, for mock environments
     /// (e.g. `taq_tcp::MockIo`). A synthetic id matches no event: a real
     /// [`crate::Ctx::cancel_timer`] returns `false` for it.
     pub fn synthetic(n: u32) -> TimerId {
-        TimerId {
-            cell: NIL,
-            seq: u64::from(n),
-        }
+        TimerId::new(NIL, u64::from(n))
     }
 }
 
@@ -312,7 +327,7 @@ impl EventQueue {
             EventKey::timer(node, seq),
             EventKind::Timer { node, token },
         );
-        TimerId { cell, seq }
+        TimerId::new(cell, seq)
     }
 
     /// Unschedules `node`'s timer `id` if its event is still pending:
@@ -322,7 +337,7 @@ impl EventQueue {
         let pending = self
             .nodes
             .get(id.cell as usize)
-            .is_some_and(|n| n.prev != FREE && n.ev.key == EventKey::timer(node, id.seq));
+            .is_some_and(|n| n.prev != FREE && n.ev.key == EventKey::timer(node, id.seq()));
         if pending {
             self.remove(id.cell);
         }

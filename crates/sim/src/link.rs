@@ -9,13 +9,12 @@
 //! (full segments and bare ACKs), so it remembers the serialization
 //! time of the last two and divides only for a third.
 
-use crate::packet::{LinkId, NodeId};
-use crate::qdisc::Qdisc;
+use crate::arena::{PacketArena, PacketId};
+use crate::packet::NodeId;
+use crate::qdisc::{EnqueueOutcome, Qdisc, UnboundedFifo};
 use crate::rng::SimRng;
-use crate::time::{Bandwidth, SimDuration};
-
-/// One remembered [`Bandwidth::transmission_time`] result.
-type TxMemo = (Bandwidth, u32, SimDuration);
+use crate::time::{Bandwidth, SimDuration, SimTime};
+use std::any::Any;
 
 /// Counters maintained per link by the engine.
 ///
@@ -72,84 +71,144 @@ pub(crate) struct WireLoss {
     pub rng: SimRng,
 }
 
-/// One unidirectional link.
+/// A link's queue: an [`UnboundedFifo`] inline, any other discipline
+/// boxed. Most links in a scenario are access links with a FIFO, so
+/// the common queue costs no allocation and no pointer chase, and its
+/// calls are static.
+pub(crate) enum LinkQueue {
+    Fifo(UnboundedFifo),
+    Boxed(Box<dyn Qdisc>),
+}
+
+impl LinkQueue {
+    /// Stores `qdisc` inline if it is an [`UnboundedFifo`], boxed
+    /// otherwise.
+    pub fn new(qdisc: Box<dyn Qdisc>) -> Self {
+        let any: &dyn Any = qdisc.as_ref();
+        match any.downcast_ref::<UnboundedFifo>() {
+            Some(fifo) => LinkQueue::Fifo(fifo.clone()),
+            None => LinkQueue::Boxed(qdisc),
+        }
+    }
+
+    /// The discipline, whichever way it is stored.
+    pub fn qdisc(&self) -> &dyn Qdisc {
+        match self {
+            LinkQueue::Fifo(fifo) => fifo,
+            LinkQueue::Boxed(qdisc) => qdisc.as_ref(),
+        }
+    }
+
+    #[inline]
+    pub fn enqueue(
+        &mut self,
+        pkt: PacketId,
+        arena: &mut PacketArena,
+        now: SimTime,
+    ) -> EnqueueOutcome {
+        match self {
+            LinkQueue::Fifo(fifo) => fifo.enqueue(pkt, arena, now),
+            LinkQueue::Boxed(qdisc) => qdisc.enqueue(pkt, arena, now),
+        }
+    }
+
+    #[inline]
+    pub fn dequeue(&mut self, arena: &mut PacketArena, now: SimTime) -> Option<PacketId> {
+        match self {
+            LinkQueue::Fifo(fifo) => fifo.dequeue(arena, now),
+            LinkQueue::Boxed(qdisc) => qdisc.dequeue(arena, now),
+        }
+    }
+}
+
+/// One unidirectional link. Its id is its index in the engine's link
+/// table; its transmission count (the seq of its `LinkFree`/`Arrival`
+/// event keys, see `events::EventKey`) is `transmitted_pkts +
+/// wire_lost_pkts`, since every transmission ends as exactly one of
+/// the two.
 pub(crate) struct Link {
-    pub id: LinkId,
-    /// Transmitting endpoint.
-    pub from: NodeId,
+    /// Receiving endpoint.
     pub to: NodeId,
-    pub rate: Bandwidth,
+    /// `true` while a packet is being serialized.
+    pub busy: bool,
+    /// The two most recently used wire lengths, most recent first, and
+    /// their serialization times (`tx_time`) at the current rate;
+    /// [`Link::set_rate`] forgets them.
+    memo_len: [u32; 2],
+    memo_tx: [SimDuration; 2],
+    rate: Bandwidth,
     pub delay: SimDuration,
-    pub qdisc: Box<dyn Qdisc>,
+    pub queue: LinkQueue,
     /// Wire loss, boxed because only model-validation links set a rate:
     /// `None` until a nonzero rate is first set, and kept (stream
     /// position included) when the rate later returns to zero.
     pub loss: Option<Box<WireLoss>>,
-    /// `true` while a packet is being serialized.
-    pub busy: bool,
-    /// Transmissions started on this link; seeds the canonical
-    /// `LinkFree`/`Arrival` event keys (see `events::EventKey`).
-    pub tx_seq: u64,
-    /// The two most recently used `(rate, wire_len)` pairs and their
-    /// serialization times, most recent first. The rate is part of the
-    /// key, so a rate change needs no invalidation.
-    tx_memo: [TxMemo; 2],
     pub stats: LinkStats,
 }
 
+// A scenario holds two access links per flow: a field added here is
+// paid twice per flow.
+const _: () = assert!(std::mem::size_of::<Link>() <= 144);
+
 impl Link {
-    pub fn new(
-        id: LinkId,
-        from: NodeId,
-        to: NodeId,
-        rate: Bandwidth,
-        delay: SimDuration,
-        qdisc: Box<dyn Qdisc>,
-    ) -> Self {
+    pub fn new(to: NodeId, rate: Bandwidth, delay: SimDuration, qdisc: Box<dyn Qdisc>) -> Self {
         Link {
-            id,
-            from,
             to,
+            busy: false,
+            // Zero bytes take zero time at any rate: a true entry.
+            memo_len: [0; 2],
+            memo_tx: [SimDuration::ZERO; 2],
             rate,
             delay,
-            qdisc,
+            queue: LinkQueue::new(qdisc),
             loss: None,
-            busy: false,
-            tx_seq: 0,
-            // Zero bytes take zero time at any rate: a true entry.
-            tx_memo: [(rate, 0, SimDuration::ZERO); 2],
             stats: LinkStats::default(),
         }
     }
 
-    /// `self.rate.transmission_time(wire_len)`, divided once per
-    /// `(rate, wire_len)` pair while that pair stays among the last two
-    /// this link used.
+    pub fn rate(&self) -> Bandwidth {
+        self.rate
+    }
+
+    /// Changes the rate, forgetting the serialization times memoized at
+    /// the old one.
+    pub fn set_rate(&mut self, rate: Bandwidth) {
+        self.rate = rate;
+        self.memo_len = [0; 2];
+        self.memo_tx = [SimDuration::ZERO; 2];
+    }
+
+    /// Transmissions started on this link so far.
+    pub fn tx_count(&self) -> u64 {
+        self.stats.transmitted_pkts + self.stats.wire_lost_pkts
+    }
+
+    /// `self.rate.transmission_time(wire_len)`, divided once per wire
+    /// length while that length stays among the last two this link used
+    /// at its current rate.
     #[inline]
     pub fn tx_time(&mut self, wire_len: u32) -> SimDuration {
-        let [first, second] = self.tx_memo;
-        if (first.0, first.1) == (self.rate, wire_len) {
-            return first.2;
+        if self.memo_len[0] == wire_len {
+            return self.memo_tx[0];
         }
-        let hit = if (second.0, second.1) == (self.rate, wire_len) {
-            second
+        let tx = if self.memo_len[1] == wire_len {
+            self.memo_tx[1]
         } else {
-            (self.rate, wire_len, self.rate.transmission_time(wire_len))
+            self.rate.transmission_time(wire_len)
         };
-        self.tx_memo = [hit, first];
-        hit.2
+        self.memo_len = [wire_len, self.memo_len[0]];
+        self.memo_tx = [tx, self.memo_tx[0]];
+        tx
     }
 }
 
 impl std::fmt::Debug for Link {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Link")
-            .field("id", &self.id)
-            .field("from", &self.from)
             .field("to", &self.to)
             .field("rate", &self.rate)
             .field("delay", &self.delay)
-            .field("qdisc", &self.qdisc.name())
+            .field("qdisc", &self.queue.qdisc().name())
             .field("busy", &self.busy)
             .finish()
     }
@@ -158,7 +217,6 @@ impl std::fmt::Debug for Link {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qdisc::UnboundedFifo;
 
     /// The memo is invisible: on random `(rate, wire_len)` sequences —
     /// long same-pair runs, two alternating lengths, a third evicting
@@ -170,8 +228,6 @@ mod tests {
         let rates = [600_000, 1_000_000, 100_000_000, 1, 2_000_003];
         let wires = [40, 540, 1500, 52, 0, 1 << 30];
         let mut link = Link::new(
-            LinkId(0),
-            NodeId(0),
             NodeId(1),
             Bandwidth::from_bps(rates[0]),
             SimDuration::ZERO,
@@ -180,7 +236,7 @@ mod tests {
         for step in 0..200_000 {
             if rng.chance(0.05) {
                 // What `set_link_rate` does.
-                link.rate = Bandwidth::from_bps(rates[rng.next_below(5) as usize]);
+                link.set_rate(Bandwidth::from_bps(rates[rng.next_below(5) as usize]));
             }
             // Mostly the first two lengths, as a real link sees.
             let wire = if rng.chance(0.9) {
@@ -190,9 +246,9 @@ mod tests {
             };
             assert_eq!(
                 link.tx_time(wire),
-                link.rate.transmission_time(wire),
+                link.rate().transmission_time(wire),
                 "step {step}: {wire} B at {}",
-                link.rate
+                link.rate()
             );
         }
     }

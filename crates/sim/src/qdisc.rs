@@ -19,6 +19,7 @@
 
 use crate::arena::{PacketArena, PacketId};
 use crate::time::SimTime;
+use std::any::Any;
 
 /// What happened when a packet was offered to a queue.
 #[derive(Debug, Default)]
@@ -52,7 +53,11 @@ impl EnqueueOutcome {
 /// 2. **Non-idling**: if `len() > 0`, `dequeue` returns `Some`. The
 ///    engine polls the queue exactly once per transmission-complete
 ///    event, so an idling queue would stall the link forever.
-pub trait Qdisc: Send {
+///
+/// `Any` lets the engine recognise an [`UnboundedFifo`] handed to it
+/// boxed and store it inline in its link; every other discipline stays
+/// behind its box.
+pub trait Qdisc: Send + Any {
     /// Offers a packet to the queue at time `now`.
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, now: SimTime) -> EnqueueOutcome;
 
@@ -107,19 +112,24 @@ pub trait Qdisc: Send {
 /// An unbounded FIFO used for uncongested links (access links, the
 /// reverse ACK path). It never drops.
 ///
-/// The queue holds no buffer of its own: its packets are linked oldest
-/// to newest through the arena's successor column, so a link's queue
-/// is its two ends and two counts, whatever it holds. A packet's wire
-/// length is read from the arena when it leaves, not cached.
-#[derive(Debug, Default)]
+/// The queue holds no buffer of its own: its packets are linked into a
+/// ring through the arena's successor column, newest to oldest, so the
+/// newest packet's slot is the one end the queue keeps, and the queue
+/// is that slot and two counts, whatever it holds. A packet's wire
+/// length is read from the arena when it leaves, not cached. A link
+/// given one (`Simulator::add_link`) stores it inline rather than
+/// boxed.
+#[derive(Debug, Default, Clone)]
 pub struct UnboundedFifo {
-    /// Oldest buffered packet, `None` while empty.
-    head: Option<PacketId>,
-    /// Newest buffered packet, `None` while empty.
-    tail: Option<PacketId>,
-    len: usize,
-    bytes: usize,
+    /// Slot of the newest packet, whose successor is the oldest;
+    /// meaningless while the queue is empty.
+    tail: u32,
+    /// Buffered packets; a slot index is 32 bits, so this fits too.
+    len: u32,
+    bytes: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<UnboundedFifo>() <= 16);
 
 impl UnboundedFifo {
     /// Creates an empty queue.
@@ -130,35 +140,39 @@ impl UnboundedFifo {
 
 impl Qdisc for UnboundedFifo {
     fn enqueue(&mut self, pkt: PacketId, arena: &mut PacketArena, _now: SimTime) -> EnqueueOutcome {
-        self.bytes += arena.get(pkt).wire_len() as usize;
-        match self.tail {
-            Some(tail) => arena.set_successor(tail, pkt),
-            None => self.head = Some(pkt),
+        self.bytes += u64::from(arena.get(pkt).wire_len());
+        let idx = pkt.index();
+        if self.len == 0 {
+            arena.set_successor(idx, idx);
+        } else {
+            arena.set_successor(idx, arena.successor(self.tail));
+            arena.set_successor(self.tail, idx);
         }
-        self.tail = Some(pkt);
+        self.tail = idx;
         self.len += 1;
         EnqueueOutcome::accepted()
     }
 
     fn dequeue(&mut self, arena: &mut PacketArena, _now: SimTime) -> Option<PacketId> {
-        let pkt = self.head?;
-        self.len -= 1;
-        self.bytes -= arena.get(pkt).wire_len() as usize;
         if self.len == 0 {
-            self.head = None;
-            self.tail = None;
-        } else {
-            self.head = Some(arena.successor(pkt));
+            return None;
         }
+        let head = arena.successor(self.tail);
+        self.len -= 1;
+        if self.len > 0 {
+            arena.set_successor(self.tail, arena.successor(head));
+        }
+        let pkt = arena.id_at(head);
+        self.bytes -= u64::from(arena.get(pkt).wire_len());
         Some(pkt)
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     fn byte_len(&self) -> usize {
-        self.bytes
+        self.bytes as usize
     }
 
     fn name(&self) -> &'static str {

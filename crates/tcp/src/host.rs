@@ -16,11 +16,12 @@
 //! experiment harness reads after the run.
 
 use crate::config::TcpConfig;
+use crate::inline_vec::InlineVec;
 use crate::io::{TcpIo, TimerKind};
 use crate::receiver::TcpReceiver;
 use crate::sender::TcpSender;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use taq_sim::{
     Agent, Ctx, FlowKey, FxBuildHasher, NodeId, Packet, PacketBuilder, SimDuration, SimTime,
     TcpFlags, TimerId,
@@ -199,17 +200,13 @@ impl<E: HostEnv> TcpIo for HostIo<'_, E> {
 // Server
 // ---------------------------------------------------------------------
 
-struct ServerConn {
-    sender: TcpSender,
-    peer: (NodeId, u16),
-}
-
 /// A server host: accepts connections on `listen_port` and serves the
 /// number of bytes named in each SYN's `meta` field.
 pub struct ServerHost {
     cfg: TcpConfig,
     listen_port: u16,
-    conns: Vec<Option<ServerConn>>,
+    /// One sender per live connection; its flow names the peer.
+    conns: Vec<Option<TcpSender>>,
     /// Connection slot by peer; looked up per packet, never iterated.
     by_peer: HashMap<(NodeId, u16), usize, FxBuildHasher>,
     free: Vec<usize>,
@@ -217,6 +214,10 @@ pub struct ServerHost {
     pub default_object: u64,
     /// Total connections accepted (for tests/metrics).
     pub accepted: u64,
+    /// Pipelined requests refused because their connection had already
+    /// sent its FIN: a peer that asked for more after asking to close.
+    /// Counted and dropped; the object cannot grow past its FIN.
+    pub late_requests: u64,
 }
 
 impl ServerHost {
@@ -230,26 +231,24 @@ impl ServerHost {
             free: Vec::new(),
             default_object: 0,
             accepted: 0,
+            late_requests: 0,
         }
     }
 
-    fn alloc_slot(&mut self, conn: ServerConn) -> usize {
+    fn alloc_slot(&mut self, sender: TcpSender) -> usize {
         if let Some(slot) = self.free.pop() {
-            self.conns[slot] = Some(conn);
+            self.conns[slot] = Some(sender);
             slot
         } else {
-            self.conns.push(Some(conn));
+            self.conns.push(Some(sender));
             self.conns.len() - 1
         }
     }
 
     fn release_if_closed(&mut self, slot: usize) {
-        let closed = self.conns[slot]
-            .as_ref()
-            .is_some_and(|c| c.sender.is_closed());
-        if closed {
-            let conn = self.conns[slot].take().expect("checked above");
-            self.by_peer.remove(&conn.peer);
+        if let Some(sender) = self.conns[slot].take_if(|s| s.is_closed()) {
+            let peer = sender.flow();
+            self.by_peer.remove(&(peer.dst, peer.dst_port));
             self.free.push(slot);
         }
     }
@@ -262,8 +261,8 @@ impl ServerHost {
     /// Aggregated sender statistics across live connections.
     pub fn aggregate_stats(&self) -> crate::sender::SenderStats {
         let mut agg = crate::sender::SenderStats::default();
-        for c in self.conns.iter().flatten() {
-            let s = &c.sender.stats;
+        for sender in self.conns.iter().flatten() {
+            let s = &sender.stats;
             agg.segments_sent += s.segments_sent;
             agg.retransmits += s.retransmits;
             agg.timeouts += s.timeouts;
@@ -294,15 +293,15 @@ impl ServerHost {
                     if pkt.meta & wire_meta::PERSIST != 0 {
                         sender = sender.persistent();
                     }
-                    let slot = self.alloc_slot(ServerConn { sender, peer });
+                    let slot = self.alloc_slot(sender);
                     self.by_peer.insert(peer, slot);
                     self.accepted += 1;
                     slot
                 }
             };
             let mut io = HostIo { env, slot };
-            if let Some(conn) = self.conns[slot].as_mut() {
-                conn.sender.on_syn(&pkt, &mut io);
+            if let Some(sender) = self.conns[slot].as_mut() {
+                sender.on_syn(&pkt, &mut io);
             }
             return;
         }
@@ -310,13 +309,17 @@ impl ServerHost {
             return; // ACK for a connection we already closed.
         };
         let mut io = HostIo { env, slot };
-        if let Some(conn) = self.conns[slot].as_mut() {
-            conn.sender.on_packet(&pkt, &mut io);
+        if let Some(sender) = self.conns[slot].as_mut() {
+            sender.on_packet(&pkt, &mut io);
             // Pipelined application requests ride on ACK packets.
             if pkt.meta & wire_meta::CLOSE != 0 {
-                conn.sender.app_close(&mut io);
+                sender.app_close(&mut io);
             } else if pkt.meta & wire_meta::PERSIST != 0 && wire_meta::bytes(pkt.meta) > 0 {
-                conn.sender.send_more(wire_meta::bytes(pkt.meta), &mut io);
+                if sender.fin_sent() {
+                    self.late_requests += 1;
+                } else {
+                    sender.send_more(wire_meta::bytes(pkt.meta), &mut io);
+                }
             }
         }
         self.release_if_closed(slot);
@@ -327,13 +330,10 @@ impl ServerHost {
         let (slot, Some(kind)) = decode_token(token) else {
             return;
         };
-        if slot >= self.conns.len() {
+        let Some(Some(sender)) = self.conns.get_mut(slot) else {
             return;
-        }
-        let mut io = HostIo { env, slot };
-        if let Some(conn) = self.conns[slot].as_mut() {
-            conn.sender.on_timer(kind, &mut io);
-        }
+        };
+        sender.on_timer(kind, &mut HostIo { env, slot });
     }
 }
 
@@ -352,7 +352,7 @@ impl Agent for ServerHost {
 // ---------------------------------------------------------------------
 
 /// One object the client should fetch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Request {
     /// Caller-assigned tag (propagated into the [`FlowRecord`]).
     pub tag: u64,
@@ -362,35 +362,89 @@ pub struct Request {
 
 enum ConnState {
     /// SYN sent, awaiting SYN-ACK.
-    Connecting { retry_timer: TimerId, retries: u32 },
+    Connecting { retry_timer: TimerId },
     /// Transfer in progress.
     Established(TcpReceiver),
 }
 
+/// A live connection and the object it is fetching: the fields of that
+/// object's [`FlowRecord`] but the client's node, which the host keeps
+/// once, and the port, which the connection already holds.
 struct ClientConn {
     local_port: u16,
-    server: NodeId,
-    server_port: u16,
-    state: ConnState,
-    record: FlowRecord,
-    /// Pipelined mode: cumulative delivered-byte boundary at which the
-    /// current object completes.
-    boundary: u64,
     /// Pipelined mode: the connection finished its current object and
     /// awaits the next request (HTTP keep-alive idle).
     idle: bool,
+    /// Set when `completed_at` is.
+    completed: bool,
+    syn_retries: u32,
+    state: ConnState,
+    request: Request,
+    queued_at: SimTime,
+    first_syn_at: SimTime,
+    /// Meaningful once the state is `Established`.
+    established_at: SimTime,
+    completed_at: SimTime,
+    /// Pipelined mode: cumulative delivered-byte boundary at which the
+    /// current object completes.
+    boundary: u64,
+}
+
+// A bulk client holds one for its whole transfer.
+const _: () = assert!(std::mem::size_of::<Option<ClientConn>>() <= 216);
+
+impl ClientConn {
+    fn record(&self, client: NodeId) -> FlowRecord {
+        FlowRecord {
+            client,
+            client_port: self.local_port,
+            tag: self.request.tag,
+            bytes: self.request.bytes,
+            queued_at: self.queued_at,
+            first_syn_at: self.first_syn_at,
+            established_at: matches!(self.state, ConnState::Established(_))
+                .then_some(self.established_at),
+            completed_at: self.completed.then_some(self.completed_at),
+            syn_retries: self.syn_retries,
+        }
+    }
+}
+
+/// Appends `record` to the shared log. A lock poisoned by a thread that
+/// panicked while holding it still guards a whole `Vec` (a push either
+/// happened or did not), so the record goes in regardless.
+fn append(log: &SharedFlowLog, record: FlowRecord) {
+    log.lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .records
+        .push(record);
 }
 
 /// A client host modelling one user with a request queue and a bounded
 /// pool of parallel connections.
 pub struct ClientHost {
-    cfg: TcpConfig,
     server: NodeId,
+    /// The node this host runs on, learned when it opens its first
+    /// connection.
+    node: NodeId,
     server_port: u16,
+    next_port: u16,
+    /// Below `u16::MAX` (checked in `new`).
+    max_parallel: u16,
     sack: bool,
-    max_parallel: usize,
-    /// Requests not yet started.
-    pending: std::collections::VecDeque<(SimTime, Request)>,
+    /// `TcpConfig::delayed_ack`, all of the configuration a client's
+    /// receivers read.
+    delayed_ack: bool,
+    /// Persistent-connection mode: requests are pipelined over
+    /// keep-alive connections instead of one connection per object.
+    pipelined: bool,
+    /// Give up a connection attempt after this many SYN retries
+    /// (`u32::MAX` = retry forever, the paper's admission-control client
+    /// behaviour).
+    pub max_syn_retries: u32,
+    /// Requests not yet started, oldest first. A bulk client's one
+    /// request waits inline, so its queue allocates nothing.
+    pending: InlineVec<(SimTime, Request), 1>,
     /// Requests to enqueue at future times: `(when, request)`.
     scheduled: Vec<(SimTime, Request)>,
     /// Connection slots, found per packet by scanning for the local
@@ -398,22 +452,17 @@ pub struct ClientHost {
     /// the table is as long as the most connections ever held at once.
     conns: Vec<Option<ClientConn>>,
     free: Vec<usize>,
-    next_port: u16,
     log: SharedFlowLog,
-    /// Give up a connection attempt after this many SYN retries
-    /// (`u32::MAX` = retry forever, the paper's admission-control client
-    /// behaviour).
-    pub max_syn_retries: u32,
     /// Completed objects (for quick assertions without reading the log).
     pub completed: u64,
-    /// Persistent-connection mode: requests are pipelined over
-    /// keep-alive connections instead of one connection per object.
-    pipelined: bool,
     /// Explicit rejection notices received (middlebox admission
     /// feedback); each reschedules the connection attempt at the
     /// suggested wait instead of the exponential backoff.
     pub rejections_seen: u64,
 }
+
+// One per client node: a web client, or a bulk flow.
+const _: () = assert!(std::mem::size_of::<ClientHost>() <= 152);
 
 impl ClientHost {
     /// Creates a client fetching from `server:server_port`, holding at
@@ -422,7 +471,8 @@ impl ClientHost {
     /// # Panics
     ///
     /// Panics unless `0 < max_parallel < 65 535`: each live connection
-    /// holds its own nonzero local port.
+    /// holds its own nonzero local port. Panics on an invalid `cfg`
+    /// ([`TcpConfig::validate`]).
     pub fn new(
         cfg: TcpConfig,
         server: NodeId,
@@ -435,21 +485,24 @@ impl ClientHost {
             max_parallel < usize::from(u16::MAX),
             "each live connection needs its own nonzero local port"
         );
+        cfg.validate();
         ClientHost {
-            sack: cfg.variant == crate::config::Variant::Sack,
-            cfg,
             server,
+            node: NodeId(0),
             server_port,
-            max_parallel,
-            pending: std::collections::VecDeque::new(),
+            next_port: 10_000,
+            // In range: checked above.
+            max_parallel: max_parallel as u16,
+            sack: cfg.variant == crate::config::Variant::Sack,
+            delayed_ack: cfg.delayed_ack,
+            pipelined: false,
+            max_syn_retries: u32::MAX,
+            pending: InlineVec::default(),
             scheduled: Vec::new(),
             conns: Vec::new(),
             free: Vec::new(),
-            next_port: 10_000,
             log,
-            max_syn_retries: u32::MAX,
             completed: 0,
-            pipelined: false,
             rejections_seen: 0,
         }
     }
@@ -467,7 +520,7 @@ impl ClientHost {
     /// Queues a request to be issued as soon as a connection slot frees
     /// (at simulation start, or immediately if already running).
     pub fn push_request(&mut self, req: Request) {
-        self.pending.push_back((SimTime::ZERO, req));
+        self.pending.push((SimTime::ZERO, req));
     }
 
     /// Schedules a request to enter the queue at time `at` (session
@@ -487,19 +540,20 @@ impl ClientHost {
     /// after the run, via `Simulator::agent_mut`).
     pub fn flush_incomplete(&mut self) {
         for conn in self.conns.iter().flatten() {
-            self.log.lock().unwrap().records.push(conn.record.clone());
+            append(&self.log, conn.record(self.node));
         }
     }
 
-    /// The live slot whose connection holds local port `port`.
-    fn slot_of(&self, port: u16) -> Option<usize> {
+    /// The live connection holding local port `port`, and its slot.
+    fn conn_on(&mut self, port: u16) -> Option<(usize, &mut ClientConn)> {
         self.conns
-            .iter()
-            .position(|c| c.as_ref().is_some_and(|c| c.local_port == port))
+            .iter_mut()
+            .enumerate()
+            .find_map(|(slot, c)| Some((slot, c.as_mut().filter(|c| c.local_port == port)?)))
     }
 
     fn start_next<E: HostEnv>(&mut self, env: &mut E) {
-        while self.conns.iter().flatten().count() < self.max_parallel {
+        while self.conns.iter().flatten().count() < usize::from(self.max_parallel) {
             let Some((queued_at, req)) = self.pending.pop_front() else {
                 break;
             };
@@ -511,72 +565,70 @@ impl ClientHost {
         // Skip port 0 and the ports live connections hold, so the port
         // names one slot; fewer than `u16::MAX` are live, so one is free.
         let mut local_port = self.next_port;
-        while local_port == 0 || self.slot_of(local_port).is_some() {
+        while local_port == 0 || self.conn_on(local_port).is_some() {
             local_port = local_port.wrapping_add(1);
         }
         self.next_port = local_port.wrapping_add(1);
+        self.node = env.node();
         let slot = self.free.pop().unwrap_or_else(|| {
             self.conns.reserve_exact(1);
             self.conns.push(None);
             self.conns.len() - 1
         });
-        let record = FlowRecord {
-            client: env.node(),
-            client_port: local_port,
-            tag: req.tag,
-            bytes: req.bytes,
-            queued_at: if queued_at == SimTime::ZERO {
-                env.now()
-            } else {
-                queued_at
-            },
-            first_syn_at: env.now(),
-            established_at: None,
-            completed_at: None,
-            syn_retries: 0,
-        };
+        let now = env.now();
         let retry_timer = env.set_timer(SYN_RETRY_INITIAL, encode_token(slot, TimerKind::SynRetry));
         self.conns[slot] = Some(ClientConn {
             local_port,
-            server: self.server,
-            server_port: self.server_port,
-            state: ConnState::Connecting {
-                retry_timer,
-                retries: 0,
-            },
-            record,
-            boundary: req.bytes,
             idle: false,
+            completed: false,
+            syn_retries: 0,
+            state: ConnState::Connecting { retry_timer },
+            request: req,
+            queued_at: if queued_at == SimTime::ZERO {
+                now
+            } else {
+                queued_at
+            },
+            first_syn_at: now,
+            established_at: now,
+            completed_at: now,
+            boundary: req.bytes,
         });
-        self.send_syn(slot, req.bytes, env);
+        self.send_syn(local_port, req.bytes, env);
     }
 
-    fn send_syn<E: HostEnv>(&mut self, slot: usize, bytes: u64, env: &mut E) {
-        let conn = self.conns[slot].as_ref().expect("slot in use");
-        let syn = PacketBuilder::new(FlowKey {
-            src: conn.record.client,
-            src_port: conn.local_port,
-            dst: conn.server,
-            dst_port: conn.server_port,
-        })
-        .seq(0)
-        .flags(TcpFlags::SYN)
-        .meta(if self.pipelined {
-            bytes | wire_meta::PERSIST
-        } else {
-            bytes
-        })
-        .build();
-        let dst = conn.server;
-        env.send(dst, syn);
+    /// The flow from this host's `local_port` to the server.
+    fn flow_from(&self, local_port: u16) -> FlowKey {
+        FlowKey {
+            src: self.node,
+            src_port: local_port,
+            dst: self.server,
+            dst_port: self.server_port,
+        }
+    }
+
+    fn send_syn<E: HostEnv>(&self, local_port: u16, bytes: u64, env: &mut E) {
+        let syn = PacketBuilder::new(self.flow_from(local_port))
+            .seq(0)
+            .flags(TcpFlags::SYN)
+            .meta(if self.pipelined {
+                bytes | wire_meta::PERSIST
+            } else {
+                bytes
+            })
+            .build();
+        env.send(self.server, syn);
     }
 
     /// Pipelined mode: after new data arrives on `slot`, complete any
     /// objects whose byte boundary has been delivered and issue the next
     /// queued request on the same connection.
     fn pump_pipeline<E: HostEnv>(&mut self, slot: usize, env: &mut E) {
+        let base = self.flow_from(0);
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
         loop {
-            let conn = self.conns[slot].as_mut().expect("slot live");
             let ConnState::Established(receiver) = &conn.state else {
                 return;
             };
@@ -586,48 +638,38 @@ impl ClientHost {
             // Complete the current object exactly once (an idle
             // connection re-fed by `feed_idle_conns` re-enters here with
             // its last record already finalized).
-            if conn.record.completed_at.is_none() {
-                conn.record.completed_at = Some(env.now());
+            if !conn.completed {
+                conn.completed = true;
+                conn.completed_at = env.now();
                 self.completed += 1;
-                self.log.lock().unwrap().records.push(conn.record.clone());
+                append(&self.log, conn.record(self.node));
             }
-            match self.pending.pop_front() {
-                Some((queued_at, req)) => {
-                    let now = env.now();
-                    conn.record = FlowRecord {
-                        client: conn.record.client,
-                        client_port: conn.local_port,
-                        tag: req.tag,
-                        bytes: req.bytes,
-                        queued_at: if queued_at == SimTime::ZERO {
-                            now
-                        } else {
-                            queued_at
-                        },
-                        first_syn_at: now,
-                        established_at: Some(now),
-                        completed_at: None,
-                        syn_retries: 0,
-                    };
-                    conn.boundary += req.bytes;
-                    let request = PacketBuilder::new(FlowKey {
-                        src: conn.record.client,
-                        src_port: conn.local_port,
-                        dst: conn.server,
-                        dst_port: conn.server_port,
-                    })
-                    .seq(1)
-                    .ack(0)
-                    .meta(req.bytes | wire_meta::PERSIST)
-                    .build();
-                    let dst = conn.server;
-                    env.send(dst, request);
-                }
-                None => {
-                    let conn = self.conns[slot].as_mut().expect("slot live");
-                    conn.idle = true;
-                }
-            }
+            let Some((queued_at, req)) = self.pending.pop_front() else {
+                conn.idle = true;
+                continue;
+            };
+            let now = env.now();
+            conn.request = req;
+            conn.queued_at = if queued_at == SimTime::ZERO {
+                now
+            } else {
+                queued_at
+            };
+            conn.first_syn_at = now;
+            conn.established_at = now;
+            conn.completed = false;
+            conn.syn_retries = 0;
+            conn.boundary += req.bytes;
+            let flow = FlowKey {
+                src_port: conn.local_port,
+                ..base
+            };
+            let request = PacketBuilder::new(flow)
+                .seq(1)
+                .ack(0)
+                .meta(req.bytes | wire_meta::PERSIST)
+                .build();
+            env.send(self.server, request);
         }
     }
 
@@ -651,10 +693,16 @@ impl ClientHost {
         }
     }
 
-    fn close_slot<E: HostEnv>(&mut self, slot: usize, env: &mut E) {
-        if let Some(conn) = self.conns[slot].take() {
+    /// Frees `slot`, logging its object with `completed_at` (`None`
+    /// for an abandoned attempt), and starts what the queue holds next.
+    fn close_slot<E: HostEnv>(&mut self, slot: usize, completed_at: Option<SimTime>, env: &mut E) {
+        if let Some(mut conn) = self.conns[slot].take() {
             self.free.push(slot);
-            self.log.lock().unwrap().records.push(conn.record);
+            if let Some(at) = completed_at {
+                conn.completed = true;
+                conn.completed_at = at;
+            }
+            append(&self.log, conn.record(self.node));
         }
         self.start_next(env);
     }
@@ -663,84 +711,62 @@ impl ClientHost {
 impl ClientHost {
     /// Arms the scheduled requests and opens the first connections.
     pub fn on_start<E: HostEnv>(&mut self, env: &mut E) {
-        // Arm timers for scheduled requests; token slots above any
-        // realistic connection count mark them as schedule entries.
-        let scheduled = std::mem::take(&mut self.scheduled);
-        for (i, (at, req)) in scheduled.into_iter().enumerate() {
-            let delay = at.saturating_since(env.now());
-            // Schedule tokens use odd kind-code 7, unused by TimerKind.
-            env.set_timer(delay, (i as u64) * 8 + 7);
-            self.pending.push_back((at, req));
-        }
-        // Scheduled requests were appended to `pending` but must not
-        // start before their time: move them to a holding area instead.
-        let mut hold: Vec<(SimTime, Request)> = Vec::new();
         let now = env.now();
-        self.pending.retain(|(at, req)| {
-            if *at > now {
-                hold.push((*at, req.clone()));
-                false
-            } else {
-                true
+        // One timer per scheduled request, in schedule order; token
+        // slots above any realistic connection count mark them as
+        // schedule entries, with odd kind-code 7, unused by TimerKind.
+        for (i, &(at, _)) in self.scheduled.iter().enumerate() {
+            env.set_timer(at.saturating_since(now), (i as u64) * 8 + 7);
+        }
+        // Requests already due join the queue behind the pushed ones;
+        // the rest wait for their timers.
+        let pending = &mut self.pending;
+        self.scheduled.retain(|&(at, req)| {
+            if at > now {
+                return true;
             }
+            pending.push((at, req));
+            false
         });
-        self.scheduled = hold;
         self.start_next(env);
     }
 
     /// Handles a packet delivered to this host.
     pub fn on_packet<E: HostEnv>(&mut self, pkt: Packet, env: &mut E) {
-        let Some(slot) = self.slot_of(pkt.flow.dst_port) else {
+        let (sack, delayed_ack, pipelined) = (self.sack, self.delayed_ack, self.pipelined);
+        let ack_flow = self.flow_from(pkt.flow.dst_port);
+        let Some((slot, conn)) = self.conn_on(pkt.flow.dst_port) else {
             return; // Late packet for a finished connection.
         };
-        let conn = self.conns[slot].as_mut().expect("found slot live");
-        if let ConnState::Connecting {
-            retry_timer,
-            retries,
-        } = conn.state
-        {
+        if let ConnState::Connecting { retry_timer } = conn.state {
             if pkt.flags.rst {
                 // Explicit admission rejection with a wait-time hint
                 // (milliseconds in `meta`): retry exactly then, keeping
                 // the attempt alive as the paper's feedback scheme does.
-                self.rejections_seen += 1;
                 env.cancel_timer(retry_timer);
                 let wait = SimDuration::from_millis(pkt.meta.clamp(1, SYN_RETRY_MAX.as_millis()));
-                let timer = env.set_timer(wait, encode_token(slot, TimerKind::SynRetry));
-                conn.state = ConnState::Connecting {
-                    retry_timer: timer,
-                    retries,
-                };
+                let retry_timer = env.set_timer(wait, encode_token(slot, TimerKind::SynRetry));
+                conn.state = ConnState::Connecting { retry_timer };
+                self.rejections_seen += 1;
                 return;
             }
-            if pkt.flags.syn && pkt.flags.ack {
-                env.cancel_timer(retry_timer);
-                conn.record.established_at = Some(env.now());
-                let ack_flow = FlowKey {
-                    src: conn.record.client,
-                    src_port: conn.local_port,
-                    dst: conn.server,
-                    dst_port: conn.server_port,
-                };
-                let receiver = TcpReceiver::new(self.cfg.clone(), ack_flow, self.sack);
-                conn.state = ConnState::Established(receiver);
-            } else {
+            if !(pkt.flags.syn && pkt.flags.ack) {
                 return; // Data before SYN-ACK: drop (no reassembly yet).
             }
+            env.cancel_timer(retry_timer);
+            conn.established_at = env.now();
+            conn.state =
+                ConnState::Established(TcpReceiver::with_delayed_ack(delayed_ack, ack_flow, sack));
         }
         let ConnState::Established(receiver) = &mut conn.state else {
-            unreachable!("state set above");
+            return; // Invariant: unreachable, the state was set just above.
         };
-        let mut io = HostIo { env, slot };
-        receiver.on_packet(&pkt, &mut io);
-        if self.pipelined {
+        receiver.on_packet(&pkt, &mut HostIo { env, slot });
+        if pipelined {
             self.pump_pipeline(slot, env);
-            return;
-        }
-        if receiver.is_complete() {
-            conn.record.completed_at = receiver.complete_at();
+        } else if let Some(at) = receiver.complete_at() {
             self.completed += 1;
-            self.close_slot(slot, env);
+            self.close_slot(slot, Some(at), env);
         }
     }
 
@@ -749,18 +775,14 @@ impl ClientHost {
         if token % 8 == 7 {
             // A scheduled request's time has come.
             let now = env.now();
-            let mut due: Vec<Request> = Vec::new();
-            self.scheduled.retain(|(at, req)| {
-                if *at <= now {
-                    due.push(req.clone());
-                    false
-                } else {
-                    true
+            let pending = &mut self.pending;
+            self.scheduled.retain(|&(at, req)| {
+                if at > now {
+                    return true;
                 }
+                pending.push((now, req));
+                false
             });
-            for req in due {
-                self.pending.push_back((now, req));
-            }
             if self.pipelined {
                 // Prefer reusing idle keep-alive connections.
                 self.feed_idle_conns(env);
@@ -771,42 +793,31 @@ impl ClientHost {
         let (slot, Some(kind)) = decode_token(token) else {
             return;
         };
-        if slot >= self.conns.len() || self.conns[slot].is_none() {
+        let Some(Some(conn)) = self.conns.get_mut(slot) else {
             return;
-        }
-        match kind {
-            TimerKind::SynRetry => {
-                let conn = self.conns[slot].as_mut().expect("checked above");
-                let ConnState::Connecting { retries, .. } = conn.state else {
-                    return; // Established while the timer was in flight.
-                };
-                if retries >= self.max_syn_retries {
+        };
+        match (kind, &mut conn.state) {
+            (TimerKind::SynRetry, ConnState::Connecting { .. }) => {
+                if conn.syn_retries >= self.max_syn_retries {
                     // Abandon: log as never-completed.
-                    self.close_slot(slot, env);
+                    self.close_slot(slot, None, env);
                     return;
                 }
-                let retries = retries + 1;
-                conn.record.syn_retries = retries;
-                let bytes = conn.record.bytes;
+                conn.syn_retries += 1;
                 // Exponential backoff on connection attempts.
-                let delay = (SYN_RETRY_INITIAL * (1u64 << retries.min(8))).min(SYN_RETRY_MAX);
-                let timer = env.set_timer(delay, encode_token(slot, TimerKind::SynRetry));
-                if let Some(conn) = self.conns[slot].as_mut() {
-                    conn.state = ConnState::Connecting {
-                        retry_timer: timer,
-                        retries,
-                    };
-                }
-                self.send_syn(slot, bytes, env);
+                let delay =
+                    (SYN_RETRY_INITIAL * (1u64 << conn.syn_retries.min(8))).min(SYN_RETRY_MAX);
+                let retry_timer = env.set_timer(delay, encode_token(slot, TimerKind::SynRetry));
+                conn.state = ConnState::Connecting { retry_timer };
+                let (port, bytes) = (conn.local_port, conn.request.bytes);
+                self.send_syn(port, bytes, env);
             }
-            TimerKind::DelayedAck => {
-                let conn = self.conns[slot].as_mut().expect("checked above");
-                if let ConnState::Established(receiver) = &mut conn.state {
-                    let mut io = HostIo { env, slot };
-                    receiver.on_timer(kind, &mut io);
-                }
+            (TimerKind::DelayedAck, ConnState::Established(receiver)) => {
+                receiver.on_timer(kind, &mut HostIo { env, slot });
             }
-            TimerKind::Rto => {} // Clients run no sender-side RTO.
+            // Established while a SYN retry was in flight, a delayed ACK
+            // for an attempt, or a sender-side RTO: clients run none.
+            _ => {}
         }
     }
 }
@@ -1052,6 +1063,45 @@ mod tests {
 
     /// A notice's hint is header data: one too large for the clock
     /// (milliseconds that overflow nanoseconds) waits the cap instead.
+    /// A pipelined request that arrives after the client asked to close
+    /// and the server sent its FIN cannot grow the object: the server
+    /// counts and drops it instead of failing `send_more`'s check.
+    #[test]
+    fn a_request_after_the_fin_is_counted_and_dropped() {
+        let mut env = ScriptEnv {
+            now: SimTime::ZERO,
+            node: SERVER,
+            sent: Vec::new(),
+            timers: Vec::new(),
+            next_timer: 0,
+        };
+        let mut server = ServerHost::new(TcpConfig::default(), 80);
+        let flow = FlowKey {
+            src: CLIENT,
+            src_port: 10_000,
+            dst: SERVER,
+            dst_port: 80,
+        };
+        let meta = |m| PacketBuilder::new(flow).seq(1).ack(1).meta(m).build();
+        let syn = PacketBuilder::new(flow)
+            .seq(0)
+            .flags(TcpFlags::SYN)
+            .meta(100 | wire_meta::PERSIST)
+            .build();
+        server.on_packet(syn, &mut env);
+        // The handshake ACK carries the close: the 100 bytes and the FIN
+        // go out together.
+        server.on_packet(meta(wire_meta::CLOSE), &mut env);
+        assert!(env.sent.iter().any(|p| p.flags.fin), "FIN sent");
+        server.on_packet(meta(50 | wire_meta::PERSIST), &mut env);
+        assert_eq!(server.late_requests, 1);
+        assert_eq!(
+            server.live_connections(),
+            1,
+            "still waiting for the FIN's ACK"
+        );
+    }
+
     #[test]
     fn an_oversized_rejection_hint_waits_the_cap() {
         let log = new_flow_log();

@@ -26,6 +26,7 @@
 
 mod config;
 mod host;
+mod inline_vec;
 mod io;
 mod receiver;
 mod rto;

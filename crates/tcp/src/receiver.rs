@@ -6,6 +6,7 @@
 //! paper disables them because they obscure congestion dynamics.
 
 use crate::config::TcpConfig;
+use crate::inline_vec::InlineVec;
 use crate::io::{TcpIo, TimerKind};
 use taq_sim::{FlowKey, Packet, PacketBuilder, SackBlocks, SimDuration, SimTime, TimerId};
 
@@ -24,49 +25,76 @@ pub struct ReceiverStats {
     pub segments_received: u64,
     /// Duplicate/overlapping segments received.
     pub duplicate_segments: u64,
+    /// Segments dropped because their sequence range wraps past 2^64:
+    /// no sender emits one, so only a forged header carries it.
+    pub malformed_segments: u64,
 }
+
+/// A sequence field's "none": no comparison the receiver makes against
+/// a FIN sequence (`rcv_nxt > fin`) holds for it, so "no FIN yet" takes
+/// no flag of its own.
+const UNSET: u64 = u64::MAX;
 
 /// The receiving endpoint of one TCP connection.
 #[derive(Debug)]
 pub struct TcpReceiver {
-    cfg: TcpConfig,
     /// ACK direction: this receiver -> the sender.
     ack_flow: FlowKey,
-    /// Next expected sequence from the sender (0 until the SYN-ACK).
-    rcv_nxt: u64,
-    /// Out-of-order ranges held above `rcv_nxt`, sorted and disjoint.
-    ooo: Vec<(u64, u64)>,
-    /// Most recently received out-of-order range, reported first in SACK.
-    latest_block: Option<(u64, u64)>,
-    /// Sequence of the sender's FIN, once seen.
-    fin_seq: Option<u64>,
     established: bool,
-    complete_at: Option<SimTime>,
+    /// Set when `complete_at` is.
+    complete: bool,
     /// Whether to include SACK blocks in ACKs.
     sack_enabled: bool,
-    // Delayed-ACK state.
-    ack_pending: bool,
+    /// `TcpConfig::delayed_ack`, the one setting a receiver reads.
+    delayed_ack: bool,
+    /// Next expected sequence from the sender (0 until the SYN-ACK).
+    rcv_nxt: u64,
+    /// Sequence of the sender's FIN once seen, `UNSET` before.
+    fin_seq: u64,
+    /// When the FIN arrived in order; meaningful once `complete`.
+    complete_at: SimTime,
+    /// Out-of-order ranges held above `rcv_nxt`, sorted and disjoint:
+    /// one or two while a window's losses are repaired, so inline.
+    ooo: InlineVec<(u64, u64), 2>,
+    /// Most recently received out-of-order range, reported first in
+    /// SACK; the empty range `(0, 0)` when there is none.
+    latest_block: (u64, u64),
+    /// The delayed-ACK timer, `Some` exactly while an ACK is held back.
     delack_timer: Option<TimerId>,
     /// Public statistics.
     pub stats: ReceiverStats,
 }
+
+// A bulk client holds its receiver in its connection slot for the
+// whole transfer.
+const _: () = assert!(std::mem::size_of::<TcpReceiver>() <= 152);
 
 impl TcpReceiver {
     /// Creates a receiver whose ACKs travel on `ack_flow` (oriented
     /// receiver→sender). `sack_enabled` controls SACK block generation.
     pub fn new(cfg: TcpConfig, ack_flow: FlowKey, sack_enabled: bool) -> Self {
         cfg.validate();
+        TcpReceiver::with_delayed_ack(cfg.delayed_ack, ack_flow, sack_enabled)
+    }
+
+    /// What [`TcpReceiver::new`] builds from a validated configuration,
+    /// for a host that keeps only the setting a receiver reads.
+    pub(crate) fn with_delayed_ack(
+        delayed_ack: bool,
+        ack_flow: FlowKey,
+        sack_enabled: bool,
+    ) -> Self {
         TcpReceiver {
-            cfg,
             ack_flow,
-            rcv_nxt: 0,
-            ooo: Vec::new(),
-            latest_block: None,
-            fin_seq: None,
             established: false,
-            complete_at: None,
+            complete: false,
             sack_enabled,
-            ack_pending: false,
+            delayed_ack,
+            rcv_nxt: 0,
+            fin_seq: UNSET,
+            complete_at: SimTime::ZERO,
+            ooo: InlineVec::default(),
+            latest_block: (0, 0),
             delack_timer: None,
             stats: ReceiverStats::default(),
         }
@@ -79,12 +107,12 @@ impl TcpReceiver {
 
     /// `true` once all data and the FIN have been received in order.
     pub fn is_complete(&self) -> bool {
-        self.complete_at.is_some()
+        self.complete
     }
 
     /// Time the transfer completed (FIN received in order).
     pub fn complete_at(&self) -> Option<SimTime> {
-        self.complete_at
+        self.complete.then_some(self.complete_at)
     }
 
     /// In-order application bytes delivered so far.
@@ -94,10 +122,8 @@ impl TcpReceiver {
         }
         // rcv_nxt counts the SYN (1) + data + possibly the FIN (1).
         let mut delivered = self.rcv_nxt - 1;
-        if let Some(fin) = self.fin_seq {
-            if self.rcv_nxt > fin {
-                delivered -= 1;
-            }
+        if self.rcv_nxt > self.fin_seq {
+            delivered -= 1;
         }
         delivered
     }
@@ -116,12 +142,16 @@ impl TcpReceiver {
         if !pkt.is_data() && !pkt.flags.fin {
             return; // Pure ACKs from the sender carry nothing for us.
         }
+        let ctl = u64::from(pkt.flags.syn) + u64::from(pkt.flags.fin);
+        let Some(end) = pkt.seq.checked_add(u64::from(pkt.payload_len) + ctl) else {
+            self.stats.malformed_segments += 1;
+            return;
+        };
         self.stats.segments_received += 1;
         if pkt.flags.fin {
-            self.fin_seq = Some(pkt.seq + u64::from(pkt.payload_len));
+            self.fin_seq = pkt.seq + u64::from(pkt.payload_len);
         }
         let start = pkt.seq;
-        let end = pkt.seq_end();
         if end <= self.rcv_nxt {
             // Entirely old: immediate duplicate ACK so the sender can
             // detect the spurious retransmission.
@@ -136,7 +166,7 @@ impl TcpReceiver {
             self.maybe_complete(io);
             // Out-of-order data queued means the sender is recovering:
             // ack immediately. Otherwise honour delayed-ACK policy.
-            if !self.ooo.is_empty() || !self.cfg.delayed_ack || self.is_complete() {
+            if !self.ooo.is_empty() || !self.delayed_ack || self.is_complete() {
                 self.send_ack_now(io);
             } else {
                 self.delayed_ack(io);
@@ -144,14 +174,14 @@ impl TcpReceiver {
         } else {
             // Out of order: hole below. Record and duplicate-ACK.
             self.insert_ooo(start, end);
-            self.latest_block = Some(self.containing_block(start));
+            self.latest_block = self.containing_block(start);
             self.send_ack_now(io);
         }
     }
 
     /// Handles the delayed-ACK timer.
     pub fn on_timer(&mut self, kind: TimerKind, io: &mut dyn TcpIo) {
-        if kind == TimerKind::DelayedAck && self.ack_pending {
+        if kind == TimerKind::DelayedAck && self.delack_timer.is_some() {
             self.delack_timer = None;
             self.send_ack_now(io);
         }
@@ -160,12 +190,9 @@ impl TcpReceiver {
     // ----- internals -------------------------------------------------
 
     fn maybe_complete(&mut self, io: &mut dyn TcpIo) {
-        if self.complete_at.is_none() {
-            if let Some(fin) = self.fin_seq {
-                if self.rcv_nxt > fin {
-                    self.complete_at = Some(io.now());
-                }
-            }
+        if !self.complete && self.rcv_nxt > self.fin_seq {
+            self.complete = true;
+            self.complete_at = io.now();
         }
     }
 
@@ -175,10 +202,10 @@ impl TcpReceiver {
                 break;
             }
             self.rcv_nxt = self.rcv_nxt.max(e);
-            self.ooo.remove(0);
+            self.ooo.pop_front();
         }
         if self.ooo.is_empty() {
-            self.latest_block = None;
+            self.latest_block = (0, 0);
         }
     }
 
@@ -200,7 +227,7 @@ impl TcpReceiver {
             return;
         }
         self.ooo[lo] = (s.min(start), end.max(self.ooo[hi - 1].1));
-        self.ooo.drain(lo + 1..hi);
+        self.ooo.remove_range(lo + 1..hi);
     }
 
     /// The merged out-of-order block containing `seq`.
@@ -209,6 +236,9 @@ impl TcpReceiver {
             .ooo
             .iter()
             .find(|&&(s, e)| s <= seq && seq < e)
+            // Invariant: called right after `insert_ooo(seq, end)` with
+            // `seq < end` (`on_packet` drops a range that wraps), and
+            // the ranges then cover `[seq, end)`.
             .expect("just inserted")
     }
 
@@ -217,8 +247,8 @@ impl TcpReceiver {
             return SackBlocks::EMPTY;
         }
         let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(3);
-        if let Some(latest) = self.latest_block {
-            blocks.push(latest);
+        if self.latest_block.0 < self.latest_block.1 {
+            blocks.push(self.latest_block);
         }
         for &b in self.ooo.iter().rev() {
             if blocks.len() >= 3 {
@@ -232,15 +262,11 @@ impl TcpReceiver {
     }
 
     fn delayed_ack(&mut self, io: &mut dyn TcpIo) {
-        if self.ack_pending {
+        if self.delack_timer.is_some() {
             // Second in-order segment: ack now (RFC 1122's "at least
             // every second segment").
             self.send_ack_now(io);
         } else {
-            self.ack_pending = true;
-            if let Some(t) = self.delack_timer.take() {
-                io.cancel_timer(t);
-            }
             self.delack_timer = Some(io.set_timer(DELAYED_ACK_TIMEOUT, TimerKind::DelayedAck));
         }
     }
@@ -249,7 +275,6 @@ impl TcpReceiver {
         if let Some(t) = self.delack_timer.take() {
             io.cancel_timer(t);
         }
-        self.ack_pending = false;
         self.send_ack(io);
     }
 
@@ -483,9 +508,25 @@ mod tests {
                         _ => {}
                     }
                 }
-                assert_eq!(r.ooo, runs);
+                assert_eq!(*r.ooo, runs[..]);
             }
         }
+    }
+
+    /// A segment whose range wraps past 2^64 is no sender's: it is
+    /// counted and dropped, sends nothing and moves nothing, and the
+    /// transfer carries on.
+    #[test]
+    fn a_wrapping_segment_is_counted_and_dropped() {
+        let (mut r, mut io) = recv(true);
+        r.on_packet(&data(u64::MAX - 10, 460), &mut io);
+        r.on_packet(&fin(u64::MAX), &mut io);
+        assert_eq!(r.stats.malformed_segments, 2);
+        assert_eq!(r.stats.segments_received, 0);
+        assert!(io.take_sent().is_empty());
+        r.on_packet(&data(1, 460), &mut io);
+        assert_eq!(io.take_sent()[0].ack, 461);
+        assert!(r.ooo.is_empty() && !r.is_complete());
     }
 
     #[test]

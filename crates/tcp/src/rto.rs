@@ -18,7 +18,9 @@ pub(crate) const MAX_RTO: SimDuration = SimDuration::from_secs(60);
 /// RFC 6298 smoothed RTT estimator.
 #[derive(Debug, Clone)]
 pub struct RttEstimator {
-    srtt: Option<f64>,
+    /// Smoothed RTT in seconds, NaN until the first sample (a sample is
+    /// a measured duration, never NaN).
+    srtt: f64,
     rttvar: f64,
     min_rto: SimDuration,
     initial_rto: SimDuration,
@@ -29,7 +31,7 @@ impl RttEstimator {
     /// default; the ceiling is `MAX_RTO` (60 s).
     pub fn new(min_rto: SimDuration, initial_rto: SimDuration) -> Self {
         RttEstimator {
-            srtt: None,
+            srtt: f64::NAN,
             rttvar: 0.0,
             min_rto,
             initial_rto,
@@ -40,24 +42,21 @@ impl RttEstimator {
     /// sampled (Karn's algorithm) — that is the caller's responsibility.
     pub fn on_sample(&mut self, rtt_secs: f64) {
         debug_assert!(rtt_secs >= 0.0);
-        match self.srtt {
-            None => {
-                self.srtt = Some(rtt_secs);
-                self.rttvar = rtt_secs / 2.0;
-            }
-            Some(srtt) => {
-                const ALPHA: f64 = 1.0 / 8.0;
-                const BETA: f64 = 1.0 / 4.0;
-                self.rttvar = (1.0 - BETA) * self.rttvar + BETA * (srtt - rtt_secs).abs();
-                self.srtt = Some((1.0 - ALPHA) * srtt + ALPHA * rtt_secs);
-            }
+        if self.srtt.is_nan() {
+            self.srtt = rtt_secs;
+            self.rttvar = rtt_secs / 2.0;
+        } else {
+            const ALPHA: f64 = 1.0 / 8.0;
+            const BETA: f64 = 1.0 / 4.0;
+            self.rttvar = (1.0 - BETA) * self.rttvar + BETA * (self.srtt - rtt_secs).abs();
+            self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * rtt_secs;
         }
     }
 
     /// The current base RTO (before backoff), clamped to the configured
     /// bounds.
     pub fn rto(&self) -> SimDuration {
-        let Some(srtt) = self.srtt else {
+        let Some(srtt) = self.srtt() else {
             return self.initial_rto;
         };
         let raw = srtt + (4.0 * self.rttvar).max(0.001);
@@ -76,12 +75,12 @@ impl RttEstimator {
 
     /// The smoothed RTT, if at least one sample has been taken.
     pub fn srtt(&self) -> Option<f64> {
-        self.srtt
+        (!self.srtt.is_nan()).then_some(self.srtt)
     }
 
     /// `true` once a sample has been incorporated.
     pub fn has_sample(&self) -> bool {
-        self.srtt.is_some()
+        !self.srtt.is_nan()
     }
 }
 

@@ -58,13 +58,35 @@ pub struct SenderStats {
     pub max_backoff: u32,
 }
 
+/// A sequence field's "none": every comparison the sender makes against
+/// a FIN or probe sequence (`snd_una > fin`, `ack >= probe_end`,
+/// `fin == seq` for a sequence it sent) fails for it, so "not yet" takes
+/// no flag of its own.
+const UNSET: u64 = u64::MAX;
+
+/// Where the handshake reply stands, for the first RTT sample.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SynAck {
+    Unsent,
+    /// Sent once, at `syn_ack_sent_at`: its ACK is an RTT sample.
+    Sent,
+    /// Sent again (Karn: its ACK samples nothing).
+    Retransmitted,
+}
+
 /// The sending endpoint of one TCP connection.
 #[derive(Debug)]
 pub struct TcpSender {
-    cfg: TcpConfig,
     /// Data direction: this sender -> the receiver.
     flow: FlowKey,
     state: SenderState,
+    /// `TcpConfig::variant`; the RTO bounds live in `rtt`.
+    variant: Variant,
+    app_closed: bool,
+    in_recovery: bool,
+    syn_ack: SynAck,
+    dup_acks: u32,
+    backoff: u32,
 
     // Sequence space (bytes; 0 is the SYN-ACK, data starts at 1).
     snd_una: u64,
@@ -74,15 +96,14 @@ pub struct TcpSender {
     high_water: u64,
     /// One past the last data byte: `1 + object_len`.
     data_end: u64,
-    /// FIN sequence once the FIN has been sent.
-    fin_seq: Option<u64>,
-    app_closed: bool,
+    /// FIN sequence once the FIN has been sent, `UNSET` before.
+    fin_seq: u64,
 
     // Congestion control.
     cwnd: f64,
     ssthresh: f64,
-    dup_acks: u32,
-    in_recovery: bool,
+    /// `TcpConfig::max_window_bytes`: the window cap.
+    max_window: u64,
     /// NewReno recovery point: recovery ends when `snd_una` passes it.
     recover: u64,
 
@@ -94,24 +115,27 @@ pub struct TcpSender {
 
     // RTO machinery.
     rtt: RttEstimator,
-    backoff: u32,
     rto_timer: Option<TimerId>,
-    /// Outstanding RTT probe: `(seq_end, sent_at)`. Invalidated by any
+    /// Outstanding RTT probe: the end of the probed segment (`UNSET`
+    /// when there is none) and when it was sent. Invalidated by any
     /// retransmission overlapping it (Karn's algorithm).
-    rtt_probe: Option<(u64, SimTime)>,
-    syn_ack_retransmitted: bool,
-    syn_ack_sent_at: Option<SimTime>,
+    probe_end: u64,
+    probe_sent_at: SimTime,
+    syn_ack_sent_at: SimTime,
 
     /// Cumulative ACK value this sender places in its packets (the
     /// client's ISN + 1).
     rcv_ack: u64,
 
-    established_at: Option<SimTime>,
-    closed_at: Option<SimTime>,
+    /// When the final acknowledgement arrived; meaningful once `Closed`.
+    closed_at: SimTime,
 
     /// Public statistics.
     pub stats: SenderStats,
 }
+
+// A server holds one per live connection.
+const _: () = assert!(std::mem::size_of::<TcpSender>() <= 264);
 
 impl TcpSender {
     /// Creates a sender that will serve `object_len` bytes on `flow`
@@ -120,33 +144,35 @@ impl TcpSender {
         cfg.validate();
         let rtt = RttEstimator::new(cfg.min_rto, cfg.initial_rto);
         let cwnd = f64::from(INITIAL_WINDOW * MSS);
-        let ssthresh = cfg.max_window_bytes().min(1 << 30) as f64;
+        let max_window = cfg.max_window_bytes();
+        let ssthresh = max_window.min(1 << 30) as f64;
         TcpSender {
-            cfg,
             flow,
             state: SenderState::SynReceived,
+            variant: cfg.variant,
+            app_closed: true,
+            in_recovery: false,
+            syn_ack: SynAck::Unsent,
+            dup_acks: 0,
+            backoff: 0,
             snd_una: 0,
             snd_nxt: 0,
             high_water: 0,
             data_end: 1 + object_len,
-            fin_seq: None,
-            app_closed: true,
+            fin_seq: UNSET,
             cwnd,
             ssthresh,
-            dup_acks: 0,
-            in_recovery: false,
+            max_window,
             recover: 0,
             sacked: Vec::new(),
             sack_retx_mark: 0,
             rtt,
-            backoff: 0,
             rto_timer: None,
-            rtt_probe: None,
-            syn_ack_retransmitted: false,
-            syn_ack_sent_at: None,
+            probe_end: UNSET,
+            probe_sent_at: SimTime::ZERO,
+            syn_ack_sent_at: SimTime::ZERO,
             rcv_ack: 0,
-            established_at: None,
-            closed_at: None,
+            closed_at: SimTime::ZERO,
             stats: SenderStats::default(),
         }
     }
@@ -181,7 +207,7 @@ impl TcpSender {
 
     /// Time the final acknowledgement arrived.
     pub fn closed_at(&self) -> Option<SimTime> {
-        self.closed_at
+        self.is_closed().then_some(self.closed_at)
     }
 
     /// Current congestion window in bytes.
@@ -219,6 +245,11 @@ impl TcpSender {
         self.in_recovery
     }
 
+    /// `true` once the FIN has been sent: the object can no longer grow.
+    pub fn fin_sent(&self) -> bool {
+        self.fin_seq != UNSET
+    }
+
     /// Responds to a (possibly retransmitted) SYN from the client: sends
     /// the SYN-ACK and arms the handshake timer.
     pub fn on_syn(&mut self, syn: &Packet, io: &mut dyn TcpIo) {
@@ -229,10 +260,11 @@ impl TcpSender {
             // we already send on every packet covers it.
             return;
         }
-        if self.syn_ack_sent_at.is_some() {
-            self.syn_ack_retransmitted = true;
-        }
-        self.syn_ack_sent_at = Some(io.now());
+        self.syn_ack = match self.syn_ack {
+            SynAck::Unsent => SynAck::Sent,
+            SynAck::Sent | SynAck::Retransmitted => SynAck::Retransmitted,
+        };
+        self.syn_ack_sent_at = io.now();
         self.snd_nxt = 1;
         let pkt = PacketBuilder::new(self.flow)
             .seq(0)
@@ -245,11 +277,13 @@ impl TcpSender {
 
     /// Extends a persistent connection's object by `additional` bytes
     /// (the response to a pipelined request) and tries to transmit.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the FIN has been sent ([`TcpSender::fin_sent`]): the
+    /// object cannot grow past it.
     pub fn send_more(&mut self, additional: u64, io: &mut dyn TcpIo) {
-        assert!(
-            self.fin_seq.is_none(),
-            "cannot extend after FIN has been sent"
-        );
+        assert!(!self.fin_sent(), "cannot extend after FIN has been sent");
         self.data_end += additional;
         self.try_send(io);
     }
@@ -269,7 +303,7 @@ impl TcpSender {
         if ack > self.high_water.max(1) {
             return; // Acks data never sent; ignore.
         }
-        if self.cfg.variant == Variant::Sack && !pkt.sack.is_empty() {
+        if self.variant == Variant::Sack && !pkt.sack.is_empty() {
             for &(s, e) in pkt.sack.as_slice() {
                 self.mark_sacked(s, e);
             }
@@ -300,7 +334,7 @@ impl TcpSender {
         self.backoff = (self.backoff + 1).min(16);
         self.stats.max_backoff = self.stats.max_backoff.max(self.backoff);
         // Karn: an RTO invalidates any outstanding probe.
-        self.rtt_probe = None;
+        self.probe_end = UNSET;
         let flight = self.flight_size() as f64;
         self.ssthresh = (flight / 2.0).max(2.0 * f64::from(MSS));
         self.cwnd = f64::from(MSS);
@@ -309,8 +343,8 @@ impl TcpSender {
         self.sacked.clear();
         if self.state == SenderState::SynReceived {
             // Handshake never completed: resend the SYN-ACK.
-            self.syn_ack_retransmitted = true;
-            self.syn_ack_sent_at = Some(io.now());
+            self.syn_ack = SynAck::Retransmitted;
+            self.syn_ack_sent_at = io.now();
             let pkt = PacketBuilder::new(self.flow)
                 .seq(0)
                 .ack(self.rcv_ack)
@@ -333,15 +367,15 @@ impl TcpSender {
     fn establish(&mut self, ack: u64, io: &mut dyn TcpIo) {
         self.state = SenderState::Established;
         self.snd_una = ack.max(1);
-        self.established_at = Some(io.now());
         // The handshake provides the first RTT sample when the SYN-ACK
         // was not retransmitted.
-        if let Some(sent) = self.syn_ack_sent_at {
-            if !self.syn_ack_retransmitted {
-                self.rtt
-                    .on_sample(io.now().saturating_since(sent).as_secs_f64());
-                self.backoff = 0;
-            }
+        if self.syn_ack == SynAck::Sent {
+            self.rtt.on_sample(
+                io.now()
+                    .saturating_since(self.syn_ack_sent_at)
+                    .as_secs_f64(),
+            );
+            self.backoff = 0;
         }
         self.cancel_timer(io);
         self.maybe_close(io);
@@ -356,7 +390,7 @@ impl TcpSender {
                 self.cwnd += f64::from(MSS);
                 self.try_send(io);
             }
-            if self.cfg.variant == Variant::Sack {
+            if self.variant == Variant::Sack {
                 self.try_send(io);
             }
             return;
@@ -388,13 +422,11 @@ impl TcpSender {
         self.drop_sacked_below(ack);
         // RTT sampling + backoff collapse (timer "collapse" in the
         // paper's terms) when the probe segment is cumulatively acked.
-        if let Some((probe_end, sent_at)) = self.rtt_probe {
-            if ack >= probe_end {
-                self.rtt
-                    .on_sample(io.now().saturating_since(sent_at).as_secs_f64());
-                self.backoff = 0;
-                self.rtt_probe = None;
-            }
+        if ack >= self.probe_end {
+            self.rtt
+                .on_sample(io.now().saturating_since(self.probe_sent_at).as_secs_f64());
+            self.backoff = 0;
+            self.probe_end = UNSET;
         }
         if self.in_recovery {
             if ack >= self.recover {
@@ -403,7 +435,7 @@ impl TcpSender {
                 self.in_recovery = false;
                 self.dup_acks = 0;
             } else {
-                match self.cfg.variant {
+                match self.variant {
                     Variant::NewReno => {
                         // Partial ACK: retransmit the next hole, deflate
                         // by the amount acked, stay in recovery.
@@ -428,7 +460,7 @@ impl TcpSender {
                 self.cwnd += f64::from(MSS) * f64::from(MSS) / self.cwnd.max(1.0);
             }
         }
-        self.cwnd = self.cwnd.min(self.cfg.max_window_bytes() as f64);
+        self.cwnd = self.cwnd.min(self.max_window as f64);
         if self.flight_size() == 0 {
             self.cancel_timer(io);
         } else {
@@ -439,18 +471,16 @@ impl TcpSender {
     }
 
     fn maybe_close(&mut self, io: &mut dyn TcpIo) {
-        if let Some(fin) = self.fin_seq {
-            if self.snd_una > fin {
-                self.state = SenderState::Closed;
-                self.closed_at = Some(io.now());
-                self.cancel_timer(io);
-            }
+        if self.snd_una > self.fin_seq {
+            self.state = SenderState::Closed;
+            self.closed_at = io.now();
+            self.cancel_timer(io);
         }
     }
 
     /// Effective send window in bytes.
     fn window(&self) -> u64 {
-        (self.cwnd as u64).min(self.cfg.max_window_bytes())
+        (self.cwnd as u64).min(self.max_window)
     }
 
     /// Bytes counted against the window: in flight minus SACKed.
@@ -466,7 +496,7 @@ impl TcpSender {
             return;
         }
         // SACK recovery: repair holes the scoreboard identifies.
-        if self.in_recovery && self.cfg.variant == Variant::Sack {
+        if self.in_recovery && self.variant == Variant::Sack {
             while self.pipe() < self.window() {
                 let Some(hole) = self.next_sack_hole() else {
                     break;
@@ -486,20 +516,19 @@ impl TcpSender {
                 let is_new = seq >= self.high_water;
                 self.emit_data(seq, seg as u32, io);
                 self.snd_nxt += seg;
-                if is_new && self.rtt_probe.is_none() {
-                    self.rtt_probe = Some((seq + seg, io.now()));
+                if is_new && self.probe_end == UNSET {
+                    self.probe_end = seq + seg;
+                    self.probe_sent_at = io.now();
                 }
                 self.arm_timer(io);
-            } else if self.app_closed
-                && (self.fin_seq.is_none() || self.fin_seq == Some(self.snd_nxt))
-            {
+            } else if self.app_closed && (!self.fin_sent() || self.fin_seq == self.snd_nxt) {
                 // Second disjunct: a timeout pulled snd_nxt back and the
                 // walk forward has reached the already-sent FIN again.
                 if self.pipe() >= self.window() && self.pipe() > 0 {
                     break;
                 }
                 let seq = self.snd_nxt;
-                self.fin_seq = Some(seq);
+                self.fin_seq = seq;
                 self.snd_nxt += 1;
                 let pkt = PacketBuilder::new(self.flow)
                     .seq(seq)
@@ -539,15 +568,13 @@ impl TcpSender {
         if seq < self.high_water {
             self.stats.retransmits += 1;
             // Karn: retransmission overlapping the probe invalidates it.
-            if let Some((probe_end, _)) = self.rtt_probe {
-                if seq < probe_end {
-                    self.rtt_probe = None;
-                }
+            if seq < self.probe_end {
+                self.probe_end = UNSET;
             }
         }
         let mut flags = TcpFlags::ACK;
         // If this segment is the FIN being retransmitted, keep the flag.
-        if self.fin_seq == Some(seq) {
+        if self.fin_seq == seq {
             flags = TcpFlags::FIN_ACK;
         }
         let pkt = PacketBuilder::new(self.flow)
@@ -563,7 +590,7 @@ impl TcpSender {
     /// Retransmits the single segment starting at `seq` (fast retransmit
     /// and hole repair; timeout recovery uses go-back-N instead).
     fn retransmit_at(&mut self, seq: u64, io: &mut dyn TcpIo) {
-        if self.fin_seq == Some(seq) {
+        if self.fin_seq == seq {
             self.stats.retransmits += 1;
             let pkt = PacketBuilder::new(self.flow)
                 .seq(seq)

@@ -152,6 +152,12 @@ pub struct Dumbbell {
 /// A constructed dumbbell experiment: a [`TopoScenario`] (reached
 /// through `Deref`: `sim`, `server`, `log`, `clients`, `run_until`, …)
 /// plus the dumbbell's names for it.
+///
+/// `run_until` is [`TopoScenario::run_until`]: it flushes unfinished
+/// transfers into the log on every call, so a run split into legs
+/// sends only its last leg through it and the earlier ones through
+/// `sc.sim.run_until`, or it logs each unfinished transfer once per
+/// leg.
 pub struct DumbbellScenario {
     /// The dumbbell's name for pipe 0's forward link.
     pub db: Dumbbell,
@@ -256,6 +262,27 @@ mod tests {
             .records
             .iter()
             .all(|r| r.completed_at.is_none()));
+    }
+
+    /// A run split into legs on the engine and ended by one scenario
+    /// `run_until` logs each unfinished transfer exactly once: one
+    /// record per client, none completed.
+    #[test]
+    fn one_scenario_run_until_logs_each_unfinished_transfer_once() {
+        let mut sc = DumbbellSpec::new(topo()).build(3, Box::new(DropTail::with_packets(30)));
+        let clients = sc.add_bulk_clients(5, BULK_BYTES, SimDuration::from_secs(1));
+        sc.sim.run_until(SimTime::from_secs(5));
+        sc.sim.run_until(SimTime::from_secs(10));
+        assert!(
+            sc.log.lock().unwrap().records.is_empty(),
+            "engine legs flush nothing"
+        );
+        sc.run_until(SimTime::from_secs(15));
+        let log = sc.log.lock().unwrap();
+        let mut logged: Vec<_> = log.records.iter().map(|r| r.client).collect();
+        logged.sort();
+        assert_eq!(logged, clients, "one record per unfinished transfer");
+        assert!(log.records.iter().all(|r| r.completed_at.is_none()));
     }
 
     #[test]

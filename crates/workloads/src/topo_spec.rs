@@ -547,6 +547,11 @@ impl TopoScenario {
 
     /// Runs to the horizon and flushes unfinished transfers into the
     /// log.
+    ///
+    /// Every call flushes, so a run split into legs through this method
+    /// logs each transfer unfinished at a leg's end once per leg. Only
+    /// the last leg should go through here; run the earlier ones on the
+    /// engine, `sc.sim.run_until(t)`.
     pub fn run_until(&mut self, horizon: SimTime) {
         self.sim.run_until(horizon);
         for &node in &self.clients {

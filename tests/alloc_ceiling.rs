@@ -100,45 +100,55 @@ static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
 /// per-event path itself is allocation-free (arena packets, SoA flow
 /// slabs, one pooled cell per packet TAQ buffers, FIFO queues linked
 /// through the arena, reused scratch buffers, integer-only sinks,
-/// out-of-order ranges merged in place); what remains at steady state
-/// follows *losses*. Counted over the measured half:
+/// out-of-order ranges merged in place and held inline); what remains
+/// at steady state follows *losses*. Counted over the measured half:
 ///
 /// - every enqueue that drops allocates its `EnqueueOutcome::dropped`
 ///   list — TAQ drops 9 206 packets on the replay and 2 493 on the
-///   many-flow point, one per dropping enqueue (92 % and 98 % of the
+///   many-flow point, one per dropping enqueue (99 % and 99.6 % of the
 ///   residue);
 /// - connection set-up and tear-down in the client hosts (a client's
-///   receiver lives in its connection slot, so set-up boxes nothing),
-///   and the flow log's end-of-run flush (8 allocations for the
-///   many-flow point's 300 unfinished records — it completes none
-///   before), make up the rest: 854 on the replay, 47 on the many-flow
-///   point;
+///   receiver lives in its connection slot, its first two out-of-order
+///   ranges inline, so set-up boxes nothing), and the flow log's
+///   end-of-run flush (8 allocations for the many-flow point's 300
+///   unfinished records — it completes none before), make up the rest:
+///   108 on the replay, 9 on the many-flow point;
 /// - attached, the replay adds 227: the trace collector's windows and
 ///   flight recorder.
 ///
-/// That is 10 060, 2 540 and 10 287 allocations over 1 119 279, 60 707
-/// and 1 119 279 steady-state events: 0.00899, 0.04184 and 0.00919 per
-/// event on the three scenarios. While TAQ kept a packet deque per flow
-/// and every FIFO link a buffer of its own, growing as new flows first
-/// buffered, they were 10 316, 2 544 and 10 543 (0.00922, 0.04191 and
-/// 0.00942); while `TcpReceiver::insert_ooo` built a fresh merged `Vec`
-/// for every out-of-order segment, 24 320, 3 406 and 27 916 (0.02173,
-/// 0.05611 and 0.02494). The ceiling sits above that residue and below
-/// what one new allocation per packet costs: a `Vec` in
+/// That is 9 314, 2 502 and 9 541 allocations over 1 119 279, 60 707
+/// and 1 119 279 steady-state events: 0.00832, 0.04121 and 0.00852 per
+/// event on the three scenarios. While each receiver kept its
+/// out-of-order ranges in a `Vec` of its own and a scheduled request's
+/// timer collected the due requests into a fresh `Vec`, they were
+/// 10 060, 2 540 and 10 287 (0.00899, 0.04184 and 0.00919); while TAQ
+/// kept a packet deque per flow and every FIFO link a buffer of its
+/// own, growing as new flows first buffered, 10 316, 2 544 and 10 543;
+/// while `TcpReceiver::insert_ooo` built a fresh merged `Vec` for every
+/// out-of-order segment, 24 320, 3 406 and 27 916 (0.02173, 0.05611
+/// and 0.02494). The ceiling sits above that residue and below what
+/// one new allocation per packet costs: a `Vec` in
 /// `TaqState::enqueue_forward` reads 0.0995 on the replay, where about
-/// one event in eleven is a bottleneck enqueue.
+/// one event in eleven is a bottleneck enqueue. A buffer released and
+/// regrown on every loss episode would show here too.
 const ALLOCS_PER_EVENT_CEILING: f64 = 0.08;
 
 /// Ceiling for the heap bytes the many-flow point holds per flow at the
 /// end of its run, everything the scenario built included (simulator,
-/// TAQ state, hosts, flow log). It holds 2 978: each bulk client keeps
-/// one connection slot with its receiver inline and no port map, its
-/// access links queue through the packet arena, and TAQ's flows share
-/// one packet pool. While every link carried a FIFO buffer and a
-/// wire-loss rate and stream, and TAQ a packet deque per flow, it held
-/// 3 368; while a client also grew a four-slot table, kept a port map
-/// and boxed its receiver, 3 892. This ceiling refuses both.
-const HELD_BYTES_PER_FLOW_CEILING: i64 = 3_000;
+/// TAQ state, hosts, flow log), 1 % above what it holds: 2 397. Each
+/// bulk client is two allocations, its 152 B host (its one request
+/// waited inline) and one 216 B connection slot with its receiver and
+/// the receiver's first two out-of-order ranges inline; its two access
+/// links are 144 B each with their FIFO inline; the server holds a
+/// 264 B sender per connection and TAQ's flows share one packet pool.
+/// While a client also kept a 96 B request queue and a 64 B range
+/// buffer, each access link boxed its FIFO, and hosts and TCP
+/// endpoints copied the TCP configuration and padded their optional
+/// fields, it held 2 978; while every link carried a FIFO buffer and a
+/// wire-loss rate and stream, and TAQ a packet deque per flow, 3 368;
+/// while a client also grew a four-slot table, kept a port map and
+/// boxed its receiver, 3 892. This ceiling refuses each of them.
+const HELD_BYTES_PER_FLOW_CEILING: i64 = 2_420;
 
 #[derive(Debug, Clone, Copy)]
 enum Scenario {
