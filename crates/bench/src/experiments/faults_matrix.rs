@@ -117,14 +117,8 @@ pub fn run(args: SweepArgs) {
         .collect();
 
     println!("# Robustness matrix — fault intensity x discipline");
-    println!(
-        "# {} flows at {} Kbps, {} s horizon, seeds {:?}, {} threads",
-        flows,
-        rate.bps() / 1_000,
-        duration.as_secs_f64(),
-        args.seeds,
-        args.threads
-    );
+    let (kbps, secs) = (rate.bps() / 1_000, duration.as_secs_f64());
+    println!("# {flows} flows at {kbps} Kbps, {secs} s horizon");
     println!("# intensity  discipline  jain_short  link_util  shutout  faults/run");
     for (&(intensity, d), c) in grid.iter().zip(&cells) {
         println!(

@@ -71,10 +71,7 @@ pub fn run(args: SweepArgs) {
     let requests: usize = runs.iter().map(|r| r.requests).sum();
     let unfinished: usize = runs.iter().map(|r| r.unfinished).sum();
     let pairs: Vec<(f64, f64)> = runs.into_iter().flat_map(|r| r.pairs).collect();
-    println!(
-        "# Figure 1 reproduction — {requests} requests across {} seed(s) (scale 1/{scale})",
-        args.seeds.len()
-    );
+    println!("# Figure 1 reproduction — {requests} requests (scale 1/{scale})");
     println!("# completed={} unfinished={unfinished}", pairs.len());
     println!("# size_lo_bytes  size_hi_bytes  count  p10_s  p90_s  min_s  max_s  mean_s  spread(p90/p10)");
     for b in log_bucket_summary(&pairs, 2, 5) {

@@ -83,11 +83,6 @@ pub fn run(args: SweepArgs) {
 
     println!("# Figure 3 reproduction — DropTail buffer vs short-term fairness");
     println!("# (window cap 20 segments, ns2 default; see module docs)");
-    println!(
-        "# mean of {} seed(s) per cell; {} worker thread(s)",
-        args.seeds.len(),
-        args.threads
-    );
     println!("# fair_share  flows  buffer_rtts  buffer_pkts  jain_short  max_queue_delay_s");
     for (cell, jain) in cells.iter().zip(jains) {
         let jain = jain.iter().sum::<f64>() / jain.len() as f64;

@@ -84,11 +84,6 @@ pub fn run(args: SweepArgs) {
     });
 
     println!("# §2.3 reproduction — user-perceived hangs (pool of 4 connections each)");
-    println!(
-        "# mean of {} seed(s) per cell; {} worker thread(s)",
-        args.seeds.len(),
-        args.threads
-    );
     println!("# users  discipline  frac_hang>20s  frac_hang>60s  users_seen");
     for (&(users, d), chunk) in cells.iter().zip(results) {
         let n = chunk.len() as f64;

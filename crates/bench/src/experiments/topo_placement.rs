@@ -82,11 +82,10 @@ fn parking_lot(args: &SweepArgs, duration: SimTime, slice: SimDuration) {
     let base = ParkingLotSpec::new(hops, rate);
     println!(
         "# TAQ placement — {hops}-hop parking lot, {} kbps per hop, \
-         {} main flows + {} cross flows per hop, {} seed(s)",
+         {} main flows + {} cross flows per hop",
         rate.bps() / 1_000,
         base.main_flows,
-        base.cross_flows_per_hop,
-        args.seeds.len()
+        base.cross_flows_per_hop
     );
     println!("# placement      hop  mean_jain  shutout_fraction");
     let placements: Vec<Option<usize>> = std::iter::once(None).chain((0..hops).map(Some)).collect();

@@ -84,7 +84,7 @@ fn run_demo(seed: u64, silence_ns: u64) -> String {
 }
 
 pub fn run(args: SweepArgs) {
-    let seed = args.num("--seed", args.seeds[0]);
+    let seed = args.seeds[0];
     let silence_ns = args.num("--silence-ms", 2_000) * 1_000_000;
     let window_ns = args.num("--window-ms", 5_000) * 1_000_000;
 

@@ -22,7 +22,7 @@
 use taq_metrics::{jain_index, EpochActivity};
 use taq_model::fluid::l1_distance;
 use taq_model::{ChainFamily, FluidModel, LossFeedback};
-use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, UnboundedFifo};
+use taq_sim::{Bandwidth, DumbbellConfig, MonitorId, Qdisc, SimDuration, SimTime, UnboundedFifo};
 use taq_tcp::TcpConfig;
 use taq_workloads::{DumbbellScenario, DumbbellSpec, BULK_BYTES};
 
@@ -92,15 +92,53 @@ pub struct WireObservation {
     pub flows: usize,
 }
 
+/// Runs `flows` capped bulk flows for `horizon_ms` through `qdisc` and
+/// `loss` on the bottleneck of the 200 ms dumbbell at `rate`, access
+/// links at least `access` fast. Panics if the server's access link was
+/// busy more than half the run: a second bottleneck besides the studied.
+fn fluid_run(
+    seed: u64,
+    rate: Bandwidth,
+    access: Bandwidth,
+    qdisc: Box<dyn Qdisc>,
+    loss: f64,
+    flows: usize,
+    horizon_ms: u64,
+) -> (DumbbellScenario, MonitorId) {
+    let mut topo = DumbbellConfig::with_rtt_200ms(rate);
+    topo.access_rate = topo.access_rate.max(access);
+    let mut sc = DumbbellSpec::new(topo).tcp(fluid_tcp()).build(seed, qdisc);
+    let bottleneck = sc.db.bottleneck;
+    sc.sim.set_link_loss(bottleneck, loss);
+    let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
+        bottleneck,
+        SimDuration::from_millis(FLUID_EPOCH_MS),
+        FLUID_WMAX,
+    )));
+    sc.add_bulk_clients(
+        flows,
+        BULK_BYTES,
+        SimDuration::from_millis(FLUID_STAGGER_MS),
+    );
+    sc.run_until(SimTime::from_millis(horizon_ms));
+    let server_link = sc.sim.link_stats(sc.server_link);
+    let busy = server_link.utilization(SimDuration::from_millis(horizon_ms));
+    assert!(
+        busy <= 0.5,
+        "{flows} flows kept the server's access link {busy:.2} busy: a second bottleneck"
+    );
+    (sc, activity)
+}
+
 /// Extracts the fluid-comparable observables from a finished scenario.
 fn observe(
     sc: &mut DumbbellScenario,
-    activity: taq_sim::MonitorId,
-    horizon: SimTime,
+    activity: MonitorId,
     horizon_ms: u64,
     flows: usize,
     realized_p: f64,
 ) -> WireObservation {
+    let horizon = SimTime::from_millis(horizon_ms);
     let monitor = sc
         .sim
         .monitor_mut::<EpochActivity>(activity)
@@ -125,7 +163,8 @@ fn observe(
 
 /// Runs `flows` capped flows over an uncontended Bernoulli-loss
 /// bottleneck for `horizon_ms` and extracts the fluid-comparable
-/// observables.
+/// observables; panics if the server's access link was more than half
+/// busy.
 ///
 /// # Errors
 ///
@@ -141,25 +180,12 @@ pub fn bernoulli_wire_run(
     // worst-case demand is Wmax packets per flow per epoch
     // (≈ 120 kbps/flow at 500 B), provisioned 3× over.
     let rate = Bandwidth::from_kbps((400 * flows as u64).max(10_000));
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellSpec::new(topo)
-        .tcp(fluid_tcp())
-        .build(seed, Box::new(UnboundedFifo::new()));
-    let bottleneck = sc.db.bottleneck;
-    sc.sim.set_link_loss(bottleneck, p);
-    let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
-        bottleneck,
-        SimDuration::from_millis(FLUID_EPOCH_MS),
-        FLUID_WMAX,
-    )));
-    sc.add_bulk_clients(
-        flows,
-        BULK_BYTES,
-        SimDuration::from_millis(FLUID_STAGGER_MS),
-    );
-    let horizon = SimTime::from_millis(horizon_ms);
-    sc.run_until(horizon);
-    let stats = sc.sim.link_stats(bottleneck);
+    // The server's access link carries that demand at 192 kbps a flow
+    // (1.6× the worst case): the 100 Mbps floor through 520 flows.
+    let access = Bandwidth::from_kbps(192 * flows as u64);
+    let fifo = Box::new(UnboundedFifo::new());
+    let (mut sc, activity) = fluid_run(seed, rate, access, fifo, p, flows, horizon_ms);
+    let stats = sc.sim.link_stats(sc.db.bottleneck);
     let offered = stats.wire_lost_pkts + stats.transmitted_pkts;
     if offered == 0 {
         return Err(format!(
@@ -167,14 +193,13 @@ pub fn bernoulli_wire_run(
         ));
     }
     let realized_p = stats.wire_lost_pkts as f64 / offered as f64;
-    Ok(observe(
-        &mut sc, activity, horizon, horizon_ms, flows, realized_p,
-    ))
+    Ok(observe(&mut sc, activity, horizon_ms, flows, realized_p))
 }
 
 /// Runs `flows` capped flows into a shared drop-tail bottleneck
 /// provisioned at `share_pps` packets per second per flow (one RTT of
-/// buffering) — the scenario [`LossFeedback::DropTail`] models.
+/// buffering) — the scenario [`LossFeedback::DropTail`] models; panics
+/// if the server's access link was more than half busy.
 ///
 /// # Errors
 ///
@@ -186,37 +211,22 @@ pub fn droptail_coupled_run(
     horizon_ms: u64,
 ) -> Result<WireObservation, String> {
     let (rate, buffer) = coupled_provisioning(flows, share_pps);
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
+    // The server offers the saturated bottleneck its rate plus its drops:
+    // thrice that rate is a third busy (the floor to 1 041 flows at 8 pps).
+    let access = Bandwidth::from_bps(3 * rate.bps());
     let qdisc = taq_workloads::QdiscSpec::DropTail {
         buffer_pkts: buffer,
     }
     .build(rate, seed);
-    let mut sc = DumbbellSpec::new(topo)
-        .tcp(fluid_tcp())
-        .build(seed, qdisc.forward);
-    let bottleneck = sc.db.bottleneck;
-    let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
-        bottleneck,
-        SimDuration::from_millis(FLUID_EPOCH_MS),
-        FLUID_WMAX,
-    )));
-    sc.add_bulk_clients(
-        flows,
-        BULK_BYTES,
-        SimDuration::from_millis(FLUID_STAGGER_MS),
-    );
-    let horizon = SimTime::from_millis(horizon_ms);
-    sc.run_until(horizon);
-    let stats = sc.sim.link_stats(bottleneck);
+    let (mut sc, activity) = fluid_run(seed, rate, access, qdisc.forward, 0.0, flows, horizon_ms);
+    let stats = sc.sim.link_stats(sc.db.bottleneck);
     if stats.transmitted_pkts == 0 {
         return Err(format!(
             "no traffic transmitted (seed {seed}, {flows} flows, share {share_pps} pps)"
         ));
     }
     let realized_p = stats.drop_rate();
-    Ok(observe(
-        &mut sc, activity, horizon, horizon_ms, flows, realized_p,
-    ))
+    Ok(observe(&mut sc, activity, horizon_ms, flows, realized_p))
 }
 
 /// Bottleneck bandwidth and buffer for the coupled scenario: 500 B

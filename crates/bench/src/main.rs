@@ -9,12 +9,17 @@
 //! a malformed value or a flag the experiment would ignore exits 2 with
 //! the experiment's usage line before anything runs; so does an unknown
 //! experiment, listing all of them.
+//!
+//! Every run first prints a manifest line, `# taq-bench <name> <args> ·
+//! seeds <list>` (`--threads N` left out: no result depends on it), and
+//! then results alone, so two runs of one command print the same bytes.
 
 use taq_bench::SweepArgs;
 
-/// One experiment: its name, its base seed (the seed it runs, and where
-/// `--runs N` counts up from), the flags it reads, and its entry point.
-type Experiment = (&'static str, u64, &'static [&'static str], fn(SweepArgs));
+/// One experiment: its name, its default seeds (`--runs N` counts up
+/// from the first), the flags it reads, and its entry point.
+type Experiment = (&'static str, Seeds, &'static [&'static str], fn(SweepArgs));
+type Seeds = std::ops::RangeInclusive<u64>;
 
 mod experiments {
     pub mod ablation_taq;
@@ -36,36 +41,36 @@ mod experiments {
     pub mod trace_report;
 }
 
-/// [`EXPERIMENTS`] from rows of `name: base seed, flags;`, each
+/// [`EXPERIMENTS`] from rows of `name: default seeds, flags;`, each
 /// experiment's entry point the `run` of its module.
 macro_rules! experiments {
-    ($($name:ident: $seed:expr, $flags:expr;)*) => {
+    ($($name:ident: $seeds:expr, $flags:expr;)*) => {
         /// Every experiment, in the order the usage listing prints them.
         const EXPERIMENTS: &[Experiment] =
-            &[$((stringify!($name), $seed, $flags, experiments::$name::run),)*];
+            &[$((stringify!($name), $seeds, $flags, experiments::$name::run),)*];
     };
 }
 
 experiments! {
-    fig01_download_times:    42, SweepArgs::SWEEP;
-    fig02_fairness_droptail: 42, &["--threads N", "--full", "--smoke", "[discipline]"];
-    fig03_buffer_tradeoff:   42, SweepArgs::SWEEP;
-    fig06_model_validation:  42, SweepArgs::SCALE;
-    fig08_fairness_taq:      42, &["--threads N", "--full", "--smoke"];
-    fig09_flow_evolution:     7, &["--full", "--smoke", "--extreme"];
-    fig10_short_flows:       42, &["--full", "--smoke", "[discipline]"];
-    fig11_testbed_fairness:  42, SweepArgs::SCALE;
-    fig12_admission_cdf:     42, SweepArgs::SCALE;
-    sec23_user_hangs:        42, SweepArgs::SWEEP;
-    ablation_taq:            42, SweepArgs::SCALE;
-    topo_placement:          42, SweepArgs::SWEEP;
-    faults_matrix:            7, SweepArgs::SWEEP;
-    model_tipping_point:      0, &["--threads N"];
-    fluid_validation:        11, &[
+    fig01_download_times:    42..=42, SweepArgs::SWEEP;
+    fig02_fairness_droptail: 42..=42, &["--threads N", "--full", "--smoke", "[discipline]"];
+    fig03_buffer_tradeoff:   42..=42, SweepArgs::SWEEP;
+    fig06_model_validation:  42..=42, SweepArgs::SCALE;
+    fig08_fairness_taq:      42..=42, &["--threads N", "--full", "--smoke"];
+    fig09_flow_evolution:     7..=7, &["--full", "--smoke", "--extreme"];
+    fig10_short_flows:       42..=42, &["--full", "--smoke", "[discipline]"];
+    fig11_testbed_fairness:  42..=42, SweepArgs::SCALE;
+    fig12_admission_cdf:     42..=42, SweepArgs::SCALE;
+    sec23_user_hangs:        42..=42, SweepArgs::SWEEP;
+    ablation_taq:            42..=42, SweepArgs::SCALE;
+    topo_placement:          42..=42, SweepArgs::SWEEP;
+    faults_matrix:            7..=7, SweepArgs::SWEEP;
+    model_tipping_point:      0..=0, &["--threads N"];
+    fluid_validation:        11..=16, &[
         "--seeds a,b,c", "--runs N", "--threads N", "--full", "--smoke", "--out PATH",
     ];
-    telemetry_report:        42, &["--full", "--smoke", "--jsonl DIR"];
-    trace_report:            42, &[
+    telemetry_report:        42..=42, &["--full", "--smoke", "--jsonl DIR"];
+    trace_report:            42..=42, &[
         "--input PATH", "--out PATH", "--seed N", "--silence-ms N", "--window-ms N",
     ];
 }
@@ -86,11 +91,23 @@ fn main() {
         }
         std::process::exit(2);
     };
-    let &(_, seed, flags, run) = experiment;
-    run(
-        SweepArgs::from_args(seed, &args[1..], flags).unwrap_or_else(|e| {
-            eprintln!("taq-bench {name}: {e}\nusage: {}", usage(experiment));
-            std::process::exit(2)
-        }),
-    );
+    let (_, seeds, flags, run) = experiment;
+    let parsed = SweepArgs::from_args(seeds.clone(), &args[1..], flags).unwrap_or_else(|e| {
+        eprintln!("taq-bench {name}: {e}\nusage: {}", usage(experiment));
+        std::process::exit(2)
+    });
+    println!("{}", manifest(&args, &parsed.seeds));
+    run(parsed);
+}
+
+/// The manifest line: `args` as given but `--threads N`, and `seeds`.
+fn manifest(args: &[String], seeds: &[u64]) -> String {
+    let previous = std::iter::once("").chain(args.iter().map(String::as_str));
+    let shown: Vec<&str> = (args.iter().map(String::as_str).zip(previous))
+        .filter(|&(arg, previous)| arg != "--threads" && previous != "--threads")
+        .map(|(arg, _)| arg)
+        .collect();
+    let seeds: Vec<String> = seeds.iter().map(u64::to_string).collect();
+    let (shown, seeds) = (shown.join(" "), seeds.join(","));
+    format!("# taq-bench {shown} · seeds {seeds}")
 }

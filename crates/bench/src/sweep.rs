@@ -16,6 +16,7 @@
 
 use crate::Discipline;
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use taq_sim::SimTime;
@@ -113,7 +114,7 @@ pub fn default_threads() -> usize {
 /// them: `--name` for a switch, `--name VALUE` for a flag with a value
 /// (an `N` value must be a non-negative integer), `[discipline]` for a
 /// positional discipline name. The shared flags are [`SweepArgs::SWEEP`]:
-/// an explicit seed list, `N` seeds counting up from the base seed, the
+/// an explicit seed list, `N` seeds counting up from the first default, the
 /// worker threads (default: all cores), paper-scale and CI-smoke scale.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepArgs {
@@ -147,15 +148,17 @@ impl SweepArgs {
     /// Parses `args` against `flags`, the experiment's full flag list. An
     /// argument not in the list — a typo such as `--ful`, or a shared
     /// flag the experiment would ignore — is an error, as is a missing or
-    /// malformed value. `base_seed` seeds the `--runs N` expansion and is
-    /// the one seed when neither `--seeds` nor `--runs` is given.
+    /// malformed value. `default_seeds` are the seeds when neither
+    /// `--seeds`, `--runs` nor `--seed` is given; `--runs N` counts up
+    /// from their first, and `--seed N` runs `N` alone.
     pub fn from_args(
-        base_seed: u64,
+        default_seeds: RangeInclusive<u64>,
         args: &[String],
         flags: &[&'static str],
     ) -> Result<Self, String> {
+        let base_seed = *default_seeds.start();
         let mut out = SweepArgs {
-            seeds: vec![base_seed],
+            seeds: default_seeds.collect(),
             threads: default_threads(),
             full: false,
             smoke: false,
@@ -191,6 +194,7 @@ impl SweepArgs {
                 }
                 ("--runs", Some(n)) => out.seeds = (0..n).map(|k| base_seed + k).collect(),
                 ("--threads", Some(n)) => out.threads = n as usize,
+                ("--seed", Some(n)) => out.seeds = vec![n],
                 ("--seeds", _) => {
                     out.seeds = value
                         .split(',')
@@ -314,10 +318,11 @@ mod tests {
         assert!(result.is_err(), "panic must propagate to the caller");
     }
 
-    /// Parses a whitespace-separated command line against `flags`.
+    /// Parses a whitespace-separated command line against `flags`, with
+    /// `base_seed` the one default seed.
     fn parse(base_seed: u64, line: &str, flags: &[&'static str]) -> Result<SweepArgs, String> {
         SweepArgs::from_args(
-            base_seed,
+            base_seed..=base_seed,
             &args(&line.split_whitespace().collect::<Vec<_>>()),
             flags,
         )
@@ -348,6 +353,11 @@ mod tests {
     fn defaults_and_unknown_flags() {
         let a = parse(42, "", SWEEP).unwrap();
         assert_eq!(a.seeds, vec![42]);
+        // A default seed list is the seeds; --runs counts from its first.
+        let six = SweepArgs::from_args(11..=16, &[], SWEEP).unwrap();
+        assert_eq!(six.seeds, (11..=16).collect::<Vec<_>>());
+        let two = SweepArgs::from_args(11..=16, &args(&["--runs", "2"]), SWEEP).unwrap();
+        assert_eq!(two.seeds, vec![11, 12]);
         assert!(a.threads >= 1);
         assert_eq!(a.duration(1, 60, 600), SimTime::from_secs(60));
         let full = parse(42, "--full", SWEEP).unwrap();
@@ -377,7 +387,7 @@ mod tests {
         ];
         let a = parse(11, "--out x.json --smoke --extreme --seed 9 red", flags).unwrap();
         assert!(a.smoke && !a.full);
-        assert_eq!(a.seeds, vec![11]);
+        assert_eq!(a.seeds, vec![9]);
         assert_eq!(a.value("--out"), Some("x.json"));
         assert!(a.has("--extreme"));
         assert_eq!(a.num("--seed", 42), 9);

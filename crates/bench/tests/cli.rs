@@ -56,14 +56,18 @@ fn an_unknown_experiment_exits_2_and_lists_all_of_them() {
     assert_eq!(removed.status.code(), Some(2), "a deleted experiment");
 }
 
-/// Pure math: the whole experiment runs in milliseconds.
+/// Pure math: the whole experiment runs in milliseconds. Its stdout
+/// opens with the manifest line, which leaves out the thread count.
 #[test]
 fn model_tipping_point_runs_under_its_one_flag() {
     let out = taq_bench(&["model_tipping_point", "--threads", "2"]);
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.starts_with("# Model analysis — TAQ (EuroSys 2014) §3\n"),
+        stdout.starts_with(
+            "# taq-bench model_tipping_point · seeds 0\n\
+             # Model analysis — TAQ (EuroSys 2014) §3\n"
+        ),
         "{stdout}"
     );
 }

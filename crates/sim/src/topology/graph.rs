@@ -153,9 +153,10 @@ impl Topology {
         Some(hops)
     }
 
-    /// Attaches a host to router `r` with the default access delay.
-    pub fn attach_host(&self, sim: &mut Simulator, host: NodeId, r: usize) {
-        self.attach_host_with_delay(sim, host, r, self.config.access_delay);
+    /// Attaches a host to router `r` with the default access delay, and
+    /// returns its up (host→router) link.
+    pub fn attach_host(&self, sim: &mut Simulator, host: NodeId, r: usize) -> LinkId {
+        self.attach_host_with_delay(sim, host, r, self.config.access_delay)
     }
 
     /// Attaches a host to router `r` with a custom access delay
@@ -163,14 +164,15 @@ impl Topology {
     ///
     /// Creates the up (host→router) and down (router→host) access
     /// links, points the host's default route up, and installs a route
-    /// toward the host on every router that can reach `r`.
+    /// toward the host on every router that can reach `r`. Returns the
+    /// up link.
     pub fn attach_host_with_delay(
         &self,
         sim: &mut Simulator,
         host: NodeId,
         r: usize,
         delay: SimDuration,
-    ) {
+    ) -> LinkId {
         let up = sim.add_link(
             host,
             self.routers[r],
@@ -195,6 +197,7 @@ impl Topology {
                 sim.add_route(self.routers[u], host, self.links[l]);
             }
         }
+        up
     }
 }
 

@@ -537,9 +537,10 @@ impl ClientHost {
     }
 
     /// Pushes records for unfinished transfers into the log (call once,
-    /// after the run, via `Simulator::agent_mut`).
+    /// after the run, via `Simulator::agent_mut`). An idle keep-alive
+    /// connection's last object is finished and already logged.
     pub fn flush_incomplete(&mut self) {
-        for conn in self.conns.iter().flatten() {
+        for conn in self.conns.iter().flatten().filter(|c| !c.completed) {
             append(&self.log, conn.record(self.node));
         }
     }
@@ -1194,6 +1195,28 @@ mod tests {
                 (2, first + 1, 35_000, true),
                 (3, 1, 9_000, true)
             ]
+        );
+    }
+
+    /// A keep-alive connection left idle at the end of a run has logged
+    /// its last object when it finished: the flush adds nothing.
+    #[test]
+    fn flushing_an_idle_pipelined_connection_logs_nothing_twice() {
+        let log = new_flow_log();
+        let mut c = client(1, &log).with_pipelining();
+        for tag in [1, 2] {
+            c.push_request(Request { tag, bytes: 8_000 });
+        }
+        let mut pair = Pair::new(c);
+        pair.run(SimTime::from_secs(60), |_| Fate::Deliver);
+        pair.client.flush_incomplete();
+        let records = log.lock().unwrap().records.clone();
+        assert_eq!(
+            records
+                .iter()
+                .map(|r| (r.tag, r.completed_at.is_some()))
+                .collect::<Vec<_>>(),
+            [(1, true), (2, true)]
         );
     }
 

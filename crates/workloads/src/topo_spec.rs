@@ -299,7 +299,7 @@ impl TopologySpec {
         };
         let topo = Topology::build(&mut sim, config, qdiscs);
         let server = sim.add_agent(Box::new(ServerHost::new(self.tcp.clone(), 80)));
-        topo.attach_host(&mut sim, server, self.server_router);
+        let server_link = topo.attach_host(&mut sim, server, self.server_router);
         for (i, p) in self.pipes.iter().enumerate() {
             if let Some(stats) = &pipe_faults[i] {
                 if let Some(driver) = FaultDriver::from_plan(
@@ -322,6 +322,7 @@ impl TopologySpec {
             sim,
             topo,
             server,
+            server_link,
             log: new_flow_log(),
             clients: Vec::new(),
             taq_states,
@@ -370,6 +371,9 @@ pub struct TopoScenario {
     pub topo: Topology,
     /// The primary server (attached at the spec's `server_router`).
     pub server: NodeId,
+    /// The primary server's access link toward its router: every
+    /// byte the server sends crosses it.
+    pub server_link: LinkId,
     /// Completion records for every requested object.
     pub log: SharedFlowLog,
     /// Client hosts in creation order.
@@ -539,7 +543,7 @@ impl TopoScenario {
                 .topo
                 .attach_host_with_delay(&mut self.sim, node, router, d),
             None => self.topo.attach_host(&mut self.sim, node, router),
-        }
+        };
         self.sim.schedule_start(node, start);
         self.clients.push(node);
         node

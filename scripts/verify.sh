@@ -2,16 +2,17 @@
 # The local gate, tiered so CI and pre-push hooks can pick their depth.
 #
 #   VERIFY_TIER=quick   fast correctness gate (< 5 min): build, tests,
-#                       clippy, fmt, rustdoc with warnings denied, and a
-#                       type-check of the repo benchmark. The default.
+#                       clippy, fmt, rustdoc with warnings denied, a
+#                       type-check of the repo benchmark, and every
+#                       experiment that takes --smoke diffed against its
+#                       golden stdout. The default.
 #   VERIFY_TIER=full    quick + release smoke runs of the repo
 #                       benchmark, of the sweep, fault-matrix, trace and
-#                       fluid-validation experiments, of every experiment
-#                       that takes --smoke, of every example and of the
-#                       testbed, the execution-conformance oracles in
-#                       the debug and the release profile, plus the
-#                       repo benchmark at full size on HEAD~1 and on
-#                       the working tree, compared.
+#                       fluid-validation experiments, of every example
+#                       and of the testbed, the execution-conformance
+#                       oracles in the debug and the release profile,
+#                       plus the repo benchmark at full size on HEAD~1
+#                       and on the working tree, compared.
 #   VERIFY_OFFLINE=0    drop the --offline flags (e.g. on a CI runner
 #                       with a warm crates.io mirror). Default is 1:
 #                       fully offline, no network access needed.
@@ -88,24 +89,77 @@ sweep_smoke() {
     run cargo run $OFFLINE --release -p taq-bench -- topo_placement --smoke --seeds 1,2 --threads 2
 }
 
-# Experiment smoke: every `taq-bench` experiment whose usage line lists
-# --smoke, run at that scale. The list is read from the binary's own
-# usage output (run with no experiment, it exits 2 and prints every
-# usage line), so it cannot drift from the dispatch table. Each runs in
-# results/experiment_smoke/, where its stdout is kept as <name>.txt and
-# any file it writes by default (fluid_validation's report) lands.
-experiment_smoke() {
+# The release `taq-bench` binary, built, as an absolute path in $bin.
+taq_bench_bin() {
     run cargo build $OFFLINE --release -p taq-bench
     bin="${CARGO_TARGET_DIR:-target}/release/taq-bench"
     case "$bin" in /*) ;; *) bin="$PWD/$bin" ;; esac
+}
+
+# Experiment smoke: every `taq-bench` experiment whose usage line lists
+# --smoke, run at that scale, its stdout compared byte for byte with
+# tests/golden/smoke/<name>.txt. The list is read from the binary's own
+# usage output (run with no experiment, it exits 2 and prints every
+# usage line), so it cannot drift from the dispatch table. Each runs in
+# target/tmp/smoke/ (under CARGO_TARGET_DIR when that is set, like
+# cargo's own test scratch files), where its stdout is written as
+# <name>.txt and any file it writes by default (fluid_validation's
+# report) lands. A mismatch keeps the fresh file there and names the golden file and the
+# first line that differs; an experiment without a golden file fails
+# the leg. The one exception is fig11_testbed_fairness: it runs on the
+# wall clock, so no two runs print the same numbers, until the testbed
+# gets a virtual clock (ROADMAP item 12). To update a golden file, copy
+# the fresh file over it, for an intended change only, and say why in
+# CHANGES.md; there is no update flag.
+experiment_smoke() {
+    taq_bench_bin
     names=$("$bin" 2>&1 | awk '$1 == "taq-bench" && /\[--smoke\]/ { print $2 }')
     if [ -z "$names" ]; then
         echo "experiment_smoke: no experiment lists --smoke" >&2
         return 1
     fi
-    mkdir -p results/experiment_smoke
+    fresh="${CARGO_TARGET_DIR:-target}/tmp/smoke"
+    rm -rf "$fresh"
+    mkdir -p "$fresh"
+    failed=""
     for name in $names; do
-        (cd results/experiment_smoke && run "$bin" "$name" --smoke >"$name.txt")
+        (cd "$fresh" && run "$bin" "$name" --smoke >"$name.txt")
+        golden="tests/golden/smoke/$name.txt"
+        if [ "$name" = fig11_testbed_fairness ]; then
+            continue
+        elif [ ! -f "$golden" ]; then
+            echo "experiment_smoke: $name has no golden file $golden" >&2
+            failed="$failed $name"
+        elif ! cmp -s "$golden" "$fresh/$name.txt"; then
+            line=$(cmp "$golden" "$fresh/$name.txt" 2>&1 | sed -n 's/.*line \([0-9]*\).*/\1/p')
+            echo "experiment_smoke: $fresh/$name.txt differs from $golden at line $line" >&2
+            echo "  fresh:  $(sed -n "${line}p" "$fresh/$name.txt")" >&2
+            echo "  golden: $(sed -n "${line}p" "$golden")" >&2
+            failed="$failed $name"
+        fi
+    done
+    if [ -n "$failed" ]; then
+        echo "experiment_smoke: failed:$failed" >&2
+        return 1
+    fi
+}
+
+# Results: regenerates every committed results/<name>.txt from the
+# experiment of that name at its default arguments. A file holds the
+# commit it was made at (git describe --always, with -dirty when a
+# tracked file outside results/ differs from it, so a second run over
+# its own output writes the same line), then the binary's stdout, which
+# opens with the manifest line (the arguments and the seeds); build
+# output goes to the terminal, not into a figure. About 15 s in release
+# for the simulated figures, plus fig11_testbed_fairness's 48 s of wall
+# clock.
+results() {
+    taq_bench_bin
+    commit=$(git describe --always)
+    git diff --quiet HEAD -- . ':(exclude)results' || commit="$commit-dirty"
+    for file in $(git ls-files 'results/*.txt'); do
+        name=$(basename "$file" .txt)
+        { echo "# commit $commit" && run "$bin" "$name"; } >"$file"
     done
 }
 
@@ -273,6 +327,7 @@ quick() {
     build_release
     test_suite
     benchmark_check
+    experiment_smoke
 }
 
 full() {
@@ -280,7 +335,6 @@ full() {
     benchmark_smoke
     sweep_smoke
     fault_smoke
-    experiment_smoke
     examples_smoke
     trace_smoke
     testbed_smoke

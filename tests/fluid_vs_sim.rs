@@ -217,3 +217,23 @@ fn committed_artifact_shows_convergence_and_fast_solves() {
         "simulated tipping {sim:.4} near fluid {exact:.4}"
     );
 }
+
+/// Past the flow count where 100 Mbps of server access link would queue
+/// (about 830 flows on the wire), the access link scales with the
+/// population. At 2 048 flows a wire run then keeps to the fluid model
+/// as the ladder's points do; on a fixed 100 Mbps link it was 0.83 busy,
+/// its timeout fraction read 0.37 where the model says about 0.12, and
+/// its L1 read 0.51. Both runs also check the link stayed at most half
+/// busy.
+#[test]
+fn a_2048_flow_run_meets_no_second_bottleneck() {
+    let obs = bernoulli_wire_run(11, 0.05, 2_048, FLUID_LADDER_MS).expect("wire run moved traffic");
+    let cmp = compare_to_fluid(&obs);
+    assert!(
+        cmp.timeout_err < 0.1 && cmp.l1 < 0.3,
+        "2 048 wire flows: timeout error {:.3}, L1 {:.3}",
+        cmp.timeout_err,
+        cmp.l1
+    );
+    droptail_coupled_run(11, 2_048, 8.0, FLUID_LADDER_MS).expect("coupled run moved traffic");
+}

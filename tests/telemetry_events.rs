@@ -3,6 +3,10 @@
 //! trace, and the agreement between the `telemetry_report` summary
 //! aggregates and the raw event stream.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use taq::{FlowState, FlowTable, TaqConfig};
 use taq_bench::{telemetry_report, TelemetryReportConfig};
 use taq_sim::{Bandwidth, FlowKey, NodeId, PacketBuilder, SimTime};
@@ -259,26 +263,11 @@ fn telemetry_jsonl_matches_golden() {
         jsonl.push_str(&line);
         jsonl.push('\n');
     }
-    if jsonl == GOLDEN_TAQ_SEED42 {
-        return;
-    }
-    let fresh =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry_taq_seed42.jsonl");
-    std::fs::write(&fresh, &jsonl).expect("write the fresh trace");
-    let (mut got, mut want) = (jsonl.lines(), GOLDEN_TAQ_SEED42.lines());
-    let mut line = 1;
-    loop {
-        match (got.next(), want.next()) {
-            (Some(a), Some(b)) if a == b => line += 1,
-            (a, b) => panic!(
-                "the seed-42 TAQ trace differs from tests/golden/telemetry_taq_seed42.jsonl at line {line}\n  \
-                 fresh:  {}\n  golden: {}\nfresh trace: {}",
-                a.unwrap_or("<end of trace>"),
-                b.unwrap_or("<end of file>"),
-                fresh.display()
-            ),
-        }
-    }
+    assert_golden(
+        "tests/golden/telemetry_taq_seed42.jsonl",
+        GOLDEN_TAQ_SEED42,
+        &jsonl,
+    );
 }
 
 /// Every value of the four vocabularies renders to the name the JSONL

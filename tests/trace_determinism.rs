@@ -17,6 +17,10 @@
 //! under cargo's `CARGO_TARGET_TMPDIR` and names it: copy that file
 //! over the golden one and say why in CHANGES.md.
 
+#[path = "common/golden.rs"]
+mod golden;
+
+use golden::assert_golden;
 use taq_bench::{sweep_seeds, Discipline};
 use taq_faults::{FaultPlan, GilbertElliott};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, TelemetryBridge};
@@ -125,7 +129,11 @@ fn span_dump_is_byte_identical_across_threads() {
     // Distinct seeds genuinely differ — the comparisons below are not
     // between trivially identical dumps.
     assert_ne!(reference[0], reference[1]);
-    assert_matches_golden(&reference[0]);
+    assert_golden(
+        "tests/golden/trace_seed3.jsonl",
+        GOLDEN_SEED3,
+        &reference[0],
+    );
 
     for threads in [1usize, 2, 4] {
         let dumps = sweep_seeds(&seeds, threads, |seed| run_traced(seed, true).dump);
@@ -134,31 +142,6 @@ fn span_dump_is_byte_identical_across_threads() {
                 dump, expected,
                 "seed {seed} threads {threads}: span dump diverged"
             );
-        }
-    }
-}
-
-/// Byte-compares seed 3's dump with the golden file; on a mismatch,
-/// writes the fresh dump out and fails naming it and the first line
-/// that differs.
-fn assert_matches_golden(dump: &str) {
-    if dump == GOLDEN_SEED3 {
-        return;
-    }
-    let fresh = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace_seed3.jsonl");
-    std::fs::write(&fresh, dump).expect("write the fresh dump");
-    let (mut got, mut want) = (dump.lines(), GOLDEN_SEED3.lines());
-    let mut line = 1;
-    loop {
-        match (got.next(), want.next()) {
-            (Some(a), Some(b)) if a == b => line += 1,
-            (a, b) => panic!(
-                "seed 3's trace dump differs from tests/golden/trace_seed3.jsonl at line {line}\n  \
-                 fresh:  {}\n  golden: {}\nfresh dump: {}",
-                a.unwrap_or("<end of dump>"),
-                b.unwrap_or("<end of file>"),
-                fresh.display()
-            ),
         }
     }
 }
