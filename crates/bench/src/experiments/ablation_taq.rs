@@ -42,11 +42,11 @@ pub fn run(args: SweepArgs) {
     let cfg = FairnessRunConfig::new(args.seeds[0], Bandwidth::from_kbps(600), 60, duration);
 
     println!("# TAQ ablations — 60 flows over 600 Kbps, 20 s-slice fairness");
-    println!("# variant                      jain20  stalled_frac");
+    println!("# variant                      jain20  stalled_frac   util");
     let row = |name: &str, r: FairnessRunResult| {
         println!(
-            "{name:<30} {:>6.3} {:>13.3}",
-            r.short_term_jain, r.stalled_fraction
+            "{name:<30} {:>6.3} {:>13.3} {:>6.3}",
+            r.short_term_jain, r.stalled_fraction, r.utilization
         );
     };
 

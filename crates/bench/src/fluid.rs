@@ -1,6 +1,7 @@
 //! Shared harness for validating the mean-field fluid model against
-//! simulation (the `fluid_validation` binary and `tests/fluid_vs_sim`
-//! both drive it).
+//! simulation (the `fluid_validation` experiment and `tests/fluid_vs_sim`
+//! drive it; `fig06_model_validation` runs its capped flows through
+//! [`fluid_run`]).
 //!
 //! Two scenarios, matching the model's two feedback modes:
 //!
@@ -94,9 +95,8 @@ pub struct WireObservation {
 
 /// Runs `flows` capped bulk flows for `horizon_ms` through `qdisc` and
 /// `loss` on the bottleneck of the 200 ms dumbbell at `rate`, access
-/// links at least `access` fast. Panics if the server's access link was
-/// busy more than half the run: a second bottleneck besides the studied.
-fn fluid_run(
+/// links at least `access` fast, sampled at the validation's epoch.
+fn validation_run(
     seed: u64,
     rate: Bandwidth,
     access: Bandwidth,
@@ -110,16 +110,29 @@ fn fluid_run(
     let mut sc = DumbbellSpec::new(topo).tcp(fluid_tcp()).build(seed, qdisc);
     let bottleneck = sc.db.bottleneck;
     sc.sim.set_link_loss(bottleneck, loss);
-    let activity = sc.sim.add_monitor(Box::new(EpochActivity::new(
-        bottleneck,
-        SimDuration::from_millis(FLUID_EPOCH_MS),
-        FLUID_WMAX,
-    )));
-    sc.add_bulk_clients(
-        flows,
-        BULK_BYTES,
-        SimDuration::from_millis(FLUID_STAGGER_MS),
-    );
+    let epoch = SimDuration::from_millis(FLUID_EPOCH_MS);
+    let stagger = SimDuration::from_millis(FLUID_STAGGER_MS);
+    let activity = fluid_run(&mut sc, flows, epoch, stagger, horizon_ms);
+    (sc, activity)
+}
+
+/// Adds `flows` bulk clients to `sc`, started over `stagger`, samples
+/// each one's packets per `epoch` on the bottleneck (up to
+/// [`FLUID_WMAX`]) and runs to `horizon_ms`; returns the
+/// `EpochActivity` monitor. Panics if the server's access link was busy
+/// more than half the run: a second bottleneck besides the studied.
+pub fn fluid_run(
+    sc: &mut DumbbellScenario,
+    flows: usize,
+    epoch: SimDuration,
+    stagger: SimDuration,
+    horizon_ms: u64,
+) -> MonitorId {
+    let bottleneck = sc.db.bottleneck;
+    let activity = sc
+        .sim
+        .add_monitor(Box::new(EpochActivity::new(bottleneck, epoch, FLUID_WMAX)));
+    sc.add_bulk_clients(flows, BULK_BYTES, stagger);
     sc.run_until(SimTime::from_millis(horizon_ms));
     let server_link = sc.sim.link_stats(sc.server_link);
     let busy = server_link.utilization(SimDuration::from_millis(horizon_ms));
@@ -127,7 +140,7 @@ fn fluid_run(
         busy <= 0.5,
         "{flows} flows kept the server's access link {busy:.2} busy: a second bottleneck"
     );
-    (sc, activity)
+    activity
 }
 
 /// Extracts the fluid-comparable observables from a finished scenario.
@@ -184,7 +197,7 @@ pub fn bernoulli_wire_run(
     // (1.6× the worst case): the 100 Mbps floor through 520 flows.
     let access = Bandwidth::from_kbps(192 * flows as u64);
     let fifo = Box::new(UnboundedFifo::new());
-    let (mut sc, activity) = fluid_run(seed, rate, access, fifo, p, flows, horizon_ms);
+    let (mut sc, activity) = validation_run(seed, rate, access, fifo, p, flows, horizon_ms);
     let stats = sc.sim.link_stats(sc.db.bottleneck);
     let offered = stats.wire_lost_pkts + stats.transmitted_pkts;
     if offered == 0 {
@@ -218,7 +231,8 @@ pub fn droptail_coupled_run(
         buffer_pkts: buffer,
     }
     .build(rate, seed);
-    let (mut sc, activity) = fluid_run(seed, rate, access, qdisc.forward, 0.0, flows, horizon_ms);
+    let (mut sc, activity) =
+        validation_run(seed, rate, access, qdisc.forward, 0.0, flows, horizon_ms);
     let stats = sc.sim.link_stats(sc.db.bottleneck);
     if stats.transmitted_pkts == 0 {
         return Err(format!(

@@ -38,8 +38,9 @@ mod sweep;
 
 pub use fluid::{
     bernoulli_wire_run, compare_to_coupled_fluid, compare_to_fluid, coupled_fluid_model,
-    droptail_coupled_run, fluid_family, fluid_horizon_epochs, FluidComparison, WireObservation,
-    FLUID_EPOCH_MS, FLUID_LADDER_MS, FLUID_MAX_BACKOFF, FLUID_STAGGER_MS, FLUID_WMAX,
+    droptail_coupled_run, fluid_family, fluid_horizon_epochs, fluid_run, FluidComparison,
+    WireObservation, FLUID_EPOCH_MS, FLUID_LADDER_MS, FLUID_MAX_BACKOFF, FLUID_STAGGER_MS,
+    FLUID_WMAX,
 };
 pub use report::{telemetry_report, DisciplineReport, TelemetryReport, TelemetryReportConfig};
 pub use sweep::{default_threads, sweep_cells, sweep_indexed, sweep_seeds, SweepArgs};

@@ -820,6 +820,26 @@ mod tests {
     }
 
     #[test]
+    fn fluid_stationary_matches_full_model_dtmc_on_uncoupled_wire() {
+        // On a Bernoulli wire the fluid model's stationary density IS the
+        // full chain's DTMC stationary vector — the ODE adds nothing at
+        // equilibrium. Cross-check the two solvers (dense linear solve
+        // inside `Dtmc::stationary` vs the fluid summarizer's plumbing)
+        // against each other to 1e-6 total variation.
+        for &p in &[0.02, 0.1027, 0.25] {
+            let st = FluidModel::new(FULL, LossFeedback::Wire { p }, 50.0, 0.2).stationary();
+            let reference = FullModel::new(p, 6, 3);
+            let pi = reference.stationary();
+            assert_eq!(st.density.len(), pi.len(), "state spaces agree");
+            let tv = 0.5 * l1_distance(&st.density, &pi);
+            assert!(tv < 1e-6, "p={p}: fluid vs DTMC stationary TV {tv:.2e}");
+            // And the aggregated observables derived from it line up too.
+            let l1 = l1_distance(&st.n_sent, &reference.n_sent_distribution());
+            assert!(l1 < 1e-9, "p={p}: n_sent aggregation L1 {l1:.2e}");
+        }
+    }
+
+    #[test]
     fn partial_family_supported() {
         let model = FluidModel::new(
             ChainFamily::Partial { wmax: 6 },

@@ -246,19 +246,22 @@ impl TcpReceiver {
         if !self.sack_enabled || self.ooo.is_empty() {
             return SackBlocks::EMPTY;
         }
-        let mut blocks: Vec<(u64, u64)> = Vec::with_capacity(3);
+        // The latest range first, then the highest others: three at most.
+        let (mut blocks, mut n) = ([(0, 0); 3], 0);
         if self.latest_block.0 < self.latest_block.1 {
-            blocks.push(self.latest_block);
+            blocks[0] = self.latest_block;
+            n = 1;
         }
         for &b in self.ooo.iter().rev() {
-            if blocks.len() >= 3 {
+            if n == blocks.len() {
                 break;
             }
-            if !blocks.contains(&b) {
-                blocks.push(b);
+            if !blocks[..n].contains(&b) {
+                blocks[n] = b;
+                n += 1;
             }
         }
-        SackBlocks::from_slice(&blocks)
+        SackBlocks::from_slice(&blocks[..n])
     }
 
     fn delayed_ack(&mut self, io: &mut dyn TcpIo) {

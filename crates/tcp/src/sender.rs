@@ -612,17 +612,18 @@ impl TcpSender {
             return;
         }
         let start = start.max(self.snd_una);
-        self.sacked.push((start, end));
-        self.sacked.sort_unstable();
-        // Merge overlapping/adjacent ranges.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.sacked.len());
-        for &(s, e) in &self.sacked {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
+        // The ranges are sorted and neither overlap nor touch, so those
+        // the new one overlaps or touches are a run: from the first
+        // ending at or after `start` to the last starting at or before
+        // `end`. They merge in place into the run's first.
+        let lo = self.sacked.partition_point(|&(_, e)| e < start);
+        let hi = self.sacked.partition_point(|&(s, _)| s <= end);
+        if lo == hi {
+            self.sacked.insert(lo, (start, end));
+            return;
         }
-        self.sacked = merged;
+        self.sacked[lo] = (self.sacked[lo].0.min(start), end.max(self.sacked[hi - 1].1));
+        self.sacked.drain(lo + 1..hi);
     }
 
     fn drop_sacked_below(&mut self, ack: u64) {
@@ -871,6 +872,29 @@ mod tests {
         s.on_packet(&ack_pkt(s.recover), &mut io);
         assert!(!s.in_recovery);
         assert_eq!(s.stats.timeouts, 0);
+    }
+
+    /// A SACK block that overlaps or touches scoreboard ranges joins
+    /// them; one that meets none goes in at its place.
+    #[test]
+    fn sack_blocks_merge_into_the_scoreboard_in_place() {
+        let cfg = TcpConfig {
+            variant: Variant::Sack,
+            ..TcpConfig::default()
+        };
+        let (mut s, _) = established(100_000, cfg);
+        for (start, end) in [
+            (5_000, 6_000),
+            (1_000, 2_000),
+            (3_000, 4_000),
+            (2_000, 2_500),
+            (3_500, 5_500),
+            (7_000, 8_000),
+            (3_200, 3_300),
+        ] {
+            s.mark_sacked(start, end);
+        }
+        assert_eq!(s.sacked, [(1_000, 2_500), (3_000, 6_000), (7_000, 8_000)]);
     }
 
     #[test]

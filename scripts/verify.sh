@@ -110,7 +110,10 @@ taq_bench_bin() {
 # wall clock, so no two runs print the same numbers, until the testbed
 # gets a virtual clock (ROADMAP item 12). To update a golden file, copy
 # the fresh file over it, for an intended change only, and say why in
-# CHANGES.md; there is no update flag.
+# CHANGES.md; there is no update flag. The paper's claims are read from
+# these files: a golden update that breaks one fails `cargo test --test
+# paper_claims` (in test_suite), and that test's bounds are the claims,
+# not to be loosened to let an update pass.
 experiment_smoke() {
     taq_bench_bin
     names=$("$bin" 2>&1 | awk '$1 == "taq-bench" && /\[--smoke\]/ { print $2 }')

@@ -1,4 +1,6 @@
-//! The golden-file comparison the root suites share.
+//! The golden-file comparison and table reader the root suites share.
+//! Each suite that includes this file uses part of it.
+#![allow(dead_code)]
 
 use std::path::Path;
 
@@ -28,4 +30,41 @@ pub fn assert_golden(golden_path: &str, golden: &str, fresh: &str) {
             ),
         }
     }
+}
+
+/// One row of a golden table: a line that is neither blank nor a `#`
+/// comment, numbered from 1 and split on whitespace.
+pub struct Row<'a> {
+    pub line: usize,
+    pub fields: Vec<&'a str>,
+}
+
+impl Row<'_> {
+    /// The fields that are not numbers, joined by spaces: a row's name.
+    pub fn label(&self) -> String {
+        let words = self.fields.iter().filter(|f| f.parse::<f64>().is_err());
+        words.copied().collect::<Vec<_>>().join(" ")
+    }
+
+    /// Field `i` as a number, after any `name=`; panics naming the line
+    /// if it is not one.
+    pub fn num(&self, i: usize) -> f64 {
+        let field = self.fields.get(i).copied().unwrap_or("<missing>");
+        let value = field.rsplit('=').next().unwrap_or_default();
+        value
+            .parse()
+            .unwrap_or_else(|_| panic!("line {}: field {i} {field:?} is not a number", self.line))
+    }
+}
+
+/// The table rows of a golden output, in file order.
+pub fn table_rows(text: &str) -> Vec<Row<'_>> {
+    (1..)
+        .zip(text.lines())
+        .filter(|(_, l)| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|(line, l)| Row {
+            line,
+            fields: l.split_whitespace().collect(),
+        })
+        .collect()
 }

@@ -1,5 +1,8 @@
 //! The mean-field convergence oracle, as a test: the sim-vs-fluid
-//! distance must shrink as the flow population doubles.
+//! distance must shrink as the flow population doubles. First, the
+//! Markov models against simulation under their *own* assumptions
+//! (Bernoulli loss at exactly `p`, windows capped at Wmax, T0 = 2×RTT):
+//! Figure 6's controlled companion, isolating the chain.
 //!
 //! The wire ladder re-measures live (short 2 s horizon, where sampling
 //! noise ∝ 1/√(N·K) dominates the chain's fixed structural bias and
@@ -10,9 +13,63 @@
 
 use taq_bench::{
     bernoulli_wire_run, compare_to_coupled_fluid, compare_to_fluid, default_threads,
-    droptail_coupled_run, sweep_indexed, FLUID_LADDER_MS,
+    droptail_coupled_run, sweep_indexed, FLUID_LADDER_MS, FLUID_WMAX as WMAX,
 };
+use taq_model::{FullModel, PartialModel};
 use taq_telemetry::Value;
+
+/// The packets-per-epoch distribution and the realized loss rate of
+/// `flows` capped flows over a Bernoulli wire at `p` for `secs`, seed 9.
+fn wire(p: f64, flows: usize, secs: u64) -> (Vec<f64>, f64) {
+    let obs = bernoulli_wire_run(9, p, flows, secs * 1_000).expect("traffic flows");
+    (obs.dist, obs.realized_p)
+}
+
+#[test]
+fn bernoulli_loss_rate_is_realized() {
+    let (_, realized) = wire(0.15, 10, 120);
+    assert!((realized - 0.15).abs() < 0.02, "realized p {realized}");
+}
+
+#[test]
+fn models_bracket_simulated_silence_under_iid_loss() {
+    // The two models bound reality from opposite sides: the partial
+    // model understates silence (its aggregated b* redraws a fresh
+    // entry-conditioned dwell on every consecutive failure), while the
+    // full model overstates it (it sends every low-window loss straight
+    // to a timeout, where real TCP's cumulative ACKs often slide the
+    // window past a single hole). Simulation lands between them.
+    for &p in &[0.1, 0.2, 0.3] {
+        let (sim, realized) = wire(p, 20, 300);
+        let full = FullModel::new(realized, WMAX as u32, 3).n_sent_distribution();
+        let partial = PartialModel::new(realized, WMAX as u32).n_sent_distribution();
+        let bracket = partial[0] - 0.05..=full[0] + 0.05;
+        assert!(bracket.contains(&sim[0]), "p={p}: {sim:.3?} {bracket:.3?}");
+    }
+}
+
+#[test]
+fn timeout_mass_grows_sharply_with_p_in_simulation() {
+    // The model's tipping-point story, observed in simulation: silence
+    // fraction grows steeply between p = 0.05 and p = 0.25.
+    let (lo, _) = wire(0.05, 20, 200);
+    let (hi, _) = wire(0.25, 20, 200);
+    assert!(hi[0] > 2.5 * lo[0], "silence {:.3} vs {:.3}", hi[0], lo[0]);
+}
+
+#[test]
+fn low_loss_concentrates_at_wmax_in_simulation() {
+    let (sim, _) = wire(0.01, 10, 200);
+    assert!(sim[WMAX] > 0.5, "mostly at the window cap: {sim:?}");
+}
+
+#[test]
+fn zero_traffic_is_an_explicit_error() {
+    // A horizon shorter than every flow's start offset moves nothing;
+    // the realized loss rate must be a reported error, not 0/0 = NaN.
+    let err = bernoulli_wire_run(9, 0.1, 2, 0).expect_err("no packet can move in 0 s");
+    assert!(err.contains("no traffic"), "names the cause: {err}");
+}
 
 /// Seeds matching the committed artifact's default ladder averaging.
 const SEEDS: [u64; 6] = [11, 12, 13, 14, 15, 16];

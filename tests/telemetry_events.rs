@@ -148,6 +148,11 @@ fn telemetry_report_trace_is_complete_and_consistent() {
     assert_eq!(dropped, *taq.ring_counts.get("dropped").unwrap_or(&0));
     let offered = snapshot.get("offered").and_then(|v| v.as_u64()).unwrap();
     assert_eq!(offered, *taq.ring_counts.get("classified").unwrap_or(&0));
+    let drop_rate = snapshot.get("drop_rate").and_then(|v| v.as_f64()).unwrap();
+    let mut stats = taq::TaqStats::default();
+    (stats.offered, stats.dropped) = (offered, dropped);
+    let gap = (drop_rate - stats.drop_rate()).abs();
+    assert!(gap < 1e-9, "snapshot drop_rate {drop_rate} is {gap} off");
 
     // DropTail ran through the identical harness: link events and the
     // engine summary are present, but no middlebox internals.
