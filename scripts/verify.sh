@@ -108,7 +108,9 @@ taq_bench_bin() {
 # first line that differs; an experiment without a golden file fails
 # the leg. The one exception is fig11_testbed_fairness: it runs on the
 # wall clock, so no two runs print the same numbers, until the testbed
-# gets a virtual clock (ROADMAP item 12). To update a golden file, copy
+# gets a virtual clock (ROADMAP item 12). The one experiment run at its
+# defaults is model_tipping_point: pure Markov-chain math, about 10 ms
+# and no --smoke, pinned the same way. To update a golden file, copy
 # the fresh file over it, for an intended change only, and say why in
 # CHANGES.md; there is no update flag. The paper's claims are read from
 # these files: a golden update that breaks one fails `cargo test --test
@@ -125,8 +127,10 @@ experiment_smoke() {
     rm -rf "$fresh"
     mkdir -p "$fresh"
     failed=""
-    for name in $names; do
-        (cd "$fresh" && run "$bin" "$name" --smoke >"$name.txt")
+    for name in $names model_tipping_point; do
+        scale=--smoke
+        [ "$name" = model_tipping_point ] && scale=""
+        (cd "$fresh" && run "$bin" "$name" $scale >"$name.txt")
         golden="tests/golden/smoke/$name.txt"
         if [ "$name" = fig11_testbed_fairness ]; then
             continue
