@@ -29,25 +29,6 @@ pub fn stage_probability_given_timeout(p: f64, stage: u32) -> f64 {
     p.powi(stage as i32) * (1.0 - p)
 }
 
-/// A point on the timeout-mass curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeoutMassPoint {
-    /// Loss probability.
-    pub p: f64,
-    /// Stationary probability of timeout states at that loss rate.
-    pub mass: f64,
-}
-
-/// Sweeps the partial model's timeout mass over a grid of loss rates.
-pub fn timeout_mass_curve(wmax: u32, ps: &[f64]) -> Vec<TimeoutMassPoint> {
-    ps.iter()
-        .map(|&p| TimeoutMassPoint {
-            p,
-            mass: PartialModel::new(p, wmax).timeout_mass(),
-        })
-        .collect()
-}
-
 /// Finds the loss rate at which the stationary timeout mass crosses
 /// `threshold`, by bisection on the partial model. This is the paper's
 /// "tipping point": beyond roughly `p ≈ 0.1` the probability of
@@ -60,20 +41,7 @@ pub fn timeout_mass_curve(wmax: u32, ps: &[f64]) -> Vec<TimeoutMassPoint> {
 /// of the search interval `(0.001, 0.49)`.
 pub fn tipping_point(wmax: u32, threshold: f64) -> f64 {
     let mass = |p: f64| PartialModel::new(p, wmax).timeout_mass();
-    let (mut lo, mut hi) = (0.001, 0.49);
-    assert!(
-        mass(lo) < threshold && mass(hi) > threshold,
-        "threshold {threshold} not bracketed"
-    );
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if mass(mid) < threshold {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
+    bisect_crossing(mass, threshold, 0.001, 0.49)
 }
 
 /// The knee of the timeout-mass curve, located as the point of maximum
@@ -109,11 +77,28 @@ pub fn timeout_knee(wmax: u32) -> f64 {
 /// at `p ≈ 0.1`, the paper's admission-control threshold.
 pub fn majority_timeout_point(wmax: u32, max_backoff: u32) -> f64 {
     let mass = |p: f64| crate::FullModel::new(p, wmax, max_backoff).timeout_mass();
-    let (mut lo, mut hi) = (0.005, 0.49);
-    assert!(mass(lo) < 0.5 && mass(hi) > 0.5, "0.5 not bracketed");
+    bisect_crossing(mass, 0.5, 0.005, 0.49)
+}
+
+/// Bisects the increasing map `f` for the crossing of `threshold` on
+/// `(lo, hi)`.
+///
+/// # Panics
+///
+/// Panics if `threshold` is not bracketed.
+pub(crate) fn bisect_crossing(
+    f: impl Fn(f64) -> f64,
+    threshold: f64,
+    mut lo: f64,
+    mut hi: f64,
+) -> f64 {
+    assert!(
+        f(lo) < threshold && f(hi) > threshold,
+        "threshold {threshold} not bracketed on ({lo}, {hi})"
+    );
     for _ in 0..60 {
         let mid = 0.5 * (lo + hi);
-        if mass(mid) < 0.5 {
+        if f(mid) < threshold {
             lo = mid;
         } else {
             hi = mid;
@@ -192,14 +177,5 @@ mod tests {
         // admission threshold p_thresh ≈ 0.1.
         let p = majority_timeout_point(6, 3);
         assert!((0.07..0.14).contains(&p), "majority point at p = {p}");
-    }
-
-    #[test]
-    fn curve_is_monotone() {
-        let ps: Vec<f64> = (1..=40).map(|i| i as f64 / 100.0).collect();
-        let curve = timeout_mass_curve(6, &ps);
-        for w in curve.windows(2) {
-            assert!(w[0].mass < w[1].mass);
-        }
     }
 }

@@ -5,14 +5,13 @@
 //! `π(P − I) = 0` with the normalisation `Σπ = 1`, and cross-checked in
 //! tests against power iteration.
 
-use std::collections::HashMap;
+use crate::state::{n_sent, State};
 
-/// A finite DTMC with named states and a row-stochastic transition
-/// matrix.
+/// A finite DTMC over [`State`]s with a row-stochastic transition
+/// matrix. State `i` is the `i`-th declared.
 #[derive(Debug, Clone)]
 pub struct Dtmc {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
+    states: Vec<State>,
     /// Row-major transition probabilities: `p[i][j] = P(i → j)`.
     p: Vec<Vec<f64>>,
 }
@@ -20,9 +19,8 @@ pub struct Dtmc {
 /// Builder for a [`Dtmc`].
 #[derive(Debug, Default)]
 pub struct DtmcBuilder {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
-    entries: Vec<(usize, usize, f64)>,
+    states: Vec<State>,
+    entries: Vec<(State, State, f64)>,
 }
 
 impl DtmcBuilder {
@@ -31,20 +29,15 @@ impl DtmcBuilder {
         DtmcBuilder::default()
     }
 
-    /// Declares (or finds) a state by name, returning its index.
-    pub fn state(&mut self, name: &str) -> usize {
-        if let Some(&i) = self.index.get(name) {
-            return i;
-        }
-        let i = self.names.len();
-        self.names.push(name.to_owned());
-        self.index.insert(name.to_owned(), i);
-        i
+    /// Declares a state: the `i`-th declared is the chain's state `i`.
+    pub fn state(&mut self, state: State) -> &mut Self {
+        self.states.push(state);
+        self
     }
 
     /// Adds probability mass `prob` to the transition `from → to`.
     /// Multiple additions to the same pair accumulate.
-    pub fn transition(&mut self, from: usize, to: usize, prob: f64) -> &mut Self {
+    pub fn transition(&mut self, from: State, to: State, prob: f64) -> &mut Self {
         assert!(
             (0.0..=1.0 + 1e-12).contains(&prob),
             "probability out of range: {prob}"
@@ -59,26 +52,27 @@ impl DtmcBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first state whose outgoing
+    /// Returns a message naming the first transition from or to an
+    /// undeclared state, or else the first state whose outgoing
     /// probabilities do not sum to 1 (within 1e-9).
     pub fn build(self) -> Result<Dtmc, String> {
-        let n = self.names.len();
+        let n = self.states.len();
+        let index = |s: State| {
+            let i = self.states.iter().position(|&declared| declared == s);
+            i.ok_or_else(|| format!("state {s} is not declared"))
+        };
         let mut p = vec![vec![0.0; n]; n];
-        for (i, j, prob) in self.entries {
-            p[i][j] += prob;
+        for &(from, to, prob) in &self.entries {
+            p[index(from)?][index(to)?] += prob;
         }
-        for (i, row) in p.iter().enumerate() {
+        for (state, row) in self.states.iter().zip(&p) {
             let sum: f64 = row.iter().sum();
             if (sum - 1.0).abs() > 1e-9 {
-                return Err(format!(
-                    "state {:?} rows sum to {sum}, expected 1",
-                    self.names[i]
-                ));
+                return Err(format!("state {state} rows sum to {sum}, expected 1"));
             }
         }
         Ok(Dtmc {
-            names: self.names,
-            index: self.index,
+            states: self.states,
             p,
         })
     }
@@ -93,7 +87,7 @@ impl DtmcBuilder {
 // Index-based loops: textbook Gaussian elimination over a dense matrix;
 // iterator rewrites obscure the row/column structure.
 #[allow(clippy::needless_range_loop)]
-fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
+pub(crate) fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
     let n = b.len();
     for col in 0..n {
         let pivot = (col..n)
@@ -129,22 +123,17 @@ fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
 impl Dtmc {
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.states.len()
     }
 
     /// `true` if the chain has no states.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.states.is_empty()
     }
 
-    /// Name of state `i`.
-    pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
-    }
-
-    /// Index of a named state.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+    /// The states in declaration order: state `i` is `states()[i]`.
+    pub fn states(&self) -> &[State] {
+        &self.states
     }
 
     /// Transition probability `P(i → j)`.
@@ -233,8 +222,37 @@ impl Dtmc {
         sigma2.max(0.0)
     }
 
-    /// Stationary distribution by power iteration (used as a cross-check
-    /// and for very large chains).
+    /// The stationary distribution summed by packets sent per epoch
+    /// ([`State::sends`]; index 0 is silence, the last index the widest
+    /// window), the observable the paper's Figure 6 plots.
+    pub fn n_sent_distribution(&self) -> Vec<f64> {
+        n_sent(&self.states, &self.stationary())
+    }
+
+    /// Stationary probability of a timeout state, silent or
+    /// retransmitting: the paper's "probability of timeouts".
+    pub fn timeout_mass(&self) -> f64 {
+        let d = self.n_sent_distribution();
+        d[0] + d[1]
+    }
+
+    /// Stationary probability of a *silent* epoch (no packets at all).
+    pub fn silence_mass(&self) -> f64 {
+        self.n_sent_distribution()[0]
+    }
+
+    /// Long-run throughput in segments per epoch.
+    pub fn expected_segments_per_epoch(&self) -> f64 {
+        self.n_sent_distribution()
+            .iter()
+            .enumerate()
+            .map(|(n, pr)| n as f64 * pr)
+            .sum()
+    }
+
+    /// Stationary distribution by power iteration: the tests' oracle for
+    /// [`Dtmc::stationary`].
+    #[cfg(test)]
     #[allow(clippy::needless_range_loop)]
     pub fn stationary_power(&self, iterations: usize) -> Vec<f64> {
         let n = self.len();
@@ -254,26 +272,21 @@ impl Dtmc {
         }
         pi
     }
-
-    /// Expected hitting probability mass of a state set under the
-    /// stationary distribution.
-    pub fn mass_of<'a>(&self, pi: &[f64], states: impl IntoIterator<Item = &'a str>) -> f64 {
-        states
-            .into_iter()
-            .filter_map(|s| self.index_of(s))
-            .map(|i| pi[i])
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Window state `n`: the tests' stand-in for any state.
+    fn s(n: u32) -> State {
+        State::Window(n, None)
+    }
+
     fn two_state(p01: f64, p10: f64) -> Dtmc {
         let mut b = DtmcBuilder::new();
-        let s0 = b.state("a");
-        let s1 = b.state("b");
+        let (s0, s1) = (s(0), s(1));
+        b.state(s0).state(s1);
         b.transition(s0, s1, p01)
             .transition(s0, s0, 1.0 - p01)
             .transition(s1, s0, p10)
@@ -293,11 +306,13 @@ mod tests {
     #[test]
     fn stationary_matches_power_iteration() {
         let mut b = DtmcBuilder::new();
-        let s: Vec<usize> = (0..5).map(|i| b.state(&format!("s{i}"))).collect();
+        for i in 0..5 {
+            b.state(s(i));
+        }
         // A ring with a bias.
         for i in 0..5 {
-            b.transition(s[i], s[(i + 1) % 5], 0.7);
-            b.transition(s[i], s[(i + 4) % 5], 0.3);
+            b.transition(s(i), s((i + 1) % 5), 0.7);
+            b.transition(s(i), s((i + 4) % 5), 0.3);
         }
         let m = b.build().unwrap();
         let exact = m.stationary();
@@ -314,18 +329,29 @@ mod tests {
     #[test]
     fn unnormalised_rows_rejected() {
         let mut b = DtmcBuilder::new();
-        let s0 = b.state("x");
-        let s1 = b.state("y");
+        let (s0, s1) = (s(7), s(8));
+        b.state(s0).state(s1);
         b.transition(s0, s1, 0.5);
         b.transition(s1, s0, 1.0);
         let err = b.build().unwrap_err();
-        assert!(err.contains('x'), "error names the bad state: {err}");
+        assert!(
+            err.contains("state S7 "),
+            "error names the bad state: {err}"
+        );
+    }
+
+    #[test]
+    fn undeclared_states_rejected() {
+        let mut b = DtmcBuilder::new();
+        b.state(s(1)).transition(s(1), s(2), 1.0);
+        assert_eq!(b.build().unwrap_err(), "state S2 is not declared");
     }
 
     #[test]
     fn accumulating_transitions() {
         let mut b = DtmcBuilder::new();
-        let s0 = b.state("x");
+        let s0 = s(7);
+        b.state(s0);
         b.transition(s0, s0, 0.25);
         b.transition(s0, s0, 0.75);
         let m = b.build().unwrap();
@@ -334,22 +360,24 @@ mod tests {
     }
 
     #[test]
-    fn state_lookup_and_mass() {
+    fn states_in_declaration_order_and_n_sent() {
         let m = two_state(0.5, 0.5);
-        assert_eq!(m.index_of("a"), Some(0));
-        assert_eq!(m.index_of("zzz"), None);
-        assert_eq!(m.name(1), "b");
+        assert_eq!(m.states(), [s(0), s(1)]);
         let pi = m.stationary();
-        assert!((m.mass_of(&pi, ["a", "b"]) - 1.0).abs() < 1e-12);
-        assert!((m.mass_of(&pi, ["a"]) - 0.5).abs() < 1e-12);
+        // Window n sends n: half the mass is silent, half sends one.
+        let d = n_sent(m.states(), &pi);
+        assert_eq!(d.len(), 2);
+        assert!((d[0] - 0.5).abs() < 1e-12 && (d[1] - 0.5).abs() < 1e-12);
+        assert!((m.timeout_mass() - 1.0).abs() < 1e-12);
+        assert!((m.expected_segments_per_epoch() - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn asymptotic_variance_iid_reduces_to_plain_variance() {
         // P = 1π makes successive states independent, so σ² = Var_π(f).
         let mut b = DtmcBuilder::new();
-        let s0 = b.state("a");
-        let s1 = b.state("b");
+        let (s0, s1) = (s(0), s(1));
+        b.state(s0).state(s1);
         for s in [s0, s1] {
             b.transition(s, s0, 0.25).transition(s, s1, 0.75);
         }

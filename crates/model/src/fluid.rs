@@ -33,7 +33,9 @@
 //! which is the whole point: instant answers at scales the simulator
 //! cannot reach twice.
 
+use crate::analysis::bisect_crossing;
 use crate::dtmc::Dtmc;
+use crate::state::{n_sent, State};
 use crate::{FullModel, PartialModel};
 
 /// Smallest loss probability the chains accept (they require `p > 0`).
@@ -78,32 +80,9 @@ impl ChainFamily {
     pub fn build(self, p: f64) -> Dtmc {
         let p = p.clamp(P_MIN, P_MAX);
         match self {
-            ChainFamily::Partial { wmax } => PartialModel::new(p, wmax).chain().clone(),
-            ChainFamily::Full { wmax, max_backoff } => {
-                FullModel::new(p, wmax, max_backoff).chain().clone()
-            }
+            ChainFamily::Partial { wmax } => PartialModel::new(p, wmax).chain,
+            ChainFamily::Full { wmax, max_backoff } => FullModel::new(p, wmax, max_backoff).chain,
         }
-    }
-}
-
-/// Packets sent per epoch in the chain state named `name` (shared
-/// convention of both chains: waits are silent, retransmits send one,
-/// window states send their window).
-fn sends_of(name: &str) -> f64 {
-    if name.starts_with('b') || name.starts_with('W') {
-        0.0
-    } else if name.starts_with('R') {
-        1.0
-    } else if let Some(rest) = name.strip_prefix('S') {
-        let n: u32 = rest
-            .split('^')
-            .next()
-            .expect("split yields at least one part")
-            .parse()
-            .expect("window state name");
-        f64::from(n)
-    } else {
-        unreachable!("unknown state {name}")
     }
 }
 
@@ -140,8 +119,10 @@ pub struct FluidModel {
     loss: LossFeedback,
     flows: f64,
     epoch_secs: f64,
-    /// Packets sent per epoch, per chain state (index-aligned with any
-    /// chain the family builds).
+    /// The chain's states (index-aligned with any chain the family
+    /// builds).
+    states: Vec<State>,
+    /// Packets sent per epoch, per state.
     sends: Vec<f64>,
     /// Index of the start state (window 2, no backoff memory).
     start: usize,
@@ -193,11 +174,11 @@ impl FluidModel {
     pub fn new(family: ChainFamily, loss: LossFeedback, flows: f64, epoch_secs: f64) -> Self {
         assert!(flows > 0.0, "need a positive flow population");
         assert!(epoch_secs > 0.0, "need a positive epoch");
-        let chain = family.build(0.1);
-        let sends: Vec<f64> = (0..chain.len()).map(|i| sends_of(chain.name(i))).collect();
-        let start = chain
-            .index_of("S2")
-            .or_else(|| chain.index_of("S2^0"))
+        let states = family.build(0.1).states().to_vec();
+        let sends = states.iter().map(|s| f64::from(s.sends())).collect();
+        let start = states
+            .iter()
+            .position(|s| matches!(s, State::Window(2, None | Some(0))))
             .expect("both chains have a window-2 start state");
         let wire_chain = match loss {
             LossFeedback::Wire { p } => Some(family.build(p)),
@@ -208,6 +189,7 @@ impl FluidModel {
             loss,
             flows,
             epoch_secs,
+            states,
             sends,
             start,
             wire_chain,
@@ -439,11 +421,7 @@ impl FluidModel {
         queue_pkts: f64,
         saturated: bool,
     ) -> FluidStationary {
-        let wmax = self.family.wmax() as usize;
-        let mut n_sent = vec![0.0; wmax + 1];
-        for (x, s) in density.iter().zip(&self.sends) {
-            n_sent[(*s as usize).min(wmax)] += x;
-        }
+        let n_sent = n_sent(&self.states, &density);
         let mu: f64 = density
             .iter()
             .zip(&self.sends)
@@ -575,28 +553,6 @@ pub fn fair_share_tipping_point(family: ChainFamily, epoch_secs: f64, p_threshol
     let p = p_threshold.clamp(P_MIN, P_MAX);
     let model = FluidModel::new(family, LossFeedback::Wire { p }, 1.0, epoch_secs);
     model.stationary().per_flow_goodput_pps
-}
-
-/// Bisects the increasing map `f` for the crossing of `threshold` on
-/// `(lo, hi)`.
-///
-/// # Panics
-///
-/// Panics if `threshold` is not bracketed.
-fn bisect_crossing(f: impl Fn(f64) -> f64, threshold: f64, mut lo: f64, mut hi: f64) -> f64 {
-    assert!(
-        f(lo) < threshold && f(hi) > threshold,
-        "threshold {threshold} not bracketed on ({lo}, {hi})"
-    );
-    for _ in 0..60 {
-        let mid = 0.5 * (lo + hi);
-        if f(mid) < threshold {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    0.5 * (lo + hi)
 }
 
 /// L1 distance between two discrete distributions (shorter input is

@@ -29,6 +29,7 @@
 //! enter stage 1 with the base timer.
 
 use crate::dtmc::{Dtmc, DtmcBuilder};
+use crate::state::{Stage, State};
 
 /// The expanded repetitive-timeout model.
 #[derive(Debug, Clone)]
@@ -40,36 +41,7 @@ pub struct FullModel {
     /// Deepest explicitly modelled backoff stage; beyond it the tail is
     /// aggregated.
     pub max_backoff: u32,
-    chain: Dtmc,
-}
-
-/// State-name helpers for the full model.
-pub mod states {
-    /// Tagged low-window state: window `n` (2 or 3) with backoff memory
-    /// `j` (0 = collapsed).
-    pub fn tagged(n: u32, j: u32) -> String {
-        format!("S{n}^{j}")
-    }
-
-    /// Untagged window state `n ≥ 4`.
-    pub fn s(n: u32) -> String {
-        format!("S{n}")
-    }
-
-    /// `i`-th wait epoch of backoff stage `j` (`i` in `1..=2^j − 1`).
-    pub fn wait(j: u32, i: u32) -> String {
-        format!("W{j},{i}")
-    }
-
-    /// Retransmit state of backoff stage `j`.
-    pub fn retransmit(j: u32) -> String {
-        format!("R{j}")
-    }
-
-    /// The aggregated wait state for stages beyond `max_backoff`.
-    pub const TAIL_WAIT: &str = "Wtail";
-    /// The aggregated retransmit state for the tail.
-    pub const TAIL_RETX: &str = "Rtail";
+    pub(crate) chain: Dtmc,
 }
 
 impl FullModel {
@@ -90,55 +62,45 @@ impl FullModel {
         let k = max_backoff;
         let mut b = DtmcBuilder::new();
         let q = 1.0 - p;
+        let window = State::Window;
+        let wait = |j, epoch| State::Wait(Stage::At(j), epoch);
+        let retx = |j| State::Retransmit(Stage::At(j));
+        let tail_wait = State::Wait(Stage::Tail(k + 1), 1);
+        let tail_retx = State::Retransmit(Stage::Tail(k + 1));
 
-        // Untagged window states S4..SWmax.
-        let s: Vec<usize> = (0..=wmax)
-            .map(|n| {
-                if n >= 4 {
-                    b.state(&states::s(n))
-                } else {
-                    usize::MAX
-                }
-            })
-            .collect();
-        // Tagged S2^j, S3^j for j = 0..=K.
-        let s2: Vec<usize> = (0..=k).map(|j| b.state(&states::tagged(2, j))).collect();
-        let s3: Vec<usize> = (0..=k).map(|j| b.state(&states::tagged(3, j))).collect();
-        // Wait chains and retransmit states per stage.
-        let waits: Vec<Vec<usize>> = (1..=k)
-            .map(|j| {
-                (1..=(1u32 << j) - 1)
-                    .map(|i| b.state(&states::wait(j, i)))
-                    .collect()
-            })
-            .collect();
-        let retx: Vec<usize> = (1..=k).map(|j| b.state(&states::retransmit(j))).collect();
-        let tail_wait = b.state(states::TAIL_WAIT);
-        let tail_retx = b.state(states::TAIL_RETX);
+        // Untagged S4..SWmax, tagged S2^j then S3^j for j = 0..=K, each
+        // stage's wait chain, the retransmit states, the tail.
+        for n in 4..=wmax {
+            b.state(window(n, None));
+        }
+        for n in [2, 3] {
+            for j in 0..=k {
+                b.state(window(n, Some(j)));
+            }
+        }
+        for j in 1..=k {
+            for i in 1..1 << j {
+                b.state(wait(j, i));
+            }
+        }
+        for j in 1..=k {
+            b.state(retx(j));
+        }
+        b.state(tail_wait).state(tail_retx);
 
         // Stage entry point: first wait state of stage j (1-indexed).
-        let stage_entry = |j: u32| -> usize {
-            if j > k {
-                tail_wait
-            } else {
-                waits[(j - 1) as usize][0]
-            }
-        };
+        let stage_entry = |j: u32| if j > k { tail_wait } else { wait(j, 1) };
 
         // --- Untagged window chain S4..SWmax ---
         for n in 4..=wmax {
-            let here = s[n as usize];
-            let up_target = if n == wmax { here } else { s[(n + 1) as usize] };
+            let here = window(n, None);
+            let up_target = if n == wmax { here } else { window(n + 1, None) };
             let up = q.powi(n as i32);
             b.transition(here, up_target, up);
             // Fast retransmit to ⌊n/2⌋: windows 2,3 land in tagged j=0
             // (no backoff memory — no timeout happened), 4+ stay untagged.
             let half = n / 2;
-            let fr_target = match half {
-                2 => s2[0],
-                3 => s3[0],
-                _ => s[half as usize],
-            };
+            let fr_target = window(half, (half < 4).then_some(0));
             let fast = f64::from(n) * p * q.powi(n as i32 - 1) * q;
             b.transition(here, fr_target, fast);
             // Simple timeout: enter stage 1.
@@ -147,43 +109,38 @@ impl FullModel {
 
         // --- Tagged low-window chains ---
         for j in 0..=k {
-            let next_stage = stage_entry((j + 1).min(k + 1).max(1).min(k + 1));
-            // S2^j: success -> S3^j; timeout -> stage j+1 (repetitive if
-            // j >= 1; for j = 0 the timer is at base, i.e. stage 1).
+            let (s2, s3) = (window(2, Some(j)), window(3, Some(j)));
+            // A timeout enters stage j + 1: repetitive for j ≥ 1, the base
+            // timer's stage 1 for j = 0.
+            let next_stage = stage_entry(j + 1);
+            // S2^j: success -> S3^j.
             let up2 = q * q;
-            b.transition(s2[j as usize], s3[j as usize], up2);
+            b.transition(s2, s3, up2);
             let to2 = 1.0 - up2;
-            let target2 = if j == 0 { stage_entry(1) } else { next_stage };
-            b.transition(s2[j as usize], target2, to2);
+            b.transition(s2, next_stage, to2);
             // S3^j: success -> S4 (timer collapses there, per the
-            // paper); timeout -> stage j+1.
+            // paper).
             let up3 = q * q * q;
-            b.transition(s3[j as usize], s[4], up3);
-            let target3 = if j == 0 { stage_entry(1) } else { next_stage };
-            b.transition(s3[j as usize], target3, 1.0 - up3);
+            b.transition(s3, window(4, None), up3);
+            b.transition(s3, next_stage, 1.0 - up3);
         }
 
         // --- Wait chains: deterministic countdowns ---
         for j in 1..=k {
-            let chain = &waits[(j - 1) as usize];
-            for w in 0..chain.len() {
-                let next = if w + 1 < chain.len() {
-                    chain[w + 1]
-                } else {
-                    retx[(j - 1) as usize]
-                };
-                b.transition(chain[w], next, 1.0);
+            let last = (1 << j) - 1;
+            for i in 1..=last {
+                let next = if i < last { wait(j, i + 1) } else { retx(j) };
+                b.transition(wait(j, i), next, 1.0);
             }
         }
 
         // --- Retransmit states ---
         for j in 1..=k {
-            let r = retx[(j - 1) as usize];
             // Success: window opens to 2 with backoff memory j intact
             // (only retransmitted data has been acked — Karn).
-            b.transition(r, s2[j as usize], q);
+            b.transition(retx(j), window(2, Some(j)), q);
             // Failure: next-deeper stage.
-            b.transition(r, stage_entry(j + 1), p);
+            b.transition(retx(j), stage_entry(j + 1), p);
         }
 
         // --- Aggregated tail (stages > K) ---
@@ -198,7 +155,7 @@ impl FullModel {
         b.transition(tail_wait, tail_retx, 1.0 - stay);
         // Tail retransmit: success resumes at the deepest tracked tag;
         // failure re-enters the tail.
-        b.transition(tail_retx, s2[k as usize], q);
+        b.transition(tail_retx, window(2, Some(k)), q);
         b.transition(tail_retx, tail_wait, p);
 
         let chain = b.build().expect("full model rows are stochastic");
@@ -220,80 +177,39 @@ impl FullModel {
         self.chain.stationary()
     }
 
-    /// Stationary distribution aggregated by packets sent per epoch
-    /// (index 0 = silent wait states; 1 = retransmit states; `n ≥ 2` =
-    /// window states of size `n`, summing tagged and untagged).
+    /// [`Dtmc::n_sent_distribution`]: index 0 is the silent wait states,
+    /// 1 the retransmit states, `n ≥ 2` the window states of size `n`,
+    /// tagged and untagged.
     pub fn n_sent_distribution(&self) -> Vec<f64> {
-        let pi = self.stationary();
-        let mut out = vec![0.0; (self.wmax + 1) as usize];
-        for (i, mass) in pi.iter().enumerate() {
-            let name = self.chain.name(i);
-            let bucket = if name.starts_with('W') {
-                0
-            } else if name.starts_with('R') {
-                1
-            } else if let Some(rest) = name.strip_prefix('S') {
-                let n: u32 = rest
-                    .split('^')
-                    .next()
-                    .expect("split yields at least one part")
-                    .parse()
-                    .expect("window state name");
-                n as usize
-            } else {
-                unreachable!("unknown state {name}");
-            };
-            out[bucket] += mass;
-        }
-        out
+        self.chain.n_sent_distribution()
     }
 
     /// Stationary probability of being at backoff stage ≥ `j` (silent or
-    /// retransmitting), the "at least j backoffs" reading of Figure 5.
+    /// retransmitting), the "at least j backoffs" reading of Figure 5;
+    /// the aggregated tail is stage `max_backoff + 1`.
     pub fn backoff_mass_at_least(&self, j: u32) -> f64 {
         let pi = self.stationary();
-        let mut total = 0.0;
-        for (i, mass) in pi.iter().enumerate() {
-            let name = self.chain.name(i);
-            let stage = if name == states::TAIL_WAIT || name == states::TAIL_RETX {
-                self.max_backoff + 1
-            } else if let Some(rest) = name.strip_prefix('W') {
-                rest.split(',')
-                    .next()
-                    .expect("split yields at least one part")
-                    .parse()
-                    .expect("wait state stage")
-            } else if let Some(rest) = name.strip_prefix('R') {
-                rest.parse().expect("retransmit state stage")
-            } else {
-                continue;
-            };
-            if stage >= j {
-                total += mass;
-            }
-        }
-        total
+        let deep = |(s, _): &(&State, &f64)| s.backoff_stage().is_some_and(|at| at >= j);
+        let states = self.chain.states().iter().zip(&pi);
+        states
+            .filter(deep)
+            .fold(0.0, |total, (_, mass)| total + mass)
     }
 
-    /// Stationary probability of a silent epoch.
+    /// [`Dtmc::silence_mass`].
     pub fn silence_mass(&self) -> f64 {
-        self.n_sent_distribution()[0]
+        self.chain.silence_mass()
     }
 
-    /// Stationary probability of timeout-related states (silent waits
-    /// plus timeout retransmissions).
+    /// [`Dtmc::timeout_mass`]: silent waits plus timeout
+    /// retransmissions.
     pub fn timeout_mass(&self) -> f64 {
-        let d = self.n_sent_distribution();
-        d[0] + d[1]
+        self.chain.timeout_mass()
     }
 
-    /// Long-run throughput in segments per epoch.
+    /// [`Dtmc::expected_segments_per_epoch`].
     pub fn expected_segments_per_epoch(&self) -> f64 {
-        self.n_sent_distribution()
-            .iter()
-            .enumerate()
-            .map(|(n, pr)| n as f64 * pr)
-            .sum()
+        self.chain.expected_segments_per_epoch()
     }
 }
 
@@ -367,16 +283,40 @@ mod tests {
 
     #[test]
     fn wait_chain_lengths_are_exact() {
-        // Stage j contributes 2^j - 1 wait states.
+        // Stage j contributes 2^j - 1 wait states, W{j},1 .. W{j},{2^j-1}.
         let m = FullModel::new(0.1, 6, 3);
-        let names: Vec<&str> = (0..m.chain().len()).map(|i| m.chain().name(i)).collect();
         for j in 1..=3u32 {
-            let count = names
+            let names: Vec<String> = m
+                .chain()
+                .states()
                 .iter()
-                .filter(|n| n.starts_with(&format!("W{j},")))
-                .count();
-            assert_eq!(count, (1usize << j) - 1, "stage {j}");
+                .filter(|s| matches!(s, State::Wait(Stage::At(at), _) if *at == j))
+                .map(|s| s.to_string())
+                .collect();
+            let expected: Vec<String> = (1..1u32 << j).map(|i| format!("W{j},{i}")).collect();
+            assert_eq!(names, expected, "stage {j}");
         }
+    }
+
+    #[test]
+    fn states_print_the_figure_names() {
+        let names: Vec<String> = FullModel::new(0.1, 4, 1)
+            .chain()
+            .states()
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let expected = [
+            "S4", "S2^0", "S2^1", "S3^0", "S3^1", "W1,1", "R1", "Wtail", "Rtail",
+        ];
+        assert_eq!(names, expected);
+        let partial: Vec<String> = PartialModel::new(0.1, 4)
+            .chain()
+            .states()
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(partial, ["S2", "S3", "S4", "S1", "b0", "b*"]);
     }
 
     #[test]

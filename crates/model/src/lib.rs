@@ -23,9 +23,11 @@
 //!   deterministic RK4 stepper and an `N`-independent stationary solver
 //!   for instant million-flow predictions.
 //!
-//! Both models expose [`PartialModel::n_sent_distribution`] /
-//! [`FullModel::n_sent_distribution`], the "packets sent per epoch"
-//! aggregation the paper's Figure 6 validates against simulation.
+//! Both chains are [`Dtmc`]s over typed [`State`]s, so what a state sends
+//! and its backoff stage are read off its variant: the "packets sent per
+//! epoch" aggregation the paper's Figure 6 validates against simulation
+//! ([`Dtmc::n_sent_distribution`]) and the timeout and silence masses are
+//! written once, for both models and the fluid limit.
 //!
 //! ## Example
 //!
@@ -45,9 +47,11 @@ mod dtmc;
 pub mod fluid;
 mod full;
 mod partial;
+mod state;
 pub mod transient;
 
 pub use dtmc::{Dtmc, DtmcBuilder};
 pub use fluid::{ChainFamily, FluidModel, FluidState, FluidStationary, LossFeedback};
-pub use full::{states as full_states, FullModel};
-pub use partial::{states as partial_states, PartialModel};
+pub use full::FullModel;
+pub use partial::PartialModel;
+pub use state::{Stage, State};

@@ -23,6 +23,7 @@
 //! cumulative ACK that reopens the window to 2: `S1 → S2`.
 
 use crate::dtmc::{Dtmc, DtmcBuilder};
+use crate::state::{Stage, State};
 
 /// The paper's partial model for a given `Wmax` and loss probability.
 #[derive(Debug, Clone)]
@@ -31,22 +32,7 @@ pub struct PartialModel {
     pub p: f64,
     /// Maximum congestion window (in segments) modelled.
     pub wmax: u32,
-    chain: Dtmc,
-}
-
-/// State names used in the chain (stable API for experiment code).
-pub mod states {
-    /// The one-epoch wait after a simple timeout.
-    pub const B0: &str = "b0";
-    /// The aggregated repetitive-timeout wait state.
-    pub const BSTAR: &str = "b*";
-    /// The timeout-retransmit state (one packet sent per epoch).
-    pub const S1: &str = "S1";
-
-    /// Name of the window state with `n` segments per epoch.
-    pub fn s(n: u32) -> String {
-        format!("S{n}")
-    }
+    pub(crate) chain: Dtmc,
 }
 
 impl PartialModel {
@@ -62,30 +48,25 @@ impl PartialModel {
         assert!(wmax >= 4, "need wmax >= 4, got {wmax}");
         let mut b = DtmcBuilder::new();
         let q = 1.0 - p;
-
-        let s: Vec<usize> = (0..=wmax)
-            .map(|n| {
-                if n < 2 {
-                    usize::MAX // S0/S1 handled separately.
-                } else {
-                    b.state(&states::s(n))
-                }
-            })
-            .collect();
-        let s1 = b.state(states::S1);
-        let b0 = b.state(states::B0);
-        let bstar = b.state(states::BSTAR);
+        let s = |n| State::Window(n, None);
+        let b0 = State::Wait(Stage::At(0), 1);
+        let bstar = State::Wait(Stage::Tail(0), 1);
+        // The timeout retransmission sends one segment: window 1.
+        let s1 = s(1);
+        for n in 2..=wmax {
+            b.state(s(n));
+        }
+        b.state(s1).state(b0).state(bstar);
 
         for n in 2..=wmax {
-            let here = s[n as usize];
+            let here = s(n);
             let up = q.powi(n as i32);
             // Window growth, saturating at Wmax.
-            let next = if n == wmax { here } else { s[(n + 1) as usize] };
+            let next = if n == wmax { here } else { s(n + 1) };
             b.transition(here, next, up);
             let fast = if n >= 4 {
-                let target = s[(n / 2) as usize];
                 let pr = f64::from(n) * p * q.powi(n as i32 - 1) * q;
-                b.transition(here, target, pr);
+                b.transition(here, s(n / 2), pr);
                 pr
             } else {
                 0.0
@@ -102,7 +83,7 @@ impl PartialModel {
         // b0 waits exactly one epoch, then the retransmit fires.
         b.transition(b0, s1, 1.0);
         // Retransmit outcome.
-        b.transition(s1, s[2], q);
+        b.transition(s1, s(2), q);
         b.transition(s1, bstar, p);
         // Aggregated backoff dwell: expected 1/(1-2p) epochs.
         b.transition(bstar, bstar, 2.0 * p);
@@ -122,46 +103,26 @@ impl PartialModel {
         self.chain.stationary()
     }
 
-    /// The stationary distribution aggregated by *packets sent per
-    /// epoch*, the observable the paper's Figure 6 plots: index 0 is the
-    /// silent states (`b0`, `b*`), index 1 the retransmit state `S1`,
-    /// index `n ≥ 2` the window state `Sn`.
+    /// [`Dtmc::n_sent_distribution`]: index 0 is the silent states (`b0`,
+    /// `b*`), index 1 the retransmit state `S1`, index `n ≥ 2` the window
+    /// state `Sn`.
     pub fn n_sent_distribution(&self) -> Vec<f64> {
-        let pi = self.stationary();
-        let mut out = vec![0.0; (self.wmax + 1) as usize];
-        out[0] = self.chain.mass_of(&pi, [states::B0, states::BSTAR]);
-        out[1] = self.chain.mass_of(&pi, [states::S1]);
-        for n in 2..=self.wmax {
-            out[n as usize] = pi[self
-                .chain
-                .index_of(&states::s(n))
-                .expect("window state exists")];
-        }
-        out
+        self.chain.n_sent_distribution()
     }
 
-    /// Stationary probability of being in a timeout state (silent or
-    /// retransmitting after a timeout): the paper's "probability of
-    /// timeouts".
+    /// [`Dtmc::timeout_mass`]: `b0`, `b*` and `S1`.
     pub fn timeout_mass(&self) -> f64 {
-        let pi = self.stationary();
-        self.chain
-            .mass_of(&pi, [states::B0, states::BSTAR, states::S1])
+        self.chain.timeout_mass()
     }
 
-    /// Stationary probability of a *silent* epoch (no packets at all).
+    /// [`Dtmc::silence_mass`]: `b0` and `b*`.
     pub fn silence_mass(&self) -> f64 {
-        let pi = self.stationary();
-        self.chain.mass_of(&pi, [states::B0, states::BSTAR])
+        self.chain.silence_mass()
     }
 
-    /// Long-run throughput in segments per epoch implied by the model.
+    /// [`Dtmc::expected_segments_per_epoch`].
     pub fn expected_segments_per_epoch(&self) -> f64 {
-        self.n_sent_distribution()
-            .iter()
-            .enumerate()
-            .map(|(n, pr)| n as f64 * pr)
-            .sum()
+        self.chain.expected_segments_per_epoch()
     }
 }
 
@@ -215,7 +176,8 @@ mod tests {
         // The expected dwell in b* is a geometric with exit 1−2p, i.e.
         // 1/(1−2p) epochs: check via the chain's self-loop.
         let m = PartialModel::new(0.2, 6);
-        let b = m.chain().index_of(states::BSTAR).unwrap();
+        let is_bstar = |s: &State| matches!(s, State::Wait(Stage::Tail(_), _));
+        let b = m.chain().states().iter().position(is_bstar).unwrap();
         let stay = m.chain().prob(b, b);
         assert!((stay - 0.4).abs() < 1e-12);
         let expected_dwell = 1.0 / (1.0 - stay);

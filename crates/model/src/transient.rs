@@ -10,8 +10,9 @@
 //! window-6 flow is many epochs from a timeout; a window-2 flow is one
 //! unlucky epoch away).
 
-use crate::dtmc::Dtmc;
-use crate::partial::{states, PartialModel};
+use crate::dtmc::{solve_dense, Dtmc};
+use crate::partial::PartialModel;
+use crate::state::State;
 
 /// Expected number of epochs to reach any state in `targets`, starting
 /// from each state of `chain` (entries for target states are 0).
@@ -22,10 +23,8 @@ use crate::partial::{states, PartialModel};
 /// # Panics
 ///
 /// Panics if some state cannot reach a target (the expectation would be
-/// infinite) or if `targets` names no state of the chain; both indicate
-/// a modelling bug.
-// Index-based loops: Gaussian elimination, as in `Dtmc::stationary`.
-#[allow(clippy::needless_range_loop)]
+/// infinite and the system singular) or if `targets` names no state of
+/// the chain; both indicate a modelling bug.
 pub fn expected_hitting_times(chain: &Dtmc, targets: &[usize]) -> Vec<f64> {
     let n = chain.len();
     let is_target = {
@@ -36,76 +35,43 @@ pub fn expected_hitting_times(chain: &Dtmc, targets: &[usize]) -> Vec<f64> {
         v
     };
     assert!(is_target.iter().any(|&t| t), "no target states");
-    // Index map for non-target states.
     let free: Vec<usize> = (0..n).filter(|&i| !is_target[i]).collect();
-    let pos: std::collections::HashMap<usize, usize> =
-        free.iter().enumerate().map(|(k, &i)| (i, k)).collect();
     let m = free.len();
     // (I - Q) h = 1, where Q is the sub-matrix over free states.
     let mut a = vec![vec![0.0; m]; m];
-    let mut b = vec![1.0; m];
     for (row, &i) in free.iter().enumerate() {
         a[row][row] = 1.0;
         for (col, &j) in free.iter().enumerate() {
             a[row][col] -= chain.prob(i, j);
         }
     }
-    // Gaussian elimination with partial pivoting.
-    for col in 0..m {
-        let pivot = (col..m)
-            .max_by(|&r1, &r2| {
-                a[r1][col]
-                    .abs()
-                    .partial_cmp(&a[r2][col].abs())
-                    .expect("finite")
-            })
-            .expect("non-empty");
-        assert!(
-            a[pivot][col].abs() > 1e-12,
-            "state {:?} cannot reach the target set",
-            chain.name(free[col])
-        );
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in (col + 1)..m {
-            let f = a[row][col] / a[col][col];
-            if f != 0.0 {
-                for k in col..m {
-                    a[row][k] -= f * a[col][k];
-                }
-                b[row] -= f * b[col];
-            }
-        }
-    }
-    let mut x = vec![0.0; m];
-    for row in (0..m).rev() {
-        let mut s = b[row];
-        for k in (row + 1)..m {
-            s -= a[row][k] * x[k];
-        }
-        x[row] = s / a[row][row];
-    }
+    let mut h = solve_dense(a, vec![1.0; m]).into_iter();
     (0..n)
-        .map(|i| if is_target[i] { 0.0 } else { x[pos[&i]] })
+        .map(|i| {
+            if is_target[i] {
+                0.0
+            } else {
+                h.next().expect("one per free state")
+            }
+        })
         .collect()
 }
 
 /// Expected epochs until a flow starting at window `w` first enters a
-/// timeout state (`b0` or `b*`) in the partial model.
+/// timeout state (`b0` or `b*`, the silent states) in the partial model.
 ///
 /// # Panics
 ///
-/// Panics if `w` is outside `2..=wmax`.
+/// Panics if `w` is outside `1..=wmax` (window 1 is the retransmit state
+/// `S1`).
 pub fn epochs_to_first_timeout(model: &PartialModel, w: u32) -> f64 {
-    let chain = model.chain();
-    let start = chain
-        .index_of(&states::s(w))
-        .unwrap_or_else(|| panic!("no state S{w} (wmax = {})", model.wmax));
-    let targets: Vec<usize> = [states::B0, states::BSTAR]
-        .iter()
-        .filter_map(|s| chain.index_of(s))
+    let states = model.chain().states();
+    let start = states.iter().position(|&s| s == State::Window(w, None));
+    let start = start.unwrap_or_else(|| panic!("no state S{w} (wmax = {})", model.wmax));
+    let targets: Vec<usize> = (0..states.len())
+        .filter(|&i| states[i].sends() == 0)
         .collect();
-    expected_hitting_times(chain, &targets)[start]
+    expected_hitting_times(model.chain(), &targets)[start]
 }
 
 /// Probability that a flow currently entering a timeout experiences at
@@ -126,36 +92,40 @@ mod tests {
     use super::*;
     use crate::dtmc::DtmcBuilder;
 
+    /// Window state `n`: the tests' stand-in for any state.
+    fn s(n: u32) -> State {
+        State::Window(n, None)
+    }
+
     #[test]
     fn hitting_time_of_simple_chain_matches_geometric() {
-        // Two states: from A, reach B with probability q per step.
+        // Two states: from a, reach b with probability q per step.
         let q = 0.25;
-        let mut b = DtmcBuilder::new();
-        let sa = b.state("a");
-        let sb = b.state("b");
-        b.transition(sa, sb, q)
-            .transition(sa, sa, 1.0 - q)
-            .transition(sb, sb, 1.0);
-        let chain = b.build().unwrap();
-        let h = expected_hitting_times(&chain, &[sb]);
-        assert!((h[sa] - 1.0 / q).abs() < 1e-9, "E = 1/q, got {}", h[sa]);
-        assert_eq!(h[sb], 0.0);
+        let (a, b) = (s(0), s(1));
+        let mut builder = DtmcBuilder::new();
+        builder.state(a).state(b);
+        builder
+            .transition(a, b, q)
+            .transition(a, a, 1.0 - q)
+            .transition(b, b, 1.0);
+        let h = expected_hitting_times(&builder.build().unwrap(), &[1]);
+        assert!((h[0] - 1.0 / q).abs() < 1e-9, "E = 1/q, got {}", h[0]);
+        assert_eq!(h[1], 0.0);
     }
 
     #[test]
     fn hitting_time_of_deterministic_path() {
         // a → b → c deterministically: h(a) = 2, h(b) = 1.
-        let mut b = DtmcBuilder::new();
-        let sa = b.state("a");
-        let sb = b.state("b");
-        let sc = b.state("c");
-        b.transition(sa, sb, 1.0)
-            .transition(sb, sc, 1.0)
-            .transition(sc, sc, 1.0);
-        let chain = b.build().unwrap();
-        let h = expected_hitting_times(&chain, &[sc]);
-        assert!((h[sa] - 2.0).abs() < 1e-12);
-        assert!((h[sb] - 1.0).abs() < 1e-12);
+        let (a, b, c) = (s(0), s(1), s(2));
+        let mut builder = DtmcBuilder::new();
+        builder.state(a).state(b).state(c);
+        builder
+            .transition(a, b, 1.0)
+            .transition(b, c, 1.0)
+            .transition(c, c, 1.0);
+        let h = expected_hitting_times(&builder.build().unwrap(), &[2]);
+        assert!((h[0] - 2.0).abs() < 1e-12);
+        assert!((h[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]
