@@ -162,6 +162,62 @@ fn fig06_full_model_fits_better_and_silence_rises_with_p() {
     }
 }
 
+/// §3: the full model's timeout mass crosses 1/2, and the partial
+/// model's crosses 0.3, between p = 0.10 and p = 0.11 (EXPERIMENTS.md:
+/// 0.1027); both masses rise with p, the full model's never below the
+/// partial's, and the expected idle time is `1/(1−2p)` to the printed
+/// precision.
+#[test]
+fn sec3_timeouts_tip_between_p_010_and_011() {
+    let g = golden!("§3 tipping point", "model_tipping_point");
+    // The p rows; the backoff-depth rows below them start at stage 1.
+    let rows: Vec<Row> = g.rows(49).into_iter().filter(|r| r.num(0) < 1.0).collect();
+    assert_eq!(rows.len(), 45, "{}: 45 p rows", g.file);
+    for r in &rows {
+        let (p, partial, full, idle) = (r.num(0), r.num(1), r.num(2), r.num(4));
+        claim!(
+            g,
+            r.line,
+            full >= partial,
+            "full mass {full} < partial {partial}"
+        );
+        let closed = 1.0 / (1.0 - 2.0 * p);
+        let off = (idle - closed).abs();
+        claim!(
+            g,
+            r.line,
+            off <= 5e-4 + 1e-12,
+            "E[idle] {idle} ≠ 1/(1−2p) = {closed}"
+        );
+    }
+    for w in rows.windows(2) {
+        let rise = |i: usize| w[1].num(i) > w[0].num(i);
+        claim!(
+            g,
+            w[1].line,
+            rise(1) && rise(2),
+            "a timeout mass does not rise with p"
+        );
+    }
+    let at = |p: &str| rows.iter().find(|r| r.fields[0] == p).expect("a p row");
+    let (below, above) = (at("0.10"), at("0.11"));
+    for (i, threshold, model) in [(2, 0.5, "full"), (1, 0.3, "partial")] {
+        let (lo, hi) = (below.num(i), above.num(i));
+        claim!(
+            g,
+            below.line,
+            lo < threshold,
+            "{model} mass {lo} ≥ {threshold} at p = 0.10"
+        );
+        claim!(
+            g,
+            above.line,
+            hi > threshold,
+            "{model} mass {hi} ≤ {threshold} at p = 0.11"
+        );
+    }
+}
+
 /// Fig. 10: within the 10-packet NewFlow horizon a short flow's download
 /// time grows linearly with its length: the points lie within 0.35 s of
 /// their least-squares line, whose slope is positive.
