@@ -18,7 +18,7 @@
 //! [--smoke | --full]`
 
 use std::collections::BTreeMap;
-use taq_bench::{fairness_run, sweep_cells, Discipline, FairnessRunConfig, SweepArgs};
+use taq_bench::{fairness_run, mean, sweep_cells, Discipline, FairnessRunConfig, SweepArgs};
 use taq_faults::{FaultPlan, GilbertElliott};
 use taq_sim::{Bandwidth, SimDuration, SimTime};
 use taq_telemetry::{shared_sink, SummarySink, Telemetry};
@@ -97,15 +97,14 @@ pub fn run(args: SweepArgs) {
     let cells: Vec<Cell> = runs
         .iter()
         .map(|mine| {
-            let n = mine.len() as f64;
             let mut breakdown = BTreeMap::new();
             for (k, c) in mine.iter().flat_map(|(_, faults)| faults) {
                 *breakdown.entry(*k).or_insert(0) += c;
             }
             Cell {
-                jain: mine.iter().map(|r| r.0.short_term_jain).sum::<f64>() / n,
-                util: mine.iter().map(|r| r.0.utilization).sum::<f64>() / n,
-                shutout: mine.iter().map(|r| r.0.shutout_fraction).sum::<f64>() / n,
+                jain: mean(mine.iter().map(|r| r.0.short_term_jain)),
+                util: mean(mine.iter().map(|r| r.0.utilization)),
+                shutout: mean(mine.iter().map(|r| r.0.shutout_fraction)),
                 faults: mine
                     .iter()
                     .map(|r| r.0.fault_stats.as_ref().map_or(0, |f| f.total()))

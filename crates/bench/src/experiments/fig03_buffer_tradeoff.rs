@@ -22,7 +22,7 @@
 //! Usage: `taq-bench fig03_buffer_tradeoff [--seeds a,b,c | --runs N]
 //! [--threads N] [--full] [--smoke]`
 
-use taq_bench::{fairness_run, sweep_cells, Discipline, FairnessRunConfig, SweepArgs};
+use taq_bench::{fairness_run, mean, sweep_cells, Discipline, FairnessRunConfig, SweepArgs};
 use taq_sim::{Bandwidth, SimDuration};
 use taq_tcp::TcpConfig;
 
@@ -85,7 +85,7 @@ pub fn run(args: SweepArgs) {
     println!("# (window cap 20 segments, ns2 default; see module docs)");
     println!("# fair_share  flows  buffer_rtts  buffer_pkts  jain_short  max_queue_delay_s");
     for (cell, jain) in cells.iter().zip(jains) {
-        let jain = jain.iter().sum::<f64>() / jain.len() as f64;
+        let jain = mean(jain);
         let delay = cell.buffer_pkts as f64 * 500.0 * 8.0 / rate.bps() as f64;
         println!(
             "{:>12} {:>6} {:>12} {:>12} {jain:>11.3} {delay:>17.2}",

@@ -32,7 +32,7 @@
 use std::time::Instant;
 use taq_bench::{
     bernoulli_wire_run, compare_to_coupled_fluid, compare_to_fluid, droptail_coupled_run,
-    fluid_family, sweep_cells, sweep_indexed, FluidComparison, SweepArgs, WireObservation,
+    fluid_family, mean, sweep_cells, sweep_indexed, FluidComparison, SweepArgs, WireObservation,
     FLUID_EPOCH_MS, FLUID_LADDER_MS, FLUID_MAX_BACKOFF, FLUID_WMAX,
 };
 use taq_model::fluid::{
@@ -85,10 +85,8 @@ fn run_ladder(
         .iter()
         .zip(runs)
         .map(|(&n, cell)| {
-            let k = cell.len() as f64;
-            let avg = |f: &dyn Fn(&(WireObservation, FluidComparison)) -> f64| {
-                cell.iter().map(f).sum::<f64>() / k
-            };
+            let avg =
+                |f: &dyn Fn(&(WireObservation, FluidComparison)) -> f64| mean(cell.iter().map(f));
             LadderPoint {
                 flows: n,
                 l1: avg(&|r| r.1.l1),

@@ -13,7 +13,7 @@
 //! Usage: `taq-bench sec23_user_hangs [--seeds a,b,c | --runs N]
 //! [--threads N] [--full] [--smoke]`
 
-use taq_bench::{sweep_cells, Discipline, SweepArgs};
+use taq_bench::{mean, sweep_cells, Discipline, SweepArgs};
 use taq_metrics::HangTracker;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
 use taq_workloads::{generate_session, DumbbellSpec, SessionConfig};
@@ -86,9 +86,8 @@ pub fn run(args: SweepArgs) {
     println!("# §2.3 reproduction — user-perceived hangs (pool of 4 connections each)");
     println!("# users  discipline  frac_hang>20s  frac_hang>60s  users_seen");
     for (&(users, d), chunk) in cells.iter().zip(results) {
-        let n = chunk.len() as f64;
-        let h20 = chunk.iter().map(|r| r.0).sum::<f64>() / n;
-        let h60 = chunk.iter().map(|r| r.1).sum::<f64>() / n;
+        let h20 = mean(chunk.iter().map(|r| r.0));
+        let h60 = mean(chunk.iter().map(|r| r.1));
         let seen = chunk.iter().map(|r| r.2).sum::<usize>() / chunk.len();
         println!(
             "{users:>6} {:>11} {h20:>14.2} {h60:>14.2} {seen:>10}",

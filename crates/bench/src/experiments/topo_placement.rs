@@ -13,15 +13,20 @@
 //!   DropTail everywhere vs TAQ on the uplink vs TAQ on every leaf,
 //!   reporting the uplink and the mean leaf fairness.
 //!
-//! Expected shape: fairness recovers only at the TAQ hop — upstream
-//! DropTail hops keep shutting flows out, so placement at the *first*
-//! saturated hop dominates; in the tree, uplink placement helps only
-//! the aggregate while leaf placement fixes each neighbourhood.
+//! Measured shape (`results/topo_placement.txt`, default arguments): TAQ
+//! at the *first* hop is the worst placement, not the best — shutouts
+//! rise to 0.22–0.42 at every hop, against all-DropTail's 0.02–0.06, and
+//! the Jain index falls below DropTail's. TAQ at hop 1 matches
+//! DropTail's shutouts with slightly higher fairness; at hop 2 it
+//! empties hop 0 of shutouts but raises them downstream. In the tree,
+//! TAQ on the uplink lifts both the uplink and the leaves to a Jain
+//! index near 1, while TAQ on the leaves gains less. Why an upstream
+//! TAQ hop shuts flows out is open (ROADMAP item 14).
 //!
 //! Usage: `taq-bench topo_placement [--seeds a,b,c | --runs N] [--threads N]
 //! [--full | --smoke]`
 
-use taq_bench::{sweep_seeds, SweepArgs};
+use taq_bench::{mean, sweep_seeds, SweepArgs};
 use taq_metrics::SliceThroughput;
 use taq_sim::{Bandwidth, LinkId, SimDuration, SimTime};
 use taq_workloads::{AccessTreeSpec, ParkingLotSpec, QdiscSpec, TopoScenario};
@@ -31,15 +36,6 @@ use taq_workloads::{AccessTreeSpec, ParkingLotSpec, QdiscSpec, TopoScenario};
 struct LinkReport {
     mean_jain: f64,
     shutout: f64,
-}
-
-fn mean(xs: impl Iterator<Item = f64>) -> f64 {
-    let (sum, n) = xs.fold((0.0, 0usize), |(s, n), x| (s + x, n + 1));
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
 }
 
 /// Attaches a slice monitor to every listed link, runs the scenario,

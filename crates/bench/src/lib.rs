@@ -43,7 +43,7 @@ pub use fluid::{
     FLUID_WMAX,
 };
 pub use report::{telemetry_report, DisciplineReport, TelemetryReport, TelemetryReportConfig};
-pub use sweep::{default_threads, sweep_cells, sweep_indexed, sweep_seeds, SweepArgs};
+pub use sweep::{default_threads, mean, sweep_cells, sweep_indexed, sweep_seeds, SweepArgs};
 
 use taq_faults::{FaultPlan, FaultStats};
 use taq_metrics::{EvolutionTracker, SliceThroughput};

@@ -102,6 +102,20 @@ where
         .collect()
 }
 
+/// The mean of `values`, summed in their order: a cell's per-seed
+/// results from [`sweep_cells`] in seed order, so a table prints the
+/// same bytes at any thread count. 0 when there are none.
+pub fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (sum, n) = values
+        .into_iter()
+        .fold((0.0, 0usize), |(sum, n), x| (sum + x, n + 1));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
 /// The threads a sweep uses when the CLI does not pin one: all
 /// available cores.
 pub fn default_threads() -> usize {
