@@ -122,8 +122,6 @@ pub struct FluidModel {
     /// The chain's states (index-aligned with any chain the family
     /// builds).
     states: Vec<State>,
-    /// Packets sent per epoch, per state.
-    sends: Vec<f64>,
     /// Index of the start state (window 2, no backoff memory).
     start: usize,
     /// Prebuilt chain for the constant-`p` wire case, so a trajectory
@@ -175,7 +173,6 @@ impl FluidModel {
         assert!(flows > 0.0, "need a positive flow population");
         assert!(epoch_secs > 0.0, "need a positive epoch");
         let states = family.build(0.1).states().to_vec();
-        let sends = states.iter().map(|s| f64::from(s.sends())).collect();
         let start = states
             .iter()
             .position(|s| matches!(s, State::Window(2, None | Some(0))))
@@ -190,7 +187,6 @@ impl FluidModel {
             flows,
             epoch_secs,
             states,
-            sends,
             start,
             wire_chain,
         }
@@ -218,7 +214,7 @@ impl FluidModel {
 
     /// Number of chain states (the density's length).
     pub fn n_states(&self) -> usize {
-        self.sends.len()
+        self.states.len()
     }
 
     /// The canonical initial condition: every flow at window 2 with no
@@ -236,8 +232,13 @@ impl FluidModel {
     /// Aggregate arrival intensity in packets per second implied by a
     /// density: `N · E[sends] / epoch`.
     pub fn offered_pps(&self, density: &[f64]) -> f64 {
-        let per_epoch: f64 = density.iter().zip(&self.sends).map(|(x, s)| x * s).sum();
-        self.flows * per_epoch / self.epoch_secs
+        self.flows * self.mean_sends(density) / self.epoch_secs
+    }
+
+    /// Mean packets sent per epoch under `density`.
+    fn mean_sends(&self, density: &[f64]) -> f64 {
+        let sends = self.states.iter().map(|s| f64::from(s.sends()));
+        density.iter().zip(sends).map(|(x, s)| x * s).sum()
     }
 
     /// The loss probability the feedback produces at queue occupancy
@@ -422,11 +423,7 @@ impl FluidModel {
         saturated: bool,
     ) -> FluidStationary {
         let n_sent = n_sent(&self.states, &density);
-        let mu: f64 = density
-            .iter()
-            .zip(&self.sends)
-            .map(|(x, s)| x * s)
-            .sum::<f64>();
+        let mu = self.mean_sends(&density);
         FluidStationary {
             p,
             silence_fraction: n_sent[0],
@@ -498,7 +495,8 @@ impl FluidModel {
             return 1.0;
         }
         let chain = self.family.build(stationary.p);
-        let sigma2 = chain.asymptotic_variance(&self.sends);
+        let sends: Vec<f64> = self.states.iter().map(|s| f64::from(s.sends())).collect();
+        let sigma2 = chain.asymptotic_variance(&sends);
         1.0 / (1.0 + sigma2 / (mu * mu * epochs))
     }
 }
