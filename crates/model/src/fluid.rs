@@ -828,4 +828,100 @@ mod tests {
             b.density.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
         );
     }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The bits of four model outputs, recorded before the chains were
+    /// declared once and evaluated per `p`: a change to an edge weight's
+    /// float order, to the sparse derivative's summation order or to
+    /// the stationary solve's matrix fill shows here first.
+    #[test]
+    fn outputs_pinned_to_the_bit() {
+        let tip = wire_tipping_point_by_evolution(FULL, 0.5, 0.2, 300.0);
+        assert_eq!(tip.to_bits(), 0x3fba484266b7e650, "tipping point {tip}");
+
+        // 30 epochs of the coupled drop-tail loop: the queue reaches the
+        // buffer, so the chain is evaluated at a moving p.
+        let model = coupled(64.0, 2.0);
+        let mut state = model.initial_state();
+        for _ in 0..300 {
+            state = model.step(&state, 0.1);
+        }
+        let density: [u64; 27] = [
+            0x3f9705c665c5398f,
+            0x3f8213bb75326187,
+            0x3f6d18bb04adf84a,
+            0x3f84d40a0305378b,
+            0x3f8d3c636b2f267f,
+            0x3f851ba29086e2f9,
+            0x3fa1dc6e550d53a4,
+            0x3f7e2b107db76758,
+            0x3f82144510a4b87a,
+            0x3f7a6dc722c0e96f,
+            0x3f96f49e30dfc366,
+            0x3f92c7a18ca55b99,
+            0x3f8b59499a4d092e,
+            0x3f8b18577f4fb197,
+            0x3f8ae09295ffff59,
+            0x3f84095e0f928b99,
+            0x3f84324bb8298159,
+            0x3f847638a15a36b1,
+            0x3f84d86f51821f7f,
+            0x3f856197c046e8a6,
+            0x3f8624b3f80321c3,
+            0x3f87440b266b876f,
+            0x3f92a34d6db2e8b1,
+            0x3f8ab957b85e8ba6,
+            0x3f88f43b4f8c2f94,
+            0x3fe4a7fc1e147c2c,
+            0x3f9fc4becef0db9c,
+        ];
+        assert_eq!(bits(&state.density), density, "coupled density");
+        assert_eq!(state.queue_pkts.to_bits(), 0x4050000000000000, "queue");
+
+        let pi: [u64; 27] = [
+            0x3fa9e93e41ecd397,
+            0x3f9b0d3055d191c3,
+            0x3f93455b174f300d,
+            0x3f993babab69fa13,
+            0x3f9f1e201dea497b,
+            0x3f9361b48160cf02,
+            0x3fa0010ca82a6ed0,
+            0x3f98c5a9d9e0aca2,
+            0x3f967b86907e6472,
+            0x3f8c01a9f3457d0a,
+            0x3f97203c877ac167,
+            0x3fa24df4c64d94a8,
+            0x3f96cd4cd471e47a,
+            0x3f96cd4cd471e47a,
+            0x3f96cd4cd471e47a,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f67450,
+            0x3f8c6787c8f6745b,
+            0x3fa24df4c64d94a3,
+            0x3f96cd4cd471e47a,
+            0x3f8c6787c8f67459,
+            0x3fdb03b9d16373b0,
+            0x3f977459e37024ea,
+        ];
+        assert_eq!(bits(&FullModel::new(0.15, 6, 3).stationary()), pi, "full π");
+
+        let n_sent: [u64; 7] = [
+            0x3fd58bcdc993681d,
+            0x3fcb8d04d361d665,
+            0x3fca1cb6df4816d2,
+            0x3fc13757458460a6,
+            0x3fb1a11df95c8bef,
+            0x3f9ce24a8134ea31,
+            0x3f89a7927d5fea86,
+        ];
+        let partial = PartialModel::new(0.2, 6).n_sent_distribution();
+        assert_eq!(bits(&partial), n_sent, "partial n_sent");
+    }
 }
