@@ -1,81 +1,151 @@
-//! Generic finite discrete-time Markov chains.
+//! Finite discrete-time Markov chains over a per-packet loss rate `p`.
 //!
-//! The paper's models are small (tens of states), so the stationary
-//! distribution is computed exactly by dense Gaussian elimination on
-//! `π(P − I) = 0` with the normalisation `Σπ = 1`, and cross-checked in
-//! tests against power iteration.
+//! A [`Chain`] declares its states and weighted edges once; each weight
+//! is a closed form in `p` ([`Weight`]), and [`Chain::at`] evaluates
+//! them into a [`Dtmc`] whose transitions are a sparse, row-major edge
+//! list. The paper's models are small (tens of states), so the
+//! stationary distribution is computed exactly by dense Gaussian
+//! elimination on `π(P − I) = 0` with the normalisation `Σπ = 1`, and
+//! cross-checked in tests against power iteration.
 
 use crate::state::{n_sent, State};
 
+/// A transition probability as a closed form in the loss rate `p`
+/// (`q = 1 − p`), each evaluated in one fixed float-operation order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Weight {
+    /// A probability that does not depend on `p`.
+    Const(f64),
+    /// `p`: a retransmission is lost.
+    P,
+    /// `q`: a retransmission is delivered.
+    Q,
+    /// `2p`: the partial chain's `b*` dwell.
+    TwoP,
+    /// `1 − 2p`: leaving `b*`.
+    OneMinusTwoP,
+    /// `q^n`: all `n` segments of a window are delivered.
+    Up(u32),
+    /// `n·p·q^(n−1)·q`: one of `n` is lost, its fast retransmit is not.
+    Fast(u32),
+    /// `1 − q^n − fast`: window `n` times out (`fast` is 0 below 4).
+    Timeout(u32),
+    /// `1 − 1/E`: the dwell past stage `K`, geometric with the ladder's
+    /// mean `E = Σ_{i≥0} p^i·q·(2^{K+1+i} − 1) = 2^{K+1}·q/(1−2p) − 1`.
+    TailStay(u32),
+    /// `1 − (1 − 1/E)`: leaving that tail.
+    TailLeave(u32),
+}
+
+impl Weight {
+    /// The weight at loss rate `p`.
+    fn at(self, p: f64) -> f64 {
+        let q = 1.0 - p;
+        let up = |n: u32| q.powi(n as i32);
+        let fast = |n: u32| f64::from(n) * p * q.powi(n as i32 - 1) * q;
+        let tail_stay = |k: u32| {
+            let e_tail = f64::from(1u32 << (k + 1)) * q / (1.0 - 2.0 * p) - 1.0;
+            debug_assert!(e_tail >= 1.0);
+            1.0 - 1.0 / e_tail
+        };
+        match self {
+            Weight::Const(w) => w,
+            Weight::P => p,
+            Weight::Q => q,
+            Weight::TwoP => 2.0 * p,
+            Weight::OneMinusTwoP => 1.0 - 2.0 * p,
+            Weight::Up(n) => up(n),
+            Weight::Fast(n) => fast(n),
+            Weight::Timeout(n) => 1.0 - up(n) - if n >= 4 { fast(n) } else { 0.0 },
+            Weight::TailStay(k) => tail_stay(k),
+            Weight::TailLeave(k) => 1.0 - tail_stay(k),
+        }
+    }
+}
+
+/// A chain declared once over the loss rate `p`: its states (state `i`
+/// is the `i`-th) and its edges, weighted by closed forms in `p`.
+#[derive(Debug, Clone)]
+pub struct Chain {
+    states: Vec<State>,
+    /// `(from, to, weight)`, stably sorted by `(from, to)`.
+    edges: Vec<(usize, usize, Weight)>,
+}
+
+impl Chain {
+    /// Declares a chain over `states` with the weighted `edges`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names an undeclared state.
+    pub(crate) fn new(states: Vec<State>, edges: &[(State, State, Weight)]) -> Chain {
+        let index = |s: State| {
+            let i = states.iter().position(|&declared| declared == s);
+            i.unwrap_or_else(|| panic!("state {s} is not declared"))
+        };
+        let mut edges: Vec<_> = edges
+            .iter()
+            .map(|&(from, to, weight)| (index(from), index(to), weight))
+            .collect();
+        edges.sort_by_key(|&(i, j, _)| (i, j));
+        Chain { states, edges }
+    }
+
+    /// The states in declaration order, the same at every `p`.
+    pub fn states(&self) -> &[State] {
+        &self.states
+    }
+
+    /// The chain at loss rate `p`: its nonzero transitions, duplicate
+    /// edges summed in declaration order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a weight leaves `[0, 1]` or a state's outgoing
+    /// probabilities do not sum to 1 (within 1e-9): a modelling bug.
+    pub fn at(&self, p: f64) -> Dtmc {
+        Dtmc {
+            states: self.states.clone(),
+            edges: self.edges_at(p),
+        }
+    }
+
+    /// [`Chain::at`]'s transitions alone.
+    pub(crate) fn edges_at(&self, p: f64) -> Vec<(usize, usize, f64)> {
+        let mut edges: Vec<(usize, usize, f64)> = Vec::with_capacity(self.edges.len());
+        let mut sums = vec![0.0; self.states.len()];
+        for &(i, j, weight) in &self.edges {
+            let w = weight.at(p);
+            assert!(
+                (0.0..=1.0 + 1e-12).contains(&w),
+                "probability out of range: {w}"
+            );
+            if w == 0.0 {
+                continue;
+            }
+            sums[i] += w;
+            match edges.last_mut() {
+                Some(last) if (last.0, last.1) == (i, j) => last.2 += w,
+                _ => edges.push((i, j, w)),
+            }
+        }
+        for (state, sum) in self.states.iter().zip(sums) {
+            assert!(
+                (sum - 1.0).abs() <= 1e-9,
+                "state {state} rows sum to {sum}, expected 1"
+            );
+        }
+        edges
+    }
+}
+
 /// A finite DTMC over [`State`]s with a row-stochastic transition
-/// matrix. State `i` is the `i`-th declared.
+/// matrix, held as its nonzero entries: a [`Chain`] at one `p`.
 #[derive(Debug, Clone)]
 pub struct Dtmc {
     states: Vec<State>,
-    /// Row-major transition probabilities: `p[i][j] = P(i → j)`.
-    p: Vec<Vec<f64>>,
-}
-
-/// Builder for a [`Dtmc`].
-#[derive(Debug, Default)]
-pub struct DtmcBuilder {
-    states: Vec<State>,
-    entries: Vec<(State, State, f64)>,
-}
-
-impl DtmcBuilder {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        DtmcBuilder::default()
-    }
-
-    /// Declares a state: the `i`-th declared is the chain's state `i`.
-    pub fn state(&mut self, state: State) -> &mut Self {
-        self.states.push(state);
-        self
-    }
-
-    /// Adds probability mass `prob` to the transition `from → to`.
-    /// Multiple additions to the same pair accumulate.
-    pub fn transition(&mut self, from: State, to: State, prob: f64) -> &mut Self {
-        assert!(
-            (0.0..=1.0 + 1e-12).contains(&prob),
-            "probability out of range: {prob}"
-        );
-        if prob > 0.0 {
-            self.entries.push((from, to, prob));
-        }
-        self
-    }
-
-    /// Finalises the chain.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first transition from or to an
-    /// undeclared state, or else the first state whose outgoing
-    /// probabilities do not sum to 1 (within 1e-9).
-    pub fn build(self) -> Result<Dtmc, String> {
-        let n = self.states.len();
-        let index = |s: State| {
-            let i = self.states.iter().position(|&declared| declared == s);
-            i.ok_or_else(|| format!("state {s} is not declared"))
-        };
-        let mut p = vec![vec![0.0; n]; n];
-        for &(from, to, prob) in &self.entries {
-            p[index(from)?][index(to)?] += prob;
-        }
-        for (state, row) in self.states.iter().zip(&p) {
-            let sum: f64 = row.iter().sum();
-            if (sum - 1.0).abs() > 1e-9 {
-                return Err(format!("state {state} rows sum to {sum}, expected 1"));
-            }
-        }
-        Ok(Dtmc {
-            states: self.states,
-            p,
-        })
-    }
+    /// `(i, j, P(i → j))`, sorted by `(i, j)`, one entry per pair.
+    edges: Vec<(usize, usize, f64)>,
 }
 
 /// Solves the dense linear system `A x = b` by partial-pivot Gaussian
@@ -136,9 +206,9 @@ impl Dtmc {
         &self.states
     }
 
-    /// Transition probability `P(i → j)`.
-    pub fn prob(&self, i: usize, j: usize) -> f64 {
-        self.p[i][j]
+    /// The nonzero transitions `(i, j, P(i → j))`, sorted by `(i, j)`.
+    pub fn edges(&self) -> &[(usize, usize, f64)] {
+        &self.edges
     }
 
     /// Exact stationary distribution via Gaussian elimination on the
@@ -150,17 +220,14 @@ impl Dtmc {
     /// tolerance, which indicates a chain with no unique stationary
     /// distribution (e.g. disconnected recurrent classes) — a modelling
     /// bug, not a runtime condition.
-    #[allow(clippy::needless_range_loop)]
     pub fn stationary(&self) -> Vec<f64> {
         let n = self.len();
         assert!(n > 0, "empty chain");
         // Build A = Pᵀ − I, then overwrite the last row with ones
         // (normalisation); solve A x = e_last.
         let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                a[j][i] = self.p[i][j];
-            }
+        for &(i, j, pij) in &self.edges {
+            a[j][i] = pij;
         }
         for (i, row) in a.iter_mut().enumerate() {
             row[i] -= 1.0;
@@ -200,17 +267,23 @@ impl Dtmc {
     /// # Panics
     ///
     /// Panics if `reward.len() != self.len()`.
-    #[allow(clippy::needless_range_loop)]
     pub fn asymptotic_variance(&self, reward: &[f64]) -> f64 {
         let n = self.len();
         assert_eq!(reward.len(), n, "one reward per state");
         let pi = self.stationary();
         let mu: f64 = pi.iter().zip(reward).map(|(p, f)| p * f).sum();
         let fbar: Vec<f64> = reward.iter().map(|f| f - mu).collect();
+        // I − P + 1π, in the order (δ_ij − P_ij) + π_j.
         let mut a = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in 0..n {
-                a[i][j] = f64::from(u8::from(i == j)) - self.p[i][j] + pi[j];
+        for (i, row) in a.iter_mut().enumerate() {
+            row[i] = 1.0;
+        }
+        for &(i, j, pij) in &self.edges {
+            a[i][j] -= pij;
+        }
+        for row in &mut a {
+            for (v, pj) in row.iter_mut().zip(&pi) {
+                *v += pj;
             }
         }
         let h = solve_dense(a, fbar.clone());
@@ -253,20 +326,14 @@ impl Dtmc {
     /// Stationary distribution by power iteration: the tests' oracle for
     /// [`Dtmc::stationary`].
     #[cfg(test)]
-    #[allow(clippy::needless_range_loop)]
     pub fn stationary_power(&self, iterations: usize) -> Vec<f64> {
         let n = self.len();
         let mut pi = vec![1.0 / n as f64; n];
         let mut next = vec![0.0; n];
         for _ in 0..iterations {
             next.fill(0.0);
-            for i in 0..n {
-                if pi[i] == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    next[j] += pi[i] * self.p[i][j];
-                }
+            for &(i, j, pij) in &self.edges {
+                next[j] += pi[i] * pij;
             }
             std::mem::swap(&mut pi, &mut next);
         }
@@ -283,15 +350,23 @@ mod tests {
         State::Window(n, None)
     }
 
+    /// A chain over windows `0..n` with constant weights.
+    fn chain(n: u32, edges: &[(u32, u32, f64)]) -> Chain {
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(from, to, w)| (s(from), s(to), Weight::Const(w)))
+            .collect();
+        Chain::new((0..n).map(s).collect(), &edges)
+    }
+
     fn two_state(p01: f64, p10: f64) -> Dtmc {
-        let mut b = DtmcBuilder::new();
-        let (s0, s1) = (s(0), s(1));
-        b.state(s0).state(s1);
-        b.transition(s0, s1, p01)
-            .transition(s0, s0, 1.0 - p01)
-            .transition(s1, s0, p10)
-            .transition(s1, s1, 1.0 - p10);
-        b.build().unwrap()
+        let edges = [
+            (0, 1, p01),
+            (0, 0, 1.0 - p01),
+            (1, 0, p10),
+            (1, 1, 1.0 - p10),
+        ];
+        chain(2, &edges).at(0.0)
     }
 
     #[test]
@@ -305,16 +380,11 @@ mod tests {
 
     #[test]
     fn stationary_matches_power_iteration() {
-        let mut b = DtmcBuilder::new();
-        for i in 0..5 {
-            b.state(s(i));
-        }
         // A ring with a bias.
-        for i in 0..5 {
-            b.transition(s(i), s((i + 1) % 5), 0.7);
-            b.transition(s(i), s((i + 4) % 5), 0.3);
-        }
-        let m = b.build().unwrap();
+        let edges: Vec<_> = (0..5)
+            .flat_map(|i| [(i, (i + 1) % 5, 0.7), (i, (i + 4) % 5, 0.3)])
+            .collect();
+        let m = chain(5, &edges).at(0.0);
         let exact = m.stationary();
         let approx = m.stationary_power(10_000);
         for (e, a) in exact.iter().zip(&approx) {
@@ -326,37 +396,64 @@ mod tests {
         }
     }
 
+    /// The message `f` panics with.
+    fn panic_message<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).err().expect("a panic");
+        payload.downcast::<String>().map(|m| *m).unwrap_or_default()
+    }
+
     #[test]
     fn unnormalised_rows_rejected() {
-        let mut b = DtmcBuilder::new();
-        let (s0, s1) = (s(7), s(8));
-        b.state(s0).state(s1);
-        b.transition(s0, s1, 0.5);
-        b.transition(s1, s0, 1.0);
-        let err = b.build().unwrap_err();
-        assert!(
-            err.contains("state S7 "),
-            "error names the bad state: {err}"
-        );
+        let err = panic_message(|| chain(2, &[(0, 0, 1.0), (1, 0, 0.5)]).at(0.0));
+        assert_eq!(err, "state S1 rows sum to 0.5, expected 1");
     }
 
     #[test]
     fn undeclared_states_rejected() {
-        let mut b = DtmcBuilder::new();
-        b.state(s(1)).transition(s(1), s(2), 1.0);
-        assert_eq!(b.build().unwrap_err(), "state S2 is not declared");
+        let err = panic_message(|| chain(2, &[(1, 2, 1.0)]));
+        assert_eq!(err, "state S2 is not declared");
     }
 
     #[test]
     fn accumulating_transitions() {
-        let mut b = DtmcBuilder::new();
-        let s0 = s(7);
-        b.state(s0);
-        b.transition(s0, s0, 0.25);
-        b.transition(s0, s0, 0.75);
-        let m = b.build().unwrap();
-        assert_eq!(m.prob(0, 0), 1.0);
-        assert_eq!(m.stationary(), vec![1.0]);
+        // Declared out of order, with a duplicate pair and a zero weight.
+        let edges = [(1, 0, 1.0), (0, 1, 0.25), (0, 0, 0.0), (0, 1, 0.75)];
+        let m = chain(2, &edges).at(0.0);
+        assert_eq!(m.edges(), [(0, 1, 1.0), (1, 0, 1.0)]);
+        assert_eq!(m.stationary(), vec![0.5, 0.5]);
+    }
+
+    #[test]
+    fn weights_evaluate_their_closed_forms() {
+        let edges = [
+            (s(0), s(1), Weight::P),
+            (s(0), s(0), Weight::Q),
+            (s(1), s(1), Weight::TwoP),
+            (s(1), s(0), Weight::OneMinusTwoP),
+        ];
+        let m = Chain::new(vec![s(0), s(1)], &edges).at(0.2);
+        let expected = [
+            (0, 0, 1.0 - 0.2),
+            (0, 1, 0.2),
+            (1, 0, 1.0 - 0.4),
+            (1, 1, 0.4),
+        ];
+        assert_eq!(m.edges(), expected);
+    }
+
+    #[test]
+    fn low_window_weights_keep_the_products_they_replaced() {
+        // The full chain's tagged windows once spelled their growth as
+        // q·q and q·q·q; `Up` must give the same bits.
+        for i in 1..500 {
+            let p = f64::from(i) / 1000.0;
+            let q = 1.0 - p;
+            let bits = |w: Weight| w.at(p).to_bits();
+            assert_eq!(bits(Weight::Up(2)), (q * q).to_bits(), "p={p}");
+            assert_eq!(bits(Weight::Up(3)), (q * q * q).to_bits(), "p={p}");
+            assert_eq!(bits(Weight::Timeout(2)), (1.0 - q * q).to_bits());
+            assert_eq!(bits(Weight::Timeout(3)), (1.0 - q * q * q).to_bits());
+        }
     }
 
     #[test]
@@ -375,13 +472,7 @@ mod tests {
     #[test]
     fn asymptotic_variance_iid_reduces_to_plain_variance() {
         // P = 1π makes successive states independent, so σ² = Var_π(f).
-        let mut b = DtmcBuilder::new();
-        let (s0, s1) = (s(0), s(1));
-        b.state(s0).state(s1);
-        for s in [s0, s1] {
-            b.transition(s, s0, 0.25).transition(s, s1, 0.75);
-        }
-        let m = b.build().unwrap();
+        let m = chain(2, &[(0, 0, 0.25), (0, 1, 0.75), (1, 0, 0.25), (1, 1, 0.75)]).at(0.0);
         let sigma2 = m.asymptotic_variance(&[0.0, 1.0]);
         // Bernoulli(0.75) variance.
         assert!((sigma2 - 0.75 * 0.25).abs() < 1e-12, "σ² = {sigma2}");

@@ -34,9 +34,9 @@
 //! cannot reach twice.
 
 use crate::analysis::bisect_crossing;
-use crate::dtmc::Dtmc;
+use crate::dtmc::{Chain, Dtmc};
 use crate::state::{n_sent, State};
-use crate::{FullModel, PartialModel};
+use crate::{full, partial};
 
 /// Smallest loss probability the chains accept (they require `p > 0`).
 /// Feedback values below it clamp here; a stationary solution reporting
@@ -66,22 +66,19 @@ pub enum ChainFamily {
 }
 
 impl ChainFamily {
-    /// The family's window cap.
-    pub fn wmax(self) -> u32 {
+    /// The family's chain, declared once: [`Chain::at`] evaluates it at
+    /// any `p` over the same states in the same order, so one density
+    /// indexes every evaluation — the invariant the whole module rests
+    /// on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `wmax ≥ 4` and, for the full chain,
+    /// `1 ≤ max_backoff ≤ 10`.
+    pub fn chain(self) -> Chain {
         match self {
-            ChainFamily::Partial { wmax } | ChainFamily::Full { wmax, .. } => wmax,
-        }
-    }
-
-    /// Builds the family's chain at loss probability `p` (clamped into
-    /// `[P_MIN, P_MAX]`). State declaration order does not depend on
-    /// `p`, so densities indexed by one chain's states are valid for
-    /// any other `p` — the invariant the whole module rests on.
-    pub fn build(self, p: f64) -> Dtmc {
-        let p = p.clamp(P_MIN, P_MAX);
-        match self {
-            ChainFamily::Partial { wmax } => PartialModel::new(p, wmax).chain,
-            ChainFamily::Full { wmax, max_backoff } => FullModel::new(p, wmax, max_backoff).chain,
+            ChainFamily::Partial { wmax } => partial::chain(wmax),
+            ChainFamily::Full { wmax, max_backoff } => full::chain(wmax, max_backoff),
         }
     }
 }
@@ -115,18 +112,13 @@ pub enum LossFeedback {
 /// population, and the epoch length tying chain time to wall time.
 #[derive(Debug, Clone)]
 pub struct FluidModel {
-    family: ChainFamily,
     loss: LossFeedback,
     flows: f64,
     epoch_secs: f64,
-    /// The chain's states (index-aligned with any chain the family
-    /// builds).
-    states: Vec<State>,
+    /// The family's chain, evaluated at each loss rate the loop sets.
+    chain: Chain,
     /// Index of the start state (window 2, no backoff memory).
     start: usize,
-    /// Prebuilt chain for the constant-`p` wire case, so a trajectory
-    /// does not rebuild an identical chain four times per RK4 step.
-    wire_chain: Option<Dtmc>,
 }
 
 /// A point of the fluid trajectory: the flow-state density plus the
@@ -172,49 +164,29 @@ impl FluidModel {
     pub fn new(family: ChainFamily, loss: LossFeedback, flows: f64, epoch_secs: f64) -> Self {
         assert!(flows > 0.0, "need a positive flow population");
         assert!(epoch_secs > 0.0, "need a positive epoch");
-        let states = family.build(0.1).states().to_vec();
-        let start = states
+        let chain = family.chain();
+        let start = chain
+            .states()
             .iter()
             .position(|s| matches!(s, State::Window(2, None | Some(0))))
             .expect("both chains have a window-2 start state");
-        let wire_chain = match loss {
-            LossFeedback::Wire { p } => Some(family.build(p)),
-            LossFeedback::DropTail { .. } => None,
-        };
         FluidModel {
-            family,
             loss,
             flows,
             epoch_secs,
-            states,
+            chain,
             start,
-            wire_chain,
         }
-    }
-
-    /// The chain family.
-    pub fn family(&self) -> ChainFamily {
-        self.family
-    }
-
-    /// The loss loop.
-    pub fn loss(&self) -> LossFeedback {
-        self.loss
-    }
-
-    /// The flow population `N`.
-    pub fn flows(&self) -> f64 {
-        self.flows
-    }
-
-    /// The epoch length in seconds.
-    pub fn epoch_secs(&self) -> f64 {
-        self.epoch_secs
     }
 
     /// Number of chain states (the density's length).
     pub fn n_states(&self) -> usize {
-        self.states.len()
+        self.chain.states().len()
+    }
+
+    /// The chain at loss rate `p`, clamped into `[P_MIN, P_MAX]`.
+    fn chain_at(&self, p: f64) -> Dtmc {
+        self.chain.at(p.clamp(P_MIN, P_MAX))
     }
 
     /// The canonical initial condition: every flow at window 2 with no
@@ -237,7 +209,7 @@ impl FluidModel {
 
     /// Mean packets sent per epoch under `density`.
     fn mean_sends(&self, density: &[f64]) -> f64 {
-        let sends = self.states.iter().map(|s| f64::from(s.sends()));
+        let sends = self.chain.states().iter().map(|s| f64::from(s.sends()));
         density.iter().zip(sends).map(|(x, s)| x * s).sum()
     }
 
@@ -274,25 +246,12 @@ impl FluidModel {
     fn derivative(&self, state: &FluidState) -> (Vec<f64>, f64) {
         let lambda = self.offered_pps(&state.density);
         let p = self.loss_probability(state.queue_pkts, lambda);
-        let built;
-        let chain = match &self.wire_chain {
-            Some(cached) => cached,
-            None => {
-                built = self.family.build(p);
-                &built
-            }
-        };
-        let n = chain.len();
-        let mut dx = vec![0.0; n];
-        for (i, &xi) in state.density.iter().enumerate() {
-            if xi == 0.0 {
-                continue;
-            }
-            for (j, slot) in dx.iter_mut().enumerate() {
-                let pij = chain.prob(i, j);
-                if pij != 0.0 {
-                    *slot += xi * pij;
-                }
+        // Row by row, so each dx[j] sums its inflows in order of i.
+        let mut dx = vec![0.0; self.n_states()];
+        for (i, j, pij) in self.chain.edges_at(p) {
+            let xi = state.density[i];
+            if xi != 0.0 {
+                dx[j] += xi * pij;
             }
         }
         for (slot, &xj) in dx.iter_mut().zip(&state.density) {
@@ -407,8 +366,7 @@ impl FluidModel {
     /// Packages a solved `(p, density, queue)` triple into the analysis
     /// surface.
     fn stationary_at(&self, p: f64, queue_pkts: f64, saturated: bool) -> FluidStationary {
-        let chain = self.family.build(p);
-        let density = chain.stationary();
+        let density = self.chain_at(p).stationary();
         self.summarize(p, density, queue_pkts, saturated)
     }
 
@@ -422,7 +380,7 @@ impl FluidModel {
         queue_pkts: f64,
         saturated: bool,
     ) -> FluidStationary {
-        let n_sent = n_sent(&self.states, &density);
+        let n_sent = n_sent(self.chain.states(), &density);
         let mu = self.mean_sends(&density);
         FluidStationary {
             p,
@@ -455,8 +413,8 @@ impl FluidModel {
                 buffer_pkts,
             } => {
                 let surplus = |p: f64| {
-                    let chain = self.family.build(p);
-                    self.offered_pps(&chain.stationary()) * (1.0 - p) - capacity_pps
+                    let density = self.chain_at(p).stationary();
+                    self.offered_pps(&density) * (1.0 - p) - capacity_pps
                 };
                 if surplus(P_MIN) <= 0.0 {
                     return self.stationary_at(P_MIN, 0.0, false);
@@ -494,9 +452,9 @@ impl FluidModel {
         if mu <= 0.0 || epochs <= 0.0 {
             return 1.0;
         }
-        let chain = self.family.build(stationary.p);
-        let sends: Vec<f64> = self.states.iter().map(|s| f64::from(s.sends())).collect();
-        let sigma2 = chain.asymptotic_variance(&sends);
+        let states = self.chain.states();
+        let sends: Vec<f64> = states.iter().map(|s| f64::from(s.sends())).collect();
+        let sigma2 = self.chain_at(stationary.p).asymptotic_variance(&sends);
         1.0 / (1.0 + sigma2 / (mu * mu * epochs))
     }
 }
@@ -569,7 +527,7 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis;
+    use crate::{analysis, FullModel, PartialModel};
 
     const FULL: ChainFamily = ChainFamily::Full {
         wmax: 6,
@@ -765,7 +723,7 @@ mod tests {
         for &p in &[0.05, 0.2] {
             let model = FluidModel::new(FULL, LossFeedback::Wire { p }, 1.0, 0.2);
             let st = model.stationary();
-            let reference = crate::FullModel::new(p, 6, 3).n_sent_distribution();
+            let reference = FullModel::new(p, 6, 3).n_sent_distribution();
             assert!(
                 l1_distance(&st.n_sent, &reference) < 1e-12,
                 "p={p}: fluid n_sent diverged from the chain's aggregation"
@@ -802,7 +760,7 @@ mod tests {
             0.2,
         );
         let st = model.stationary();
-        let reference = crate::PartialModel::new(0.2, 6).n_sent_distribution();
+        let reference = PartialModel::new(0.2, 6).n_sent_distribution();
         assert!(l1_distance(&st.n_sent, &reference) < 1e-12);
     }
 

@@ -28,10 +28,11 @@
 //! state, and `S4..SWmax` whose losses exceed fast-retransmit's reach)
 //! enter stage 1 with the base timer.
 
-use crate::dtmc::{Dtmc, DtmcBuilder};
+use crate::dtmc::{Chain, Dtmc, Weight};
 use crate::state::{Stage, State};
 
-/// The expanded repetitive-timeout model.
+/// The expanded repetitive-timeout model: its chain at `p`, read
+/// through [`Dtmc`]'s methods.
 #[derive(Debug, Clone)]
 pub struct FullModel {
     /// Per-packet loss probability.
@@ -44,144 +45,116 @@ pub struct FullModel {
     pub(crate) chain: Dtmc,
 }
 
+/// The Figure 5 chain up to window `wmax` with explicit backoff stages
+/// `1..=k`, declared once over `p`.
+///
+/// # Panics
+///
+/// Panics unless `wmax ≥ 4` and `1 ≤ k ≤ 10` (the wait chain for stage
+/// `j` has `2^j − 1` states, so depth is capped to keep the chain small).
+pub(crate) fn chain(wmax: u32, k: u32) -> Chain {
+    assert!(wmax >= 4, "need wmax >= 4, got {wmax}");
+    assert!(
+        (1..=10).contains(&k),
+        "need 1 <= max_backoff <= 10, got {k}"
+    );
+    let window = State::Window;
+    let wait = |j, epoch| State::Wait(Stage::At(j), epoch);
+    let retx = |j| State::Retransmit(Stage::At(j));
+    let tail_wait = State::Wait(Stage::Tail(k + 1), 1);
+    let tail_retx = State::Retransmit(Stage::Tail(k + 1));
+    // Stage entry point: first wait state of stage j (1-indexed).
+    let stage_entry = |j: u32| if j > k { tail_wait } else { wait(j, 1) };
+
+    // Untagged S4..SWmax, tagged S2^j then S3^j for j = 0..=K, each
+    // stage's wait chain, the retransmit states, the tail.
+    let mut states: Vec<State> = (4..=wmax).map(|n| window(n, None)).collect();
+    for n in [2, 3] {
+        states.extend((0..=k).map(|j| window(n, Some(j))));
+    }
+    for j in 1..=k {
+        states.extend((1..1 << j).map(|i| wait(j, i)));
+    }
+    states.extend((1..=k).map(retx));
+    states.extend([tail_wait, tail_retx]);
+
+    let mut edges = Vec::new();
+    // --- Untagged window chain S4..SWmax ---
+    for n in 4..=wmax {
+        let here = window(n, None);
+        let up = if n == wmax { here } else { window(n + 1, None) };
+        // Fast retransmit to ⌊n/2⌋: windows 2,3 land in tagged j=0
+        // (no backoff memory — no timeout happened), 4+ stay untagged.
+        let half = n / 2;
+        let fast = window(half, (half < 4).then_some(0));
+        // A simple timeout enters stage 1.
+        edges.extend([
+            (here, up, Weight::Up(n)),
+            (here, fast, Weight::Fast(n)),
+            (here, stage_entry(1), Weight::Timeout(n)),
+        ]);
+    }
+
+    // --- Tagged low-window chains ---
+    for j in 0..=k {
+        let (s2, s3) = (window(2, Some(j)), window(3, Some(j)));
+        // A timeout enters stage j + 1: repetitive for j ≥ 1, the base
+        // timer's stage 1 for j = 0. S2^j grows to S3^j, and S3^j to S4,
+        // where the timer collapses, per the paper.
+        let next_stage = stage_entry(j + 1);
+        edges.extend([
+            (s2, s3, Weight::Up(2)),
+            (s2, next_stage, Weight::Timeout(2)),
+            (s3, window(4, None), Weight::Up(3)),
+            (s3, next_stage, Weight::Timeout(3)),
+        ]);
+    }
+
+    // --- Wait chains: deterministic countdowns ---
+    for j in 1..=k {
+        let last = (1 << j) - 1;
+        for i in 1..=last {
+            let next = if i < last { wait(j, i + 1) } else { retx(j) };
+            edges.push((wait(j, i), next, Weight::Const(1.0)));
+        }
+    }
+
+    // --- Retransmit states ---
+    // Success opens the window to 2 with backoff memory j intact (only
+    // retransmitted data has been acked — Karn); failure enters the
+    // next-deeper stage.
+    for j in 1..=k {
+        edges.push((retx(j), window(2, Some(j)), Weight::Q));
+        edges.push((retx(j), stage_entry(j + 1), Weight::P));
+    }
+
+    // --- Aggregated tail (stages > K) ---
+    // A geometric dwell with the ladder's mean wait; its retransmit
+    // resumes at the deepest tracked tag or re-enters the tail.
+    edges.extend([
+        (tail_wait, tail_wait, Weight::TailStay(k)),
+        (tail_wait, tail_retx, Weight::TailLeave(k)),
+        (tail_retx, window(2, Some(k)), Weight::Q),
+        (tail_retx, tail_wait, Weight::P),
+    ]);
+    Chain::new(states, &edges)
+}
+
 impl FullModel {
     /// Builds the model.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < p < 0.5`, `wmax ≥ 4`, and
-    /// `1 ≤ max_backoff ≤ 10` (the wait chain for stage `j` has `2^j − 1`
-    /// states, so depth is capped to keep the chain small).
+    /// `1 ≤ max_backoff ≤ 10`.
     pub fn new(p: f64, wmax: u32, max_backoff: u32) -> Self {
         assert!(p > 0.0 && p < 0.5, "need 0 < p < 1/2, got {p}");
-        assert!(wmax >= 4, "need wmax >= 4, got {wmax}");
-        assert!(
-            (1..=10).contains(&max_backoff),
-            "need 1 <= max_backoff <= 10, got {max_backoff}"
-        );
-        let k = max_backoff;
-        let mut b = DtmcBuilder::new();
-        let q = 1.0 - p;
-        let window = State::Window;
-        let wait = |j, epoch| State::Wait(Stage::At(j), epoch);
-        let retx = |j| State::Retransmit(Stage::At(j));
-        let tail_wait = State::Wait(Stage::Tail(k + 1), 1);
-        let tail_retx = State::Retransmit(Stage::Tail(k + 1));
-
-        // Untagged S4..SWmax, tagged S2^j then S3^j for j = 0..=K, each
-        // stage's wait chain, the retransmit states, the tail.
-        for n in 4..=wmax {
-            b.state(window(n, None));
-        }
-        for n in [2, 3] {
-            for j in 0..=k {
-                b.state(window(n, Some(j)));
-            }
-        }
-        for j in 1..=k {
-            for i in 1..1 << j {
-                b.state(wait(j, i));
-            }
-        }
-        for j in 1..=k {
-            b.state(retx(j));
-        }
-        b.state(tail_wait).state(tail_retx);
-
-        // Stage entry point: first wait state of stage j (1-indexed).
-        let stage_entry = |j: u32| if j > k { tail_wait } else { wait(j, 1) };
-
-        // --- Untagged window chain S4..SWmax ---
-        for n in 4..=wmax {
-            let here = window(n, None);
-            let up_target = if n == wmax { here } else { window(n + 1, None) };
-            let up = q.powi(n as i32);
-            b.transition(here, up_target, up);
-            // Fast retransmit to ⌊n/2⌋: windows 2,3 land in tagged j=0
-            // (no backoff memory — no timeout happened), 4+ stay untagged.
-            let half = n / 2;
-            let fr_target = window(half, (half < 4).then_some(0));
-            let fast = f64::from(n) * p * q.powi(n as i32 - 1) * q;
-            b.transition(here, fr_target, fast);
-            // Simple timeout: enter stage 1.
-            b.transition(here, stage_entry(1), 1.0 - up - fast);
-        }
-
-        // --- Tagged low-window chains ---
-        for j in 0..=k {
-            let (s2, s3) = (window(2, Some(j)), window(3, Some(j)));
-            // A timeout enters stage j + 1: repetitive for j ≥ 1, the base
-            // timer's stage 1 for j = 0.
-            let next_stage = stage_entry(j + 1);
-            // S2^j: success -> S3^j.
-            let up2 = q * q;
-            b.transition(s2, s3, up2);
-            let to2 = 1.0 - up2;
-            b.transition(s2, next_stage, to2);
-            // S3^j: success -> S4 (timer collapses there, per the
-            // paper).
-            let up3 = q * q * q;
-            b.transition(s3, window(4, None), up3);
-            b.transition(s3, next_stage, 1.0 - up3);
-        }
-
-        // --- Wait chains: deterministic countdowns ---
-        for j in 1..=k {
-            let last = (1 << j) - 1;
-            for i in 1..=last {
-                let next = if i < last { wait(j, i + 1) } else { retx(j) };
-                b.transition(wait(j, i), next, 1.0);
-            }
-        }
-
-        // --- Retransmit states ---
-        for j in 1..=k {
-            // Success: window opens to 2 with backoff memory j intact
-            // (only retransmitted data has been acked — Karn).
-            b.transition(retx(j), window(2, Some(j)), q);
-            // Failure: next-deeper stage.
-            b.transition(retx(j), stage_entry(j + 1), p);
-        }
-
-        // --- Aggregated tail (stages > K) ---
-        // Conditional on having exceeded stage K, the expected wait is
-        //   E = Σ_{i≥0} p^i (1−p) (2^{K+1+i} − 1)
-        //     = 2^{K+1} (1−p)/(1−2p) − 1   epochs,
-        // modelled as a geometric dwell with the same mean.
-        let e_tail = f64::from(1u32 << (k + 1)) * q / (1.0 - 2.0 * p) - 1.0;
-        debug_assert!(e_tail >= 1.0);
-        let stay = 1.0 - 1.0 / e_tail;
-        b.transition(tail_wait, tail_wait, stay);
-        b.transition(tail_wait, tail_retx, 1.0 - stay);
-        // Tail retransmit: success resumes at the deepest tracked tag;
-        // failure re-enters the tail.
-        b.transition(tail_retx, window(2, Some(k)), q);
-        b.transition(tail_retx, tail_wait, p);
-
-        let chain = b.build().expect("full model rows are stochastic");
         FullModel {
             p,
             wmax,
-            max_backoff: k,
-            chain,
+            max_backoff,
+            chain: chain(wmax, max_backoff).at(p),
         }
-    }
-
-    /// The underlying chain.
-    pub fn chain(&self) -> &Dtmc {
-        &self.chain
-    }
-
-    /// Exact stationary distribution.
-    pub fn stationary(&self) -> Vec<f64> {
-        self.chain.stationary()
-    }
-
-    /// [`Dtmc::n_sent_distribution`]: index 0 is the silent wait states,
-    /// 1 the retransmit states, `n ≥ 2` the window states of size `n`,
-    /// tagged and untagged.
-    pub fn n_sent_distribution(&self) -> Vec<f64> {
-        self.chain.n_sent_distribution()
     }
 
     /// Stationary probability of being at backoff stage ≥ `j` (silent or
@@ -195,21 +168,13 @@ impl FullModel {
             .filter(deep)
             .fold(0.0, |total, (_, mass)| total + mass)
     }
+}
 
-    /// [`Dtmc::silence_mass`].
-    pub fn silence_mass(&self) -> f64 {
-        self.chain.silence_mass()
-    }
+impl std::ops::Deref for FullModel {
+    type Target = Dtmc;
 
-    /// [`Dtmc::timeout_mass`]: silent waits plus timeout
-    /// retransmissions.
-    pub fn timeout_mass(&self) -> f64 {
-        self.chain.timeout_mass()
-    }
-
-    /// [`Dtmc::expected_segments_per_epoch`].
-    pub fn expected_segments_per_epoch(&self) -> f64 {
-        self.chain.expected_segments_per_epoch()
+    fn deref(&self) -> &Dtmc {
+        &self.chain
     }
 }
 
@@ -287,7 +252,6 @@ mod tests {
         let m = FullModel::new(0.1, 6, 3);
         for j in 1..=3u32 {
             let names: Vec<String> = m
-                .chain()
                 .states()
                 .iter()
                 .filter(|s| matches!(s, State::Wait(Stage::At(at), _) if *at == j))
@@ -301,7 +265,6 @@ mod tests {
     #[test]
     fn states_print_the_figure_names() {
         let names: Vec<String> = FullModel::new(0.1, 4, 1)
-            .chain()
             .states()
             .iter()
             .map(|s| s.to_string())
@@ -311,7 +274,6 @@ mod tests {
         ];
         assert_eq!(names, expected);
         let partial: Vec<String> = PartialModel::new(0.1, 4)
-            .chain()
             .states()
             .iter()
             .map(|s| s.to_string())

@@ -23,11 +23,13 @@
 //!   deterministic RK4 stepper and an `N`-independent stationary solver
 //!   for instant million-flow predictions.
 //!
-//! Both chains are [`Dtmc`]s over typed [`State`]s, so what a state sends
-//! and its backoff stage are read off its variant: the "packets sent per
-//! epoch" aggregation the paper's Figure 6 validates against simulation
-//! ([`Dtmc::n_sent_distribution`]) and the timeout and silence masses are
-//! written once, for both models and the fluid limit.
+//! Each chain is declared once as a [`Chain`]: typed [`State`]s and edges
+//! weighted by closed forms in `p`, evaluated at any `p` into a [`Dtmc`]
+//! (the models are their chain at one `p`; the fluid limit evaluates it
+//! at every step). What a state sends and its backoff stage are read off
+//! its variant, so the "packets sent per epoch" aggregation the paper's
+//! Figure 6 validates against simulation ([`Dtmc::n_sent_distribution`])
+//! and the timeout and silence masses are written once.
 //!
 //! ## Example
 //!
@@ -50,7 +52,7 @@ mod partial;
 mod state;
 pub mod transient;
 
-pub use dtmc::{Dtmc, DtmcBuilder};
+pub use dtmc::{Chain, Dtmc};
 pub use fluid::{ChainFamily, FluidModel, FluidState, FluidStationary, LossFeedback};
 pub use full::FullModel;
 pub use partial::PartialModel;

@@ -22,10 +22,14 @@
 //! From `S1`, a successful retransmission (probability `1−p`) yields a
 //! cumulative ACK that reopens the window to 2: `S1 → S2`.
 
-use crate::dtmc::{Dtmc, DtmcBuilder};
+use crate::dtmc::{Chain, Dtmc, Weight};
 use crate::state::{Stage, State};
 
-/// The paper's partial model for a given `Wmax` and loss probability.
+/// The paper's partial model for a given `Wmax` and loss probability:
+/// its chain at `p`, read through [`Dtmc`]'s methods. Its
+/// [`n_sent_distribution`](Dtmc::n_sent_distribution) puts the silent
+/// `b0` and `b*` at index 0, the retransmit state `S1` at 1 and window
+/// `Sn` at `n`.
 #[derive(Debug, Clone)]
 pub struct PartialModel {
     /// Per-packet loss probability.
@@ -35,94 +39,69 @@ pub struct PartialModel {
     pub(crate) chain: Dtmc,
 }
 
+/// The Figure 4 chain up to window `wmax`, declared once over `p`.
+///
+/// # Panics
+///
+/// Panics unless `wmax ≥ 4` (below 4 no fast-retransmit transition
+/// exists and the chain degenerates).
+pub(crate) fn chain(wmax: u32) -> Chain {
+    assert!(wmax >= 4, "need wmax >= 4, got {wmax}");
+    let s = |n| State::Window(n, None);
+    let b0 = State::Wait(Stage::At(0), 1);
+    let bstar = State::Wait(Stage::Tail(0), 1);
+    // The timeout retransmission sends one segment: window 1.
+    let s1 = s(1);
+    let mut states: Vec<State> = (2..=wmax).map(s).collect();
+    states.extend([s1, b0, bstar]);
+
+    let mut edges = Vec::new();
+    for n in 2..=wmax {
+        let here = s(n);
+        // Window growth, saturating at Wmax.
+        let next = if n == wmax { here } else { s(n + 1) };
+        edges.push((here, next, Weight::Up(n)));
+        if n >= 4 {
+            edges.push((here, s(n / 2), Weight::Fast(n)));
+            // Simple timeout: base timer, one wait epoch in b0.
+            edges.push((here, b0, Weight::Timeout(n)));
+        } else {
+            // Low-window timeout: backoff memory may persist.
+            edges.push((here, bstar, Weight::Timeout(n)));
+        }
+    }
+    edges.extend([
+        // b0 waits exactly one epoch, then the retransmit fires.
+        (b0, s1, Weight::Const(1.0)),
+        // Retransmit outcome.
+        (s1, s(2), Weight::Q),
+        (s1, bstar, Weight::P),
+        // Aggregated backoff dwell: expected 1/(1-2p) epochs.
+        (bstar, bstar, Weight::TwoP),
+        (bstar, s1, Weight::OneMinusTwoP),
+    ]);
+    Chain::new(states, &edges)
+}
+
 impl PartialModel {
     /// Builds the model.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < p < 0.5` (the aggregated backoff state's
-    /// geometric dwell requires `2p < 1`) and `wmax ≥ 4` (below 4 no
-    /// fast-retransmit transition exists and the chain degenerates).
+    /// geometric dwell requires `2p < 1`) and `wmax ≥ 4`.
     pub fn new(p: f64, wmax: u32) -> Self {
         assert!(p > 0.0 && p < 0.5, "need 0 < p < 1/2, got {p}");
-        assert!(wmax >= 4, "need wmax >= 4, got {wmax}");
-        let mut b = DtmcBuilder::new();
-        let q = 1.0 - p;
-        let s = |n| State::Window(n, None);
-        let b0 = State::Wait(Stage::At(0), 1);
-        let bstar = State::Wait(Stage::Tail(0), 1);
-        // The timeout retransmission sends one segment: window 1.
-        let s1 = s(1);
-        for n in 2..=wmax {
-            b.state(s(n));
-        }
-        b.state(s1).state(b0).state(bstar);
-
-        for n in 2..=wmax {
-            let here = s(n);
-            let up = q.powi(n as i32);
-            // Window growth, saturating at Wmax.
-            let next = if n == wmax { here } else { s(n + 1) };
-            b.transition(here, next, up);
-            let fast = if n >= 4 {
-                let pr = f64::from(n) * p * q.powi(n as i32 - 1) * q;
-                b.transition(here, s(n / 2), pr);
-                pr
-            } else {
-                0.0
-            };
-            let timeout = 1.0 - up - fast;
-            if n >= 4 {
-                // Simple timeout: base timer, one wait epoch in b0.
-                b.transition(here, b0, timeout);
-            } else {
-                // Low-window timeout: backoff memory may persist.
-                b.transition(here, bstar, timeout);
-            }
-        }
-        // b0 waits exactly one epoch, then the retransmit fires.
-        b.transition(b0, s1, 1.0);
-        // Retransmit outcome.
-        b.transition(s1, s(2), q);
-        b.transition(s1, bstar, p);
-        // Aggregated backoff dwell: expected 1/(1-2p) epochs.
-        b.transition(bstar, bstar, 2.0 * p);
-        b.transition(bstar, s1, 1.0 - 2.0 * p);
-
-        let chain = b.build().expect("partial model rows are stochastic");
+        let chain = chain(wmax).at(p);
         PartialModel { p, wmax, chain }
     }
+}
 
-    /// The underlying chain.
-    pub fn chain(&self) -> &Dtmc {
+impl std::ops::Deref for PartialModel {
+    type Target = Dtmc;
+
+    fn deref(&self) -> &Dtmc {
         &self.chain
-    }
-
-    /// Exact stationary distribution over the chain's states.
-    pub fn stationary(&self) -> Vec<f64> {
-        self.chain.stationary()
-    }
-
-    /// [`Dtmc::n_sent_distribution`]: index 0 is the silent states (`b0`,
-    /// `b*`), index 1 the retransmit state `S1`, index `n ≥ 2` the window
-    /// state `Sn`.
-    pub fn n_sent_distribution(&self) -> Vec<f64> {
-        self.chain.n_sent_distribution()
-    }
-
-    /// [`Dtmc::timeout_mass`]: `b0`, `b*` and `S1`.
-    pub fn timeout_mass(&self) -> f64 {
-        self.chain.timeout_mass()
-    }
-
-    /// [`Dtmc::silence_mass`]: `b0` and `b*`.
-    pub fn silence_mass(&self) -> f64 {
-        self.chain.silence_mass()
-    }
-
-    /// [`Dtmc::expected_segments_per_epoch`].
-    pub fn expected_segments_per_epoch(&self) -> f64 {
-        self.chain.expected_segments_per_epoch()
     }
 }
 
@@ -177,8 +156,9 @@ mod tests {
         // 1/(1−2p) epochs: check via the chain's self-loop.
         let m = PartialModel::new(0.2, 6);
         let is_bstar = |s: &State| matches!(s, State::Wait(Stage::Tail(_), _));
-        let b = m.chain().states().iter().position(is_bstar).unwrap();
-        let stay = m.chain().prob(b, b);
+        let b = m.states().iter().position(is_bstar).unwrap();
+        let self_loop = m.edges().iter().find(|e| (e.0, e.1) == (b, b));
+        let stay = self_loop.unwrap().2;
         assert!((stay - 0.4).abs() < 1e-12);
         let expected_dwell = 1.0 / (1.0 - stay);
         assert!((expected_dwell - 1.0 / (1.0 - 2.0 * 0.2)).abs() < 1e-12);
@@ -218,7 +198,7 @@ mod tests {
     fn stationary_agrees_with_power_iteration() {
         let m = PartialModel::new(0.15, 6);
         let exact = m.stationary();
-        let power = m.chain().stationary_power(20_000);
+        let power = m.stationary_power(20_000);
         for (e, a) in exact.iter().zip(&power) {
             assert!((e - a).abs() < 1e-8);
         }

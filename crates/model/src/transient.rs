@@ -38,11 +38,15 @@ pub fn expected_hitting_times(chain: &Dtmc, targets: &[usize]) -> Vec<f64> {
     let free: Vec<usize> = (0..n).filter(|&i| !is_target[i]).collect();
     let m = free.len();
     // (I - Q) h = 1, where Q is the sub-matrix over free states.
+    let mut slot = vec![None; n];
     let mut a = vec![vec![0.0; m]; m];
     for (row, &i) in free.iter().enumerate() {
+        slot[i] = Some(row);
         a[row][row] = 1.0;
-        for (col, &j) in free.iter().enumerate() {
-            a[row][col] -= chain.prob(i, j);
+    }
+    for &(i, j, pij) in chain.edges() {
+        if let (Some(row), Some(col)) = (slot[i], slot[j]) {
+            a[row][col] -= pij;
         }
     }
     let mut h = solve_dense(a, vec![1.0; m]).into_iter();
@@ -65,13 +69,13 @@ pub fn expected_hitting_times(chain: &Dtmc, targets: &[usize]) -> Vec<f64> {
 /// Panics if `w` is outside `1..=wmax` (window 1 is the retransmit state
 /// `S1`).
 pub fn epochs_to_first_timeout(model: &PartialModel, w: u32) -> f64 {
-    let states = model.chain().states();
+    let states = model.states();
     let start = states.iter().position(|&s| s == State::Window(w, None));
     let start = start.unwrap_or_else(|| panic!("no state S{w} (wmax = {})", model.wmax));
     let targets: Vec<usize> = (0..states.len())
         .filter(|&i| states[i].sends() == 0)
         .collect();
-    expected_hitting_times(model.chain(), &targets)[start]
+    expected_hitting_times(model, &targets)[start]
 }
 
 /// Probability that a flow currently entering a timeout experiences at
@@ -90,25 +94,25 @@ pub fn consecutive_timeout_probability(p: f64, k: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dtmc::DtmcBuilder;
+    use crate::dtmc::{Chain, Weight};
 
-    /// Window state `n`: the tests' stand-in for any state.
-    fn s(n: u32) -> State {
-        State::Window(n, None)
+    /// A chain over windows `0..n` (each the tests' stand-in for any
+    /// state) with constant weights.
+    fn chain(n: u32, edges: &[(u32, u32, f64)]) -> Dtmc {
+        let s = |n| State::Window(n, None);
+        let edges: Vec<_> = edges
+            .iter()
+            .map(|&(from, to, w)| (s(from), s(to), Weight::Const(w)))
+            .collect();
+        Chain::new((0..n).map(s).collect(), &edges).at(0.0)
     }
 
     #[test]
     fn hitting_time_of_simple_chain_matches_geometric() {
         // Two states: from a, reach b with probability q per step.
         let q = 0.25;
-        let (a, b) = (s(0), s(1));
-        let mut builder = DtmcBuilder::new();
-        builder.state(a).state(b);
-        builder
-            .transition(a, b, q)
-            .transition(a, a, 1.0 - q)
-            .transition(b, b, 1.0);
-        let h = expected_hitting_times(&builder.build().unwrap(), &[1]);
+        let m = chain(2, &[(0, 1, q), (0, 0, 1.0 - q), (1, 1, 1.0)]);
+        let h = expected_hitting_times(&m, &[1]);
         assert!((h[0] - 1.0 / q).abs() < 1e-9, "E = 1/q, got {}", h[0]);
         assert_eq!(h[1], 0.0);
     }
@@ -116,14 +120,8 @@ mod tests {
     #[test]
     fn hitting_time_of_deterministic_path() {
         // a → b → c deterministically: h(a) = 2, h(b) = 1.
-        let (a, b, c) = (s(0), s(1), s(2));
-        let mut builder = DtmcBuilder::new();
-        builder.state(a).state(b).state(c);
-        builder
-            .transition(a, b, 1.0)
-            .transition(b, c, 1.0)
-            .transition(c, c, 1.0);
-        let h = expected_hitting_times(&builder.build().unwrap(), &[2]);
+        let m = chain(3, &[(0, 1, 1.0), (1, 2, 1.0), (2, 2, 1.0)]);
+        let h = expected_hitting_times(&m, &[2]);
         assert!((h[0] - 2.0).abs() < 1e-12);
         assert!((h[1] - 1.0).abs() < 1e-12);
     }
@@ -168,6 +166,6 @@ mod tests {
     #[should_panic(expected = "no target states")]
     fn empty_target_set_rejected() {
         let m = PartialModel::new(0.1, 6);
-        let _ = expected_hitting_times(m.chain(), &[]);
+        let _ = expected_hitting_times(&m, &[]);
     }
 }
