@@ -3,8 +3,9 @@
 //! Runs the Figure 8/9 fairness scenario (60 flows, 600 Kbps) with
 //! pieces of TAQ switched off or re-tuned:
 //!
-//! - plain-FQ mode (per-flow queueing + head-drop only, no
-//!   timeout-aware classes);
+//! - FQ + Recovery (`taq-fq`: per-flow queueing with longest-backlog
+//!   eviction plus TAQ's Recovery class, which `classify` tests first;
+//!   NewFlow, OverPenalized and AboveFairShare are off);
 //! - a sweep of the Recovery-queue rate cap (the paper's warning that
 //!   naive retransmission prioritization is detrimental shows at the
 //!   extremes);

@@ -64,7 +64,7 @@ pub enum Discipline {
     Taq,
     /// TAQ with admission control enabled.
     TaqAdmission,
-    /// Ablation: TAQ's buffer/scheduler in plain-FQ mode.
+    /// Ablation: TAQ as FQ + Recovery (`TaqConfig::fq_mode`).
     TaqFq,
 }
 

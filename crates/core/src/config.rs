@@ -36,11 +36,13 @@ pub struct TaqConfig {
     /// Initial epoch estimate before any measurement, and the floor for
     /// estimates.
     pub min_epoch: SimDuration,
-    /// Ablation switch: bypass the five-class policy and run plain
-    /// per-flow fair queueing with head-of-longest-queue drops (the
-    /// recovery and new-flow machinery disabled). Used by the
+    /// Ablation switch, "FQ + Recovery": every packet the Recovery rule
+    /// does not claim joins one per-flow fair-queued class with
+    /// longest-backlog eviction, so NewFlow, OverPenalized and
+    /// AboveFairShare are off. `classify` tests Recovery first, so the
+    /// Recovery class and its sticky rule stay. Used by the
     /// `ablation_taq` experiment to isolate how much of TAQ's gain comes
-    /// from timeout awareness versus plain FQ.
+    /// from those other classes.
     pub fq_mode: bool,
 }
 

@@ -59,7 +59,7 @@ pub enum QdiscSpec {
         buffer_pkts: usize,
         /// Enable flow-pool admission control (paper §4.3).
         admission: bool,
-        /// Ablation: plain-FQ mode.
+        /// Ablation: FQ + Recovery (`TaqConfig::fq_mode`).
         fq_mode: bool,
     },
 }
