@@ -42,7 +42,7 @@ pub struct FullModel {
     /// Deepest explicitly modelled backoff stage; beyond it the tail is
     /// aggregated.
     pub max_backoff: u32,
-    pub(crate) chain: Dtmc,
+    chain: Dtmc,
 }
 
 /// The Figure 5 chain up to window `wmax` with explicit backoff stages
@@ -163,7 +163,7 @@ impl FullModel {
     pub fn backoff_mass_at_least(&self, j: u32) -> f64 {
         let pi = self.stationary();
         let deep = |(s, _): &(&State, &f64)| s.backoff_stage().is_some_and(|at| at >= j);
-        let states = self.chain.states().iter().zip(&pi);
+        let states = self.states().iter().zip(&pi);
         states
             .filter(deep)
             .fold(0.0, |total, (_, mass)| total + mass)

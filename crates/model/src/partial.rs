@@ -36,7 +36,7 @@ pub struct PartialModel {
     pub p: f64,
     /// Maximum congestion window (in segments) modelled.
     pub wmax: u32,
-    pub(crate) chain: Dtmc,
+    chain: Dtmc,
 }
 
 /// The Figure 4 chain up to window `wmax`, declared once over `p`.
