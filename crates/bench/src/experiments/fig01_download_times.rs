@@ -28,10 +28,7 @@ struct RunOutput {
 }
 
 fn replay(spec: &DumbbellSpec, scale: u32, seed: u64) -> RunOutput {
-    let rate = spec.topo.bottleneck_rate;
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = Discipline::DropTail.spec(buffer).build(rate, seed);
-    let mut sc = spec.build(seed, built.forward);
+    let mut sc = spec.build(seed, &Discipline::DropTail.spec(spec.topo.buffer_pkts()));
 
     let log_cfg = weblog::WebLogConfig::campus_two_hour(scale);
     // The trace derives from the run seed so every sweep member replays

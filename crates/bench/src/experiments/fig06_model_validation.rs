@@ -34,16 +34,14 @@ pub fn run(args: SweepArgs) {
     for rate_kbps in [200u64, 750, 1000] {
         println!("# --- bottleneck {rate_kbps} Kbps ---");
         let rate = Bandwidth::from_kbps(rate_kbps);
-        let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
+        let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).tcp(tcp.clone());
+        let buffer = spec.topo.buffer_pkts();
         // Epoch = propagation RTT + typical queueing (half-full buffer).
         let queueing =
             SimDuration::from_nanos(buffer as u64 / 2 * rate.transmission_time(500).as_nanos());
         let epoch = SimDuration::from_millis(200) + queueing;
         for flows in [10usize, 20, 40, 80] {
-            let built = Discipline::DropTail.spec(buffer).build(rate, seed);
-            let mut sc = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate))
-                .tcp(tcp.clone())
-                .build(seed, built.forward);
+            let mut sc = spec.build(seed, &Discipline::DropTail.spec(buffer));
             let stagger = SimDuration::from_secs(2);
             let activity = fluid_run(&mut sc, flows, epoch, stagger, secs * 1_000);
             let p = sc.sim.link_stats(sc.db.bottleneck).drop_rate();

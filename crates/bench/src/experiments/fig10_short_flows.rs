@@ -17,11 +17,9 @@ use taq_workloads::{DumbbellSpec, BULK_BYTES};
 pub fn run(args: SweepArgs) {
     let discipline = args.discipline.unwrap_or(Discipline::Taq);
     let seed = args.seeds[0];
-    let rate = Bandwidth::from_mbps(1);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = discipline.spec(buffer).build(rate, seed);
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellSpec::new(topo).build_with_reverse(seed, built.forward, built.reverse);
+    let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(1));
+    let qdisc = discipline.spec(topo.buffer_pkts());
+    let mut sc = DumbbellSpec::new(topo).build(seed, &qdisc);
     // Background: 50 long-lived flows (20 Kbps fair share).
     sc.add_bulk_clients(50, BULK_BYTES, SimDuration::from_secs(2));
     // 32 short flows of varying length, staggered into the steady state.

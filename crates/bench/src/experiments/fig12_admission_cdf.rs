@@ -19,7 +19,7 @@
 
 use taq_bench::{Discipline, SweepArgs};
 use taq_metrics::Distribution;
-use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
+use taq_sim::{Bandwidth, DumbbellConfig, SimRng, SimTime};
 use taq_workloads::{weblog, DumbbellSpec};
 
 /// Collects download times (seconds) for objects within a size bucket;
@@ -77,10 +77,9 @@ fn replay(
     pages: &[weblog::LogEntry],
     secs: u64,
 ) -> Vec<(String, Distribution, usize)> {
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = discipline.spec(buffer).build(rate, seed);
     let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellSpec::new(topo).build_with_reverse(seed, built.forward, built.reverse);
+    let qdisc = discipline.spec(topo.buffer_pkts());
+    let mut sc = DumbbellSpec::new(topo).build(seed, &qdisc);
     for page in pages.chunks(4) {
         sc.add_scheduled_client(page, 4, SimTime::ZERO);
     }

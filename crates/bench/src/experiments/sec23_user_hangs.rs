@@ -25,10 +25,7 @@ fn hangs(
     discipline: Discipline,
     secs: u64,
 ) -> (f64, f64, usize) {
-    let rate = spec.topo.bottleneck_rate;
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = discipline.spec(buffer).build(rate, seed);
-    let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
+    let mut sc = spec.build(seed, &discipline.spec(spec.topo.buffer_pkts()));
     let horizon = SimTime::from_secs(secs);
     let bottleneck = sc.db.bottleneck;
     let hangs = sc.sim.add_monitor(Box::new(HangTracker::new(

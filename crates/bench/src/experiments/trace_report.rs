@@ -28,10 +28,6 @@ use taq_workloads::{weblog, DumbbellSpec};
 /// Runs the faulted Figure 1 workload with a trace collector attached
 /// and returns the full-run dump.
 fn run_demo(seed: u64, silence_ns: u64) -> String {
-    let rate = Bandwidth::from_mbps(2);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = Discipline::Taq.spec(buffer).build(rate, seed);
-
     let telemetry = Telemetry::new();
     // The flight window is sized to hold the whole demo run so the
     // analysis sees the blackout, not just the tail of the replay.
@@ -41,9 +37,6 @@ fn run_demo(seed: u64, silence_ns: u64) -> String {
         dump_path: None,
     }));
     telemetry.add_shared_sink(erased);
-    if let Some(state) = &built.taq {
-        state.lock().unwrap().attach_telemetry(telemetry.clone());
-    }
 
     // 2.5 simulated minutes of the campus web log, with burst loss all
     // along and a 6 s blackout at t=60 s — long enough to trip the
@@ -54,11 +47,13 @@ fn run_demo(seed: u64, silence_ns: u64) -> String {
         .with_burst_loss(GilbertElliott::bursts(0.02, 6.0))
         .with_blackout(blackout_at, blackout_at + SimDuration::from_secs(6));
 
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
+    let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(2));
     let spec = DumbbellSpec::new(topo)
         .faults(plan)
         .telemetry(telemetry.clone());
-    let mut sc = spec.build(seed, built.forward);
+    let mut sc = spec.build(seed, &Discipline::Taq.spec(spec.topo.buffer_pkts()));
+    let taq = sc.taq_state(0).expect("TAQ state");
+    taq.lock().unwrap().attach_telemetry(telemetry.clone());
     let bridge = TelemetryBridge::new(telemetry.clone()).only(sc.db.bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
 

@@ -23,9 +23,9 @@
 use taq_metrics::{jain_index, EpochActivity};
 use taq_model::fluid::l1_distance;
 use taq_model::{ChainFamily, FluidModel, LossFeedback};
-use taq_sim::{Bandwidth, DumbbellConfig, MonitorId, Qdisc, SimDuration, SimTime, UnboundedFifo};
+use taq_sim::{Bandwidth, DumbbellConfig, MonitorId, SimDuration, SimTime};
 use taq_tcp::TcpConfig;
-use taq_workloads::{DumbbellScenario, DumbbellSpec, BULK_BYTES};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 /// Window cap shared by the sim TCP config and the model.
 pub const FLUID_WMAX: usize = 6;
@@ -100,7 +100,7 @@ fn validation_run(
     seed: u64,
     rate: Bandwidth,
     access: Bandwidth,
-    qdisc: Box<dyn Qdisc>,
+    qdisc: &QdiscSpec,
     loss: f64,
     flows: usize,
     horizon_ms: u64,
@@ -196,8 +196,8 @@ pub fn bernoulli_wire_run(
     // The server's access link carries that demand at 192 kbps a flow
     // (1.6× the worst case): the 100 Mbps floor through 520 flows.
     let access = Bandwidth::from_kbps(192 * flows as u64);
-    let fifo = Box::new(UnboundedFifo::new());
-    let (mut sc, activity) = validation_run(seed, rate, access, fifo, p, flows, horizon_ms);
+    let (mut sc, activity) =
+        validation_run(seed, rate, access, &QdiscSpec::Fifo, p, flows, horizon_ms);
     let stats = sc.sim.link_stats(sc.db.bottleneck);
     let offered = stats.wire_lost_pkts + stats.transmitted_pkts;
     if offered == 0 {
@@ -227,12 +227,10 @@ pub fn droptail_coupled_run(
     // The server offers the saturated bottleneck its rate plus its drops:
     // thrice that rate is a third busy (the floor to 1 041 flows at 8 pps).
     let access = Bandwidth::from_bps(3 * rate.bps());
-    let qdisc = taq_workloads::QdiscSpec::DropTail {
+    let qdisc = QdiscSpec::DropTail {
         buffer_pkts: buffer,
-    }
-    .build(rate, seed);
-    let (mut sc, activity) =
-        validation_run(seed, rate, access, qdisc.forward, 0.0, flows, horizon_ms);
+    };
+    let (mut sc, activity) = validation_run(seed, rate, access, &qdisc, 0.0, flows, horizon_ms);
     let stats = sc.sim.link_stats(sc.db.bottleneck);
     if stats.transmitted_pkts == 0 {
         return Err(format!(

@@ -9,21 +9,20 @@
 //! grid of them, the telemetry-report scenario, the parallel sweep
 //! runner and the [`SweepArgs`] CLI parser.
 //!
-//! An experiment builds its scenario with one call chain:
+//! An experiment builds its scenario with one call:
 //!
 //! ```
 //! use taq_bench::Discipline;
 //! use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 //! use taq_workloads::DumbbellSpec;
 //!
-//! let rate = Bandwidth::from_kbps(600);
-//! let built = Discipline::Taq.spec(30).build(rate, 42);
-//! let mut sc = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate))
-//!     .build_with_reverse(42, built.forward, built.reverse);
+//! let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
+//! let qdisc = Discipline::Taq.spec(topo.buffer_pkts());
+//! let mut sc = DumbbellSpec::new(topo).build(42, &qdisc);
 //! sc.add_bulk_clients(4, 20_000, SimDuration::from_secs(1));
 //! sc.run_until(SimTime::from_secs(5));
 //! assert!(sc.sim.link_stats(sc.db.bottleneck).transmitted_pkts > 0);
-//! assert!(built.taq.expect("TAQ state").lock().unwrap().stats.offered > 0);
+//! assert!(sc.taq_state(0).expect("TAQ state").lock().unwrap().stats.offered > 0);
 //! ```
 //!
 //! Every experiment prints the same rows/series its figure plots,
@@ -49,7 +48,9 @@ use taq_faults::{FaultPlan, FaultStats};
 use taq_metrics::{EvolutionTracker, SliceThroughput};
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
 use taq_tcp::TcpConfig;
-use taq_workloads::{flows_for_fair_share, BuiltPipe, DumbbellSpec, QdiscSpec, BULK_BYTES};
+use taq_workloads::{
+    flows_for_fair_share, BuiltPipe, DumbbellScenario, DumbbellSpec, QdiscSpec, BULK_BYTES,
+};
 
 /// The disciplines the experiments compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +148,7 @@ impl FairnessRunConfig {
             seed,
             rate,
             flows,
-            buffer_pkts: rate.packets_per(SimDuration::from_millis(200), 500),
+            buffer_pkts: DumbbellConfig::with_rtt_200ms(rate).buffer_pkts(),
             duration,
             slice: SimDuration::from_secs(20),
             evolution_window: SimDuration::from_secs(2),
@@ -237,21 +238,25 @@ pub struct FairnessRunResult {
 /// Runs `flows` long-lived flows through `discipline` and measures
 /// fairness, utilization and flow evolution.
 pub fn fairness_run(cfg: &FairnessRunConfig, discipline: Discipline) -> FairnessRunResult {
-    fairness_run_on(
-        cfg,
-        discipline.spec(cfg.buffer_pkts).build(cfg.rate, cfg.seed),
-    )
+    let qdisc = discipline.spec(cfg.buffer_pkts);
+    measure_fairness(cfg, fairness_spec(cfg).build(cfg.seed, &qdisc))
 }
 
 /// [`fairness_run`] through disciplines built by the caller (a TAQ
 /// variant, say); `cfg.buffer_pkts` is then the caller's to honour.
 pub fn fairness_run_on(cfg: &FairnessRunConfig, built: BuiltPipe) -> FairnessRunResult {
-    let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
-    let spec = DumbbellSpec::new(topo)
+    let sc = fairness_spec(cfg).build_with_reverse(cfg.seed, built.forward, built.reverse);
+    measure_fairness(cfg, sc)
+}
+
+fn fairness_spec(cfg: &FairnessRunConfig) -> DumbbellSpec {
+    DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(cfg.rate))
         .faults(cfg.faults.clone())
         .telemetry(cfg.telemetry.clone())
-        .tcp(cfg.tcp.clone());
-    let mut sc = spec.build_with_reverse(cfg.seed, built.forward, built.reverse);
+        .tcp(cfg.tcp.clone())
+}
+
+fn measure_fairness(cfg: &FairnessRunConfig, mut sc: DumbbellScenario) -> FairnessRunResult {
     let bottleneck = sc.db.bottleneck;
     let slices_id = sc
         .sim
@@ -271,17 +276,7 @@ pub fn fairness_run_on(cfg: &FairnessRunConfig, built: BuiltPipe) -> FairnessRun
         .expect("slice monitor");
     let short_term_jain = slices.mean_jain(skip, n_slices, cfg.flows);
     let long_term_jain = slices.overall_jain(cfg.flows);
-    let mut shutout = 0.0;
-    let mut shutout_n = 0;
-    for i in skip..n_slices {
-        shutout += slices.shutout_fraction(i, cfg.flows);
-        shutout_n += 1;
-    }
-    let shutout_fraction = if shutout_n > 0 {
-        shutout / shutout_n as f64
-    } else {
-        0.0
-    };
+    let shutout_fraction = mean((skip..n_slices).map(|i| slices.shutout_fraction(i, cfg.flows)));
 
     let evo = sc
         .sim

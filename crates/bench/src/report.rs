@@ -162,9 +162,6 @@ impl Write for SharedBuf {
 }
 
 fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineReport {
-    let buffer_pkts = cfg.rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = d.spec(buffer_pkts).build(cfg.rate, cfg.seed);
-
     let telemetry = Telemetry::new();
     let (summary, erased) = shared_sink(SummarySink::new());
     telemetry.add_shared_sink(erased);
@@ -179,12 +176,13 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
             Err(e) => eprintln!("# warning: cannot write {}: {e}", path.display()),
         }
     }
-    if let Some(state) = &built.taq {
-        state.lock().unwrap().attach_telemetry(telemetry.clone());
-    }
 
     let topo = DumbbellConfig::with_rtt_200ms(cfg.rate);
-    let mut sc = DumbbellSpec::new(topo).build_with_reverse(cfg.seed, built.forward, built.reverse);
+    let qdisc = d.spec(topo.buffer_pkts());
+    let mut sc = DumbbellSpec::new(topo).build(cfg.seed, &qdisc);
+    if let Some(state) = sc.taq_state(0) {
+        state.lock().unwrap().attach_telemetry(telemetry.clone());
+    }
     let bridge = TelemetryBridge::new(telemetry.clone()).only(sc.db.bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
     sc.add_bulk_clients(cfg.flows, BULK_BYTES, SimDuration::from_secs(1));
@@ -197,10 +195,7 @@ fn run_discipline(cfg: &TelemetryReportConfig, d: Discipline) -> DisciplineRepor
     let stats = sc.sim.link_stats(sc.db.bottleneck);
     let utilization = stats.utilization(cfg.duration.saturating_since(SimTime::ZERO));
     let drop_rate = stats.drop_rate();
-    let stats_snapshot = built
-        .taq
-        .as_ref()
-        .map(|s| s.lock().unwrap().stats.snapshot());
+    let stats_snapshot = sc.taq_state(0).map(|s| s.lock().unwrap().stats.snapshot());
     let rendered = summary.lock().unwrap().render(d.name());
     let summary = summary.lock().unwrap().stats();
     let ring = ring.lock().unwrap();

@@ -35,15 +35,10 @@ impl DumbbellConfig {
         }
     }
 
-    /// Total one-way propagation delay host-to-host with default access
-    /// delays.
-    pub fn one_way_delay(&self) -> SimDuration {
-        self.access_delay * 2 + self.bottleneck_delay
-    }
-
-    /// Propagation round-trip time with default access delays (excludes
-    /// serialization and queueing).
-    pub fn prop_rtt(&self) -> SimDuration {
-        self.one_way_delay() * 2
+    /// The paper's bottleneck buffer: one 200 ms RTT of 500-byte
+    /// packets at the bottleneck rate.
+    pub fn buffer_pkts(&self) -> usize {
+        self.bottleneck_rate
+            .packets_per(SimDuration::from_millis(200), 500)
     }
 }

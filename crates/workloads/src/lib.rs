@@ -5,10 +5,9 @@
 //! - [`TopologySpec`] / [`TopoScenario`] — the one way a scenario is
 //!   built: a router graph with a per-pipe discipline ([`QdiscSpec`])
 //!   and fault plan, a server, and helpers that attach clients for
-//!   bulk flows, short-flow mixes, connection pools, and scheduled log
-//!   replay;
+//!   bulk flows and for scheduled log replay over connection pools;
 //! - three recipes over it: [`DumbbellSpec`] (the paper's canonical
-//!   experiment; `spec.build(seed, qdisc)` returns a
+//!   experiment; `spec.build(seed, &qdisc)` returns a
 //!   [`DumbbellScenario`], a `TopoScenario` that also knows its
 //!   bottleneck link and attaches clients on the far side),
 //!   [`ParkingLotSpec`] and [`AccessTreeSpec`];

@@ -16,28 +16,26 @@ use crate::topo_spec::{BuiltPipe, PipeSpec, QdiscSpec, TopoScenario, TopologySpe
 use crate::weblog::LogEntry;
 use std::ops::{Deref, DerefMut};
 use taq_faults::{FaultPlan, SharedFaultStats};
-use taq_sim::{
-    Bandwidth, DumbbellConfig, LinkId, NodeId, Qdisc, SimDuration, SimTime, UnboundedFifo,
-};
-use taq_tcp::{Request, TcpConfig};
+use taq_sim::{Bandwidth, DumbbellConfig, LinkId, NodeId, Qdisc, SimDuration, SimTime};
+use taq_tcp::TcpConfig;
 use taq_telemetry::Telemetry;
 
 /// Plain, `Clone + Send` description of a dumbbell experiment: topology
 /// plus TCP parameters, everything except the discipline under test and
-/// the seed. A sweep worker thread clones the spec, builds its qdisc
-/// locally, and calls [`DumbbellSpec::build`] — so scenario
-/// construction never has to cross a thread boundary, only the spec
-/// does.
+/// the seed. A sweep worker thread clones the spec and calls
+/// [`DumbbellSpec::build`] with the discipline's [`QdiscSpec`] — so
+/// scenario construction never has to cross a thread boundary, only
+/// the plain data does.
 ///
 /// ```
-/// use taq_sim::{Bandwidth, DumbbellConfig, UnboundedFifo};
-/// use taq_workloads::DumbbellSpec;
+/// use taq_sim::{Bandwidth, DumbbellConfig};
+/// use taq_workloads::{DumbbellSpec, QdiscSpec};
 ///
 /// let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600)));
 /// std::thread::scope(|scope| {
 ///     scope.spawn(|| {
-///         let sc = spec.build(7, Box::new(UnboundedFifo::new()));
-///         assert!(sc.clients.is_empty());
+///         let sc = spec.build(7, &QdiscSpec::taq(spec.topo.buffer_pkts()));
+///         assert!(sc.clients.is_empty() && sc.taq_state(0).is_some());
 ///     });
 /// });
 /// ```
@@ -109,14 +107,16 @@ impl DumbbellSpec {
         topo
     }
 
-    /// Builds the scenario for `seed` with the given bottleneck
-    /// discipline and an uncongested FIFO reverse path.
-    pub fn build(&self, seed: u64, forward_qdisc: Box<dyn Qdisc>) -> DumbbellScenario {
-        self.build_with_reverse(seed, forward_qdisc, Box::new(UnboundedFifo::new()))
+    /// Builds the scenario for `seed` with `qdisc` on the bottleneck:
+    /// both of its halves (TAQ's reverse half sees the ACKs and SYNs)
+    /// and, for TAQ, the handle [`TopoScenario::taq_state`]`(0)` reads.
+    pub fn build(&self, seed: u64, qdisc: &QdiscSpec) -> DumbbellScenario {
+        DumbbellScenario::new(self.to_topology(qdisc.clone()).build(seed))
     }
 
-    /// Builds the scenario for `seed` with explicit forward and reverse
-    /// disciplines (TAQ's admission control needs its reverse half).
+    /// Builds the scenario for `seed` around forward and reverse
+    /// disciplines the caller built (a wrapped queue or an edited
+    /// `TaqConfig`); no TAQ handle is recorded.
     pub fn build_with_reverse(
         &self,
         seed: u64,
@@ -129,15 +129,10 @@ impl DumbbellSpec {
             taq: None,
         };
         // The pipe's recipe is never consulted: its boxes are built.
-        let inner = self
-            .to_topology(QdiscSpec::Fifo)
-            .build_with(seed, vec![pipe]);
-        DumbbellScenario {
-            db: Dumbbell {
-                bottleneck: inner.pipe_link(0),
-            },
-            inner,
-        }
+        DumbbellScenario::new(
+            self.to_topology(QdiscSpec::Fifo)
+                .build_with(seed, vec![pipe]),
+        )
     }
 }
 
@@ -179,6 +174,15 @@ impl DerefMut for DumbbellScenario {
 }
 
 impl DumbbellScenario {
+    fn new(inner: TopoScenario) -> Self {
+        DumbbellScenario {
+            db: Dumbbell {
+                bottleneck: inner.pipe_link(0),
+            },
+            inner,
+        }
+    }
+
     /// Fault counters of the bottleneck, when the spec had a non-empty
     /// fault plan.
     pub fn fault_stats(&self) -> Option<&SharedFaultStats> {
@@ -196,19 +200,6 @@ impl DumbbellScenario {
     /// see [`TopoScenario::add_bulk_clients_at`].
     pub fn add_bulk_clients(&mut self, n: usize, bytes: u64, stagger: SimDuration) -> Vec<NodeId> {
         self.inner.add_bulk_clients_at(1, n, bytes, stagger)
-    }
-
-    /// Adds a client that works through `requests` with up to
-    /// `max_parallel` concurrent connections, requesting each object as
-    /// soon as a slot frees (the paper's web-session-pool behaviour).
-    pub fn add_pool_client(
-        &mut self,
-        requests: Vec<Request>,
-        max_parallel: usize,
-        start: SimTime,
-    ) -> NodeId {
-        self.inner
-            .add_pool_client_at(1, requests, max_parallel, start)
     }
 
     /// Adds a client with time-scheduled requests (log replay): each
@@ -240,15 +231,16 @@ pub const BULK_BYTES: u64 = 1 << 40;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use taq_queues::DropTail;
 
     fn topo() -> DumbbellConfig {
         DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600))
     }
 
+    const DROPTAIL: QdiscSpec = QdiscSpec::DropTail { buffer_pkts: 30 };
+
     #[test]
     fn bulk_clients_share_the_bottleneck() {
-        let mut sc = DumbbellSpec::new(topo()).build(1, Box::new(DropTail::with_packets(30)));
+        let mut sc = DumbbellSpec::new(topo()).build(1, &DROPTAIL);
         sc.add_bulk_clients(6, BULK_BYTES, SimDuration::from_secs(1));
         sc.run_until(SimTime::from_secs(30));
         let stats = sc.sim.link_stats(sc.db.bottleneck);
@@ -269,7 +261,7 @@ mod tests {
     /// record per client, none completed.
     #[test]
     fn one_scenario_run_until_logs_each_unfinished_transfer_once() {
-        let mut sc = DumbbellSpec::new(topo()).build(3, Box::new(DropTail::with_packets(30)));
+        let mut sc = DumbbellSpec::new(topo()).build(3, &DROPTAIL);
         let clients = sc.add_bulk_clients(5, BULK_BYTES, SimDuration::from_secs(1));
         sc.sim.run_until(SimTime::from_secs(5));
         sc.sim.run_until(SimTime::from_secs(10));
@@ -287,7 +279,7 @@ mod tests {
 
     #[test]
     fn scheduled_replay_issues_requests_at_their_times() {
-        let mut sc = DumbbellSpec::new(topo()).build(2, Box::new(DropTail::with_packets(30)));
+        let mut sc = DumbbellSpec::new(topo()).build(2, &DROPTAIL);
         let schedule = vec![
             LogEntry {
                 at: SimTime::from_secs(1),
@@ -339,7 +331,7 @@ mod tests {
                     SimTime::from_secs(20),
                 ),
         );
-        let mut sc = spec.build(5, Box::new(DropTail::with_packets(30)));
+        let mut sc = spec.build(5, &DROPTAIL);
         sc.add_bulk_clients(4, BULK_BYTES, SimDuration::from_secs(1));
         sc.run_until(SimTime::from_secs(30));
         let stats = sc.fault_stats().expect("fault stats present");
@@ -353,18 +345,36 @@ mod tests {
     #[test]
     fn clean_spec_has_no_fault_stats() {
         let spec = DumbbellSpec::new(topo());
-        let sc = spec.build(5, Box::new(DropTail::with_packets(30)));
+        let sc = spec.build(5, &DROPTAIL);
         assert!(sc.fault_stats().is_none());
     }
 
+    /// The one build path installs both TAQ halves: the reverse link
+    /// carries TAQ's reverse half, the scenario holds the shared state,
+    /// and ACK samples moved the tracker's epochs off the floor, to
+    /// other values than a run with a plain FIFO reverse path reaches.
     #[test]
-    fn pool_client_respects_parallelism() {
-        let mut sc = DumbbellSpec::new(topo()).build(3, Box::new(DropTail::with_packets(30)));
-        let reqs = (0..6).map(|tag| Request { tag, bytes: 10_000 }).collect();
-        sc.add_pool_client(reqs, 2, SimTime::ZERO);
-        sc.run_until(SimTime::from_secs(120));
-        let log = sc.log.lock().unwrap();
-        assert_eq!(log.records.len(), 6);
-        assert!(log.records.iter().all(|r| r.completed_at.is_some()));
+    fn taq_dumbbell_gets_both_halves_and_its_handle() {
+        let spec = DumbbellSpec::new(topo());
+        let qdisc = QdiscSpec::taq(spec.topo.buffer_pkts());
+        let epochs = |mut sc: DumbbellScenario| {
+            sc.add_bulk_clients(6, BULK_BYTES, SimDuration::from_secs(1));
+            sc.run_until(SimTime::from_secs(5));
+            let state = sc.taq_state(0).expect("TAQ handle").lock().unwrap();
+            let min_epoch = state.flows.config().min_epoch;
+            let epochs: Vec<_> = state.flows.iter().map(|f| f.epoch_len).collect();
+            (min_epoch, epochs)
+        };
+        let sc = spec.build(4, &qdisc);
+        assert_eq!(sc.sim.link_qdisc(sc.pipe_reverse(0)).name(), "taq-reverse");
+        let (min_epoch, both) = epochs(sc);
+        assert_eq!(both.len(), 6);
+        assert!(both.iter().any(|&e| e > min_epoch), "{both:?}");
+
+        let half = qdisc.build(spec.topo.bottleneck_rate, 4);
+        let mut sc =
+            spec.build_with_reverse(4, half.forward, Box::new(taq_sim::UnboundedFifo::new()));
+        sc.taq_states[0] = half.taq;
+        assert_ne!(both, epochs(sc).1, "ACK samples moved no epoch");
     }
 }

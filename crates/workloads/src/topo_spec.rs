@@ -480,28 +480,6 @@ impl TopoScenario {
             .collect()
     }
 
-    /// Adds a client at `router` working through `requests` with up to
-    /// `max_parallel` concurrent connections.
-    pub fn add_pool_client_at(
-        &mut self,
-        router: usize,
-        requests: Vec<Request>,
-        max_parallel: usize,
-        start: SimTime,
-    ) -> NodeId {
-        let mut c = ClientHost::new(
-            self.tcp.clone(),
-            self.server,
-            80,
-            max_parallel,
-            self.log.clone(),
-        );
-        for r in requests {
-            c.push_request(r);
-        }
-        self.spawn_at(c, router, start, None)
-    }
-
     /// Adds a client at `router` with time-scheduled requests (log
     /// replay).
     pub fn add_scheduled_client_at(
@@ -592,8 +570,6 @@ pub struct ParkingLotSpec {
     pub cross_flows_per_hop: usize,
     /// Start stagger for every flow group.
     pub stagger: SimDuration,
-    /// Fault plans attached to specific hops.
-    pub faults_at: Vec<(usize, FaultPlan)>,
     /// TCP stack parameters.
     pub tcp: TcpConfig,
 }
@@ -615,7 +591,6 @@ impl ParkingLotSpec {
             main_flows: 8,
             cross_flows_per_hop: 2,
             stagger: SimDuration::from_secs(1),
-            faults_at: Vec::new(),
             tcp: TcpConfig::default(),
         }
     }
@@ -625,14 +600,6 @@ impl ParkingLotSpec {
     pub fn taq_at(mut self, hop: usize) -> Self {
         assert!(hop < self.hops, "hop {hop} out of range");
         self.taq_hop = Some(hop);
-        self
-    }
-
-    /// Attaches a fault plan to `hop`'s forward link.
-    #[must_use]
-    pub fn faults_at(mut self, hop: usize, plan: FaultPlan) -> Self {
-        assert!(hop < self.hops, "hop {hop} out of range");
-        self.faults_at.push((hop, plan));
         self
     }
 
@@ -648,13 +615,7 @@ impl ParkingLotSpec {
                         buffer_pkts: self.buffer_pkts,
                     }
                 };
-                let mut p = PipeSpec::new(k, k + 1, self.rate, self.hop_delay, qdisc);
-                for (hop, plan) in &self.faults_at {
-                    if *hop == k {
-                        p = p.faults(plan.clone());
-                    }
-                }
-                p
+                PipeSpec::new(k, k + 1, self.rate, self.hop_delay, qdisc)
             })
             .collect();
         TopologySpec::new(self.hops + 1, pipes).tcp(self.tcp.clone())
@@ -872,24 +833,5 @@ mod tests {
         let taq = sc.taq_state(0).expect("uplink runs taq");
         assert!(taq.lock().unwrap().stats.offered > 0);
         assert!(sc.taq_state(1).is_none());
-    }
-
-    #[test]
-    fn faulty_pipe_reports_injections() {
-        use taq_faults::GilbertElliott;
-        let spec = ParkingLotSpec {
-            main_flows: 4,
-            cross_flows_per_hop: 0,
-            ..ParkingLotSpec::new(2, Bandwidth::from_kbps(600))
-        }
-        .faults_at(
-            1,
-            FaultPlan::none().with_burst_loss(GilbertElliott::bursts(0.02, 5.0)),
-        );
-        let mut sc = spec.build(9);
-        sc.run_until(SimTime::from_secs(20));
-        assert!(sc.pipe_faults[0].is_none(), "hop 0 is clean");
-        let stats = sc.pipe_faults[1].as_ref().expect("hop 1 has fault stats");
-        assert!(stats.lock().unwrap().burst_losses > 0);
     }
 }

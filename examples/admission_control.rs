@@ -10,11 +10,9 @@
 //!
 //! Run with: `cargo run --release --example admission_control`
 
-use taq::{TaqConfig, TaqPair};
 use taq_metrics::Distribution;
-use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime, UnboundedFifo};
-use taq_workloads::{generate_session, DumbbellSpec, ObjectSizeModel, SessionConfig};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
+use taq_workloads::{generate_session, DumbbellSpec, ObjectSizeModel, QdiscSpec, SessionConfig};
 
 struct Outcome {
     completed: usize,
@@ -24,24 +22,14 @@ struct Outcome {
 }
 
 fn run(admission: bool) -> Outcome {
-    let rate = Bandwidth::from_kbps(600);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let (forward, reverse, state) = if admission {
-        let pair = TaqPair::new(TaqConfig::for_link(rate).with_admission_control());
-        (
-            Box::new(pair.forward) as _,
-            Box::new(pair.reverse) as _,
-            Some(pair.state),
-        )
+    let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
+    let buffer_pkts = topo.buffer_pkts();
+    let qdisc = if admission {
+        QdiscSpec::taq_admission(buffer_pkts)
     } else {
-        (
-            Box::new(DropTail::with_packets(buffer)) as _,
-            Box::new(UnboundedFifo::new()) as _,
-            None,
-        )
+        QdiscSpec::DropTail { buffer_pkts }
     };
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, forward, reverse);
+    let mut sc = DumbbellSpec::new(topo).build(42, &qdisc);
 
     // 100 users browsing episodically — pages of a few objects
     // separated by think times longer than TAQ's pool window, so each
@@ -92,7 +80,9 @@ fn run(admission: bool) -> Outcome {
         completed: times.len(),
         total: records.records.len(),
         times,
-        syns_rejected: state.map_or(0, |s| s.lock().unwrap().stats.syns_rejected),
+        syns_rejected: sc
+            .taq_state(0)
+            .map_or(0, |s| s.lock().unwrap().stats.syns_rejected),
     }
 }
 

@@ -9,17 +9,15 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use taq::{TaqConfig, TaqPair};
 use taq_metrics::SliceThroughput;
-use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime};
-use taq_workloads::{DumbbellSpec, BULK_BYTES};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime};
+use taq_workloads::{DumbbellSpec, QdiscSpec, BULK_BYTES};
 
-fn run(label: &str, qdisc: Box<dyn Qdisc>) {
+fn run(label: &str, qdisc: fn(usize) -> QdiscSpec) {
     const FLOWS: usize = 40;
-    let rate = Bandwidth::from_kbps(600);
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
-    let mut scenario = DumbbellSpec::new(topo).build(42, qdisc);
+    let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
+    let qdisc = qdisc(topo.buffer_pkts());
+    let mut scenario = DumbbellSpec::new(topo).build(42, &qdisc);
 
     // Observe per-flow throughput in 20-second slices at the bottleneck.
     let bottleneck = scenario.db.bottleneck;
@@ -46,10 +44,9 @@ fn run(label: &str, qdisc: Box<dyn Qdisc>) {
 
 fn main() {
     println!("40 TCP flows sharing 600 Kbps (fair share ~1.5 packets/RTT):\n");
-    let rate = Bandwidth::from_kbps(600);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    run("droptail", Box::new(DropTail::with_packets(buffer)));
-    let pair = TaqPair::new(TaqConfig::for_link(rate));
-    run("taq", Box::new(pair.forward));
+    run("droptail", |buffer_pkts| QdiscSpec::DropTail {
+        buffer_pkts,
+    });
+    run("taq", QdiscSpec::taq);
     println!("\nTAQ restores short-term fairness without sacrificing utilization.");
 }

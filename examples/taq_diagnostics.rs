@@ -8,31 +8,31 @@
 //!
 //! Run with: `cargo run --release --example taq_diagnostics`
 
-use taq::{QueueClass, TaqConfig, TaqPair};
+use taq::QueueClass;
 use taq_metrics::{EvolutionTracker, SliceThroughput};
-use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimTime, TelemetryBridge};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, TelemetryBridge};
 use taq_tcp::ServerHost;
 use taq_telemetry::{shared_sink, SummarySink, Telemetry};
-use taq_workloads::{DumbbellSpec, BULK_BYTES};
+use taq_workloads::{DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 /// Bulk flows sharing the 600 kbps bottleneck.
 const FLOWS: usize = 60;
 /// Window of the evolution tracker behind `stalled_frac`.
 const EVOLUTION_WINDOW: SimDuration = SimDuration::from_secs(1);
 
-fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
-    let rate = Bandwidth::from_kbps(600);
-    let topo = DumbbellConfig::with_rtt_200ms(rate);
+fn run(name: &str, qdisc: fn(usize) -> QdiscSpec) {
+    let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
+    let qdisc = qdisc(topo.buffer_pkts());
 
     let telemetry = Telemetry::new();
     let (summary, erased) = shared_sink(SummarySink::new());
     telemetry.add_shared_sink(erased);
+
+    let mut sc = DumbbellSpec::new(topo).build(42, &qdisc);
+    let taq_state = sc.taq_state(0).cloned();
     if let Some(state) = &taq_state {
         state.lock().unwrap().attach_telemetry(telemetry.clone());
     }
-
-    let mut sc = DumbbellSpec::new(topo).build(42, qdisc);
     let bottleneck = sc.db.bottleneck;
     let bridge = TelemetryBridge::new(telemetry.clone()).only(bottleneck);
     sc.sim.add_monitor(Box::new(bridge));
@@ -110,10 +110,8 @@ fn run(name: &str, qdisc: Box<dyn Qdisc>, taq_state: Option<taq::SharedTaq>) {
 }
 
 fn main() {
-    let rate = Bandwidth::from_kbps(600);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    run("droptail", Box::new(DropTail::with_packets(buffer)), None);
-    let pair = TaqPair::new(TaqConfig::for_link(rate));
-    let state = pair.state.clone();
-    run("taq", Box::new(pair.forward), Some(state));
+    run("droptail", |buffer_pkts| QdiscSpec::DropTail {
+        buffer_pkts,
+    });
+    run("taq", QdiscSpec::taq);
 }

@@ -11,13 +11,13 @@
 //! Run with: `cargo run --release --example web_browsing`
 
 use taq_metrics::Distribution;
-use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, Qdisc, SimDuration, SimRng, SimTime, UnboundedFifo};
-use taq_workloads::{weblog, DumbbellSpec};
+use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimRng, SimTime};
+use taq_workloads::{weblog, DumbbellSpec, QdiscSpec};
 
-fn run(label: &str, forward: Box<dyn Qdisc>, reverse: Box<dyn Qdisc>) {
+fn run(label: &str, qdisc: fn(usize) -> QdiscSpec) {
     let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_mbps(2));
-    let mut sc = DumbbellSpec::new(topo).build_with_reverse(42, forward, reverse);
+    let qdisc = qdisc(topo.buffer_pkts());
+    let mut sc = DumbbellSpec::new(topo).build(42, &qdisc);
 
     // A 3-minute window of the campus trace (scale 1/40 of two hours).
     let log_cfg = weblog::WebLogConfig::campus_two_hour(40);
@@ -64,13 +64,8 @@ fn run(label: &str, forward: Box<dyn Qdisc>, reverse: Box<dyn Qdisc>) {
 
 fn main() {
     println!("~220 browsing clients behind a 2 Mbps access link:\n");
-    let rate = Bandwidth::from_mbps(2);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    run(
-        "droptail",
-        Box::new(DropTail::with_packets(buffer)),
-        Box::new(UnboundedFifo::new()),
-    );
-    let pair = taq::TaqPair::new(taq::TaqConfig::for_link(rate));
-    run("taq", Box::new(pair.forward), Box::new(pair.reverse));
+    run("droptail", |buffer_pkts| QdiscSpec::DropTail {
+        buffer_pkts,
+    });
+    run("taq", QdiscSpec::taq);
 }

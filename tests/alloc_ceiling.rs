@@ -226,12 +226,7 @@ fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> (Outcome, Footprint
         Scenario::WeblogChurn | Scenario::Sack => Bandwidth::from_mbps(2),
         Scenario::ManyFlow => Bandwidth::from_kbps(600),
     };
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
     let live_before = live_bytes();
-    let built = Discipline::Taq.spec(buffer).build(rate, 42);
-    if let (Some(t), Some(state)) = (telemetry, &built.taq) {
-        state.lock().unwrap().attach_telemetry(t.clone());
-    }
     let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate));
     if let Scenario::Sack = scenario {
         spec = spec.tcp(TcpConfig {
@@ -243,8 +238,10 @@ fn run(scenario: Scenario, telemetry: Option<&Telemetry>) -> (Outcome, Footprint
     if let Some(t) = telemetry {
         spec = spec.telemetry(t.clone());
     }
-    let mut sc = spec.build(42, built.forward);
+    let mut sc = spec.build(42, &Discipline::Taq.spec(spec.topo.buffer_pkts()));
     if let Some(t) = telemetry {
+        let state = sc.taq_state(0).expect("TAQ state");
+        state.lock().unwrap().attach_telemetry(t.clone());
         sc.sim
             .add_monitor(Box::new(TelemetryBridge::new(t.clone())));
     }

@@ -97,10 +97,9 @@ fn pure_acks_do_not_count_as_data() {
 #[test]
 fn packet_traces_expose_silences_and_retransmissions() {
     let run = |discipline: Discipline| {
-        let rate = Bandwidth::from_kbps(600);
-        let built = discipline.spec(30).build(rate, 7);
-        let topo = DumbbellConfig::with_rtt_200ms(rate);
-        let mut sc = DumbbellSpec::new(topo).build_with_reverse(7, built.forward, built.reverse);
+        let topo = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600));
+        let qdisc = discipline.spec(topo.buffer_pkts());
+        let mut sc = DumbbellSpec::new(topo).build(7, &qdisc);
         let bottleneck = sc.db.bottleneck;
         let trace = sc.sim.add_monitor(Box::<EventRecorder>::default());
         sc.add_bulk_clients(60, BULK_BYTES, SimDuration::from_secs(2));

@@ -52,13 +52,17 @@ fn faulty_run(seed: u64) -> RunFingerprint {
     let rate = Bandwidth::from_kbps(400);
     let spec =
         DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(everything_plan(horizon));
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = Discipline::Taq.spec(buffer).build(rate, seed);
-    let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
+    let mut sc = spec.build(seed, &Discipline::Taq.spec(spec.topo.buffer_pkts()));
     sc.add_bulk_clients(10, 40_000, SimDuration::from_secs(1));
     sc.run_until(horizon);
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
+    let taq = sc
+        .taq_state(0)
+        .expect("taq run")
+        .lock()
+        .unwrap()
+        .stats
+        .clone();
     let faults = sc
         .fault_stats()
         .expect("fault plan installed")
@@ -170,9 +174,7 @@ fn no_fault_class_permanently_silences_a_flow() {
     for (name, plan) in classes {
         let rate = Bandwidth::from_kbps(600);
         let spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate)).faults(plan);
-        let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-        let built = Discipline::Taq.spec(buffer).build(rate, 11);
-        let mut sc = spec.build_with_reverse(11, built.forward, built.reverse);
+        let mut sc = spec.build(11, &Discipline::Taq.spec(spec.topo.buffer_pkts()));
         sc.add_bulk_clients(6, 30_000, SimDuration::from_secs(1));
         sc.run_until(horizon);
         let records = sc.log.lock().unwrap().records.clone();

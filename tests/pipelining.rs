@@ -1,11 +1,10 @@
 //! Integration: persistent connections with pipelined requests
 //! (HTTP/1.1 keep-alive), end to end over the simulator.
 
-use taq::{FlowState, TaqConfig, TaqPair};
-use taq_queues::DropTail;
+use taq::FlowState;
 use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimTime};
 use taq_tcp::{new_flow_log, ClientHost, Request, ServerHost, TcpConfig};
-use taq_workloads::{DumbbellScenario, DumbbellSpec, TopoScenario};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, QdiscSpec, TopoScenario};
 
 fn spec() -> DumbbellSpec {
     DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(600)))
@@ -13,7 +12,7 @@ fn spec() -> DumbbellSpec {
 
 /// A 600 Kbps DropTail dumbbell with its server, no clients yet.
 fn setup() -> DumbbellScenario {
-    spec().build(21, Box::new(DropTail::with_packets(30)))
+    spec().build(21, &QdiscSpec::DropTail { buffer_pkts: 30 })
 }
 
 /// Attaches `node` on the client side (router 1) of the scenario's
@@ -116,9 +115,9 @@ fn idle_keepalive_connection_tracks_as_dummy_silence_at_taq() {
     // The traffic pattern pipelining creates — an established flow that
     // simply has nothing to send — is exactly what TAQ's DummySilence
     // state exists to distinguish from a timeout.
-    let pair = TaqPair::new(TaqConfig::for_link(Bandwidth::from_kbps(600)));
-    let state = pair.state.clone();
-    let mut sc = spec().build_with_reverse(33, Box::new(pair.forward), Box::new(pair.reverse));
+    let spec = spec();
+    let mut sc = spec.build(33, &QdiscSpec::taq(spec.topo.buffer_pkts()));
+    let state = sc.taq_state(0).expect("TAQ state").clone();
     let log = new_flow_log();
     let mut client =
         ClientHost::new(TcpConfig::default(), sc.server, 80, 1, log.clone()).with_pipelining();

@@ -8,12 +8,12 @@
 //! reintroduces an `Rc`/`RefCell` anywhere in the object graph fails
 //! this test's *build*, not just its run.
 
-use taq::{TaqConfig, TaqPair, TaqQdisc, TaqReverseQdisc};
+use taq::{TaqPair, TaqQdisc, TaqReverseQdisc};
 use taq_metrics::SliceThroughput;
 use taq_sim::{Bandwidth, DumbbellConfig, SimDuration, SimTime, Simulator};
 use taq_tcp::TcpConfig;
 use taq_telemetry::{shared_sink, RingBufferSink, Telemetry};
-use taq_workloads::{DumbbellScenario, DumbbellSpec, BULK_BYTES};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, QdiscSpec, BULK_BYTES};
 
 fn assert_send<T: Send>() {}
 
@@ -43,11 +43,9 @@ fn fully_populated_scenario_runs_on_another_thread() {
     let (ring, erased) = shared_sink(RingBufferSink::new(256));
     telemetry.add_shared_sink(erased);
 
-    let pair = TaqPair::new(TaqConfig::for_link(rate));
-    let state = pair.state.clone();
+    let mut sc = spec.build(11, &QdiscSpec::taq(spec.topo.buffer_pkts()));
+    let state = sc.taq_state(0).expect("TAQ state").clone();
     state.lock().unwrap().attach_telemetry(telemetry.clone());
-
-    let mut sc = spec.build_with_reverse(11, Box::new(pair.forward), Box::new(pair.reverse));
     let bottleneck = sc.db.bottleneck;
     let slices = sc.sim.add_monitor(Box::new(SliceThroughput::new(
         bottleneck,

@@ -18,7 +18,7 @@ use taq_sim::{
     Simulator, UnboundedFifo,
 };
 use taq_tcp::{new_flow_log, ClientHost, FlowRecord, Request, ServerHost};
-use taq_workloads::{weblog, BuiltPipe, DumbbellSpec, ObjectSizeModel};
+use taq_workloads::{weblog, DumbbellSpec, ObjectSizeModel, QdiscSpec};
 
 /// One run's comparable outputs: every flow-log record plus the TAQ
 /// counter snapshot. Both types derive `PartialEq`, so equality here
@@ -43,23 +43,27 @@ const ORACLE_BYTES: u64 = 40_000;
 const ORACLE_STAGGER: SimDuration = SimDuration::from_secs(1);
 const ORACLE_HORIZON: SimTime = SimTime::from_secs(40);
 
-fn taq_pipe(spec: &DumbbellSpec, seed: u64) -> BuiltPipe {
-    let rate = spec.topo.bottleneck_rate;
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    Discipline::Taq.spec(buffer).build(rate, seed)
+fn taq(spec: &DumbbellSpec) -> QdiscSpec {
+    Discipline::Taq.spec(spec.topo.buffer_pkts())
 }
 
 /// The product path: `DumbbellSpec`, i.e. the two-router recipe over
 /// the topology engine.
 fn run_spec(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
-    let built = taq_pipe(spec, seed);
-    let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
+    let mut sc = spec.build(seed, &taq(spec));
     sc.add_bulk_clients(ORACLE_FLOWS, ORACLE_BYTES, ORACLE_STAGGER);
     sc.run_until(ORACLE_HORIZON);
     let records = sc.log.lock().unwrap().records.clone();
+    let taq = sc
+        .taq_state(0)
+        .expect("taq run")
+        .lock()
+        .unwrap()
+        .stats
+        .clone();
     FullFingerprint {
         records,
-        taq: built.taq.expect("taq run").lock().unwrap().stats.clone(),
+        taq,
         faults: sc.fault_stats().map(|s| s.lock().unwrap().clone()),
         events: sc.sim.events_processed(),
     }
@@ -85,7 +89,7 @@ impl Agent for Relay {
 /// start and access-delay draws.
 fn run_hand_wired(spec: &DumbbellSpec, seed: u64) -> FullFingerprint {
     let cfg = &spec.topo;
-    let built = taq_pipe(spec, seed);
+    let built = taq(spec).build(cfg.bottleneck_rate, seed);
     let fault_stats = (!spec.faults.is_none()).then(shared_fault_stats);
     let forward: Box<dyn Qdisc> = match &fault_stats {
         Some(stats) if spec.faults.has_packet_faults() => Box::new(FaultyLink::new(
@@ -275,10 +279,7 @@ struct FullFingerprint {
 }
 
 fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
-    let rate = Bandwidth::from_kbps(400);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = Discipline::Taq.spec(buffer).build(rate, seed);
-    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(rate));
+    let mut spec = DumbbellSpec::new(DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400)));
     if matches!(shape, Shape::Faults) {
         spec = spec.faults(
             FaultPlan::none()
@@ -286,7 +287,7 @@ fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
                 .with_duplicate(0.02),
         );
     }
-    let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
+    let mut sc = spec.build(seed, &taq(&spec));
     match shape {
         Shape::Churn => {
             let cfg = weblog::WebLogConfig {
@@ -312,7 +313,13 @@ fn run_shape(shape: Shape, seed: u64) -> FullFingerprint {
         }
     }
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
+    let taq = sc
+        .taq_state(0)
+        .expect("taq run")
+        .lock()
+        .unwrap()
+        .stats
+        .clone();
     let faults = sc.fault_stats().map(|s| s.lock().unwrap().clone());
     let events = sc.sim.events_processed();
     FullFingerprint {

@@ -1,16 +1,15 @@
 //! End-to-end integration: TCP hosts over the simulated dumbbell.
 
-use taq_queues::DropTail;
-use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimDuration, SimTime};
+use taq_sim::{Bandwidth, DumbbellConfig, NodeId, SimTime};
 use taq_tcp::{new_flow_log, ClientHost, Request, TcpConfig, Variant};
-use taq_workloads::{DumbbellScenario, DumbbellSpec, TopoScenario};
+use taq_workloads::{DumbbellScenario, DumbbellSpec, QdiscSpec, TopoScenario};
 
 /// Builds a one-server DropTail dumbbell with no clients yet.
 fn setup(seed: u64, rate_kbps: u64, buffer_pkts: usize, tcp: TcpConfig) -> DumbbellScenario {
     let cfg = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(rate_kbps));
     DumbbellSpec::new(cfg)
         .tcp(tcp)
-        .build(seed, Box::new(DropTail::with_packets(buffer_pkts)))
+        .build(seed, &QdiscSpec::DropTail { buffer_pkts })
 }
 
 /// Attaches `node` on the client side (router 1) of the scenario's
@@ -72,7 +71,7 @@ fn parallel_pool_respects_limit_and_finishes() {
 fn congested_link_loses_packets_but_transfers_complete() {
     // 40 clients sharing 400 Kbps: fair share ~10 Kbps = ~2.5 pkts/RTT —
     // inside the small packet regime.
-    let buffer = Bandwidth::from_kbps(400).packets_per(SimDuration::from_millis(200), 500);
+    let buffer = DumbbellConfig::with_rtt_200ms(Bandwidth::from_kbps(400)).buffer_pkts();
     let mut sc = setup(11, 400, buffer, TcpConfig::default());
 
     let log = new_flow_log();

@@ -43,8 +43,6 @@ struct TracedRun {
 /// riding the bottleneck, and returns every comparable output.
 fn run_traced(seed: u64, traced: bool) -> TracedRun {
     let rate = Bandwidth::from_kbps(400);
-    let buffer = rate.packets_per(SimDuration::from_millis(200), 500);
-    let built = Discipline::Taq.spec(buffer).build(rate, seed);
     let plan = FaultPlan::none()
         .with_burst_loss(GilbertElliott::bursts(0.02, 6.0))
         .with_duplicate(0.02);
@@ -54,17 +52,16 @@ fn run_traced(seed: u64, traced: bool) -> TracedRun {
         let telemetry = Telemetry::new();
         let (collector, erased) = shared_sink(TraceCollector::new(TraceConfig::default()));
         telemetry.add_shared_sink(erased);
-        if let Some(state) = &built.taq {
-            state.lock().unwrap().attach_telemetry(telemetry.clone());
-        }
         spec = spec.telemetry(telemetry.clone());
         Some((telemetry, collector))
     } else {
         None
     };
 
-    let mut sc = spec.build_with_reverse(seed, built.forward, built.reverse);
+    let mut sc = spec.build(seed, &Discipline::Taq.spec(spec.topo.buffer_pkts()));
+    let taq = sc.taq_state(0).expect("taq run").clone();
     if let Some((telemetry, _)) = &collector {
+        taq.lock().unwrap().attach_telemetry(telemetry.clone());
         let bridge = TelemetryBridge::new(telemetry.clone()).only(sc.db.bottleneck);
         sc.sim.add_monitor(Box::new(bridge));
     }
@@ -72,7 +69,7 @@ fn run_traced(seed: u64, traced: bool) -> TracedRun {
     sc.run_until(SimTime::from_secs(40));
 
     let records = sc.log.lock().unwrap().records.clone();
-    let taq = built.taq.expect("taq run").lock().unwrap().stats.clone();
+    let taq = taq.lock().unwrap().stats.clone();
     let dump = match &collector {
         Some((telemetry, collector)) => {
             telemetry.flush();
